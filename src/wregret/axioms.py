@@ -7,6 +7,8 @@ replayable witness; `no-violation-found` is evidence, not proof, and the
 reports expose sample counts so callers can calibrate.  The existential
 clause of mixture continuity is searched over a finite mixture grid, and a
 fruitless search is reported as `no-witness-in-grid` rather than `violated`.
+Instances are drawn, mixed and compared as utility profiles (`Alternative`);
+acts made of two-prize lotteries are built only for witnesses.
 
 Axiom ids: "1".."12" follow the order transitivity, completeness,
 nontriviality, monotonicity, mixture continuity, hedging (ambiguity
@@ -23,35 +25,25 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from functools import cached_property
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .decisions import (
     Act,
     Lottery,
     Menu,
+    Profile,
     UtilitySpec,
-    constant_act,
-    mer,
+    belief_entries,
     mix,
     mix_menu,
     mixture_name,
-    mmeu,
-    mwer,
-    max_regret,
-    seu,
+    per_state_best,
+    rule_named,
 )
-from .errors import (
-    ActNotInMenu,
-    BeliefKindMismatch,
-    DimensionMismatch,
-    UnknownAxiom,
-    UnknownPrize,
-)
+from .errors import ActNotInMenu, DimensionMismatch, UnknownAxiom
 from .measures import Measure, WeightedMeasureSet, point_mass
 from .rational import format_rational
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
 
 AXIOM_IDS = tuple(str(i) for i in range(1, 13)) + ("12u", "menu")
 
@@ -75,8 +67,24 @@ class GeneratorConfig:
             raise ValueError("utility_denominator is capped at 10")
 
 
+class Alternative(NamedTuple):
+    """An act as the rules see it: a name and a utility profile (one exact
+    utility per state, in sorted state order).  Two alternatives are the same
+    menu member when both name and profile agree, as for acts."""
+
+    name: str
+    profile: Profile
+
+
+AltMenu = tuple[Alternative, ...]
+
+
 class PreferenceOracle:
-    """A decision rule with a fixed belief, answering menu-relative comparisons."""
+    """A decision rule with a fixed belief, answering menu-relative comparisons.
+
+    `prefers` compares alternatives within a menu of alternatives; `score`
+    and `compare` answer the same questions for acts of a `Menu`.
+    """
 
     def __init__(
         self,
@@ -90,47 +98,49 @@ class PreferenceOracle:
         self.utility = utility
         if state_space is not None:
             self.state_space = tuple(state_space)
-        elif isinstance(belief, Measure):
-            self.state_space = belief.state_space
-        elif isinstance(belief, WeightedMeasureSet):
+        elif isinstance(belief, (Measure, WeightedMeasureSet)):
             self.state_space = belief.state_space
         elif belief is not None:
-            measures = tuple(belief)
-            self.state_space = measures[0].state_space
+            self.state_space = tuple(belief)[0].state_space
         else:
             raise ValueError("state_space is required when the rule takes no belief")
-        self.lower_is_better = rule in ("regret", "mer", "mwer")
+        spec = rule_named(rule)
+        self.lower_is_better = spec.lower_is_better
+        self._score = spec.score
+        self._states = tuple(sorted(self.state_space))
+        self._entries = belief_entries(rule, belief, self._states)
+
+    def rate(self, f: Alternative, menu: Sequence[Alternative]) -> Fraction:
+        """The rule's score of f against the menu."""
+        return self._score(f.profile, per_state_best(a.profile for a in menu), self._entries)
+
+    def prefers(self, f: Alternative, g: Alternative, menu: Sequence[Alternative]) -> int:
+        """+1 if f is strictly preferred to g in the menu, -1 if dispreferred, 0 if indifferent."""
+        best = per_state_best(a.profile for a in menu)
+        sf = self._score(f.profile, best, self._entries)
+        sg = self._score(g.profile, best, self._entries)
+        if sf == sg:
+            return 0
+        return 1 if (sf < sg) == self.lower_is_better else -1
+
+    def to_alternative(self, act: Act) -> Alternative:
+        """The act as the rule sees it: its name and utility profile."""
+        if self.belief is not None and act.state_space != self._states:
+            raise DimensionMismatch(f"act {act.name!r} is not defined over the belief's states")
+        return Alternative(act.name, tuple(act.utility_profile(self.utility).values()))
 
     def score(self, act: Act, menu: Menu) -> Fraction:
-        cache = menu._score_cache.setdefault(self, {})
-        cached = cache.get(act.name)
-        if cached is not None and cache.get((act.name, "act")) == act:
-            return cached
         if act not in menu:
             raise ActNotInMenu(f"act {act.name!r} is not in the menu")
-        if self.rule == "seu":
-            score = seu(act, self.utility, self.belief)
-        elif self.rule == "mmeu":
-            score = mmeu(act, self.utility, self.belief)
-        elif self.rule == "regret":
-            score = max_regret(act, menu, self.utility)
-        elif self.rule == "mer":
-            score = mer(act, menu, self.utility, self.belief)
-        elif self.rule == "mwer":
-            score = mwer(act, menu, self.utility, self.belief)
-        else:
-            raise BeliefKindMismatch(f"unknown rule {self.rule!r}")
-        cache[act.name] = score
-        cache[(act.name, "act")] = act
-        return score
+        return self.rate(self.to_alternative(act), [self.to_alternative(a) for a in menu])
 
     def compare(self, f: Act, g: Act, menu: Menu) -> int:
         """+1 if f is strictly preferred to g in the menu, -1 if dispreferred, 0 if indifferent."""
-        sf, sg = self.score(f, menu), self.score(g, menu)
-        if sf == sg:
-            return 0
-        better = sf < sg if self.lower_is_better else sf > sg
-        return 1 if better else -1
+        for act in (f, g):
+            if act not in menu:
+                raise ActNotInMenu(f"act {act.name!r} is not in the menu")
+        alternatives = [self.to_alternative(a) for a in menu]
+        return self.prefers(self.to_alternative(f), self.to_alternative(g), alternatives)
 
 
 @dataclass
@@ -197,51 +207,74 @@ class AxiomReport:
         }
 
 
-# -- random instance generation --------------------------------------------------
+# -- utility profiles and the lotteries that realize them ---------------------------
 
-# keyed by UtilitySpec identity (specs are immutable and few per process)
-_SPAN_CACHE: dict[UtilitySpec, tuple[str, str, Fraction, Fraction]] = {}
-_LOTTERY_CACHE: dict[tuple[UtilitySpec, Fraction], Lottery] = {}
+def utility_span(u: UtilitySpec) -> tuple[str, str, Fraction, Fraction]:
+    """The best and worst prizes and their utilities: (hi_prize, lo_prize, hi, lo)."""
+    items = u.items()
+    lo_prize, lo = min(items, key=lambda kv: kv[1])
+    hi_prize, hi = max(items, key=lambda kv: kv[1])
+    return hi_prize, lo_prize, hi, lo
 
 
-def _utility_span(u: UtilitySpec) -> tuple[str, str, Fraction, Fraction]:
-    span = _SPAN_CACHE.get(u)
-    if span is None:
-        items = u.items()
-        lo_prize, lo = min(items, key=lambda kv: kv[1])
-        hi_prize, hi = max(items, key=lambda kv: kv[1])
-        span = (hi_prize, lo_prize, hi, lo)
-        _SPAN_CACHE[u] = span
-    return span
+def _reachable(values, lo: Fraction, hi: Fraction) -> Profile:
+    """The values as a profile, if lotteries with utilities in [lo, hi] reach them."""
+    profile = tuple(values)
+    for value in profile:
+        if not (lo <= value <= hi):
+            raise ValueError(f"utility {value} outside the representable range [{lo}, {hi}]")
+    return profile
 
 
 def value_lottery(value: Fraction, u: UtilitySpec) -> Lottery:
     """A two-prize lottery whose expected utility is exactly `value`."""
-    key = (u, value)
-    cached = _LOTTERY_CACHE.get(key)
-    if cached is not None:
-        return cached
-    hi_prize, lo_prize, hi, lo = _utility_span(u)
-    if not (lo <= value <= hi):
-        raise ValueError(f"utility {value} outside the representable range [{lo}, {hi}]")
+    hi_prize, lo_prize, hi, lo = utility_span(u)
+    (value,) = _reachable((value,), lo, hi)
     p = (value - lo) / (hi - lo)
-    lottery = Lottery({hi_prize: p, lo_prize: 1 - p})
-    _LOTTERY_CACHE[key] = lottery
-    return lottery
+    return Lottery({hi_prize: p, lo_prize: 1 - p})
+
 
 def profile_act(name: str, profile: Mapping[str, Fraction], u: UtilitySpec) -> Act:
     return Act(name, {s: value_lottery(Fraction(v), u) for s, v in profile.items()})
 
 
-class _Sampler:
-    """Seeded generation of acts, menus and mixture coefficients."""
+def realize(alternative: Alternative, states: Sequence[str], u: UtilitySpec) -> Act:
+    """The act over the sorted `states` with the alternative's name and profile."""
+    return profile_act(alternative.name, dict(zip(states, alternative.profile)), u)
+
+
+def _mix(p: Fraction, f: Alternative, h: Alternative) -> Alternative:
+    """The mixture p*f + (1-p)*h; utility is linear in lotteries, so profiles mix."""
+    q = 1 - p
+    return Alternative(
+        mixture_name(p, f.name, h.name),
+        tuple(p * a + q * b for a, b in zip(f.profile, h.profile)),
+    )
+
+
+def _enlarge(menu: AltMenu, *acts: Alternative) -> AltMenu:
+    """The menu with each act appended unless it is already a member."""
+    for act in acts:
+        if act not in menu:
+            menu += (act,)
+    return menu
+
+
+class Sampler:
+    """Seeded draws of alternatives, menus of them and mixture coefficients."""
 
     def __init__(self, rng: random.Random, oracle: PreferenceOracle, config: GeneratorConfig):
         self.rng = rng
-        self.oracle = oracle
         self.config = config
         self.states = tuple(sorted(oracle.state_space))
+        _, _, self.hi, self.lo = utility_span(oracle.utility)
         self._counter = 0
+
+    @cached_property
+    def grid(self) -> list[Fraction]:
+        """The mixture coefficients in (0, 1) with denominators up to the bound, ascending."""
+        bound = self.config.mixture_denominator
+        return sorted({Fraction(k, d) for d in range(2, bound + 1) for k in range(1, d)})
 
     def _fresh(self, prefix: str) -> str:
         self._counter += 1
@@ -249,18 +282,21 @@ class _Sampler:
 
     def grid_value(self) -> Fraction:
         d = self.config.utility_denominator
-        return Fraction(self.rng.randint(-d, d), d)
+        return _reachable((Fraction(self.rng.randint(-d, d), d),), self.lo, self.hi)[0]
 
-    def profile(self) -> dict[str, Fraction]:
-        return {s: self.grid_value() for s in self.states}
+    def act(self, prefix: str = "a") -> Alternative:
+        return Alternative(self._fresh(prefix), tuple(self.grid_value() for _ in self.states))
 
-    def act(self, prefix: str = "a") -> Act:
-        return profile_act(self._fresh(prefix), self.profile(), self.oracle.utility)
-
-    def constant(self, prefix: str = "c") -> Act:
+    def constant(self, prefix: str = "c") -> Alternative:
         value = self.grid_value()
-        return constant_act(
-            self._fresh(prefix), value_lottery(value, self.oracle.utility), self.states
+        return Alternative(self._fresh(prefix), (value,) * len(self.states))
+
+    def lowered(self, profile: Profile) -> Profile:
+        """The profile with each utility lowered by a random grid step, not below -1."""
+        d = self.config.utility_denominator
+        return _reachable(
+            [max(Fraction(-1), v - Fraction(self.rng.randint(0, d), d)) for v in profile],
+            self.lo, self.hi,
         )
 
     def mixture(self) -> Fraction:
@@ -268,37 +304,47 @@ class _Sampler:
         k = self.rng.randint(1, d - 1)
         return Fraction(k, d)
 
-    def menu(self, min_size: int = 2, allow_mirror: bool = True) -> Menu:
+    def menu(self, min_size: int = 2) -> AltMenu:
         size = self.rng.randint(min_size, max(min_size, self.config.menu_size))
         acts = [self.act() for _ in range(size)]
-        if allow_mirror and self.rng.random() < 0.5:
+        if self.rng.random() < 0.5:
             base = self.rng.choice(acts)
-            profile = base.utility_profile(self.oracle.utility)
-            mirrored = dict(zip(self.states, reversed([profile[s] for s in self.states])))
-            acts.append(profile_act(self._fresh("m"), mirrored, self.oracle.utility))
+            acts.append(Alternative(self._fresh("m"), base.profile[::-1]))
         if self.rng.random() < 0.4:
             acts.append(self.constant())
-        return Menu(acts)
+        return tuple(acts)
 
-    def state_independent_menu(self) -> tuple[Menu, Act]:
+    def state_independent_menu(self) -> tuple[AltMenu, Alternative]:
         """A menu whose per-state outcome set is state-independent, plus a
-        constant member act (cyclic assignments of one lottery tuple)."""
+        constant member act (cyclic assignments of one value tuple)."""
         k = len(self.states)
         values = [self.grid_value() for _ in range(max(k, 2))]
-        lotteries = [value_lottery(v, self.oracle.utility) for v in values]
-        acts = []
-        for i in range(len(lotteries)):
-            outcomes = {
-                s: lotteries[(i + j) % len(lotteries)] for j, s in enumerate(self.states)
-            }
-            acts.append(Act(self._fresh("cyc"), outcomes))
-        h = constant_act(
-            self._fresh("h"), value_lottery(self.grid_value(), self.oracle.utility), self.states
+        n = len(values)
+        acts = tuple(
+            Alternative(self._fresh("cyc"), tuple(values[(i + j) % n] for j in range(k)))
+            for i in range(n)
         )
-        return Menu(acts + [h]), h
+        h = self.constant("h")
+        return acts + (h,), h
 
-    def pick(self, menu: Menu, n: int) -> list[Act]:
-        return [menu.acts[i] for i in self.rng.sample(range(len(menu)), n)]
+    def pick(self, menu: Sequence, n: int) -> list:
+        return [menu[i] for i in self.rng.sample(range(len(menu)), n)]
+
+
+def _witness(
+    o: PreferenceOracle, states: Sequence[str], axiom: str, description: str,
+    menu: AltMenu, acts: dict[str, Alternative], params: Optional[dict] = None,
+    scores: Optional[dict[str, Fraction]] = None, kind: str = "violation",
+) -> Witness:
+    """A witness with its alternatives realized as acts over the sorted
+    `states`; params named "...menu" hold menus and are realized too."""
+
+    def as_menu(alternatives: AltMenu) -> Menu:
+        return Menu(realize(a, states, o.utility) for a in alternatives)
+
+    params = {k: as_menu(v) if k.endswith("menu") else v for k, v in (params or {}).items()}
+    acts = {role: realize(a, states, o.utility) for role, a in acts.items()}
+    return Witness(axiom, o.rule, kind, description, as_menu(menu), acts, params, dict(scores or {}))
 
 
 # -- per-axiom checkers ------------------------------------------------------------
@@ -308,271 +354,244 @@ class _Sampler:
 Check = tuple[str, Optional[Witness]]
 
 
-def _check_transitivity(o: PreferenceOracle, s: _Sampler) -> Check:
+def _check_transitivity(o: PreferenceOracle, s: Sampler) -> Check:
     menu = s.menu(min_size=3)
     f, g, h = s.pick(menu, 3)
-    if o.compare(f, g, menu) >= 0 and o.compare(g, h, menu) >= 0:
-        if o.compare(f, h, menu) >= 0:
+    if o.prefers(f, g, menu) >= 0 and o.prefers(g, h, menu) >= 0:
+        if o.prefers(f, h, menu) >= 0:
             return "pass", None
-        return "violated", Witness(
-            "1", o.rule, "violation", "f>=g and g>=h but not f>=h", menu,
-            {"f": f, "g": g, "h": h},
+        return "violated", _witness(
+            o, s.states, "1", "f>=g and g>=h but not f>=h", menu, {"f": f, "g": g, "h": h},
         )
     return "vacuous", None
 
 
-def _check_completeness(o: PreferenceOracle, s: _Sampler) -> Check:
+def _check_completeness(o: PreferenceOracle, s: Sampler) -> Check:
     menu = s.menu(min_size=2)
     f, g = s.pick(menu, 2)
-    forward, backward = o.compare(f, g, menu), o.compare(g, f, menu)
+    forward, backward = o.prefers(f, g, menu), o.prefers(g, f, menu)
     if forward == -backward:
         return "pass", None
-    return "violated", Witness(
-        "2", o.rule, "violation", "comparison is not a complete order", menu,
-        {"f": f, "g": g},
+    return "violated", _witness(
+        o, s.states, "2", "comparison is not a complete order", menu, {"f": f, "g": g},
     )
 
 
-def _check_nontriviality(o: PreferenceOracle, s: _Sampler) -> Check:
-    hi_prize, lo_prize, hi, lo = _utility_span(o.utility)
-    better = constant_act("nontrivial_hi", Lottery({hi_prize: 1}), s.states)
-    worse = constant_act("nontrivial_lo", Lottery({lo_prize: 1}), s.states)
-    menu = Menu([better, worse])
-    if o.compare(better, worse, menu) > 0:
+def _check_nontriviality(o: PreferenceOracle, s: Sampler) -> Check:
+    k = len(s.states)
+    better = Alternative("nontrivial_hi", (s.hi,) * k)
+    worse = Alternative("nontrivial_lo", (s.lo,) * k)
+    menu = (better, worse)
+    if o.prefers(better, worse, menu) > 0:
         return "pass", None
-    return "violated", Witness(
-        "3", o.rule, "violation",
-        "no strict preference between prize extremes", menu,
+    return "violated", _witness(
+        o, s.states, "3", "no strict preference between prize extremes", menu,
         {"f": better, "g": worse},
     )
 
 
-def _check_monotonicity(o: PreferenceOracle, s: _Sampler) -> Check:
+def _check_monotonicity(o: PreferenceOracle, s: Sampler) -> Check:
     f = s.act("f")
-    d = s.config.utility_denominator
-    f_profile = f.utility_profile(o.utility)
-    g_profile = {
-        st: max(Fraction(-1), v - Fraction(s.rng.randint(0, d), d))
-        for st, v in f_profile.items()
-    }
-    g = profile_act("gdom", g_profile, o.utility)
-    menu = s.menu().union([f, g])
+    g = Alternative("gdom", s.lowered(f.profile))
+    menu = _enlarge(s.menu(), f, g)
     # statewise precondition, queried through the oracle on constant-act pairs
-    for st in s.states:
-        cf = constant_act("mono_f", f[st], s.states)
-        cg = constant_act("mono_g", g[st], s.states)
-        if o.compare(cf, cg, Menu([cf, cg])) < 0:
+    k = len(s.states)
+    for fv, gv in zip(f.profile, g.profile):
+        cf, cg = Alternative("mono_f", (fv,) * k), Alternative("mono_g", (gv,) * k)
+        if o.prefers(cf, cg, (cf, cg)) < 0:
             return "vacuous", None
-    if o.compare(f, g, menu) >= 0:
+    if o.prefers(f, g, menu) >= 0:
         return "pass", None
-    return "violated", Witness(
-        "4", o.rule, "violation", "statewise-dominating act ranked strictly worse",
+    return "violated", _witness(
+        o, s.states, "4", "statewise-dominating act ranked strictly worse",
         menu, {"f": f, "g": g},
     )
 
 
-def _mixture_grid(bound: int) -> list[Fraction]:
-    values = {Fraction(k, d) for d in range(2, bound + 1) for k in range(1, d)}
-    return sorted(values)
-
-
-def _check_mixture_continuity(o: PreferenceOracle, s: _Sampler) -> Check:
+def _check_mixture_continuity(o: PreferenceOracle, s: Sampler) -> Check:
     menu = s.menu(min_size=3)
     chain = None
     for _ in range(8):
         f, g, h = s.pick(menu, 3)
-        if o.compare(f, g, menu) > 0 and o.compare(g, h, menu) > 0:
+        if o.prefers(f, g, menu) > 0 and o.prefers(g, h, menu) > 0:
             chain = (f, g, h)
             break
     if chain is None:
         return "vacuous", None
     f, g, h = chain
-    grid = _mixture_grid(s.config.mixture_denominator)
     q_found = None
-    for q in reversed(grid):  # near 1 first: mixtures close to f
-        mixed = mix(q, f, h)
-        if o.compare(mixed, g, menu.with_act(mixed)) > 0:
+    for q in reversed(s.grid):  # near 1 first: mixtures close to f
+        mixed = _mix(q, f, h)
+        if o.prefers(mixed, g, _enlarge(menu, mixed)) > 0:
             q_found = q
             break
     r_found = None
-    for r in grid:  # near 0 first: mixtures close to h
-        mixed = mix(r, f, h)
-        if o.compare(g, mixed, menu.with_act(mixed)) > 0:
+    for r in s.grid:  # near 0 first: mixtures close to h
+        mixed = _mix(r, f, h)
+        if o.prefers(g, mixed, _enlarge(menu, mixed)) > 0:
             r_found = r
             break
     if q_found is not None and r_found is not None:
         return "pass", None
-    return "no-witness", Witness(
-        "5", o.rule, "no-witness-in-grid",
-        "no mixture coefficient in the grid witnesses the existential",
+    return "no-witness", _witness(
+        o, s.states, "5", "no mixture coefficient in the grid witnesses the existential",
         menu, {"f": f, "g": g, "h": h},
         {"q": q_found, "r": r_found, "grid_denominator": s.config.mixture_denominator},
+        kind="no-witness-in-grid",
     )
 
 
-def _indifferent_pair(o: PreferenceOracle, s: _Sampler, menu: Menu) -> Optional[tuple[Act, Act]]:
-    acts = list(menu.acts)
+def _indifferent_pair(
+    o: PreferenceOracle, s: Sampler, menu: AltMenu
+) -> Optional[tuple[Alternative, Alternative]]:
+    acts = list(menu)
     s.rng.shuffle(acts)
     for i in range(len(acts)):
         for j in range(i + 1, len(acts)):
-            if o.compare(acts[i], acts[j], menu) == 0:
+            if o.prefers(acts[i], acts[j], menu) == 0:
                 return acts[i], acts[j]
     return None
 
 
-def _check_hedging(o: PreferenceOracle, s: _Sampler) -> Check:
+def _check_hedging(o: PreferenceOracle, s: Sampler) -> Check:
     menu = s.menu(min_size=2)
     pair = _indifferent_pair(o, s, menu)
     if pair is None:
         return "vacuous", None
     f, g = pair
     p = s.mixture()
-    mixed = mix(p, f, g)
-    enlarged = menu.with_act(mixed)
-    if o.compare(mixed, g, enlarged) >= 0:
+    mixed = _mix(p, f, g)
+    enlarged = _enlarge(menu, mixed)
+    if o.prefers(mixed, g, enlarged) >= 0:
         return "pass", None
-    return "violated", Witness(
-        "6", o.rule, "violation", "hedge between indifferent acts ranked strictly worse",
+    return "violated", _witness(
+        o, s.states, "6", "hedge between indifferent acts ranked strictly worse",
         enlarged, {"f": f, "g": g, "mixture": mixed}, {"p": p},
-        {"mixture": o.score(mixed, enlarged), "g": o.score(g, enlarged)},
+        {"mixture": o.rate(mixed, enlarged), "g": o.rate(g, enlarged)},
     )
 
 
-def _independence_instance(o: PreferenceOracle, s: _Sampler, h: Act, axiom: str) -> Check:
+def _independence_instance(o: PreferenceOracle, s: Sampler, h: Alternative, axiom: str) -> Check:
     menu = s.menu(min_size=2)
     f, g = s.pick(menu, 2)
     p = s.mixture()
-    lhs = o.compare(f, g, menu)
-    mixed_menu = mix_menu(p, menu, h)
-    mf, mg = mix(p, f, h), mix(p, g, h)
-    rhs = o.compare(mf, mg, mixed_menu)
+    lhs = o.prefers(f, g, menu)
+    mixed_menu = tuple(_mix(p, a, h) for a in menu)
+    mf, mg = _mix(p, f, h), _mix(p, g, h)
+    rhs = o.prefers(mf, mg, mixed_menu)
     if lhs == rhs:
         return "pass", None
-    return "violated", Witness(
-        axiom, o.rule, "violation",
-        "mixing with a common act changes the comparison",
+    return "violated", _witness(
+        o, s.states, axiom, "mixing with a common act changes the comparison",
         menu, {"f": f, "g": g, "h": h}, {"p": p},
         {
-            "f": o.score(f, menu), "g": o.score(g, menu),
-            "mixed_f": o.score(mf, mixed_menu), "mixed_g": o.score(mg, mixed_menu),
+            "f": o.rate(f, menu), "g": o.rate(g, menu),
+            "mixed_f": o.rate(mf, mixed_menu), "mixed_g": o.rate(mg, mixed_menu),
         },
     )
 
 
-def _check_independence(o: PreferenceOracle, s: _Sampler) -> Check:
+def _check_independence(o: PreferenceOracle, s: Sampler) -> Check:
     return _independence_instance(o, s, s.act("h"), "7")
 
 
-def _check_constant_menu_independence(o: PreferenceOracle, s: _Sampler) -> Check:
+def _check_constant_menu_independence(o: PreferenceOracle, s: Sampler) -> Check:
     c1, c2 = s.constant(), s.constant()
-    menu_a = s.menu().union([c1, c2])
-    menu_b = s.menu().union([c1, c2])
-    if o.compare(c1, c2, menu_a) == o.compare(c1, c2, menu_b):
+    menu_a = _enlarge(s.menu(), c1, c2)
+    menu_b = _enlarge(s.menu(), c1, c2)
+    if o.prefers(c1, c2, menu_a) == o.prefers(c1, c2, menu_b):
         return "pass", None
-    return "violated", Witness(
-        "8", o.rule, "violation", "constant-act comparison depends on the menu",
-        menu_a, {"f": c1, "g": c2},
+    return "violated", _witness(
+        o, s.states, "8", "constant-act comparison depends on the menu",
+        menu_a, {"f": c1, "g": c2}, {"other_menu": menu_b},
     )
 
 
-def _check_ina(o: PreferenceOracle, s: _Sampler) -> Check:
+def _check_ina(o: PreferenceOracle, s: Sampler) -> Check:
     menu = s.menu(min_size=2)
     f, g = s.pick(menu, 2)
-    best = menu.best_profile(o.utility)
-    d = s.config.utility_denominator
-    extras = []
-    for _ in range(s.rng.randint(1, 2)):
-        profile = {
-            st: max(Fraction(-1), best[st] - Fraction(s.rng.randint(0, d), d))
-            for st in s.states
-        }
-        extras.append(profile_act(s._fresh("nso"), profile, o.utility))
-    enlarged = menu.union(extras)
-    if o.compare(f, g, menu) == o.compare(f, g, enlarged):
+    best = per_state_best(a.profile for a in menu)
+    extras = [Alternative(s._fresh("nso"), s.lowered(best)) for _ in range(s.rng.randint(1, 2))]
+    enlarged = _enlarge(menu, *extras)
+    if o.prefers(f, g, menu) == o.prefers(f, g, enlarged):
         return "pass", None
-    return "violated", Witness(
-        "9", o.rule, "violation",
-        "adding never-strictly-optimal acts changes the comparison",
+    return "violated", _witness(
+        o, s.states, "9", "adding never-strictly-optimal acts changes the comparison",
         enlarged, {"f": f, "g": g}, {"base_menu": menu},
     )
 
 
-def _check_boundedness(o: PreferenceOracle, s: _Sampler) -> Check:
+def _check_boundedness(o: PreferenceOracle, s: Sampler) -> Check:
     menu = s.menu()
-    _, _, hi, _ = _utility_span(o.utility)
-    best = menu.best_profile(o.utility)
-    if all(v <= hi for v in best.values()):
+    if all(v <= s.hi for v in per_state_best(a.profile for a in menu)):
         return "pass", None
-    return "violated", Witness(
-        "10", o.rule, "violation", "menu utilities exceed every lottery bound", menu, {},
+    return "violated", _witness(
+        o, s.states, "10", "menu utilities exceed every lottery bound", menu, {},
     )
 
 
-def _check_c_independence(o: PreferenceOracle, s: _Sampler) -> Check:
+def _check_c_independence(o: PreferenceOracle, s: Sampler) -> Check:
     return _independence_instance(o, s, s.constant("h"), "11")
 
 
-def _state_independent(menu: Menu) -> bool:
-    per_state = [
-        frozenset(act[s] for act in menu) for s in menu.state_space
-    ]
+def _state_independent(menu: AltMenu) -> bool:
+    per_state = [frozenset(values) for values in zip(*(a.profile for a in menu))]
     return all(p == per_state[0] for p in per_state)
 
 
 def _constant_mix_instance(
-    o: PreferenceOracle, s: _Sampler, menu: Menu, h: Act, axiom: str
+    o: PreferenceOracle, s: Sampler, menu: AltMenu, h: Alternative, axiom: str
 ) -> Check:
-    candidates = [f for f in menu if f != h and o.compare(h, f, menu) == 0]
-    if not candidates:
+    f = next((f for f in menu if f != h and o.prefers(h, f, menu) == 0), None)
+    if f is None:
         return "vacuous", None
-    f = candidates[0]
     p = s.mixture()
-    mixed = mix(p, f, h)
-    enlarged = menu.with_act(mixed)
-    if o.compare(mixed, f, enlarged) == 0:
+    mixed = _mix(p, f, h)
+    enlarged = _enlarge(menu, mixed)
+    if o.prefers(mixed, f, enlarged) == 0:
         return "pass", None
-    return "violated", Witness(
-        axiom, o.rule, "violation",
+    return "violated", _witness(
+        o, s.states, axiom,
         "mixing an act with an indifferent constant act breaks the indifference",
         enlarged, {"f": f, "h": h, "mixture": mixed}, {"p": p},
         {
-            "f": o.score(f, enlarged),
-            "h": o.score(h, enlarged),
-            "mixture": o.score(mixed, enlarged),
+            "f": o.rate(f, enlarged),
+            "h": o.rate(h, enlarged),
+            "mixture": o.rate(mixed, enlarged),
         },
     )
 
 
-def _check_constant_mix(o: PreferenceOracle, s: _Sampler) -> Check:
+def _check_constant_mix(o: PreferenceOracle, s: Sampler) -> Check:
     menu, h = s.state_independent_menu()
     if not _state_independent(menu):  # defensive: the construction guarantees it
         return "vacuous", None
     return _constant_mix_instance(o, s, menu, h, "12")
 
 
-def _check_constant_mix_unrestricted(o: PreferenceOracle, s: _Sampler) -> Check:
+def _check_constant_mix_unrestricted(o: PreferenceOracle, s: Sampler) -> Check:
     h = s.constant("h")
-    menu = s.menu().with_act(h)
+    menu = _enlarge(s.menu(), h)
     return _constant_mix_instance(o, s, menu, h, "12u")
 
 
-def _check_menu_independence(o: PreferenceOracle, s: _Sampler) -> Check:
+def _check_menu_independence(o: PreferenceOracle, s: Sampler) -> Check:
     menu = s.menu(min_size=2)
     f, g = s.pick(menu, 2)
-    enlarged = menu.union([s.act() for _ in range(s.rng.randint(1, 2))])
-    if o.compare(f, g, menu) == o.compare(f, g, enlarged):
+    enlarged = _enlarge(menu, *[s.act() for _ in range(s.rng.randint(1, 2))])
+    if o.prefers(f, g, menu) == o.prefers(f, g, enlarged):
         return "pass", None
-    return "violated", Witness(
-        "menu", o.rule, "violation", "enlarging the menu reverses the comparison",
+    return "violated", _witness(
+        o, s.states, "menu", "enlarging the menu reverses the comparison",
         enlarged, {"f": f, "g": g}, {"base_menu": menu},
         scores={
-            "f_small": o.score(f, menu), "g_small": o.score(g, menu),
-            "f_large": o.score(f, enlarged), "g_large": o.score(g, enlarged),
+            "f_small": o.rate(f, menu), "g_small": o.rate(g, menu),
+            "f_large": o.rate(f, enlarged), "g_large": o.rate(g, enlarged),
         },
     )
 
 
-_CHECKERS: dict[str, Callable[[PreferenceOracle, _Sampler], Check]] = {
+_CHECKERS: dict[str, Callable[[PreferenceOracle, Sampler], Check]] = {
     "1": _check_transitivity,
     "2": _check_completeness,
     "3": _check_nontriviality,
@@ -609,8 +628,13 @@ DELIVERY_UTILITY = UtilitySpec(
 )
 
 
-def _pair_act(name: str, one: Fraction, ten: Fraction, u: UtilitySpec) -> Act:
-    return profile_act(name, {"one_broken": one, "ten_broken": ten}, u)
+def _pair(o: PreferenceOracle, name: str, one: Fraction, ten: Fraction) -> Alternative:
+    """A delivery alternative; the corpus fits only oracles whose utility range
+    reaches its values and whose belief (if any) is over the delivery states."""
+    if o.belief is not None and tuple(sorted(o.state_space)) != DELIVERY_STATES:
+        raise DimensionMismatch("the curated corpus is over the delivery states")
+    _, _, hi, lo = utility_span(o.utility)
+    return Alternative(name, _reachable((Fraction(one), Fraction(ten)), lo, hi))
 
 
 def delivery_fixtures() -> "BeliefFixtures":
@@ -628,109 +652,93 @@ def delivery_fixtures() -> "BeliefFixtures":
 
 
 def _curated_menu_dependence(o: PreferenceOracle) -> Optional[Witness]:
-    u = o.utility
-    cont = _pair_act("cont", Fraction(10000), Fraction(-10000), u)
-    back = _pair_act("back", Fraction(0), Fraction(0), u)
-    check = _pair_act("check", Fraction(5001), Fraction(-4999), u)
-    new = _pair_act("new", Fraction(20000), Fraction(-20000), u)
-    base = Menu([cont, back, check])
-    extended = Menu([cont, back, check, new])
-    if o.compare(check, cont, base) == o.compare(check, cont, extended):
+    cont = _pair(o, "cont", 10000, -10000)
+    back = _pair(o, "back", 0, 0)
+    check = _pair(o, "check", 5001, -4999)
+    new = _pair(o, "new", 20000, -20000)
+    base = (cont, back, check)
+    extended = base + (new,)
+    if o.prefers(check, cont, base) == o.prefers(check, cont, extended):
         return None
-    return Witness(
-        "menu", o.rule, "violation",
+    return _witness(
+        o, DELIVERY_STATES, "menu",
         "known delivery instance: an added dominated-nowhere act reverses the ranking",
         extended, {"f": check, "g": cont}, {"base_menu": base},
         scores={
-            "f_small": o.score(check, base), "g_small": o.score(cont, base),
-            "f_large": o.score(check, extended), "g_large": o.score(cont, extended),
+            "f_small": o.rate(check, base), "g_small": o.rate(cont, base),
+            "f_large": o.rate(check, extended), "g_large": o.rate(cont, extended),
+        },
+    )
+
+
+def _constant_mix_corpus(
+    o: PreferenceOracle, menu: AltMenu, axiom: str, description: str
+) -> Optional[Witness]:
+    cont, back = menu[0], menu[2]
+    if o.prefers(back, cont, menu) != 0:
+        return None
+    p = Fraction(1, 2)
+    mixed = _mix(p, cont, back)
+    enlarged = _enlarge(menu, mixed)
+    if o.prefers(mixed, cont, enlarged) == 0:
+        return None
+    return _witness(
+        o, DELIVERY_STATES, axiom, description,
+        enlarged, {"f": cont, "h": back, "mixture": mixed}, {"p": p},
+        {
+            "f": o.rate(cont, enlarged),
+            "h": o.rate(back, enlarged),
+            "mixture": o.rate(mixed, enlarged),
         },
     )
 
 
 def _curated_constant_mix(o: PreferenceOracle) -> Optional[Witness]:
     """State-independent outcome distributions, mirrored payoffs around zero."""
-    u = o.utility
-    acts = [
-        _pair_act("cont", Fraction(10000), Fraction(-10000), u),
-        _pair_act(mixture_name(Fraction(1, 2), "cont", "back"), Fraction(5000), Fraction(-5000), u),
-        _pair_act("back", Fraction(0), Fraction(0), u),
-        _pair_act("check1", Fraction(-5000), Fraction(5000), u),
-        _pair_act("check2", Fraction(-10000), Fraction(10000), u),
-    ]
-    menu = Menu(acts)
+    menu = (
+        _pair(o, "cont", 10000, -10000),
+        _pair(o, mixture_name(Fraction(1, 2), "cont", "back"), 5000, -5000),
+        _pair(o, "back", 0, 0),
+        _pair(o, "check1", -5000, 5000),
+        _pair(o, "check2", -10000, 10000),
+    )
     if not _state_independent(menu):
         return None
-    cont, back = acts[0], acts[2]
-    if o.compare(back, cont, menu) != 0:
-        return None
-    mixed = mix(Fraction(1, 2), cont, back)
-    enlarged = menu.with_act(mixed)
-    if o.compare(mixed, cont, enlarged) == 0:
-        return None
-    return Witness(
-        "12", o.rule, "violation",
-        "known state-independent instance: the half mixture beats both parents",
-        enlarged, {"f": cont, "h": back, "mixture": mixed},
-        {"p": Fraction(1, 2)},
-        {
-            "f": o.score(cont, enlarged),
-            "h": o.score(back, enlarged),
-            "mixture": o.score(mixed, enlarged),
-        },
+    return _constant_mix_corpus(
+        o, menu, "12", "known state-independent instance: the half mixture beats both parents",
     )
 
 
 def _curated_constant_mix_unrestricted(o: PreferenceOracle) -> Optional[Witness]:
-    u = o.utility
-    acts = [
-        _pair_act("cont", Fraction(10000), Fraction(-10000), u),
-        _pair_act(mixture_name(Fraction(1, 2), "cont", "back"), Fraction(5000), Fraction(-5000), u),
-        _pair_act("back", Fraction(0), Fraction(0), u),
-        _pair_act("check", Fraction(5001), Fraction(-4999), u),
-    ]
-    menu = Menu(acts)
-    cont, back = acts[0], acts[2]
-    if o.compare(back, cont, menu) != 0:
-        return None
-    mixed = mix(Fraction(1, 2), cont, back)
-    enlarged = menu.with_act(mixed)
-    if o.compare(mixed, cont, enlarged) == 0:
-        return None
-    return Witness(
-        "12u", o.rule, "violation",
-        "known instance without state-independent distributions",
-        enlarged, {"f": cont, "h": back, "mixture": mixed},
-        {"p": Fraction(1, 2)},
-        {
-            "f": o.score(cont, enlarged),
-            "h": o.score(back, enlarged),
-            "mixture": o.score(mixed, enlarged),
-        },
+    menu = (
+        _pair(o, "cont", 10000, -10000),
+        _pair(o, mixture_name(Fraction(1, 2), "cont", "back"), 5000, -5000),
+        _pair(o, "back", 0, 0),
+        _pair(o, "check", 5001, -4999),
+    )
+    return _constant_mix_corpus(
+        o, menu, "12u", "known instance without state-independent distributions",
     )
 
 
 def _curated_mmeu_independence(o: PreferenceOracle) -> Optional[Witness]:
     """Pinned hedging instance: mixing with a mirrored act reverses worst cases."""
-    u = o.utility
-    f = _pair_act("steep", Fraction(1), Fraction(0), u)
-    g = _pair_act("flat", Fraction(2, 5), Fraction(2, 5), u)
-    h = _pair_act("mirror", Fraction(0), Fraction(1), u)
-    menu = Menu([f, g])
+    f = _pair(o, "steep", 1, 0)
+    g = _pair(o, "flat", Fraction(2, 5), Fraction(2, 5))
+    h = _pair(o, "mirror", 0, 1)
+    menu = (f, g)
     p = Fraction(1, 2)
-    mixed_menu = mix_menu(p, menu, h)
-    lhs = o.compare(f, g, menu)
-    rhs = o.compare(mix(p, f, h), mix(p, g, h), mixed_menu)
-    if lhs == rhs:
+    mixed_menu = (_mix(p, f, h), _mix(p, g, h))
+    mf, mg = mixed_menu
+    if o.prefers(f, g, menu) == o.prefers(mf, mg, mixed_menu):
         return None
-    return Witness(
-        "7", o.rule, "violation",
+    return _witness(
+        o, DELIVERY_STATES, "7",
         "pinned instance: hedging with a mirrored act reverses the comparison",
         menu, {"f": f, "g": g, "h": h}, {"p": p},
         {
-            "f": o.score(f, menu), "g": o.score(g, menu),
-            "mixed_f": o.score(mix(p, f, h), mixed_menu),
-            "mixed_g": o.score(mix(p, g, h), mixed_menu),
+            "f": o.rate(f, menu), "g": o.rate(g, menu),
+            "mixed_f": o.rate(mf, mixed_menu), "mixed_g": o.rate(mg, mixed_menu),
         },
     )
 
@@ -759,16 +767,15 @@ def check_axiom(
     if len(oracle.state_space) > 6:
         raise ValueError("axiom checking is capped at 6 states")
     checker = _CHECKERS[axiom]
-    rng = random.Random(seed)
-    sampler = _Sampler(rng, oracle, config)
+    sampler = Sampler(random.Random(seed), oracle, config)
 
     curated_count = 0
     if config.include_curated:
         for builder in _CURATED.get(axiom, ()):
             try:
                 witness = builder(oracle)
-            except (UnknownPrize, DimensionMismatch, ValueError):
-                continue  # fixture prizes or states don't fit this oracle
+            except (DimensionMismatch, ValueError):
+                continue  # the corpus's utilities or states don't fit this oracle
             curated_count += 1
             if witness is not None:
                 return AxiomReport(
@@ -829,7 +836,15 @@ def replay(report: AxiomReport, oracle: PreferenceOracle) -> bool:
     if w.axiom == "4":
         return oracle.compare(w.acts["f"], w.acts["g"], menu) < 0
     if w.axiom == "6":
-        return oracle.compare(w.acts["mixture"], w.acts["g"], menu) < 0
+        f, g, mixed = w.acts["f"], w.acts["g"], w.acts["mixture"]
+        base = Menu(a for a in menu if a != mixed)  # the mixture is the one added act
+        return oracle.compare(f, g, base) == 0 and oracle.compare(mixed, g, menu) < 0
+    if w.axiom == "8":
+        f, g = w.acts["f"], w.acts["g"]
+        return oracle.compare(f, g, menu) != oracle.compare(f, g, w.params["other_menu"])
+    if w.axiom == "10":
+        _, _, hi, _ = utility_span(oracle.utility)
+        return any(v > hi for v in menu.best_profile(oracle.utility).values())
     if w.axiom in ("7", "11"):
         f, g, h, p = w.acts["f"], w.acts["g"], w.acts["h"], w.params["p"]
         mixed_menu = mix_menu(p, menu, h)
@@ -869,13 +884,9 @@ class BeliefFixtures:
             raise ValueError("fixtures need a weighted belief with a non-unit weight")
 
     def oracle(self, rule: str) -> PreferenceOracle:
-        belief = {
-            "seu": self.seu,
-            "mmeu": self.mmeu,
-            "regret": None,
-            "mer": self.mer,
-            "mwer": self.mwer,
-        }[rule]
+        """The rule's oracle, with the fixture field named after the rule as its
+        belief when the rule takes one."""
+        belief = getattr(self, rule) if rule_named(rule).belief else None
         return PreferenceOracle(rule, belief, self.utility, self.state_space)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 
@@ -27,7 +26,7 @@ from .dynamics import evaluate_tree
 from .errors import DomainError, ParseError
 from .learning import ObservationModel, Probe, compare_updaters, simulate
 from .measures import likelihood_update
-from .decisions import rank
+from .decisions import RULES, rank
 from .rational import parse_rational
 
 
@@ -59,20 +58,17 @@ def _lookup(table, name: str, what: str):
 
 
 def _belief_for(doc: ProblemDoc, rule: str, measure_name: str | None):
-    if rule == "regret":
+    kind = RULES[rule].belief
+    if kind is None:
         return None
     if not doc.hypotheses:
         raise UsageError("the document declares no hypotheses")
-    if rule == "seu":
+    if kind == "measure":
         if measure_name is None:
-            raise UsageError("--rule seu requires --measure NAME")
+            raise UsageError(f"--rule {rule} requires --measure NAME")
         measure, _ = _lookup(doc.hypotheses, measure_name, "hypothesis")
         return measure
-    if rule in ("mer", "mmeu"):
-        return doc.measures()
-    if rule == "mwer":
-        return doc.weighted_set()
-    raise UsageError(f"unknown rule {rule!r}")
+    return doc.weighted_set() if kind == "weighted" else doc.measures()
 
 
 def _cmd_eval(args) -> int:
@@ -122,6 +118,8 @@ def _fixtures_for(doc: ProblemDoc) -> BeliefFixtures:
 
 
 def _cmd_axioms(args) -> int:
+    if args.samples < 1:
+        raise UsageError("--samples must be at least 1")
     doc = _load_doc(args.file)
     try:
         fixtures = _fixtures_for(doc)
@@ -186,11 +184,19 @@ def _cmd_tree(args) -> int:
     return 0
 
 
-def _trajectory_rows(model, prior, probe, rounds, seed):
-    return simulate(model, prior, probe, rounds, seed)
-
-
 def _cmd_simulate(args) -> int:
+    if args.rounds < 1:
+        raise UsageError("--rounds must be at least 1")
+    if args.seeds < 1:
+        raise UsageError("--seeds must be at least 1")
+    threshold = None
+    if args.es_threshold is not None:
+        try:
+            threshold = parse_rational(args.es_threshold)
+        except ValueError as exc:
+            raise UsageError(f"--es-threshold: {exc}") from None
+        if not 0 < threshold < 1:
+            raise UsageError("--es-threshold must lie strictly between 0 and 1")
     doc = _load_doc(args.file)
     if not doc.hypotheses:
         raise UsageError("the document declares no hypotheses")
@@ -215,24 +221,11 @@ def _cmd_simulate(args) -> int:
     )
     prior = {name: weight for name, (_, weight) in doc.hypotheses.items()}
     seeds = list(range(args.seed, args.seed + args.seeds))
-    if args.es_threshold is not None:
-        threshold = parse_rational(args.es_threshold)
+    if threshold is not None:
         summary = compare_updaters(model, prior, probe, args.rounds, seeds, threshold)
         sys.stdout.write(summary.to_csv())
         return 0
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-            trajectories = list(
-                pool.map(
-                    _trajectory_rows,
-                    [model] * len(seeds), [prior] * len(seeds),
-                    [probe] * len(seeds), [args.rounds] * len(seeds), seeds,
-                )
-            )
-    else:
-        trajectories = [
-            _trajectory_rows(model, prior, probe, args.rounds, seed) for seed in seeds
-        ]
+    trajectories = [simulate(model, prior, probe, args.rounds, seed) for seed in seeds]
     hypotheses = model.hypotheses
     header = ["seed", "round"] + [f"weight_{h}" for h in hypotheses] + [
         "mwer_ranking", "matches_truth_seu",
@@ -258,7 +251,7 @@ def build_parser() -> _ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="rank a menu under a decision rule")
     p_eval.add_argument("file")
-    p_eval.add_argument("--rule", required=True, choices=["seu", "mmeu", "regret", "mer", "mwer"])
+    p_eval.add_argument("--rule", required=True, choices=list(RULES))
     p_eval.add_argument("--menu", required=True)
     p_eval.add_argument("--measure", help="hypothesis name (required for --rule seu)")
     p_eval.add_argument("--format", choices=["tsv", "json"], default="tsv")
@@ -294,20 +287,9 @@ def build_parser() -> _ArgumentParser:
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--menu")
     p_sim.add_argument("--es-threshold", help="compare updating styles at this threshold")
-    p_sim.add_argument("--jobs", type=int, default=1)
-    p_sim.set_defaults(func=_cmd_sim_validate)
+    p_sim.set_defaults(func=_cmd_simulate)
 
     return parser
-
-
-def _cmd_sim_validate(args) -> int:
-    if args.rounds < 1:
-        raise UsageError("--rounds must be at least 1")
-    if args.seeds < 1:
-        raise UsageError("--seeds must be at least 1")
-    if args.jobs < 1:
-        raise UsageError("--jobs must be at least 1")
-    return _cmd_simulate(args)
 
 
 def main(argv=None) -> int:

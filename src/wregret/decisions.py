@@ -1,9 +1,10 @@
 """Acts, lotteries, menus and the regret-based decision rules.
 
 An act maps every state to a finite-support lottery over prizes; a utility
-table turns lotteries into exact expected utilities.  Regret of an act in a
-state is the gap to the best utility any menu act achieves there, which
-makes every regret-family score menu-dependent.  Five rules are provided:
+table turns lotteries into exact expected utilities, so every rule sees an
+act only through its utility profile.  Regret of an act in a state is the
+gap to the best utility any menu act achieves there, which makes every
+regret-family score menu-dependent.  Five rules are provided:
 
   seu    expected utility under a single measure            (maximize)
   mmeu   worst-case expected utility over a set             (maximize)
@@ -11,15 +12,17 @@ makes every regret-family score menu-dependent.  Five rules are provided:
   mer    worst-case expected regret over a set of measures  (minimize)
   mwer   worst case of weight-scaled expected regrets       (minimize)
 
-The regret-family implementations are deliberately independent of each
-other: their degeneration identities (all-weights-one, singleton belief,
-full simplex) are verified by tests rather than shared code.
+`RULES` maps each name to its score over profiles, belief kind and
+orientation.  The rules share kernels (mer is mwer with every weight one),
+so their degeneration identities are tested against an independent
+re-derivation of the five rules kept in the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence, Union
+from types import MappingProxyType
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ActNotInMenu, BeliefKindMismatch, DimensionMismatch, UnknownPrize
 from .measures import Measure, WeightedMeasureSet
@@ -29,9 +32,6 @@ Rational = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-RULES = ("seu", "mmeu", "regret", "mer", "mwer")
-REGRET_RULES = ("regret", "mer", "mwer")
 
 
 class UtilitySpec:
@@ -128,7 +128,7 @@ class Act:
         self.name = name
         self._outcomes = dict(outcomes)
         self._items = tuple(sorted(self._outcomes.items(), key=lambda kv: kv[0]))
-        self._profiles: dict[UtilitySpec, dict[str, Fraction]] = {}
+        self._profiles: dict[UtilitySpec, Mapping[str, Fraction]] = {}
 
     @property
     def state_space(self) -> tuple[str, ...]:
@@ -140,19 +140,13 @@ class Act:
     def items(self) -> tuple[tuple[str, Lottery], ...]:
         return self._items
 
-    def utility_profile(self, u: UtilitySpec) -> dict[str, Fraction]:
-        cached = self._profiles.get(u)
-        if cached is None:
-            cached = {state: u.utility(lottery) for state, lottery in self._items}
-            self._profiles[u] = cached
-        return cached
-
-    def renamed(self, name: str) -> "Act":
-        return Act(name, self._outcomes)
-
-    def is_constant(self) -> bool:
-        lotteries = {lottery for _, lottery in self._items}
-        return len(lotteries) == 1
+    def utility_profile(self, u: UtilitySpec) -> Mapping[str, Fraction]:
+        """Expected utility per state, in sorted state order (read-only)."""
+        profile = self._profiles.get(u)
+        if profile is None:
+            profile = MappingProxyType({state: u.utility(lottery) for state, lottery in self._items})
+            self._profiles[u] = profile
+        return profile
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Act) and self.name == other.name and self._items == other._items
@@ -171,7 +165,7 @@ def constant_act(name: str, lottery: Lottery, state_space: Sequence[str]) -> Act
 class Menu:
     """A finite, explicitly listed set of named acts over one state space."""
 
-    __slots__ = ("_acts", "_best_cache", "_score_cache")
+    __slots__ = ("_acts",)
 
     def __init__(self, acts: Iterable[Act]):
         acts = tuple(acts)
@@ -188,8 +182,6 @@ class Menu:
                 raise ValueError(f"duplicate act name {act.name!r} in menu")
             names.add(act.name)
         self._acts = acts
-        self._best_cache: dict[UtilitySpec, dict[str, Fraction]] = {}
-        self._score_cache: dict = {}  # scratch space for evaluators; dies with the menu
 
     @property
     def acts(self) -> tuple[Act, ...]:
@@ -214,23 +206,12 @@ class Menu:
             return self
         return Menu(self._acts + (act,))
 
-    def union(self, acts: Iterable[Act]) -> "Menu":
-        menu = self
-        for act in acts:
-            menu = menu.with_act(act)
-        return menu
-
-    def best_profile(self, u: UtilitySpec) -> dict[str, Fraction]:
-        """Per-state maximum utility achieved by any menu act."""
-        cached = self._best_cache.get(u)
-        if cached is None:
-            profiles = [act.utility_profile(u) for act in self._acts]
-            cached = {
-                state: max(profile[state] for profile in profiles)
-                for state in self.state_space
-            }
-            self._best_cache[u] = cached
-        return cached
+    def best_profile(self, u: UtilitySpec) -> Mapping[str, Fraction]:
+        """Per-state maximum utility achieved by any menu act (read-only)."""
+        profiles = [act.utility_profile(u) for act in self._acts]
+        return MappingProxyType(
+            {state: max(profile[state] for profile in profiles) for state in self.state_space}
+        )
 
     def __repr__(self) -> str:
         return f"Menu([{', '.join(a.name for a in self._acts)}])"
@@ -266,51 +247,119 @@ def regret_profile(act: Act, menu: Menu, u: UtilitySpec) -> dict[str, Fraction]:
 
 def max_regret(act: Act, menu: Menu, u: UtilitySpec) -> Fraction:
     """Probability-free worst-case regret, the maximum over states."""
-    return max(regret_profile(act, menu, u).values())
+    return _score_of("regret", act, menu, u, None)
 
 
 def expected_regret(act: Act, menu: Menu, u: UtilitySpec, pr: Measure) -> Fraction:
-    profile = regret_profile(act, menu, u)
-    if set(pr.state_space) != set(menu.state_space):
-        raise DimensionMismatch("measure and menu use different state spaces")
-    return pr.expectation(profile)
+    return _score_of("mer", act, menu, u, (pr,))
 
 
 def mer(act: Act, menu: Menu, u: UtilitySpec, measures: Iterable[Measure]) -> Fraction:
     """Worst-case expected regret over an (unweighted) set of measures."""
-    measures = tuple(measures)
-    if not measures:
-        raise BeliefKindMismatch("mer needs at least one measure")
-    profile = regret_profile(act, menu, u)
-    space = set(menu.state_space)
-    for pr in measures:
-        if set(pr.state_space) != space:
-            raise DimensionMismatch("measure and menu use different state spaces")
-    return max(pr.expectation(profile) for pr in measures)
+    return _score_of("mer", act, menu, u, tuple(measures))
 
 
 def mwer(act: Act, menu: Menu, u: UtilitySpec, wset: WeightedMeasureSet) -> Fraction:
     """Worst-case weight-scaled expected regret over a weighted set."""
-    profile = regret_profile(act, menu, u)
-    if set(wset.state_space) != set(menu.state_space):
-        raise DimensionMismatch("weighted set and menu use different state spaces")
-    return max(w * m.expectation(profile) for m, w in wset.entries)
+    return _score_of("mwer", act, menu, u, wset)
 
 
 def seu(act: Act, u: UtilitySpec, pr: Measure) -> Fraction:
     """Subjective expected utility under a single measure."""
-    if set(pr.state_space) != set(act.state_space):
-        raise DimensionMismatch("measure and act use different state spaces")
-    profile = act.utility_profile(u)
-    return pr.expectation(profile)
+    return _score_of("seu", act, Menu([act]), u, pr)
 
 
 def mmeu(act: Act, u: UtilitySpec, measures: Iterable[Measure]) -> Fraction:
     """Worst-case expected utility over a set of measures."""
-    measures = tuple(measures)
-    if not measures:
-        raise BeliefKindMismatch("mmeu needs at least one measure")
-    return min(seu(act, u, pr) for pr in measures)
+    return _score_of("mmeu", act, Menu([act]), u, tuple(measures))
+
+
+def _score_of(rule: str, act: Act, menu: Menu, u: UtilitySpec, belief: Belief) -> Fraction:
+    _require_member(act, menu)
+    return rank(rule, menu, u, belief).score_of(act.name)
+
+
+# -- the rule table --------------------------------------------------------------
+# A profile is a tuple of exact utilities in sorted state order.  A belief is
+# read once into entries: (weight, probabilities in sorted state order) pairs.
+
+Profile = tuple[Fraction, ...]
+Entries = tuple[tuple[Fraction, Profile], ...]
+
+
+def _expectation(probs: Profile, values: Sequence[Fraction]) -> Fraction:
+    return sum((p * v for p, v in zip(probs, values) if p), ZERO)
+
+
+def _worst_utility(x: Profile, best: Profile, entries: Entries) -> Fraction:
+    return min(_expectation(p, x) for _, p in entries)
+
+
+def _worst_regret(x: Profile, best: Profile, entries: Entries) -> Fraction:
+    return max(b - v for b, v in zip(best, x))
+
+
+def _worst_weighted_regret(x: Profile, best: Profile, entries: Entries) -> Fraction:
+    regrets = [b - v for b, v in zip(best, x)]
+    return max(w * _expectation(p, regrets) for w, p in entries)
+
+
+class Rule(NamedTuple):
+    """A decision rule: its score of a profile given the menu's per-state best
+    profile and the belief entries, the belief kind it takes ("measure",
+    "measures", "weighted" or None for no belief), and its orientation."""
+
+    score: Callable[[Profile, Profile, Entries], Fraction]
+    belief: Optional[str]
+    lower_is_better: bool
+
+
+RULES: dict[str, Rule] = {
+    "seu": Rule(_worst_utility, "measure", False),
+    "mmeu": Rule(_worst_utility, "measures", False),
+    "regret": Rule(_worst_regret, None, True),
+    "mer": Rule(_worst_weighted_regret, "measures", True),
+    "mwer": Rule(_worst_weighted_regret, "weighted", True),
+}
+
+
+def rule_named(rule: str) -> Rule:
+    try:
+        return RULES[rule]
+    except KeyError:
+        raise BeliefKindMismatch(f"unknown rule {rule!r}") from None
+
+
+def per_state_best(profiles: Iterable[Profile]) -> Profile:
+    """The per-state maximum of a menu's profiles."""
+    return tuple(map(max, zip(*profiles)))
+
+
+def belief_entries(rule: str, belief: Belief, states: Sequence[str]) -> Entries:
+    """The belief read as entries over the sorted `states`, after checking that
+    its kind fits the rule and that its measures live on those states."""
+    kind = rule_named(rule).belief
+    if kind is None:
+        if belief is not None:
+            raise BeliefKindMismatch(f"probability-free {rule} takes no belief")
+        return ()
+    if kind == "measure":
+        if not isinstance(belief, Measure):
+            raise BeliefKindMismatch(f"{rule} needs a single Measure belief")
+        pairs = [(ONE, belief)]
+    elif kind == "weighted":
+        if not isinstance(belief, WeightedMeasureSet):
+            raise BeliefKindMismatch(f"{rule} needs a WeightedMeasureSet belief")
+        pairs = [(w, m) for m, w in belief.entries]
+    else:
+        single = belief is None or isinstance(belief, (Measure, WeightedMeasureSet))
+        pairs = [] if single else [(ONE, m) for m in belief]
+        if not pairs or not all(isinstance(m, Measure) for _, m in pairs):
+            raise BeliefKindMismatch(f"{rule} needs a collection of Measures")
+    ordered = tuple(sorted(states))
+    if any(m.state_space != ordered for _, m in pairs):
+        raise DimensionMismatch(f"the {rule} belief and the acts use different state spaces")
+    return tuple((w, tuple(p for _, p in m.items())) for w, m in pairs)
 
 
 # -- ranking -------------------------------------------------------------------
@@ -408,41 +457,12 @@ def rank(rule: str, menu: Menu, u: UtilitySpec, belief: Belief = None) -> Rankin
     Measures for mer and mmeu, a WeightedMeasureSet for mwer, and nothing for
     probability-free regret.
     """
-    if rule == "seu":
-        if not isinstance(belief, Measure):
-            raise BeliefKindMismatch("seu needs a single Measure belief")
-        scores = {act.name: seu(act, u, belief) for act in menu}
-        return Ranking(rule, lower_is_better=False, scores=scores)
-    if rule == "mmeu":
-        measures = _measure_collection(belief, "mmeu")
-        scores = {act.name: mmeu(act, u, measures) for act in menu}
-        return Ranking(rule, lower_is_better=False, scores=scores)
-    if rule == "regret":
-        if belief is not None:
-            raise BeliefKindMismatch("probability-free regret takes no belief")
-        scores = {act.name: max_regret(act, menu, u) for act in menu}
-        return Ranking(rule, lower_is_better=True, scores=scores)
-    if rule == "mer":
-        measures = _measure_collection(belief, "mer")
-        scores = {act.name: mer(act, menu, u, measures) for act in menu}
-        return Ranking(rule, lower_is_better=True, scores=scores)
-    if rule == "mwer":
-        if not isinstance(belief, WeightedMeasureSet):
-            raise BeliefKindMismatch("mwer needs a WeightedMeasureSet belief")
-        scores = {act.name: mwer(act, menu, u, belief) for act in menu}
-        return Ranking(rule, lower_is_better=True, scores=scores)
-    raise BeliefKindMismatch(f"unknown rule {rule!r}")
-
-
-def _measure_collection(belief: Belief, rule: str) -> tuple[Measure, ...]:
-    if isinstance(belief, Measure) or isinstance(belief, WeightedMeasureSet):
-        raise BeliefKindMismatch(f"{rule} needs a collection of Measures")
-    if belief is None:
-        raise BeliefKindMismatch(f"{rule} needs a collection of Measures")
-    measures = tuple(belief)
-    if not measures or not all(isinstance(m, Measure) for m in measures):
-        raise BeliefKindMismatch(f"{rule} needs a collection of Measures")
-    return measures
+    spec = rule_named(rule)
+    entries = belief_entries(rule, belief, menu.state_space)
+    profiles = [tuple(act.utility_profile(u).values()) for act in menu]
+    best = per_state_best(profiles)
+    scores = {act.name: spec.score(x, best, entries) for act, x in zip(menu, profiles)}
+    return Ranking(rule, spec.lower_is_better, scores)
 
 
 # -- mixtures ------------------------------------------------------------------

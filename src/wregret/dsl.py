@@ -37,6 +37,8 @@ from .errors import ParseError
 from .measures import Event, Measure, WeightedMeasureSet
 from .rational import format_rational, parse_rational
 
+MAX_TREE_DEPTH = 100  # nested decision and nature nodes; the walkers recurse per level
+
 
 @dataclass(frozen=True)
 class ParseDiagnostic:
@@ -683,6 +685,12 @@ def parse_tree(text: str, doc: ProblemDoc) -> DecisionTree:
     if diagnostics:
         raise ParseError(diagnostics)
     stream = _TokenStream(tokens, diagnostics)
+    depth = 0
+    for token in tokens:  # every decision or nature node opens one brace
+        depth += (token.text == "{") - (token.text == "}")
+        if depth > MAX_TREE_DEPTH:
+            stream.error(token, f"tree nested deeper than {MAX_TREE_DEPTH} levels")
+            raise ParseError(diagnostics)
     root = _parse_node(stream, doc, frozenset(doc.states))
     if root is not None and stream.peek().kind != "EOF":
         stream.error(stream.peek(), "unexpected trailing input")

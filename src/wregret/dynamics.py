@@ -20,8 +20,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence, Union
 
-from .axioms import AxiomReport, GeneratorConfig, PreferenceOracle, Witness, _Sampler
-from .decisions import Act, Lottery, Menu, UtilitySpec, mwer
+from .axioms import AxiomReport, GeneratorConfig, PreferenceOracle, Sampler, Witness, realize
+from .decisions import Act, Lottery, Menu, UtilitySpec, mwer, rank
 from .errors import (
     ActNotInMenu,
     MalformedTree,
@@ -32,7 +32,7 @@ from .measures import (
     Event,
     EventLike,
     WeightedMeasureSet,
-    _as_event,
+    as_event,
     likelihood_update,
     normalize,
     upper_likelihood,
@@ -42,34 +42,18 @@ from .rational import format_rational
 ZERO = Fraction(0)
 
 
-@dataclass(frozen=True)
-class SplicedAct:
-    """The act that agrees with `on_event` inside the event and `off_event` outside."""
-
-    on_event: Act
-    off_event: Act
-    event: Event
-
-    def to_act(self, name: str | None = None) -> Act:
-        if self.on_event.state_space != self.off_event.state_space:
-            raise ValueError("spliced acts must share a state space")
-        if name is None:
-            name = f"{self.on_event.name}_else_{self.off_event.name}"
-        outcomes = {
-            s: (self.on_event[s] if s in self.event else self.off_event[s])
-            for s in self.on_event.state_space
-        }
-        return Act(name, outcomes)
-
-
 def splice(f: Act, event: EventLike, h: Act, name: str | None = None) -> Act:
     """Statewise composition: f inside the event, h outside."""
-    return SplicedAct(f, h, _as_event(event)).to_act(name)
+    if f.state_space != h.state_space:
+        raise ValueError("spliced acts must share a state space")
+    event = as_event(event)
+    outcomes = {s: (f[s] if s in event else h[s]) for s in f.state_space}
+    return Act(f"{f.name}_else_{h.name}" if name is None else name, outcomes)
 
 
 def splice_menu(menu: Menu, event: EventLike, h: Act) -> Menu:
     """Splice every menu act with the same off-event act."""
-    event = _as_event(event)
+    event = as_event(event)
     return Menu(tuple(splice(f, event, h) for f in menu))
 
 
@@ -79,7 +63,7 @@ def is_null(event: EventLike, wset: WeightedMeasureSet) -> bool:
     Such events cannot influence any weighted regret score: splicing an act
     on them is score-invisible.
     """
-    event = _as_event(event)
+    event = as_event(event)
     return all(w * m.event_prob(event) == 0 for m, w in wset.entries)
 
 
@@ -87,7 +71,7 @@ def conditional_score(
     f: Act, event: EventLike, menu: Menu, u: UtilitySpec, wset: WeightedMeasureSet
 ) -> Fraction:
     """Worst-case weighted expected regret after updating on the event."""
-    event = _as_event(event)
+    event = as_event(event)
     if is_null(event, wset):
         raise NullEvent("conditional preferences are undefined on a null event")
     return mwer(f, menu, u, likelihood_update(wset, event))
@@ -106,7 +90,7 @@ def mdc_scaling_check(
     Left: the unconditional score of fEh against the spliced menu.
     Right: the event's upper likelihood times the conditional score of f.
     """
-    event = _as_event(event)
+    event = as_event(event)
     if f not in menu:
         raise ActNotInMenu(f"act {f.name!r} is not in the menu")
     if h not in menu:
@@ -171,12 +155,12 @@ def check_mdc(
     states = tuple(sorted(wset.state_space))
     full = Event(states)
     unconditional = family(full, None)
-    sampler = _Sampler(rng, unconditional, config)
+    sampler = Sampler(rng, unconditional, config)
 
     applicable = 0
     for _ in range(config.samples):
-        menu = sampler.menu(min_size=2)
-        f, g = sampler.pick(menu, 2)
+        menu = Menu(realize(a, states, unconditional.utility) for a in sampler.menu(min_size=2))
+        f, g = sampler.pick(menu.acts, 2)
         members = [s for s in states if rng.random() < 0.5]
         if not members:
             members = [rng.choice(states)]
@@ -185,14 +169,8 @@ def check_mdc(
             continue
         applicable += 1
         conditional = family(event, menu).compare(f, g, menu)
-        spliced_signs = []
-        for h in menu:
-            spliced_menu = splice_menu(menu, event, h)
-            sign = unconditional.compare(
-                splice(f, event, h), splice(g, event, h), spliced_menu
-            )
-            spliced_signs.append((h, sign))
-        signs = {sign for _, sign in spliced_signs}
+        spliced_signs = _spliced_signs(unconditional, f, g, menu, event)
+        signs = set(spliced_signs.values())
         if len(signs) > 1:
             return AxiomReport(
                 "mdc", unconditional.rule, "violated", config.samples, applicable,
@@ -202,26 +180,37 @@ def check_mdc(
                     "the spliced comparison depends on the off-event act",
                     menu, {"f": f, "g": g},
                     {"event": sorted(event.members),
-                     "signs": {h.name: s for h, s in spliced_signs}},
+                     "signs": {h.name: s for h, s in spliced_signs.items()}},
                 ),
             )
         if conditional != signs.pop():
+            h, spliced = next(iter(spliced_signs.items()))
             return AxiomReport(
                 "mdc", unconditional.rule, "violated", config.samples, applicable,
                 0, seed,
                 Witness(
                     "mdc", unconditional.rule, "violation",
                     "conditional and spliced comparisons disagree",
-                    menu, {"f": f, "g": g, "h": spliced_signs[0][0]},
+                    menu, {"f": f, "g": g, "h": h},
                     {"event": sorted(event.members),
                      "conditional": conditional,
-                     "spliced": spliced_signs[0][1]},
+                     "spliced": spliced},
                 ),
             )
     return AxiomReport(
         "mdc", unconditional.rule, "no-violation-found",
         config.samples, applicable, 0, seed, None,
     )
+
+
+def _spliced_signs(
+    oracle: PreferenceOracle, f: Act, g: Act, menu: Menu, event: Event
+) -> dict[Act, int]:
+    """The comparison of f against g, both spliced off the event with each menu act."""
+    return {
+        h: oracle.compare(splice(f, event, h), splice(g, event, h), splice_menu(menu, event, h))
+        for h in menu
+    }
 
 
 def replay_mdc(report: AxiomReport, family: OracleFamily) -> bool:
@@ -234,10 +223,7 @@ def replay_mdc(report: AxiomReport, family: OracleFamily) -> bool:
     f, g = w.acts["f"], w.acts["g"]
     states = menu.state_space
     unconditional = family(Event(states), None)
-    signs = set()
-    for h in menu:
-        spliced = splice_menu(menu, event, h)
-        signs.add(unconditional.compare(splice(f, event, h), splice(g, event, h), spliced))
+    signs = set(_spliced_signs(unconditional, f, g, menu, event).values())
     if len(signs) > 1:
         return True
     conditional = family(event, menu).compare(f, g, menu)
@@ -495,7 +481,7 @@ def evaluate_tree(
     if planning == "ex-ante":
         belief = normalize(wset)
         menu = Menu(tuple(p.act for p in plans))
-        scores = {p.name: mwer(p.act, menu, ext_u, belief) for p in plans}
+        scores = rank("mwer", menu, ext_u, belief).scores
         best = min(scores.values())
         kept = tuple(sorted(n for n, s in scores.items() if s == best))
         eliminated = tuple(sorted(n for n, s in scores.items() if s != best))
@@ -526,7 +512,7 @@ def evaluate_tree(
         belief = _belief_at(wset, info.live)
         pool = group if menu_policy == "full" else alive
         menu = Menu(tuple(p.act for p in pool))
-        scores = {p.name: mwer(p.act, menu, ext_u, belief) for p in pool}
+        scores = rank("mwer", menu, ext_u, belief).scores
         best = min(scores[p.name] for p in alive)
         dropped = tuple(sorted(p.name for p in alive if scores[p.name] != best))
         kept = tuple(sorted(p.name for p in alive if scores[p.name] == best))

@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Sequence
 
 from .decisions import Menu, UtilitySpec, regret_profile
 from .errors import AllEliminated
-from .measures import EventLike, Measure, _as_event
+from .measures import EventLike, Measure, as_event
 from .rational import format_rational
 
 RNG_ALGORITHM = "mt19937"  # CPython's random.Random core generator
@@ -253,7 +253,7 @@ def es_update(
     threshold = Fraction(threshold)
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie strictly between 0 and 1")
-    event = _as_event(event)
+    event = as_event(event)
     measures = tuple(measures)
     if not measures:
         raise AllEliminated("no measures to update")

@@ -56,9 +56,6 @@ class Event:
     def __or__(self, other: "Event") -> "Event":
         return Event(self._members | other._members)
 
-    def complement(self, state_space: Sequence[str]) -> "Event":
-        return Event(set(state_space) - self._members)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Event) and self._members == other._members
 
@@ -72,7 +69,8 @@ class Event:
 EventLike = Union[Event, Iterable[str]]
 
 
-def _as_event(event: EventLike) -> Event:
+def as_event(event: EventLike) -> Event:
+    """The event itself, or the event made of an iterable of state labels."""
     return event if isinstance(event, Event) else Event(event)
 
 
@@ -107,7 +105,7 @@ class Measure:
         return self._items
 
     def event_prob(self, event: EventLike) -> Fraction:
-        event = _as_event(event)
+        event = as_event(event)
         unknown = event.members - self._probs.keys()
         if unknown:
             raise DimensionMismatch(f"event mentions unknown states {sorted(unknown)}")
@@ -115,7 +113,7 @@ class Measure:
 
     def condition(self, event: EventLike) -> "Measure":
         """Conditional measure given the event; requires positive probability."""
-        event = _as_event(event)
+        event = as_event(event)
         p_event = self.event_prob(event)
         if p_event == 0:
             raise UndefinedUpdate("cannot condition on a probability-zero event")
@@ -179,12 +177,6 @@ class WeightedMeasureSet:
     def state_space(self) -> tuple[str, ...]:
         return self._states
 
-    @property
-    def is_normalized(self) -> bool:
-        weights = [w for _, w in self._entries]
-        measures = [m for m, _ in self._entries]
-        return max(weights) == 1 and len(set(measures)) == len(measures)
-
     def _canonical(self) -> tuple:
         return tuple(sorted(((m.items(), w) for m, w in self._entries)))
 
@@ -222,7 +214,7 @@ def normalize(wset: WeightedMeasureSet) -> WeightedMeasureSet:
 
 def upper_likelihood(wset: WeightedMeasureSet, event: EventLike) -> Fraction:
     """Largest weight-scaled probability of the event across the set."""
-    event = _as_event(event)
+    event = as_event(event)
     return max(w * m.event_prob(event) for m, w in wset.entries)
 
 
@@ -234,7 +226,7 @@ def likelihood_update(wset: WeightedMeasureSet, event: EventLike) -> WeightedMea
     likelihood of the event.  Measures giving the event probability zero are
     dropped; the result is normalized.
     """
-    event = _as_event(event)
+    event = as_event(event)
     top = upper_likelihood(wset, event)
     if top == 0:
         raise UndefinedUpdate("update undefined: the event has upper likelihood 0")
@@ -258,8 +250,8 @@ def sequential_update(
     Equals a single update on the intersection whenever that update is
     defined; the property suite exercises this identity.
     """
-    first = _as_event(first)
-    second = _as_event(second)
+    first = as_event(first)
+    second = as_event(second)
     if upper_likelihood(wset, first & second) == 0:
         raise UndefinedUpdate("update undefined: the intersection has upper likelihood 0")
     return likelihood_update(likelihood_update(wset, first), second)

@@ -6,7 +6,9 @@ import pytest
 
 from wregret.axioms import (
     AxiomReport,
+    AXIOM_IDS,
     GeneratorConfig,
+    PreferenceOracle,
     axiom_matrix,
     check_axiom,
     delivery_fixtures,
@@ -79,6 +81,73 @@ class TestReplay:
         report = check_axiom("1", fixtures.oracle("mwer"), SMALL, seed=0)
         assert report.verdict == "no-violation-found"
         assert not replay(report, fixtures.oracle("mwer"))
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+def _seu(o, f, g, menu) -> int:
+    return PreferenceOracle.prefers(o, f, g, menu)
+
+
+def _on_tenth_grid(profile) -> int:
+    return int(all((10 * v).denominator == 1 for v in profile))
+
+
+# Deliberately broken comparisons, each built to break the axioms it is
+# listed under; the oracle is seu on the delivery fixtures otherwise.
+MUTANTS = {
+    # indifference within 1/2 of utility in the first state is not transitive
+    "threshold": (
+        ("1",),
+        lambda o, f, g, menu: 0 if abs(f.profile[0] - g.profile[0]) < F(1, 2)
+        else _sign(f.profile[0] - g.profile[0]),
+    ),
+    "always": (("2",), lambda o, f, g, menu: 1),
+    "never": (("3",), lambda o, f, g, menu: 0),
+    # the seu order, reversed in menus with an odd number of acts
+    "parity": (
+        ("4", "8", "9", "menu"),
+        lambda o, f, g, menu: _seu(o, f, g, menu) * (-1 if len(menu) % 2 else 1),
+    ),
+    # sum of squared utilities: not linear in mixtures
+    "squares": (
+        ("7", "11"),
+        lambda o, f, g, menu: _sign(sum(v * v for v in f.profile) - sum(v * v for v in g.profile)),
+    ),
+    # likes exactly the profiles on the sampler's utility grid
+    "grid": (
+        ("6", "12", "12u"),
+        lambda o, f, g, menu: _on_tenth_grid(f.profile) - _on_tenth_grid(g.profile),
+    ),
+}
+
+
+class MutantOracle(PreferenceOracle):
+    def __init__(self, fixtures, relation):
+        super().__init__("seu", fixtures.seu, fixtures.utility, fixtures.state_space)
+        self.relation = relation
+
+    def prefers(self, f, g, menu) -> int:
+        return self.relation(self, f, g, menu)
+
+
+class TestMutantOracles:
+    @pytest.mark.parametrize(
+        "mutant,axiom", [(name, axiom) for name, (axioms, _) in MUTANTS.items() for axiom in axioms]
+    )
+    def test_broken_oracle_is_caught_and_replays(self, fixtures, mutant, axiom):
+        oracle = MutantOracle(fixtures, MUTANTS[mutant][1])
+        config = GeneratorConfig(samples=300, include_curated=False)
+        report = check_axiom(axiom, oracle, config, seed=0)
+        assert report.verdict == "violated"
+        assert replay(report, oracle)
+        assert not replay(report, fixtures.oracle("seu"))
+
+    def test_every_refutable_axiom_has_a_mutant(self):
+        covered = {axiom for axioms, _ in MUTANTS.values() for axiom in axioms}
+        assert covered == set(AXIOM_IDS) - {"5", "10"}
 
 
 class TestSampling:

@@ -1,7 +1,10 @@
 """The command-line surface: outputs, determinism, exit codes."""
 
+import hashlib
 import json
 from math import comb
+
+import pytest
 
 from wregret.cli import main
 from wregret.fixtures import fixture_path, fixture_text
@@ -131,6 +134,30 @@ class TestAxiomsCommand:
         obj = json.loads(out)
         assert obj["cells"]["mwer"]["ax12"] == "violated"
 
+    @pytest.mark.parametrize(
+        "seed,fmt,sha1",
+        [
+            (0, "text", "3dfc4d605177d659804485a76f06a0608bea5b01"),
+            (0, "json", "febf9e15e8f0d5a1db3c3ab5d36668a75f81be35"),
+            (1, "text", "3dfc4d605177d659804485a76f06a0608bea5b01"),
+            (1, "json", "1cfff0a98952f7640b537d07503dafb5842eb268"),
+            (2, "text", "3dfc4d605177d659804485a76f06a0608bea5b01"),
+            (2, "json", "9fa880223a698c3fcd63bb13d86df775aa4aa947"),
+        ],
+    )
+    def test_matrix_output_is_pinned(self, capsys, seed, fmt, sha1):
+        code, out, _ = run(
+            capsys, "axioms", WEIGHTED, "--axiom", "matrix", "--samples", "40",
+            "--seed", str(seed), "--format", fmt,
+        )
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+    @pytest.mark.parametrize("samples", ["-5", "0"])
+    def test_samples_below_one_is_usage_error(self, capsys, samples):
+        code, out, err = run(capsys, "axioms", WEIGHTED, "--axiom", "1", "--samples", samples)
+        assert code == 3 and out == "" and "--samples" in err
+
     def test_unweighted_fixture_rejected_for_matrix(self, capsys):
         code, _, err = run(capsys, "axioms", DELIVERY, "--axiom", "matrix")
         assert code == 3 and "non-unit weight" in err
@@ -193,14 +220,12 @@ class TestSimulateCommand:
         )
         assert run(capsys, *argv) == run(capsys, *argv)
 
-    def test_parallel_seeds_match_sequential(self, capsys):
-        base = (
-            "simulate", LEARNING, "--truth", "mostly_good",
-            "--rounds", "8", "--seeds", "4", "--seed", "2",
+    @pytest.mark.parametrize("threshold", ["1.5", "0", "abc"])
+    def test_bad_es_threshold_is_usage_error(self, capsys, threshold):
+        code, out, err = run(
+            capsys, "simulate", LEARNING, "--truth", "mostly_good", "--es-threshold", threshold,
         )
-        sequential = run(capsys, *base)
-        parallel = run(capsys, *base, "--jobs", "2")
-        assert parallel == sequential
+        assert code == 3 and out == "" and "--es-threshold" in err
 
     def test_unknown_truth_is_usage_error(self, capsys):
         code, _, err = run(capsys, "simulate", LEARNING, "--truth", "ghost")

@@ -35,6 +35,7 @@ from wregret import (
 from wregret.errors import ActNotInMenu, BeliefKindMismatch, UnknownPrize
 
 from conftest import DELIVERY_STATES, random_wset
+import rule_reference as reference
 
 F = Fraction
 
@@ -199,6 +200,72 @@ class TestRank:
         assert obj["rule"] == "mer"
         assert obj["groups"][0]["acts"][0]["name"] == "check"
         assert obj["groups"][0]["acts"][0]["score"] == "4999/1"
+
+
+class TestProfiles:
+    def test_returned_profiles_are_read_only(
+        self, base_menu, delivery_acts, delivery_utility, delivery_measures
+    ):
+        before = rank("mer", base_menu, delivery_utility, delivery_measures)
+        profile = delivery_acts["check"].utility_profile(delivery_utility)
+        best = base_menu.best_profile(delivery_utility)
+        for returned in (profile, best):
+            with pytest.raises(TypeError):
+                returned["one_broken"] = F(-10**6)
+        assert profile["one_broken"] == 5001 and best["one_broken"] == 10000
+        assert rank("mer", base_menu, delivery_utility, delivery_measures) == before
+        assert regret_profile(delivery_acts["check"], base_menu, delivery_utility) == {
+            "one_broken": 4999, "ten_broken": 4999,
+        }
+
+
+def _reference_instance(rng: random.Random):
+    """A random problem as library objects and as the reference's plain dicts."""
+    states = [f"s{i}" for i in range(rng.randint(3, 6))]
+    utility = {f"z{i}": F(v, 2) for i, v in enumerate(rng.sample(range(-12, 13), 4))}
+    acts = {}
+    for i in range(rng.randint(2, 16)):
+        act = {}
+        for s in states:
+            cut = rng.randint(0, 4)
+            act[s] = {"z0": F(cut, 4), rng.choice(["z1", "z2", "z3"]): F(4 - cut, 4)}
+        acts[f"a{i}"] = act
+    measures = []
+    for _ in range(rng.randint(1, 8)):
+        raw = [rng.randint(0, 3) for _ in states]
+        raw[rng.randrange(len(raw))] += 1
+        measures.append({s: F(r, sum(raw)) for s, r in zip(states, raw)})
+    weights = [F(1)] + [F(rng.randint(0, 4), 4) for _ in measures[1:]]
+    u = UtilitySpec(utility)
+    menu = Menu(
+        Act(name, {s: Lottery(lottery) for s, lottery in act.items()})
+        for name, act in acts.items()
+    )
+    library = [Measure(m) for m in measures]
+    beliefs = {
+        "seu": (library[0], measures[0]),
+        "mmeu": (library, measures),
+        "regret": (None, None),
+        "mer": (library, measures),
+        "mwer": (
+            WeightedMeasureSet(list(zip(library, weights)), states),
+            list(zip(measures, weights)),
+        ),
+    }
+    return menu, u, acts, utility, beliefs
+
+
+class TestAgainstReference:
+    def test_rank_matches_the_reference_rules(self):
+        for seed in range(60):
+            rng = random.Random(seed)
+            menu, u, acts, utility, beliefs = _reference_instance(rng)
+            for rule, (belief, plain) in beliefs.items():
+                ranking = rank(rule, menu, u, belief)
+                expected = reference.scores(rule, acts, utility, plain)
+                assert ranking.scores == expected, (seed, rule)
+                assert ranking.lower_is_better == reference.LOWER_IS_BETTER[rule]
+                assert ranking.groups == reference.groups(expected, ranking.lower_is_better)
 
 
 class TestMixtures:

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from wregret import rank, regret
-from wregret.dsl import ParseDiagnostic, parse_problem, parse_tree, serialize_problem
+from wregret.dsl import MAX_TREE_DEPTH, ParseDiagnostic, parse_problem, parse_tree, serialize_problem
 from wregret.dynamics import DecisionNode, NatureNode, evaluate_tree
 from wregret.errors import ParseError
 from wregret.fixtures import fixture_text
@@ -180,6 +180,23 @@ class TestParseTree:
         with pytest.raises(ParseError) as excinfo:
             parse_tree("nature { on nowhere: leaf utility 0 }", doc)
         assert any("unknown event" in d.message for d in excinfo.value.diagnostics)
+
+    def test_deep_nesting_is_a_positioned_parse_error(self):
+        doc = parse_problem(fixture_text("restaurant.dp"))
+        depth = 1200
+        text = "decision d { branch b = " * depth + "leaf eat_rice" + " }" * depth
+        with pytest.raises(ParseError) as excinfo:
+            parse_tree(text, doc)
+        [diagnostic] = excinfo.value.diagnostics
+        assert "nested deeper than" in diagnostic.message
+        assert diagnostic.line == 1 and diagnostic.column > 1
+
+    def test_nesting_up_to_the_limit_parses(self):
+        doc = parse_problem(fixture_text("restaurant.dp"))
+        depth = MAX_TREE_DEPTH
+        text = "".join(f"decision d{i} {{ branch b = " for i in range(depth))
+        tree = parse_tree(text + "leaf eat_rice" + " }" * depth, doc)
+        assert evaluate_tree(tree, doc.utility, doc.weighted_set()).chosen.name == "+".join(["b"] * depth)
 
 
 def _mutate(rng: random.Random, text: str) -> str:
