@@ -8,7 +8,9 @@ reports expose sample counts so callers can calibrate.  The existential
 clause of mixture continuity is searched over a finite mixture grid, and a
 fruitless search is reported as `no-witness-in-grid` rather than `violated`.
 Instances are drawn, mixed and compared as utility profiles (`Alternative`);
-acts made of two-prize lotteries are built only for witnesses.
+acts made of two-prize lotteries are built only for witnesses, and `replay`
+turns a witness back into profiles once.  `check_mdc` probes the dynamic
+axiom, menu-dependent dynamic consistency, on profiles spliced on events.
 
 Axiom ids: "1".."12" follow the order transitivity, completeness,
 nontriviality, monotonicity, mixture continuity, hedging (ambiguity
@@ -35,14 +37,20 @@ from .decisions import (
     Profile,
     UtilitySpec,
     belief_entries,
-    mix,
-    mix_menu,
     mixture_name,
     per_state_best,
     rule_named,
 )
 from .errors import ActNotInMenu, DimensionMismatch, UnknownAxiom
-from .measures import Measure, WeightedMeasureSet, point_mass
+from .measures import (
+    Event,
+    Measure,
+    WeightedMeasureSet,
+    likelihood_update,
+    normalize,
+    point_mass,
+    upper_likelihood,
+)
 from .rational import format_rational
 
 AXIOM_IDS = tuple(str(i) for i in range(1, 13)) + ("12u", "menu")
@@ -59,6 +67,8 @@ class GeneratorConfig:
     include_curated: bool = True
 
     def __post_init__(self) -> None:
+        if self.samples < 1:
+            raise ValueError("samples must be at least 1")
         if self.menu_size > 6:
             raise ValueError("menu_size is capped at 6")
         if self.mixture_denominator > 20:
@@ -261,7 +271,11 @@ def _enlarge(menu: AltMenu, *acts: Alternative) -> AltMenu:
 
 
 class Sampler:
-    """Seeded draws of alternatives, menus of them and mixture coefficients."""
+    """Seeded draws of alternatives, menus of them and mixture coefficients.
+
+    Utilities lie on the grid k/d in [-1, 1] (d the utility denominator),
+    shrunk and shifted only as far as needed to fit the utility table's range.
+    """
 
     def __init__(self, rng: random.Random, oracle: PreferenceOracle, config: GeneratorConfig):
         self.rng = rng
@@ -269,6 +283,11 @@ class Sampler:
         self.states = tuple(sorted(oracle.state_space))
         _, _, self.hi, self.lo = utility_span(oracle.utility)
         self._counter = 0
+        d = config.utility_denominator
+        scale = min(Fraction(1), (self.hi - self.lo) / 2)
+        shift = min(max(Fraction(0), self.lo + scale), self.hi - scale)
+        self._values = [shift + scale * Fraction(k, d) for k in range(-d, d + 1)]
+        self._steps = [scale * Fraction(k, d) for k in range(d + 1)]
 
     @cached_property
     def grid(self) -> list[Fraction]:
@@ -282,7 +301,7 @@ class Sampler:
 
     def grid_value(self) -> Fraction:
         d = self.config.utility_denominator
-        return _reachable((Fraction(self.rng.randint(-d, d), d),), self.lo, self.hi)[0]
+        return self._values[self.rng.randint(-d, d) + d]
 
     def act(self, prefix: str = "a") -> Alternative:
         return Alternative(self._fresh(prefix), tuple(self.grid_value() for _ in self.states))
@@ -292,12 +311,9 @@ class Sampler:
         return Alternative(self._fresh(prefix), (value,) * len(self.states))
 
     def lowered(self, profile: Profile) -> Profile:
-        """The profile with each utility lowered by a random grid step, not below -1."""
-        d = self.config.utility_denominator
-        return _reachable(
-            [max(Fraction(-1), v - Fraction(self.rng.randint(0, d), d)) for v in profile],
-            self.lo, self.hi,
-        )
+        """The profile with each utility lowered by a random grid step, not below the grid."""
+        d, floor = self.config.utility_denominator, self._values[0]
+        return tuple(max(floor, v - self._steps[self.rng.randint(0, d)]) for v in profile)
 
     def mixture(self) -> Fraction:
         d = self.rng.randint(2, self.config.mixture_denominator)
@@ -820,48 +836,155 @@ def replay(report: AxiomReport, oracle: PreferenceOracle) -> bool:
     w = report.counterexample
     if w is None or w.kind != "violation":
         return False
-    menu = w.menu
+    alt = oracle.to_alternative
+    menu = tuple(map(alt, w.menu))
+    acts = {role: alt(a) for role, a in w.acts.items()}
+    prefers = oracle.prefers
     if w.axiom == "1":
-        f, g, h = w.acts["f"], w.acts["g"], w.acts["h"]
-        return (
-            oracle.compare(f, g, menu) >= 0
-            and oracle.compare(g, h, menu) >= 0
-            and oracle.compare(f, h, menu) < 0
-        )
+        f, g, h = acts["f"], acts["g"], acts["h"]
+        return prefers(f, g, menu) >= 0 and prefers(g, h, menu) >= 0 and prefers(f, h, menu) < 0
     if w.axiom == "2":
-        f, g = w.acts["f"], w.acts["g"]
-        return oracle.compare(f, g, menu) != -oracle.compare(g, f, menu)
+        f, g = acts["f"], acts["g"]
+        return prefers(f, g, menu) != -prefers(g, f, menu)
     if w.axiom == "3":
-        return oracle.compare(w.acts["f"], w.acts["g"], menu) <= 0
+        return prefers(acts["f"], acts["g"], menu) <= 0
     if w.axiom == "4":
-        return oracle.compare(w.acts["f"], w.acts["g"], menu) < 0
+        return prefers(acts["f"], acts["g"], menu) < 0
     if w.axiom == "6":
-        f, g, mixed = w.acts["f"], w.acts["g"], w.acts["mixture"]
-        base = Menu(a for a in menu if a != mixed)  # the mixture is the one added act
-        return oracle.compare(f, g, base) == 0 and oracle.compare(mixed, g, menu) < 0
+        f, g, mixed = acts["f"], acts["g"], acts["mixture"]
+        base = tuple(a for a in menu if a != mixed)  # the mixture is the one added act
+        return prefers(f, g, base) == 0 and prefers(mixed, g, menu) < 0
     if w.axiom == "8":
-        f, g = w.acts["f"], w.acts["g"]
-        return oracle.compare(f, g, menu) != oracle.compare(f, g, w.params["other_menu"])
+        f, g = acts["f"], acts["g"]
+        return prefers(f, g, menu) != prefers(f, g, tuple(map(alt, w.params["other_menu"])))
     if w.axiom == "10":
         _, _, hi, _ = utility_span(oracle.utility)
-        return any(v > hi for v in menu.best_profile(oracle.utility).values())
+        return any(v > hi for v in per_state_best(a.profile for a in menu))
     if w.axiom in ("7", "11"):
-        f, g, h, p = w.acts["f"], w.acts["g"], w.acts["h"], w.params["p"]
-        mixed_menu = mix_menu(p, menu, h)
-        return oracle.compare(f, g, menu) != oracle.compare(
-            mix(p, f, h), mix(p, g, h), mixed_menu
-        )
+        f, g, h, p = acts["f"], acts["g"], acts["h"], w.params["p"]
+        mixed_menu = tuple(_mix(p, a, h) for a in menu)
+        return prefers(f, g, menu) != prefers(_mix(p, f, h), _mix(p, g, h), mixed_menu)
     if w.axiom in ("9", "menu"):
-        f, g = w.acts["f"], w.acts["g"]
-        base = w.params["base_menu"]
-        return oracle.compare(f, g, base) != oracle.compare(f, g, menu)
+        f, g = acts["f"], acts["g"]
+        return prefers(f, g, tuple(map(alt, w.params["base_menu"]))) != prefers(f, g, menu)
     if w.axiom in ("12", "12u"):
-        f, h, mixed = w.acts["f"], w.acts["h"], w.acts["mixture"]
-        return (
-            oracle.compare(h, f, menu) == 0
-            and oracle.compare(mixed, f, menu) != 0
-        )
+        f, h, mixed = acts["f"], acts["h"], acts["mixture"]
+        return prefers(h, f, menu) == 0 and prefers(mixed, f, menu) != 0
     return False
+
+
+# -- menu-dependent dynamic consistency -----------------------------------------------
+# A family gives the conditional preference on each event.  Splicing f on an
+# event E with an off-event act h takes f's utilities inside E and h's outside.
+
+OracleFamily = Callable[[Event], PreferenceOracle]
+
+
+def likelihood_family(wset: WeightedMeasureSet, u: UtilitySpec) -> OracleFamily:
+    """Conditional preferences driven by likelihood updating of the weights."""
+
+    def family(event: Event) -> PreferenceOracle:
+        return PreferenceOracle("mwer", likelihood_update(wset, event), u, wset.state_space)
+
+    return family
+
+
+def frozen_weight_family(wset: WeightedMeasureSet, u: UtilitySpec) -> OracleFamily:
+    """Measure-by-measure conditioning: weights frozen, zero-likelihood entries dropped."""
+
+    def family(event: Event) -> PreferenceOracle:
+        kept = [(m.condition(event), w) for m, w in wset.entries if m.event_prob(event) != 0]
+        belief = normalize(WeightedMeasureSet(kept, wset.state_space))  # merges duplicates
+        return PreferenceOracle("mwer", belief, u, wset.state_space)
+
+    return family
+
+
+def _spliced_signs(
+    o: PreferenceOracle, f: Alternative, g: Alternative, menu: AltMenu, event: Event
+) -> dict[Alternative, int]:
+    """The comparison of f against g, both spliced off the event with each menu act."""
+    inside = [s in event.members for s in sorted(o.state_space)]
+
+    def splice(a: Alternative, h: Alternative) -> Alternative:
+        profile = tuple(x if i else y for x, y, i in zip(a.profile, h.profile, inside))
+        return Alternative(a.name, profile)
+
+    return {
+        h: o.prefers(splice(f, h), splice(g, h), [splice(a, h) for a in menu]) for h in menu
+    }
+
+
+def check_mdc(
+    family: OracleFamily,
+    wset: WeightedMeasureSet,
+    u: UtilitySpec,
+    config: GeneratorConfig | None = None,
+    seed: int = 0,
+) -> AxiomReport:
+    """Probe menu-dependent dynamic consistency on sampled instances.
+
+    For each sampled menu, act pair and non-null event the conditional
+    comparison must agree with the unconditional comparison of the spliced
+    acts in the spliced menu, for every choice of the off-event act; the
+    checker also verifies that the right-hand side does not depend on that
+    choice.
+    """
+    config = config or GeneratorConfig()
+    rng = random.Random(seed)
+    states = tuple(sorted(wset.state_space))
+    unconditional = family(Event(states))
+    sampler = Sampler(rng, unconditional, config)
+
+    applicable = 0
+    for _ in range(config.samples):
+        menu = sampler.menu(min_size=2)
+        f, g = sampler.pick(menu, 2)
+        members = [s for s in states if rng.random() < 0.5]
+        if not members:
+            members = [rng.choice(states)]
+        event = Event(members)
+        if upper_likelihood(wset, event) == 0:
+            continue
+        applicable += 1
+        conditional = family(event).prefers(f, g, menu)
+        spliced_signs = _spliced_signs(unconditional, f, g, menu, event)
+        signs = set(spliced_signs.values())
+        if len(signs) > 1:
+            description = "the spliced comparison depends on the off-event act"
+            acts = {"f": f, "g": g}
+            params = {"signs": {h.name: sign for h, sign in spliced_signs.items()}}
+        elif conditional != signs.pop():
+            description = "conditional and spliced comparisons disagree"
+            h, spliced = next(iter(spliced_signs.items()))
+            acts = {"f": f, "g": g, "h": h}
+            params = {"conditional": conditional, "spliced": spliced}
+        else:
+            continue
+        witness = _witness(
+            unconditional, states, "mdc", description, menu, acts,
+            {"event": sorted(event.members), **params},
+        )
+        return AxiomReport(
+            "mdc", unconditional.rule, "violated", config.samples, applicable, 0, seed, witness
+        )
+    return AxiomReport(
+        "mdc", unconditional.rule, "no-violation-found",
+        config.samples, applicable, 0, seed, None,
+    )
+
+
+def replay_mdc(report: AxiomReport, family: OracleFamily) -> bool:
+    """Re-run a violated dynamic-consistency report against its family."""
+    w = report.counterexample
+    if w is None or w.kind != "violation":
+        return False
+    unconditional = family(Event(w.menu.state_space))
+    menu = tuple(map(unconditional.to_alternative, w.menu))
+    f, g = (unconditional.to_alternative(w.acts[role]) for role in ("f", "g"))
+    event = Event(w.params["event"])
+    signs = set(_spliced_signs(unconditional, f, g, menu, event).values())
+    return len(signs) > 1 or family(event).prefers(f, g, menu) != signs.pop()
 
 
 # -- the rule-by-axiom matrix ---------------------------------------------------------

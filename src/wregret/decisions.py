@@ -66,12 +66,6 @@ class UtilitySpec:
         shift = Fraction(shift)
         return UtilitySpec({prize: scale * v + shift for prize, v in self._utils.items()})
 
-    def extended(self, extra: Mapping[str, Rational]) -> "UtilitySpec":
-        merged = dict(self._utils)
-        for prize, v in extra.items():
-            merged[prize] = Fraction(v)
-        return UtilitySpec(merged)
-
 
 class Lottery:
     """A finite-support probability over prizes."""
@@ -458,11 +452,20 @@ def rank(rule: str, menu: Menu, u: UtilitySpec, belief: Belief = None) -> Rankin
     probability-free regret.
     """
     spec = rule_named(rule)
-    entries = belief_entries(rule, belief, menu.state_space)
-    profiles = [tuple(act.utility_profile(u).values()) for act in menu]
-    best = per_state_best(profiles)
-    scores = {act.name: spec.score(x, best, entries) for act, x in zip(menu, profiles)}
+    profiles = {act.name: tuple(act.utility_profile(u).values()) for act in menu}
+    scores = score_profiles(rule, profiles, belief, menu.state_space)
     return Ranking(rule, spec.lower_is_better, scores)
+
+
+def score_profiles(
+    rule: str, named_profiles: Mapping[str, Profile], belief: Belief, states: Sequence[str]
+) -> dict[str, Fraction]:
+    """The rule's score of each named profile (utilities in sorted `states`
+    order) against the menu of all of them."""
+    spec = rule_named(rule)
+    entries = belief_entries(rule, belief, states)
+    best = per_state_best(named_profiles.values())
+    return {name: spec.score(x, best, entries) for name, x in named_profiles.items()}
 
 
 # -- mixtures ------------------------------------------------------------------

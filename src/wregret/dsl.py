@@ -29,7 +29,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .decisions import Act, Lottery, Menu, UtilitySpec
 from .dynamics import DecisionNode, DecisionTree, Leaf, NatureNode, TreeNode
@@ -64,7 +64,7 @@ class Token:
 _TOKEN_RE = re.compile(
     r"""(?P<ws>\s+)
       | (?P<comment>\#[^\n]*)
-      | (?P<number>-?(?:\d+\s*/\s*\d+|\d+\.\d*|\.\d+|\d+))
+      | (?P<number>-?(?:\d+[^\S\n]*/[^\S\n]*\d+|\d+\.\d*|\.\d+|\d+))  # within one line
       | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<punct>[:={}\[\],])
     """,
@@ -168,74 +168,52 @@ class _RawEntry:
     payload: object
 
 
-def _split_lines(text: str) -> Iterator[tuple[int, str]]:
-    for i, raw in enumerate(text.split("\n"), start=1):
-        yield i, raw
-
-
 def parse_problem(text: str) -> ProblemDoc:
     """Parse a problem document; raise ParseError with diagnostics on failure."""
     diagnostics: list[ParseDiagnostic] = []
     sections: dict[str, dict[str, _RawEntry]] = {
         "lottery": {}, "act": {}, "menu": {}, "hypothesis": {}, "event": {},
     }
-    states_decl: Optional[tuple[Token, list[str]]] = None
-    prizes_decl: Optional[tuple[Token, list[str]]] = None
+    name_lists: dict[str, tuple[Token, list[str]]] = {}  # "states" and "prizes"
     utility_decl: dict[str, tuple[Token, Fraction]] = {}
 
-    for line_no, raw in _split_lines(text):
-        stripped = raw.split("#", 1)[0].strip()
-        if not stripped:
+    # one pass over the file; each line is then parsed on its own tokens, and a
+    # line with a lexical error is reported but not parsed
+    lexical: list[ParseDiagnostic] = []
+    lines: dict[int, list[Token]] = {}
+    for token in _tokenize(text, lexical)[:-1]:
+        lines.setdefault(token.line, []).append(token)
+    rejected: dict[int, list[ParseDiagnostic]] = {}
+    for d in lexical:
+        rejected.setdefault(d.line, []).append(d)
+    raw_lines = text.split("\n")
+    for line_no in sorted(lines.keys() | rejected.keys()):
+        if line_no in rejected:
+            diagnostics.extend(rejected[line_no])
             continue
-        line_diags: list[ParseDiagnostic] = []
-        tokens = _tokenize(raw.split("#", 1)[0], line_diags)
-        for d in line_diags:
-            diagnostics.append(
-                ParseDiagnostic(d.severity, line_no, d.column, d.message, d.token)
-            )
-        if line_diags:
-            continue
-        stream = _TokenStream(tokens, diagnostics)
-        head = stream.peek()
-        # adjust token line numbers: single-line tokenization reports line 1
-        def fix(t: Token) -> Token:
-            return Token(t.kind, t.text, line_no, t.column)
-
-        stream.tokens = [fix(t) for t in stream.tokens]
+        raw = raw_lines[line_no - 1]
+        code_end = raw.find("#")  # a comment runs to the end of the line
+        end = Token("EOF", "", line_no, (len(raw) if code_end < 0 else code_end) + 1)
+        stream = _TokenStream(lines[line_no] + [end], diagnostics)
         head = stream.peek()
         if head.kind != "IDENT":
             stream.error(head, "expected a section keyword")
             continue
         keyword = head.text
-        if keyword == "states":
+        if keyword in ("states", "prizes", "utility"):
             stream.next()
             if not stream.accept("PUNCT", ":"):
-                stream.error(stream.peek(), "expected ':' after 'states'")
+                stream.error(stream.peek(), f"expected ':' after '{keyword}'")
                 continue
+        if keyword in ("states", "prizes"):
             names = _ident_list(stream)
-            if states_decl is not None:
-                stream.error(head, "duplicate states section")
+            if keyword in name_lists:
+                stream.error(head, f"duplicate {keyword} section")
             elif not names:
-                stream.error(head, "states section declares no states")
+                stream.error(head, f"{keyword} section declares no {keyword}")
             else:
-                states_decl = (head, names)
-        elif keyword == "prizes":
-            stream.next()
-            if not stream.accept("PUNCT", ":"):
-                stream.error(stream.peek(), "expected ':' after 'prizes'")
-                continue
-            names = _ident_list(stream)
-            if prizes_decl is not None:
-                stream.error(head, "duplicate prizes section")
-            elif not names:
-                stream.error(head, "prizes section declares no prizes")
-            else:
-                prizes_decl = (head, names)
+                name_lists[keyword] = (head, names)
         elif keyword == "utility":
-            stream.next()
-            if not stream.accept("PUNCT", ":"):
-                stream.error(stream.peek(), "expected ':' after 'utility'")
-                continue
             pairs = _assignment_list(stream)
             if stream.peek().kind != "EOF":
                 stream.error(stream.peek(), "unexpected trailing input")
@@ -264,7 +242,7 @@ def parse_problem(text: str) -> ProblemDoc:
             stream.error(head, f"unknown section keyword '{keyword}'")
 
     doc = _resolve_problem(
-        states_decl, prizes_decl, utility_decl, sections, diagnostics
+        name_lists.get("states"), name_lists.get("prizes"), utility_decl, sections, diagnostics
     )
     if diagnostics:
         raise ParseError(diagnostics)
@@ -323,95 +301,72 @@ def _parse_definition(keyword: str, stream: _TokenStream):
             return None
         if not stream.expect("PUNCT", "="):
             return None
-        body = _brace_map(stream, values="number")
+        body = _delimited(stream, "{", "}", _number_entry)
         if body is None:
             return None
         return (weight, body)
     if not stream.expect("PUNCT", "="):
         return None
     if keyword == "lottery":
-        return _brace_map(stream, values="number")
+        return _delimited(stream, "{", "}", _number_entry)
     if keyword == "act":
-        return _brace_map(stream, values="lotterm")
+        return _delimited(stream, "{", "}", _entry(_lottery_term))
     if keyword == "menu":
-        return _bracket_list(stream)
+        return _delimited(stream, "[", "]", _name("an act name"))
     if keyword == "event":
-        return _brace_idents(stream)
+        return _delimited(stream, "{", "}", _name("a state name"))
     raise AssertionError(keyword)
 
 
-def _brace_map(stream: _TokenStream, values: str):
-    """`{ ident: value, ... }` where value is a number or a lottery term."""
-    if not stream.expect("PUNCT", "{"):
+_Item = Callable[[_TokenStream], object]
+
+
+def _delimited(stream: _TokenStream, opener: str, closer: str, item: _Item) -> Optional[list]:
+    """`opener item, ... closer`, possibly empty; None after a diagnostic
+    (an item parser returns None when it has reported one)."""
+    if not stream.expect("PUNCT", opener):
         return None
-    entries: list[tuple[Token, object]] = []
-    if not stream.accept("PUNCT", "}"):
-        while True:
-            key = stream.expect("IDENT", what="a name")
-            if key is None:
-                return None
-            if not stream.expect("PUNCT", ":"):
-                return None
-            if values == "number":
-                value = _rational(stream)
-                if value is None:
-                    return None
-            else:
-                if stream.peek().kind == "PUNCT" and stream.peek().text == "{":
-                    value = _brace_map(stream, values="number")
-                    if value is None:
-                        return None
-                else:
-                    ref = stream.expect("IDENT", what="a lottery name or inline lottery")
-                    if ref is None:
-                        return None
-                    value = ref
-            entries.append((key, value))
-            if stream.accept("PUNCT", ","):
-                continue
-            if stream.accept("PUNCT", "}"):
-                break
-            stream.error(stream.peek(), "expected ',' or '}'")
+    items: list = []
+    if stream.accept("PUNCT", closer):
+        return items
+    while True:
+        value = item(stream)
+        if value is None:
             return None
-    return entries
-
-
-def _bracket_list(stream: _TokenStream):
-    if not stream.expect("PUNCT", "["):
+        items.append(value)
+        if stream.accept("PUNCT", ","):
+            continue
+        if stream.accept("PUNCT", closer):
+            return items
+        stream.error(stream.peek(), f"expected ',' or '{closer}'")
         return None
-    names: list[Token] = []
-    if not stream.accept("PUNCT", "]"):
-        while True:
-            token = stream.expect("IDENT", what="an act name")
-            if token is None:
-                return None
-            names.append(token)
-            if stream.accept("PUNCT", ","):
-                continue
-            if stream.accept("PUNCT", "]"):
-                break
-            stream.error(stream.peek(), "expected ',' or ']'")
-            return None
-    return names
 
 
-def _brace_idents(stream: _TokenStream):
-    if not stream.expect("PUNCT", "{"):
-        return None
-    names: list[Token] = []
-    if not stream.accept("PUNCT", "}"):
-        while True:
-            token = stream.expect("IDENT", what="a state name")
-            if token is None:
-                return None
-            names.append(token)
-            if stream.accept("PUNCT", ","):
-                continue
-            if stream.accept("PUNCT", "}"):
-                break
-            stream.error(stream.peek(), "expected ',' or '}'")
+def _name(what: str) -> _Item:
+    return lambda stream: stream.expect("IDENT", what=what)
+
+
+def _entry(value: _Item) -> _Item:
+    """`ident: value`, as a (key token, value) pair."""
+
+    def item(stream: _TokenStream):
+        key = stream.expect("IDENT", what="a name")
+        if key is None or not stream.expect("PUNCT", ":"):
             return None
-    return names
+        parsed = value(stream)
+        return None if parsed is None else (key, parsed)
+
+    return item
+
+
+_number_entry = _entry(_rational)
+
+
+def _lottery_term(stream: _TokenStream):
+    """An inline `{ prize: rational, ... }` or a lottery name."""
+    if stream.peek().kind == "PUNCT" and stream.peek().text == "{":
+        return _delimited(stream, "{", "}", _number_entry)
+    return stream.expect("IDENT", what="a lottery name or inline lottery")
 
 
 def _resolve_problem(states_decl, prizes_decl, utility_decl, sections, diagnostics):

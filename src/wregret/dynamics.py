@@ -6,22 +6,22 @@ the belief by likelihood and re-scoring; the spliced-menu identity
     score of (f on E else h) in the spliced menu
         = upper likelihood of E  *  conditional score of f
 
-ties the conditional and unconditional orders together exactly, and
-`check_mdc` probes that biconditional on sampled instances.  Decision trees
-are evaluated either by committing to the best root plan (ex-ante) or by
-backward induction with an explicit choice of comparison menu at each node,
-since a menu-dependent rule leaves that choice genuinely open.
+ties the conditional and unconditional orders together exactly
+(`axioms.check_mdc` probes the resulting biconditional on sampled
+instances).  Decision trees are evaluated by backward induction over their
+plans, each seen as its utility profile: either once at the root (ex-ante,
+committing to the best plan) or leaves-upward at every decision node, with
+an explicit choice of comparison menu at each node, since a menu-dependent
+rule leaves that choice genuinely open.
 """
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
-from .axioms import AxiomReport, GeneratorConfig, PreferenceOracle, Sampler, Witness, realize
-from .decisions import Act, Lottery, Menu, UtilitySpec, mwer, rank
+from .decisions import Act, Lottery, Menu, Profile, UtilitySpec, mwer, score_profiles
 from .errors import (
     ActNotInMenu,
     MalformedTree,
@@ -38,8 +38,6 @@ from .measures import (
     upper_likelihood,
 )
 from .rational import format_rational
-
-ZERO = Fraction(0)
 
 
 def splice(f: Act, event: EventLike, h: Act, name: str | None = None) -> Act:
@@ -102,134 +100,6 @@ def mdc_scaling_check(
     return lhs, rhs
 
 
-# -- conditional-preference families and the MDC probe ---------------------------
-
-OracleFamily = Callable[[Event, Optional[Menu]], PreferenceOracle]
-
-
-def likelihood_family(wset: WeightedMeasureSet, u: UtilitySpec) -> OracleFamily:
-    """Conditional preferences driven by likelihood updating of the weights."""
-
-    def family(event: Event, menu: Optional[Menu] = None) -> PreferenceOracle:
-        return PreferenceOracle(
-            "mwer", likelihood_update(wset, event), u, wset.state_space
-        )
-
-    return family
-
-
-def frozen_weight_family(wset: WeightedMeasureSet, u: UtilitySpec) -> OracleFamily:
-    """Measure-by-measure conditioning: weights frozen, zero-likelihood entries dropped."""
-
-    def family(event: Event, menu: Optional[Menu] = None) -> PreferenceOracle:
-        merged: dict = {}
-        for m, w in wset.entries:
-            if m.event_prob(event) == 0:
-                continue
-            conditioned = m.condition(event)
-            if conditioned not in merged or merged[conditioned] < w:
-                merged[conditioned] = w
-        belief = normalize(WeightedMeasureSet(tuple(merged.items()), wset.state_space))
-        return PreferenceOracle("mwer", belief, u, wset.state_space)
-
-    return family
-
-
-def check_mdc(
-    family: OracleFamily,
-    wset: WeightedMeasureSet,
-    u: UtilitySpec,
-    config: GeneratorConfig | None = None,
-    seed: int = 0,
-) -> AxiomReport:
-    """Probe menu-dependent dynamic consistency on sampled instances.
-
-    For each sampled menu, act pair and non-null event the conditional
-    comparison must agree with the unconditional comparison of the spliced
-    acts in the spliced menu, for every choice of the off-event act; the
-    checker also verifies that the right-hand side does not depend on that
-    choice.
-    """
-    config = config or GeneratorConfig()
-    rng = random.Random(seed)
-    states = tuple(sorted(wset.state_space))
-    full = Event(states)
-    unconditional = family(full, None)
-    sampler = Sampler(rng, unconditional, config)
-
-    applicable = 0
-    for _ in range(config.samples):
-        menu = Menu(realize(a, states, unconditional.utility) for a in sampler.menu(min_size=2))
-        f, g = sampler.pick(menu.acts, 2)
-        members = [s for s in states if rng.random() < 0.5]
-        if not members:
-            members = [rng.choice(states)]
-        event = Event(members)
-        if is_null(event, wset):
-            continue
-        applicable += 1
-        conditional = family(event, menu).compare(f, g, menu)
-        spliced_signs = _spliced_signs(unconditional, f, g, menu, event)
-        signs = set(spliced_signs.values())
-        if len(signs) > 1:
-            return AxiomReport(
-                "mdc", unconditional.rule, "violated", config.samples, applicable,
-                0, seed,
-                Witness(
-                    "mdc", unconditional.rule, "violation",
-                    "the spliced comparison depends on the off-event act",
-                    menu, {"f": f, "g": g},
-                    {"event": sorted(event.members),
-                     "signs": {h.name: s for h, s in spliced_signs.items()}},
-                ),
-            )
-        if conditional != signs.pop():
-            h, spliced = next(iter(spliced_signs.items()))
-            return AxiomReport(
-                "mdc", unconditional.rule, "violated", config.samples, applicable,
-                0, seed,
-                Witness(
-                    "mdc", unconditional.rule, "violation",
-                    "conditional and spliced comparisons disagree",
-                    menu, {"f": f, "g": g, "h": h},
-                    {"event": sorted(event.members),
-                     "conditional": conditional,
-                     "spliced": spliced},
-                ),
-            )
-    return AxiomReport(
-        "mdc", unconditional.rule, "no-violation-found",
-        config.samples, applicable, 0, seed, None,
-    )
-
-
-def _spliced_signs(
-    oracle: PreferenceOracle, f: Act, g: Act, menu: Menu, event: Event
-) -> dict[Act, int]:
-    """The comparison of f against g, both spliced off the event with each menu act."""
-    return {
-        h: oracle.compare(splice(f, event, h), splice(g, event, h), splice_menu(menu, event, h))
-        for h in menu
-    }
-
-
-def replay_mdc(report: AxiomReport, family: OracleFamily) -> bool:
-    """Re-run a violated dynamic-consistency report against its family."""
-    w = report.counterexample
-    if w is None or w.kind != "violation":
-        return False
-    menu = w.menu
-    event = Event(w.params["event"])
-    f, g = w.acts["f"], w.acts["g"]
-    states = menu.state_space
-    unconditional = family(Event(states), None)
-    signs = set(_spliced_signs(unconditional, f, g, menu, event).values())
-    if len(signs) > 1:
-        return True
-    conditional = family(event, menu).compare(f, g, menu)
-    return conditional != signs.pop()
-
-
 # -- decision trees ----------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -276,11 +146,12 @@ class DecisionTree:
 
 @dataclass(frozen=True)
 class Plan:
-    """A strategy: one branch per reachable decision node, viewed as an act."""
+    """A strategy: one branch per reachable decision node, seen as its utility
+    profile (one utility per state, in sorted state order)."""
 
     name: str
     choices: tuple[tuple[str, str], ...]
-    act: Act
+    profile: Profile
 
     def choice_at(self, node: str) -> Optional[str]:
         return dict(self.choices).get(node)
@@ -293,10 +164,6 @@ class _NodeInfo:
     order: int
     live: frozenset[str]
     ancestors: tuple[tuple[str, str], ...]  # (decision node, branch) pairs
-
-
-def _synth_prize(value: Fraction) -> str:
-    return f"util:{format_rational(value)}"
 
 
 def _validate(node: TreeNode, live: frozenset[str], seen_names: set[str]) -> None:
@@ -326,27 +193,12 @@ def _validate(node: TreeNode, live: frozenset[str], seen_names: set[str]) -> Non
         raise MalformedTree(f"nature partition misses states {sorted(missing)}")
 
 
-def _collect_leaf_utilities(node: TreeNode, acc: set[Fraction]) -> None:
-    if isinstance(node, Leaf):
-        if node.utility is not None:
-            acc.add(Fraction(node.utility))
-        return
-    children = (
-        [c for _, c in node.branches] if isinstance(node, DecisionNode)
-        else [c for _, c in node.partition]
-    )
-    for child in children:
-        _collect_leaf_utilities(child, acc)
-
-
 def _expand(
     node: TreeNode, live: frozenset[str], u: UtilitySpec
-) -> list[tuple[dict[str, str], list[str], dict[str, Lottery]]]:
+) -> list[tuple[dict[str, str], list[str], dict[str, Fraction]]]:
     if isinstance(node, Leaf):
-        lottery = node.lottery if node.lottery is not None else Lottery(
-            {_synth_prize(Fraction(node.utility)): 1}
-        )
-        return [({}, [], {s: lottery for s in live})]
+        value = Fraction(node.utility) if node.lottery is None else u.utility(node.lottery)
+        return [({}, [], {s: value for s in live})]
     if isinstance(node, DecisionNode):
         out = []
         for branch, child in node.branches:
@@ -385,21 +237,18 @@ def _decision_nodes(
 
 def enumerate_plans(
     tree: DecisionTree, state_space: Sequence[str], u: UtilitySpec
-) -> tuple[list[Plan], UtilitySpec]:
-    """All strategies of the tree as named acts, plus the utility table
-    extended with synthesized prizes for bare-utility leaves."""
+) -> list[Plan]:
+    """All strategies of the tree, each with its utility profile."""
     live = frozenset(state_space)
     _validate(tree.root, live, set())
-    bare: set[Fraction] = set()
-    _collect_leaf_utilities(tree.root, bare)
-    extended = u.extended({_synth_prize(v): v for v in bare}) if bare else u
+    states = sorted(live)
     plans = []
-    for choices, parts, outcomes in _expand(tree.root, live, extended):
+    for choices, parts, outcomes in _expand(tree.root, live, u):
         name = "+".join(parts) if parts else "unconditional"
-        plans.append(Plan(name, tuple(sorted(choices.items())), Act(name, outcomes)))
+        plans.append(Plan(name, tuple(sorted(choices.items())), tuple(outcomes[s] for s in states)))
     if len({p.name for p in plans}) != len(plans):
         raise MalformedTree("plan names are not unique; rename branches")
-    return plans, extended
+    return plans
 
 
 @dataclass
@@ -430,7 +279,6 @@ class TreeEvaluation:
     survivors: tuple[str, ...]
     diagnostics: tuple[NodeDiagnostic, ...]
     plans: tuple[Plan, ...]
-    utility: UtilitySpec  # input table extended with synthesized leaf prizes
 
     def to_obj(self) -> dict:
         return {
@@ -475,31 +323,17 @@ def evaluate_tree(
         raise ValueError(f"unknown planning mode {planning!r}")
     if menu_policy not in ("full", "viable"):
         raise ValueError(f"unknown menu policy {menu_policy!r}")
-    plans, ext_u = enumerate_plans(tree, wset.state_space, u)
-    diagnostics: list[NodeDiagnostic] = []
-
-    if planning == "ex-ante":
-        belief = normalize(wset)
-        menu = Menu(tuple(p.act for p in plans))
-        scores = rank("mwer", menu, ext_u, belief).scores
-        best = min(scores.values())
-        kept = tuple(sorted(n for n, s in scores.items() if s == best))
-        eliminated = tuple(sorted(n for n, s in scores.items() if s != best))
-        diagnostics.append(
-            NodeDiagnostic(
-                "<root>", tuple(sorted(wset.state_space)),
-                tuple(p.name for p in plans), scores, eliminated, kept,
-            )
-        )
-        chosen = next(p for p in plans if p.name == kept[0])
-        return TreeEvaluation(
-            planning, menu_policy, chosen, kept, tuple(diagnostics), tuple(plans), ext_u
-        )
-
-    infos: list[_NodeInfo] = []
-    _decision_nodes(tree.root, frozenset(wset.state_space), (), 0, infos)
-    infos.sort(key=lambda i: (-i.depth, i.order))
+    plans = enumerate_plans(tree, wset.state_space, u)
+    live = frozenset(wset.state_space)
+    if planning == "ex-ante":  # one node at the root, through which every plan passes
+        infos = [_NodeInfo("<root>", 0, 0, live, ())]
+    else:
+        infos = []
+        _decision_nodes(tree.root, live, (), 0, infos)
+        infos.sort(key=lambda i: (-i.depth, i.order))
+    states = tuple(sorted(live))
     survivors = {p.name for p in plans}
+    diagnostics: list[NodeDiagnostic] = []
     for info in infos:
         anc = dict(info.ancestors)
         group = [
@@ -511,8 +345,7 @@ def evaluate_tree(
             raise MalformedTree(f"no viable plan reaches node {info.name!r}")
         belief = _belief_at(wset, info.live)
         pool = group if menu_policy == "full" else alive
-        menu = Menu(tuple(p.act for p in pool))
-        scores = rank("mwer", menu, ext_u, belief).scores
+        scores = score_profiles("mwer", {p.name: p.profile for p in pool}, belief, states)
         best = min(scores[p.name] for p in alive)
         dropped = tuple(sorted(p.name for p in alive if scores[p.name] != best))
         kept = tuple(sorted(p.name for p in alive if scores[p.name] == best))
@@ -525,6 +358,4 @@ def evaluate_tree(
         )
     final = tuple(sorted(survivors))
     chosen = next(p for p in plans if p.name == final[0])
-    return TreeEvaluation(
-        planning, menu_policy, chosen, final, tuple(diagnostics), tuple(plans), ext_u
-    )
+    return TreeEvaluation(planning, menu_policy, chosen, final, tuple(diagnostics), tuple(plans))

@@ -32,16 +32,16 @@ from wregret.axioms import (
     GeneratorConfig,
     axiom_matrix,
     check_axiom,
+    check_mdc,
     delivery_fixtures,
+    likelihood_family,
     profile_act,
     replay,
 )
 from wregret.dsl import parse_problem, parse_tree, serialize_problem
 from wregret.dynamics import (
-    check_mdc,
     evaluate_tree,
     is_null,
-    likelihood_family,
     mdc_scaling_check,
 )
 from wregret.errors import ParseError

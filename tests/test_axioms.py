@@ -160,6 +160,12 @@ class TestSampling:
         b = check_axiom("6", fixtures.oracle("mwer"), SMALL, seed=42)
         assert a.to_obj() == b.to_obj()
 
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_no_config_without_samples(self, samples):
+        # zero samples used to yield no-violation-found with nothing checked
+        with pytest.raises(ValueError, match="samples"):
+            GeneratorConfig(samples=samples)
+
     def test_structural_axioms_pass_once(self, fixtures):
         for axiom in ("3", "10"):
             report = check_axiom(axiom, fixtures.oracle("mwer"), SMALL, seed=0)

@@ -158,6 +158,24 @@ class TestAxiomsCommand:
         code, out, err = run(capsys, "axioms", WEIGHTED, "--axiom", "1", "--samples", samples)
         assert code == 3 and out == "" and "--samples" in err
 
+    @pytest.mark.parametrize("utility", ["win = 1/2, lose = 0", "win = 3, lose = -1/2"])
+    def test_matrix_draws_inside_the_utility_range(self, tmp_path, capsys, utility):
+        # utilities that do not cover [-1, 1]; the sampler's grid must fit them
+        path = tmp_path / "narrow.dp"
+        path.write_text(
+            "states: good bad\nprizes: win lose\n"
+            f"utility: {utility}\n"
+            "hypothesis mostly_good weight 1 = { good: 3/4, bad: 1/4 }\n"
+            "hypothesis mostly_bad weight 1/2 = { good: 1/4, bad: 3/4 }\n"
+        )
+        code, out, err = run(
+            capsys, "axioms", str(path), "--axiom", "matrix", "--samples", "50", "--format", "json"
+        )
+        assert code == 0 and err == ""
+        cells = json.loads(out)["cells"]
+        violated = {(r, c) for r, row in cells.items() for c, v in row.items() if v == "violated"}
+        assert violated == {("mwer", "ax12"), ("mmeu", "independence")}
+
     def test_unweighted_fixture_rejected_for_matrix(self, capsys):
         code, _, err = run(capsys, "axioms", DELIVERY, "--axiom", "matrix")
         assert code == 3 and "non-unit weight" in err

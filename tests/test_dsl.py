@@ -8,7 +8,7 @@ import pytest
 from wregret import rank, regret
 from wregret.dsl import MAX_TREE_DEPTH, ParseDiagnostic, parse_problem, parse_tree, serialize_problem
 from wregret.dynamics import DecisionNode, NatureNode, evaluate_tree
-from wregret.errors import ParseError
+from wregret.errors import DomainError, ParseError
 from wregret.fixtures import fixture_text
 
 F = Fraction
@@ -172,14 +172,22 @@ class TestParseTree:
         tree = parse_tree("leaf utility 7/2", doc)
         result = evaluate_tree(tree, doc.utility, doc.weighted_set())
         assert result.chosen.name == "unconditional"
-        profile = result.chosen.act.utility_profile(result.utility)
-        assert set(profile.values()) == {F(7, 2)}
+        assert set(result.chosen.profile) == {F(7, 2)}
 
     def test_unknown_event_positioned(self):
         doc = parse_problem(fixture_text("restaurant.dp"))
         with pytest.raises(ParseError) as excinfo:
             parse_tree("nature { on nowhere: leaf utility 0 }", doc)
         assert any("unknown event" in d.message for d in excinfo.value.diagnostics)
+
+    def test_rational_does_not_span_lines(self):
+        # as in problem files, where each line is parsed on its own
+        doc = parse_problem(fixture_text("restaurant.dp"))
+        assert parse_tree("leaf utility 1 / 2", doc).root.utility == F(1, 2)
+        with pytest.raises(ParseError) as excinfo:
+            parse_tree("leaf utility 1\n/ 2", doc)
+        [diagnostic] = excinfo.value.diagnostics
+        assert (diagnostic.line, diagnostic.column, diagnostic.token) == (2, 1, "/")
 
     def test_deep_nesting_is_a_positioned_parse_error(self):
         doc = parse_problem(fixture_text("restaurant.dp"))
@@ -232,3 +240,24 @@ class TestFuzz:
                 assert exc.diagnostics
                 for d in exc.diagnostics:
                     assert d.line >= 1 and d.column >= 1 and d.message
+
+    def test_fuzzed_trees_parse_or_fail_positioned_and_evaluate(self):
+        rng = random.Random(7)
+        doc = parse_problem(fixture_text("restaurant.dp"))
+        wset = doc.weighted_set()
+        seed_text = fixture_text("restaurant.tree")
+        for _ in range(2000):
+            try:
+                tree = parse_tree(_mutate(rng, seed_text), doc)
+            except ParseError as exc:
+                assert exc.diagnostics
+                for d in exc.diagnostics:
+                    assert d.line >= 1 and d.column >= 1 and d.message
+                continue
+            for planning in ("ex-ante", "sophisticated"):
+                for policy in ("full", "viable"):
+                    try:
+                        result = evaluate_tree(tree, doc.utility, wset, planning, policy)
+                    except DomainError:
+                        continue
+                    assert result.chosen.name in result.survivors

@@ -19,20 +19,23 @@ from wregret import (
     point_mass,
     rank,
 )
-from wregret.axioms import GeneratorConfig, profile_act
+from wregret.axioms import (
+    GeneratorConfig,
+    check_mdc,
+    frozen_weight_family,
+    likelihood_family,
+    profile_act,
+    replay_mdc,
+)
 from wregret.dynamics import (
     DecisionNode,
     DecisionTree,
     Leaf,
     NatureNode,
-    check_mdc,
     conditional_score,
     evaluate_tree,
-    frozen_weight_family,
     is_null,
-    likelihood_family,
     mdc_scaling_check,
-    replay_mdc,
     splice,
     splice_menu,
 )
@@ -243,10 +246,10 @@ class TestMdc:
         menu = Menu([d, f, g])
 
         frozen = frozen_weight_family(wset, GRID_U)
-        conditional = frozen(event, menu)
+        conditional = frozen(event)
         assert conditional.score(f, menu) == F(2, 3)
         assert conditional.score(g, menu) == F(16, 27)
-        unconditional = frozen(Event(states), None)
+        unconditional = frozen(Event(states))
         spliced = splice_menu(menu, event, d)
         fed, ged = splice(f, event, d), splice(g, event, d)
         assert unconditional.score(fed, spliced) == F(1, 5)
@@ -355,8 +358,11 @@ class TestTrees:
         assert len(chosen) == 1
         # a one-decision tree is the flat problem: scores must match rank()
         reference = results[0]
-        menu = Menu([p.act for p in reference.plans])
-        ranking = rank("mwer", menu, reference.utility, delivery_wset)
+        menu = Menu(
+            profile_act(p.name, dict(zip(DELIVERY_STATES, p.profile)), delivery_utility)
+            for p in reference.plans
+        )
+        ranking = rank("mwer", menu, delivery_utility, delivery_wset)
         for result in results:
             assert result.diagnostics[-1].scores == ranking.scores
         assert chosen == {ranking.best[0]}
