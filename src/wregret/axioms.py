@@ -7,10 +7,11 @@ replayable witness; `no-violation-found` is evidence, not proof, and the
 reports expose sample counts so callers can calibrate.  The existential
 clause of mixture continuity is searched over a finite mixture grid, and a
 fruitless search is reported as `no-witness-in-grid` rather than `violated`.
-Instances are drawn, mixed and compared as utility profiles (`Alternative`);
-acts made of two-prize lotteries are built only for witnesses, and `replay`
-turns a witness back into profiles once.  `check_mdc` probes the dynamic
-axiom, menu-dependent dynamic consistency, on profiles spliced on events.
+
+Each axiom has one table entry: `draw` samples an `Instance` of utility
+profiles (`Alternative`s) and `judge` decides it.  Curated instances, sampled
+draws and `replay` of a witness all go through that one judge.  `check_mdc`
+probes menu-dependent dynamic consistency on profiles spliced on events.
 
 Axiom ids: "1".."12" follow the order transitivity, completeness,
 nontriviality, monotonicity, mixture continuity, hedging (ambiguity
@@ -27,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from itertools import combinations
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .decisions import (
@@ -53,28 +54,30 @@ from .measures import (
 )
 from .rational import format_rational
 
-AXIOM_IDS = tuple(str(i) for i in range(1, 13)) + ("12u", "menu")
+# Sampling bounds, kept small so arithmetic stays exact: sampled menus hold
+# up to MENU_SIZE acts, utilities lie on a grid of step 1/UTILITY_DENOMINATOR
+# and mixture coefficients have denominators up to MIXTURE_DENOMINATOR.
+MENU_SIZE = 4
+UTILITY_DENOMINATOR = 10
+MIXTURE_DENOMINATOR = 20
+
+# The mixture coefficients in (0, 1) with denominators up to the bound, ascending.
+MIXTURE_GRID = tuple(
+    sorted({Fraction(k, d) for d in range(2, MIXTURE_DENOMINATOR + 1) for k in range(1, d)})
+)
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
-    """Bounds for random instance generation (kept small so arithmetic stays exact)."""
+    """How many instances to sample per axiom, and whether to judge the
+    curated corpus first."""
 
     samples: int = 200
-    menu_size: int = 4
-    utility_denominator: int = 10
-    mixture_denominator: int = 20
     include_curated: bool = True
 
     def __post_init__(self) -> None:
         if self.samples < 1:
             raise ValueError("samples must be at least 1")
-        if self.menu_size > 6:
-            raise ValueError("menu_size is capped at 6")
-        if self.mixture_denominator > 20:
-            raise ValueError("mixture_denominator is capped at 20")
-        if self.utility_denominator > 10:
-            raise ValueError("utility_denominator is capped at 10")
 
 
 class Alternative(NamedTuple):
@@ -135,8 +138,9 @@ class PreferenceOracle:
 
     def to_alternative(self, act: Act) -> Alternative:
         """The act as the rule sees it: its name and utility profile."""
-        if self.belief is not None and act.state_space != self._states:
-            raise DimensionMismatch(f"act {act.name!r} is not defined over the belief's states")
+        if act.state_space != self._states:
+            states = ", ".join(self._states)
+            raise DimensionMismatch(f"act {act.name!r} is not over the oracle's states {states}")
         return Alternative(act.name, tuple(act.utility_profile(self.utility).values()))
 
     def score(self, act: Act, menu: Menu) -> Fraction:
@@ -153,6 +157,25 @@ class PreferenceOracle:
         return self.prefers(self.to_alternative(f), self.to_alternative(g), alternatives)
 
 
+class Instance(NamedTuple):
+    """An axiom's instance, as a witness records it: a menu, the alternatives
+    in its roles (f, g, h, mixture) and params (keys ending in "menu" hold menus)."""
+
+    menu: AltMenu
+    acts: Mapping[str, Alternative]
+    params: Mapping[str, object] = {}
+
+
+class Finding(NamedTuple):
+    """A judge's evidence against an instance: scores to show, params it found."""
+
+    scores: Mapping[str, Fraction] = {}
+    params: Mapping[str, object] = {}
+
+
+Verdict = Union[str, Finding]  # "pass", "vacuous" or a Finding
+
+
 @dataclass
 class Witness:
     """A concrete instance exhibiting (or failing to witness) an axiom."""
@@ -161,8 +184,8 @@ class Witness:
     rule: str
     kind: str  # "violation" or "no-witness-in-grid"
     description: str
-    menu: Menu
-    acts: dict[str, Act]
+    menu: AltMenu
+    acts: dict[str, Alternative]
     params: dict[str, object] = field(default_factory=dict)
     scores: dict[str, Fraction] = field(default_factory=dict)
 
@@ -174,9 +197,16 @@ class Witness:
             "description": self.description,
             "menu": [a.name for a in self.menu],
             "acts": {role: a.name for role, a in self.acts.items()},
-            "params": {k: str(v) for k, v in self.params.items()},
+            "params": {k: _param_text(k, v) for k, v in self.params.items()},
             "scores": {k: format_rational(v) for k, v in self.scores.items()},
         }
+
+
+def _param_text(key: str, value: object) -> str:
+    """A witness param as text; menus print as the names of their members."""
+    if key.endswith("menu"):
+        return f"Menu([{', '.join(a.name for a in value)}])"
+    return str(value)
 
 
 @dataclass
@@ -248,11 +278,6 @@ def profile_act(name: str, profile: Mapping[str, Fraction], u: UtilitySpec) -> A
     return Act(name, {s: value_lottery(Fraction(v), u) for s, v in profile.items()})
 
 
-def realize(alternative: Alternative, states: Sequence[str], u: UtilitySpec) -> Act:
-    """The act over the sorted `states` with the alternative's name and profile."""
-    return profile_act(alternative.name, dict(zip(states, alternative.profile)), u)
-
-
 def _mix(p: Fraction, f: Alternative, h: Alternative) -> Alternative:
     """The mixture p*f + (1-p)*h; utility is linear in lotteries, so profiles mix."""
     q = 1 - p
@@ -270,38 +295,34 @@ def _enlarge(menu: AltMenu, *acts: Alternative) -> AltMenu:
     return menu
 
 
+def _without(menu: AltMenu, act: Alternative) -> AltMenu:
+    return tuple(a for a in menu if a != act)
+
+
 class Sampler:
     """Seeded draws of alternatives, menus of them and mixture coefficients.
 
-    Utilities lie on the grid k/d in [-1, 1] (d the utility denominator),
+    Utilities lie on the grid k/d in [-1, 1] (d = UTILITY_DENOMINATOR),
     shrunk and shifted only as far as needed to fit the utility table's range.
     """
 
-    def __init__(self, rng: random.Random, oracle: PreferenceOracle, config: GeneratorConfig):
+    def __init__(self, rng: random.Random, oracle: PreferenceOracle):
         self.rng = rng
-        self.config = config
         self.states = tuple(sorted(oracle.state_space))
         _, _, self.hi, self.lo = utility_span(oracle.utility)
         self._counter = 0
-        d = config.utility_denominator
+        d = UTILITY_DENOMINATOR
         scale = min(Fraction(1), (self.hi - self.lo) / 2)
         shift = min(max(Fraction(0), self.lo + scale), self.hi - scale)
         self._values = [shift + scale * Fraction(k, d) for k in range(-d, d + 1)]
         self._steps = [scale * Fraction(k, d) for k in range(d + 1)]
-
-    @cached_property
-    def grid(self) -> list[Fraction]:
-        """The mixture coefficients in (0, 1) with denominators up to the bound, ascending."""
-        bound = self.config.mixture_denominator
-        return sorted({Fraction(k, d) for d in range(2, bound + 1) for k in range(1, d)})
 
     def _fresh(self, prefix: str) -> str:
         self._counter += 1
         return f"{prefix}{self._counter}"
 
     def grid_value(self) -> Fraction:
-        d = self.config.utility_denominator
-        return self._values[self.rng.randint(-d, d) + d]
+        return self.rng.choice(self._values)
 
     def act(self, prefix: str = "a") -> Alternative:
         return Alternative(self._fresh(prefix), tuple(self.grid_value() for _ in self.states))
@@ -312,16 +333,16 @@ class Sampler:
 
     def lowered(self, profile: Profile) -> Profile:
         """The profile with each utility lowered by a random grid step, not below the grid."""
-        d, floor = self.config.utility_denominator, self._values[0]
-        return tuple(max(floor, v - self._steps[self.rng.randint(0, d)]) for v in profile)
+        floor = self._values[0]
+        return tuple(max(floor, v - self.rng.choice(self._steps)) for v in profile)
 
     def mixture(self) -> Fraction:
-        d = self.rng.randint(2, self.config.mixture_denominator)
+        d = self.rng.randint(2, MIXTURE_DENOMINATOR)
         k = self.rng.randint(1, d - 1)
         return Fraction(k, d)
 
     def menu(self, min_size: int = 2) -> AltMenu:
-        size = self.rng.randint(min_size, max(min_size, self.config.menu_size))
+        size = self.rng.randint(min_size, max(min_size, MENU_SIZE))
         acts = [self.act() for _ in range(size)]
         if self.rng.random() < 0.5:
             base = self.rng.choice(acts)
@@ -343,286 +364,277 @@ class Sampler:
         h = self.constant("h")
         return acts + (h,), h
 
+    def menu_with_constant(self) -> tuple[AltMenu, Alternative]:
+        """A menu with a constant member act, drawn first."""
+        h = self.constant("h")
+        return _enlarge(self.menu(), h), h
+
+    def never_optimal(self, menu: AltMenu) -> Alternative:
+        """An act never strictly optimal in the menu: its per-state best, lowered."""
+        best = per_state_best(a.profile for a in menu)
+        return Alternative(self._fresh("nso"), self.lowered(best))
+
     def pick(self, menu: Sequence, n: int) -> list:
         return [menu[i] for i in self.rng.sample(range(len(menu)), n)]
 
 
-def _witness(
-    o: PreferenceOracle, states: Sequence[str], axiom: str, description: str,
-    menu: AltMenu, acts: dict[str, Alternative], params: Optional[dict] = None,
-    scores: Optional[dict[str, Fraction]] = None, kind: str = "violation",
-) -> Witness:
-    """A witness with its alternatives realized as acts over the sorted
-    `states`; params named "...menu" hold menus and are realized too."""
+# -- the axioms: how to draw an instance, and how to judge one ----------------------
+# A draw may consult the oracle to find an instance worth judging and returns
+# None when it finds none.  A judge sees only the oracle and the instance, so
+# it decides sampled, curated and replayed instances alike; it re-checks every
+# precondition the instance must meet.
 
-    def as_menu(alternatives: AltMenu) -> Menu:
-        return Menu(realize(a, states, o.utility) for a in alternatives)
-
-    params = {k: as_menu(v) if k.endswith("menu") else v for k, v in (params or {}).items()}
-    acts = {role: realize(a, states, o.utility) for role, a in acts.items()}
-    return Witness(axiom, o.rule, kind, description, as_menu(menu), acts, params, dict(scores or {}))
+Draw = Callable[[PreferenceOracle, Sampler], Optional[Instance]]
+Judge = Callable[[PreferenceOracle, Instance], Verdict]
 
 
-# -- per-axiom checkers ------------------------------------------------------------
-# Each checker draws one instance and returns a (status, witness) pair where
-# status is "pass", "vacuous", "violated" or "no-witness".
+def _draw_picks(roles: str, min_size: int) -> Draw:
+    """A sampled menu with distinct members picked for the one-letter roles."""
 
-Check = tuple[str, Optional[Witness]]
+    def draw(o: PreferenceOracle, s: Sampler) -> Instance:
+        menu = s.menu(min_size)
+        return Instance(menu, dict(zip(roles, s.pick(menu, len(roles)))))
 
-
-def _check_transitivity(o: PreferenceOracle, s: Sampler) -> Check:
-    menu = s.menu(min_size=3)
-    f, g, h = s.pick(menu, 3)
-    if o.prefers(f, g, menu) >= 0 and o.prefers(g, h, menu) >= 0:
-        if o.prefers(f, h, menu) >= 0:
-            return "pass", None
-        return "violated", _witness(
-            o, s.states, "1", "f>=g and g>=h but not f>=h", menu, {"f": f, "g": g, "h": h},
-        )
-    return "vacuous", None
+    return draw
 
 
-def _check_completeness(o: PreferenceOracle, s: Sampler) -> Check:
-    menu = s.menu(min_size=2)
-    f, g = s.pick(menu, 2)
-    forward, backward = o.prefers(f, g, menu), o.prefers(g, f, menu)
-    if forward == -backward:
-        return "pass", None
-    return "violated", _witness(
-        o, s.states, "2", "comparison is not a complete order", menu, {"f": f, "g": g},
-    )
+def _judge_transitivity(o: PreferenceOracle, inst: Instance) -> Verdict:
+    f, g, h, menu = inst.acts["f"], inst.acts["g"], inst.acts["h"], inst.menu
+    if o.prefers(f, g, menu) < 0 or o.prefers(g, h, menu) < 0:
+        return "vacuous"
+    return "pass" if o.prefers(f, h, menu) >= 0 else Finding()
 
 
-def _check_nontriviality(o: PreferenceOracle, s: Sampler) -> Check:
+def _judge_completeness(o: PreferenceOracle, inst: Instance) -> Verdict:
+    f, g, menu = inst.acts["f"], inst.acts["g"], inst.menu
+    return "pass" if o.prefers(f, g, menu) == -o.prefers(g, f, menu) else Finding()
+
+
+def _draw_extremes(o: PreferenceOracle, s: Sampler) -> Instance:
     k = len(s.states)
     better = Alternative("nontrivial_hi", (s.hi,) * k)
     worse = Alternative("nontrivial_lo", (s.lo,) * k)
-    menu = (better, worse)
-    if o.prefers(better, worse, menu) > 0:
-        return "pass", None
-    return "violated", _witness(
-        o, s.states, "3", "no strict preference between prize extremes", menu,
-        {"f": better, "g": worse},
-    )
+    return Instance((better, worse), {"f": better, "g": worse})
 
 
-def _check_monotonicity(o: PreferenceOracle, s: Sampler) -> Check:
+def _judge_nontriviality(o: PreferenceOracle, inst: Instance) -> Verdict:
+    return "pass" if o.prefers(inst.acts["f"], inst.acts["g"], inst.menu) > 0 else Finding()
+
+
+def _draw_dominated(o: PreferenceOracle, s: Sampler) -> Instance:
     f = s.act("f")
     g = Alternative("gdom", s.lowered(f.profile))
-    menu = _enlarge(s.menu(), f, g)
+    return Instance(_enlarge(s.menu(), f, g), {"f": f, "g": g})
+
+
+def _judge_monotonicity(o: PreferenceOracle, inst: Instance) -> Verdict:
+    f, g = inst.acts["f"], inst.acts["g"]
     # statewise precondition, queried through the oracle on constant-act pairs
-    k = len(s.states)
+    k = len(f.profile)
     for fv, gv in zip(f.profile, g.profile):
         cf, cg = Alternative("mono_f", (fv,) * k), Alternative("mono_g", (gv,) * k)
         if o.prefers(cf, cg, (cf, cg)) < 0:
-            return "vacuous", None
-    if o.prefers(f, g, menu) >= 0:
-        return "pass", None
-    return "violated", _witness(
-        o, s.states, "4", "statewise-dominating act ranked strictly worse",
-        menu, {"f": f, "g": g},
-    )
+            return "vacuous"
+    return "pass" if o.prefers(f, g, inst.menu) >= 0 else Finding()
 
 
-def _check_mixture_continuity(o: PreferenceOracle, s: Sampler) -> Check:
+def _draw_strict_chain(o: PreferenceOracle, s: Sampler) -> Optional[Instance]:
     menu = s.menu(min_size=3)
-    chain = None
     for _ in range(8):
         f, g, h = s.pick(menu, 3)
         if o.prefers(f, g, menu) > 0 and o.prefers(g, h, menu) > 0:
-            chain = (f, g, h)
-            break
-    if chain is None:
-        return "vacuous", None
-    f, g, h = chain
+            return Instance(menu, {"f": f, "g": g, "h": h})
+    return None
+
+
+def _judge_mixture_continuity(o: PreferenceOracle, inst: Instance) -> Verdict:
+    f, g, h, menu = inst.acts["f"], inst.acts["g"], inst.acts["h"], inst.menu
+    if o.prefers(f, g, menu) <= 0 or o.prefers(g, h, menu) <= 0:
+        return "vacuous"
     q_found = None
-    for q in reversed(s.grid):  # near 1 first: mixtures close to f
+    for q in reversed(MIXTURE_GRID):  # near 1 first: mixtures close to f
         mixed = _mix(q, f, h)
         if o.prefers(mixed, g, _enlarge(menu, mixed)) > 0:
             q_found = q
             break
     r_found = None
-    for r in s.grid:  # near 0 first: mixtures close to h
+    for r in MIXTURE_GRID:  # near 0 first: mixtures close to h
         mixed = _mix(r, f, h)
         if o.prefers(g, mixed, _enlarge(menu, mixed)) > 0:
             r_found = r
             break
     if q_found is not None and r_found is not None:
-        return "pass", None
-    return "no-witness", _witness(
-        o, s.states, "5", "no mixture coefficient in the grid witnesses the existential",
-        menu, {"f": f, "g": g, "h": h},
-        {"q": q_found, "r": r_found, "grid_denominator": s.config.mixture_denominator},
-        kind="no-witness-in-grid",
-    )
+        return "pass"
+    return Finding(params={"q": q_found, "r": r_found, "grid_denominator": MIXTURE_DENOMINATOR})
 
 
-def _indifferent_pair(
-    o: PreferenceOracle, s: Sampler, menu: AltMenu
-) -> Optional[tuple[Alternative, Alternative]]:
+def _draw_hedge(o: PreferenceOracle, s: Sampler) -> Optional[Instance]:
+    menu = s.menu(min_size=2)
     acts = list(menu)
     s.rng.shuffle(acts)
-    for i in range(len(acts)):
-        for j in range(i + 1, len(acts)):
-            if o.prefers(acts[i], acts[j], menu) == 0:
-                return acts[i], acts[j]
-    return None
-
-
-def _check_hedging(o: PreferenceOracle, s: Sampler) -> Check:
-    menu = s.menu(min_size=2)
-    pair = _indifferent_pair(o, s, menu)
+    pair = next((pair for pair in combinations(acts, 2) if o.prefers(*pair, menu) == 0), None)
     if pair is None:
-        return "vacuous", None
+        return None
     f, g = pair
     p = s.mixture()
     mixed = _mix(p, f, g)
-    enlarged = _enlarge(menu, mixed)
-    if o.prefers(mixed, g, enlarged) >= 0:
-        return "pass", None
-    return "violated", _witness(
-        o, s.states, "6", "hedge between indifferent acts ranked strictly worse",
-        enlarged, {"f": f, "g": g, "mixture": mixed}, {"p": p},
-        {"mixture": o.rate(mixed, enlarged), "g": o.rate(g, enlarged)},
-    )
+    return Instance(_enlarge(menu, mixed), {"f": f, "g": g, "mixture": mixed}, {"p": p})
 
 
-def _independence_instance(o: PreferenceOracle, s: Sampler, h: Alternative, axiom: str) -> Check:
-    menu = s.menu(min_size=2)
-    f, g = s.pick(menu, 2)
-    p = s.mixture()
-    lhs = o.prefers(f, g, menu)
+def _judge_hedging(o: PreferenceOracle, inst: Instance) -> Verdict:
+    f, g, mixed, menu = inst.acts["f"], inst.acts["g"], inst.acts["mixture"], inst.menu
+    if o.prefers(f, g, _without(menu, mixed)) != 0:
+        return "vacuous"
+    if o.prefers(mixed, g, menu) >= 0:
+        return "pass"
+    return Finding({"mixture": o.rate(mixed, menu), "g": o.rate(g, menu)})
+
+
+def _draw_mixed_with(common: Callable[[Sampler], Alternative]) -> Draw:
+    """A sampled menu, two picked members and a mixture weight, plus the
+    common act h that `common` draws first."""
+
+    def draw(o: PreferenceOracle, s: Sampler) -> Instance:
+        h = common(s)
+        menu = s.menu(min_size=2)
+        f, g = s.pick(menu, 2)
+        return Instance(menu, {"f": f, "g": g, "h": h}, {"p": s.mixture()})
+
+    return draw
+
+
+def _judge_independence(o: PreferenceOracle, inst: Instance) -> Verdict:
+    f, g, h, menu, p = inst.acts["f"], inst.acts["g"], inst.acts["h"], inst.menu, inst.params["p"]
     mixed_menu = tuple(_mix(p, a, h) for a in menu)
     mf, mg = _mix(p, f, h), _mix(p, g, h)
-    rhs = o.prefers(mf, mg, mixed_menu)
-    if lhs == rhs:
-        return "pass", None
-    return "violated", _witness(
-        o, s.states, axiom, "mixing with a common act changes the comparison",
-        menu, {"f": f, "g": g, "h": h}, {"p": p},
-        {
-            "f": o.rate(f, menu), "g": o.rate(g, menu),
-            "mixed_f": o.rate(mf, mixed_menu), "mixed_g": o.rate(mg, mixed_menu),
-        },
-    )
+    if o.prefers(f, g, menu) == o.prefers(mf, mg, mixed_menu):
+        return "pass"
+    return Finding({
+        "f": o.rate(f, menu), "g": o.rate(g, menu),
+        "mixed_f": o.rate(mf, mixed_menu), "mixed_g": o.rate(mg, mixed_menu),
+    })
 
 
-def _check_independence(o: PreferenceOracle, s: Sampler) -> Check:
-    return _independence_instance(o, s, s.act("h"), "7")
-
-
-def _check_constant_menu_independence(o: PreferenceOracle, s: Sampler) -> Check:
+def _draw_constants_in_two_menus(o: PreferenceOracle, s: Sampler) -> Instance:
     c1, c2 = s.constant(), s.constant()
-    menu_a = _enlarge(s.menu(), c1, c2)
-    menu_b = _enlarge(s.menu(), c1, c2)
-    if o.prefers(c1, c2, menu_a) == o.prefers(c1, c2, menu_b):
-        return "pass", None
-    return "violated", _witness(
-        o, s.states, "8", "constant-act comparison depends on the menu",
-        menu_a, {"f": c1, "g": c2}, {"other_menu": menu_b},
-    )
+    menu = _enlarge(s.menu(), c1, c2)
+    return Instance(menu, {"f": c1, "g": c2}, {"other_menu": _enlarge(s.menu(), c1, c2)})
 
 
-def _check_ina(o: PreferenceOracle, s: Sampler) -> Check:
-    menu = s.menu(min_size=2)
-    f, g = s.pick(menu, 2)
-    best = per_state_best(a.profile for a in menu)
-    extras = [Alternative(s._fresh("nso"), s.lowered(best)) for _ in range(s.rng.randint(1, 2))]
-    enlarged = _enlarge(menu, *extras)
-    if o.prefers(f, g, menu) == o.prefers(f, g, enlarged):
-        return "pass", None
-    return "violated", _witness(
-        o, s.states, "9", "adding never-strictly-optimal acts changes the comparison",
-        enlarged, {"f": f, "g": g}, {"base_menu": menu},
-    )
+def _draw_added(extra: Callable[[Sampler, AltMenu], Alternative]) -> Draw:
+    """A sampled menu with two picked members, enlarged by one or two `extra` acts."""
+
+    def draw(o: PreferenceOracle, s: Sampler) -> Instance:
+        menu = s.menu(min_size=2)
+        f, g = s.pick(menu, 2)
+        added = [extra(s, menu) for _ in range(s.rng.randint(1, 2))]
+        return Instance(_enlarge(menu, *added), {"f": f, "g": g}, {"base_menu": menu})
+
+    return draw
 
 
-def _check_boundedness(o: PreferenceOracle, s: Sampler) -> Check:
-    menu = s.menu()
-    if all(v <= s.hi for v in per_state_best(a.profile for a in menu)):
-        return "pass", None
-    return "violated", _witness(
-        o, s.states, "10", "menu utilities exceed every lottery bound", menu, {},
-    )
+def _same_in(other: str, scored: bool = False) -> Judge:
+    """A judge that f compares with g in the menu as in the menu param `other`;
+    `scored` findings show both scores in both menus."""
+
+    def judge(o: PreferenceOracle, inst: Instance) -> Verdict:
+        f, g, menu, small = inst.acts["f"], inst.acts["g"], inst.menu, inst.params[other]
+        if o.prefers(f, g, small) == o.prefers(f, g, menu):
+            return "pass"
+        if not scored:
+            return Finding()
+        return Finding({
+            "f_small": o.rate(f, small), "g_small": o.rate(g, small),
+            "f_large": o.rate(f, menu), "g_large": o.rate(g, menu),
+        })
+
+    return judge
 
 
-def _check_c_independence(o: PreferenceOracle, s: Sampler) -> Check:
-    return _independence_instance(o, s, s.constant("h"), "11")
+def _judge_boundedness(o: PreferenceOracle, inst: Instance) -> Verdict:
+    _, _, hi, _ = utility_span(o.utility)
+    best = per_state_best(a.profile for a in inst.menu)
+    return "pass" if all(v <= hi for v in best) else Finding()
 
 
-def _state_independent(menu: AltMenu) -> bool:
-    per_state = [frozenset(values) for values in zip(*(a.profile for a in menu))]
-    return all(p == per_state[0] for p in per_state)
+def _draw_indifferent_to(menu_with: Callable[[Sampler], tuple[AltMenu, Alternative]]) -> Draw:
+    """A menu with its constant member h, a member f indifferent to h, and
+    their mixture."""
+
+    def draw(o: PreferenceOracle, s: Sampler) -> Optional[Instance]:
+        menu, h = menu_with(s)
+        f = next((f for f in menu if f != h and o.prefers(h, f, menu) == 0), None)
+        if f is None:
+            return None
+        p = s.mixture()
+        mixed = _mix(p, f, h)
+        return Instance(_enlarge(menu, mixed), {"f": f, "h": h, "mixture": mixed}, {"p": p})
+
+    return draw
 
 
-def _constant_mix_instance(
-    o: PreferenceOracle, s: Sampler, menu: AltMenu, h: Alternative, axiom: str
-) -> Check:
-    f = next((f for f in menu if f != h and o.prefers(h, f, menu) == 0), None)
-    if f is None:
-        return "vacuous", None
-    p = s.mixture()
-    mixed = _mix(p, f, h)
-    enlarged = _enlarge(menu, mixed)
-    if o.prefers(mixed, f, enlarged) == 0:
-        return "pass", None
-    return "violated", _witness(
-        o, s.states, axiom,
+def _judge_constant_mix(o: PreferenceOracle, inst: Instance) -> Verdict:
+    f, h, mixed, menu = inst.acts["f"], inst.acts["h"], inst.acts["mixture"], inst.menu
+    if o.prefers(h, f, _without(menu, mixed)) != 0:
+        return "vacuous"
+    if o.prefers(mixed, f, menu) == 0:
+        return "pass"
+    return Finding({"f": o.rate(f, menu), "h": o.rate(h, menu), "mixture": o.rate(mixed, menu)})
+
+
+class Axiom(NamedTuple):
+    draw: Draw
+    judge: Judge
+    description: str  # of a finding on a sampled instance
+    kind: str = "violation"  # the kind of witness a finding makes
+
+
+_AXIOMS: dict[str, Axiom] = {
+    "1": Axiom(_draw_picks("fgh", 3), _judge_transitivity, "f>=g and g>=h but not f>=h"),
+    "2": Axiom(_draw_picks("fg", 2), _judge_completeness, "comparison is not a complete order"),
+    "3": Axiom(_draw_extremes, _judge_nontriviality, "no strict preference between prize extremes"),
+    "4": Axiom(
+        _draw_dominated, _judge_monotonicity, "statewise-dominating act ranked strictly worse"
+    ),
+    "5": Axiom(
+        _draw_strict_chain, _judge_mixture_continuity,
+        "no mixture coefficient in the grid witnesses the existential", "no-witness-in-grid",
+    ),
+    "6": Axiom(_draw_hedge, _judge_hedging, "hedge between indifferent acts ranked strictly worse"),
+    "7": Axiom(
+        _draw_mixed_with(lambda s: s.act("h")), _judge_independence,
+        "mixing with a common act changes the comparison",
+    ),
+    "8": Axiom(
+        _draw_constants_in_two_menus, _same_in("other_menu"),
+        "constant-act comparison depends on the menu",
+    ),
+    "9": Axiom(
+        _draw_added(Sampler.never_optimal), _same_in("base_menu"),
+        "adding never-strictly-optimal acts changes the comparison",
+    ),
+    "10": Axiom(
+        _draw_picks("", 2), _judge_boundedness, "menu utilities exceed every lottery bound"
+    ),
+    "11": Axiom(
+        _draw_mixed_with(lambda s: s.constant("h")), _judge_independence,
+        "mixing with a common act changes the comparison",
+    ),
+    "12": Axiom(
+        _draw_indifferent_to(Sampler.state_independent_menu), _judge_constant_mix,
         "mixing an act with an indifferent constant act breaks the indifference",
-        enlarged, {"f": f, "h": h, "mixture": mixed}, {"p": p},
-        {
-            "f": o.rate(f, enlarged),
-            "h": o.rate(h, enlarged),
-            "mixture": o.rate(mixed, enlarged),
-        },
-    )
-
-
-def _check_constant_mix(o: PreferenceOracle, s: Sampler) -> Check:
-    menu, h = s.state_independent_menu()
-    if not _state_independent(menu):  # defensive: the construction guarantees it
-        return "vacuous", None
-    return _constant_mix_instance(o, s, menu, h, "12")
-
-
-def _check_constant_mix_unrestricted(o: PreferenceOracle, s: Sampler) -> Check:
-    h = s.constant("h")
-    menu = _enlarge(s.menu(), h)
-    return _constant_mix_instance(o, s, menu, h, "12u")
-
-
-def _check_menu_independence(o: PreferenceOracle, s: Sampler) -> Check:
-    menu = s.menu(min_size=2)
-    f, g = s.pick(menu, 2)
-    enlarged = _enlarge(menu, *[s.act() for _ in range(s.rng.randint(1, 2))])
-    if o.prefers(f, g, menu) == o.prefers(f, g, enlarged):
-        return "pass", None
-    return "violated", _witness(
-        o, s.states, "menu", "enlarging the menu reverses the comparison",
-        enlarged, {"f": f, "g": g}, {"base_menu": menu},
-        scores={
-            "f_small": o.rate(f, menu), "g_small": o.rate(g, menu),
-            "f_large": o.rate(f, enlarged), "g_large": o.rate(g, enlarged),
-        },
-    )
-
-
-_CHECKERS: dict[str, Callable[[PreferenceOracle, Sampler], Check]] = {
-    "1": _check_transitivity,
-    "2": _check_completeness,
-    "3": _check_nontriviality,
-    "4": _check_monotonicity,
-    "5": _check_mixture_continuity,
-    "6": _check_hedging,
-    "7": _check_independence,
-    "8": _check_constant_menu_independence,
-    "9": _check_ina,
-    "10": _check_boundedness,
-    "11": _check_c_independence,
-    "12": _check_constant_mix,
-    "12u": _check_constant_mix_unrestricted,
-    "menu": _check_menu_independence,
+    ),
+    "12u": Axiom(
+        _draw_indifferent_to(Sampler.menu_with_constant), _judge_constant_mix,
+        "mixing an act with an indifferent constant act breaks the indifference",
+    ),
+    "menu": Axiom(
+        _draw_added(lambda s, menu: s.act()), _same_in("base_menu", scored=True),
+        "enlarging the menu reverses the comparison",
+    ),
 }
+
+AXIOM_IDS = tuple(_AXIOMS)
 
 _STRUCTURAL = ("3", "10")
 
@@ -667,103 +679,57 @@ def delivery_fixtures() -> "BeliefFixtures":
     )
 
 
-def _curated_menu_dependence(o: PreferenceOracle) -> Optional[Witness]:
+def _menu_dependence_instance(o: PreferenceOracle) -> Instance:
     cont = _pair(o, "cont", 10000, -10000)
     back = _pair(o, "back", 0, 0)
     check = _pair(o, "check", 5001, -4999)
-    new = _pair(o, "new", 20000, -20000)
     base = (cont, back, check)
-    extended = base + (new,)
-    if o.prefers(check, cont, base) == o.prefers(check, cont, extended):
-        return None
-    return _witness(
-        o, DELIVERY_STATES, "menu",
-        "known delivery instance: an added dominated-nowhere act reverses the ranking",
-        extended, {"f": check, "g": cont}, {"base_menu": base},
-        scores={
-            "f_small": o.rate(check, base), "g_small": o.rate(cont, base),
-            "f_large": o.rate(check, extended), "g_large": o.rate(cont, extended),
-        },
-    )
+    extended = base + (_pair(o, "new", 20000, -20000),)
+    return Instance(extended, {"f": check, "g": cont}, {"base_menu": base})
 
 
-def _constant_mix_corpus(
-    o: PreferenceOracle, menu: AltMenu, axiom: str, description: str
-) -> Optional[Witness]:
-    cont, back = menu[0], menu[2]
-    if o.prefers(back, cont, menu) != 0:
-        return None
-    p = Fraction(1, 2)
-    mixed = _mix(p, cont, back)
-    enlarged = _enlarge(menu, mixed)
-    if o.prefers(mixed, cont, enlarged) == 0:
-        return None
-    return _witness(
-        o, DELIVERY_STATES, axiom, description,
-        enlarged, {"f": cont, "h": back, "mixture": mixed}, {"p": p},
-        {
-            "f": o.rate(cont, enlarged),
-            "h": o.rate(back, enlarged),
-            "mixture": o.rate(mixed, enlarged),
-        },
-    )
+def _half_mixture_of(*others: tuple[str, int, int]) -> Callable[[PreferenceOracle], Instance]:
+    """The instance mixing cont and back half and half, in a menu of cont,
+    that mixture, back and the `others`."""
+
+    def build(o: PreferenceOracle) -> Instance:
+        cont, back = _pair(o, "cont", 10000, -10000), _pair(o, "back", 0, 0)
+        p = Fraction(1, 2)
+        mixed = _mix(p, cont, back)
+        menu = (cont, mixed, back) + tuple(_pair(o, *other) for other in others)
+        return Instance(menu, {"f": cont, "h": back, "mixture": mixed}, {"p": p})
+
+    return build
 
 
-def _curated_constant_mix(o: PreferenceOracle) -> Optional[Witness]:
-    """State-independent outcome distributions, mirrored payoffs around zero."""
-    menu = (
-        _pair(o, "cont", 10000, -10000),
-        _pair(o, mixture_name(Fraction(1, 2), "cont", "back"), 5000, -5000),
-        _pair(o, "back", 0, 0),
-        _pair(o, "check1", -5000, 5000),
-        _pair(o, "check2", -10000, 10000),
-    )
-    if not _state_independent(menu):
-        return None
-    return _constant_mix_corpus(
-        o, menu, "12", "known state-independent instance: the half mixture beats both parents",
-    )
-
-
-def _curated_constant_mix_unrestricted(o: PreferenceOracle) -> Optional[Witness]:
-    menu = (
-        _pair(o, "cont", 10000, -10000),
-        _pair(o, mixture_name(Fraction(1, 2), "cont", "back"), 5000, -5000),
-        _pair(o, "back", 0, 0),
-        _pair(o, "check", 5001, -4999),
-    )
-    return _constant_mix_corpus(
-        o, menu, "12u", "known instance without state-independent distributions",
-    )
-
-
-def _curated_mmeu_independence(o: PreferenceOracle) -> Optional[Witness]:
+def _mmeu_independence_instance(o: PreferenceOracle) -> Instance:
     """Pinned hedging instance: mixing with a mirrored act reverses worst cases."""
     f = _pair(o, "steep", 1, 0)
     g = _pair(o, "flat", Fraction(2, 5), Fraction(2, 5))
     h = _pair(o, "mirror", 0, 1)
-    menu = (f, g)
-    p = Fraction(1, 2)
-    mixed_menu = (_mix(p, f, h), _mix(p, g, h))
-    mf, mg = mixed_menu
-    if o.prefers(f, g, menu) == o.prefers(mf, mg, mixed_menu):
-        return None
-    return _witness(
-        o, DELIVERY_STATES, "7",
+    return Instance((f, g), {"f": f, "g": g, "h": h}, {"p": Fraction(1, 2)})
+
+
+# axiom id -> (description, the instance built for an oracle); building raises
+# DimensionMismatch or ValueError when the corpus does not fit the oracle
+_CURATED: dict[str, tuple[str, Callable[[PreferenceOracle], Instance]]] = {
+    "menu": (
+        "known delivery instance: an added dominated-nowhere act reverses the ranking",
+        _menu_dependence_instance,
+    ),
+    "12": (
+        "known state-independent instance: the half mixture beats both parents",
+        # state-independent outcome distributions, mirrored payoffs around zero
+        _half_mixture_of(("check1", -5000, 5000), ("check2", -10000, 10000)),
+    ),
+    "12u": (
+        "known instance without state-independent distributions",
+        _half_mixture_of(("check", 5001, -4999)),
+    ),
+    "7": (
         "pinned instance: hedging with a mirrored act reverses the comparison",
-        menu, {"f": f, "g": g, "h": h}, {"p": p},
-        {
-            "f": o.rate(f, menu), "g": o.rate(g, menu),
-            "mixed_f": o.rate(mf, mixed_menu), "mixed_g": o.rate(mg, mixed_menu),
-        },
-    )
-
-
-_CURATED: dict[str, tuple[Callable[[PreferenceOracle], Optional[Witness]], ...]] = {
-    "menu": (_curated_menu_dependence,),
-    "12": (_curated_constant_mix,),
-    "12u": (_curated_constant_mix_unrestricted,),
-    "7": (_curated_mmeu_independence,),
+        _mmeu_independence_instance,
+    ),
 }
 
 
@@ -777,100 +743,75 @@ def check_axiom(
 ) -> AxiomReport:
     """Check one axiom against an oracle: curated corpus first, then sampling."""
     axiom = str(axiom)
-    if axiom not in _CHECKERS:
+    if axiom not in _AXIOMS:
         raise UnknownAxiom(f"unknown axiom id {axiom!r}")
     config = config or GeneratorConfig()
     if len(oracle.state_space) > 6:
         raise ValueError("axiom checking is capped at 6 states")
-    checker = _CHECKERS[axiom]
-    sampler = Sampler(random.Random(seed), oracle, config)
+    entry = _AXIOMS[axiom]
 
-    curated_count = 0
-    if config.include_curated:
-        for builder in _CURATED.get(axiom, ()):
-            try:
-                witness = builder(oracle)
-            except (DimensionMismatch, ValueError):
-                continue  # the corpus's utilities or states don't fit this oracle
-            curated_count += 1
-            if witness is not None:
-                return AxiomReport(
-                    axiom, oracle.rule, "violated",
-                    samples=0, applicable=curated_count,
-                    curated=curated_count, seed=seed, counterexample=witness,
-                )
+    def report(verdict: str, samples: int, applicable: int, **rest) -> AxiomReport:
+        return AxiomReport(axiom, oracle.rule, verdict, samples, applicable, curated, seed, **rest)
 
+    def witness(instance: Instance, finding: Finding, description: str) -> Witness:
+        return Witness(
+            axiom, oracle.rule, entry.kind, description, instance.menu, dict(instance.acts),
+            {**instance.params, **finding.params}, dict(finding.scores),
+        )
+
+    curated = 0
+    if config.include_curated and axiom in _CURATED:
+        description, build = _CURATED[axiom]
+        try:
+            instance = build(oracle)
+        except (DimensionMismatch, ValueError):
+            pass  # the corpus's utilities or states don't fit this oracle
+        else:
+            curated = 1
+            verdict = entry.judge(oracle, instance)
+            if isinstance(verdict, Finding):
+                found = witness(instance, verdict, description)
+                return report("violated", 0, curated, counterexample=found)
+
+    sampler = Sampler(random.Random(seed), oracle)
     samples = 1 if axiom in _STRUCTURAL else config.samples
-    applicable = 0
+    applicable = curated
     unwitnessed = 0
     unwitnessed_example: Optional[Witness] = None
     for _ in range(samples):
-        status, witness = checker(oracle, sampler)
-        if status == "vacuous":
+        instance = entry.draw(oracle, sampler)
+        verdict = "vacuous" if instance is None else entry.judge(oracle, instance)
+        if verdict == "vacuous":
             continue
         applicable += 1
-        if status == "violated":
-            return AxiomReport(
-                axiom, oracle.rule, "violated",
-                samples=samples, applicable=applicable + curated_count,
-                curated=curated_count, seed=seed, counterexample=witness,
-            )
-        if status == "no-witness":
-            unwitnessed += 1
-            if unwitnessed_example is None:
-                unwitnessed_example = witness
-    return AxiomReport(
-        axiom, oracle.rule, "no-violation-found",
-        samples=samples, applicable=applicable + curated_count,
-        curated=curated_count, seed=seed,
+        if verdict == "pass":
+            continue
+        if entry.kind == "violation":
+            found = witness(instance, verdict, entry.description)
+            return report("violated", samples, applicable, counterexample=found)
+        unwitnessed += 1
+        if unwitnessed_example is None:
+            unwitnessed_example = witness(instance, verdict, entry.description)
+    return report(
+        "no-violation-found", samples, applicable,
         unwitnessed=unwitnessed, unwitnessed_example=unwitnessed_example,
     )
 
 
 def replay(report: AxiomReport, oracle: PreferenceOracle) -> bool:
-    """Re-run a violated report's witness against the oracle.
+    """Re-judge a violated report's witness against the oracle.
 
     Returns True when the stored instance still exhibits the violating
     pattern, making `violated` verdicts independently reproducible.
     """
     w = report.counterexample
-    if w is None or w.kind != "violation":
+    if w is None or w.kind != "violation" or w.axiom not in _AXIOMS:
         return False
-    alt = oracle.to_alternative
-    menu = tuple(map(alt, w.menu))
-    acts = {role: alt(a) for role, a in w.acts.items()}
-    prefers = oracle.prefers
-    if w.axiom == "1":
-        f, g, h = acts["f"], acts["g"], acts["h"]
-        return prefers(f, g, menu) >= 0 and prefers(g, h, menu) >= 0 and prefers(f, h, menu) < 0
-    if w.axiom == "2":
-        f, g = acts["f"], acts["g"]
-        return prefers(f, g, menu) != -prefers(g, f, menu)
-    if w.axiom == "3":
-        return prefers(acts["f"], acts["g"], menu) <= 0
-    if w.axiom == "4":
-        return prefers(acts["f"], acts["g"], menu) < 0
-    if w.axiom == "6":
-        f, g, mixed = acts["f"], acts["g"], acts["mixture"]
-        base = tuple(a for a in menu if a != mixed)  # the mixture is the one added act
-        return prefers(f, g, base) == 0 and prefers(mixed, g, menu) < 0
-    if w.axiom == "8":
-        f, g = acts["f"], acts["g"]
-        return prefers(f, g, menu) != prefers(f, g, tuple(map(alt, w.params["other_menu"])))
-    if w.axiom == "10":
-        _, _, hi, _ = utility_span(oracle.utility)
-        return any(v > hi for v in per_state_best(a.profile for a in menu))
-    if w.axiom in ("7", "11"):
-        f, g, h, p = acts["f"], acts["g"], acts["h"], w.params["p"]
-        mixed_menu = tuple(_mix(p, a, h) for a in menu)
-        return prefers(f, g, menu) != prefers(_mix(p, f, h), _mix(p, g, h), mixed_menu)
-    if w.axiom in ("9", "menu"):
-        f, g = acts["f"], acts["g"]
-        return prefers(f, g, tuple(map(alt, w.params["base_menu"]))) != prefers(f, g, menu)
-    if w.axiom in ("12", "12u"):
-        f, h, mixed = acts["f"], acts["h"], acts["mixture"]
-        return prefers(h, f, menu) == 0 and prefers(mixed, f, menu) != 0
-    return False
+    # a belief fixes the states; the probability-free rule judges profiles of any length
+    if oracle.belief is not None and any(len(a.profile) != len(oracle.state_space) for a in w.menu):
+        raise DimensionMismatch("the witness is not over the belief's states")
+    verdict = _AXIOMS[w.axiom].judge(oracle, Instance(w.menu, w.acts, w.params))
+    return isinstance(verdict, Finding)
 
 
 # -- menu-dependent dynamic consistency -----------------------------------------------
@@ -934,16 +875,13 @@ def check_mdc(
     rng = random.Random(seed)
     states = tuple(sorted(wset.state_space))
     unconditional = family(Event(states))
-    sampler = Sampler(rng, unconditional, config)
+    sampler = Sampler(rng, unconditional)
 
     applicable = 0
     for _ in range(config.samples):
         menu = sampler.menu(min_size=2)
         f, g = sampler.pick(menu, 2)
-        members = [s for s in states if rng.random() < 0.5]
-        if not members:
-            members = [rng.choice(states)]
-        event = Event(members)
+        event = Event([s for s in states if rng.random() < 0.5] or [rng.choice(states)])
         if upper_likelihood(wset, event) == 0:
             continue
         applicable += 1
@@ -961,8 +899,8 @@ def check_mdc(
             params = {"conditional": conditional, "spliced": spliced}
         else:
             continue
-        witness = _witness(
-            unconditional, states, "mdc", description, menu, acts,
+        witness = Witness(
+            "mdc", unconditional.rule, "violation", description, menu, acts,
             {"event": sorted(event.members), **params},
         )
         return AxiomReport(
@@ -979,12 +917,12 @@ def replay_mdc(report: AxiomReport, family: OracleFamily) -> bool:
     w = report.counterexample
     if w is None or w.kind != "violation":
         return False
-    unconditional = family(Event(w.menu.state_space))
-    menu = tuple(map(unconditional.to_alternative, w.menu))
-    f, g = (unconditional.to_alternative(w.acts[role]) for role in ("f", "g"))
     event = Event(w.params["event"])
-    signs = set(_spliced_signs(unconditional, f, g, menu, event).values())
-    return len(signs) > 1 or family(event).prefers(f, g, menu) != signs.pop()
+    conditional = family(event)
+    unconditional = family(Event(conditional.state_space))
+    f, g = w.acts["f"], w.acts["g"]
+    signs = set(_spliced_signs(unconditional, f, g, w.menu, event).values())
+    return len(signs) > 1 or conditional.prefers(f, g, w.menu) != signs.pop()
 
 
 # -- the rule-by-axiom matrix ---------------------------------------------------------

@@ -225,20 +225,11 @@ def _cmd_simulate(args) -> int:
         summary = compare_updaters(model, prior, probe, args.rounds, seeds, threshold)
         sys.stdout.write(summary.to_csv())
         return 0
-    trajectories = [simulate(model, prior, probe, args.rounds, seed) for seed in seeds]
-    hypotheses = model.hypotheses
-    header = ["seed", "round"] + [f"weight_{h}" for h in hypotheses] + [
-        "mwer_ranking", "matches_truth_seu",
-    ]
-    lines = [",".join(header)]
-    for trajectory in trajectories:
-        for row in trajectory.rows:
-            ranking = ">".join("|".join(group) for group in row.mwer_groups)
-            cells = [str(trajectory.seed), str(row.round)]
-            cells += [f"{row.weights[h]:.12g}" for h in hypotheses]
-            cells += [ranking, str(int(row.matches_truth_seu))]
-            lines.append(",".join(cells))
-    sys.stdout.write("\n".join(lines) + "\n")
+    for seed in seeds:  # each seed's rows are written as soon as it is simulated
+        header, *rows = simulate(model, prior, probe, args.rounds, seed).to_csv().splitlines()
+        if seed == seeds[0]:
+            sys.stdout.write(f"seed,{header}\n")
+        sys.stdout.write("".join(f"{seed},{row}\n" for row in rows))
     return 0
 
 

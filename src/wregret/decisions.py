@@ -358,6 +358,23 @@ def belief_entries(rule: str, belief: Belief, states: Sequence[str]) -> Entries:
 
 # -- ranking -------------------------------------------------------------------
 
+def group_ties(
+    scores: Mapping[str, Fraction | float], lower_is_better: bool
+) -> tuple[tuple[str, ...], ...]:
+    """The names grouped by exactly equal score, best group first and names
+    sorted within a group."""
+    ordered = sorted(scores.items(), key=lambda kv: (kv[1] if lower_is_better else -kv[1], kv[0]))
+    groups: list[list[str]] = []
+    last = None
+    for name, score in ordered:
+        if groups and score == last:
+            groups[-1].append(name)
+        else:
+            groups.append([name])
+            last = score
+    return tuple(tuple(g) for g in groups)
+
+
 class Ranking:
     """A total preorder of menu acts induced by one rule's scores.
 
@@ -377,19 +394,7 @@ class Ranking:
         self.rule = rule
         self.lower_is_better = lower_is_better
         self.scores = dict(scores)
-        ordered = sorted(
-            self.scores.items(),
-            key=lambda kv: (kv[1] if lower_is_better else -kv[1], kv[0]),
-        )
-        groups: list[list[str]] = []
-        last_score: Fraction | None = None
-        for name, score in ordered:
-            if last_score is not None and score == last_score:
-                groups[-1].append(name)
-            else:
-                groups.append([name])
-                last_score = score
-        self.groups = tuple(tuple(g) for g in groups)
+        self.groups = group_ties(self.scores, lower_is_better)
 
     @property
     def best(self) -> tuple[str, ...]:

@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .decisions import Menu, UtilitySpec, regret_profile
+from .decisions import Menu, UtilitySpec, group_ties, regret_profile
 from .errors import AllEliminated
 from .measures import EventLike, Measure, as_event
 from .rational import format_rational
@@ -101,19 +101,6 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
-def _score_groups(scores: Mapping[str, float], lower_is_better: bool = True) -> tuple[tuple[str, ...], ...]:
-    ordered = sorted(scores.items(), key=lambda kv: (kv[1] if lower_is_better else -kv[1], kv[0]))
-    groups: list[list[str]] = []
-    last = None
-    for name, score in ordered:
-        if groups and score == last:
-            groups[-1].append(name)
-        else:
-            groups.append([name])
-            last = score
-    return tuple(tuple(g) for g in groups)
-
-
 class _ProbeTable:
     """Precomputed per-act expected regrets per hypothesis (floats for speed)."""
 
@@ -132,14 +119,14 @@ class _ProbeTable:
             name: max(weights[h] * er[h] for h in self.hypotheses)
             for name, er in self.expected_regret.items()
         }
-        return _score_groups(scores)
+        return group_ties(scores, lower_is_better=True)
 
     def mer_groups(self, alive: Iterable[str]) -> tuple[tuple[str, ...], ...]:
         alive = tuple(alive)
         scores = {
             name: max(er[h] for h in alive) for name, er in self.expected_regret.items()
         }
-        return _score_groups(scores)
+        return group_ties(scores, lower_is_better=True)
 
 
 def _truth_seu_groups(probe: Probe, truth: str) -> tuple[tuple[str, ...], ...]:
@@ -148,7 +135,7 @@ def _truth_seu_groups(probe: Probe, truth: str) -> tuple[tuple[str, ...], ...]:
         act.name: -float(measure.expectation(act.utility_profile(probe.utility)))
         for act in probe.menu
     }
-    return _score_groups(scores)  # negated utilities: lower is better
+    return group_ties(scores, lower_is_better=True)  # negated utilities: lower is better
 
 
 def _draw(rng: random.Random, model: ObservationModel) -> str:

@@ -15,7 +15,8 @@ from wregret.axioms import (
     replay,
     value_lottery,
 )
-from wregret.errors import UnknownAxiom
+from wregret.errors import DimensionMismatch, UnknownAxiom
+from wregret.measures import WeightedMeasureSet, point_mass
 
 F = Fraction
 
@@ -76,6 +77,15 @@ class TestReplay:
         report = check_axiom(axiom, oracle, SMALL, seed=0)
         assert report.verdict == "violated"
         assert replay(report, oracle)
+
+    def test_witness_states_must_fit_a_belief(self, fixtures):
+        # the probability-free rule judges the two-state corpus on any states
+        regret = PreferenceOracle("regret", None, fixtures.utility, ("s1", "s2", "s3"))
+        report = check_axiom("menu", regret, SMALL, seed=0)
+        assert report.verdict == "violated" and replay(report, regret)
+        belief = WeightedMeasureSet([(point_mass("s1", ("s1", "s2", "s3")), 1)])
+        with pytest.raises(DimensionMismatch):
+            replay(report, PreferenceOracle("mwer", belief, fixtures.utility))
 
     def test_clean_reports_do_not_replay(self, fixtures):
         report = check_axiom("1", fixtures.oracle("mwer"), SMALL, seed=0)
@@ -145,6 +155,16 @@ class TestMutantOracles:
         assert replay(report, oracle)
         assert not replay(report, fixtures.oracle("seu"))
 
+    def test_replay_rechecks_the_precondition(self, fixtures):
+        # the parity mutant's monotonicity witness does not dominate statewise
+        # for an oracle that reverses seu, so it must not replay there
+        parity = MutantOracle(fixtures, MUTANTS["parity"][1])
+        config = GeneratorConfig(samples=300, include_curated=False)
+        report = check_axiom("4", parity, config, seed=0)
+        assert report.verdict == "violated" and replay(report, parity)
+        reversed_seu = MutantOracle(fixtures, lambda o, f, g, menu: -_seu(o, f, g, menu))
+        assert not replay(report, reversed_seu)
+
     def test_every_refutable_axiom_has_a_mutant(self):
         covered = {axiom for axioms, _ in MUTANTS.values() for axiom in axioms}
         assert covered == set(AXIOM_IDS) - {"5", "10"}
@@ -208,6 +228,18 @@ class TestOracle:
         g = profile_act("g", {"one_broken": F(0), "ten_broken": F(1)}, fixtures.utility)
         menu = Menu([f, g])
         assert oracle.compare(f, g, menu) == -oracle.compare(g, f, menu)
+
+    def test_regret_oracle_checks_states(self, fixtures):
+        # unchecked, zip would drop s3 and f and g would compare as equal
+        from wregret import Menu
+        from wregret.axioms import profile_act
+
+        states = {"s1": F(0), "s2": F(0)}
+        f = profile_act("f", {**states, "s3": F(1)}, fixtures.utility)
+        g = profile_act("g", {**states, "s3": F(0)}, fixtures.utility)
+        oracle = PreferenceOracle("regret", None, fixtures.utility, ("s1", "s2"))
+        with pytest.raises(DimensionMismatch, match="s1, s2"):
+            oracle.compare(f, g, Menu([f, g]))
 
     def test_value_lottery_hits_exact_utilities(self, fixtures):
         u = fixtures.utility

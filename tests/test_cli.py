@@ -231,6 +231,14 @@ class TestSimulateCommand:
         assert lines[0] == "round,agree_mwer_mer,agree_mwer_es,agree_mer_es,agree_all"
         assert len(lines) == 6
 
+    def test_multi_seed_output_is_pinned(self, capsys):
+        code, out, _ = run(
+            capsys, "simulate", LEARNING, "--truth", "mostly_good",
+            "--rounds", "300", "--seeds", "8", "--seed", "3",
+        )
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == "27faa17e2d59c6e2c56b6f57720a2b8cea0777ce"
+
     def test_simulate_deterministic(self, capsys):
         argv = (
             "simulate", LEARNING, "--truth", "mostly_good",
