@@ -278,11 +278,12 @@ def profile_act(name: str, profile: Mapping[str, Fraction], u: UtilitySpec) -> A
     return Act(name, {s: value_lottery(Fraction(v), u) for s, v in profile.items()})
 
 
-def _mix(p: Fraction, f: Alternative, h: Alternative) -> Alternative:
-    """The mixture p*f + (1-p)*h; utility is linear in lotteries, so profiles mix."""
+def _mix(p: Fraction, f: Alternative, h: Alternative, named: bool = False) -> Alternative:
+    """The mixture p*f + (1-p)*h; utility is linear in lotteries, so profiles
+    mix.  Only a mixture a witness may show is `named` (by `mixture_name`)."""
     q = 1 - p
     return Alternative(
-        mixture_name(p, f.name, h.name),
+        mixture_name(p, f.name, h.name) if named else "mixture",
         tuple(p * a + q * b for a, b in zip(f.profile, h.profile)),
     )
 
@@ -477,7 +478,7 @@ def _draw_hedge(o: PreferenceOracle, s: Sampler) -> Optional[Instance]:
         return None
     f, g = pair
     p = s.mixture()
-    mixed = _mix(p, f, g)
+    mixed = _mix(p, f, g, named=True)
     return Instance(_enlarge(menu, mixed), {"f": f, "g": g, "mixture": mixed}, {"p": p})
 
 
@@ -567,7 +568,7 @@ def _draw_indifferent_to(menu_with: Callable[[Sampler], tuple[AltMenu, Alternati
         if f is None:
             return None
         p = s.mixture()
-        mixed = _mix(p, f, h)
+        mixed = _mix(p, f, h, named=True)
         return Instance(_enlarge(menu, mixed), {"f": f, "h": h, "mixture": mixed}, {"p": p})
 
     return draw
@@ -695,7 +696,7 @@ def _half_mixture_of(*others: tuple[str, int, int]) -> Callable[[PreferenceOracl
     def build(o: PreferenceOracle) -> Instance:
         cont, back = _pair(o, "cont", 10000, -10000), _pair(o, "back", 0, 0)
         p = Fraction(1, 2)
-        mixed = _mix(p, cont, back)
+        mixed = _mix(p, cont, back, named=True)
         menu = (cont, mixed, back) + tuple(_pair(o, *other) for other in others)
         return Instance(menu, {"f": cont, "h": back, "mixture": mixed}, {"p": p})
 

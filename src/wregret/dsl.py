@@ -19,9 +19,11 @@ Trees use a nested prefix form over the same tokens:
     leaf utility rational        or        leaf lottery-name
 
 Every rejection carries at least one diagnostic with a line and column; the
-parsers never raise anything else on malformed input.  Canonical
-serialization sorts every section and key and prints rationals in lowest
-terms, so serialize(parse(serialize(doc))) is byte-identical.
+parsers never raise anything else on malformed input.  Each unknown or
+repeated key of an entry is reported, not just the first; in a tree, so is
+a decision node whose name is already taken.  Canonical serialization sorts
+every section and key and prints rationals in lowest terms, so
+serialize(parse(serialize(doc))) is byte-identical.
 """
 
 from __future__ import annotations
@@ -397,19 +399,39 @@ def _resolve_problem(states_decl, prizes_decl, utility_decl, sections, diagnosti
         else:
             utils[prize] = value
 
+    def resolve(pairs, known, what: str, where: str, check=None, cover=None) -> Optional[dict]:
+        """The (key token, value) pairs as a dict by key name.  Reports each key
+        that is unknown or repeated, each value that `check(key, value)`
+        rejects (it reports and returns None) and, at a `cover` token, the
+        known names no key gives.  None when anything was reported."""
+        resolved: dict = {}
+        ok = True
+        for key, value in pairs:
+            if key.text not in known:
+                err(key, f"unknown {what} '{key.text}'")
+            elif key.text in resolved:
+                err(key, f"duplicate {what} '{key.text}' in {where}")
+            else:
+                value = value if check is None else check(key, value)
+                if value is not None:
+                    resolved[key.text] = value
+                    continue
+            ok = False
+        if ok and cover is not None and len(resolved) < len(known):
+            err(cover, f"{where} does not cover {what}s {sorted(set(known) - set(resolved))}")
+            ok = False
+        return resolved if ok else None
+
+    def with_utility(key: Token, value: Fraction) -> Optional[Fraction]:
+        if key.text not in utils:
+            err(key, f"prize '{key.text}' has no utility assignment")
+            return None
+        return value
+
     def build_lottery(entries, context: Token) -> Optional[Lottery]:
-        probs: dict[str, Fraction] = {}
-        for key, value in entries:
-            if key.text not in prize_set:
-                err(key, f"unknown prize '{key.text}'")
-                return None
-            if key.text not in utils:
-                err(key, f"prize '{key.text}' has no utility assignment")
-                return None
-            if key.text in probs:
-                err(key, f"duplicate prize '{key.text}' in lottery")
-                return None
-            probs[key.text] = value
+        probs = resolve(entries, prize_set, "prize", "lottery", with_utility)
+        if probs is None:
+            return None
         total = sum(probs.values(), Fraction(0))
         if total != 1:
             err(context, f"lottery probabilities sum to {format_rational(total)}, expected 1/1")
@@ -425,56 +447,36 @@ def _resolve_problem(states_decl, prizes_decl, utility_decl, sections, diagnosti
         if lottery is not None:
             lotteries[name] = lottery
 
+    def outcome(key: Token, value) -> Optional[Lottery]:
+        """A named lottery (a token) or an inline one (its entries)."""
+        if not isinstance(value, Token):
+            return build_lottery(value, key)
+        if value.text not in lotteries:
+            err(value, f"unknown lottery '{value.text}'")
+            return None
+        return lotteries[value.text]
+
     acts: dict[str, Act] = {}
     for name, entry in sections["act"].items():
-        outcomes: dict[str, Lottery] = {}
-        ok = True
-        for key, value in entry.payload:
-            if key.text not in state_set:
-                err(key, f"unknown state '{key.text}'")
-                ok = False
-            elif key.text in outcomes:
-                err(key, f"duplicate state '{key.text}' in act")
-                ok = False
-            elif isinstance(value, Token):
-                if value.text not in lotteries:
-                    err(value, f"unknown lottery '{value.text}'")
-                    ok = False
-                else:
-                    outcomes[key.text] = lotteries[value.text]
-            else:
-                inline = build_lottery(value, key)
-                if inline is None:
-                    ok = False
-                else:
-                    outcomes[key.text] = inline
-        missing = state_set - set(outcomes)
-        if missing and ok:
-            err(entry.token, f"act does not cover states {sorted(missing)}")
-            ok = False
-        if ok:
+        outcomes = resolve(entry.payload, state_set, "state", "act", outcome, entry.token)
+        if outcomes is not None:
             acts[name] = Act(name, outcomes)
 
     menus: dict[str, Menu] = {}
     for name, entry in sections["menu"].items():
-        listed: list[Act] = []
-        ok = True
-        seen: set[str] = set()
-        for token in entry.payload:
-            if token.text not in acts:
-                err(token, f"unknown act '{token.text}'")
-                ok = False
-            elif token.text in seen:
-                err(token, f"duplicate act '{token.text}' in menu")
-                ok = False
-            else:
-                seen.add(token.text)
-                listed.append(acts[token.text])
-        if ok and not listed:
+        listed = resolve(((t, acts.get(t.text)) for t in entry.payload), acts, "act", "menu")
+        if listed is None:
+            continue
+        if not listed:
             err(entry.token, "menu lists no acts")
-            ok = False
-        if ok:
-            menus[name] = Menu(tuple(listed))
+            continue
+        menus[name] = Menu(tuple(listed.values()))
+
+    def nonnegative(key: Token, value: Fraction) -> Optional[Fraction]:
+        if value < 0:
+            err(key, "probabilities must be nonnegative")
+            return None
+        return value
 
     hypotheses: dict[str, tuple[Measure, Fraction]] = {}
     for name, entry in sections["hypothesis"].items():
@@ -482,25 +484,8 @@ def _resolve_problem(states_decl, prizes_decl, utility_decl, sections, diagnosti
         if not (0 <= weight <= 1):
             err(entry.token, f"weight {format_rational(weight)} outside [0, 1]")
             continue
-        probs: dict[str, Fraction] = {}
-        ok = True
-        for key, value in body:
-            if key.text not in state_set:
-                err(key, f"unknown state '{key.text}'")
-                ok = False
-            elif key.text in probs:
-                err(key, f"duplicate state '{key.text}' in hypothesis")
-                ok = False
-            elif value < 0:
-                err(key, "probabilities must be nonnegative")
-                ok = False
-            else:
-                probs[key.text] = value
-        if not ok:
-            continue
-        missing = state_set - set(probs)
-        if missing:
-            err(entry.token, f"hypothesis does not cover states {sorted(missing)}")
+        probs = resolve(body, state_set, "state", "hypothesis", nonnegative, entry.token)
+        if probs is None:
             continue
         total = sum(probs.values(), Fraction(0))
         if total != 1:
@@ -518,18 +503,8 @@ def _resolve_problem(states_decl, prizes_decl, utility_decl, sections, diagnosti
 
     events: dict[str, Event] = {}
     for name, entry in sections["event"].items():
-        members: list[str] = []
-        ok = True
-        for token in entry.payload:
-            if token.text not in state_set:
-                err(token, f"unknown state '{token.text}'")
-                ok = False
-            elif token.text in members:
-                err(token, f"duplicate state '{token.text}' in event")
-                ok = False
-            else:
-                members.append(token.text)
-        if ok:
+        members = resolve(((t, t) for t in entry.payload), state_set, "state", "event")
+        if members is not None:
             events[name] = Event(members)
 
     if diagnostics:
@@ -634,6 +609,7 @@ def parse_tree(text: str, doc: ProblemDoc) -> DecisionTree:
 
     Nature partitions are validated during the walk: each node's events must
     be disjoint and cover exactly the states still possible at that point.
+    Decision node names must be unique across the tree.
     """
     diagnostics: list[ParseDiagnostic] = []
     tokens = _tokenize(text, diagnostics)
@@ -646,7 +622,7 @@ def parse_tree(text: str, doc: ProblemDoc) -> DecisionTree:
         if depth > MAX_TREE_DEPTH:
             stream.error(token, f"tree nested deeper than {MAX_TREE_DEPTH} levels")
             raise ParseError(diagnostics)
-    root = _parse_node(stream, doc, frozenset(doc.states))
+    root = _parse_node(stream, doc, frozenset(doc.states), set())
     if root is not None and stream.peek().kind != "EOF":
         stream.error(stream.peek(), "unexpected trailing input")
     if diagnostics:
@@ -655,29 +631,37 @@ def parse_tree(text: str, doc: ProblemDoc) -> DecisionTree:
     return DecisionTree(root)
 
 
-def _parse_node(stream: _TokenStream, doc: ProblemDoc, live: frozenset[str]) -> Optional[TreeNode]:
+def _parse_node(
+    stream: _TokenStream, doc: ProblemDoc, live: frozenset[str], names: set[str]
+) -> Optional[TreeNode]:
+    """One node over the live states; `names` holds the decision node names seen."""
     token = stream.peek()
     if token.kind != "IDENT":
         stream.error(token, "expected 'decision', 'nature' or 'leaf'")
         return None
     if token.text == "decision":
-        return _parse_decision(stream, doc, live)
+        return _parse_decision(stream, doc, live, names)
     if token.text == "nature":
-        return _parse_nature(stream, doc, live)
+        return _parse_nature(stream, doc, live, names)
     if token.text == "leaf":
         return _parse_leaf(stream, doc)
     stream.error(token, f"expected 'decision', 'nature' or 'leaf', found '{token.text}'")
     return None
 
 
-def _parse_decision(stream: _TokenStream, doc: ProblemDoc, live: frozenset[str]) -> Optional[TreeNode]:
+def _parse_decision(
+    stream: _TokenStream, doc: ProblemDoc, live: frozenset[str], names: set[str]
+) -> Optional[TreeNode]:
     stream.next()
     name_tok = stream.expect("IDENT", what="a decision node name")
     if name_tok is None or not stream.expect("PUNCT", "{"):
         return None
+    ok = name_tok.text not in names
+    if not ok:
+        stream.error(name_tok, f"duplicate decision node '{name_tok.text}'")
+    names.add(name_tok.text)
     branches: list[tuple[str, TreeNode]] = []
     seen: set[str] = set()
-    ok = True
     while not stream.accept("PUNCT", "}"):
         if stream.peek().kind == "EOF":
             stream.error(stream.peek(), "unterminated decision node")
@@ -687,7 +671,7 @@ def _parse_decision(stream: _TokenStream, doc: ProblemDoc, live: frozenset[str])
         branch_tok = stream.expect("IDENT", what="a branch name")
         if branch_tok is None or not stream.expect("PUNCT", "="):
             return None
-        child = _parse_node(stream, doc, live)
+        child = _parse_node(stream, doc, live, names)
         if child is None:
             return None
         if branch_tok.text in seen:
@@ -702,7 +686,9 @@ def _parse_decision(stream: _TokenStream, doc: ProblemDoc, live: frozenset[str])
     return DecisionNode(name_tok.text, tuple(branches)) if ok else None
 
 
-def _parse_nature(stream: _TokenStream, doc: ProblemDoc, live: frozenset[str]) -> Optional[TreeNode]:
+def _parse_nature(
+    stream: _TokenStream, doc: ProblemDoc, live: frozenset[str], names: set[str]
+) -> Optional[TreeNode]:
     nature_tok = stream.next()
     if not stream.expect("PUNCT", "{"):
         return None
@@ -731,7 +717,7 @@ def _parse_nature(stream: _TokenStream, doc: ProblemDoc, live: frozenset[str]) -
             stream.error(event_tok, "nature branch covers no surviving state")
             ok = False
         covered |= cell
-        child = _parse_node(stream, doc, frozenset(cell))
+        child = _parse_node(stream, doc, frozenset(cell), names)
         if child is None:
             return None
         cells.append((Event(cell), child))

@@ -12,7 +12,10 @@ instances).  Decision trees are evaluated by backward induction over their
 plans, each seen as its utility profile: either once at the root (ex-ante,
 committing to the best plan) or leaves-upward at every decision node, with
 an explicit choice of comparison menu at each node, since a menu-dependent
-rule leaves that choice genuinely open.
+rule leaves that choice genuinely open.  One walk of the tree checks its
+structure (unique decision node names; nature partitions disjoint and
+exhaustive on the states still live), expands its plans and records every
+decision node in pre-order with its depth, live states and path.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from .measures import (
     WeightedMeasureSet,
     as_event,
     likelihood_update,
-    normalize,
     upper_likelihood,
 )
 from .rational import format_rational
@@ -56,13 +58,13 @@ def splice_menu(menu: Menu, event: EventLike, h: Act) -> Menu:
 
 
 def is_null(event: EventLike, wset: WeightedMeasureSet) -> bool:
-    """True when every entry gives the event weight-scaled probability zero.
+    """True when the event has upper likelihood zero: every entry gives it
+    weight-scaled probability zero.
 
     Such events cannot influence any weighted regret score: splicing an act
     on them is score-invisible.
     """
-    event = as_event(event)
-    return all(w * m.event_prob(event) == 0 for m, w in wset.entries)
+    return upper_likelihood(wset, event) == 0
 
 
 def conditional_score(
@@ -153,29 +155,38 @@ class Plan:
     choices: tuple[tuple[str, str], ...]
     profile: Profile
 
-    def choice_at(self, node: str) -> Optional[str]:
-        return dict(self.choices).get(node)
+
+# a decision node's name -> (its depth, its live states, the (decision node,
+# branch) pairs on the path to it)
+DecisionNodes = dict[str, tuple[int, frozenset[str], tuple[tuple[str, str], ...]]]
 
 
-@dataclass
-class _NodeInfo:
-    name: str
-    depth: int
-    order: int
-    live: frozenset[str]
-    ancestors: tuple[tuple[str, str], ...]  # (decision node, branch) pairs
-
-
-def _validate(node: TreeNode, live: frozenset[str], seen_names: set[str]) -> None:
+def _walk(
+    node: TreeNode,
+    live: frozenset[str],
+    depth: int,
+    path: tuple[tuple[str, str], ...],
+    u: UtilitySpec,
+    nodes: DecisionNodes,
+) -> list[tuple[dict[str, str], list[str], dict[str, Fraction]]]:
+    """Check the subtree on the live states, record its decision nodes in
+    pre-order and return its sub-plans as (choices, branch names, utility per
+    live state)."""
     if isinstance(node, Leaf):
-        return
+        value = Fraction(node.utility) if node.lottery is None else u.utility(node.lottery)
+        return [({}, [], {s: value for s in live})]
     if isinstance(node, DecisionNode):
-        if node.name in seen_names:
+        if node.name in nodes:
             raise MalformedTree(f"duplicate decision node name {node.name!r}")
-        seen_names.add(node.name)
-        for _, child in node.branches:
-            _validate(child, live, seen_names)
-        return
+        nodes[node.name] = (depth, live, path)
+        out = []
+        for branch, child in node.branches:
+            for choices, parts, outcomes in _walk(
+                child, live, depth + 1, path + ((node.name, branch),), u, nodes
+            ):
+                out.append(({node.name: branch, **choices}, [branch] + parts, outcomes))
+        return out
+    combos = [({}, [], {})]
     covered: set[str] = set()
     for event, child in node.partition:
         cell = event.members & live
@@ -187,68 +198,33 @@ def _validate(node: TreeNode, live: frozenset[str], seen_names: set[str]) -> Non
         if duplicated:
             raise MalformedTree(f"nature partition overlaps on states {sorted(duplicated)}")
         covered |= cell
-        _validate(child, frozenset(cell), seen_names)
-    missing = live - covered
-    if missing:
-        raise MalformedTree(f"nature partition misses states {sorted(missing)}")
-
-
-def _expand(
-    node: TreeNode, live: frozenset[str], u: UtilitySpec
-) -> list[tuple[dict[str, str], list[str], dict[str, Fraction]]]:
-    if isinstance(node, Leaf):
-        value = Fraction(node.utility) if node.lottery is None else u.utility(node.lottery)
-        return [({}, [], {s: value for s in live})]
-    if isinstance(node, DecisionNode):
-        out = []
-        for branch, child in node.branches:
-            for choices, parts, outcomes in _expand(child, live, u):
-                out.append(({node.name: branch, **choices}, [branch] + parts, outcomes))
-        return out
-    combos = [({}, [], {})]
-    for event, child in node.partition:
-        cell = frozenset(event.members & live)
-        sub = _expand(child, cell, u)
+        sub = _walk(child, frozenset(cell), depth + 1, path, u, nodes)
         merged = []
         for choices, parts, outcomes in combos:
             for c2, p2, o2 in sub:
                 merged.append(({**choices, **c2}, parts + p2, {**outcomes, **o2}))
         combos = merged
+    missing = live - covered
+    if missing:
+        raise MalformedTree(f"nature partition misses states {sorted(missing)}")
     return combos
-
-
-def _decision_nodes(
-    node: TreeNode,
-    live: frozenset[str],
-    ancestors: tuple[tuple[str, str], ...],
-    depth: int,
-    acc: list[_NodeInfo],
-) -> None:
-    if isinstance(node, Leaf):
-        return
-    if isinstance(node, DecisionNode):
-        acc.append(_NodeInfo(node.name, depth, len(acc), live, ancestors))
-        for branch, child in node.branches:
-            _decision_nodes(child, live, ancestors + ((node.name, branch),), depth + 1, acc)
-        return
-    for event, child in node.partition:
-        _decision_nodes(child, frozenset(event.members & live), ancestors, depth + 1, acc)
 
 
 def enumerate_plans(
     tree: DecisionTree, state_space: Sequence[str], u: UtilitySpec
-) -> list[Plan]:
-    """All strategies of the tree, each with its utility profile."""
+) -> tuple[list[Plan], DecisionNodes]:
+    """All strategies of the tree, each with its utility profile, and the
+    tree's decision nodes in pre-order, from one walk that checks the tree."""
     live = frozenset(state_space)
-    _validate(tree.root, live, set())
+    nodes: DecisionNodes = {}
     states = sorted(live)
     plans = []
-    for choices, parts, outcomes in _expand(tree.root, live, u):
+    for choices, parts, outcomes in _walk(tree.root, live, 0, (), u, nodes):
         name = "+".join(parts) if parts else "unconditional"
         plans.append(Plan(name, tuple(sorted(choices.items())), tuple(outcomes[s] for s in states)))
     if len({p.name for p in plans}) != len(plans):
         raise MalformedTree("plan names are not unique; rename branches")
-    return plans
+    return plans, nodes
 
 
 @dataclass
@@ -292,17 +268,6 @@ class TreeEvaluation:
         }
 
 
-def _belief_at(wset: WeightedMeasureSet, live: frozenset[str]) -> WeightedMeasureSet:
-    event = Event(live)
-    if upper_likelihood(wset, event) == 0:
-        raise NullEventAtNode(
-            f"information set {sorted(live)} has upper likelihood 0"
-        )
-    if set(live) == set(wset.state_space):
-        return normalize(wset)
-    return likelihood_update(wset, event)
-
-
 def evaluate_tree(
     tree: DecisionTree,
     u: UtilitySpec,
@@ -323,27 +288,23 @@ def evaluate_tree(
         raise ValueError(f"unknown planning mode {planning!r}")
     if menu_policy not in ("full", "viable"):
         raise ValueError(f"unknown menu policy {menu_policy!r}")
-    plans = enumerate_plans(tree, wset.state_space, u)
-    live = frozenset(wset.state_space)
+    plans, nodes = enumerate_plans(tree, wset.state_space, u)
     if planning == "ex-ante":  # one node at the root, through which every plan passes
-        infos = [_NodeInfo("<root>", 0, 0, live, ())]
-    else:
-        infos = []
-        _decision_nodes(tree.root, live, (), 0, infos)
-        infos.sort(key=lambda i: (-i.depth, i.order))
-    states = tuple(sorted(live))
+        order = [("<root>", (0, frozenset(wset.state_space), ()))]
+    else:  # deepest first; the sort is stable, so pre-order among equal depths
+        order = sorted(nodes.items(), key=lambda item: -item[1][0])
+    states = tuple(sorted(wset.state_space))
     survivors = {p.name for p in plans}
     diagnostics: list[NodeDiagnostic] = []
-    for info in infos:
-        anc = dict(info.ancestors)
-        group = [
-            p for p in plans
-            if all(p.choice_at(node) == branch for node, branch in anc.items())
-        ]
+    for name, (_, live, path) in order:
+        group = [p for p in plans if all(pair in p.choices for pair in path)]
         alive = [p for p in group if p.name in survivors]
         if not alive:
-            raise MalformedTree(f"no viable plan reaches node {info.name!r}")
-        belief = _belief_at(wset, info.live)
+            raise MalformedTree(f"no viable plan reaches node {name!r}")
+        event = Event(live)
+        if is_null(event, wset):
+            raise NullEventAtNode(f"information set {sorted(live)} has upper likelihood 0")
+        belief = likelihood_update(wset, event)
         pool = group if menu_policy == "full" else alive
         scores = score_profiles("mwer", {p.name: p.profile for p in pool}, belief, states)
         best = min(scores[p.name] for p in alive)
@@ -352,7 +313,7 @@ def evaluate_tree(
         survivors -= set(dropped)
         diagnostics.append(
             NodeDiagnostic(
-                info.name, tuple(sorted(info.live)),
+                name, tuple(sorted(live)),
                 tuple(p.name for p in pool), scores, dropped, kept,
             )
         )

@@ -121,13 +121,6 @@ class _ProbeTable:
         }
         return group_ties(scores, lower_is_better=True)
 
-    def mer_groups(self, alive: Iterable[str]) -> tuple[tuple[str, ...], ...]:
-        alive = tuple(alive)
-        scores = {
-            name: max(er[h] for h in alive) for name, er in self.expected_regret.items()
-        }
-        return group_ties(scores, lower_is_better=True)
-
 
 def _truth_seu_groups(probe: Probe, truth: str) -> tuple[tuple[str, ...], ...]:
     measure = probe.measures[truth]
@@ -311,12 +304,11 @@ def compare_updaters(
     for seed in seeds:
         trajectory = simulate(model, prior, probe, rounds, seed)
         for row in trajectory.rows:
-            weights = row.weights
             mwer_groups = row.mwer_groups
-            alive = [h for h in hypotheses if weights[h] > 0]
-            mer_groups = table.mer_groups(alive)
-            es_alive = [h for h in hypotheses if weights[h] > thr]
-            es_groups = table.mer_groups(es_alive)
+            # mer over the kept hypotheses is mwer with 0/1 weights, since a
+            # dropped one's zero term never exceeds a nonnegative expected regret
+            mer_groups = table.mwer_groups({h: float(w > 0) for h, w in row.weights.items()})
+            es_groups = table.mwer_groups({h: float(w > thr) for h, w in row.weights.items()})
             a = mwer_groups == mer_groups
             b = mwer_groups == es_groups
             c = mer_groups == es_groups

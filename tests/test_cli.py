@@ -207,6 +207,13 @@ class TestTreeCommand:
         code, _, err = run(capsys, "tree", RESTAURANT, str(bad))
         assert code == 2 and "line 1" in err
 
+    def test_duplicate_decision_node_is_a_parse_error(self, tmp_path, capsys):
+        dup = tmp_path / "dup.tree"
+        dup.write_text("decision d {\n  branch x = decision d { branch y = leaf utility 0 }\n}\n")
+        code, out, err = run(capsys, "tree", RESTAURANT, str(dup))
+        assert code == 2 and out == ""
+        assert "line 2, column 23: duplicate decision node 'd'" in err
+
 
 class TestSimulateCommand:
     def test_trajectory_csv(self, capsys):

@@ -1,5 +1,7 @@
 """The text formats: parsing, diagnostics, canonical round-trips, trees."""
 
+import hashlib
+import json
 import random
 from fractions import Fraction
 
@@ -71,6 +73,11 @@ class TestParseProblem:
         )
         diags = diagnostics_of(text)
         assert any("duplicate lottery 'l'" in d.message for d in diags)
+
+    def test_every_bad_lottery_key_is_reported(self):
+        text = "states: s\nprizes: p\nutility: p = 1\nlottery l = { x: 1/2, y: 1/2 }\n"
+        found = [(d.line, d.column, d.message, d.token) for d in diagnostics_of(text)]
+        assert found == [(4, 15, "unknown prize 'x'", "x"), (4, 23, "unknown prize 'y'", "y")]
 
     def test_weight_outside_unit_interval(self):
         text = (
@@ -261,3 +268,42 @@ class TestFuzz:
                     except DomainError:
                         continue
                     assert result.chosen.name in result.survivors
+
+    def test_fuzzed_diagnostics_are_pinned(self):
+        """The smoke corpus again: a digest of every diagnostic's line, column,
+        message and token, in the order reported."""
+        rng = random.Random(99)
+        seed_text = fixture_text("delivery.dp")
+        digest = hashlib.sha1()
+        for _ in range(1500):
+            try:
+                parse_problem(_mutate(rng, seed_text))
+            except ParseError as exc:
+                for d in exc.diagnostics:
+                    digest.update(f"{d.line}:{d.column}:{d.message}:{d.token}\n".encode())
+            digest.update(b"--\n")
+        assert digest.hexdigest() == "7c260e62645a351a2bb831a9cb0f8f0192b31a32"
+
+    def test_fuzzed_tree_evaluations_are_pinned(self):
+        """The fuzzed trees again: a digest of every evaluation in all four
+        planning and menu-policy modes (or the name of the error it raised)."""
+        rng = random.Random(7)
+        doc = parse_problem(fixture_text("restaurant.dp"))
+        wset = doc.weighted_set()
+        seed_text = fixture_text("restaurant.tree")
+        digest = hashlib.sha1()
+        for _ in range(2000):
+            try:
+                tree = parse_tree(_mutate(rng, seed_text), doc)
+            except ParseError:
+                digest.update(b"ParseError\n")
+                continue
+            for planning in ("ex-ante", "sophisticated"):
+                for policy in ("full", "viable"):
+                    try:
+                        obj = evaluate_tree(tree, doc.utility, wset, planning, policy).to_obj()
+                    except DomainError as exc:
+                        digest.update(f"{type(exc).__name__}\n".encode())
+                        continue
+                    digest.update(json.dumps(obj).encode() + b"\n")
+        assert digest.hexdigest() == "e9e325f428665777435e073cccf58497b5434625"

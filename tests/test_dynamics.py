@@ -386,6 +386,17 @@ class TestTrees:
         assert result.survivors == ("left", "right")
         assert result.chosen.name == "left"
 
+    def test_nodes_resolve_deepest_first_then_in_tree_order(self):
+        states = ("a", "b")
+        u = UtilitySpec({"hi": 1, "lo": -1})
+        wset = WeightedMeasureSet([(point_mass("a", states), 1)], states)
+        pick = (("x", Leaf(utility=F(1))), ("y", Leaf(utility=F(0))))
+        tree = DecisionTree(
+            DecisionNode("root", (("l", DecisionNode("zed", pick)), ("r", DecisionNode("amy", pick))))
+        )
+        result = evaluate_tree(tree, u, wset, planning="sophisticated")
+        assert [d.node for d in result.diagnostics] == ["zed", "amy", "root"]
+
     def test_malformed_partitions_rejected(self):
         states = ("a", "b")
         u = UtilitySpec({"hi": 1, "lo": -1})
