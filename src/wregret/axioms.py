@@ -37,6 +37,7 @@ from .decisions import (
     Menu,
     Profile,
     UtilitySpec,
+    as_integers,
     belief_entries,
     mixture_name,
     per_state_best,
@@ -121,20 +122,22 @@ class PreferenceOracle:
         self.lower_is_better = spec.lower_is_better
         self._score = spec.score
         self._states = tuple(sorted(self.state_space))
-        self._entries = belief_entries(rule, belief, self._states)
+        self._common, self._rows = belief_entries(rule, belief, self._states)
 
     def rate(self, f: Alternative, menu: Sequence[Alternative]) -> Fraction:
         """The rule's score of f against the menu."""
-        return self._score(f.profile, per_state_best(a.profile for a in menu), self._entries)
+        scale, (x, *others) = as_integers((f.profile, *(a.profile for a in menu)))
+        return Fraction(self._score(x, per_state_best(others), self._rows), self._common * scale)
 
     def prefers(self, f: Alternative, g: Alternative, menu: Sequence[Alternative]) -> int:
         """+1 if f is strictly preferred to g in the menu, -1 if dispreferred, 0 if indifferent."""
-        best = per_state_best(a.profile for a in menu)
-        sf = self._score(f.profile, best, self._entries)
-        sg = self._score(g.profile, best, self._entries)
-        if sf == sg:
+        _, (xf, xg, *others) = as_integers((f.profile, g.profile, *(a.profile for a in menu)))
+        best = per_state_best(others)
+        nf = self._score(xf, best, self._rows)
+        ng = self._score(xg, best, self._rows)
+        if nf == ng:
             return 0
-        return 1 if (sf < sg) == self.lower_is_better else -1
+        return 1 if (nf < ng) == self.lower_is_better else -1
 
     def to_alternative(self, act: Act) -> Alternative:
         """The act as the rule sees it: its name and utility profile."""
@@ -970,12 +973,17 @@ class AxiomMatrix:
     cells: dict[tuple[str, str], str]
     seed: int
 
+    @property
+    def rules(self) -> tuple[str, ...]:
+        """The rules the matrix was built with, in order: its rows."""
+        return tuple(dict.fromkeys(rule for rule, _ in self.cells))
+
     def to_obj(self) -> dict:
         return {
             "seed": self.seed,
             "cells": {
                 rule: {col: self.cells[(rule, col)] for col, _ in MATRIX_COLUMNS}
-                for rule in MATRIX_RULES
+                for rule in self.rules
             },
             "reports": [r.to_obj() for r in self.reports.values()],
         }
@@ -985,7 +993,7 @@ class AxiomMatrix:
         headers = ["rule"] + [col for col, _ in MATRIX_COLUMNS]
         rows = [
             [rule] + [marks[self.cells[(rule, col)]] for col, _ in MATRIX_COLUMNS]
-            for rule in MATRIX_RULES
+            for rule in self.rules
         ]
         widths = [max(len(r[i]) for r in [headers] + rows) for i in range(len(headers))]
         lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]

@@ -120,6 +120,9 @@ def _fixtures_for(doc: ProblemDoc) -> BeliefFixtures:
 def _cmd_axioms(args) -> int:
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
+    if args.axiom == "matrix" and args.rule:
+        # cells are seeded by rule position, so a one-rule row would not match the matrix
+        raise UsageError("--rule does not apply to --axiom matrix")
     doc = _load_doc(args.file)
     try:
         fixtures = _fixtures_for(doc)

@@ -12,15 +12,21 @@ regret-family score menu-dependent.  Five rules are provided:
   mer    worst-case expected regret over a set of measures  (minimize)
   mwer   worst case of weight-scaled expected regrets       (minimize)
 
-`RULES` maps each name to its score over profiles, belief kind and
-orientation.  The rules share kernels (mer is mwer with every weight one),
-so their degeneration identities are tested against an independent
+`RULES` maps each name to its kernel, belief kind and orientation.  Kernels
+compute on Python ints: `as_integers` puts a menu's profiles over the LCM L
+of their denominators, `belief_entries` reads a belief once into integer
+entries (D, rows), and a kernel returns an int N whose score is N/(D*L), so
+no rounding is ever needed and a `Fraction` is built only for a score that is
+returned.  The rules share kernels (mer is mwer with every weight one), so
+their degeneration identities are tested against an independent
 re-derivation of the five rules kept in the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
@@ -70,18 +76,17 @@ class UtilitySpec:
 class Lottery:
     """A finite-support probability over prizes."""
 
-    __slots__ = ("_probs", "_items")
+    __slots__ = ("_items",)
 
     def __init__(self, probs: Mapping[str, Rational]):
-        converted = {prize: Fraction(p) for prize, p in probs.items() if Fraction(p) != 0}
+        converted = {prize: Fraction(p) for prize, p in probs.items()}
         for prize, p in converted.items():
             if p < 0:
                 raise ValueError(f"negative probability {p} for prize {prize!r}")
-        if sum(converted.values(), ZERO) != 1:
-            total = sum((Fraction(p) for p in probs.values()), ZERO)
+        total = sum(converted.values(), ZERO)
+        if total != 1:
             raise ValueError(f"lottery probabilities sum to {format_rational(total)}")
-        self._probs = converted
-        self._items = tuple(sorted(converted.items()))
+        self._items = tuple(sorted((prize, p) for prize, p in converted.items() if p))
 
     def items(self) -> tuple[tuple[str, Fraction], ...]:
         return self._items
@@ -274,36 +279,45 @@ def _score_of(rule: str, act: Act, menu: Menu, u: UtilitySpec, belief: Belief) -
 
 
 # -- the rule table --------------------------------------------------------------
-# A profile is a tuple of exact utilities in sorted state order.  A belief is
-# read once into entries: (weight, probabilities in sorted state order) pairs.
+# A profile is a tuple of exact utilities in sorted state order; a kernel sees
+# it over the menu's denominator L.  An entry row is one measure's
+# weight x probability x D, in sorted state order.
 
 Profile = tuple[Fraction, ...]
-Entries = tuple[tuple[Fraction, Profile], ...]
+IntProfile = tuple[int, ...]
+Entries = tuple[int, tuple[IntProfile, ...]]
 
 
-def _expectation(probs: Profile, values: Sequence[Fraction]) -> Fraction:
-    return sum((p * v for p, v in zip(probs, values) if p), ZERO)
+def as_integers(profiles: Sequence[Profile]) -> tuple[int, list[IntProfile]]:
+    """The profiles over the LCM L of their denominators: (L, numerators)."""
+    common = lcm(*{v.denominator for profile in profiles for v in profile})
+    return common, [
+        tuple([v.numerator * (common // v.denominator) for v in profile]) for profile in profiles
+    ]
 
 
-def _worst_utility(x: Profile, best: Profile, entries: Entries) -> Fraction:
-    return min(_expectation(p, x) for _, p in entries)
+def _worst_utility(x: IntProfile, best: IntProfile, rows: Sequence[IntProfile]) -> int:
+    return min(sum(map(mul, row, x)) for row in rows)
 
 
-def _worst_regret(x: Profile, best: Profile, entries: Entries) -> Fraction:
-    return max(b - v for b, v in zip(best, x))
+def _worst_regret(x: IntProfile, best: IntProfile, rows: Sequence[IntProfile]) -> int:
+    return max(map(sub, best, x))
 
 
-def _worst_weighted_regret(x: Profile, best: Profile, entries: Entries) -> Fraction:
-    regrets = [b - v for b, v in zip(best, x)]
-    return max(w * _expectation(p, regrets) for w, p in entries)
+def _worst_weighted_regret(x: IntProfile, best: IntProfile, rows: Sequence[IntProfile]) -> int:
+    regrets = list(map(sub, best, x))
+    return max(sum(map(mul, row, regrets)) for row in rows)
 
 
 class Rule(NamedTuple):
-    """A decision rule: its score of a profile given the menu's per-state best
-    profile and the belief entries, the belief kind it takes ("measure",
-    "measures", "weighted" or None for no belief), and its orientation."""
+    """A decision rule: its integer kernel, the belief kind it takes
+    ("measure", "measures", "weighted" or None for no belief), and its
+    orientation.  The kernel takes an act's profile and the menu's per-state
+    best, both as ints over the menu's denominator L, and the rows of the
+    belief's integer entries (D, rows); it returns an int N, and the score is
+    N/(D*L)."""
 
-    score: Callable[[Profile, Profile, Entries], Fraction]
+    score: Callable[[IntProfile, IntProfile, Sequence[IntProfile]], int]
     belief: Optional[str]
     lower_is_better: bool
 
@@ -330,13 +344,14 @@ def per_state_best(profiles: Iterable[Profile]) -> Profile:
 
 
 def belief_entries(rule: str, belief: Belief, states: Sequence[str]) -> Entries:
-    """The belief read as entries over the sorted `states`, after checking that
-    its kind fits the rule and that its measures live on those states."""
+    """The belief read as integer entries (D, rows) over the sorted `states`,
+    after checking that its kind fits the rule and that its measures live on
+    those states."""
     kind = rule_named(rule).belief
     if kind is None:
         if belief is not None:
             raise BeliefKindMismatch(f"probability-free {rule} takes no belief")
-        return ()
+        return 1, ()
     if kind == "measure":
         if not isinstance(belief, Measure):
             raise BeliefKindMismatch(f"{rule} needs a single Measure belief")
@@ -353,7 +368,8 @@ def belief_entries(rule: str, belief: Belief, states: Sequence[str]) -> Entries:
     ordered = tuple(sorted(states))
     if any(m.state_space != ordered for _, m in pairs):
         raise DimensionMismatch(f"the {rule} belief and the acts use different state spaces")
-    return tuple((w, tuple(p for _, p in m.items())) for w, m in pairs)
+    common, rows = as_integers([[w * p for _, p in m.items()] for w, m in pairs])
+    return common, tuple(rows)
 
 
 # -- ranking -------------------------------------------------------------------
@@ -468,9 +484,14 @@ def score_profiles(
     """The rule's score of each named profile (utilities in sorted `states`
     order) against the menu of all of them."""
     spec = rule_named(rule)
-    entries = belief_entries(rule, belief, states)
-    best = per_state_best(named_profiles.values())
-    return {name: spec.score(x, best, entries) for name, x in named_profiles.items()}
+    common, rows = belief_entries(rule, belief, states)
+    scale, profiles = as_integers(list(named_profiles.values()))
+    best = per_state_best(profiles)
+    denominator = common * scale
+    return {
+        name: Fraction(spec.score(x, best, rows), denominator)
+        for name, x in zip(named_profiles, profiles)
+    }
 
 
 # -- mixtures ------------------------------------------------------------------

@@ -4,7 +4,8 @@ Lotteries are dicts prize -> probability, acts dicts state -> lottery,
 measures dicts state -> probability and a weighted belief a list of
 (measure, weight) pairs.  Every score is computed here straight from the
 definitions and shares no code with the library, so comparing `rank` with
-`scores` compares two implementations of each rule.
+`scores`, or `PreferenceOracle.rate` and `prefers` with `profile_scores`,
+compares two implementations of each rule.
 """
 
 from __future__ import annotations
@@ -32,6 +33,12 @@ def scores(rule: str, acts: dict, utility: dict, belief) -> dict:
         name: {s: expected_utility(lottery, utility) for s, lottery in act.items()}
         for name, act in acts.items()
     }
+    return profile_scores(rule, profiles, belief)
+
+
+def profile_scores(rule: str, profiles: dict, belief) -> dict:
+    """Score of every utility profile (name -> state -> utility) under the
+    rule, against the menu of all of them; the belief is as for `scores`."""
     states = list(next(iter(profiles.values())))
     best = {s: max(profile[s] for profile in profiles.values()) for s in states}
     out = {}

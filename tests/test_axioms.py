@@ -1,10 +1,12 @@
 """The axiom checker: curated counterexamples, sampling, determinism."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
 from wregret.axioms import (
+    Alternative,
     AxiomReport,
     AXIOM_IDS,
     GeneratorConfig,
@@ -16,7 +18,9 @@ from wregret.axioms import (
     value_lottery,
 )
 from wregret.errors import DimensionMismatch, UnknownAxiom
-from wregret.measures import WeightedMeasureSet, point_mass
+from wregret.measures import Measure, WeightedMeasureSet, point_mass
+
+import rule_reference as reference
 
 F = Fraction
 
@@ -248,6 +252,60 @@ class TestOracle:
             assert u.utility(lottery) == v
 
 
+def _oracle_instance(rng: random.Random):
+    """Seeded alternatives on the sampler's tenth grid plus mixtures of them
+    with denominators up to 20 x 10, and beliefs for every rule (mwer weights
+    with coprime denominators), as library objects and as plain dicts."""
+    states = tuple(f"s{i}" for i in range(rng.randint(2, 5)))
+    grid = [F(k, 10) for k in range(-10, 11)]
+    menu = [
+        Alternative(f"a{i}", tuple(rng.choice(grid) for _ in states))
+        for i in range(rng.randint(2, 4))
+    ]
+    for i in range(rng.randint(1, 3)):
+        f, h = rng.sample(menu, 2)
+        d = rng.randint(2, 20)
+        p = F(rng.randint(1, d - 1), d)
+        mixed = tuple(p * a + (1 - p) * b for a, b in zip(f.profile, h.profile))
+        menu.append(Alternative(f"m{i}", mixed))
+    measures = []
+    for _ in range(rng.randint(1, 4)):
+        raw = [rng.randint(0, 6) for _ in states]
+        raw[rng.randrange(len(raw))] += 1
+        measures.append({s: F(r, sum(raw)) for s, r in zip(states, raw)})
+    weights = [F(1)] + [rng.choice([F(1, 3), F(2, 7), F(3, 11), F(0), F(1)]) for _ in measures[1:]]
+    library = [Measure(m) for m in measures]
+    beliefs = {
+        "seu": (library[0], measures[0]),
+        "mmeu": (library, measures),
+        "regret": (None, None),
+        "mer": (library, measures),
+        "mwer": (
+            WeightedMeasureSet(list(zip(library, weights)), states),
+            list(zip(measures, weights)),
+        ),
+    }
+    return states, tuple(menu), beliefs
+
+
+class TestOracleAgainstReference:
+    def test_prefers_and_rate_match_the_reference_rules(self, fixtures):
+        u = fixtures.utility
+        for seed in range(80):
+            rng = random.Random(seed)
+            states, menu, beliefs = _oracle_instance(rng)
+            profiles = {a.name: dict(zip(states, a.profile)) for a in menu}
+            for rule, (belief, plain) in beliefs.items():
+                oracle = PreferenceOracle(rule, belief, u, states)
+                expected = reference.profile_scores(rule, profiles, plain)
+                sign = -1 if reference.LOWER_IS_BETTER[rule] else 1
+                for f in menu:
+                    assert oracle.rate(f, menu) == expected[f.name], (seed, rule, f.name)
+                    for g in menu:
+                        want = sign * _sign(expected[f.name] - expected[g.name])
+                        assert oracle.prefers(f, g, menu) == want, (seed, rule, f.name, g.name)
+
+
 class TestMatrix:
     def test_small_matrix_matches_known_pattern(self, fixtures):
         matrix = axiom_matrix(fixtures=fixtures, seed=0, config=GeneratorConfig(samples=60))
@@ -262,3 +320,9 @@ class TestMatrix:
         assert cells[("mmeu", "ax12")] == "no-violation-found"
         text = matrix.to_text()
         assert "VIOLATED" in text and text.splitlines()[0].startswith("rule")
+
+    def test_matrix_of_some_rules_renders_those_rows(self, fixtures):
+        matrix = axiom_matrix(("mwer", "seu"), fixtures, seed=0, config=GeneratorConfig(samples=5))
+        rows = [line.split()[0] for line in matrix.to_text().splitlines()[1:]]
+        assert rows == ["mwer", "seu"]
+        assert list(matrix.to_obj()["cells"]) == ["mwer", "seu"]

@@ -153,6 +153,11 @@ class TestAxiomsCommand:
         assert code == 0
         assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
+    def test_matrix_with_rule_is_usage_error(self, capsys):
+        # matrix cells are seeded by rule position, so one rule's row is not well defined
+        code, out, err = run(capsys, "axioms", WEIGHTED, "--axiom", "matrix", "--rule", "mwer")
+        assert code == 3 and out == "" and "--rule" in err
+
     @pytest.mark.parametrize("samples", ["-5", "0"])
     def test_samples_below_one_is_usage_error(self, capsys, samples):
         code, out, err = run(capsys, "axioms", WEIGHTED, "--axiom", "1", "--samples", samples)
