@@ -1,10 +1,11 @@
 """Property-based verification of the preference axioms.
 
 Each axiom is checked against a preference oracle (a decision rule plus a
-fixed belief) over seeded random instances together with a small curated
-corpus of known counterexamples.  A `violated` verdict always carries a
-replayable witness; `no-violation-found` is evidence, not proof, and the
-reports expose sample counts so callers can calibrate.  The existential
+fixed belief; `decisions.PreferenceOracle` does all of the scoring) over
+seeded random instances together with a small curated corpus of known
+counterexamples.  A `violated` verdict always carries a replayable witness;
+`no-violation-found` is evidence, not proof, and the reports expose sample
+counts so callers can calibrate.  The existential
 clause of mixture continuity is searched over a finite mixture grid, and a
 fruitless search is reported as `no-witness-in-grid` rather than `violated`.
 
@@ -33,17 +34,16 @@ from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .decisions import (
     Act,
+    Alternative,
     Lottery,
-    Menu,
+    PreferenceOracle,
     Profile,
     UtilitySpec,
-    as_integers,
-    belief_entries,
     mixture_name,
     per_state_best,
     rule_named,
 )
-from .errors import ActNotInMenu, DimensionMismatch, UnknownAxiom
+from .errors import DimensionMismatch, UnknownAxiom
 from .measures import (
     Event,
     Measure,
@@ -81,83 +81,7 @@ class GeneratorConfig:
             raise ValueError("samples must be at least 1")
 
 
-class Alternative(NamedTuple):
-    """An act as the rules see it: a name and a utility profile (one exact
-    utility per state, in sorted state order).  Two alternatives are the same
-    menu member when both name and profile agree, as for acts."""
-
-    name: str
-    profile: Profile
-
-
 AltMenu = tuple[Alternative, ...]
-
-
-class PreferenceOracle:
-    """A decision rule with a fixed belief, answering menu-relative comparisons.
-
-    `prefers` compares alternatives within a menu of alternatives; `score`
-    and `compare` answer the same questions for acts of a `Menu`.
-    """
-
-    def __init__(
-        self,
-        rule: str,
-        belief,
-        utility: UtilitySpec,
-        state_space: Sequence[str] | None = None,
-    ):
-        self.rule = rule
-        self.belief = belief
-        self.utility = utility
-        if state_space is not None:
-            self.state_space = tuple(state_space)
-        elif isinstance(belief, (Measure, WeightedMeasureSet)):
-            self.state_space = belief.state_space
-        elif belief is not None:
-            self.state_space = tuple(belief)[0].state_space
-        else:
-            raise ValueError("state_space is required when the rule takes no belief")
-        spec = rule_named(rule)
-        self.lower_is_better = spec.lower_is_better
-        self._score = spec.score
-        self._states = tuple(sorted(self.state_space))
-        self._common, self._rows = belief_entries(rule, belief, self._states)
-
-    def rate(self, f: Alternative, menu: Sequence[Alternative]) -> Fraction:
-        """The rule's score of f against the menu."""
-        scale, (x, *others) = as_integers((f.profile, *(a.profile for a in menu)))
-        return Fraction(self._score(x, per_state_best(others), self._rows), self._common * scale)
-
-    def prefers(self, f: Alternative, g: Alternative, menu: Sequence[Alternative]) -> int:
-        """+1 if f is strictly preferred to g in the menu, -1 if dispreferred, 0 if indifferent."""
-        _, (xf, xg, *others) = as_integers((f.profile, g.profile, *(a.profile for a in menu)))
-        best = per_state_best(others)
-        nf = self._score(xf, best, self._rows)
-        ng = self._score(xg, best, self._rows)
-        if nf == ng:
-            return 0
-        return 1 if (nf < ng) == self.lower_is_better else -1
-
-    def to_alternative(self, act: Act) -> Alternative:
-        """The act as the rule sees it: its name and utility profile."""
-        if act.state_space != self._states:
-            states = ", ".join(self._states)
-            raise DimensionMismatch(f"act {act.name!r} is not over the oracle's states {states}")
-        return Alternative(act.name, tuple(act.utility_profile(self.utility).values()))
-
-    def score(self, act: Act, menu: Menu) -> Fraction:
-        if act not in menu:
-            raise ActNotInMenu(f"act {act.name!r} is not in the menu")
-        return self.rate(self.to_alternative(act), [self.to_alternative(a) for a in menu])
-
-    def compare(self, f: Act, g: Act, menu: Menu) -> int:
-        """+1 if f is strictly preferred to g in the menu, -1 if dispreferred, 0 if indifferent."""
-        for act in (f, g):
-            if act not in menu:
-                raise ActNotInMenu(f"act {act.name!r} is not in the menu")
-        alternatives = [self.to_alternative(a) for a in menu]
-        return self.prefers(self.to_alternative(f), self.to_alternative(g), alternatives)
 
 
 class Instance(NamedTuple):
@@ -312,7 +236,7 @@ class Sampler:
 
     def __init__(self, rng: random.Random, oracle: PreferenceOracle):
         self.rng = rng
-        self.states = tuple(sorted(oracle.state_space))
+        self.states = oracle.state_space
         _, _, self.hi, self.lo = utility_span(oracle.utility)
         self._counter = 0
         d = UTILITY_DENOMINATOR
@@ -663,7 +587,7 @@ DELIVERY_UTILITY = UtilitySpec(
 def _pair(o: PreferenceOracle, name: str, one: Fraction, ten: Fraction) -> Alternative:
     """A delivery alternative; the corpus fits only oracles whose utility range
     reaches its values and whose belief (if any) is over the delivery states."""
-    if o.belief is not None and tuple(sorted(o.state_space)) != DELIVERY_STATES:
+    if o.belief is not None and o.state_space != DELIVERY_STATES:
         raise DimensionMismatch("the curated corpus is over the delivery states")
     _, _, hi, lo = utility_span(o.utility)
     return Alternative(name, _reachable((Fraction(one), Fraction(ten)), lo, hi))
@@ -676,10 +600,8 @@ def delivery_fixtures() -> "BeliefFixtures":
     return BeliefFixtures(
         utility=DELIVERY_UTILITY,
         state_space=DELIVERY_STATES,
-        seu=one,
-        mer=(one, ten),
-        mmeu=(one, ten),
-        mwer=WeightedMeasureSet([(one, 1), (ten, Fraction(1, 2))]),
+        measures=(one, ten),
+        weighted=WeightedMeasureSet([(one, 1), (ten, Fraction(1, 2))]),
     )
 
 
@@ -849,7 +771,7 @@ def _spliced_signs(
     o: PreferenceOracle, f: Alternative, g: Alternative, menu: AltMenu, event: Event
 ) -> dict[Alternative, int]:
     """The comparison of f against g, both spliced off the event with each menu act."""
-    inside = [s in event.members for s in sorted(o.state_space)]
+    inside = [s in event.members for s in o.state_space]
 
     def splice(a: Alternative, h: Alternative) -> Alternative:
         profile = tuple(x if i else y for x, y, i in zip(a.profile, h.profile, inside))
@@ -933,25 +855,29 @@ def replay_mdc(report: AxiomReport, family: OracleFamily) -> bool:
 
 @dataclass
 class BeliefFixtures:
-    """Beliefs (and the utility table) used to instantiate each rule's oracle."""
+    """Beliefs (and the utility table) used to instantiate each rule's oracle:
+    the measures (the first alone for a single-measure rule) and a weighted
+    set."""
 
     utility: UtilitySpec
     state_space: Sequence[str]
-    seu: Measure
-    mer: tuple[Measure, ...]
-    mmeu: tuple[Measure, ...]
-    mwer: WeightedMeasureSet
+    measures: tuple[Measure, ...]
+    weighted: WeightedMeasureSet
 
     def __post_init__(self) -> None:
-        if len(self.mer) < 2 and len(self.mmeu) < 2:
+        if len(self.measures) < 2:
             raise ValueError("fixtures need a multi-measure belief")
-        if all(w == 1 for _, w in self.mwer.entries):
+        if all(w == 1 for _, w in self.weighted.entries):
             raise ValueError("fixtures need a weighted belief with a non-unit weight")
 
     def oracle(self, rule: str) -> PreferenceOracle:
-        """The rule's oracle, with the fixture field named after the rule as its
-        belief when the rule takes one."""
-        belief = getattr(self, rule) if rule_named(rule).belief else None
+        """The rule's oracle, with the belief of the kind the rule takes."""
+        belief = {
+            None: None,
+            "measure": self.measures[0],
+            "measures": self.measures,
+            "weighted": self.weighted,
+        }[rule_named(rule).belief]
         return PreferenceOracle(rule, belief, self.utility, self.state_space)
 
 

@@ -107,14 +107,7 @@ def _fixtures_for(doc: ProblemDoc) -> BeliefFixtures:
     measures = doc.measures()
     if len(measures) < 2:
         raise UsageError("axiom fixtures need at least two hypotheses")
-    return BeliefFixtures(
-        utility=doc.utility,
-        state_space=doc.states,
-        seu=measures[0],
-        mer=measures,
-        mmeu=measures,
-        mwer=doc.weighted_set(),
-    )
+    return BeliefFixtures(doc.utility, doc.states, measures, doc.weighted_set())
 
 
 def _cmd_axioms(args) -> int:

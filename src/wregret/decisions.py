@@ -12,14 +12,17 @@ regret-family score menu-dependent.  Five rules are provided:
   mer    worst-case expected regret over a set of measures  (minimize)
   mwer   worst case of weight-scaled expected regrets       (minimize)
 
-`RULES` maps each name to its kernel, belief kind and orientation.  Kernels
-compute on Python ints: `as_integers` puts a menu's profiles over the LCM L
-of their denominators, `belief_entries` reads a belief once into integer
-entries (D, rows), and a kernel returns an int N whose score is N/(D*L), so
-no rounding is ever needed and a `Fraction` is built only for a score that is
-returned.  The rules share kernels (mer is mwer with every weight one), so
-their degeneration identities are tested against an independent
-re-derivation of the five rules kept in the tests.
+`RULES` maps each name to its kernel, belief kind and orientation.  A
+`PreferenceOracle` binds a rule to a belief and is the one place where
+utility profiles become scores: it reads its belief once into integer
+entries (D, rows), puts each menu's profiles over the LCM L of their
+denominators, and runs a kernel that returns an int N whose score is
+N/(D*L), so no rounding is ever needed and a `Fraction` is built only for a
+score that is returned.  It scores `Alternative`s (a name and a profile),
+so `rank`, the per-act rules, the axiom checker, decision-tree plans and the
+simulator's probe table all score through it.  The rules share kernels (mer
+is mwer with every weight one), so their degeneration identities are tested
+against an independent re-derivation of the five rules kept in the tests.
 """
 
 from __future__ import annotations
@@ -225,20 +228,23 @@ def act_utility(act: Act, u: UtilitySpec, state: str) -> Fraction:
     return u.utility(act[state])
 
 
-def _require_member(act: Act, menu: Menu) -> None:
-    if act not in menu:
-        raise ActNotInMenu(f"act {act.name!r} is not in the menu")
+def _position(menu: Sequence, member) -> int:
+    """The index of an act or alternative in a menu of them."""
+    try:
+        return menu.index(member)
+    except ValueError:
+        raise ActNotInMenu(f"act {member.name!r} is not in the menu") from None
 
 
 def regret(act: Act, state: str, menu: Menu, u: UtilitySpec) -> Fraction:
     """Gap between the best menu utility in the state and the act's utility."""
-    _require_member(act, menu)
+    _position(menu.acts, act)  # raises ActNotInMenu for a non-member
     best = max(act_utility(g, u, state) for g in menu)
     return best - act_utility(act, u, state)
 
 
 def regret_profile(act: Act, menu: Menu, u: UtilitySpec) -> dict[str, Fraction]:
-    _require_member(act, menu)
+    _position(menu.acts, act)  # raises ActNotInMenu for a non-member
     best = menu.best_profile(u)
     profile = act.utility_profile(u)
     return {state: best[state] - profile[state] for state in menu.state_space}
@@ -274,8 +280,7 @@ def mmeu(act: Act, u: UtilitySpec, measures: Iterable[Measure]) -> Fraction:
 
 
 def _score_of(rule: str, act: Act, menu: Menu, u: UtilitySpec, belief: Belief) -> Fraction:
-    _require_member(act, menu)
-    return rank(rule, menu, u, belief).score_of(act.name)
+    return PreferenceOracle(rule, belief, u, menu.state_space).score(act, menu)
 
 
 # -- the rule table --------------------------------------------------------------
@@ -285,10 +290,9 @@ def _score_of(rule: str, act: Act, menu: Menu, u: UtilitySpec, belief: Belief) -
 
 Profile = tuple[Fraction, ...]
 IntProfile = tuple[int, ...]
-Entries = tuple[int, tuple[IntProfile, ...]]
 
 
-def as_integers(profiles: Sequence[Profile]) -> tuple[int, list[IntProfile]]:
+def _as_integers(profiles: Sequence[Profile]) -> tuple[int, list[IntProfile]]:
     """The profiles over the LCM L of their denominators: (L, numerators)."""
     common = lcm(*{v.denominator for profile in profiles for v in profile})
     return common, [
@@ -343,16 +347,18 @@ def per_state_best(profiles: Iterable[Profile]) -> Profile:
     return tuple(map(max, zip(*profiles)))
 
 
-def belief_entries(rule: str, belief: Belief, states: Sequence[str]) -> Entries:
-    """The belief read as integer entries (D, rows) over the sorted `states`,
-    after checking that its kind fits the rule and that its measures live on
-    those states."""
+def _belief_entries(
+    rule: str, belief: Belief, state_space: Optional[Sequence[str]]
+) -> tuple[tuple[str, ...], int, tuple[IntProfile, ...]]:
+    """The sorted states and the belief read as integer entries (D, rows)
+    over them, after checking that the belief's kind fits the rule and that
+    its measures live on `state_space` (the belief's own when None)."""
     kind = rule_named(rule).belief
     if kind is None:
         if belief is not None:
             raise BeliefKindMismatch(f"probability-free {rule} takes no belief")
-        return 1, ()
-    if kind == "measure":
+        pairs = []
+    elif kind == "measure":
         if not isinstance(belief, Measure):
             raise BeliefKindMismatch(f"{rule} needs a single Measure belief")
         pairs = [(ONE, belief)]
@@ -361,15 +367,105 @@ def belief_entries(rule: str, belief: Belief, states: Sequence[str]) -> Entries:
             raise BeliefKindMismatch(f"{rule} needs a WeightedMeasureSet belief")
         pairs = [(w, m) for m, w in belief.entries]
     else:
-        single = belief is None or isinstance(belief, (Measure, WeightedMeasureSet))
-        pairs = [] if single else [(ONE, m) for m in belief]
+        pairs = [(ONE, m) for m in belief] if isinstance(belief, Iterable) else []
         if not pairs or not all(isinstance(m, Measure) for _, m in pairs):
             raise BeliefKindMismatch(f"{rule} needs a collection of Measures")
-    ordered = tuple(sorted(states))
-    if any(m.state_space != ordered for _, m in pairs):
+    if state_space is None:
+        if not pairs:
+            raise ValueError("state_space is required when the rule takes no belief")
+        state_space = pairs[0][1].state_space
+    states = tuple(sorted(state_space))
+    if any(m.state_space != states for _, m in pairs):
         raise DimensionMismatch(f"the {rule} belief and the acts use different state spaces")
-    common, rows = as_integers([[w * p for _, p in m.items()] for w, m in pairs])
-    return common, tuple(rows)
+    common, rows = _as_integers([[w * p for _, p in m.items()] for w, m in pairs])
+    return states, common, tuple(rows)
+
+
+# -- the oracle ----------------------------------------------------------------
+
+class Alternative(NamedTuple):
+    """An act as the rules see it: a name and a utility profile (one exact
+    utility per state, in sorted state order).  Two alternatives are the same
+    menu member when both name and profile agree, as for acts."""
+
+    name: str
+    profile: Profile
+
+
+class PreferenceOracle:
+    """A decision rule with a fixed belief: the one place where utility
+    profiles become scores.
+
+    A menu here is a sequence of alternatives, or of anything else with a
+    `name` and a `profile` over the oracle's sorted `state_space` (such as a
+    decision tree's plans).  `scores` scores a whole menu; `rate` and
+    `prefers` put the menu over one denominator and score only the members
+    asked about, which must be in the menu.  `score` and `compare` answer
+    the same questions for the acts of a `Menu`.
+    """
+
+    def __init__(
+        self,
+        rule: str,
+        belief: Belief,
+        utility: UtilitySpec,
+        state_space: Sequence[str] | None = None,
+    ):
+        self.rule = rule
+        self.belief = belief
+        self.utility = utility
+        self.state_space, self._common, self._rows = _belief_entries(rule, belief, state_space)
+        self._score, _, self.lower_is_better = RULES[rule]
+
+    def _over_menu(self, menu: Sequence[Alternative]) -> tuple[int, IntProfile, list[IntProfile]]:
+        """The denominator D*L of every score in the menu, the menu's per-state
+        best and its profiles, all as ints over the menu's denominator L."""
+        scale, profiles = _as_integers([a.profile for a in menu])
+        return self._common * scale, per_state_best(profiles), profiles
+
+    def scores(self, menu: Sequence[Alternative]) -> dict[str, Fraction]:
+        """The rule's score of every member of a menu with unique names."""
+        denominator, best, profiles = self._over_menu(menu)
+        return {
+            a.name: Fraction(self._score(x, best, self._rows), denominator)
+            for a, x in zip(menu, profiles)
+        }
+
+    def rate(self, f: Alternative, menu: Sequence[Alternative]) -> Fraction:
+        """The rule's score of the member f against the menu."""
+        i = _position(menu, f)
+        denominator, best, profiles = self._over_menu(menu)
+        return Fraction(self._score(profiles[i], best, self._rows), denominator)
+
+    def prefers(self, f: Alternative, g: Alternative, menu: Sequence[Alternative]) -> int:
+        """+1 if f is strictly preferred to g in the menu, -1 if dispreferred, 0 if indifferent."""
+        i, j = _position(menu, f), _position(menu, g)
+        _, best, profiles = self._over_menu(menu)
+        nf = self._score(profiles[i], best, self._rows)
+        ng = self._score(profiles[j], best, self._rows)
+        if nf == ng:
+            return 0
+        return 1 if (nf < ng) == self.lower_is_better else -1
+
+    def alternatives(self, menu: Menu) -> tuple[Alternative, ...]:
+        """The menu's acts as the rule sees them: names and utility profiles."""
+        if menu.state_space != self.state_space:
+            states = ", ".join(self.state_space)
+            raise DimensionMismatch(f"the menu is not over the oracle's states {states}")
+        return tuple(
+            Alternative(act.name, tuple(act.utility_profile(self.utility).values())) for act in menu
+        )
+
+    def score(self, act: Act, menu: Menu) -> Fraction:
+        """The rule's score of a menu act."""
+        alternatives = self.alternatives(menu)
+        return self.rate(alternatives[_position(menu.acts, act)], alternatives)
+
+    def compare(self, f: Act, g: Act, menu: Menu) -> int:
+        """+1 if f is strictly preferred to g in the menu, -1 if dispreferred, 0 if indifferent."""
+        alternatives = self.alternatives(menu)
+        i, j = _position(menu.acts, f), _position(menu.acts, g)
+        return self.prefers(alternatives[i], alternatives[j], alternatives)
 
 
 # -- ranking -------------------------------------------------------------------
@@ -401,12 +497,7 @@ class Ranking:
 
     __slots__ = ("rule", "lower_is_better", "groups", "scores")
 
-    def __init__(
-        self,
-        rule: str,
-        lower_is_better: bool,
-        scores: Mapping[str, Fraction],
-    ):
+    def __init__(self, rule: str, lower_is_better: bool, scores: Mapping[str, Fraction]):
         self.rule = rule
         self.lower_is_better = lower_is_better
         self.scores = dict(scores)
@@ -415,9 +506,6 @@ class Ranking:
     @property
     def best(self) -> tuple[str, ...]:
         return self.groups[0]
-
-    def score_of(self, name: str) -> Fraction:
-        return self.scores[name]
 
     def to_tsv(self) -> str:
         lines = ["rank\tact\tscore\tdecimal"]
@@ -472,26 +560,8 @@ def rank(rule: str, menu: Menu, u: UtilitySpec, belief: Belief = None) -> Rankin
     Measures for mer and mmeu, a WeightedMeasureSet for mwer, and nothing for
     probability-free regret.
     """
-    spec = rule_named(rule)
-    profiles = {act.name: tuple(act.utility_profile(u).values()) for act in menu}
-    scores = score_profiles(rule, profiles, belief, menu.state_space)
-    return Ranking(rule, spec.lower_is_better, scores)
-
-
-def score_profiles(
-    rule: str, named_profiles: Mapping[str, Profile], belief: Belief, states: Sequence[str]
-) -> dict[str, Fraction]:
-    """The rule's score of each named profile (utilities in sorted `states`
-    order) against the menu of all of them."""
-    spec = rule_named(rule)
-    common, rows = belief_entries(rule, belief, states)
-    scale, profiles = as_integers(list(named_profiles.values()))
-    best = per_state_best(profiles)
-    denominator = common * scale
-    return {
-        name: Fraction(spec.score(x, best, rows), denominator)
-        for name, x in zip(named_profiles, profiles)
-    }
+    oracle = PreferenceOracle(rule, belief, u, menu.state_space)
+    return Ranking(rule, oracle.lower_is_better, oracle.scores(oracle.alternatives(menu)))
 
 
 # -- mixtures ------------------------------------------------------------------

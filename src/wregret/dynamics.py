@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .decisions import Act, Lottery, Menu, Profile, UtilitySpec, mwer, score_profiles
+from .decisions import Act, Lottery, Menu, PreferenceOracle, Profile, UtilitySpec, mwer
 from .errors import (
     ActNotInMenu,
     MalformedTree,
@@ -293,7 +293,6 @@ def evaluate_tree(
         order = [("<root>", (0, frozenset(wset.state_space), ()))]
     else:  # deepest first; the sort is stable, so pre-order among equal depths
         order = sorted(nodes.items(), key=lambda item: -item[1][0])
-    states = tuple(sorted(wset.state_space))
     survivors = {p.name for p in plans}
     diagnostics: list[NodeDiagnostic] = []
     for name, (_, live, path) in order:
@@ -304,9 +303,8 @@ def evaluate_tree(
         event = Event(live)
         if is_null(event, wset):
             raise NullEventAtNode(f"information set {sorted(live)} has upper likelihood 0")
-        belief = likelihood_update(wset, event)
         pool = group if menu_policy == "full" else alive
-        scores = score_profiles("mwer", {p.name: p.profile for p in pool}, belief, states)
+        scores = PreferenceOracle("mwer", likelihood_update(wset, event), u).scores(pool)
         best = min(scores[p.name] for p in alive)
         dropped = tuple(sorted(p.name for p in alive if scores[p.name] != best))
         kept = tuple(sorted(p.name for p in alive if scores[p.name] == best))

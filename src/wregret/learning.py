@@ -22,7 +22,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable, Mapping, Sequence
 
-from .decisions import Menu, UtilitySpec, group_ties, regret_profile
+from .decisions import Menu, PreferenceOracle, UtilitySpec, group_ties
 from .errors import AllEliminated
 from .measures import EventLike, Measure, as_event
 from .rational import format_rational
@@ -101,18 +101,23 @@ class Trajectory:
         return "\n".join(lines) + "\n"
 
 
+def _exact_scores(rule: str, belief, probe: Probe) -> dict[str, Fraction]:
+    """The rule's exact score of every probe act."""
+    oracle = PreferenceOracle(rule, belief, probe.utility, probe.menu.state_space)
+    return oracle.scores(oracle.alternatives(probe.menu))
+
+
 class _ProbeTable:
     """Precomputed per-act expected regrets per hypothesis (floats for speed)."""
 
     def __init__(self, probe: Probe, hypotheses: Sequence[str]):
         self.hypotheses = tuple(hypotheses)
-        self.act_names = tuple(a.name for a in probe.menu)
-        self.expected_regret: dict[str, dict[str, float]] = {}
-        for act in probe.menu:
-            profile = regret_profile(act, probe.menu, probe.utility)
-            self.expected_regret[act.name] = {
-                h: float(probe.measures[h].expectation(profile)) for h in self.hypotheses
-            }
+        # mer under a single measure is the expected regret under it
+        by_hypothesis = {h: _exact_scores("mer", (probe.measures[h],), probe) for h in hypotheses}
+        self.expected_regret = {
+            act.name: {h: float(by_hypothesis[h][act.name]) for h in self.hypotheses}
+            for act in probe.menu
+        }
 
     def mwer_groups(self, weights: Mapping[str, float]) -> tuple[tuple[str, ...], ...]:
         scores = {
@@ -123,12 +128,8 @@ class _ProbeTable:
 
 
 def _truth_seu_groups(probe: Probe, truth: str) -> tuple[tuple[str, ...], ...]:
-    measure = probe.measures[truth]
-    scores = {
-        act.name: -float(measure.expectation(act.utility_profile(probe.utility)))
-        for act in probe.menu
-    }
-    return group_ties(scores, lower_is_better=True)  # negated utilities: lower is better
+    scores = _exact_scores("seu", probe.measures[truth], probe)
+    return group_ties({name: float(s) for name, s in scores.items()}, lower_is_better=False)
 
 
 def _draw(rng: random.Random, model: ObservationModel) -> str:
@@ -168,8 +169,9 @@ def simulate(
     hypotheses = model.hypotheses
     if set(prior) != set(hypotheses):
         raise ValueError("prior weights must cover exactly the model's hypotheses")
-    if max(float(w) for w in prior.values()) != 1.0:
-        raise ValueError("prior weights must be normalized (maximum weight 1)")
+    weights = [float(w) for w in prior.values()]
+    if min(weights) < 0 or max(weights) != 1.0:
+        raise ValueError("prior weights must be normalized: in [0, 1], with maximum weight 1")
     table = _ProbeTable(probe, hypotheses)
     truth_groups = _truth_seu_groups(probe, model.truth)
     rng = random.Random(seed)
@@ -297,6 +299,8 @@ def compare_updaters(
     threshold = Fraction(threshold)
     if not 0 < threshold < 1:
         raise ValueError("threshold must lie strictly between 0 and 1")
+    if not seeds:
+        raise ValueError("at least one seed is needed")
     hypotheses = model.hypotheses
     table = _ProbeTable(probe, hypotheses)
     thr = float(threshold)

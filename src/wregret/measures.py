@@ -445,6 +445,8 @@ def recover_weights(
         checked.append(converted)
     result: dict[Measure, Fraction] = {}
     for candidate in candidates:
+        if any(set(direction) != set(candidate.state_space) for direction in checked):
+            raise DimensionMismatch("a direction does not cover exactly the candidate's states")
         best: Fraction | None = None
         for direction in checked:
             expectation = candidate.expectation(direction)

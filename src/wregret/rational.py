@@ -55,18 +55,19 @@ def format_rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def format_decimal(value: Fraction, places: int = 6) -> str:
-    """Fixed-point decimal rendering (round half to even is irrelevant here:
-    we truncate-round via integer arithmetic, matching round-half-up on the
-    scaled numerator)."""
-    value = Fraction(value)
-    scale = 10**places
-    scaled = value * scale
+DECIMAL_PLACES = 6
+
+
+def format_decimal(value: Fraction) -> str:
+    """Fixed-point decimal rendering with DECIMAL_PLACES digits after the
+    point (round half to even is irrelevant here: we truncate-round via
+    integer arithmetic, matching round-half-up on the scaled numerator)."""
+    scaled = Fraction(value) * 10**DECIMAL_PLACES
     # round to nearest, ties away from zero, on exact integers
     num, den = scaled.numerator, scaled.denominator
     q, r = divmod(abs(num), den)
     if 2 * r >= den:
         q += 1
     sign = "-" if num < 0 and q != 0 else ""
-    digits = str(q).rjust(places + 1, "0")
-    return f"{sign}{digits[:-places]}.{digits[-places:]}"
+    digits = str(q).rjust(DECIMAL_PLACES + 1, "0")
+    return f"{sign}{digits[:-DECIMAL_PLACES]}.{digits[-DECIMAL_PLACES:]}"

@@ -96,14 +96,14 @@ def test_c02_menu_dependence(extended_menu, delivery_acts, delivery_utility, del
             assert regret(delivery_acts[name], state, extended_menu, u) == value
     ranking = rank("mer", extended_menu, u, delivery_measures)
     assert ranking.best == ("cont",)
-    assert ranking.score_of("cont") == 10000
-    assert ranking.score_of("check") == 14999
+    assert ranking.scores["cont"] == 10000
+    assert ranking.scores["check"] == 14999
     _report("criterion 2 (menu dependence with the added act, exact)")
 
 
 def test_c03_weighted_counterexample(fixtures):
     u = fixtures.utility
-    wset = fixtures.mwer
+    wset = fixtures.weighted
     assert dict(wset.entries)[point_mass("ten_broken", fixtures.state_space)] == F(1, 2)
 
     def mirrored(name, x):

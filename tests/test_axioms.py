@@ -140,7 +140,7 @@ MUTANTS = {
 
 class MutantOracle(PreferenceOracle):
     def __init__(self, fixtures, relation):
-        super().__init__("seu", fixtures.seu, fixtures.utility, fixtures.state_space)
+        super().__init__("seu", fixtures.measures[0], fixtures.utility, fixtures.state_space)
         self.relation = relation
 
     def prefers(self, f, g, menu) -> int:

@@ -32,6 +32,7 @@ from wregret import (
     to_hull,
     support_value,
 )
+from wregret.decisions import Alternative, PreferenceOracle
 from wregret.errors import ActNotInMenu, BeliefKindMismatch, UnknownPrize
 
 from conftest import DELIVERY_STATES, random_wset
@@ -157,8 +158,8 @@ class TestRank:
     def test_mer_extended_ranking(self, extended_menu, delivery_utility, delivery_measures):
         ranking = rank("mer", extended_menu, delivery_utility, delivery_measures)
         assert ranking.best == ("cont",)
-        assert ranking.score_of("cont") == 10000
-        assert ranking.score_of("check") == 14999
+        assert ranking.scores["cont"] == 10000
+        assert ranking.scores["check"] == 14999
 
     def test_mwer_ranking_after_inspection_update(
         self, base_menu, delivery_utility, delivery_measures
@@ -175,7 +176,7 @@ class TestRank:
         ranking = rank("mwer", base_menu, delivery_utility, wset)
         assert w < F(4999, 10000)
         assert ranking.groups == (("cont",), ("check",), ("back",))
-        assert ranking.score_of("cont") == 10000 * w
+        assert ranking.scores["cont"] == 10000 * w
 
     def test_belief_kind_mismatch(self, base_menu, delivery_utility, delivery_measures):
         one, _ = delivery_measures
@@ -200,6 +201,28 @@ class TestRank:
         assert obj["rule"] == "mer"
         assert obj["groups"][0]["acts"][0]["name"] == "check"
         assert obj["groups"][0]["acts"][0]["score"] == "4999/1"
+
+
+class TestPreferenceOracle:
+    @pytest.mark.parametrize("belief", [(), [1, 2], 5])
+    def test_belief_kind_is_checked_first(self, delivery_utility, belief):
+        # the kind is checked before the state space is read off the belief
+        with pytest.raises(BeliefKindMismatch):
+            PreferenceOracle("mer", belief, delivery_utility)
+
+    def test_rate_and_prefers_need_menu_members(self, delivery_utility, delivery_wset):
+        oracle = PreferenceOracle("mwer", delivery_wset, delivery_utility)
+        f, g = Alternative("f", (F(1), F(0))), Alternative("g", (F(0), F(1)))
+        outsider = Alternative("f", (F(1), F(1)))  # f's name with another profile
+        menu = (f, g)
+        assert oracle.prefers(f, g, menu) == -oracle.prefers(g, f, menu)
+        for call in (
+            lambda: oracle.rate(outsider, menu),
+            lambda: oracle.prefers(outsider, g, menu),
+            lambda: oracle.prefers(f, outsider, menu),
+        ):
+            with pytest.raises(ActNotInMenu):
+                call()
 
 
 class TestProfiles:
@@ -255,6 +278,16 @@ def _reference_instance(rng: random.Random):
     return menu, u, acts, utility, beliefs
 
 
+# each rule's per-act function, called with (act, menu, utility, belief)
+PER_ACT = {
+    "seu": lambda act, menu, u, belief: seu(act, u, belief),
+    "mmeu": lambda act, menu, u, belief: mmeu(act, u, belief),
+    "regret": lambda act, menu, u, belief: max_regret(act, menu, u),
+    "mer": mer,
+    "mwer": mwer,
+}
+
+
 class TestAgainstReference:
     def test_rank_matches_the_reference_rules(self):
         for seed in range(60):
@@ -266,6 +299,8 @@ class TestAgainstReference:
                 assert ranking.scores == expected, (seed, rule)
                 assert ranking.lower_is_better == reference.LOWER_IS_BETTER[rule]
                 assert ranking.groups == reference.groups(expected, ranking.lower_is_better)
+                per_act = {act.name: PER_ACT[rule](act, menu, u, belief) for act in menu}
+                assert per_act == expected, (seed, rule)
 
 
 class TestMixtures:

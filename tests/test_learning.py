@@ -107,6 +107,12 @@ class TestSimulate:
         with pytest.raises(ValueError, match="normalized"):
             simulate(model, {"mostly_good": F(1, 2), "coin": F(1, 2)}, probe, 5, seed=0)
 
+    def test_prior_weights_must_lie_in_the_unit_interval(self):
+        # a negative weight must not run as if it were 0
+        model, probe, _ = binary_ingredients()
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            simulate(model, {"coin": 1, "mostly_good": -3}, probe, 5, seed=0)
+
     def test_csv_shape(self):
         model, probe, prior = binary_ingredients()
         trajectory = simulate(model, prior, probe, 3, seed=0)
@@ -194,6 +200,11 @@ class TestThresholdUpdating:
 
 
 class TestCompareUpdaters:
+    def test_needs_a_seed(self):
+        model, probe, prior = binary_ingredients()
+        with pytest.raises(ValueError, match="seed"):
+            compare_updaters(model, prior, probe, 5, [])
+
     def test_identical_hypotheses_always_agree(self):
         u = UtilitySpec({"hi": 1, "lo": -1})
         act = Act("a", {"good": Lottery({"hi": 1}), "bad": Lottery({"lo": 1})})

@@ -381,6 +381,19 @@ class TestRecoverWeights:
         with pytest.raises(ValueError):
             recover_weights(oracle, [pr], [{"x": F(1, 2), "y": F(-1)}])
 
+    @pytest.mark.parametrize(
+        "direction",
+        [
+            {"one_broken": F(-1)},  # misses ten_broken
+            {"one_broken": F(-1), "ten_broken": F(-1), "other": F(-1)},  # an extra state
+        ],
+    )
+    def test_directions_must_cover_exactly_the_candidates_states(self, delivery_wset, direction):
+        oracle = worst_weighted_regret_oracle(delivery_wset)
+        candidates = [m for m, _ in delivery_wset.entries]
+        with pytest.raises(DimensionMismatch):
+            recover_weights(oracle, candidates, [direction])
+
 
 class TestSerialization:
     def test_weighted_set_text_is_sorted_and_exact(self, delivery_wset):
