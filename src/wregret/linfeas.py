@@ -1,59 +1,75 @@
 """Exact linear feasibility over the rationals.
 
-Small dense systems only (state spaces up to about a dozen states), so a
-textbook phase-1 simplex on Fractions with Bland's rule is both exact and
-fast enough.  The solver returns a certificate vector when the system is
+Small dense systems only (state spaces up to about a dozen states), solved by
+a textbook phase-1 simplex with Bland's rule.  The simplex is fraction-free
+(integer pivoting, Edmonds 1967; Bareiss 1968): the system is put over one
+common denominator, the tableau is kept as integers over one running
+divisor, and a `Fraction` is built only for an entry of a returned
+certificate.  The solver returns a certificate vector when the system is
 feasible, which the tests verify independently.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional, Sequence
+from math import lcm
+from typing import Optional, Sequence, Union
+
+from .errors import DimensionMismatch
+
+Rational = Union[Fraction, int]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
-def solve_nonneg(a_eq: Sequence[Sequence[Fraction]], b_eq: Sequence[Fraction]) -> Optional[list[Fraction]]:
+def solve_nonneg(a_eq: Sequence[Sequence[Rational]], b_eq: Sequence[Rational]) -> Optional[list[Fraction]]:
     """Find x >= 0 with A x = b, or return None if the system is infeasible.
 
-    Phase-1 simplex: one artificial variable per row, minimize their sum.
-    Bland's rule guarantees termination.
+    Entries are ints or Fractions.  Phase-1 simplex: one artificial variable
+    per row, minimize their sum.  Bland's rule guarantees termination.
+
+    Every row and right-hand side is scaled by the LCM D of all their
+    denominators, and the artificial columns stay the identity.  Scaling
+    every row by one D leaves the entering choice and the ratio test as
+    they are on the rational tableau, so the pivots, and the certificate,
+    are those of the textbook simplex on Fractions.  The integer tableau M
+    (objective row included) stands for M / d: a pivot on M[r][s] = p keeps
+    row r, sets every other row to (p * row - row[s] * M[r]) // d, which
+    divides exactly, and then sets d = p.  Since d > 0, signs are read off
+    M directly and ratios are compared by cross-multiplying.
+
+    Raises DimensionMismatch when A and b have different numbers of rows
+    or the rows of A differ in length.
     """
     m = len(b_eq)
+    if len(a_eq) != m:
+        raise DimensionMismatch(f"{len(a_eq)} constraint rows for {m} right-hand sides")
     if m == 0:
         return []
-    n = len(a_eq[0]) if a_eq else 0
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
-    for i in range(m):
-        row = [Fraction(v) for v in a_eq[i]]
-        b = Fraction(b_eq[i])
-        if b < 0:
-            row = [-v for v in row]
-            b = -b
-        rows.append(row)
-        rhs.append(b)
+    n = len(a_eq[0])
+    if any(len(row) != n for row in a_eq):
+        raise DimensionMismatch("constraint rows differ in length")
+    scale = lcm(*{v.denominator for row in a_eq for v in row}, *{b.denominator for b in b_eq})
 
     # tableau columns: n structural + m artificial + 1 rhs
     width = n + m
-    tableau = []
-    for i in range(m):
-        art = [ONE if j == i else ZERO for j in range(m)]
-        tableau.append(rows[i] + art + [rhs[i]])
+    tableau: list[list[int]] = []
+    for i, (row, b) in enumerate(zip(a_eq, b_eq)):
+        sign = -1 if b < 0 else 1
+        ints = [sign * v.numerator * (scale // v.denominator) for v in row]
+        ints += [0] * m
+        ints[n + i] = 1
+        ints.append(sign * b.numerator * (scale // b.denominator))
+        tableau.append(ints)
     basis = [n + i for i in range(m)]
 
     # objective: minimize sum of artificials == maximize -(sum).  Reduced
-    # costs start as the column sums of the constraint rows (artificial
-    # columns net to zero).
-    obj = [ZERO] * (width + 1)
-    for i in range(m):
-        for j in range(width + 1):
-            obj[j] += tableau[i][j]
-    for i in range(m):
-        obj[n + i] -= ONE
+    # costs start as the column sums of the constraint rows; the artificial
+    # columns net to zero.
+    obj = [sum(column) for column in zip(*tableau)]
+    obj[n:width] = [0] * m
 
+    divisor = 1
     while True:
         enter = -1
         for j in range(width):  # Bland: smallest eligible index
@@ -63,27 +79,30 @@ def solve_nonneg(a_eq: Sequence[Sequence[Fraction]], b_eq: Sequence[Fraction]) -
         if enter < 0:
             break
         leave = -1
-        best: Optional[Fraction] = None
         for i in range(m):
             coeff = tableau[i][enter]
             if coeff > 0:
-                ratio = tableau[i][width] / coeff
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best = ratio
+                if leave < 0:
+                    leave = i
+                    continue
+                # rhs_i / coeff against rhs_leave / coeff_leave, both coeffs > 0
+                mine = tableau[i][width] * tableau[leave][enter]
+                best = tableau[leave][width] * coeff
+                if mine < best or (mine == best and basis[i] < basis[leave]):
                     leave = i
         if leave < 0:
             # unbounded reduced cost cannot happen in phase 1 (objective is
             # bounded below by 0); defensive.
             return None
-        pivot = tableau[leave][enter]
-        tableau[leave] = [v / pivot for v in tableau[leave]]
+        pivot_row = tableau[leave]
+        pivot = pivot_row[enter]
         for i in range(m):
-            if i != leave and tableau[i][enter] != 0:
+            if i != leave:
                 factor = tableau[i][enter]
-                tableau[i] = [v - factor * w for v, w in zip(tableau[i], tableau[leave])]
-        if obj[enter] != 0:
-            factor = obj[enter]
-            obj = [v - factor * w for v, w in zip(obj, tableau[leave])]
+                tableau[i] = [(pivot * v - factor * w) // divisor for v, w in zip(tableau[i], pivot_row)]
+        factor = obj[enter]
+        obj = [(pivot * v - factor * w) // divisor for v, w in zip(obj, pivot_row)]
+        divisor = pivot
         basis[leave] = enter
 
     if obj[width] != 0:
@@ -91,33 +110,37 @@ def solve_nonneg(a_eq: Sequence[Sequence[Fraction]], b_eq: Sequence[Fraction]) -
     x = [ZERO] * n
     for i, var in enumerate(basis):
         if var < n:
-            x[var] = tableau[i][width]
+            x[var] = Fraction(tableau[i][width], divisor)
         elif tableau[i][width] != 0:
             # artificial stuck in basis at a positive level
             return None
     return x
 
 
-def in_downward_convex_hull(point: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]) -> bool:
+def in_downward_convex_hull(point: Sequence[Rational], generators: Sequence[Sequence[Rational]]) -> bool:
     """Is `point` dominated by some convex combination of `generators`?
 
     Membership in the downward closure of the convex hull: exists lambda >= 0
     with sum(lambda) = 1 and sum_i lambda_i g_i >= point componentwise.
+    Coordinates are ints or Fractions.  The answer does not change when the
+    point and every generator are scaled by one positive factor, so callers
+    may pass integer vectors over a common denominator.  Raises
+    DimensionMismatch when a generator's length differs from the point's.
     """
     if not generators:
         return False
     dims = len(point)
+    if any(len(g) != dims for g in generators):
+        raise DimensionMismatch(f"a generator's length differs from the point's {dims}")
     k = len(generators)
     # variables: lambda_1..k, slack_1..dims
     # rows: per-dimension  sum_i lambda_i g_i[d] - slack_d = point[d]
     #       plus           sum_i lambda_i = 1
-    a_eq: list[list[Fraction]] = []
-    b_eq: list[Fraction] = []
+    a_eq: list[list[Rational]] = []
     for d in range(dims):
-        row = [Fraction(g[d]) for g in generators]
-        row += [-ONE if j == d else ZERO for j in range(dims)]
+        row = [g[d] for g in generators]
+        row += [0] * dims
+        row[k + d] = -1
         a_eq.append(row)
-        b_eq.append(Fraction(point[d]))
-    a_eq.append([ONE] * k + [ZERO] * dims)
-    b_eq.append(ONE)
-    return solve_nonneg(a_eq, b_eq) is not None
+    a_eq.append([1] * k + [0] * dims)
+    return solve_nonneg(a_eq, [*point, 1]) is not None

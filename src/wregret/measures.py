@@ -12,6 +12,7 @@ object behind worst-case weighted regret.  All arithmetic is exact.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -307,9 +308,10 @@ class SubProbabilityVector:
 class RegularHull:
     """Generator view of a downward-closed convex set of sub-probability vectors.
 
-    Only the maximal points are stored; the represented set is the downward
-    closure of their convex hull.  At least one generator must be a proper
-    probability measure (total mass one).
+    The represented set is the downward closure of the generators' convex
+    hull.  `to_hull` stores only the maximal points; the constructor does not
+    prune, so a hand-built hull may also list dominated ones.  At least one
+    generator must be a proper probability measure (total mass one).
     """
 
     __slots__ = ("_generators", "_states")
@@ -342,6 +344,19 @@ class RegularHull:
         return f"RegularHull({len(self._generators)} generators over {self._states})"
 
 
+def _integer_vectors(
+    generators: Sequence[SubProbabilityVector], order: Sequence[str]
+) -> list[list[int]]:
+    """The generators as int vectors, all over the LCM of their denominators.
+
+    Hull membership is unchanged by scaling every vector by one positive
+    factor, so the simplex can take these in place of the Fractions.
+    """
+    vectors = [g.vector(order) for g in generators]
+    scale = lcm(*{v.denominator for vector in vectors for v in vector})
+    return [[v.numerator * (scale // v.denominator) for v in vector] for vector in vectors]
+
+
 def _prune_generators(
     generators: Sequence[SubProbabilityVector], order: Sequence[str]
 ) -> tuple[SubProbabilityVector, ...]:
@@ -351,14 +366,13 @@ def _prune_generators(
     sequential pruning against the current survivors is sound.
     """
     unique = sorted(set(generators), key=lambda g: g.items())
-    survivors = list(unique)
-    for g in list(unique):
-        others = [h for h in survivors if h is not g]
-        if others and in_downward_convex_hull(
-            g.vector(order), [h.vector(order) for h in others]
-        ):
-            survivors = others
-    return tuple(survivors)
+    vectors = _integer_vectors(unique, order)
+    survivors = list(range(len(unique)))
+    for i in range(len(unique)):
+        others = [vectors[j] for j in survivors if j != i]
+        if others and in_downward_convex_hull(vectors[i], others):
+            survivors.remove(i)
+    return tuple(unique[j] for j in survivors)
 
 
 def to_hull(wset: WeightedMeasureSet) -> RegularHull:
@@ -389,16 +403,17 @@ def support_value(hull: RegularHull, direction: Mapping[str, Rational]) -> Fract
 def hull_equal(first: RegularHull, second: RegularHull) -> bool:
     """Do two hulls represent the same downward-closed convex set?
 
-    Checked by exact mutual containment of the pruned generator sets in the
-    other hull's downward-convex closure.
+    Checked by exact mutual containment: every generator of each hull lies in
+    the other's downward-convex closure.  That closure is convex and
+    downward closed, so containing a hull's generators means containing the
+    hull, and the generators need no pruning first.
     """
     if sorted(first.state_space) != sorted(second.state_space):
         raise DimensionMismatch("hulls are defined over different state spaces")
     order = tuple(sorted(first.state_space))
-    gens_a = _prune_generators(first.generators, order)
-    gens_b = _prune_generators(second.generators, order)
-    vecs_a = [g.vector(order) for g in gens_a]
-    vecs_b = [g.vector(order) for g in gens_b]
+    vectors = _integer_vectors(first.generators + second.generators, order)
+    vecs_a = vectors[: len(first.generators)]
+    vecs_b = vectors[len(first.generators):]
     return all(in_downward_convex_hull(v, vecs_b) for v in vecs_a) and all(
         in_downward_convex_hull(v, vecs_a) for v in vecs_b
     )

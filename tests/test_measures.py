@@ -307,6 +307,23 @@ class TestHullEqual:
             for b in (base, with_mid, with_low):
                 assert hull_equal(a, b)
 
+    def test_unpruned_hull_equals_its_pruned_twin(self):
+        # hull_equal compares generator sets as given, without pruning them
+        states = ("x", "y", "z")
+        p = Measure({"x": F(1, 2), "y": F(1, 2), "z": 0})
+        q = Measure({"x": 0, "y": F(1, 2), "z": F(1, 2)})
+        mid = Measure({"x": F(1, 4), "y": F(1, 2), "z": F(1, 4)})
+        wset = WeightedMeasureSet([(p, 1), (q, 1), (mid, F(1, 2)), (mid, F(3, 4))], states)
+        raw = [SubProbabilityVector({s: w * m[s] for s in states}) for m, w in wset.entries]
+        unpruned = RegularHull(raw, states)
+        pruned = to_hull(wset)
+        assert len(pruned.generators) < len(unpruned.generators)
+        assert hull_equal(unpruned, pruned)
+        assert hull_equal(pruned, unpruned)
+        grown = RegularHull(raw + [spv(x=0, y=0, z=1)], states)
+        assert not hull_equal(grown, pruned)
+        assert not hull_equal(pruned, grown)
+
     def test_dimension_mismatch(self, delivery_wset):
         hull = to_hull(delivery_wset)
         other = RegularHull([spv(x=1, y=0)], ("x", "y"))
