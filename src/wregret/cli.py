@@ -222,10 +222,10 @@ def _cmd_simulate(args) -> int:
         sys.stdout.write(summary.to_csv())
         return 0
     for seed in seeds:  # each seed's rows are written as soon as it is simulated
-        header, *rows = simulate(model, prior, probe, args.rounds, seed).to_csv().splitlines()
+        trajectory = simulate(model, prior, probe, args.rounds, seed)
         if seed == seeds[0]:
-            sys.stdout.write(f"seed,{header}\n")
-        sys.stdout.write("".join(f"{seed},{row}\n" for row in rows))
+            sys.stdout.write(f"seed,{trajectory.csv_header()}\n")
+        sys.stdout.write("".join(trajectory.csv_lines(f"{seed},")))
     return 0
 
 

@@ -7,7 +7,12 @@ coincides with a single update on the full history event, so the worst-case
 weighted regret ranking of a probe menu converges to the expected-utility
 ranking under the true hypothesis as its weight approaches one.  Likelihood
 products are accumulated in log space (500-round products underflow);
-everything outside the simulation loop stays exact.
+everything outside the simulation loop stays exact.  A probe's float tables
+(expected regret per act, expected-utility groups) are built from the exact
+scores once per `Probe` and hypothesis; a run builds its draw thresholds and
+per-outcome log-likelihoods once, and each round then does only float
+arithmetic and regroups the acts only when its scores break the previous
+round's ranking.
 
 `es_update` implements the threshold alternative: condition every measure,
 then eliminate those whose relative likelihood does not exceed a cutoff.
@@ -17,10 +22,15 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from itertools import accumulate
 from math import comb
-from typing import Iterable, Mapping, Sequence
+from operator import add, mul
+from types import MappingProxyType
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .decisions import Menu, PreferenceOracle, UtilitySpec, group_ties
 from .errors import AllEliminated
@@ -28,6 +38,7 @@ from .measures import EventLike, Measure, as_event
 from .rational import format_rational
 
 RNG_ALGORITHM = "mt19937"  # CPython's random.Random core generator
+_NEG_INF = float("-inf")
 
 
 @dataclass(frozen=True)
@@ -42,9 +53,17 @@ class ObservationModel:
         if self.truth not in self.likelihoods:
             raise ValueError(f"truth {self.truth!r} is not a hypothesis")
         alphabet = set(self.outcomes)
+        if len(alphabet) != len(self.outcomes):
+            repeated = next(o for o in self.outcomes if self.outcomes.count(o) > 1)
+            raise ValueError(f"outcome {repeated!r} is listed twice")
         for hyp, dist in self.likelihoods.items():
             if set(dist) != alphabet:
                 raise ValueError(f"hypothesis {hyp!r} uses a different outcome alphabet")
+            for outcome in self.outcomes:
+                if Fraction(dist[outcome]) < 0:
+                    raise ValueError(
+                        f"hypothesis {hyp!r} gives outcome {outcome!r} a negative likelihood"
+                    )
             total = sum((Fraction(p) for p in dist.values()), Fraction(0))
             if total != 1:
                 raise ValueError(
@@ -56,99 +75,133 @@ class ObservationModel:
         return tuple(sorted(self.likelihoods))
 
 
+Groups = tuple[tuple[str, ...], ...]
+
+
 @dataclass(frozen=True)
 class Probe:
-    """A decision problem re-ranked every round under the evolving weights."""
+    """A decision problem re-ranked every round under the evolving weights.
+
+    Its float tables are built from the exact scores of one hypothesis at a
+    time, on first use, and kept for every later run; `measures` is copied
+    read-only, so the tables cannot go stale.
+    """
 
     menu: Menu
     utility: UtilitySpec
     measures: Mapping[str, Measure]  # hypothesis -> state-level measure
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "measures", MappingProxyType(dict(self.measures)))
+
+    @cached_property
+    def acts(self) -> tuple[str, ...]:
+        """The act names, sorted: the act order of every float table."""
+        return tuple(sorted(act.name for act in self.menu))
+
+    @cached_property
+    def _expected_regret(self) -> dict[str, tuple[float, ...]]:
+        return {}  # hypothesis -> one float per act, filled by `regret_rows`
+
+    @cached_property
+    def _seu_groups(self) -> dict[str, Groups]:
+        return {}  # hypothesis -> acts by float expected utility, filled by `seu_groups`
+
+    def _exact_scores(self, rule: str, belief) -> dict[str, Fraction]:
+        oracle = PreferenceOracle(rule, belief, self.utility, self.menu.state_space)
+        return oracle.scores(oracle.alternatives(self.menu))
+
+    def regret_rows(self, hypotheses: Sequence[str]) -> tuple[tuple[float, ...], ...]:
+        """Each act's float expected regrets under `hypotheses`, in `acts` order."""
+        columns = self._expected_regret
+        for h in hypotheses:
+            if h not in columns:
+                # mer under a single measure is the expected regret under it
+                exact = self._exact_scores("mer", (self.measures[h],))
+                columns[h] = tuple(float(exact[name]) for name in self.acts)
+        return tuple(zip(*[columns[h] for h in hypotheses]))
+
+    def seu_groups(self, hypothesis: str) -> Groups:
+        """The acts grouped by float expected utility under `hypothesis`, best first."""
+        groups = self._seu_groups.get(hypothesis)
+        if groups is None:
+            exact = self._exact_scores("seu", self.measures[hypothesis])
+            scores = {name: float(s) for name, s in exact.items()}
+            groups = self._seu_groups[hypothesis] = group_ties(scores, lower_is_better=False)
+        return groups
 
 
 @dataclass(frozen=True)
 class TrajectoryRow:
     round: int
     weights: dict[str, float]
-    mwer_groups: tuple[tuple[str, ...], ...]
+    mwer_groups: Groups
     matches_truth_seu: bool
     outcome: str | None = None  # the observation that produced this row
 
 
 @dataclass(frozen=True)
 class Trajectory:
+    """One seed's run, kept by round in columns; `rows` builds one
+    `TrajectoryRow` per round from them on first use."""
+
     seed: int
     rounds: int
     rng_algorithm: str
     truth: str
     hypotheses: tuple[str, ...]
-    truth_seu_groups: tuple[tuple[str, ...], ...]
-    rows: tuple[TrajectoryRow, ...]
+    truth_seu_groups: Groups
+    weights: tuple[tuple[float, ...], ...]  # per round, in `hypotheses` order
+    rankings: tuple[tuple[Groups, bool], ...]  # per round: mwer groups, matches_truth_seu
+    outcomes: tuple[str | None, ...]  # per round: the observation that produced it
+
+    @cached_property
+    def rows(self) -> tuple[TrajectoryRow, ...]:
+        hypotheses = self.hypotheses
+        columns = zip(self.weights, self.rankings, self.outcomes)
+        return tuple(
+            TrajectoryRow(i, dict(zip(hypotheses, weights)), groups, matches, outcome)
+            for i, (weights, (groups, matches), outcome) in enumerate(columns)
+        )
 
     def final_weights(self) -> dict[str, float]:
-        return dict(self.rows[-1].weights)
+        return dict(zip(self.hypotheses, self.weights[-1]))
+
+    def csv_header(self) -> str:
+        weights = [f"weight_{h}" for h in self.hypotheses]
+        return ",".join(["round", *weights, "mwer_ranking", "matches_truth_seu"])
+
+    def csv_lines(self, prefix: str = "") -> Iterator[str]:
+        """Each row as one CSV line ending in a newline, led by `prefix`."""
+        line = "%s%d," + "%.12g," * len(self.hypotheses) + "%s,%d\n"
+        texts: dict[Groups, str] = {}  # a run has few rankings; join each text once
+        columns = zip(self.weights, self.rankings)
+        for round_index, (weights, (groups, matches)) in enumerate(columns):
+            text = texts.get(groups)
+            if text is None:
+                text = texts[groups] = ">".join("|".join(group) for group in groups)
+            yield line % (prefix, round_index, *weights, text, matches)
 
     def to_csv(self) -> str:
-        header = ["round"] + [f"weight_{h}" for h in self.hypotheses] + [
-            "mwer_ranking", "matches_truth_seu",
-        ]
-        lines = [",".join(header)]
-        for row in self.rows:
-            ranking = ">".join("|".join(group) for group in row.mwer_groups)
-            cells = [str(row.round)]
-            cells += [f"{row.weights[h]:.12g}" for h in self.hypotheses]
-            cells += [ranking, str(int(row.matches_truth_seu))]
-            lines.append(",".join(cells))
-        return "\n".join(lines) + "\n"
+        return f"{self.csv_header()}\n" + "".join(self.csv_lines())
 
 
-def _exact_scores(rule: str, belief, probe: Probe) -> dict[str, Fraction]:
-    """The rule's exact score of every probe act."""
-    oracle = PreferenceOracle(rule, belief, probe.utility, probe.menu.state_space)
-    return oracle.scores(oracle.alternatives(probe.menu))
+def _scores(regret_rows, weights: Sequence[float]) -> list[float]:
+    """Each act's worst weighted expected regret."""
+    return [max(map(mul, weights, regrets)) for regrets in regret_rows]
 
 
-class _ProbeTable:
-    """Precomputed per-act expected regrets per hypothesis (floats for speed)."""
+def _keeps_ranking(scores: Sequence[float], steps: Iterable[tuple[int, int, bool]]) -> bool:
+    """Whether `scores` rank the acts as the ones `steps` was taken from did.
 
-    def __init__(self, probe: Probe, hypotheses: Sequence[str]):
-        self.hypotheses = tuple(hypotheses)
-        # mer under a single measure is the expected regret under it
-        by_hypothesis = {h: _exact_scores("mer", (probe.measures[h],), probe) for h in hypotheses}
-        self.expected_regret = {
-            act.name: {h: float(by_hypothesis[h][act.name]) for h in self.hypotheses}
-            for act in probe.menu
-        }
-
-    def mwer_groups(self, weights: Mapping[str, float]) -> tuple[tuple[str, ...], ...]:
-        scores = {
-            name: max(weights[h] * er[h] for h in self.hypotheses)
-            for name, er in self.expected_regret.items()
-        }
-        return group_ties(scores, lower_is_better=True)
-
-
-def _truth_seu_groups(probe: Probe, truth: str) -> tuple[tuple[str, ...], ...]:
-    scores = _exact_scores("seu", probe.measures[truth], probe)
-    return group_ties({name: float(s) for name, s in scores.items()}, lower_is_better=False)
-
-
-def _draw(rng: random.Random, model: ObservationModel) -> str:
-    r = rng.random()
-    acc = 0.0
-    dist = model.likelihoods[model.truth]
-    for outcome in model.outcomes:
-        acc += float(dist[outcome])
-        if r < acc:
-            return outcome
-    return model.outcomes[-1]
-
-
-def _normalized_weights(log_weights: Mapping[str, float]) -> dict[str, float]:
-    top = max(log_weights.values())
-    return {
-        h: (math.exp(lw - top) if lw != float("-inf") else 0.0)
-        for h, lw in log_weights.items()
-    }
+    `steps` pairs each act with the next one in that ranking, flagged when the
+    two were tied; `group_ties` reads nothing of the scores but their order
+    and ties, so scores that keep every step give the same groups.
+    """
+    for i, j, tied in steps:
+        if (scores[i] != scores[j]) if tied else (scores[i] >= scores[j]):
+            return False
+    return True
 
 
 def simulate(
@@ -162,40 +215,59 @@ def simulate(
 
     Row 0 records the prior state before any observation.  Weights follow the
     multiplicative likelihood update with per-round renormalization, which
-    for an i.i.d. model equals a single update on the whole history.
+    for an i.i.d. model equals a single update on the whole history.  Every
+    table the rounds read is built before the first one.  A round whose
+    scores keep the previous round's ranking (equal within each group,
+    strictly increasing from group to group) keeps it, checked in one
+    comparison per adjacent pair of acts; `group_ties` runs only when the
+    ranking changes.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
     hypotheses = model.hypotheses
     if set(prior) != set(hypotheses):
         raise ValueError("prior weights must cover exactly the model's hypotheses")
-    weights = [float(w) for w in prior.values()]
-    if min(weights) < 0 or max(weights) != 1.0:
+    given = [float(w) for w in prior.values()]
+    if min(given) < 0 or max(given) != 1.0:
         raise ValueError("prior weights must be normalized: in [0, 1], with maximum weight 1")
-    table = _ProbeTable(probe, hypotheses)
-    truth_groups = _truth_seu_groups(probe, model.truth)
-    rng = random.Random(seed)
-
-    log_weights = {
-        h: (math.log(float(prior[h])) if float(prior[h]) > 0 else float("-inf"))
-        for h in hypotheses
-    }
-    rows = []
-
-    def record(round_index: int, outcome: str | None) -> None:
-        weights = _normalized_weights(log_weights)
-        groups = table.mwer_groups(weights)
-        rows.append(
-            TrajectoryRow(round_index, weights, groups, groups == truth_groups, outcome)
+    acts = probe.acts
+    regret_rows = probe.regret_rows(hypotheses)
+    truth_groups = probe.seu_groups(model.truth)
+    truth = model.likelihoods[model.truth]
+    # a draw r falls on the first outcome whose cumulative probability exceeds
+    # it; float rounding can leave r above the sum, and then it falls on the
+    # last outcome the truth can produce
+    thresholds = tuple(accumulate(float(truth[o]) for o in model.outcomes))
+    landing = (*model.outcomes, [o for o in model.outcomes if truth[o] > 0][-1])
+    log_likelihoods = {
+        o: tuple(
+            math.log(p) if (p := float(model.likelihoods[h][o])) > 0 else _NEG_INF
+            for h in hypotheses
         )
-
-    record(0, None)
-    for round_index in range(1, rounds + 1):
-        outcome = _draw(rng, model)
-        for h in hypotheses:
-            p = float(model.likelihoods[h][outcome])
-            log_weights[h] = log_weights[h] + math.log(p) if p > 0 else float("-inf")
-        record(round_index, outcome)
+        for o in model.outcomes
+    }
+    log_weights = [math.log(p) if (p := float(prior[h])) > 0 else _NEG_INF for h in hypotheses]
+    random_draw = random.Random(seed).random
+    exp = math.exp
+    position = {name: i for i, name in enumerate(acts)}
+    ranking, steps = None, ()
+    weight_column, ranking_column, outcome_column = [], [], []
+    outcome = None
+    for round_index in range(rounds + 1):
+        if round_index:
+            outcome = landing[bisect_right(thresholds, random_draw())]
+            log_weights = list(map(add, log_weights, log_likelihoods[outcome]))
+        top = max(log_weights)
+        weights = tuple([exp(lw - top) if lw != _NEG_INF else 0.0 for lw in log_weights])
+        scores = _scores(regret_rows, weights)
+        if ranking is None or not _keeps_ranking(scores, steps):
+            groups = group_ties(dict(zip(acts, scores)), lower_is_better=True)
+            ranking = (groups, groups == truth_groups)
+            order = [position[name] for group in groups for name in group]
+            steps = tuple((i, j, scores[i] == scores[j]) for i, j in zip(order, order[1:]))
+        weight_column.append(weights)
+        ranking_column.append(ranking)
+        outcome_column.append(outcome)
     return Trajectory(
         seed=seed,
         rounds=rounds,
@@ -203,7 +275,9 @@ def simulate(
         truth=model.truth,
         hypotheses=hypotheses,
         truth_seu_groups=truth_groups,
-        rows=tuple(rows),
+        weights=tuple(weight_column),
+        rankings=tuple(ranking_column),
+        outcomes=tuple(outcome_column),
     )
 
 
@@ -302,24 +376,36 @@ def compare_updaters(
     if not seeds:
         raise ValueError("at least one seed is needed")
     hypotheses = model.hypotheses
-    table = _ProbeTable(probe, hypotheses)
+    regret_rows = probe.regret_rows(hypotheses)
+    acts = probe.acts
     thr = float(threshold)
+    # mer over the kept hypotheses is mwer with 0/1 weights, since a dropped
+    # one's zero term never exceeds a nonnegative expected regret; both
+    # rankings depend only on which hypotheses are kept, so each kept set is
+    # ranked once, under a key no dearer to build than its 0/1 weights
+    kept_groups: dict[tuple[bool, ...], Groups] = {}
+
+    def groups_keeping(kept: tuple[bool, ...]) -> Groups:
+        groups = kept_groups.get(kept)
+        if groups is None:
+            scores = _scores(regret_rows, [float(k) for k in kept])
+            groups = kept_groups[kept] = group_ties(dict(zip(acts, scores)), lower_is_better=True)
+        return groups
+
     counts = [[0, 0, 0, 0] for _ in range(rounds + 1)]
     for seed in seeds:
         trajectory = simulate(model, prior, probe, rounds, seed)
-        for row in trajectory.rows:
-            mwer_groups = row.mwer_groups
-            # mer over the kept hypotheses is mwer with 0/1 weights, since a
-            # dropped one's zero term never exceeds a nonnegative expected regret
-            mer_groups = table.mwer_groups({h: float(w > 0) for h, w in row.weights.items()})
-            es_groups = table.mwer_groups({h: float(w > thr) for h, w in row.weights.items()})
+        columns = zip(counts, trajectory.weights, trajectory.rankings)
+        for count, weights, (mwer_groups, _) in columns:
+            mer_groups = groups_keeping(tuple([w > 0 for w in weights]))
+            es_groups = groups_keeping(tuple([w > thr for w in weights]))
             a = mwer_groups == mer_groups
             b = mwer_groups == es_groups
             c = mer_groups == es_groups
-            counts[row.round][0] += a
-            counts[row.round][1] += b
-            counts[row.round][2] += c
-            counts[row.round][3] += a and b and c
+            count[0] += a
+            count[1] += b
+            count[2] += c
+            count[3] += a and b and c
     total = len(seeds)
     rows = tuple(
         ComparisonRow(

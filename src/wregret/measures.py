@@ -406,7 +406,8 @@ def hull_equal(first: RegularHull, second: RegularHull) -> bool:
     Checked by exact mutual containment: every generator of each hull lies in
     the other's downward-convex closure.  That closure is convex and
     downward closed, so containing a hull's generators means containing the
-    hull, and the generators need no pruning first.
+    hull, and the generators need no pruning first.  A generator that is
+    also one of the other hull's is contained without solving an LP.
     """
     if sorted(first.state_space) != sorted(second.state_space):
         raise DimensionMismatch("hulls are defined over different state spaces")
@@ -414,9 +415,12 @@ def hull_equal(first: RegularHull, second: RegularHull) -> bool:
     vectors = _integer_vectors(first.generators + second.generators, order)
     vecs_a = vectors[: len(first.generators)]
     vecs_b = vectors[len(first.generators):]
-    return all(in_downward_convex_hull(v, vecs_b) for v in vecs_a) and all(
-        in_downward_convex_hull(v, vecs_a) for v in vecs_b
-    )
+
+    def contained(vecs: list[list[int]], hull: list[list[int]]) -> bool:
+        members = {tuple(v) for v in hull}
+        return all(tuple(v) in members or in_downward_convex_hull(v, hull) for v in vecs)
+
+    return contained(vecs_a, vecs_b) and contained(vecs_b, vecs_a)
 
 
 def worst_weighted_regret_oracle(

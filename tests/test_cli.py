@@ -251,6 +251,30 @@ class TestSimulateCommand:
         assert code == 0
         assert hashlib.sha1(out.encode()).hexdigest() == "27faa17e2d59c6e2c56b6f57720a2b8cea0777ce"
 
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (
+                ("--truth", "coin", "--rounds", "500", "--seeds", "50", "--seed", "11",
+                 "--es-threshold", "1/2"),
+                "5da4ed6a2700a9b260e66c82ddeea752e58e8bb6",
+            ),
+            (
+                ("--truth", "mostly_good", "--rounds", "300", "--seeds", "20", "--seed", "2",
+                 "--es-threshold", "1/3"),
+                "3debd5fe77ca49078a69d786cdc98b05b6b6313e",
+            ),
+            (
+                ("--truth", "coin", "--rounds", "500", "--seeds", "100", "--seed", "0"),
+                "bc32525b0af536b36c40fd20063e81656e86ce72",
+            ),
+        ],
+    )
+    def test_trajectories_and_comparisons_are_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "simulate", LEARNING, *argv)
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == digest
+
     def test_simulate_deterministic(self, capsys):
         argv = (
             "simulate", LEARNING, "--truth", "mostly_good",

@@ -1,15 +1,19 @@
 """Weight dynamics under repeated observations and threshold updating."""
 
 import math
+import random
 import statistics
 from fractions import Fraction
 from math import comb
 
 import pytest
 
-from wregret import Event, Lottery, Measure, Menu, UtilitySpec
+import simulate_reference as reference
+from wregret import Event, Lottery, Measure, Menu, UtilitySpec, learning
 from wregret.decisions import Act
+from wregret.dsl import parse_problem
 from wregret.errors import AllEliminated
+from wregret.fixtures import fixture_text
 from wregret.learning import (
     ObservationModel,
     Probe,
@@ -119,6 +123,179 @@ class TestSimulate:
         lines = trajectory.to_csv().strip().split("\n")
         assert lines[0] == "round,weight_coin,weight_mostly_good,mwer_ranking,matches_truth_seu"
         assert len(lines) == 5  # header + rounds 0..3
+
+
+class TestObservationModel:
+    def test_repeated_outcome_is_rejected(self):
+        # a repeated outcome would be counted twice by the draw
+        with pytest.raises(ValueError, match="'good' is listed twice"):
+            ObservationModel(
+                ("good", "good", "bad"), {"h": {"good": F(1, 2), "bad": F(1, 2)}}, "h"
+            )
+
+    def test_negative_likelihood_is_rejected(self):
+        with pytest.raises(ValueError, match="negative likelihood"):
+            ObservationModel(
+                ("good", "bad"), {"h": {"good": F(3, 2), "bad": F(-1, 2)}}, "h"
+            )
+
+    def test_rounding_fallback_draws_an_outcome_the_truth_can_produce(self, monkeypatch):
+        # 7/10 + 2/10 + 1/10 sums to the largest float below 1.0 in floats, so
+        # a draw of that float is not below any threshold; it must not land
+        # on "never", which the truth gives probability zero
+        assert 0.7 + 0.2 + 0.1 == math.nextafter(1.0, 0.0)
+
+        class TopDraw(random.Random):
+            def random(self):
+                return math.nextafter(1.0, 0.0)
+
+        monkeypatch.setattr(learning.random, "Random", TopDraw)
+        dist = {"a": F(7, 10), "b": F(2, 10), "c": F(1, 10), "never": 0}
+        model = ObservationModel(("a", "b", "c", "never"), {"h": dist}, "h")
+        u = UtilitySpec({"hi": 1, "lo": 0})
+        act = Act("only", {o: Lottery({"hi": 1}) for o in dist})
+        probe = Probe(Menu([act]), u, {"h": Measure(dist)})
+        trajectory = simulate(model, {"h": 1}, probe, 3, seed=0)
+        assert [row.outcome for row in trajectory.rows[1:]] == ["c", "c", "c"]
+        assert [row.weights for row in trajectory.rows] == [{"h": 1.0}] * 4
+
+
+class TestProbeTables:
+    def test_tables_are_built_once_per_probe(self, monkeypatch):
+        built = []
+        original = learning.PreferenceOracle
+
+        def counting_oracle(*args, **kwargs):
+            built.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(learning, "PreferenceOracle", counting_oracle)
+        model, probe, prior = binary_ingredients()
+        for seed in range(5):
+            simulate(model, prior, probe, 10, seed)
+        compare_updaters(model, prior, probe, 10, range(3), F(1, 2))
+        # expected regret under each of the two hypotheses, expected utility
+        # under the truth only
+        assert sorted(built) == ["mer", "mer", "seu"]
+
+    def test_measures_outside_the_model_are_not_scored(self):
+        # a measure the model has no hypothesis for is never read, even one
+        # over states the menu does not use
+        model, probe, prior = binary_ingredients()
+        stray = Measure({"elsewhere": 1})
+        wider = Probe(probe.menu, probe.utility, {**probe.measures, "stray": stray})
+        assert simulate(model, prior, wider, 40, seed=3) == simulate(model, prior, probe, 40, seed=3)
+        assert compare_updaters(model, prior, wider, 40, range(4)) == compare_updaters(
+            model, prior, probe, 40, range(4)
+        )
+
+    def test_measures_are_a_read_only_copy(self):
+        model, probe, prior = binary_ingredients()
+        measures = dict(probe.measures)
+        probe = Probe(probe.menu, probe.utility, measures)
+        before = simulate(model, prior, probe, 30, seed=4)
+        measures["coin"] = measures["mostly_good"]
+        with pytest.raises(TypeError):
+            probe.measures["coin"] = measures["mostly_good"]
+        assert simulate(model, prior, probe, 30, seed=4) == before
+
+
+def _learning_fixture(truth: str):
+    doc = parse_problem(fixture_text("learning.dp"))
+    model = ObservationModel(
+        tuple(doc.states),
+        {name: dict(m.items()) for name, (m, _) in doc.hypotheses.items()},
+        truth,
+    )
+    probe = Probe(doc.menus["probe"], doc.utility, {n: m for n, (m, _) in doc.hypotheses.items()})
+    return model, probe, {name: w for name, (_, w) in doc.hypotheses.items()}
+
+
+def _mirror_case():
+    """Two acts whose expected regrets swap between two hypotheses: equal
+    prior weights tie them exactly, and any evidence orders them."""
+    u = UtilitySpec({"hi": 1, "lo": 0})
+    up = Act("up", {"x": Lottery({"hi": 1}), "y": Lottery({"lo": 1})})
+    down = Act("down", {"x": Lottery({"lo": 1}), "y": Lottery({"hi": 1})})
+    dists = {"h1": {"x": F(3, 4), "y": F(1, 4)}, "h2": {"x": F(1, 4), "y": F(3, 4)}}
+    model = ObservationModel(("x", "y"), dists, "h1")
+    probe = Probe(Menu([up, down]), u, {h: Measure(d) for h, d in dists.items()})
+    return model, probe, {"h1": 1, "h2": 1}
+
+
+def _random_case(rng: random.Random):
+    """2-4 hypotheses over 2-3 outcomes, some probabilities and prior weights
+    zero, and a probe of 2-5 acts, some identical up to their names."""
+    outcomes = ("o1", "o2", "o3")[: rng.choice((2, 3, 3))]
+    hypotheses = [f"h{i}" for i in range(rng.choice((2, 3, 4)))]
+    dists = {}
+    for h in hypotheses:
+        cuts = sorted(rng.randint(0, 8) for _ in range(len(outcomes) - 1))
+        parts = [b - a for a, b in zip([0, *cuts], [*cuts, 8])]
+        dists[h] = {o: F(p, 8) for o, p in zip(outcomes, parts)}
+    truth = rng.choice(hypotheses)
+    prior = {h: rng.choice((0, F(1, 3), F(1, 2), 1)) for h in hypotheses}
+    prior[rng.choice(hypotheses)] = 1
+    u = UtilitySpec({f"p{k}": rng.randint(-3, 3) for k in range(4)})
+    acts = []
+    for k in range(rng.choice((2, 3, 4))):
+        acts.append({o: f"p{rng.randrange(4)}" for o in outcomes})
+        if rng.random() < 0.4:
+            acts.append(dict(acts[-1]))  # an identical act: an exact tie
+    menu = Menu(
+        [Act(f"a{k}", {o: Lottery({p: 1}) for o, p in act.items()}) for k, act in enumerate(acts)]
+    )
+    model = ObservationModel(outcomes, dists, truth)
+    return model, Probe(menu, u, {h: Measure(d) for h, d in dists.items()}), prior
+
+
+def _corpus():
+    cases = [_learning_fixture("mostly_good"), _learning_fixture("coin"), _mirror_case()]
+    rng = random.Random(909)
+    cases += [_random_case(rng) for _ in range(24)]
+    return cases
+
+
+def _fields(row) -> tuple:
+    return (row.round, row.weights, row.mwer_groups, row.matches_truth_seu, row.outcome)
+
+
+class TestAgainstReference:
+    """The simulator against the plain per-round loop in `simulate_reference`."""
+
+    CORPUS = _corpus()
+
+    def test_corpus_covers_the_hard_cases(self):
+        models = [model for model, _, _ in self.CORPUS]
+        probes = [probe for _, probe, _ in self.CORPUS]
+        assert any(len(m.hypotheses) >= 3 and len(m.outcomes) == 3 for m in models)
+        assert any(0 in d.values() for m in models for d in m.likelihoods.values())
+        assert any(0 in prior.values() for _, _, prior in self.CORPUS)
+        assert any(len(p.menu) >= 3 for p in probes)
+        assert any(
+            len({tuple(a.utility_profile(p.utility).values()) for a in p.menu}) < len(p.menu)
+            for p in probes
+        )
+
+    @pytest.mark.parametrize("case", range(len(CORPUS)))
+    def test_rows_are_identical(self, case):
+        model, probe, prior = self.CORPUS[case]
+        for seed in range(3):
+            got = simulate(model, prior, probe, 120, seed)
+            want = reference.simulate(model, prior, probe, 120, seed)
+            assert [_fields(row) for row in got.rows] == [_fields(row) for row in want]
+            assert got.truth_seu_groups == reference._truth_seu_groups(probe, model.truth)
+
+    @pytest.mark.parametrize("case", range(len(CORPUS)))
+    def test_comparison_summaries_are_identical(self, case):
+        model, probe, prior = self.CORPUS[case]
+        for threshold in (F(1, 10), F(1, 3), F(1, 2), F(9, 10)):
+            got = compare_updaters(model, prior, probe, 60, range(4), threshold)
+            want = reference.compare_updaters(model, prior, probe, 60, range(4), threshold)
+            assert [
+                (r.round, r.agree_mwer_mer, r.agree_mwer_es, r.agree_mer_es, r.agree_all)
+                for r in got.rows
+            ] == want
 
 
 class TestCupcakeWeight:

@@ -324,6 +324,19 @@ class TestHullEqual:
         assert not hull_equal(grown, pruned)
         assert not hull_equal(pruned, grown)
 
+    def test_shared_generators_need_no_lp(self, monkeypatch):
+        # a generator that is also one of the other hull's is contained in it
+        # without a membership LP; only the extra generator needs one
+        from wregret import linfeas
+
+        hull = to_hull(random_wset(random.Random(21), ("x", "y", "z"), 6))
+        calls = []
+        solve = linfeas.solve_nonneg
+        monkeypatch.setattr(linfeas, "solve_nonneg", lambda *a: calls.append(1) or solve(*a))
+        assert hull_equal(hull, hull) and calls == []
+        grown = RegularHull([*hull.generators, spv(x=0, y=0, z=0)], hull.state_space)
+        assert hull_equal(hull, grown) and len(calls) == 1
+
     def test_dimension_mismatch(self, delivery_wset):
         hull = to_hull(delivery_wset)
         other = RegularHull([spv(x=1, y=0)], ("x", "y"))
