@@ -39,9 +39,9 @@ from .decisions import (
     PreferenceOracle,
     Profile,
     UtilitySpec,
+    belief_for,
     mixture_name,
     per_state_best,
-    rule_named,
 )
 from .errors import DimensionMismatch, UnknownAxiom
 from .measures import (
@@ -872,12 +872,7 @@ class BeliefFixtures:
 
     def oracle(self, rule: str) -> PreferenceOracle:
         """The rule's oracle, with the belief of the kind the rule takes."""
-        belief = {
-            None: None,
-            "measure": self.measures[0],
-            "measures": self.measures,
-            "weighted": self.weighted,
-        }[rule_named(rule).belief]
+        belief = belief_for(rule, lambda: self.measures[0], lambda: self.measures, lambda: self.weighted)
         return PreferenceOracle(rule, belief, self.utility, self.state_space)
 
 

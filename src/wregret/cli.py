@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from .axioms import (
@@ -26,7 +25,7 @@ from .dynamics import evaluate_tree
 from .errors import DomainError, ParseError
 from .learning import ObservationModel, Probe, compare_updaters, simulate
 from .measures import likelihood_update
-from .decisions import RULES, rank
+from .decisions import RULES, belief_for, rank
 from .rational import parse_rational
 
 
@@ -42,12 +41,19 @@ class _ArgumentParser(argparse.ArgumentParser):
 def _read(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
 
 
 def _load_doc(path: str) -> ProblemDoc:
     return parse_problem(_read(path))
+
+
+def _with_hypotheses(doc: ProblemDoc) -> ProblemDoc:
+    """The document, checked to declare the hypotheses a belief is made of."""
+    if not doc.hypotheses:
+        raise UsageError("the document declares no hypotheses")
+    return doc
 
 
 def _lookup(table, name: str, what: str):
@@ -58,17 +64,15 @@ def _lookup(table, name: str, what: str):
 
 
 def _belief_for(doc: ProblemDoc, rule: str, measure_name: str | None):
-    kind = RULES[rule].belief
-    if kind is None:
-        return None
-    if not doc.hypotheses:
-        raise UsageError("the document declares no hypotheses")
-    if kind == "measure":
+    def named():
+        hypotheses = _with_hypotheses(doc).hypotheses
         if measure_name is None:
             raise UsageError(f"--rule {rule} requires --measure NAME")
-        measure, _ = _lookup(doc.hypotheses, measure_name, "hypothesis")
-        return measure
-    return doc.weighted_set() if kind == "weighted" else doc.measures()
+        return _lookup(hypotheses, measure_name, "hypothesis")[0]
+
+    return belief_for(
+        rule, named, lambda: _with_hypotheses(doc).measures(), lambda: _with_hypotheses(doc).weighted_set()
+    )
 
 
 def _cmd_eval(args) -> int:
@@ -86,20 +90,14 @@ def _cmd_eval(args) -> int:
 def _cmd_update(args) -> int:
     doc = _load_doc(args.file)
     event = _lookup(doc.events, args.event, "event")
-    wset = doc.weighted_set()
-    updated = likelihood_update(wset, event)
+    updated = likelihood_update(_with_hypotheses(doc).weighted_set(), event)
     # label each conditioned measure by the hypotheses that condition to it
     contributors: dict = {}
-    for name in sorted(doc.hypotheses):
-        measure, _ = doc.hypotheses[name]
+    for name, (measure, _) in sorted(doc.hypotheses.items()):
         if measure.event_prob(event) > 0:
-            conditioned = measure.condition(event)
-            contributors.setdefault(conditioned, []).append(name)
-    names = {
-        "+".join(sorted(who)): (measure, Fraction(0))
-        for measure, who in contributors.items()
-    }
-    sys.stdout.write(serialize_weighted_set(updated, names))
+            contributors.setdefault(measure.condition(event), []).append(name)
+    labels = {measure: "+".join(who) for measure, who in contributors.items()}
+    sys.stdout.write(serialize_weighted_set(updated, labels))
     return 0
 
 
@@ -158,7 +156,7 @@ def _cmd_tree(args) -> int:
     doc = _load_doc(args.file)
     tree = parse_tree(_read(args.treefile), doc)
     evaluation = evaluate_tree(
-        tree, doc.utility, doc.weighted_set(),
+        tree, doc.utility, _with_hypotheses(doc).weighted_set(),
         planning=args.planning, menu_policy=args.menu_policy,
     )
     if args.format == "json":
@@ -194,9 +192,7 @@ def _cmd_simulate(args) -> int:
         if not 0 < threshold < 1:
             raise UsageError("--es-threshold must lie strictly between 0 and 1")
     doc = _load_doc(args.file)
-    if not doc.hypotheses:
-        raise UsageError("the document declares no hypotheses")
-    _lookup(doc.hypotheses, args.truth, "hypothesis")
+    _lookup(_with_hypotheses(doc).hypotheses, args.truth, "hypothesis")
     if args.menu is None:
         if len(doc.menus) != 1:
             raise UsageError("--menu NAME is required when the file defines several menus")

@@ -12,30 +12,31 @@ regret-family score menu-dependent.  Five rules are provided:
   mer    worst-case expected regret over a set of measures  (minimize)
   mwer   worst case of weight-scaled expected regrets       (minimize)
 
-`RULES` maps each name to its kernel, belief kind and orientation.  A
+`RULES` maps each name to its kernel, belief kind and orientation, and
+`belief_for` picks the belief of the kind a rule takes.  A
 `PreferenceOracle` binds a rule to a belief and is the one place where
-utility profiles become scores: it reads its belief once into integer
-entries (D, rows), puts each menu's profiles over the LCM L of their
-denominators, and runs a kernel that returns an int N whose score is
-N/(D*L), so no rounding is ever needed and a `Fraction` is built only for a
-score that is returned.  It scores `Alternative`s (a name and a profile),
-so `rank`, the per-act rules, the axiom checker, decision-tree plans and the
-simulator's probe table all score through it.  The rules share kernels (mer
-is mwer with every weight one), so their degeneration identities are tested
-against an independent re-derivation of the five rules kept in the tests.
+utility profiles become scores: with `rational.as_integers` it reads its
+belief once into integer entries (D, rows) and puts each menu's profiles
+over the LCM L of their denominators, and runs a kernel that returns an int
+N whose score is N/(D*L), so no rounding is ever needed and a `Fraction` is
+built only for a score that is returned.  It scores `Alternative`s (a name
+and a profile), so `rank`, the per-act rules, the axiom checker,
+decision-tree plans and the simulator's probe table all score through it.
+The rules share kernels (mer is mwer with every weight one), so their
+degeneration identities are tested against an independent re-derivation of
+the five rules kept in the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ActNotInMenu, BeliefKindMismatch, DimensionMismatch, UnknownPrize
 from .measures import Measure, WeightedMeasureSet
-from .rational import format_decimal, format_rational
+from .rational import as_integers, format_decimal, format_rational
 
 Rational = Union[Fraction, int, str]
 
@@ -53,10 +54,6 @@ class UtilitySpec:
         if len(set(utils.values())) < 2:
             raise ValueError("a utility table needs two prizes with distinct utilities")
         self._utils = utils
-
-    @property
-    def prizes(self) -> tuple[str, ...]:
-        return tuple(sorted(self._utils))
 
     def __getitem__(self, prize: str) -> Fraction:
         try:
@@ -292,14 +289,6 @@ Profile = tuple[Fraction, ...]
 IntProfile = tuple[int, ...]
 
 
-def _as_integers(profiles: Sequence[Profile]) -> tuple[int, list[IntProfile]]:
-    """The profiles over the LCM L of their denominators: (L, numerators)."""
-    common = lcm(*{v.denominator for profile in profiles for v in profile})
-    return common, [
-        tuple([v.numerator * (common // v.denominator) for v in profile]) for profile in profiles
-    ]
-
-
 def _worst_utility(x: IntProfile, best: IntProfile, rows: Sequence[IntProfile]) -> int:
     return min(sum(map(mul, row, x)) for row in rows)
 
@@ -342,6 +331,19 @@ def rule_named(rule: str) -> Rule:
         raise BeliefKindMismatch(f"unknown rule {rule!r}") from None
 
 
+def belief_for(
+    rule: str,
+    measure: Callable[[], Measure],
+    measures: Callable[[], Sequence[Measure]],
+    weighted: Callable[[], WeightedMeasureSet],
+) -> Belief:
+    """The belief of the kind the rule takes: None for a probability-free
+    rule, else what that kind's callable returns (the others are not called)."""
+    builders = {"measure": measure, "measures": measures, "weighted": weighted}
+    kind = rule_named(rule).belief
+    return None if kind is None else builders[kind]()
+
+
 def per_state_best(profiles: Iterable[Profile]) -> Profile:
     """The per-state maximum of a menu's profiles."""
     return tuple(map(max, zip(*profiles)))
@@ -377,7 +379,7 @@ def _belief_entries(
     states = tuple(sorted(state_space))
     if any(m.state_space != states for _, m in pairs):
         raise DimensionMismatch(f"the {rule} belief and the acts use different state spaces")
-    common, rows = _as_integers([[w * p for _, p in m.items()] for w, m in pairs])
+    common, rows = as_integers([[w * p for _, p in m.items()] for w, m in pairs])
     return states, common, tuple(rows)
 
 
@@ -420,7 +422,7 @@ class PreferenceOracle:
     def _over_menu(self, menu: Sequence[Alternative]) -> tuple[int, IntProfile, list[IntProfile]]:
         """The denominator D*L of every score in the menu, the menu's per-state
         best and its profiles, all as ints over the menu's denominator L."""
-        scale, profiles = _as_integers([a.profile for a in menu])
+        scale, profiles = as_integers([a.profile for a in menu])
         return self._common * scale, per_state_best(profiles), profiles
 
     def scores(self, menu: Sequence[Alternative]) -> dict[str, Fraction]:

@@ -31,13 +31,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .decisions import Act, Lottery, Menu, UtilitySpec
 from .dynamics import DecisionNode, DecisionTree, Leaf, NatureNode, TreeNode
 from .errors import ParseError
 from .measures import Event, Measure, WeightedMeasureSet
-from .rational import format_rational, parse_rational
+from .rational import format_map, format_rational, parse_rational
 
 MAX_TREE_DEPTH = 100  # nested decision and nature nodes; the walkers recurse per level
 
@@ -554,52 +554,36 @@ def serialize_problem(doc: ProblemDoc) -> str:
     by_value: dict[Lottery, str] = {}
     for name in sorted(doc.lotteries):
         by_value.setdefault(doc.lotteries[name], name)
-
-    def lottery_text(lottery: Lottery) -> str:
-        inner = ", ".join(f"{p}: {format_rational(v)}" for p, v in lottery.items())
-        return f"{{ {inner} }}"
-
-    for name in sorted(doc.lotteries):
-        lines.append(f"lottery {name} = {lottery_text(doc.lotteries[name])}")
+        lines.append(f"lottery {name} = {format_map(doc.lotteries[name].items())}")
     for name in sorted(doc.acts):
         act = doc.acts[name]
         parts = []
         for state in sorted(act.state_space):
             lottery = act[state]
             ref = by_value.get(lottery)
-            parts.append(f"{state}: {ref if ref is not None else lottery_text(lottery)}")
+            parts.append(f"{state}: {ref if ref is not None else format_map(lottery.items())}")
         lines.append(f"act {name} = {{ {', '.join(parts)} }}")
     for name in sorted(doc.menus):
         refs = ", ".join(sorted(a.name for a in doc.menus[name]))
         lines.append(f"menu {name} = [ {refs} ]")
-    for name in sorted(doc.hypotheses):
-        measure, weight = doc.hypotheses[name]
-        inner = ", ".join(f"{s}: {format_rational(p)}" for s, p in measure.items())
-        lines.append(f"hypothesis {name} weight {format_rational(weight)} = {{ {inner} }}")
+    lines += [_hypothesis_line(name, *doc.hypotheses[name]) for name in sorted(doc.hypotheses)]
     for name in sorted(doc.events):
         members = ", ".join(sorted(doc.events[name].members))
         lines.append(f"event {name} = {{ {members} }}")
     return "\n".join(lines) + "\n"
 
 
-def serialize_weighted_set(
-    wset: WeightedMeasureSet, names: dict[str, tuple[Measure, Fraction]] | None = None
-) -> str:
-    """Weighted set as hypothesis lines; optional name hints from a document."""
+def serialize_weighted_set(wset: WeightedMeasureSet, labels: Mapping[Measure, str]) -> str:
+    """The weighted set as a states line and one hypothesis line per entry,
+    each measure under its label, sorted by label."""
     lines = ["states: " + " ".join(sorted(wset.state_space))]
-    label_of: dict[Measure, str] = {}
-    if names:
-        for name in sorted(names):
-            measure, _ = names[name]
-            label_of.setdefault(measure, name)
-    entries = []
-    for i, (measure, weight) in enumerate(sorted(wset.entries, key=lambda mw: (mw[0].items(), mw[1]))):
-        label = label_of.get(measure, f"h{i}")
-        entries.append((label, measure, weight))
-    for label, measure, weight in sorted(entries):
-        inner = ", ".join(f"{s}: {format_rational(p)}" for s, p in measure.items())
-        lines.append(f"hypothesis {label} weight {format_rational(weight)} = {{ {inner} }}")
+    for measure, weight in sorted(wset.entries, key=lambda entry: labels[entry[0]]):
+        lines.append(_hypothesis_line(labels[measure], measure, weight))
     return "\n".join(lines) + "\n"
+
+
+def _hypothesis_line(name: str, measure: Measure, weight: Fraction) -> str:
+    return f"hypothesis {name} weight {format_rational(weight)} = {format_map(measure.items())}"
 
 
 # -- decision trees -----------------------------------------------------------------

@@ -2,22 +2,20 @@
 
 Small dense systems only (state spaces up to about a dozen states), solved by
 a textbook phase-1 simplex with Bland's rule.  The simplex is fraction-free
-(integer pivoting, Edmonds 1967; Bareiss 1968): the system is put over one
-common denominator, the tableau is kept as integers over one running
-divisor, and a `Fraction` is built only for an entry of a returned
-certificate.  The solver returns a certificate vector when the system is
-feasible, which the tests verify independently.
+(integer pivoting, Edmonds 1967; Bareiss 1968): `rational.as_integers` puts
+the system over one common denominator, the tableau is kept as integers
+over one running divisor, and a `Fraction` is built only for an entry of a
+returned certificate.  The solver returns a certificate vector when the
+system is feasible, which the tests verify independently.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from .errors import DimensionMismatch
-
-Rational = Union[Fraction, int]
+from .rational import Rational, as_integers
 
 ZERO = Fraction(0)
 
@@ -49,17 +47,16 @@ def solve_nonneg(a_eq: Sequence[Sequence[Rational]], b_eq: Sequence[Rational]) -
     n = len(a_eq[0])
     if any(len(row) != n for row in a_eq):
         raise DimensionMismatch("constraint rows differ in length")
-    scale = lcm(*{v.denominator for row in a_eq for v in row}, *{b.denominator for b in b_eq})
+    _, (*a_ints, b_ints) = as_integers([*a_eq, b_eq])
 
     # tableau columns: n structural + m artificial + 1 rhs
     width = n + m
     tableau: list[list[int]] = []
-    for i, (row, b) in enumerate(zip(a_eq, b_eq)):
+    for i, (row, b) in enumerate(zip(a_ints, b_ints)):
         sign = -1 if b < 0 else 1
-        ints = [sign * v.numerator * (scale // v.denominator) for v in row]
-        ints += [0] * m
+        ints = [sign * v for v in row] + [0] * m
         ints[n + i] = 1
-        ints.append(sign * b.numerator * (scale // b.denominator))
+        ints.append(sign * b)
         tableau.append(ints)
     basis = [n + i for i in range(m)]
 

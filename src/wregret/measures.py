@@ -6,13 +6,13 @@ on an event conditions each measure and rescales its weight by the relative
 likelihood of the event.  The same information can be viewed geometrically:
 each pair (Pr, w) spans the segment of sub-probability vectors from 0 to
 w*Pr, and the downward-closed convex hull of those segments is the canonical
-object behind worst-case weighted regret.  All arithmetic is exact.
+object behind worst-case weighted regret.  All arithmetic is exact, and the
+hull tests give the simplex the generators from `rational.as_integers`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -24,16 +24,12 @@ from .errors import (
     UndefinedUpdate,
 )
 from .linfeas import in_downward_convex_hull
-from .rational import format_rational
+from .rational import as_integers, format_map, format_rational
 
 Rational = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _as_fraction(value: Rational) -> Fraction:
-    return Fraction(value)
 
 
 class Event:
@@ -85,7 +81,7 @@ class Measure:
     __slots__ = ("_probs", "_items")
 
     def __init__(self, probs: Mapping[str, Rational]):
-        converted = {state: _as_fraction(p) for state, p in probs.items()}
+        converted = {state: Fraction(p) for state, p in probs.items()}
         for state, p in converted.items():
             if p < 0:
                 raise ValueError(f"negative probability {p} for state {state!r}")
@@ -155,7 +151,7 @@ class WeightedMeasureSet:
         entries: Iterable[tuple[Measure, Rational]],
         state_space: Sequence[str] | None = None,
     ):
-        entries = tuple((m, _as_fraction(w)) for m, w in entries)
+        entries = tuple((m, Fraction(w)) for m, w in entries)
         if not entries:
             raise EmptySet("a weighted measure set needs at least one entry")
         states = tuple(state_space) if state_space is not None else entries[0][0].state_space
@@ -179,17 +175,14 @@ class WeightedMeasureSet:
         return self._states
 
     def _canonical(self) -> tuple:
+        """Sorted (measure items, weight) pairs; the items fix the state set too."""
         return tuple(sorted(((m.items(), w) for m, w in self._entries)))
 
     def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, WeightedMeasureSet)
-            and self._states == other._states
-            and self._canonical() == other._canonical()
-        )
+        return isinstance(other, WeightedMeasureSet) and self._canonical() == other._canonical()
 
     def __hash__(self) -> int:
-        return hash((self._states, self._canonical()))
+        return hash(self._canonical())
 
     def __repr__(self) -> str:
         inner = ", ".join(f"({m!r}, {format_rational(w)})" for m, w in self._entries)
@@ -225,7 +218,7 @@ def likelihood_update(wset: WeightedMeasureSet, event: EventLike) -> WeightedMea
     The weight of a conditioned measure is the largest weight * Pr(event)
     among the entries that condition to it, divided by the set's upper
     likelihood of the event.  Measures giving the event probability zero are
-    dropped; the result is normalized.
+    dropped; the result is normalized as built (its largest weight is 1).
     """
     event = as_event(event)
     top = upper_likelihood(wset, event)
@@ -240,7 +233,7 @@ def likelihood_update(wset: WeightedMeasureSet, event: EventLike) -> WeightedMea
         candidate = weight * p_event / top
         if conditioned not in merged or merged[conditioned] < candidate:
             merged[conditioned] = candidate
-    return normalize(WeightedMeasureSet(tuple(merged.items()), wset.state_space))
+    return WeightedMeasureSet(tuple(merged.items()), wset.state_space)
 
 
 def sequential_update(
@@ -264,7 +257,7 @@ class SubProbabilityVector:
     __slots__ = ("_values", "_items")
 
     def __init__(self, values: Mapping[str, Rational]):
-        converted = {state: _as_fraction(v) for state, v in values.items()}
+        converted = {state: Fraction(v) for state, v in values.items()}
         for state, v in converted.items():
             if v < 0:
                 raise ValueError(f"negative mass {v} for state {state!r}")
@@ -287,9 +280,7 @@ class SubProbabilityVector:
         return sum(self._values.values(), ZERO)
 
     def dot(self, direction: Mapping[str, Rational]) -> Fraction:
-        return sum(
-            (self._values[s] * _as_fraction(direction[s]) for s in self._values), ZERO
-        )
+        return sum((self._values[s] * Fraction(direction[s]) for s in self._values), ZERO)
 
     def vector(self, order: Sequence[str]) -> list[Fraction]:
         return [self._values[s] for s in order]
@@ -344,29 +335,18 @@ class RegularHull:
         return f"RegularHull({len(self._generators)} generators over {self._states})"
 
 
-def _integer_vectors(
-    generators: Sequence[SubProbabilityVector], order: Sequence[str]
-) -> list[list[int]]:
-    """The generators as int vectors, all over the LCM of their denominators.
-
-    Hull membership is unchanged by scaling every vector by one positive
-    factor, so the simplex can take these in place of the Fractions.
-    """
-    vectors = [g.vector(order) for g in generators]
-    scale = lcm(*{v.denominator for vector in vectors for v in vector})
-    return [[v.numerator * (scale // v.denominator) for v in vector] for vector in vectors]
-
-
 def _prune_generators(
     generators: Sequence[SubProbabilityVector], order: Sequence[str]
 ) -> tuple[SubProbabilityVector, ...]:
     """Drop generators lying in the downward-convex hull of the others.
 
     Removing a dominated generator never shrinks the represented set, so
-    sequential pruning against the current survivors is sound.
+    sequential pruning against the current survivors is sound.  Hull
+    membership is unchanged by scaling every vector by one positive factor,
+    so the simplex gets the generators as ints over one denominator.
     """
     unique = sorted(set(generators), key=lambda g: g.items())
-    vectors = _integer_vectors(unique, order)
+    _, vectors = as_integers([g.vector(order) for g in unique])
     survivors = list(range(len(unique)))
     for i in range(len(unique)):
         others = [vectors[j] for j in survivors if j != i]
@@ -391,7 +371,7 @@ def support_value(hull: RegularHull, direction: Mapping[str, Rational]) -> Fract
     For nonnegative directions the maximum over the downward-convex closure
     is attained at a generator, so no optimization is needed.
     """
-    converted = {s: _as_fraction(v) for s, v in direction.items()}
+    converted = {s: Fraction(v) for s, v in direction.items()}
     if set(converted) != set(hull.state_space):
         raise DimensionMismatch("direction does not cover the hull's state space")
     for state, v in converted.items():
@@ -412,13 +392,13 @@ def hull_equal(first: RegularHull, second: RegularHull) -> bool:
     if sorted(first.state_space) != sorted(second.state_space):
         raise DimensionMismatch("hulls are defined over different state spaces")
     order = tuple(sorted(first.state_space))
-    vectors = _integer_vectors(first.generators + second.generators, order)
+    _, vectors = as_integers([g.vector(order) for g in first.generators + second.generators])
     vecs_a = vectors[: len(first.generators)]
     vecs_b = vectors[len(first.generators):]
 
-    def contained(vecs: list[list[int]], hull: list[list[int]]) -> bool:
-        members = {tuple(v) for v in hull}
-        return all(tuple(v) in members or in_downward_convex_hull(v, hull) for v in vecs)
+    def contained(vecs: list[tuple[int, ...]], hull: list[tuple[int, ...]]) -> bool:
+        members = set(hull)
+        return all(v in members or in_downward_convex_hull(v, hull) for v in vecs)
 
     return contained(vecs_a, vecs_b) and contained(vecs_b, vecs_a)
 
@@ -455,7 +435,7 @@ def recover_weights(
     """
     checked: list[dict[str, Fraction]] = []
     for direction in directions:
-        converted = {s: _as_fraction(v) for s, v in direction.items()}
+        converted = {s: Fraction(v) for s, v in direction.items()}
         for state, v in converted.items():
             if v > 0 or v < -1:
                 raise ValueError(
@@ -484,23 +464,8 @@ def recover_weights(
 
 # -- canonical serialization ---------------------------------------------------
 
-def measure_text(measure: Measure) -> str:
-    inner = ", ".join(f"{s}: {format_rational(p)}" for s, p in measure.items())
-    return f"{{ {inner} }}"
-
-
-def weighted_set_text(wset: WeightedMeasureSet) -> str:
-    """Byte-stable text form: states line plus one sorted line per entry."""
-    lines = ["states: " + " ".join(sorted(wset.state_space))]
-    entries = sorted(wset.entries, key=lambda mw: (mw[0].items(), mw[1]))
-    for measure, weight in entries:
-        lines.append(f"measure weight {format_rational(weight)} = {measure_text(measure)}")
-    return "\n".join(lines) + "\n"
-
-
 def hull_text(hull: RegularHull) -> str:
     lines = ["states: " + " ".join(sorted(hull.state_space))]
     for g in sorted(hull.generators, key=lambda g: g.items()):
-        inner = ", ".join(f"{s}: {format_rational(v)}" for s, v in g.items())
-        lines.append(f"generator = {{ {inner} }}")
+        lines.append(f"generator = {format_map(g.items())}")
     return "\n".join(lines) + "\n"

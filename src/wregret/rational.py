@@ -4,13 +4,19 @@ All arithmetic in the library uses fractions.Fraction.  Text formats accept
 `a/b`, decimals and plain integers; decimals convert exactly (a decimal with
 k digits after the point becomes an integer over 10**k).  Canonical output
 is always `numerator/denominator` in lowest terms so serialized documents
-are byte-stable.
+are byte-stable; `format_map` writes every `{ key: n/d, ... }` map.  The
+other form a rational leaves the core in is `as_integers`: rows over one
+common denominator as ints, for the rule kernels and the exact simplex.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import lcm
+from typing import Iterable, Sequence, Union
+
+Rational = Union[Fraction, int]
 
 _RATIONAL_RE = re.compile(
     r"""^[+-]?(
@@ -53,6 +59,19 @@ def format_rational(value: Fraction) -> str:
     """Canonical `numerator/denominator` form, denominator always present."""
     value = Fraction(value)
     return f"{value.numerator}/{value.denominator}"
+
+
+def format_map(items: Iterable[tuple[str, Fraction]]) -> str:
+    """Canonical `{ key: n/d, ... }` text of (key, rational) pairs, in order."""
+    return "{ " + ", ".join(f"{key}: {format_rational(v)}" for key, v in items) + " }"
+
+
+def as_integers(rows: Sequence[Sequence[Rational]]) -> tuple[int, list[tuple[int, ...]]]:
+    """The rows over the LCM D of all their entries' denominators: (D, rows
+    of ints), each int being its entry times D.  Entries are ints or
+    Fractions; rows may differ in length, and no rows at all gives D = 1."""
+    common = lcm(*{v.denominator for row in rows for v in row})
+    return common, [tuple([v.numerator * (common // v.denominator) for v in row]) for row in rows]
 
 
 DECIMAL_PLACES = 6

@@ -103,6 +103,38 @@ class TestParseFailures:
         code, _, err = run(capsys, "eval", DELIVERY, "--rule", "bogus", "--menu", "base")
         assert code == 3
 
+    def test_non_utf8_file_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "latin1.dp"
+        path.write_bytes(fixture_text("delivery.dp").encode() + "# caf\xe9\n".encode("latin-1"))
+        code, out, err = run(capsys, "eval", str(path), "--rule", "mer", "--menu", "base")
+        assert code == 3 and out == "" and err.startswith(f"usage error: cannot read {path}: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", "--rule", "mer", "--menu", "plans"),
+            ("eval", "--rule", "seu", "--menu", "plans", "--measure", "msg"),
+            ("update", "--event", "msg_only"),
+            ("tree", RESTAURANT_TREE),
+            ("simulate", "--truth", "msg"),
+        ],
+    )
+    def test_no_hypotheses_is_one_usage_error(self, tmp_path, capsys, argv):
+        text = "".join(
+            line for line in fixture_text("restaurant.dp").splitlines(keepends=True)
+            if not line.startswith("hypothesis")
+        )
+        path = tmp_path / "no_hypotheses.dp"
+        path.write_text(text)
+        code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+        assert (code, out, err) == (3, "", "usage error: the document declares no hypotheses\n")
+
+    def test_probability_free_rule_needs_no_hypotheses(self, tmp_path, capsys):
+        path = tmp_path / "no_hypotheses.dp"
+        path.write_text(fixture_text("delivery.dp").replace("hypothesis", "# hypothesis"))
+        code, out, _ = run(capsys, "eval", str(path), "--rule", "regret", "--menu", "base")
+        assert code == 0 and out.startswith("rank\tact\tscore\tdecimal\n")
+
 
 class TestAxiomsCommand:
     def test_single_axiom_all_rules(self, capsys):

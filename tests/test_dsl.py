@@ -7,11 +7,23 @@ from fractions import Fraction
 
 import pytest
 
-from wregret import rank, regret
-from wregret.dsl import MAX_TREE_DEPTH, ParseDiagnostic, parse_problem, parse_tree, serialize_problem
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wregret import likelihood_update, rank, regret, upper_likelihood
+from wregret.dsl import (
+    MAX_TREE_DEPTH,
+    ParseDiagnostic,
+    parse_problem,
+    parse_tree,
+    serialize_problem,
+    serialize_weighted_set,
+)
 from wregret.dynamics import DecisionNode, NatureNode, evaluate_tree
 from wregret.errors import DomainError, ParseError
 from wregret.fixtures import fixture_text
+
+from conftest import random_wset
 
 F = Fraction
 
@@ -140,6 +152,40 @@ class TestRoundTrip:
         doc = parse_problem(text)
         once = serialize_problem(doc)
         assert once == serialize_problem(parse_problem(once))
+
+
+def parses_back(wset) -> bool:
+    """Does the serialized set, each measure labelled h0, h1, ..., parse back to itself?"""
+    labels = {m: f"h{i}" for i, (m, _) in enumerate(wset.entries)}
+    return parse_problem(serialize_weighted_set(wset, labels)).weighted_set() == wset
+
+
+class TestSerializeWeightedSet:
+    def test_sorted_by_label_and_exact(self, delivery_wset):
+        one, ten = (m for m, _ in delivery_wset.entries)
+        text = serialize_weighted_set(delivery_wset, {one: "z_one", ten: "a_ten"})
+        assert text == (
+            "states: one_broken ten_broken\n"
+            "hypothesis a_ten weight 1/2 = { one_broken: 0/1, ten_broken: 1/1 }\n"
+            "hypothesis z_one weight 1/1 = { one_broken: 1/1, ten_broken: 0/1 }\n"
+        )
+
+    @pytest.mark.parametrize("name", FIXTURES)
+    def test_fixture_updates_parse_back(self, name):
+        doc = parse_problem(fixture_text(name))
+        wset = doc.weighted_set()
+        assert parses_back(wset)
+        updated = [
+            likelihood_update(wset, event)
+            for event in doc.events.values()
+            if upper_likelihood(wset, event) > 0
+        ]
+        assert updated and all(parses_back(u) for u in updated)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=10**6), states=st.sampled_from(["abc", "cba", "ba"]))
+    def test_random_sets_parse_back(self, seed, states):
+        assert parses_back(random_wset(random.Random(seed), tuple(states)))
 
 
 class TestParseTree:
