@@ -11,7 +11,10 @@ fruitless search is reported as `no-witness-in-grid` rather than `violated`.
 
 Each axiom has one table entry: `draw` samples an `Instance` of utility
 profiles (`Alternative`s) and `judge` decides it.  Curated instances, sampled
-draws and `replay` of a witness all go through that one judge.  `check_mdc`
+draws and `replay` of a witness all go through that one judge.  Sampled
+profiles are born as ints over the sampler's denominator and mix on ints,
+so a sampled instance builds no `Fraction`; `Alternative.profile` gives the
+exact utilities to a custom oracle or a witness's reader.  `check_mdc`
 probes menu-dependent dynamic consistency on profiles spliced on events.
 
 Axiom ids: "1".."12" follow the order transitivity, completeness,
@@ -30,11 +33,13 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .decisions import (
     Act,
     Alternative,
+    IntProfile,
     Lottery,
     PreferenceOracle,
     Profile,
@@ -207,11 +212,21 @@ def profile_act(name: str, profile: Mapping[str, Fraction], u: UtilitySpec) -> A
 
 def _mix(p: Fraction, f: Alternative, h: Alternative, named: bool = False) -> Alternative:
     """The mixture p*f + (1-p)*h; utility is linear in lotteries, so profiles
-    mix.  Only a mixture a witness may show is `named` (by `mixture_name`)."""
-    q = 1 - p
-    return Alternative(
-        mixture_name(p, f.name, h.name) if named else "mixture",
-        tuple(p * a + q * b for a, b in zip(f.profile, h.profile)),
+    mix.  Only a mixture a witness may show is `named` (by `mixture_name`).
+
+    With p = k/m and f, h born as ints over s_f and s_h, the mixture is
+    born as k*f*(L/s_f) + (m-k)*h*(L/s_h) over m*L, where L = lcm(s_f, s_h);
+    a profile born as rationals mixes in `Fraction`s."""
+    name = mixture_name(p, f.name, h.name) if named else "mixture"
+    s_f, s_h = f.denominator, h.denominator
+    if s_f is None or s_h is None:
+        q = 1 - p
+        return Alternative(name, tuple(p * a + q * b for a, b in zip(f.profile, h.profile)))
+    k, m = p.numerator, p.denominator
+    common = lcm(s_f, s_h)
+    kf, kh = k * (common // s_f), (m - k) * (common // s_h)
+    return Alternative.from_ints(
+        name, tuple([kf * a + kh * b for a, b in zip(f.numerators, h.numerators)]), m * common
     )
 
 
@@ -232,6 +247,8 @@ class Sampler:
 
     Utilities lie on the grid k/d in [-1, 1] (d = UTILITY_DENOMINATOR),
     shrunk and shifted only as far as needed to fit the utility table's range.
+    Every grid value is (a + b*k)/D over the one `denominator` D, so every
+    drawn alternative is born as ints over D.
     """
 
     def __init__(self, rng: random.Random, oracle: PreferenceOracle):
@@ -242,27 +259,35 @@ class Sampler:
         d = UTILITY_DENOMINATOR
         scale = min(Fraction(1), (self.hi - self.lo) / 2)
         shift = min(max(Fraction(0), self.lo + scale), self.hi - scale)
-        self._values = [shift + scale * Fraction(k, d) for k in range(-d, d + 1)]
-        self._steps = [scale * Fraction(k, d) for k in range(d + 1)]
+        self.denominator = lcm(shift.denominator, scale.denominator * d)
+        a = shift.numerator * (self.denominator // shift.denominator)
+        b = scale.numerator * (self.denominator // (scale.denominator * d))
+        self._values = [a + b * k for k in range(-d, d + 1)]
+        self._steps = [b * k for k in range(d + 1)]
 
     def _fresh(self, prefix: str) -> str:
         self._counter += 1
         return f"{prefix}{self._counter}"
 
-    def grid_value(self) -> Fraction:
+    def alternative(self, name: str, numerators: IntProfile) -> Alternative:
+        """The alternative with the numerators over the sampler's denominator."""
+        return Alternative.from_ints(name, numerators, self.denominator)
+
+    def grid_value(self) -> int:
+        """A grid value, as its numerator over the sampler's denominator."""
         return self.rng.choice(self._values)
 
     def act(self, prefix: str = "a") -> Alternative:
-        return Alternative(self._fresh(prefix), tuple(self.grid_value() for _ in self.states))
+        return self.alternative(self._fresh(prefix), tuple([self.grid_value() for _ in self.states]))
 
     def constant(self, prefix: str = "c") -> Alternative:
         value = self.grid_value()
-        return Alternative(self._fresh(prefix), (value,) * len(self.states))
+        return self.alternative(self._fresh(prefix), (value,) * len(self.states))
 
-    def lowered(self, profile: Profile) -> Profile:
-        """The profile with each utility lowered by a random grid step, not below the grid."""
+    def lowered(self, numerators: IntProfile) -> IntProfile:
+        """The numerators with each utility lowered by a random grid step, not below the grid."""
         floor = self._values[0]
-        return tuple(max(floor, v - self.rng.choice(self._steps)) for v in profile)
+        return tuple([max(floor, v - self.rng.choice(self._steps)) for v in numerators])
 
     def mixture(self) -> Fraction:
         d = self.rng.randint(2, MIXTURE_DENOMINATOR)
@@ -274,7 +299,7 @@ class Sampler:
         acts = [self.act() for _ in range(size)]
         if self.rng.random() < 0.5:
             base = self.rng.choice(acts)
-            acts.append(Alternative(self._fresh("m"), base.profile[::-1]))
+            acts.append(self.alternative(self._fresh("m"), base.numerators[::-1]))
         if self.rng.random() < 0.4:
             acts.append(self.constant())
         return tuple(acts)
@@ -286,7 +311,7 @@ class Sampler:
         values = [self.grid_value() for _ in range(max(k, 2))]
         n = len(values)
         acts = tuple(
-            Alternative(self._fresh("cyc"), tuple(values[(i + j) % n] for j in range(k)))
+            self.alternative(self._fresh("cyc"), tuple([values[(i + j) % n] for j in range(k)]))
             for i in range(n)
         )
         h = self.constant("h")
@@ -298,9 +323,9 @@ class Sampler:
         return _enlarge(self.menu(), h), h
 
     def never_optimal(self, menu: AltMenu) -> Alternative:
-        """An act never strictly optimal in the menu: its per-state best, lowered."""
-        best = per_state_best(a.profile for a in menu)
-        return Alternative(self._fresh("nso"), self.lowered(best))
+        """An act never strictly optimal in a sampled menu: its per-state best, lowered."""
+        best = per_state_best(a.numerators for a in menu)
+        return self.alternative(self._fresh("nso"), self.lowered(best))
 
     def pick(self, menu: Sequence, n: int) -> list:
         return [menu[i] for i in self.rng.sample(range(len(menu)), n)]
@@ -351,16 +376,23 @@ def _judge_nontriviality(o: PreferenceOracle, inst: Instance) -> Verdict:
 
 def _draw_dominated(o: PreferenceOracle, s: Sampler) -> Instance:
     f = s.act("f")
-    g = Alternative("gdom", s.lowered(f.profile))
+    g = s.alternative("gdom", s.lowered(f.numerators))
     return Instance(_enlarge(s.menu(), f, g), {"f": f, "g": g})
+
+
+def _constants(a: Alternative, name: str) -> list[Alternative]:
+    """For each state, the constant alternative at a's utility there, born
+    in the form a was born in."""
+    if a.denominator is None:
+        return [Alternative(name, (v,) * len(a.profile)) for v in a.profile]
+    k = len(a.numerators)
+    return [Alternative.from_ints(name, (n,) * k, a.denominator) for n in a.numerators]
 
 
 def _judge_monotonicity(o: PreferenceOracle, inst: Instance) -> Verdict:
     f, g = inst.acts["f"], inst.acts["g"]
     # statewise precondition, queried through the oracle on constant-act pairs
-    k = len(f.profile)
-    for fv, gv in zip(f.profile, g.profile):
-        cf, cg = Alternative("mono_f", (fv,) * k), Alternative("mono_g", (gv,) * k)
+    for cf, cg in zip(_constants(f, "mono_f"), _constants(g, "mono_g")):
         if o.prefers(cf, cg, (cf, cg)) < 0:
             return "vacuous"
     return "pass" if o.prefers(f, g, inst.menu) >= 0 else Finding()

@@ -22,6 +22,10 @@ N whose score is N/(D*L), so no rounding is ever needed and a `Fraction` is
 built only for a score that is returned.  It scores `Alternative`s (a name
 and a profile), so `rank`, the per-act rules, the axiom checker,
 decision-tree plans and the simulator's probe table all score through it.
+An `Alternative` is born from its rational profile or, as the axiom
+sampler draws them, as ints over one denominator; the oracle takes the
+ints as they are, and `Alternative.profile` stays the exact `Fraction`
+utilities that custom oracles read, built only when something reads it.
 The rules share kernels (mer is mwer with every weight one), so their
 degeneration identities are tested against an independent re-derivation of
 the five rules kept in the tests.
@@ -30,6 +34,7 @@ the five rules kept in the tests.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from operator import mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -385,13 +390,83 @@ def _belief_entries(
 
 # -- the oracle ----------------------------------------------------------------
 
-class Alternative(NamedTuple):
+class Alternative:
     """An act as the rules see it: a name and a utility profile (one exact
-    utility per state, in sorted state order).  Two alternatives are the same
-    menu member when both name and profile agree, as for acts."""
+    utility per state, in sorted state order).
 
-    name: str
-    profile: Profile
+    `Alternative(name, profile)` is born from its exact utilities;
+    `Alternative.from_ints(name, numerators, denominator)` is born as ints
+    over one positive denominator, as the axiom sampler draws them, and
+    builds its `profile` of `Fraction`s only when something reads it (a
+    custom oracle, a witness's reader).  `numerators` and `denominator` are
+    None for an alternative born from its profile.  Either way an
+    alternative is immutable and hashable, and two alternatives are the same
+    menu member when both name and rational profile agree, as for acts,
+    whichever form they were born in.
+    """
+
+    __slots__ = ("name", "numerators", "denominator", "_profile")
+
+    def __init__(self, name: str, profile: Sequence[Rational]):
+        _set_name(self, name)
+        _set_numerators(self, None)
+        _set_denominator(self, None)
+        _set_profile(self, tuple(profile))
+
+    @classmethod
+    def from_ints(cls, name: str, numerators: IntProfile, denominator: int) -> "Alternative":
+        """The alternative whose utilities are the numerators over the denominator."""
+        if denominator < 1:
+            raise ValueError(f"the denominator {denominator} is not positive")
+        self = object.__new__(cls)
+        _set_name(self, name)
+        _set_numerators(self, tuple(numerators))
+        _set_denominator(self, denominator)
+        _set_profile(self, None)
+        return self
+
+    @property
+    def profile(self) -> Profile:
+        profile = self._profile
+        if profile is None:
+            d = self.denominator
+            profile = tuple([Fraction(n, d) for n in self.numerators])
+            _set_profile(self, profile)
+        return profile
+
+    def __setattr__(self, key: str, value: object) -> None:
+        raise AttributeError(f"an Alternative is immutable (cannot set {key!r})")
+
+    def __delattr__(self, key: str) -> None:
+        raise AttributeError(f"an Alternative is immutable (cannot delete {key!r})")
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Alternative):
+            return NotImplemented
+        if self.name != other.name:
+            return False
+        d, e = self.denominator, other.denominator
+        if d is None or e is None:
+            return self.profile == other.profile
+        x, y = self.numerators, other.numerators
+        return len(x) == len(y) and all(a * e == b * d for a, b in zip(x, y))
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.profile))
+
+    def __reduce__(self):
+        if self.denominator is None:
+            return Alternative, (self.name, self._profile)
+        return Alternative.from_ints, (self.name, self.numerators, self.denominator)
+
+    def __repr__(self) -> str:
+        return f"Alternative(name={self.name!r}, profile={self.profile!r})"
+
+
+# An immutable Alternative sets its own slots through their descriptors.
+_set_name, _set_numerators, _set_denominator, _set_profile = (
+    Alternative.__dict__[slot].__set__ for slot in Alternative.__slots__
+)
 
 
 class PreferenceOracle:
@@ -418,20 +493,43 @@ class PreferenceOracle:
         self.utility = utility
         self.state_space, self._common, self._rows = _belief_entries(rule, belief, state_space)
         self._score, _, self.lower_is_better = RULES[rule]
+        self._last_menu: Optional[tuple] = None  # the last all-int tuple menu, converted
+        self._last_over: tuple = ()
 
-    def _over_menu(self, menu: Sequence[Alternative]) -> tuple[int, IntProfile, list[IntProfile]]:
+    def _over_menu(self, menu: Sequence[Alternative]) -> tuple[int, IntProfile, Sequence[IntProfile]]:
         """The denominator D*L of every score in the menu, the menu's per-state
-        best and its profiles, all as ints over the menu's denominator L."""
-        scale, profiles = as_integers([a.profile for a in menu])
-        return self._common * scale, per_state_best(profiles), profiles
+        best and its profiles, all as ints over the menu's denominator L.
+
+        When every member carries ints, L is the LCM of their denominators,
+        and the conversion of a tuple menu is kept for the next call that
+        asks about the same tuple (the members are immutable)."""
+        if menu is self._last_menu:
+            return self._last_over
+        denominators = {getattr(a, "denominator", None) for a in menu}
+        if None in denominators:
+            scale, profiles = as_integers([a.profile for a in menu])
+            return self._common * scale, per_state_best(profiles), profiles
+        scale = lcm(*denominators)
+        profiles = [
+            a.numerators if a.denominator == scale
+            else tuple([n * (scale // a.denominator) for n in a.numerators])
+            for a in menu
+        ]
+        over = (self._common * scale, per_state_best(profiles), profiles)
+        if type(menu) is tuple:
+            self._last_menu, self._last_over = menu, over
+        return over
 
     def scores(self, menu: Sequence[Alternative]) -> dict[str, Fraction]:
-        """The rule's score of every member of a menu with unique names."""
+        """The rule's score of every member of a menu with unique names;
+        a repeated name raises ValueError."""
         denominator, best, profiles = self._over_menu(menu)
-        return {
-            a.name: Fraction(self._score(x, best, self._rows), denominator)
-            for a, x in zip(menu, profiles)
-        }
+        scores: dict[str, Fraction] = {}
+        for a, x in zip(menu, profiles):
+            if a.name in scores:
+                raise ValueError(f"duplicate name {a.name!r} in the menu")
+            scores[a.name] = Fraction(self._score(x, best, self._rows), denominator)
+        return scores
 
     def rate(self, f: Alternative, menu: Sequence[Alternative]) -> Fraction:
         """The rule's score of the member f against the menu."""

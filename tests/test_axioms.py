@@ -1,5 +1,10 @@
 """The axiom checker: curated counterexamples, sampling, determinism."""
 
+import copy
+import fractions
+import hashlib
+import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -9,7 +14,9 @@ from wregret.axioms import (
     Alternative,
     AxiomReport,
     AXIOM_IDS,
+    BeliefFixtures,
     GeneratorConfig,
+    MATRIX_RULES,
     PreferenceOracle,
     axiom_matrix,
     check_axiom,
@@ -17,6 +24,7 @@ from wregret.axioms import (
     replay,
     value_lottery,
 )
+from wregret.decisions import UtilitySpec, _position
 from wregret.errors import DimensionMismatch, UnknownAxiom
 from wregret.measures import Measure, WeightedMeasureSet, point_mass
 
@@ -288,6 +296,45 @@ def _oracle_instance(rng: random.Random):
     return states, tuple(menu), beliefs
 
 
+def _int_born_menus(rng: random.Random, states, rational: tuple) -> list:
+    """Menus over the states as the sampler and `_mix` build them: members
+    born as ints over a grid denominator D, mixtures of them born over m*D,
+    and the same names again with other ints; one menu also holds members
+    born as rationals, and one is a list."""
+
+    d = rng.choice([10, 30, 60])
+
+    def grid_members() -> list:
+        return [
+            Alternative.from_ints(f"i{i}", tuple(rng.randint(-d, d) for _ in states), d)
+            for i in range(rng.randint(2, 4))
+        ]
+
+    grid = grid_members()
+    mixtures = []
+    for i in range(rng.randint(1, 3)):
+        f, h = rng.sample(grid, 2)
+        m = rng.randint(2, 20)
+        k = rng.randint(1, m - 1)
+        numerators = tuple(k * a + (m - k) * b for a, b in zip(f.numerators, h.numerators))
+        mixtures.append(Alternative.from_ints(f"x{i}", numerators, m * d))
+    same_names = grid_members()[: len(grid)]
+    return [
+        tuple(grid),
+        tuple(grid + mixtures),
+        tuple(same_names),
+        tuple(grid + mixtures) + rational[: rng.randint(1, 2)],
+        grid + mixtures,
+    ]
+
+
+def _exact_profile(a: Alternative) -> tuple:
+    """The alternative's utilities, read from whichever form it was born in."""
+    if a.denominator is None:
+        return a.profile
+    return tuple(F(n, a.denominator) for n in a.numerators)
+
+
 class TestOracleAgainstReference:
     def test_prefers_and_rate_match_the_reference_rules(self, fixtures):
         u = fixtures.utility
@@ -304,6 +351,156 @@ class TestOracleAgainstReference:
                     for g in menu:
                         want = sign * _sign(expected[f.name] - expected[g.name])
                         assert oracle.prefers(f, g, menu) == want, (seed, rule, f.name, g.name)
+
+    def test_int_born_menus_match_the_reference_rules(self, fixtures):
+        # the calls alternate between menus at random, so a conversion kept
+        # for one menu and reused for another would show as a wrong answer
+        u = fixtures.utility
+        for seed in range(40):
+            rng = random.Random(seed)
+            states, rational, beliefs = _oracle_instance(rng)
+            menus = _int_born_menus(rng, states, rational)
+            for rule, (belief, plain) in beliefs.items():
+                oracle = PreferenceOracle(rule, belief, u, states)
+                sign = -1 if reference.LOWER_IS_BETTER[rule] else 1
+                expected = [
+                    reference.profile_scores(
+                        rule, {a.name: dict(zip(states, _exact_profile(a))) for a in menu}, plain
+                    )
+                    for menu in menus
+                ]
+                calls = [(i, f, g) for i, menu in enumerate(menus) for f in menu for g in menu]
+                rng.shuffle(calls)
+                for i, f, g in calls:
+                    menu, want = menus[i], expected[i]
+                    where = (seed, rule, i, f.name, g.name)
+                    assert oracle.rate(f, menu) == want[f.name], where
+                    assert oracle.prefers(f, g, menu) == sign * _sign(want[f.name] - want[g.name]), where
+                for menu, want in zip(menus, expected):
+                    assert oracle.scores(menu) == want, (seed, rule)
+
+
+class TestAlternative:
+    def test_int_born_equals_rational_born(self):
+        ints = Alternative.from_ints("a", (3, -6, 0), 6)
+        rational = Alternative("a", (F(1, 2), F(-1), F(0)))
+        other = Alternative("b", (F(0), F(0), F(0)))
+        assert ints == rational and rational == ints
+        assert hash(ints) == hash(rational)
+        assert rational in (other, ints) and ints in (other, rational)
+        assert _position((other, ints), rational) == 1
+        assert _position((other, rational), ints) == 1
+        assert Alternative.from_ints("a", (1, -2, 0), 2) == ints
+        assert ints != Alternative.from_ints("a", (3, -6, 1), 6)
+        assert ints != Alternative("b", rational.profile)
+        assert ints != ("a", rational.profile)
+        assert ints.profile == rational.profile
+        assert all(type(v) is F for v in ints.profile)
+        assert rational.numerators is None and rational.denominator is None
+
+    def test_immutable_and_copyable(self):
+        for a in (Alternative.from_ints("a", (3, -6), 6), Alternative("a", (F(1, 2), F(-1)))):
+            for attribute in ("name", "profile", "numerators", "denominator", "_profile"):
+                with pytest.raises(AttributeError):
+                    setattr(a, attribute, None)
+                with pytest.raises(AttributeError):
+                    delattr(a, attribute)
+            for twin in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+                assert twin == a and twin.denominator == a.denominator
+        numerators = [3, -6]
+        a = Alternative.from_ints("a", numerators, 6)
+        numerators[0] = 0
+        assert a.numerators == (3, -6)
+        for denominator in (0, -6):
+            with pytest.raises(ValueError, match="positive"):
+                Alternative.from_ints("a", (3, -6), denominator)
+
+
+def _shifted_fixtures() -> BeliefFixtures:
+    """Three states and a utility range of 1 starting at 4/3, so the sampler's
+    grid is both shrunk and shifted by a non-integer."""
+    states = ("x", "y", "z")
+    m1 = Measure({"x": F(1, 2), "y": F(1, 3), "z": F(1, 6)})
+    m2 = Measure({"x": F(1, 5), "y": F(0), "z": F(4, 5)})
+    return BeliefFixtures(
+        UtilitySpec({"low": F(4, 3), "high": F(7, 3)}), states, (m1, m2),
+        WeightedMeasureSet([(m1, 1), (m2, F(1, 3))], states),
+    )
+
+
+def _witness_profiles(report: AxiomReport) -> list:
+    """Name and utilities of every alternative a report's witnesses hold."""
+    out = []
+    for w in (report.counterexample, report.unwitnessed_example):
+        if w is None:
+            continue
+        members = [*w.menu, *w.acts.values()]
+        members += [a for key, menu in w.params.items() if key.endswith("menu") for a in menu]
+        for a in members:
+            assert all(type(v) is F for v in a.profile), (report.axiom, a.name)
+            out.append([a.name, *map(str, a.profile)])
+    return out
+
+
+def _sha1(obj) -> str:
+    return hashlib.sha1(json.dumps(obj, sort_keys=True).encode()).hexdigest()
+
+
+class TestPinnedReports:
+    # every axiom under every matrix rule at 30 samples; the digests of the
+    # reports and of their witnesses' profiles were recorded from the
+    # Fraction-only checker, before profiles were drawn as ints
+    @pytest.mark.parametrize(
+        "fixtures_of,seed,reports_sha1,witnesses_sha1",
+        [
+            (delivery_fixtures, 0, "dbb8d4a13edceeff6a7bd66bda62c471513ab98c",
+             "66f8dc514b238a2c31efd2ab1a3a6d8423bba9e0"),
+            (delivery_fixtures, 5, "b795e25fa7fb4d4d0f7cde130e70a97f9615db5d",
+             "92936408954babce2a9ad50d00e5a7517858f1e8"),
+            (_shifted_fixtures, 0, "f617cf02d1a181d868606f9f30fbd7f0ba61424d",
+             "3dd2d832caaa1901dc2693e7837965dcdd36da3b"),
+            (_shifted_fixtures, 5, "b52817e655db30e3f595694e807d75e11f3f9f12",
+             "d1e5c966faaa7f23ca5569c7da5cd8481f21eb83"),
+        ],
+        ids=["delivery-0", "delivery-5", "shifted-0", "shifted-5"],
+    )
+    def test_reports_are_pinned(self, fixtures_of, seed, reports_sha1, witnesses_sha1):
+        fixtures = fixtures_of()
+        reports = [
+            check_axiom(axiom, fixtures.oracle(rule), GeneratorConfig(samples=30), seed=seed)
+            for rule in MATRIX_RULES
+            for axiom in AXIOM_IDS
+        ]
+        assert _sha1([r.to_obj() for r in reports]) == reports_sha1
+        assert _sha1([_witness_profiles(r) for r in reports]) == witnesses_sha1
+
+
+class TestFractionBudget:
+    def test_clean_draws_build_no_fractions(self, fixtures, monkeypatch):
+        # a clean report's Fractions are its set-up's, whatever the sample
+        # count: sampled profiles, mixtures and scoring stay in ints
+        original = fractions.Fraction.__new__
+        built = [0]
+
+        def counting_new(cls, *args, **kwargs):
+            built[0] += 1
+            return original(cls, *args, **kwargs)
+
+        oracles = {rule: fixtures.oracle(rule) for rule in MATRIX_RULES}
+        monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting_new))
+        checked = 0
+        for axiom in ("1", "2", "3", "4", "5", "8", "9", "10"):
+            for rule, oracle in oracles.items():
+                counts = []
+                for samples in (50, 200):
+                    built[0] = 0
+                    config = GeneratorConfig(samples=samples, include_curated=False)
+                    report = check_axiom(axiom, oracle, config, seed=0)
+                    counts.append((report.verdict, built[0]))
+                if counts[0][0] == counts[1][0] == "no-violation-found":
+                    checked += 1
+                    assert counts[0][1] == counts[1][1], (axiom, rule, counts)
+        assert checked == 40
 
 
 class TestMatrix:

@@ -224,6 +224,13 @@ class TestPreferenceOracle:
             with pytest.raises(ActNotInMenu):
                 call()
 
+    def test_scores_rejects_a_repeated_name(self, delivery_utility):
+        # used to merge the two into {"a": 1}, the second member's score
+        oracle = PreferenceOracle("regret", None, delivery_utility, DELIVERY_STATES)
+        menu = (Alternative("a", (1, 0)), Alternative("a", (0, 1)))
+        with pytest.raises(ValueError, match="'a'"):
+            oracle.scores(menu)
+
 
 class TestProfiles:
     def test_returned_profiles_are_read_only(
