@@ -12,10 +12,10 @@ fruitless search is reported as `no-witness-in-grid` rather than `violated`.
 Each axiom has one table entry: `draw` samples an `Instance` of utility
 profiles (`Alternative`s) and `judge` decides it.  Curated instances, sampled
 draws and `replay` of a witness all go through that one judge.  Sampled
-profiles are born as ints over the sampler's denominator and mix on ints,
-so a sampled instance builds no `Fraction`; `Alternative.profile` gives the
-exact utilities to a custom oracle or a witness's reader.  `check_mdc`
-probes menu-dependent dynamic consistency on profiles spliced on events.
+profiles are ints over the sampler's denominator and mix, splice and give
+constant acts on ints, so a sampled instance builds no `Fraction`;
+`Alternative.profile` gives the exact utilities to a custom oracle or a
+witness's reader.  `check_mdc` probes menu-dependent dynamic consistency.
 
 Axiom ids: "1".."12" follow the order transitivity, completeness,
 nontriviality, monotonicity, mixture continuity, hedging (ambiguity
@@ -214,14 +214,10 @@ def _mix(p: Fraction, f: Alternative, h: Alternative, named: bool = False) -> Al
     """The mixture p*f + (1-p)*h; utility is linear in lotteries, so profiles
     mix.  Only a mixture a witness may show is `named` (by `mixture_name`).
 
-    With p = k/m and f, h born as ints over s_f and s_h, the mixture is
-    born as k*f*(L/s_f) + (m-k)*h*(L/s_h) over m*L, where L = lcm(s_f, s_h);
-    a profile born as rationals mixes in `Fraction`s."""
+    With p = k/m and f, h over s_f and s_h, the mixture is born as
+    k*f*(L/s_f) + (m-k)*h*(L/s_h) over m*L, where L = lcm(s_f, s_h)."""
     name = mixture_name(p, f.name, h.name) if named else "mixture"
     s_f, s_h = f.denominator, h.denominator
-    if s_f is None or s_h is None:
-        q = 1 - p
-        return Alternative(name, tuple(p * a + q * b for a, b in zip(f.profile, h.profile)))
     k, m = p.numerator, p.denominator
     common = lcm(s_f, s_h)
     kf, kh = k * (common // s_f), (m - k) * (common // s_h)
@@ -247,8 +243,9 @@ class Sampler:
 
     Utilities lie on the grid k/d in [-1, 1] (d = UTILITY_DENOMINATOR),
     shrunk and shifted only as far as needed to fit the utility table's range.
-    Every grid value is (a + b*k)/D over the one `denominator` D, so every
-    drawn alternative is born as ints over D.
+    Every grid value is (a + b*k)/D over the one `denominator` D, and so is
+    every numerator drawn: `lowered` and `never_optimal` depend on it, as they
+    step and compare sampled numerators without reading their denominators.
     """
 
     def __init__(self, rng: random.Random, oracle: PreferenceOracle):
@@ -381,10 +378,7 @@ def _draw_dominated(o: PreferenceOracle, s: Sampler) -> Instance:
 
 
 def _constants(a: Alternative, name: str) -> list[Alternative]:
-    """For each state, the constant alternative at a's utility there, born
-    in the form a was born in."""
-    if a.denominator is None:
-        return [Alternative(name, (v,) * len(a.profile)) for v in a.profile]
+    """For each state, the constant alternative at a's utility there."""
     k = len(a.numerators)
     return [Alternative.from_ints(name, (n,) * k, a.denominator) for n in a.numerators]
 
@@ -513,8 +507,8 @@ def _same_in(other: str, scored: bool = False) -> Judge:
 
 def _judge_boundedness(o: PreferenceOracle, inst: Instance) -> Verdict:
     _, _, hi, _ = utility_span(o.utility)
-    best = per_state_best(a.profile for a in inst.menu)
-    return "pass" if all(v <= hi for v in best) else Finding()
+    fits = all(n <= hi * a.denominator for a in inst.menu for n in a.numerators)
+    return "pass" if fits else Finding()
 
 
 def _draw_indifferent_to(menu_with: Callable[[Sampler], tuple[AltMenu, Alternative]]) -> Draw:
@@ -766,7 +760,7 @@ def replay(report: AxiomReport, oracle: PreferenceOracle) -> bool:
     if w is None or w.kind != "violation" or w.axiom not in _AXIOMS:
         return False
     # a belief fixes the states; the probability-free rule judges profiles of any length
-    if oracle.belief is not None and any(len(a.profile) != len(oracle.state_space) for a in w.menu):
+    if oracle.belief is not None and any(len(a.numerators) != len(oracle.state_space) for a in w.menu):
         raise DimensionMismatch("the witness is not over the belief's states")
     verdict = _AXIOMS[w.axiom].judge(oracle, Instance(w.menu, w.acts, w.params))
     return isinstance(verdict, Finding)
@@ -806,8 +800,10 @@ def _spliced_signs(
     inside = [s in event.members for s in o.state_space]
 
     def splice(a: Alternative, h: Alternative) -> Alternative:
-        profile = tuple(x if i else y for x, y, i in zip(a.profile, h.profile, inside))
-        return Alternative(a.name, profile)
+        common = lcm(a.denominator, h.denominator)
+        ka, kh = common // a.denominator, common // h.denominator
+        numerators = [x * ka if i else y * kh for x, y, i in zip(a.numerators, h.numerators, inside)]
+        return Alternative.from_ints(a.name, numerators, common)
 
     return {
         h: o.prefers(splice(f, h), splice(g, h), [splice(a, h) for a in menu]) for h in menu

@@ -22,10 +22,9 @@ N whose score is N/(D*L), so no rounding is ever needed and a `Fraction` is
 built only for a score that is returned.  It scores `Alternative`s (a name
 and a profile), so `rank`, the per-act rules, the axiom checker,
 decision-tree plans and the simulator's probe table all score through it.
-An `Alternative` is born from its rational profile or, as the axiom
-sampler draws them, as ints over one denominator; the oracle takes the
-ints as they are, and `Alternative.profile` stays the exact `Fraction`
-utilities that custom oracles read, built only when something reads it.
+An `Alternative` holds its profile as ints over one denominator (a whole
+menu's, from `as_alternatives`); its exact `Fraction` `profile`, which
+custom oracles read, is built only when something reads it.
 The rules share kernels (mer is mwer with every weight one), so their
 degeneration identities are tested against an independent re-derivation of
 the five rules kept in the tests.
@@ -34,7 +33,7 @@ the five rules kept in the tests.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
@@ -392,35 +391,41 @@ def _belief_entries(
 
 class Alternative:
     """An act as the rules see it: a name and a utility profile (one exact
-    utility per state, in sorted state order).
+    utility per state, in sorted state order), held as the ints `numerators`
+    over one positive `denominator`.
 
-    `Alternative(name, profile)` is born from its exact utilities;
-    `Alternative.from_ints(name, numerators, denominator)` is born as ints
-    over one positive denominator, as the axiom sampler draws them, and
-    builds its `profile` of `Fraction`s only when something reads it (a
-    custom oracle, a witness's reader).  `numerators` and `denominator` are
-    None for an alternative born from its profile.  Either way an
-    alternative is immutable and hashable, and two alternatives are the same
-    menu member when both name and rational profile agree, as for acts,
-    whichever form they were born in.
+    `Alternative(name, profile)` converts int or `Fraction` utilities once;
+    `from_ints` keeps its ints as given, unreduced, so a sampler's draws stay
+    over its denominator.  Any other type raises TypeError.  The `Fraction`
+    `profile` is built only when read.  An alternative is immutable, hashable
+    and equal to any with the same name and rational profile.
     """
 
     __slots__ = ("name", "numerators", "denominator", "_profile")
 
-    def __init__(self, name: str, profile: Sequence[Rational]):
+    def __init__(self, name: str, profile: Sequence[Union[int, Fraction]]):
+        profile = tuple(profile)
+        for v in profile:
+            if not isinstance(v, (int, Fraction)):
+                raise TypeError(f"utility {v!r} of {name!r} is not an int or a Fraction")
+        denominator, (numerators,) = as_integers([profile])
         _set_name(self, name)
-        _set_numerators(self, None)
-        _set_denominator(self, None)
-        _set_profile(self, tuple(profile))
+        _set_numerators(self, numerators)
+        _set_denominator(self, denominator)
+        _set_profile(self, None)
 
     @classmethod
     def from_ints(cls, name: str, numerators: IntProfile, denominator: int) -> "Alternative":
         """The alternative whose utilities are the numerators over the denominator."""
+        numerators = tuple(numerators)
+        for n in numerators:
+            if type(n) is not int:
+                raise TypeError(f"numerator {n!r} of {name!r} is not an int")
         if denominator < 1:
             raise ValueError(f"the denominator {denominator} is not positive")
         self = object.__new__(cls)
         _set_name(self, name)
-        _set_numerators(self, tuple(numerators))
+        _set_numerators(self, numerators)
         _set_denominator(self, denominator)
         _set_profile(self, None)
         return self
@@ -443,20 +448,17 @@ class Alternative:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Alternative):
             return NotImplemented
-        if self.name != other.name:
+        x, y, d, e = self.numerators, other.numerators, self.denominator, other.denominator
+        if self.name != other.name or len(x) != len(y):
             return False
-        d, e = self.denominator, other.denominator
-        if d is None or e is None:
-            return self.profile == other.profile
-        x, y = self.numerators, other.numerators
-        return len(x) == len(y) and all(a * e == b * d for a, b in zip(x, y))
+        return all(a * e == b * d for a, b in zip(x, y))
 
     def __hash__(self) -> int:
-        return hash((self.name, self.profile))
+        d = self.denominator
+        g = gcd(d, *self.numerators)
+        return hash((self.name, d // g, tuple([n // g for n in self.numerators])))
 
     def __reduce__(self):
-        if self.denominator is None:
-            return Alternative, (self.name, self._profile)
         return Alternative.from_ints, (self.name, self.numerators, self.denominator)
 
     def __repr__(self) -> str:
@@ -469,16 +471,21 @@ _set_name, _set_numerators, _set_denominator, _set_profile = (
 )
 
 
+def as_alternatives(names: Sequence[str], profiles: Sequence[Profile]) -> tuple[Alternative, ...]:
+    """The named profiles as alternatives over one denominator (`as_integers`)."""
+    denominator, rows = as_integers(profiles)
+    return tuple([Alternative.from_ints(name, row, denominator) for name, row in zip(names, rows)])
+
+
 class PreferenceOracle:
     """A decision rule with a fixed belief: the one place where utility
     profiles become scores.
 
-    A menu here is a sequence of alternatives, or of anything else with a
-    `name` and a `profile` over the oracle's sorted `state_space` (such as a
-    decision tree's plans).  `scores` scores a whole menu; `rate` and
-    `prefers` put the menu over one denominator and score only the members
-    asked about, which must be in the menu.  `score` and `compare` answer
-    the same questions for the acts of a `Menu`.
+    A menu here is a sequence of alternatives over the oracle's sorted
+    `state_space`.  `scores` scores a whole menu; `rate` and `prefers` put
+    the menu over one denominator and score only the members asked about,
+    which must be in the menu.  `score` and `compare` answer the same
+    questions for the acts of a `Menu`.
     """
 
     def __init__(
@@ -493,23 +500,17 @@ class PreferenceOracle:
         self.utility = utility
         self.state_space, self._common, self._rows = _belief_entries(rule, belief, state_space)
         self._score, _, self.lower_is_better = RULES[rule]
-        self._last_menu: Optional[tuple] = None  # the last all-int tuple menu, converted
+        self._last_menu: Optional[tuple] = None  # the last tuple menu, converted
         self._last_over: tuple = ()
 
     def _over_menu(self, menu: Sequence[Alternative]) -> tuple[int, IntProfile, Sequence[IntProfile]]:
         """The denominator D*L of every score in the menu, the menu's per-state
-        best and its profiles, all as ints over the menu's denominator L.
-
-        When every member carries ints, L is the LCM of their denominators,
-        and the conversion of a tuple menu is kept for the next call that
-        asks about the same tuple (the members are immutable)."""
+        best and its profiles, all as ints over the LCM L of the members'
+        denominators.  The conversion of a tuple menu is kept for the next
+        call that asks about the same tuple (the members are immutable)."""
         if menu is self._last_menu:
             return self._last_over
-        denominators = {getattr(a, "denominator", None) for a in menu}
-        if None in denominators:
-            scale, profiles = as_integers([a.profile for a in menu])
-            return self._common * scale, per_state_best(profiles), profiles
-        scale = lcm(*denominators)
+        scale = lcm(*{a.denominator for a in menu})
         profiles = [
             a.numerators if a.denominator == scale
             else tuple([n * (scale // a.denominator) for n in a.numerators])
@@ -552,8 +553,9 @@ class PreferenceOracle:
         if menu.state_space != self.state_space:
             states = ", ".join(self.state_space)
             raise DimensionMismatch(f"the menu is not over the oracle's states {states}")
-        return tuple(
-            Alternative(act.name, tuple(act.utility_profile(self.utility).values())) for act in menu
+        return as_alternatives(
+            [act.name for act in menu],
+            [tuple(act.utility_profile(self.utility).values()) for act in menu],
         )
 
     def score(self, act: Act, menu: Menu) -> Fraction:

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .decisions import Act, Lottery, Menu, PreferenceOracle, Profile, UtilitySpec, mwer
+from .decisions import Act, Lottery, Menu, PreferenceOracle, Profile, UtilitySpec, as_alternatives, mwer
 from .errors import (
     ActNotInMenu,
     MalformedTree,
@@ -294,10 +294,11 @@ def evaluate_tree(
     else:  # deepest first; the sort is stable, so pre-order among equal depths
         order = sorted(nodes.items(), key=lambda item: -item[1][0])
     survivors = {p.name for p in plans}
+    alternatives = as_alternatives([p.name for p in plans], [p.profile for p in plans])
     diagnostics: list[NodeDiagnostic] = []
     for name, (_, live, path) in order:
-        group = [p for p in plans if all(pair in p.choices for pair in path)]
-        alive = [p for p in group if p.name in survivors]
+        group = [a for p, a in zip(plans, alternatives) if all(pair in p.choices for pair in path)]
+        alive = [a for a in group if a.name in survivors]
         if not alive:
             raise MalformedTree(f"no viable plan reaches node {name!r}")
         event = Event(live)

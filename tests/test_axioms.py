@@ -6,6 +6,7 @@ import hashlib
 import json
 import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -329,9 +330,7 @@ def _int_born_menus(rng: random.Random, states, rational: tuple) -> list:
 
 
 def _exact_profile(a: Alternative) -> tuple:
-    """The alternative's utilities, read from whichever form it was born in."""
-    if a.denominator is None:
-        return a.profile
+    """The alternative's utilities, read from its ints."""
     return tuple(F(n, a.denominator) for n in a.numerators)
 
 
@@ -396,7 +395,25 @@ class TestAlternative:
         assert ints != ("a", rational.profile)
         assert ints.profile == rational.profile
         assert all(type(v) is F for v in ints.profile)
-        assert rational.numerators is None and rational.denominator is None
+        assert rational.numerators == (1, -2, 0) and rational.denominator == 2
+        kept = Alternative.from_ints("a", (2, 4), 10)  # the sampler's draws stay over its D
+        assert kept.numerators == (2, 4) and kept.denominator == 10
+        same = [Alternative.from_ints("a", (k, -k), 2 * k) for k in (1, 3, 5)]
+        assert same[0] == same[1] == same[2]
+        assert hash(same[0]) == hash(same[1]) == hash(same[2])
+
+    @pytest.mark.parametrize(
+        "build,bad",
+        [
+            (lambda: Alternative("x", (0.5, 1)), "0.5"),
+            (lambda: Alternative("x", (F(1, 2), "1/2")), "'1/2'"),
+            (lambda: Alternative.from_ints("x", (1, F(1, 2)), 2), "Fraction(1, 2)"),
+        ],
+        ids=["float-utility", "str-utility", "Fraction-numerator"],
+    )
+    def test_bad_utilities_raise_when_built(self, build, bad):
+        with pytest.raises(TypeError, match=re.escape(bad)):
+            build()
 
     def test_immutable_and_copyable(self):
         for a in (Alternative.from_ints("a", (3, -6), 6), Alternative("a", (F(1, 2), F(-1)))):

@@ -1,5 +1,8 @@
 """Conditional preferences, the scaling identity, MDC, and decision trees."""
 
+import fractions
+import hashlib
+import json
 import random
 from fractions import Fraction
 from math import comb
@@ -21,6 +24,8 @@ from wregret import (
 )
 from wregret.axioms import (
     GeneratorConfig,
+    Sampler,
+    _spliced_signs,
     check_mdc,
     frozen_weight_family,
     likelihood_family,
@@ -269,6 +274,45 @@ class TestMdc:
         for family in (likelihood_family(wset, GRID_U), frozen_weight_family(wset, GRID_U)):
             report = check_mdc(family, wset, GRID_U, GeneratorConfig(samples=100), seed=4)
             assert report.verdict == "no-violation-found"
+
+    def test_reports_are_pinned(self):
+        # the digest was recorded while profiles were still spliced in Fractions
+        m_a = Measure({"s1": F(8, 10), "s2": F(1, 10), "s3": F(1, 10)})
+        m_b = Measure({"s1": F(1, 10), "s2": F(2, 10), "s3": F(7, 10)})
+        pinned = WeightedMeasureSet([(m_a, 1), (m_b, 1)], ("s1", "s2", "s3"))
+        outcomes = []
+        for seed in range(12):
+            for wset in (random_wset(random.Random(seed), STATES4), pinned):
+                families = (likelihood_family(wset, GRID_U), frozen_weight_family(wset, GRID_U))
+                for family in families:
+                    report = check_mdc(family, wset, GRID_U, GeneratorConfig(samples=40), seed=seed)
+                    outcomes.append([report.to_obj(), [replay_mdc(report, f) for f in families]])
+        assert sum(report["verdict"] == "violated" for report, _ in outcomes) == 15
+        digest = hashlib.sha1(json.dumps(outcomes, sort_keys=True).encode()).hexdigest()
+        assert digest == "ef7a54c86d06f6adf6f0cec6771688c6feb7e407"
+
+    def test_splicing_sampled_profiles_builds_no_fractions(self, monkeypatch):
+        wset = random_wset(random.Random(1), STATES4)
+        oracle = likelihood_family(wset, GRID_U)(Event(STATES4))
+        sampler = Sampler(random.Random(0), oracle)
+        instances = []
+        for _ in range(50):
+            menu = sampler.menu(min_size=2)
+            f, g = sampler.pick(menu, 2)
+            event = Event([s for s in STATES4 if sampler.rng.random() < 0.5] or ["s1"])
+            instances.append((f, g, menu, event))
+        original = fractions.Fraction.__new__
+        built = [0]
+
+        def counting_new(cls, *args, **kwargs):
+            built[0] += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting_new))
+        signs = [_spliced_signs(oracle, f, g, menu, event) for f, g, menu, event in instances]
+        monkeypatch.undo()
+        assert built[0] == 0
+        assert all(set(s) == set(menu) for s, (_, _, menu, _) in zip(signs, instances))
 
 
 # -- decision trees ----------------------------------------------------------------
