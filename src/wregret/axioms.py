@@ -16,6 +16,8 @@ profiles are ints over the sampler's denominator and mix, splice and give
 constant acts on ints, so a sampled instance builds no `Fraction`;
 `Alternative.profile` gives the exact utilities to a custom oracle or a
 witness's reader.  `check_mdc` probes menu-dependent dynamic consistency.
+Reports, witnesses and the matrix are immutable `NamedTuple`s, and so are
+`GeneratorConfig` and `BeliefFixtures`, which check their fields when built.
 
 Axiom ids: "1".."12" follow the order transitivity, completeness,
 nontriviality, monotonicity, mixture continuity, hedging (ambiguity
@@ -30,7 +32,6 @@ for regret-based rules; the corpus pins the standard instances).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
@@ -73,17 +74,22 @@ MIXTURE_GRID = tuple(
 )
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
-    """How many instances to sample per axiom, and whether to judge the
-    curated corpus first."""
-
+class _GeneratorFields(NamedTuple):
     samples: int = 200
     include_curated: bool = True
 
-    def __post_init__(self) -> None:
-        if self.samples < 1:
+
+class GeneratorConfig(_GeneratorFields):
+    """How many instances to sample per axiom, and whether to judge the
+    curated corpus first."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
+
+    def __new__(cls, samples: int = 200, include_curated: bool = True):
+        if samples < 1:
             raise ValueError("samples must be at least 1")
+        return super().__new__(cls, samples, include_curated)
 
 
 AltMenu = tuple[Alternative, ...]
@@ -108,8 +114,7 @@ class Finding(NamedTuple):
 Verdict = Union[str, Finding]  # "pass", "vacuous" or a Finding
 
 
-@dataclass
-class Witness:
+class Witness(NamedTuple):
     """A concrete instance exhibiting (or failing to witness) an axiom."""
 
     axiom: str
@@ -118,8 +123,8 @@ class Witness:
     description: str
     menu: AltMenu
     acts: dict[str, Alternative]
-    params: dict[str, object] = field(default_factory=dict)
-    scores: dict[str, Fraction] = field(default_factory=dict)
+    params: Mapping[str, object] = {}
+    scores: Mapping[str, Fraction] = {}
 
     def to_obj(self) -> dict:
         return {
@@ -141,8 +146,7 @@ def _param_text(key: str, value: object) -> str:
     return str(value)
 
 
-@dataclass
-class AxiomReport:
+class AxiomReport(NamedTuple):
     """Outcome of checking one axiom against one oracle.
 
     A violated verdict always carries a replayable counterexample.  For the
@@ -767,8 +771,10 @@ def replay(report: AxiomReport, oracle: PreferenceOracle) -> bool:
 
 
 # -- menu-dependent dynamic consistency -----------------------------------------------
-# A family gives the conditional preference on each event.  Splicing f on an
-# event E with an off-event act h takes f's utilities inside E and h's outside.
+# A family gives the conditional preference on each event.  `check_mdc` calls
+# it once per distinct event and reuses that oracle, so a family must be a
+# function of the event alone.  Splicing f on an event E with an off-event
+# act h takes f's utilities inside E and h's outside.
 
 OracleFamily = Callable[[Event], PreferenceOracle]
 
@@ -832,14 +838,18 @@ def check_mdc(
     sampler = Sampler(rng, unconditional)
 
     applicable = 0
+    conditionals: dict[Event, Optional[PreferenceOracle]] = {}  # None on a null event
     for _ in range(config.samples):
         menu = sampler.menu(min_size=2)
         f, g = sampler.pick(menu, 2)
         event = Event([s for s in states if rng.random() < 0.5] or [rng.choice(states)])
-        if upper_likelihood(wset, event) == 0:
+        if event not in conditionals:
+            conditionals[event] = family(event) if upper_likelihood(wset, event) != 0 else None
+        oracle = conditionals[event]
+        if oracle is None:
             continue
         applicable += 1
-        conditional = family(event).prefers(f, g, menu)
+        conditional = oracle.prefers(f, g, menu)
         spliced_signs = _spliced_signs(unconditional, f, g, menu, event)
         signs = set(spliced_signs.values())
         if len(signs) > 1:
@@ -881,22 +891,33 @@ def replay_mdc(report: AxiomReport, family: OracleFamily) -> bool:
 
 # -- the rule-by-axiom matrix ---------------------------------------------------------
 
-@dataclass
-class BeliefFixtures:
-    """Beliefs (and the utility table) used to instantiate each rule's oracle:
-    the measures (the first alone for a single-measure rule) and a weighted
-    set."""
-
+class _FixtureFields(NamedTuple):
     utility: UtilitySpec
     state_space: Sequence[str]
     measures: tuple[Measure, ...]
     weighted: WeightedMeasureSet
 
-    def __post_init__(self) -> None:
-        if len(self.measures) < 2:
+
+class BeliefFixtures(_FixtureFields):
+    """Beliefs (and the utility table) used to instantiate each rule's oracle:
+    the measures (the first alone for a single-measure rule) and a weighted
+    set."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
+
+    def __new__(
+        cls,
+        utility: UtilitySpec,
+        state_space: Sequence[str],
+        measures: tuple[Measure, ...],
+        weighted: WeightedMeasureSet,
+    ):
+        if len(measures) < 2:
             raise ValueError("fixtures need a multi-measure belief")
-        if all(w == 1 for _, w in self.weighted.entries):
+        if all(w == 1 for _, w in weighted.entries):
             raise ValueError("fixtures need a weighted belief with a non-unit weight")
+        return super().__new__(cls, utility, state_space, measures, weighted)
 
     def oracle(self, rule: str) -> PreferenceOracle:
         """The rule's oracle, with the belief of the kind the rule takes."""
@@ -916,8 +937,7 @@ MATRIX_COLUMNS: tuple[tuple[str, tuple[str, ...]], ...] = (
 _VERDICT_ORDER = {"no-violation-found": 0, "violated": 1}
 
 
-@dataclass
-class AxiomMatrix:
+class AxiomMatrix(NamedTuple):
     reports: dict[tuple[str, str], AxiomReport]
     cells: dict[tuple[str, str], str]
     seed: int

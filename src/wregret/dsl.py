@@ -21,7 +21,8 @@ Trees use a nested prefix form over the same tokens:
 Every rejection carries at least one diagnostic with a line and column; the
 parsers never raise anything else on malformed input.  Each unknown or
 repeated key of an entry is reported, not just the first; in a tree, so is
-a decision node whose name is already taken.  Canonical serialization sorts
+a decision node whose name is already taken.  Tokens, diagnostics and the
+parsed `ProblemDoc` are immutable `NamedTuple`s.  Canonical serialization sorts
 every section and key and prints rationals in lowest terms, so
 serialize(parse(serialize(doc))) is byte-identical.
 """
@@ -29,9 +30,8 @@ serialize(parse(serialize(doc))) is byte-identical.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, NamedTuple, Optional, Sequence
 
 from .decisions import Act, Lottery, Menu, UtilitySpec
 from .dynamics import DecisionNode, DecisionTree, Leaf, NatureNode, TreeNode
@@ -42,8 +42,7 @@ from .rational import format_map, format_rational, parse_rational
 MAX_TREE_DEPTH = 100  # nested decision and nature nodes; the walkers recurse per level
 
 
-@dataclass(frozen=True)
-class ParseDiagnostic:
+class ParseDiagnostic(NamedTuple):
     severity: str  # "error"
     line: int      # 1-based
     column: int    # 1-based
@@ -55,8 +54,7 @@ class ParseDiagnostic:
         return f"{self.severity}: line {self.line}, column {self.column}: {self.message}{near}"
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str  # IDENT | NUMBER | PUNCT | EOF
     text: str
     line: int
@@ -140,8 +138,7 @@ class _TokenStream:
 
 # -- problem documents -----------------------------------------------------------
 
-@dataclass
-class ProblemDoc:
+class ProblemDoc(NamedTuple):
     """A fully resolved decision problem: the named sections of one file."""
 
     states: tuple[str, ...]
@@ -164,8 +161,7 @@ class ProblemDoc:
         return tuple(m for m, _ in (self.hypotheses[k] for k in sorted(self.hypotheses)))
 
 
-@dataclass
-class _RawEntry:
+class _RawEntry(NamedTuple):
     token: Token
     payload: object
 

@@ -15,14 +15,15 @@ an explicit choice of comparison menu at each node, since a menu-dependent
 rule leaves that choice genuinely open.  One walk of the tree checks its
 structure (unique decision node names; nature partitions disjoint and
 exhaustive on the states still live), expands its plans and records every
-decision node in pre-order with its depth, live states and path.
+decision node in pre-order with its depth, live states and path.  Nodes,
+plans and evaluations are immutable `NamedTuple`s; a node rejects an empty
+or ambiguous shape (`MalformedTree`) when built.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from .decisions import Act, Lottery, Menu, PreferenceOracle, Profile, UtilitySpec, as_alternatives, mwer
 from .errors import (
@@ -104,50 +105,63 @@ def mdc_scaling_check(
 
 # -- decision trees ----------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Leaf:
-    """Terminal node holding either a lottery or a bare utility value."""
-
+class _LeafFields(NamedTuple):
     lottery: Optional[Lottery] = None
     utility: Optional[Fraction] = None
 
-    def __post_init__(self) -> None:
-        if (self.lottery is None) == (self.utility is None):
+
+class Leaf(_LeafFields):
+    """Terminal node holding either a lottery or a bare utility value."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
+
+    def __new__(cls, lottery: Optional[Lottery] = None, utility: Optional[Fraction] = None):
+        if (lottery is None) == (utility is None):
             raise MalformedTree("a leaf holds exactly one of: lottery, utility")
+        return super().__new__(cls, lottery, utility)
 
 
-@dataclass(frozen=True)
-class DecisionNode:
+class _DecisionFields(NamedTuple):
     name: str
     branches: tuple[tuple[str, "TreeNode"], ...]
 
-    def __post_init__(self) -> None:
-        if not self.branches:
-            raise MalformedTree(f"decision node {self.name!r} has no branches")
-        names = [b for b, _ in self.branches]
+
+class DecisionNode(_DecisionFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
+
+    def __new__(cls, name: str, branches: tuple[tuple[str, "TreeNode"], ...]):
+        if not branches:
+            raise MalformedTree(f"decision node {name!r} has no branches")
+        names = [b for b, _ in branches]
         if len(set(names)) != len(names):
-            raise MalformedTree(f"decision node {self.name!r} has duplicate branch names")
+            raise MalformedTree(f"decision node {name!r} has duplicate branch names")
+        return super().__new__(cls, name, branches)
 
 
-@dataclass(frozen=True)
-class NatureNode:
+class _NatureFields(NamedTuple):
     partition: tuple[tuple[Event, "TreeNode"], ...]
 
-    def __post_init__(self) -> None:
-        if not self.partition:
+
+class NatureNode(_NatureFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
+
+    def __new__(cls, partition: tuple[tuple[Event, "TreeNode"], ...]):
+        if not partition:
             raise MalformedTree("nature node has an empty partition")
+        return super().__new__(cls, partition)
 
 
 TreeNode = Union[Leaf, DecisionNode, NatureNode]
 
 
-@dataclass(frozen=True)
-class DecisionTree:
+class DecisionTree(NamedTuple):
     root: TreeNode
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(NamedTuple):
     """A strategy: one branch per reachable decision node, seen as its utility
     profile (one utility per state, in sorted state order)."""
 
@@ -227,8 +241,7 @@ def enumerate_plans(
     return plans, nodes
 
 
-@dataclass
-class NodeDiagnostic:
+class NodeDiagnostic(NamedTuple):
     node: str
     live: tuple[str, ...]
     menu: tuple[str, ...]
@@ -247,8 +260,7 @@ class NodeDiagnostic:
         }
 
 
-@dataclass
-class TreeEvaluation:
+class TreeEvaluation(NamedTuple):
     planning: str
     menu_policy: str
     chosen: Plan

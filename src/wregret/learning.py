@@ -12,7 +12,9 @@ everything outside the simulation loop stays exact.  A probe's float tables
 scores once per `Probe` and hypothesis; a run builds its draw thresholds and
 per-outcome log-likelihoods once, and each round then does only float
 arithmetic and regroups the acts only when its scores break the previous
-round's ranking.
+round's ranking.  The model, rows and summaries are immutable `NamedTuple`s;
+`Probe` and `Trajectory` are immutable classes that keep what they build
+lazily in their own instance.
 
 `es_update` implements the threshold alternative: condition every measure,
 then eliminate those whose relative likelihood does not exceed a cutoff.
@@ -23,14 +25,13 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import comb
 from operator import add, mul
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .decisions import Menu, PreferenceOracle, UtilitySpec, group_ties
 from .errors import AllEliminated
@@ -41,25 +42,31 @@ RNG_ALGORITHM = "mt19937"  # CPython's random.Random core generator
 _NEG_INF = float("-inf")
 
 
-@dataclass(frozen=True)
-class ObservationModel:
-    """Per-hypothesis i.i.d. outcome distributions over a shared alphabet."""
-
+class _ObservationFields(NamedTuple):
     outcomes: tuple[str, ...]
     likelihoods: Mapping[str, Mapping[str, Fraction]]
     truth: str
 
-    def __post_init__(self) -> None:
-        if self.truth not in self.likelihoods:
-            raise ValueError(f"truth {self.truth!r} is not a hypothesis")
-        alphabet = set(self.outcomes)
-        if len(alphabet) != len(self.outcomes):
-            repeated = next(o for o in self.outcomes if self.outcomes.count(o) > 1)
+
+class ObservationModel(_ObservationFields):
+    """Per-hypothesis i.i.d. outcome distributions over a shared alphabet."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
+
+    def __new__(
+        cls, outcomes: tuple[str, ...], likelihoods: Mapping[str, Mapping[str, Fraction]], truth: str
+    ):
+        if truth not in likelihoods:
+            raise ValueError(f"truth {truth!r} is not a hypothesis")
+        alphabet = set(outcomes)
+        if len(alphabet) != len(outcomes):
+            repeated = next(o for o in outcomes if outcomes.count(o) > 1)
             raise ValueError(f"outcome {repeated!r} is listed twice")
-        for hyp, dist in self.likelihoods.items():
+        for hyp, dist in likelihoods.items():
             if set(dist) != alphabet:
                 raise ValueError(f"hypothesis {hyp!r} uses a different outcome alphabet")
-            for outcome in self.outcomes:
+            for outcome in outcomes:
                 if Fraction(dist[outcome]) < 0:
                     raise ValueError(
                         f"hypothesis {hyp!r} gives outcome {outcome!r} a negative likelihood"
@@ -69,6 +76,7 @@ class ObservationModel:
                 raise ValueError(
                     f"outcome distribution of {hyp!r} sums to {format_rational(total)}"
                 )
+        return super().__new__(cls, outcomes, likelihoods, truth)
 
     @property
     def hypotheses(self) -> tuple[str, ...]:
@@ -78,8 +86,17 @@ class ObservationModel:
 Groups = tuple[tuple[str, ...], ...]
 
 
-@dataclass(frozen=True)
-class Probe:
+class _Immutable:
+    """A record whose attributes `__init__` sets once, through `vars(self)`;
+    `cached_property` writes there too."""
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class Probe(_Immutable):
     """A decision problem re-ranked every round under the evolving weights.
 
     Its float tables are built from the exact scores of one hypothesis at a
@@ -87,25 +104,15 @@ class Probe:
     read-only, so the tables cannot go stale.
     """
 
-    menu: Menu
-    utility: UtilitySpec
-    measures: Mapping[str, Measure]  # hypothesis -> state-level measure
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "measures", MappingProxyType(dict(self.measures)))
-
-    @cached_property
-    def acts(self) -> tuple[str, ...]:
-        """The act names, sorted: the act order of every float table."""
-        return tuple(sorted(act.name for act in self.menu))
-
-    @cached_property
-    def _expected_regret(self) -> dict[str, tuple[float, ...]]:
-        return {}  # hypothesis -> one float per act, filled by `regret_rows`
-
-    @cached_property
-    def _seu_groups(self) -> dict[str, Groups]:
-        return {}  # hypothesis -> acts by float expected utility, filled by `seu_groups`
+    def __init__(self, menu: Menu, utility: UtilitySpec, measures: Mapping[str, Measure]):
+        vars(self).update(
+            menu=menu,
+            utility=utility,
+            measures=MappingProxyType(dict(measures)),  # hypothesis -> state-level measure
+            acts=tuple(sorted(act.name for act in menu)),  # the act order of every float table
+            _expected_regret={},  # hypothesis -> one float per act, filled by `regret_rows`
+            _seu_groups={},  # hypothesis -> acts by float expected utility, filled by `seu_groups`
+        )
 
     def _exact_scores(self, rule: str, belief) -> dict[str, Fraction]:
         oracle = PreferenceOracle(rule, belief, self.utility, self.menu.state_space)
@@ -131,8 +138,7 @@ class Probe:
         return groups
 
 
-@dataclass(frozen=True)
-class TrajectoryRow:
+class TrajectoryRow(NamedTuple):
     round: int
     weights: dict[str, float]
     mwer_groups: Groups
@@ -140,20 +146,39 @@ class TrajectoryRow:
     outcome: str | None = None  # the observation that produced this row
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(_Immutable):
     """One seed's run, kept by round in columns; `rows` builds one
     `TrajectoryRow` per round from them on first use."""
 
-    seed: int
-    rounds: int
-    rng_algorithm: str
-    truth: str
-    hypotheses: tuple[str, ...]
-    truth_seu_groups: Groups
-    weights: tuple[tuple[float, ...], ...]  # per round, in `hypotheses` order
-    rankings: tuple[tuple[Groups, bool], ...]  # per round: mwer groups, matches_truth_seu
-    outcomes: tuple[str | None, ...]  # per round: the observation that produced it
+    def __init__(
+        self,
+        seed: int,
+        rounds: int,
+        rng_algorithm: str,
+        truth: str,
+        hypotheses: tuple[str, ...],
+        truth_seu_groups: Groups,
+        weights: tuple[tuple[float, ...], ...],  # per round, in `hypotheses` order
+        rankings: tuple[tuple[Groups, bool], ...],  # per round: mwer groups, matches_truth_seu
+        outcomes: tuple[str | None, ...],  # per round: the observation that produced it
+    ):
+        vars(self).update(
+            seed=seed, rounds=rounds, rng_algorithm=rng_algorithm, truth=truth,
+            hypotheses=hypotheses, truth_seu_groups=truth_seu_groups,
+            weights=weights, rankings=rankings, outcomes=outcomes,
+        )
+
+    def _key(self) -> tuple:
+        return (
+            self.seed, self.rounds, self.rng_algorithm, self.truth, self.hypotheses,
+            self.truth_seu_groups, self.weights, self.rankings, self.outcomes,
+        )
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Trajectory) and self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
 
     @cached_property
     def rows(self) -> tuple[TrajectoryRow, ...]:
@@ -328,8 +353,7 @@ def es_update(
     return tuple(survivors)
 
 
-@dataclass(frozen=True)
-class ComparisonRow:
+class ComparisonRow(NamedTuple):
     round: int
     agree_mwer_mer: float
     agree_mwer_es: float
@@ -337,8 +361,7 @@ class ComparisonRow:
     agree_all: float
 
 
-@dataclass(frozen=True)
-class ComparisonSummary:
+class ComparisonSummary(NamedTuple):
     rounds: int
     seeds: tuple[int, ...]
     threshold: Fraction

@@ -198,6 +198,8 @@ class TestSampling:
         # zero samples used to yield no-violation-found with nothing checked
         with pytest.raises(ValueError, match="samples"):
             GeneratorConfig(samples=samples)
+        with pytest.raises(ValueError, match="samples"):
+            GeneratorConfig()._replace(samples=samples)
 
     def test_structural_axioms_pass_once(self, fixtures):
         for axiom in ("3", "10"):

@@ -14,6 +14,8 @@ from wregret import likelihood_update, rank, regret, upper_likelihood
 from wregret.dsl import (
     MAX_TREE_DEPTH,
     ParseDiagnostic,
+    Token,
+    _tokenize,
     parse_problem,
     parse_tree,
     serialize_problem,
@@ -68,6 +70,7 @@ class TestParseProblem:
     def test_empty_input_reports_missing_states(self):
         diags = diagnostics_of("")
         assert any("no states section" in d.message for d in diags)
+        assert [str(d) for d in diags] == ["error: line 1, column 1: no states section"]
 
     def test_unknown_references_are_positioned(self):
         text = (
@@ -88,8 +91,10 @@ class TestParseProblem:
 
     def test_every_bad_lottery_key_is_reported(self):
         text = "states: s\nprizes: p\nutility: p = 1\nlottery l = { x: 1/2, y: 1/2 }\n"
-        found = [(d.line, d.column, d.message, d.token) for d in diagnostics_of(text)]
+        diags = diagnostics_of(text)
+        found = [(d.line, d.column, d.message, d.token) for d in diags]
         assert found == [(4, 15, "unknown prize 'x'", "x"), (4, 23, "unknown prize 'y'", "y")]
+        assert str(diags[0]) == "error: line 4, column 15: unknown prize 'x' (near 'x')"
 
     def test_weight_outside_unit_interval(self):
         text = (
@@ -124,6 +129,18 @@ class TestParseProblem:
         doc = parse_problem(text)
         assert doc.hypotheses["a"][1] == 1
         assert doc.hypotheses["b"][1] == F(1, 2)
+
+    def test_tokens_and_diagnostics_are_values(self):
+        text = "states: s\nprizes: p\nutility: p = 1\nlottery l = { x: 1 }\n"
+        first, second = _tokenize(text, []), _tokenize(text, [])
+        assert first == second and first is not second
+        assert len(set(first + second)) == len(first)
+        assert Token("IDENT", "s", 1, 9) in set(first)
+        diagnostic = ParseDiagnostic("error", 4, 15, "unknown prize 'x'", "x")
+        assert diagnostic == diagnostics_of(text)[0] and len({diagnostic, diagnostic}) == 1
+        for record, field in ((first[0], "text"), (diagnostic, "message")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, "")
 
     def test_decimals_convert_exactly(self):
         text = (

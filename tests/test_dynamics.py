@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from wregret import (
     Act,
     Event,
+    Lottery,
     Measure,
     Menu,
     UtilitySpec,
@@ -27,6 +28,7 @@ from wregret.axioms import (
     Sampler,
     _spliced_signs,
     check_mdc,
+    delivery_fixtures,
     frozen_weight_family,
     likelihood_family,
     profile_act,
@@ -314,6 +316,37 @@ class TestMdc:
         assert built[0] == 0
         assert all(set(s) == set(menu) for s, (_, _, menu, _) in zip(signs, instances))
 
+    @pytest.mark.parametrize("make_family", [likelihood_family, frozen_weight_family])
+    def test_fractions_do_not_grow_with_samples(self, make_family, monkeypatch):
+        # two states give three non-null events: each gets one conditional
+        # oracle and one upper likelihood, whatever the sample count
+        fixtures = delivery_fixtures()
+        family = make_family(fixtures.weighted, fixtures.utility)
+        asked = []
+
+        def counting_family(event):
+            asked.append(event)
+            return family(event)
+
+        original = fractions.Fraction.__new__
+        built = [0]
+
+        def counting_new(cls, *args, **kwargs):
+            built[0] += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting_new))
+        counts = []
+        for samples in (50, 200):
+            built[0], asked[:] = 0, []
+            config = GeneratorConfig(samples=samples)
+            report = check_mdc(counting_family, fixtures.weighted, fixtures.utility, config)
+            assert report.verdict == "no-violation-found" and report.applicable == samples
+            conditionals = asked[1:]  # after the unconditional oracle
+            assert len(conditionals) == len(set(conditionals)) <= 3
+            counts.append(built[0])
+        assert counts[0] == counts[1]
+
 
 # -- decision trees ----------------------------------------------------------------
 
@@ -400,6 +433,8 @@ class TestTrees:
         ]
         chosen = {r.chosen.name for r in results}
         assert len(chosen) == 1
+        # each evaluation enumerates its own plans; they are equal by value and hash alike
+        assert len({p for r in results for p in r.plans}) == len(results[0].plans) == 3
         # a one-decision tree is the flat problem: scores must match rank()
         reference = results[0]
         menu = Menu(
@@ -468,6 +503,30 @@ class TestTrees:
         )
         with pytest.raises(MalformedTree, match="duplicate"):
             evaluate_tree(duplicated, u, wset)
+
+    @pytest.mark.parametrize(
+        "build,message",
+        [
+            (lambda: Leaf(), "exactly one"),
+            (lambda: Leaf(lottery=Lottery({"hi": 1}), utility=F(1)), "exactly one"),
+            (lambda: DecisionNode("d", ()), "no branches"),
+            (lambda: DecisionNode("d", (("x", Leaf(utility=F(0))),) * 2), "duplicate branch"),
+            (lambda: NatureNode(()), "empty partition"),
+            (lambda: Leaf(utility=F(0))._replace(utility=None), "exactly one"),
+        ],
+        ids=["empty-leaf", "leaf-with-both", "no-branches", "repeated-branch", "empty-nature",
+             "replaced-leaf"],
+    )
+    def test_malformed_nodes_rejected_when_built(self, build, message):
+        with pytest.raises(MalformedTree, match=message):
+            build()
+
+    def test_nodes_are_immutable(self):
+        leaf = Leaf(utility=F(0))
+        node = DecisionNode("d", (("x", leaf),))
+        for record, field in ((leaf, "utility"), (node, "branches"), (DecisionTree(node), "root")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
 
     def test_null_information_set_rejected(self):
         states = ("a", "b")

@@ -198,6 +198,17 @@ class TestProbeTables:
         with pytest.raises(TypeError):
             probe.measures["coin"] = measures["mostly_good"]
         assert simulate(model, prior, probe, 30, seed=4) == before
+        # the records refuse assignment too, cached `rows` and new names included
+        assert len(before.rows) == 31  # fills the cached `rows`
+        records = (
+            (probe, "measures"), (probe, "acts"), (model, "truth"), (before, "weights"),
+            (before, "rows"), (before, "extra"), (before.rows[0], "weights"),
+        )
+        for record, field in records:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+        with pytest.raises(AttributeError):
+            del before.rows
 
 
 def _learning_fixture(truth: str):
