@@ -68,10 +68,22 @@ MENU_SIZE = 4
 UTILITY_DENOMINATOR = 10
 MIXTURE_DENOMINATOR = 20
 
+
+def _farey_interior(order: int) -> tuple[Fraction, ...]:
+    """The fractions in (0, 1) with denominators up to `order`, ascending:
+    the Farey sequence of that order, term by term from the next-term
+    recurrence, without its ends 0 and 1."""
+    terms = []
+    a, b, c, d = 0, 1, 1, order
+    while c < d:
+        terms.append(Fraction(c, d))
+        k = (order + b) // d
+        a, b, c, d = c, d, k * c - a, k * d - b
+    return tuple(terms)
+
+
 # The mixture coefficients in (0, 1) with denominators up to the bound, ascending.
-MIXTURE_GRID = tuple(
-    sorted({Fraction(k, d) for d in range(2, MIXTURE_DENOMINATOR + 1) for k in range(1, d)})
-)
+MIXTURE_GRID = _farey_interior(MIXTURE_DENOMINATOR)
 
 
 class _GeneratorFields(NamedTuple):

@@ -32,6 +32,15 @@ ZERO = Fraction(0)
 ONE = Fraction(1)
 
 
+def _exact(value: Rational, what: str, state: str | None = None) -> Fraction:
+    """The value as a Fraction.  A float, or any other type than int,
+    Fraction and str, raises TypeError naming the value and its state."""
+    if not isinstance(value, (int, Fraction, str)):
+        where = "" if state is None else f" for state {state!r}"
+        raise TypeError(f"{what} {value!r}{where} is not an int, a Fraction or a string")
+    return Fraction(value)
+
+
 class Event:
     """A subset of state labels."""
 
@@ -81,7 +90,7 @@ class Measure:
     __slots__ = ("_probs", "_items")
 
     def __init__(self, probs: Mapping[str, Rational]):
-        converted = {state: Fraction(p) for state, p in probs.items()}
+        converted = {state: _exact(p, "probability", state) for state, p in probs.items()}
         for state, p in converted.items():
             if p < 0:
                 raise ValueError(f"negative probability {p} for state {state!r}")
@@ -151,7 +160,7 @@ class WeightedMeasureSet:
         entries: Iterable[tuple[Measure, Rational]],
         state_space: Sequence[str] | None = None,
     ):
-        entries = tuple((m, Fraction(w)) for m, w in entries)
+        entries = tuple((m, _exact(w, "weight")) for m, w in entries)
         if not entries:
             raise EmptySet("a weighted measure set needs at least one entry")
         states = tuple(state_space) if state_space is not None else entries[0][0].state_space
@@ -257,7 +266,7 @@ class SubProbabilityVector:
     __slots__ = ("_values", "_items")
 
     def __init__(self, values: Mapping[str, Rational]):
-        converted = {state: Fraction(v) for state, v in values.items()}
+        converted = {state: _exact(v, "mass", state) for state, v in values.items()}
         for state, v in converted.items():
             if v < 0:
                 raise ValueError(f"negative mass {v} for state {state!r}")
@@ -280,7 +289,8 @@ class SubProbabilityVector:
         return sum(self._values.values(), ZERO)
 
     def dot(self, direction: Mapping[str, Rational]) -> Fraction:
-        return sum((self._values[s] * Fraction(direction[s]) for s in self._values), ZERO)
+        return sum((v * _exact(direction[s], "direction component", s)
+                    for s, v in self._values.items()), ZERO)
 
     def vector(self, order: Sequence[str]) -> list[Fraction]:
         return [self._values[s] for s in order]
@@ -300,9 +310,11 @@ class RegularHull:
     """Generator view of a downward-closed convex set of sub-probability vectors.
 
     The represented set is the downward closure of the generators' convex
-    hull.  `to_hull` stores only the maximal points; the constructor does not
-    prune, so a hand-built hull may also list dominated ones.  At least one
-    generator must be a proper probability measure (total mass one).
+    hull.  `to_hull` keeps only vertices of that closure: no generator it
+    returns lies in the downward-convex hull of the others.  The constructor
+    does not prune, so a hand-built hull may also list dominated or inner
+    points.  At least one generator must be a proper probability measure
+    (total mass one).
     """
 
     __slots__ = ("_generators", "_states")
@@ -335,34 +347,47 @@ class RegularHull:
         return f"RegularHull({len(self._generators)} generators over {self._states})"
 
 
-def _prune_generators(
-    generators: Sequence[SubProbabilityVector], order: Sequence[str]
-) -> tuple[SubProbabilityVector, ...]:
-    """Drop generators lying in the downward-convex hull of the others.
-
-    Removing a dominated generator never shrinks the represented set, so
-    sequential pruning against the current survivors is sound.  Hull
-    membership is unchanged by scaling every vector by one positive factor,
-    so the simplex gets the generators as ints over one denominator.
-    """
-    unique = sorted(set(generators), key=lambda g: g.items())
-    _, vectors = as_integers([g.vector(order) for g in unique])
-    survivors = list(range(len(unique)))
-    for i in range(len(unique)):
-        others = [vectors[j] for j in survivors if j != i]
-        if others and in_downward_convex_hull(vectors[i], others):
-            survivors.remove(i)
-    return tuple(unique[j] for j in survivors)
+def _is_vertex(g: tuple[int, ...], others: list[tuple[int, ...]]) -> bool:
+    """Does a coordinate, the all-ones vector or g itself score g strictly
+    above every other point?  Then g is outside their downward-convex hull."""
+    return (
+        not others
+        or any(g[d] > max(h[d] for h in others) for d in range(len(g)))
+        or sum(g) > max(map(sum, others))
+        or all(sum(a * a for a in g) > sum(a * b for a, b in zip(g, h)) for h in others)
+    )
 
 
 def to_hull(wset: WeightedMeasureSet) -> RegularHull:
-    """The pruned generator representation spanned by weight * measure points."""
+    """The regular hull of the weight * measure points, kept to its vertices.
+
+    The points go over one denominator as distinct int vectors.  A point
+    that another dominates componentwise is dropped: a dominator has the
+    larger total, so a sweep by descending total compares each point with
+    the maximal points found so far.  A maximal point that `_is_vertex`
+    certifies against the others kept is kept without an LP; any other is
+    dropped when the simplex puts it in the downward-convex hull of the
+    others kept.  Dropping such a point never shrinks the hull, so in any
+    order the kept points are exactly those outside the downward-convex
+    hull of all the other points, the vertices of the downward hull that
+    no other point reaches.  They become the generators, ascending.
+    """
     order = tuple(sorted(wset.state_space))
-    raw = [
-        SubProbabilityVector({s: w * m[s] for s in wset.state_space})
-        for m, w in wset.entries
+    denominator, rows = as_integers([[w * m[s] for s in order] for m, w in wset.entries])
+    maximal: list[tuple[int, ...]] = []
+    for v in sorted(set(rows), key=lambda v: (-sum(v), v)):
+        if not any(all(a >= b for a, b in zip(u, v)) for u in maximal):
+            maximal.append(v)
+    kept = list(maximal)
+    for g in maximal:
+        others = [h for h in kept if h != g]
+        if not _is_vertex(g, others) and in_downward_convex_hull(g, others):
+            kept.remove(g)
+    generators = [
+        SubProbabilityVector({s: Fraction(n, denominator) for s, n in zip(order, v)})
+        for v in sorted(kept)
     ]
-    return RegularHull(_prune_generators(raw, order), wset.state_space)
+    return RegularHull(generators, wset.state_space)
 
 
 def support_value(hull: RegularHull, direction: Mapping[str, Rational]) -> Fraction:
@@ -371,7 +396,7 @@ def support_value(hull: RegularHull, direction: Mapping[str, Rational]) -> Fract
     For nonnegative directions the maximum over the downward-convex closure
     is attained at a generator, so no optimization is needed.
     """
-    converted = {s: Fraction(v) for s, v in direction.items()}
+    converted = {s: _exact(v, "direction component", s) for s, v in direction.items()}
     if set(converted) != set(hull.state_space):
         raise DimensionMismatch("direction does not cover the hull's state space")
     for state, v in converted.items():
@@ -435,7 +460,7 @@ def recover_weights(
     """
     checked: list[dict[str, Fraction]] = []
     for direction in directions:
-        converted = {s: Fraction(v) for s, v in direction.items()}
+        converted = {s: _exact(v, "direction component", s) for s, v in direction.items()}
         for state, v in converted.items():
             if v > 0 or v < -1:
                 raise ValueError(

@@ -18,6 +18,8 @@ from wregret.axioms import (
     BeliefFixtures,
     GeneratorConfig,
     MATRIX_RULES,
+    MIXTURE_DENOMINATOR,
+    MIXTURE_GRID,
     PreferenceOracle,
     axiom_matrix,
     check_axiom,
@@ -223,6 +225,14 @@ class TestSampling:
         assert report.unwitnessed >= 0
         if report.unwitnessed:
             assert report.unwitnessed_example.kind == "no-witness-in-grid"
+
+    def test_mixture_grid_is_every_coefficient_up_to_the_bound(self):
+        # the grid's definition: every fraction in (0, 1) up to the bound, sorted
+        expected = tuple(
+            sorted({F(k, d) for d in range(2, MIXTURE_DENOMINATOR + 1) for k in range(1, d)})
+        )
+        assert MIXTURE_GRID == expected
+        assert len(MIXTURE_GRID) == 127
 
     def test_reports_carry_counts_and_seed(self, fixtures):
         report = check_axiom("4", fixtures.oracle("mer"), SMALL, seed=9)

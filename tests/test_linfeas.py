@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linfeas_reference as reference
-from wregret import WeightedMeasureSet, to_hull
+from wregret import RegularHull, SubProbabilityVector, WeightedMeasureSet, hull_equal, to_hull
 from wregret.errors import DimensionMismatch
 from wregret.linfeas import in_downward_convex_hull, solve_nonneg
 
@@ -218,3 +218,38 @@ def test_hull_systems_match_the_fraction_simplex(size, states):
             survivors.remove(g)
     kept = sorted(tuple(v for _, v in g.items()) for g in to_hull(wset).generators)
     assert kept == sorted(survivors)
+
+
+def reference_prune(vectors):
+    """The distinct vectors, ascending, each dropped when the simplex puts it
+    in the downward-convex hull of the others still kept: one LP per vector
+    and no certificates."""
+    unique = sorted(set(vectors))
+    survivors = list(unique)
+    for g in unique:
+        others = [h for h in survivors if h != g]
+        if others and in_downward_convex_hull(g, others):
+            survivors.remove(g)
+    return survivors
+
+
+def test_to_hull_matches_the_reference_prune():
+    """Seeded sets of 2-6 states and 1-64 entries, drawn from a small pool of
+    coarse measures so that duplicates, zero weights and tied coordinates
+    and totals all occur; the generators must match in value and order."""
+    rng = random.Random(14)
+    seen = {"duplicate": 0, "zero weight": 0, "tied total": 0}
+    for _ in range(100):
+        states = tuple(f"s{i}" for i in range(rng.randint(2, 6)))
+        pool = [random_measure(rng, states, rng.choice((2, 4, 12))) for _ in range(rng.randint(1, 16))]
+        entries = [(rng.choice(pool), F(rng.randint(0, 8), 8)) for _ in range(rng.randint(1, 64))]
+        entries[rng.randrange(len(entries))] = (pool[0], F(1))
+        raw = [tuple(w * m[s] for s in states) for m, w in entries]
+        hull = to_hull(WeightedMeasureSet(entries, states))
+        assert [tuple(v for _, v in g.items()) for g in hull.generators] == reference_prune(raw)
+        unpruned = RegularHull([SubProbabilityVector(dict(zip(states, v))) for v in raw], states)
+        assert hull_equal(hull, unpruned)
+        seen["duplicate"] += len({m for m, _ in entries}) < len(entries)
+        seen["zero weight"] += any(w == 0 for _, w in entries)
+        seen["tied total"] += len({sum(v) for v in set(raw)}) < len(set(raw))
+    assert all(seen.values()), seen

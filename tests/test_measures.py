@@ -17,6 +17,7 @@ from wregret import (
     hull_equal,
     likelihood_update,
     normalize,
+    point_mass,
     recover_weights,
     sequential_update,
     support_value,
@@ -32,9 +33,10 @@ from wregret.errors import (
     NoInformativeDirection,
     UndefinedUpdate,
 )
+from wregret import measures
 from wregret.measures import hull_text
 
-from conftest import DELIVERY_STATES, random_wset
+from conftest import DELIVERY_STATES, random_measure, random_wset
 
 F = Fraction
 
@@ -66,6 +68,38 @@ class TestMeasure:
     def test_condition_on_impossible_event(self):
         with pytest.raises(UndefinedUpdate):
             m3(1, 0, 0).condition(Event(["b"]))
+
+
+class TestFloatsRejected:
+    """The exact types take ints, Fractions and strings; a float would be
+    stored as its binary expansion, so it raises TypeError instead."""
+
+    def test_measure(self):
+        with pytest.raises(TypeError, match="probability 0.5 for state 'a'"):
+            Measure({"a": 0.5, "b": 0.5})
+        assert Measure({"a": "1/2", "b": "0.5"}) == Measure({"a": F(1, 2), "b": F(1, 2)})
+
+    def test_weighted_measure_set_weight(self):
+        with pytest.raises(TypeError, match="weight 0.3 is not"):
+            WeightedMeasureSet([(m3(1, 0, 0), 0.3)], ABC)
+        assert WeightedMeasureSet([(m3(1, 0, 0), "3/10")], ABC).entries[0][1] == F(3, 10)
+
+    def test_sub_probability_vector(self):
+        with pytest.raises(TypeError, match="mass 0.1 for state 'a'"):
+            SubProbabilityVector({"a": 0.1})
+        with pytest.raises(TypeError, match="direction component 0.5 for state 'a'"):
+            SubProbabilityVector({"a": F(1, 10)}).dot({"a": 0.5})
+
+    def test_support_value_direction(self, delivery_wset):
+        hull = to_hull(delivery_wset)
+        with pytest.raises(TypeError, match="direction component 0.5 for state 'one_broken'"):
+            support_value(hull, {"one_broken": 0.5, "ten_broken": 0})
+
+    def test_recover_weights_direction(self, delivery_wset):
+        oracle = worst_weighted_regret_oracle(delivery_wset)
+        candidates = [m for m, _ in delivery_wset.entries]
+        with pytest.raises(TypeError, match="direction component -0.5 for state 'one_broken'"):
+            recover_weights(oracle, candidates, [{"one_broken": -0.5, "ten_broken": -1}])
 
 
 class TestNormalize:
@@ -233,6 +267,26 @@ class TestHull:
         vectors = {tuple(v for _, v in g.items()) for g in hull.generators}
         assert vectors == {(F(1), F(0)), (F(0), F(1, 2))}
 
+    def test_vertex_certificates_spare_most_lps(self, monkeypatch):
+        # the 32-measure, 3-state set that test_linfeas checks the hull
+        # systems on (seed 35); testing every distinct point by LP, as
+        # to_hull did before the certificates, makes 32 membership calls
+        rng = random.Random(35)
+        entries = [(random_measure(rng, ABC), F(rng.randint(1, 8), 8)) for _ in range(32)]
+        entries[0] = (entries[0][0], F(1))
+        calls = count_membership_lps(monkeypatch)
+        to_hull(WeightedMeasureSet(entries, ABC))
+        assert len(calls) <= 32 // 5
+
+    def test_dominated_copies_and_certified_vertices_need_no_lp(self, monkeypatch):
+        # each scaled-down copy lies below its point mass, and each point
+        # mass is the only point with mass on its state
+        entries = [(point_mass(s, ABC), w) for s in ABC for w in (1, F(1, 2), F(1, 3), 0)]
+        calls = count_membership_lps(monkeypatch)
+        hull = to_hull(WeightedMeasureSet(entries, ABC))
+        assert calls == []
+        assert [g.items() for g in hull.generators] == [point_mass(s, ABC).items() for s in "cba"]
+
     def test_support_zero_direction(self, delivery_wset):
         hull = to_hull(delivery_wset)
         assert support_value(hull, {s: 0 for s in DELIVERY_STATES}) == 0
@@ -261,6 +315,15 @@ class TestHull:
         direction = {s: F(rng.randint(0, 10), 5) for s in ABC}
         expected = max(w * m.expectation(direction) for m, w in wset.entries)
         assert support_value(to_hull(wset), direction) == expected
+
+
+def count_membership_lps(monkeypatch) -> list:
+    """Patch the hull membership LP that `to_hull` calls (linfeas's
+    in_downward_convex_hull, as bound in measures) to log each call."""
+    calls = []
+    member = measures.in_downward_convex_hull
+    monkeypatch.setattr(measures, "in_downward_convex_hull", lambda *a: calls.append(a) or member(*a))
+    return calls
 
 
 def spv(**values) -> SubProbabilityVector:
