@@ -166,11 +166,12 @@ def _cmd_tree(args) -> int:
     print(f"survivors: {', '.join(evaluation.survivors)}")
     for diag in evaluation.diagnostics:
         print(f"node {diag.node} (live: {', '.join(diag.live)})")
+        eliminated, kept = set(diag.eliminated), set(diag.kept)
         for name in diag.menu:
             marker = ""
-            if name in diag.eliminated:
+            if name in eliminated:
                 marker = "  [eliminated]"
-            elif name in diag.kept:
+            elif name in kept:
                 marker = "  [kept]"
             score = diag.scores.get(name)
             shown = str(score) if score is not None else "-"

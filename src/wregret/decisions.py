@@ -15,12 +15,12 @@ regret-family score menu-dependent.  Five rules are provided:
 `RULES` maps each name to its kernel, belief kind and orientation, and
 `belief_for` picks the belief of the kind a rule takes.  A
 `PreferenceOracle` binds a rule to a belief and is the one place where
-utility profiles become scores: with `rational.as_integers` it reads its
-belief once into integer entries (D, rows) and puts each menu's profiles
-over the LCM L of their denominators, and runs a kernel that returns an int
-N whose score is N/(D*L), so no rounding is ever needed and a `Fraction` is
-built only for a score that is returned.  It scores `Alternative`s (a name
-and a profile), so `rank`, the per-act rules, the axiom checker,
+utility profiles become scores: with `measures.weighted_rows` it reads its
+belief once into integer entries (D, rows), puts each menu's profiles over
+the LCM L of their denominators, and runs a kernel that returns an int N
+whose score is N/(D*L), so no rounding is ever needed, `rank` ties on the
+ints N, and a `Fraction` is built only for a returned score.  It scores
+`Alternative`s (a name and a profile), so `rank`, the per-act rules, the axiom checker,
 decision-tree plans and the simulator's probe table all score through it.
 An `Alternative` holds its profile as ints over one denominator (a whole
 menu's, from `as_alternatives`); its exact `Fraction` `profile`, which
@@ -39,7 +39,7 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ActNotInMenu, BeliefKindMismatch, DimensionMismatch, UnknownPrize
-from .measures import Measure, WeightedMeasureSet
+from .measures import Measure, WeightedMeasureSet, weighted_rows
 from .rational import as_integers, format_decimal, format_rational
 
 Rational = Union[Fraction, int, str]
@@ -383,7 +383,7 @@ def _belief_entries(
     states = tuple(sorted(state_space))
     if any(m.state_space != states for _, m in pairs):
         raise DimensionMismatch(f"the {rule} belief and the acts use different state spaces")
-    common, rows = as_integers([[w * p for _, p in m.items()] for w, m in pairs])
+    common, rows = weighted_rows(pairs)
     return states, common, tuple(rows)
 
 
@@ -524,13 +524,17 @@ class PreferenceOracle:
     def scores(self, menu: Sequence[Alternative]) -> dict[str, Fraction]:
         """The rule's score of every member of a menu with unique names;
         a repeated name raises ValueError."""
+        return self._scored(menu)[1]
+
+    def _scored(self, menu: Sequence[Alternative]) -> tuple[dict[str, int], dict[str, Fraction]]:
+        """Each member's score numerator over one denominator, and its score, by name."""
         denominator, best, profiles = self._over_menu(menu)
-        scores: dict[str, Fraction] = {}
+        numerators: dict[str, int] = {}
         for a, x in zip(menu, profiles):
-            if a.name in scores:
+            if a.name in numerators:
                 raise ValueError(f"duplicate name {a.name!r} in the menu")
-            scores[a.name] = Fraction(self._score(x, best, self._rows), denominator)
-        return scores
+            numerators[a.name] = self._score(x, best, self._rows)
+        return numerators, {name: Fraction(n, denominator) for name, n in numerators.items()}
 
     def rate(self, f: Alternative, menu: Sequence[Alternative]) -> Fraction:
         """The rule's score of the member f against the menu."""
@@ -573,7 +577,7 @@ class PreferenceOracle:
 # -- ranking -------------------------------------------------------------------
 
 def group_ties(
-    scores: Mapping[str, Fraction | float], lower_is_better: bool
+    scores: Mapping[str, Fraction | float | int], lower_is_better: bool
 ) -> tuple[tuple[str, ...], ...]:
     """The names grouped by exactly equal score, best group first and names
     sorted within a group."""
@@ -593,17 +597,18 @@ class Ranking:
     """A total preorder of menu acts induced by one rule's scores.
 
     Groups are ordered best first; acts inside a group have exactly equal
-    scores.  `lower_is_better` records the orientation so consumers never
-    re-derive it from the rule name.
+    scores (`rank` finds them with `group_ties` on integer numerators).
+    `lower_is_better` records the orientation so consumers never re-derive
+    it from the rule name.
     """
 
     __slots__ = ("rule", "lower_is_better", "groups", "scores")
 
-    def __init__(self, rule: str, lower_is_better: bool, scores: Mapping[str, Fraction]):
+    def __init__(self, rule: str, lower_is_better: bool, scores: Mapping[str, Fraction], groups: tuple):
         self.rule = rule
         self.lower_is_better = lower_is_better
         self.scores = dict(scores)
-        self.groups = group_ties(self.scores, lower_is_better)
+        self.groups = groups
 
     @property
     def best(self) -> tuple[str, ...]:
@@ -663,7 +668,8 @@ def rank(rule: str, menu: Menu, u: UtilitySpec, belief: Belief = None) -> Rankin
     probability-free regret.
     """
     oracle = PreferenceOracle(rule, belief, u, menu.state_space)
-    return Ranking(rule, oracle.lower_is_better, oracle.scores(oracle.alternatives(menu)))
+    numerators, scores = oracle._scored(oracle.alternatives(menu))
+    return Ranking(rule, oracle.lower_is_better, scores, group_ties(numerators, oracle.lower_is_better))
 
 
 # -- mixtures ------------------------------------------------------------------

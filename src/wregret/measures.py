@@ -6,13 +6,15 @@ on an event conditions each measure and rescales its weight by the relative
 likelihood of the event.  The same information can be viewed geometrically:
 each pair (Pr, w) spans the segment of sub-probability vectors from 0 to
 w*Pr, and the downward-closed convex hull of those segments is the canonical
-object behind worst-case weighted regret.  All arithmetic is exact, and the
-hull tests give the simplex the generators from `rational.as_integers`.
+object behind worst-case weighted regret.  All arithmetic is exact: a
+measure is ints over one denominator, and the rule kernels and the hull read
+a belief as the int rows of `weighted_rows`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -38,7 +40,7 @@ def _exact(value: Rational, what: str, state: str | None = None) -> Fraction:
     if not isinstance(value, (int, Fraction, str)):
         where = "" if state is None else f" for state {state!r}"
         raise TypeError(f"{what} {value!r}{where} is not an int, a Fraction or a string")
-    return Fraction(value)
+    return value if type(value) is Fraction else Fraction(value)
 
 
 class Event:
@@ -84,65 +86,94 @@ class Measure:
     """A probability measure on a finite state space.
 
     The mapping is total: every state of the ambient space appears, possibly
-    with probability zero, and the values sum to exactly one.
+    with probability zero, and the values sum to exactly one.  It is held as
+    int `numerators` in sorted state order over one positive `denominator`,
+    reduced by their gcd, so equality and hashing compare ints; `items()`,
+    `[state]` and `repr` build its exact `Fraction`s when read.
     """
 
-    __slots__ = ("_probs", "_items")
+    __slots__ = ("_states", "_numerators", "_denominator", "_items")
 
     def __init__(self, probs: Mapping[str, Rational]):
-        converted = {state: _exact(p, "probability", state) for state, p in probs.items()}
-        for state, p in converted.items():
+        items = sorted((state, _exact(p, "probability", state)) for state, p in probs.items())
+        for state, p in items:
             if p < 0:
                 raise ValueError(f"negative probability {p} for state {state!r}")
-        total = sum(converted.values(), ZERO)
-        if total != 1:
-            raise ValueError(f"probabilities sum to {format_rational(total)}, expected 1/1")
-        self._probs = converted
-        self._items = tuple(sorted(converted.items()))
+        # over the LCM of their reduced denominators the numerators are coprime
+        denominator, (numerators,) = as_integers([[p for _, p in items]])
+        if sum(numerators) != denominator:
+            total = format_rational(Fraction(sum(numerators), denominator))
+            raise ValueError(f"probabilities sum to {total}, expected 1/1")
+        self._states = tuple([state for state, _ in items])
+        self._numerators, self._denominator, self._items = numerators, denominator, None
 
     @property
     def state_space(self) -> tuple[str, ...]:
-        return tuple(state for state, _ in self._items)
+        return self._states
+
+    numerators = property(lambda self: self._numerators, doc="The ints, in sorted state order.")
+    denominator = property(lambda self: self._denominator, doc="Their one positive denominator.")
 
     def __getitem__(self, state: str) -> Fraction:
-        return self._probs[state]
+        return dict(self.items())[state]
 
     def items(self) -> tuple[tuple[str, Fraction], ...]:
+        if self._items is None:
+            d = self._denominator
+            self._items = tuple([(s, Fraction(n, d)) for s, n in zip(self._states, self._numerators)])
         return self._items
 
+    def _mass(self, event: Event) -> int:
+        """The event's probability times the denominator."""
+        picked = [n for s, n in zip(self._states, self._numerators) if s in event._members]
+        if len(picked) != len(event._members):
+            unknown = sorted(event._members.difference(self._states))
+            raise DimensionMismatch(f"event mentions unknown states {unknown}")
+        return sum(picked)
+
     def event_prob(self, event: EventLike) -> Fraction:
-        event = as_event(event)
-        unknown = event.members - self._probs.keys()
-        if unknown:
-            raise DimensionMismatch(f"event mentions unknown states {sorted(unknown)}")
-        return sum((self._probs[s] for s in event.members), ZERO)
+        return Fraction(self._mass(as_event(event)), self._denominator)
 
     def condition(self, event: EventLike) -> "Measure":
-        """Conditional measure given the event; requires positive probability."""
+        """Conditional measure given the event; requires positive probability.
+        Its numerators are those on the event over their sum, reduced."""
         event = as_event(event)
-        p_event = self.event_prob(event)
-        if p_event == 0:
+        if self._mass(event) == 0:
             raise UndefinedUpdate("cannot condition on a probability-zero event")
-        return Measure(
-            {s: (p / p_event if s in event else ZERO) for s, p in self._probs.items()}
-        )
+        kept = [n if s in event._members else 0 for s, n in zip(self._states, self._numerators)]
+        g = gcd(*kept)
+        measure = object.__new__(Measure)
+        measure._states, measure._items = self._states, None
+        measure._numerators, measure._denominator = tuple([n // g for n in kept]), sum(kept) // g
+        return measure
 
     def expectation(self, values: Mapping[str, Rational]) -> Fraction:
-        total = ZERO
-        for s, p in self._probs.items():
-            if p:
-                total += p * values[s]
-        return Fraction(total)
+        """The expected value; the values read (where the probability is positive) must be exact."""
+        pairs = zip(self._states, self._numerators)
+        return sum((n * _exact(values[s], "value", s) for s, n in pairs if n), ZERO) / self._denominator
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Measure) and self._items == other._items
+        return (
+            isinstance(other, Measure)
+            and self._numerators == other._numerators
+            and self._states == other._states
+        )
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return hash((self._states, self._numerators))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{s}: {format_rational(p)}" for s, p in self._items)
+        inner = ", ".join(f"{s}: {format_rational(p)}" for s, p in self.items())
         return f"Measure({{{inner}}})"
+
+
+def weighted_rows(pairs: Sequence[tuple[Fraction, Measure]]) -> tuple[int, list[tuple[int, ...]]]:
+    """(D, rows): each (weight, measure) pair's weight * measure vector, in
+    sorted state order, as ints over one common denominator D, the LCM of
+    the weight-times-measure denominators (1 for no pairs)."""
+    common = lcm(*[w.denominator * m._denominator for w, m in pairs])
+    scales = [w.numerator * (common // (w.denominator * m._denominator)) for w, m in pairs]
+    return common, [tuple([k * n for n in m._numerators]) for k, (_, m) in zip(scales, pairs)]
 
 
 def point_mass(state: str, state_space: Sequence[str]) -> Measure:
@@ -184,8 +215,8 @@ class WeightedMeasureSet:
         return self._states
 
     def _canonical(self) -> tuple:
-        """Sorted (measure items, weight) pairs; the items fix the state set too."""
-        return tuple(sorted(((m.items(), w) for m, w in self._entries)))
+        """The sorted states, then the sorted (numerators, weight) pairs."""
+        return tuple(sorted(self._states)), tuple(sorted((m.numerators, w) for m, w in self._entries))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WeightedMeasureSet) and self._canonical() == other._canonical()
@@ -230,16 +261,17 @@ def likelihood_update(wset: WeightedMeasureSet, event: EventLike) -> WeightedMea
     dropped; the result is normalized as built (its largest weight is 1).
     """
     event = as_event(event)
-    top = upper_likelihood(wset, event)
+    masses = [m._mass(event) for m, _ in wset.entries]
+    likelihoods = [w * Fraction(n, m._denominator) for (m, w), n in zip(wset.entries, masses)]
+    top = max(likelihoods)
     if top == 0:
         raise UndefinedUpdate("update undefined: the event has upper likelihood 0")
     merged: dict[Measure, Fraction] = {}
-    for measure, weight in wset.entries:
-        p_event = measure.event_prob(event)
-        if p_event == 0:
+    for (measure, _), n, likelihood in zip(wset.entries, masses, likelihoods):
+        if n == 0:
             continue
         conditioned = measure.condition(event)
-        candidate = weight * p_event / top
+        candidate = likelihood / top
         if conditioned not in merged or merged[conditioned] < candidate:
             merged[conditioned] = candidate
     return WeightedMeasureSet(tuple(merged.items()), wset.state_space)
@@ -373,7 +405,7 @@ def to_hull(wset: WeightedMeasureSet) -> RegularHull:
     no other point reaches.  They become the generators, ascending.
     """
     order = tuple(sorted(wset.state_space))
-    denominator, rows = as_integers([[w * m[s] for s in order] for m, w in wset.entries])
+    denominator, rows = weighted_rows([(w, m) for m, w in wset.entries])
     maximal: list[tuple[int, ...]] = []
     for v in sorted(set(rows), key=lambda v: (-sum(v), v)):
         if not any(all(a >= b for a, b in zip(u, v)) for u in maximal):

@@ -35,7 +35,7 @@ from wregret import (
 from wregret.decisions import Alternative, PreferenceOracle
 from wregret.errors import ActNotInMenu, BeliefKindMismatch, UnknownPrize
 
-from conftest import DELIVERY_STATES, random_wset
+from conftest import DELIVERY_STATES, random_measure, random_wset
 import rule_reference as reference
 
 F = Fraction
@@ -369,6 +369,35 @@ def grid_utility() -> UtilitySpec:
 
 def _random_menu(rng, u, size=4, states=STATES4) -> Menu:
     return Menu([_random_act(rng, f"a{i}", u, states) for i in range(size)])
+
+
+class TestFractionBudget:
+    def test_rank_builds_one_fraction_per_act(self, grid_utility, monkeypatch):
+        # belief rows, profiles and ties are ints; the Fraction form built
+        # seu 132, mmeu 256, mer 192, mwer 192 and regret 64 on a 64-act,
+        # 32-measure, 4-state instance
+        rng = random.Random(15)
+        menu = _random_menu(rng, grid_utility, size=64)
+        entries = [(random_measure(rng, STATES4), F(rng.randint(0, 8), 8)) for _ in range(32)]
+        measures = tuple(m for m, _ in entries)
+        beliefs = {"seu": measures[0], "mmeu": measures, "regret": None, "mer": measures,
+                   "mwer": WeightedMeasureSet(entries, STATES4)}
+        rank("regret", menu, grid_utility)  # caches every act's utility profile
+        original = Fraction.__new__
+        built = [0]
+
+        def counting_new(cls, *args, **kwargs):
+            built[0] += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        counts = {}
+        for rule, belief in beliefs.items():
+            built[0] = 0
+            rank(rule, menu, grid_utility, belief)
+            counts[rule] = built[0]
+        monkeypatch.undo()
+        assert counts == dict.fromkeys(beliefs, 64)
 
 
 class TestScoreAlgebra:

@@ -1,5 +1,7 @@
 """Weighted measure sets: normalization, updating, and the hull geometry."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import comb
@@ -37,6 +39,7 @@ from wregret import measures
 from wregret.measures import hull_text
 
 from conftest import DELIVERY_STATES, random_measure, random_wset
+import measure_reference as reference
 
 F = Fraction
 
@@ -69,6 +72,45 @@ class TestMeasure:
         with pytest.raises(UndefinedUpdate):
             m3(1, 0, 0).condition(Event(["b"]))
 
+    def test_every_exact_spelling_gives_one_measure(self):
+        spellings = [
+            Measure({"a": "1/2", "b": "0.25", "c": "1/4"}),
+            Measure({"c": F(2, 8), "a": F(2, 4), "b": F(1, 4)}),
+            m3(F(1, 2), F(1, 4), F(1, 4)),
+        ]
+        assert len(set(spellings)) == 1
+        assert len({hash(m) for m in spellings}) == 1
+        assert all(m.numerators == (2, 1, 1) and m.denominator == 4 for m in spellings)
+        assert Measure({"a": 1, "b": 0}) == Measure({"b": F(0), "a": "1"})
+
+    def test_items_are_exact_fractions_in_sorted_state_order(self):
+        m = Measure({"c": "1/6", "a": "1/2", "b": "1/3"})
+        assert m.items() == (("a", F(1, 2)), ("b", F(1, 3)), ("c", F(1, 6)))
+        assert all(type(p) is Fraction for _, p in m.items())
+        assert m.state_space == ABC and m["b"] == F(1, 3)
+        assert repr(m) == "Measure({a: 1/2, b: 1/3, c: 1/6})"
+        with pytest.raises(KeyError):
+            m["d"]
+
+    def test_a_measure_cannot_be_changed(self):
+        m = m3(F(1, 2), F(1, 2), 0)
+        with pytest.raises(AttributeError):
+            m.numerators = (1, 0, 0)
+        with pytest.raises(AttributeError):
+            m.denominator = 1
+        with pytest.raises(AttributeError):
+            del m.numerators
+        with pytest.raises(TypeError):
+            m["a"] = F(1)
+        assert m == m3(F(1, 2), F(1, 2), 0)
+
+    def test_copy_and_pickle_round_trip(self):
+        m = Measure({"x": F(1, 3), "y": F(2, 3)})
+        m.items()  # the Fractions built on read go along or are rebuilt
+        for twin in (copy.copy(m), copy.deepcopy(m), pickle.loads(pickle.dumps(m))):
+            assert twin == m and hash(twin) == hash(m)
+            assert twin.items() == m.items() and twin.denominator == 3
+
 
 class TestFloatsRejected:
     """The exact types take ints, Fractions and strings; a float would be
@@ -94,6 +136,15 @@ class TestFloatsRejected:
         hull = to_hull(delivery_wset)
         with pytest.raises(TypeError, match="direction component 0.5 for state 'one_broken'"):
             support_value(hull, {"one_broken": 0.5, "ten_broken": 0})
+
+    def test_expectation_values(self, delivery_wset):
+        # a float value used to come back as its binary expansion, 3602879701896397/2**55
+        with pytest.raises(TypeError, match="value 0.1 for state 'a'"):
+            Measure({"a": 1, "b": 0}).expectation({"a": 0.1, "b": 0})
+        assert Measure({"a": 1, "b": 0}).expectation({"a": "0.1", "b": 0}) == F(1, 10)
+        oracle = worst_weighted_regret_oracle(delivery_wset)
+        with pytest.raises(TypeError, match="value -0.5 for state 'one_broken'"):
+            oracle({"one_broken": -0.5, "ten_broken": -1})
 
     def test_recover_weights_direction(self, delivery_wset):
         oracle = worst_weighted_regret_oracle(delivery_wset)
@@ -219,6 +270,147 @@ class TestLikelihoodUpdate:
         wset = WeightedMeasureSet([(m3(1, 0, 0), 1)], ABC)
         with pytest.raises(UndefinedUpdate):
             likelihood_update(wset, Event(["b"]))
+
+
+def _conditions_alike(rng: random.Random, measure: Measure, event: set, states) -> Measure:
+    """A measure that conditions on the event as the given one does, with
+    other mass off the event (when the event leaves room for it)."""
+    given = dict(measure.condition(Event(event)).items())
+    off = [s for s in states if s not in event]
+    if not off:
+        return measure
+    t = F(rng.randint(1, 4), 4)
+    spread = [rng.randint(0, 3) for _ in off]
+    spread[0] += 1
+    rest = {s: (1 - t) * F(k, sum(spread)) for s, k in zip(off, spread)}
+    return Measure({s: t * given[s] if s in event else rest[s] for s in states})
+
+
+def reference_case(seed: int):
+    """A seeded weighted set of 1-32 measures over 2-6 states and two events.
+
+    Some states are dead (probability zero under every measure), and events
+    drawn inside them have upper likelihood zero; weights are k/8 with k
+    from 0; about a third of the measures agree on the first event, up to
+    scale, with an earlier one, so the two condition to one measure."""
+    rng = random.Random(seed)
+    states = tuple(f"s{i}" for i in range(rng.randint(2, 6)))
+    dead = set(rng.sample(states, rng.randint(0, len(states) - 1)))
+    alive = [s for s in states if s not in dead]
+    first = {s for s in states if rng.random() < 0.5}
+    if rng.random() < 0.15 and dead:
+        first = set(rng.sample(sorted(dead), 1))
+    second = {s for s in states if rng.random() < 0.6}
+    measures: list[Measure] = []
+    for _ in range(rng.randint(1, 32)):
+        earlier = rng.choice(measures) if measures and rng.random() < 0.35 else None
+        if earlier is not None and earlier.event_prob(first) > 0:
+            measures.append(_conditions_alike(rng, earlier, first, states))
+            continue
+        raw = [rng.randint(0, 4) if s not in dead else 0 for s in states]
+        raw[states.index(rng.choice(alive))] += 1
+        measures.append(Measure({s: F(k, sum(raw)) for s, k in zip(states, raw)}))
+    entries = [(m, F(rng.randint(0, 8), 8)) for m in measures]
+    return WeightedMeasureSet(entries, states), Event(first), Event(second)
+
+
+def plain(entries) -> list:
+    return [(dict(m.items()), w) for m, w in entries]
+
+
+def outcome(call):
+    """The call's result, or the UndefinedUpdate it raised."""
+    try:
+        return call()
+    except UndefinedUpdate:
+        return UndefinedUpdate
+
+
+REFERENCE_SEEDS = range(80)
+
+
+class TestAgainstReference:
+    """The integer measure layer against its former `Fraction` self."""
+
+    def test_the_seeded_sets_reach_every_edge(self):
+        seen = set()
+        for seed in REFERENCE_SEEDS:
+            wset, first, _ = reference_case(seed)
+            entries = wset.entries
+            seen.add(("states", len(wset.state_space)))
+            seen.add(("measures", 32 if len(entries) == 32 else 1 if len(entries) == 1 else "some"))
+            if any(p == 0 for m, _ in entries for _, p in m.items()):
+                seen.add("zero probability")
+            if any(w == 0 for _, w in entries):
+                seen.add("zero weight")
+            if outcome(lambda: likelihood_update(wset, first)) is UndefinedUpdate:
+                seen.add("upper likelihood 0")
+            else:
+                kept = sum(1 for m, _ in entries if m.event_prob(first) > 0)
+                if len(likelihood_update(wset, first).entries) < kept:
+                    seen.add("weights merge")
+        expected = {("states", n) for n in range(2, 7)} | {("measures", n) for n in (1, 32, "some")}
+        expected |= {"zero probability", "zero weight", "upper likelihood 0", "weights merge"}
+        assert seen >= expected, expected - seen
+
+    @pytest.mark.parametrize("seed", REFERENCE_SEEDS)
+    def test_updating_matches_the_reference(self, seed):
+        wset, first, second = reference_case(seed)
+        entries = plain(wset.entries)
+        for (m, _), (ref, _) in zip(wset.entries, entries):
+            got = outcome(lambda: dict(m.condition(first).items()))
+            assert got == outcome(lambda: reference.condition(ref, first.members))
+            assert m.event_prob(first) == reference.event_prob(ref, first.members)
+        for event in (first, second, first & second):
+            assert upper_likelihood(wset, event) == reference.upper_likelihood(entries, event.members)
+            got = outcome(lambda: plain(likelihood_update(wset, event).entries))
+            assert got == outcome(lambda: reference.likelihood_update(entries, event.members))
+        got = outcome(lambda: plain(sequential_update(wset, first, second).entries))
+        if reference.upper_likelihood(entries, (first & second).members) == 0:
+            expected = UndefinedUpdate
+        else:
+            expected = reference.likelihood_update(
+                reference.likelihood_update(entries, first.members), second.members
+            )
+        assert got == expected
+
+    @pytest.mark.parametrize("seed", REFERENCE_SEEDS)
+    def test_hull_matches_the_reference(self, seed):
+        wset, _, _ = reference_case(seed)
+        if all(w == 0 for _, w in wset.entries):
+            return
+        wset = normalize(wset)
+        order = sorted(wset.state_space)
+        generators = [tuple(g.vector(order)) for g in to_hull(wset).generators]
+        assert generators == reference.hull_generators(plain(wset.entries))
+
+
+class TestFractionBudget:
+    def test_update_builds_a_few_fractions_per_entry_whatever_the_states(self, monkeypatch):
+        # the Fraction form built 28 per entry over 4 states, more with more states
+        original = Fraction.__new__
+        built = [0]
+
+        def counting_new(cls, *args, **kwargs):
+            built[0] += 1
+            return original(cls, *args, **kwargs)
+
+        per_entry = []
+        for n_states in (3, 6):
+            rng = random.Random(n_states)
+            states = tuple(f"s{i}" for i in range(n_states))
+            entries = []
+            for _ in range(32):
+                raw = [rng.randint(1, 9) for _ in states]
+                entries.append((Measure({s: F(k, sum(raw)) for s, k in zip(states, raw)}), F(rng.randint(1, 8), 8)))
+            wset = WeightedMeasureSet(entries, states)
+            event = Event(states[: n_states - 1])
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+            built[0] = 0
+            likelihood_update(wset, event)
+            monkeypatch.undo()
+            per_entry.append(F(built[0], 32))
+        assert per_entry[0] == per_entry[1] <= 3, per_entry
 
 
 class TestSequentialUpdate:
