@@ -38,10 +38,8 @@ from math import lcm
 from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .decisions import (
-    Act,
     Alternative,
     IntProfile,
-    Lottery,
     PreferenceOracle,
     Profile,
     UtilitySpec,
@@ -195,7 +193,7 @@ class AxiomReport(NamedTuple):
         }
 
 
-# -- utility profiles and the lotteries that realize them ---------------------------
+# -- utility profiles ----------------------------------------------------------------
 
 def utility_span(u: UtilitySpec) -> tuple[str, str, Fraction, Fraction]:
     """The best and worst prizes and their utilities: (hi_prize, lo_prize, hi, lo)."""
@@ -212,18 +210,6 @@ def _reachable(values, lo: Fraction, hi: Fraction) -> Profile:
         if not (lo <= value <= hi):
             raise ValueError(f"utility {value} outside the representable range [{lo}, {hi}]")
     return profile
-
-
-def value_lottery(value: Fraction, u: UtilitySpec) -> Lottery:
-    """A two-prize lottery whose expected utility is exactly `value`."""
-    hi_prize, lo_prize, hi, lo = utility_span(u)
-    (value,) = _reachable((value,), lo, hi)
-    p = (value - lo) / (hi - lo)
-    return Lottery({hi_prize: p, lo_prize: 1 - p})
-
-
-def profile_act(name: str, profile: Mapping[str, Fraction], u: UtilitySpec) -> Act:
-    return Act(name, {s: value_lottery(Fraction(v), u) for s, v in profile.items()})
 
 
 def _mix(p: Fraction, f: Alternative, h: Alternative, named: bool = False) -> Alternative:

@@ -15,19 +15,18 @@ regret-family score menu-dependent.  Five rules are provided:
 `RULES` maps each name to its kernel, belief kind and orientation, and
 `belief_for` picks the belief of the kind a rule takes.  A
 `PreferenceOracle` binds a rule to a belief and is the one place where
-utility profiles become scores: with `measures.weighted_rows` it reads its
-belief once into integer entries (D, rows), puts each menu's profiles over
-the LCM L of their denominators, and runs a kernel that returns an int N
-whose score is N/(D*L), so no rounding is ever needed, `rank` ties on the
-ints N, and a `Fraction` is built only for a returned score.  It scores
-`Alternative`s (a name and a profile), so `rank`, the per-act rules, the axiom checker,
-decision-tree plans and the simulator's probe table all score through it.
-An `Alternative` holds its profile as ints over one denominator (a whole
-menu's, from `as_alternatives`); its exact `Fraction` `profile`, which
-custom oracles read, is built only when something reads it.
-The rules share kernels (mer is mwer with every weight one), so their
-degeneration identities are tested against an independent re-derivation of
-the five rules kept in the tests.
+profiles become scores: it reads its belief once into integer rows over D
+(`measures.weighted_rows`), puts a menu's profiles over the LCM L of their
+denominators and runs a kernel whose int N is the score N/(D*L), so `rank`
+ties on ints and builds a `Fraction` only for a returned score.  What it
+scores is an `Alternative`, a name and a profile.  Lotteries, utility tables
+and alternatives are all ints over one denominator, with `Fraction`s built
+only when read.  An immutable `Act` sums its profile as an int dot product
+once per utility table and keeps that alternative, so the oracle's
+`alternatives` only looks them up; `as_alternatives` converts the profiles
+of decision-tree plans.  The rules share kernels (mer is mwer with every
+weight one); their degeneration identities are tested against an
+independent re-derivation of the five rules kept in the tests.
 """
 
 from __future__ import annotations
@@ -40,7 +39,7 @@ from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, 
 
 from .errors import ActNotInMenu, BeliefKindMismatch, DimensionMismatch, UnknownPrize
 from .measures import Measure, WeightedMeasureSet, weighted_rows
-from .rational import as_integers, format_decimal, format_rational
+from .rational import as_integers, exact, format_decimal, format_rational
 
 Rational = Union[Fraction, int, str]
 
@@ -49,69 +48,78 @@ ONE = Fraction(1)
 
 
 class UtilitySpec:
-    """Utility table over prizes; needs at least two distinct values."""
+    """Utility table over prizes; needs at least two distinct values.  It is
+    held as one int per prize over one positive denominator; `items()`,
+    `[prize]` and `utility()` build exact `Fraction`s when read."""
 
-    __slots__ = ("_utils",)
+    __slots__ = ("_numerators", "_denominator")
 
     def __init__(self, prize_utils: Mapping[str, Rational]):
-        utils = {prize: Fraction(v) for prize, v in prize_utils.items()}
-        if len(set(utils.values())) < 2:
+        items = sorted((prize, exact(v, "utility", prize, "prize")) for prize, v in prize_utils.items())
+        if len({v for _, v in items}) < 2:
             raise ValueError("a utility table needs two prizes with distinct utilities")
-        self._utils = utils
+        self._denominator, (numerators,) = as_integers([[v for _, v in items]])
+        self._numerators = dict(zip([prize for prize, _ in items], numerators))
 
     def __getitem__(self, prize: str) -> Fraction:
-        try:
-            return self._utils[prize]
-        except KeyError:
-            raise UnknownPrize(f"no utility assigned to prize {prize!r}") from None
+        return self.utility(sure(prize))
 
     def items(self) -> tuple[tuple[str, Fraction], ...]:
-        return tuple(sorted(self._utils.items()))
+        return tuple([(prize, Fraction(n, self._denominator)) for prize, n in self._numerators.items()])
 
     def utility(self, lottery: "Lottery") -> Fraction:
-        return sum((p * self[prize] for prize, p in lottery.items()), ZERO)
+        return Fraction(self._dot(lottery), lottery._denominator * self._denominator)
 
-    def rescaled(self, scale: Rational, shift: Rational) -> "UtilitySpec":
-        scale = Fraction(scale)
-        shift = Fraction(shift)
-        return UtilitySpec({prize: scale * v + shift for prize, v in self._utils.items()})
+    def _dot(self, lottery: "Lottery") -> int:
+        """The lottery's expected utility times both denominators."""
+        utils = self._numerators
+        try:
+            return sum([n * utils[prize] for prize, n in zip(lottery._prizes, lottery._numerators)])
+        except KeyError as missing:
+            raise UnknownPrize(f"no utility assigned to prize {missing.args[0]!r}") from None
 
 
 class Lottery:
-    """A finite-support probability over prizes."""
+    """A finite-support probability over prizes, held as the int numerators
+    of its support (in sorted prize order) over one positive denominator,
+    reduced by their gcd; `items()` builds its exact `Fraction`s when read."""
 
-    __slots__ = ("_items",)
+    __slots__ = ("_prizes", "_numerators", "_denominator")
 
     def __init__(self, probs: Mapping[str, Rational]):
-        converted = {prize: Fraction(p) for prize, p in probs.items()}
-        for prize, p in converted.items():
+        items = sorted((prize, exact(p, "probability", prize, "prize")) for prize, p in probs.items())
+        for prize, p in items:
             if p < 0:
                 raise ValueError(f"negative probability {p} for prize {prize!r}")
-        total = sum(converted.values(), ZERO)
-        if total != 1:
-            raise ValueError(f"lottery probabilities sum to {format_rational(total)}")
-        self._items = tuple(sorted((prize, p) for prize, p in converted.items() if p))
+        items = [(prize, p) for prize, p in items if p]
+        # over the LCM of their reduced denominators the numerators are coprime
+        denominator, (numerators,) = as_integers([[p for _, p in items]])
+        if sum(numerators) != denominator:
+            total = format_rational(Fraction(sum(numerators), denominator))
+            raise ValueError(f"lottery probabilities sum to {total}")
+        self._prizes = tuple([prize for prize, _ in items])
+        self._numerators, self._denominator = numerators, denominator
 
     def items(self) -> tuple[tuple[str, Fraction], ...]:
-        return self._items
+        d = self._denominator
+        return tuple([(prize, Fraction(n, d)) for prize, n in zip(self._prizes, self._numerators)])
 
     def mix(self, weight: Rational, other: "Lottery") -> "Lottery":
         weight = Fraction(weight)
-        probs: dict[str, Fraction] = {}
-        for prize, p in self._items:
-            probs[prize] = weight * p
-        for prize, p in other._items:
-            probs[prize] = probs.get(prize, ZERO) + (1 - weight) * p
+        probs = {prize: (1 - weight) * p for prize, p in other.items()}
+        for prize, p in self.items():
+            probs[prize] = weight * p + probs.get(prize, ZERO)
         return Lottery(probs)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Lottery) and self._items == other._items
+        mine = (self._prizes, self._numerators)
+        return isinstance(other, Lottery) and mine == (other._prizes, other._numerators)
 
     def __hash__(self) -> int:
-        return hash(self._items)
+        return hash((self._prizes, self._numerators))
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{prize}: {format_rational(p)}" for prize, p in self._items)
+        inner = ", ".join(f"{prize}: {format_rational(p)}" for prize, p in self.items())
         return f"Lottery({{{inner}}})"
 
 
@@ -121,17 +129,21 @@ def sure(prize: str) -> Lottery:
 
 
 class Act:
-    """A named assignment of one lottery to every state."""
+    """A named assignment of one lottery to every state.
 
-    __slots__ = ("name", "_outcomes", "_items", "_profiles")
+    An act is immutable.  Under each utility table it keeps the one
+    `Alternative` the rules see it as, whose profile is an int dot product
+    of lottery and utility numerators, built the first time it is asked for.
+    """
+
+    __slots__ = ("name", "_outcomes", "_items", "_alternatives")
 
     def __init__(self, name: str, outcomes: Mapping[str, Lottery]):
         if not name:
             raise ValueError("acts need a nonempty name")
-        self.name = name
-        self._outcomes = dict(outcomes)
-        self._items = tuple(sorted(self._outcomes.items(), key=lambda kv: kv[0]))
-        self._profiles: dict[UtilitySpec, Mapping[str, Fraction]] = {}
+        items = tuple(sorted(outcomes.items(), key=lambda kv: kv[0]))
+        for slot, value in zip(Act.__slots__, (name, dict(outcomes), items, {})):
+            object.__setattr__(self, slot, value)
 
     @property
     def state_space(self) -> tuple[str, ...]:
@@ -143,13 +155,31 @@ class Act:
     def items(self) -> tuple[tuple[str, Lottery], ...]:
         return self._items
 
+    def alternative(self, u: UtilitySpec) -> "Alternative":
+        """The act as the rules see it under the utility table: its name and
+        its expected utility per state, in sorted state order, over the LCM
+        of its lotteries' denominators times the table's denominator."""
+        alternative = self._alternatives.get(u)
+        if alternative is None:
+            lotteries = [lottery for _, lottery in self._items]
+            scale = lcm(*[lottery._denominator for lottery in lotteries])
+            numerators = [u._dot(lottery) * (scale // lottery._denominator) for lottery in lotteries]
+            alternative = Alternative.from_ints(self.name, numerators, scale * u._denominator)
+            self._alternatives[u] = alternative
+        return alternative
+
     def utility_profile(self, u: UtilitySpec) -> Mapping[str, Fraction]:
         """Expected utility per state, in sorted state order (read-only)."""
-        profile = self._profiles.get(u)
-        if profile is None:
-            profile = MappingProxyType({state: u.utility(lottery) for state, lottery in self._items})
-            self._profiles[u] = profile
-        return profile
+        return MappingProxyType(dict(zip(self.state_space, self.alternative(u).profile)))
+
+    def __setattr__(self, key: str, value: object) -> None:
+        raise AttributeError(f"an Act is immutable (cannot set {key!r})")
+
+    def __delattr__(self, key: str) -> None:
+        raise AttributeError(f"an Act is immutable (cannot delete {key!r})")
+
+    def __reduce__(self):
+        return Act, (self.name, self._outcomes)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Act) and self.name == other.name and self._items == other._items
@@ -203,18 +233,10 @@ class Menu:
     def __contains__(self, act: Act) -> bool:
         return any(a == act for a in self._acts)
 
-    def with_act(self, act: Act) -> "Menu":
-        """The menu enlarged by one act (identity if already present)."""
-        if act in self:
-            return self
-        return Menu(self._acts + (act,))
-
     def best_profile(self, u: UtilitySpec) -> Mapping[str, Fraction]:
         """Per-state maximum utility achieved by any menu act (read-only)."""
-        profiles = [act.utility_profile(u) for act in self._acts]
-        return MappingProxyType(
-            {state: max(profile[state] for profile in profiles) for state in self.state_space}
-        )
+        best = per_state_best([act.alternative(u).profile for act in self._acts])
+        return MappingProxyType(dict(zip(self.state_space, best)))
 
     def __repr__(self) -> str:
         return f"Menu([{', '.join(a.name for a in self._acts)}])"
@@ -557,10 +579,7 @@ class PreferenceOracle:
         if menu.state_space != self.state_space:
             states = ", ".join(self.state_space)
             raise DimensionMismatch(f"the menu is not over the oracle's states {states}")
-        return as_alternatives(
-            [act.name for act in menu],
-            [tuple(act.utility_profile(self.utility).values()) for act in menu],
-        )
+        return tuple([act.alternative(self.utility) for act in menu])
 
     def score(self, act: Act, menu: Menu) -> Fraction:
         """The rule's score of a menu act."""

@@ -26,21 +26,12 @@ from .errors import (
     UndefinedUpdate,
 )
 from .linfeas import in_downward_convex_hull
-from .rational import as_integers, format_map, format_rational
+from .rational import as_integers, exact, format_rational
 
 Rational = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
-
-
-def _exact(value: Rational, what: str, state: str | None = None) -> Fraction:
-    """The value as a Fraction.  A float, or any other type than int,
-    Fraction and str, raises TypeError naming the value and its state."""
-    if not isinstance(value, (int, Fraction, str)):
-        where = "" if state is None else f" for state {state!r}"
-        raise TypeError(f"{what} {value!r}{where} is not an int, a Fraction or a string")
-    return value if type(value) is Fraction else Fraction(value)
 
 
 class Event:
@@ -95,7 +86,7 @@ class Measure:
     __slots__ = ("_states", "_numerators", "_denominator", "_items")
 
     def __init__(self, probs: Mapping[str, Rational]):
-        items = sorted((state, _exact(p, "probability", state)) for state, p in probs.items())
+        items = sorted((state, exact(p, "probability", state)) for state, p in probs.items())
         for state, p in items:
             if p < 0:
                 raise ValueError(f"negative probability {p} for state {state!r}")
@@ -150,7 +141,7 @@ class Measure:
     def expectation(self, values: Mapping[str, Rational]) -> Fraction:
         """The expected value; the values read (where the probability is positive) must be exact."""
         pairs = zip(self._states, self._numerators)
-        return sum((n * _exact(values[s], "value", s) for s, n in pairs if n), ZERO) / self._denominator
+        return sum((n * exact(values[s], "value", s) for s, n in pairs if n), ZERO) / self._denominator
 
     def __eq__(self, other: object) -> bool:
         return (
@@ -191,7 +182,7 @@ class WeightedMeasureSet:
         entries: Iterable[tuple[Measure, Rational]],
         state_space: Sequence[str] | None = None,
     ):
-        entries = tuple((m, _exact(w, "weight")) for m, w in entries)
+        entries = tuple((m, exact(w, "weight")) for m, w in entries)
         if not entries:
             raise EmptySet("a weighted measure set needs at least one entry")
         states = tuple(state_space) if state_space is not None else entries[0][0].state_space
@@ -298,7 +289,7 @@ class SubProbabilityVector:
     __slots__ = ("_values", "_items")
 
     def __init__(self, values: Mapping[str, Rational]):
-        converted = {state: _exact(v, "mass", state) for state, v in values.items()}
+        converted = {state: exact(v, "mass", state) for state, v in values.items()}
         for state, v in converted.items():
             if v < 0:
                 raise ValueError(f"negative mass {v} for state {state!r}")
@@ -321,7 +312,7 @@ class SubProbabilityVector:
         return sum(self._values.values(), ZERO)
 
     def dot(self, direction: Mapping[str, Rational]) -> Fraction:
-        return sum((v * _exact(direction[s], "direction component", s)
+        return sum((v * exact(direction[s], "direction component", s)
                     for s, v in self._values.items()), ZERO)
 
     def vector(self, order: Sequence[str]) -> list[Fraction]:
@@ -428,7 +419,7 @@ def support_value(hull: RegularHull, direction: Mapping[str, Rational]) -> Fract
     For nonnegative directions the maximum over the downward-convex closure
     is attained at a generator, so no optimization is needed.
     """
-    converted = {s: _exact(v, "direction component", s) for s, v in direction.items()}
+    converted = {s: exact(v, "direction component", s) for s, v in direction.items()}
     if set(converted) != set(hull.state_space):
         raise DimensionMismatch("direction does not cover the hull's state space")
     for state, v in converted.items():
@@ -492,7 +483,7 @@ def recover_weights(
     """
     checked: list[dict[str, Fraction]] = []
     for direction in directions:
-        converted = {s: _exact(v, "direction component", s) for s, v in direction.items()}
+        converted = {s: exact(v, "direction component", s) for s, v in direction.items()}
         for state, v in converted.items():
             if v > 0 or v < -1:
                 raise ValueError(
@@ -517,12 +508,3 @@ def recover_weights(
             )
         result[candidate] = best
     return result
-
-
-# -- canonical serialization ---------------------------------------------------
-
-def hull_text(hull: RegularHull) -> str:
-    lines = ["states: " + " ".join(sorted(hull.state_space))]
-    for g in sorted(hull.generators, key=lambda g: g.items()):
-        lines.append(f"generator = {format_map(g.items())}")
-    return "\n".join(lines) + "\n"

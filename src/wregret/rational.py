@@ -4,9 +4,11 @@ All arithmetic in the library uses fractions.Fraction.  Text formats accept
 `a/b`, decimals and plain integers; decimals convert exactly (a decimal with
 k digits after the point becomes an integer over 10**k).  Canonical output
 is always `numerator/denominator` in lowest terms so serialized documents
-are byte-stable; `format_map` writes every `{ key: n/d, ... }` map.  The
-other form a rational leaves the core in is `as_integers`: rows over one
-common denominator as ints, for the rule kernels and the exact simplex.
+are byte-stable; `format_map` writes every `{ key: n/d, ... }` map.
+`exact` is the one check on what enters an exact type: ints, Fractions and
+strings pass, and a float raises TypeError.  The other form a rational leaves the core in is
+`as_integers`: rows over one common denominator as ints, for the rule
+kernels, the exact types and the exact simplex.
 """
 
 from __future__ import annotations
@@ -53,6 +55,16 @@ def parse_rational(text: str) -> Fraction:
         frac_i = int(frac) if frac else 0
         return Fraction(sign * (whole_i * scale + frac_i), scale)
     return Fraction(sign * int(body))
+
+
+def exact(value: Union[Rational, str], what: str, key: str | None = None, kind: str = "state") -> Fraction:
+    """The value as a Fraction.  A float, or any other type than int,
+    Fraction and str, raises TypeError naming the value and the key (a
+    state, or another `kind` of label) it belongs to."""
+    if not isinstance(value, (int, Fraction, str)):
+        where = "" if key is None else f" for {kind} {key!r}"
+        raise TypeError(f"{what} {value!r}{where} is not an int, a Fraction or a string")
+    return value if type(value) is Fraction else Fraction(value)
 
 
 def format_rational(value: Fraction) -> str:

@@ -9,6 +9,7 @@ import pytest
 
 from wregret import (
     Act,
+    Lottery,
     Measure,
     Menu,
     UtilitySpec,
@@ -17,6 +18,7 @@ from wregret import (
     point_mass,
     sure,
 )
+from wregret.axioms import utility_span
 
 DELIVERY_STATES = ("one_broken", "ten_broken")
 
@@ -34,6 +36,20 @@ def delivery_utility() -> UtilitySpec:
             "double_penalty": -20000,
         }
     )
+
+
+def value_lottery(value: Fraction, u: UtilitySpec) -> Lottery:
+    """A two-prize lottery whose expected utility is exactly `value`."""
+    hi_prize, lo_prize, hi, lo = utility_span(u)
+    if not lo <= value <= hi:
+        raise ValueError(f"utility {value} outside the representable range [{lo}, {hi}]")
+    p = (value - lo) / (hi - lo)
+    return Lottery({hi_prize: p, lo_prize: 1 - p})
+
+
+def profile_act(name: str, profile: dict, u: UtilitySpec) -> Act:
+    """An act whose utility profile under `u` is exactly `profile`."""
+    return Act(name, {s: value_lottery(Fraction(v), u) for s, v in profile.items()})
 
 
 def pair_act(name: str, one, ten) -> Act:

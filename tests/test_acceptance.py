@@ -35,7 +35,6 @@ from wregret.axioms import (
     check_mdc,
     delivery_fixtures,
     likelihood_family,
-    profile_act,
     replay,
 )
 from wregret.dsl import parse_problem, parse_tree, serialize_problem
@@ -48,7 +47,7 @@ from wregret.errors import ParseError
 from wregret.fixtures import fixture_text
 from wregret.learning import ObservationModel, Probe, cupcake_weight, simulate
 
-from conftest import random_wset
+from conftest import profile_act, random_wset
 from test_dsl import _mutate
 
 F = Fraction

@@ -25,12 +25,12 @@ from wregret.axioms import (
     check_axiom,
     delivery_fixtures,
     replay,
-    value_lottery,
 )
 from wregret.decisions import UtilitySpec, _position
 from wregret.errors import DimensionMismatch, UnknownAxiom
 from wregret.measures import Measure, WeightedMeasureSet, point_mass
 
+from conftest import profile_act, value_lottery
 import rule_reference as reference
 
 F = Fraction
@@ -247,7 +247,6 @@ class TestOracle:
     def test_compare_is_antisymmetric(self, fixtures):
         oracle = fixtures.oracle("mwer")
         from wregret import Menu
-        from wregret.axioms import profile_act
 
         f = profile_act("f", {"one_broken": F(1), "ten_broken": F(0)}, fixtures.utility)
         g = profile_act("g", {"one_broken": F(0), "ten_broken": F(1)}, fixtures.utility)
@@ -257,7 +256,6 @@ class TestOracle:
     def test_regret_oracle_checks_states(self, fixtures):
         # unchecked, zip would drop s3 and f and g would compare as equal
         from wregret import Menu
-        from wregret.axioms import profile_act
 
         states = {"s1": F(0), "s2": F(0)}
         f = profile_act("f", {**states, "s3": F(1)}, fixtures.utility)

@@ -1,5 +1,7 @@
 """Acts, menus, the regret calculus, the five rules, and their algebra."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 from math import comb
@@ -35,7 +37,7 @@ from wregret import (
 from wregret.decisions import Alternative, PreferenceOracle
 from wregret.errors import ActNotInMenu, BeliefKindMismatch, UnknownPrize
 
-from conftest import DELIVERY_STATES, random_measure, random_wset
+from conftest import DELIVERY_STATES, profile_act, random_measure, random_wset
 import rule_reference as reference
 
 F = Fraction
@@ -111,8 +113,6 @@ class TestRuleScores:
 
     def test_mwer_state_independent_half_mix(self, delivery_utility, delivery_wset):
         # mirrored payoffs: the menu has state-independent outcome distributions
-        from wregret.axioms import profile_act
-
         def mirrored(name, x):
             return profile_act(
                 name, {"one_broken": F(x), "ten_broken": F(-x)}, delivery_utility
@@ -310,6 +310,140 @@ class TestAgainstReference:
                 assert per_act == expected, (seed, rule)
 
 
+def _int_profile_instance(rng: random.Random):
+    """Seeded utility tables and acts as plain dicts: utilities that are
+    negative, zero and positive over mixed denominators, lotteries with
+    explicit zero-probability prizes and mixed denominators."""
+    states = [f"s{i}" for i in range(rng.randint(2, 5))]
+    prizes = [f"z{i}" for i in range(rng.randint(2, 5))]
+
+    def table():
+        while True:
+            utility = {z: F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7, 12))) for z in prizes}
+            if len(set(utility.values())) > 1:
+                return utility
+
+    def lottery():
+        raw = [rng.choice((0, 0, 1, 2, 5)) for _ in prizes]
+        raw[rng.randrange(len(raw))] += 1
+        scale = rng.choice((1, 2, 3, 5))
+        return {z: F(r * scale, sum(raw) * scale) for z, r in zip(prizes, raw)}
+
+    acts = {f"a{i}": {s: lottery() for s in states} for i in range(rng.randint(1, 9))}
+    return states, table(), table(), acts
+
+
+def _library_menu(acts: dict) -> Menu:
+    return Menu(Act(name, {s: Lottery(lot) for s, lot in act.items()}) for name, act in acts.items())
+
+
+class TestIntProfiles:
+    """An act's profile is an int dot product, kept as one Alternative per
+    utility table; it must equal the Fraction sum of p * u state by state."""
+
+    def test_profiles_match_the_fraction_sum(self):
+        for seed in range(80):
+            states, first, second, acts = _int_profile_instance(random.Random(seed))
+            menu = _library_menu(acts)
+            u, v = UtilitySpec(first), UtilitySpec(second)
+            for act in menu:
+                # one act under two tables, asked in both orders
+                for spec, plain in ((u, first), (v, second), (u, first)):
+                    expected = {s: reference.expected_utility(acts[act.name][s], plain) for s in states}
+                    assert act.utility_profile(spec) == expected, seed
+                    assert act.alternative(spec).profile == tuple(expected[s] for s in sorted(states))
+                    for s in states:
+                        assert spec.utility(act[s]) == expected[s]
+                assert act.alternative(u) is act.alternative(u)
+                assert act.alternative(v) is not act.alternative(u)
+
+    def test_rank_matches_the_reference_rules(self):
+        for seed in range(40):
+            rng = random.Random(1000 + seed)
+            states, first, second, acts = _int_profile_instance(rng)
+            menu = _library_menu(acts)
+            plain = [{s: F(r, 10) for s, r in zip(states, _split(rng, 10, len(states)))} for _ in range(3)]
+            weights = [F(1), F(rng.randint(0, 6), 6), F(rng.randint(0, 6), 6)]
+            measures = [Measure(m) for m in plain]
+            beliefs = {
+                "seu": (measures[0], plain[0]),
+                "mmeu": (measures, plain),
+                "regret": (None, None),
+                "mer": (measures, plain),
+                "mwer": (WeightedMeasureSet(list(zip(measures, weights)), states), list(zip(plain, weights))),
+            }
+            for table in (first, second):
+                u = UtilitySpec(table)
+                for rule, (belief, reference_belief) in beliefs.items():
+                    ranking = rank(rule, menu, u, belief)
+                    expected = reference.scores(rule, acts, table, reference_belief)
+                    assert ranking.scores == expected, (seed, rule)
+                    assert ranking.groups == reference.groups(expected, ranking.lower_is_better)
+
+    def test_the_oracle_reads_the_cached_alternatives(self, base_menu, delivery_utility):
+        oracle = PreferenceOracle("regret", None, delivery_utility, DELIVERY_STATES)
+        alternatives = oracle.alternatives(base_menu)
+        assert all(a is act.alternative(delivery_utility) for a, act in zip(alternatives, base_menu))
+        assert oracle.alternatives(base_menu) == alternatives
+
+    def test_unknown_prize_raises_on_every_path(self, delivery_utility):
+        act = Act("odd", {"one_broken": sure("mystery"), "ten_broken": sure("nothing")})
+        menu = Menu([act])
+        for call in (
+            lambda: act.alternative(delivery_utility),
+            lambda: act.utility_profile(delivery_utility),
+            lambda: rank("regret", menu, delivery_utility),
+            lambda: delivery_utility["mystery"],
+        ):
+            with pytest.raises(UnknownPrize, match="'mystery'"):
+                call()
+        # a prize of probability zero is not part of the lottery
+        half = Lottery({"nothing": 1, "mystery": 0})
+        assert half == sure("nothing") and delivery_utility.utility(half) == 0
+
+
+def _split(rng: random.Random, total: int, parts: int) -> list[int]:
+    """`parts` nonnegative ints summing to `total`."""
+    cuts = sorted(rng.randint(0, total) for _ in range(parts - 1))
+    return [b - a for a, b in zip([0, *cuts], [*cuts, total])]
+
+
+class TestFloatsRejected:
+    """A float would be stored as its binary expansion (0.1 as
+    3602879701896397/2**55), so the exact types raise TypeError instead."""
+
+    def test_utility_spec(self):
+        with pytest.raises(TypeError, match="utility 0.1 for prize 'a'"):
+            UtilitySpec({"a": 0.1, "b": 1})
+        assert UtilitySpec({"a": "0.1", "b": 1}).items() == (("a", F(1, 10)), ("b", F(1)))
+
+    def test_lottery(self):
+        with pytest.raises(TypeError, match="probability 0.5 for prize 'a'"):
+            Lottery({"a": 0.5, "b": 0.5})
+        assert Lottery({"a": "1/2", "b": "0.5"}) == Lottery({"a": F(1, 2), "b": F(1, 2)})
+
+
+class TestLotteryAndActValues:
+    def test_lottery_equality_is_on_reduced_ints(self):
+        first = Lottery({"a": F(1, 3), "b": F(2, 3)})
+        second = Lottery({"b": F(4, 6), "a": "1/3", "c": 0})
+        assert first == second and hash(first) == hash(second)
+        assert first.items() == (("a", F(1, 3)), ("b", F(2, 3)))
+        assert first != Lottery({"a": F(2, 3), "b": F(1, 3)})
+
+    def test_act_is_immutable_and_copyable(self, delivery_acts, delivery_utility):
+        act = delivery_acts["check"]
+        before = act.alternative(delivery_utility)
+        for change in (lambda: setattr(act, "name", "x"), lambda: delattr(act, "name"),
+                       lambda: setattr(act, "_alternatives", {}), lambda: setattr(act, "extra", 1)):
+            with pytest.raises(AttributeError):
+                change()
+        assert act.name == "check" and act.alternative(delivery_utility) is before
+        for twin in (copy.copy(act), copy.deepcopy(act), pickle.loads(pickle.dumps(act))):
+            assert twin == act and hash(twin) == hash(act)
+            assert twin.utility_profile(delivery_utility) == act.utility_profile(delivery_utility)
+
+
 class TestMixtures:
     def test_full_weight_is_identity(self, delivery_acts):
         mixed = mix(1, delivery_acts["cont"], delivery_acts["back"])
@@ -371,6 +505,16 @@ def _random_menu(rng, u, size=4, states=STATES4) -> Menu:
     return Menu([_random_act(rng, f"a{i}", u, states) for i in range(size)])
 
 
+def _with_act(menu: Menu, act: Act) -> Menu:
+    """The menu enlarged by one act (the menu itself if already present)."""
+    return menu if act in menu else Menu(menu.acts + (act,))
+
+
+def _rescaled(u: UtilitySpec, scale: Fraction, shift: Fraction) -> UtilitySpec:
+    """The utility table scale * u + shift."""
+    return UtilitySpec({prize: scale * v + shift for prize, v in u.items()})
+
+
 class TestFractionBudget:
     def test_rank_builds_one_fraction_per_act(self, grid_utility, monkeypatch):
         # belief rows, profiles and ties are ints; the Fraction form built
@@ -420,7 +564,7 @@ class TestScoreAlgebra:
         rng = random.Random(seed)
         menu = _random_menu(rng, grid_utility, size=3)
         extra = _random_act(rng, "extra", grid_utility)
-        bigger = menu.with_act(extra)
+        bigger = _with_act(menu, extra)
         wset = random_wset(rng, STATES4)
         measures = [m for m, _ in wset.entries]
         for act in menu:
@@ -445,7 +589,7 @@ class TestScoreAlgebra:
             v = max(v, F(-1))
             outcomes[s] = Lottery({"top": (v + 1) / 2, "bot": 1 - (v + 1) / 2})
         dominated = Act("shadow", outcomes)
-        bigger = menu.with_act(dominated)
+        bigger = _with_act(menu, dominated)
         wset = random_wset(rng, STATES4)
         for act in menu:
             assert mwer(act, menu, grid_utility, wset) == mwer(act, bigger, grid_utility, wset)
@@ -472,7 +616,7 @@ class TestScoreAlgebra:
         menu = _random_menu(rng, grid_utility, size=3)
         wset = random_wset(rng, STATES4)
         scale, shift = F(rng.randint(1, 8), 3), F(rng.randint(-9, 9), 4)
-        rescaled = grid_utility.rescaled(scale, shift)
+        rescaled = _rescaled(grid_utility, scale, shift)
         before = rank("mwer", menu, grid_utility, wset)
         after = rank("mwer", menu, rescaled, wset)
         assert after.groups == before.groups

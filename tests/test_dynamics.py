@@ -31,7 +31,6 @@ from wregret.axioms import (
     delivery_fixtures,
     frozen_weight_family,
     likelihood_family,
-    profile_act,
     replay_mdc,
 )
 from wregret.dynamics import (
@@ -48,7 +47,7 @@ from wregret.dynamics import (
 )
 from wregret.errors import MalformedTree, NullEvent, NullEventAtNode
 
-from conftest import DELIVERY_STATES, random_wset
+from conftest import DELIVERY_STATES, profile_act, random_wset
 
 F = Fraction
 

@@ -27,16 +27,21 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
-def test_cli_import_path_is_lean_and_complete():
-    # `import wregret.cli` loads every layer the benchmark's tracer wraps
-    # (perfbench/tracing.py `TARGETS`), and none of the costly reflection
-    # modules: `dataclasses` pulls in `inspect` and, through it, `ast` and `dis`
+def _traced_targets() -> dict[str, tuple[str, ...]]:
+    """perfbench/tracing.py's `TARGETS`: layer -> wrapped entry points."""
     tracing = PACKAGE.parents[1] / "perfbench" / "tracing.py"
-    targets = next(
+    return next(
         ast.literal_eval(node.value)
         for node in ast.parse(tracing.read_text(encoding="utf-8")).body
         if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["TARGETS"]
     )
+
+
+def test_cli_import_path_is_lean_and_complete():
+    # `import wregret.cli` loads every layer the benchmark's tracer wraps
+    # (perfbench/tracing.py `TARGETS`), and none of the costly reflection
+    # modules: `dataclasses` pulls in `inspect` and, through it, `ast` and `dis`
+    targets = _traced_targets()
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     code = "import json, sys, wregret.cli; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run(
@@ -46,3 +51,23 @@ def test_cli_import_path_is_lean_and_complete():
     loaded = set(json.loads(out))
     assert {"dataclasses", "inspect"} & loaded == set()
     assert {f"wregret.{layer}" for layer in targets} <= loaded
+
+
+def test_every_traced_target_resolves():
+    # resolved the way `tracing.install` wraps them, getattr on the module or
+    # the class's own __dict__ for "Class.method", so a rename or a method
+    # moved to another class fails here and not in a `--trace 1` run
+    import wregret.cli  # noqa: F401  (loads every layer)
+
+    unresolved = []
+    for layer, names in _traced_targets().items():
+        module = sys.modules[f"wregret.{layer}"]
+        for qualname in names:
+            cls_name, _, attr = qualname.rpartition(".")
+            try:
+                target = getattr(module, cls_name).__dict__[attr] if cls_name else getattr(module, attr)
+            except (AttributeError, KeyError):
+                target = None
+            if not callable(target):
+                unresolved.append(f"{layer}.{qualname}")
+    assert unresolved == []

@@ -36,7 +36,7 @@ from wregret.errors import (
     UndefinedUpdate,
 )
 from wregret import measures
-from wregret.measures import hull_text
+from wregret.rational import format_map
 
 from conftest import DELIVERY_STATES, random_measure, random_wset
 import measure_reference as reference
@@ -686,6 +686,14 @@ class TestRecoverWeights:
         candidates = [m for m, _ in delivery_wset.entries]
         with pytest.raises(DimensionMismatch):
             recover_weights(oracle, candidates, [direction])
+
+
+def hull_text(hull) -> str:
+    """The hull's state space and generators (sorted) in canonical text."""
+    lines = ["states: " + " ".join(sorted(hull.state_space))]
+    for g in sorted(hull.generators, key=lambda g: g.items()):
+        lines.append(f"generator = {format_map(g.items())}")
+    return "\n".join(lines) + "\n"
 
 
 class TestSerialization:
