@@ -57,7 +57,7 @@ from .measures import (
     point_mass,
     upper_likelihood,
 )
-from .rational import format_rational
+from .rational import format_rational, over_common
 
 # Sampling bounds, kept small so arithmetic stays exact: sampled menus hold
 # up to MENU_SIZE acts, utilities lie on a grid of step 1/UTILITY_DENOMINATOR
@@ -219,13 +219,11 @@ def _mix(p: Fraction, f: Alternative, h: Alternative, named: bool = False) -> Al
     With p = k/m and f, h over s_f and s_h, the mixture is born as
     k*f*(L/s_f) + (m-k)*h*(L/s_h) over m*L, where L = lcm(s_f, s_h)."""
     name = mixture_name(p, f.name, h.name) if named else "mixture"
-    s_f, s_h = f.denominator, h.denominator
-    k, m = p.numerator, p.denominator
+    k, m, s_f, s_h = p.numerator, p.denominator, f.denominator, h.denominator
     common = lcm(s_f, s_h)
     kf, kh = k * (common // s_f), (m - k) * (common // s_h)
-    return Alternative.from_ints(
-        name, tuple([kf * a + kh * b for a, b in zip(f.numerators, h.numerators)]), m * common
-    )
+    numerators = tuple([kf * a + kh * b for a, b in zip(f.numerators, h.numerators)])
+    return Alternative.from_ints(name, numerators, m * common)
 
 
 def _enlarge(menu: AltMenu, *acts: Alternative) -> AltMenu:
@@ -804,10 +802,8 @@ def _spliced_signs(
     inside = [s in event.members for s in o.state_space]
 
     def splice(a: Alternative, h: Alternative) -> Alternative:
-        common = lcm(a.denominator, h.denominator)
-        ka, kh = common // a.denominator, common // h.denominator
-        numerators = [x * ka if i else y * kh for x, y, i in zip(a.numerators, h.numerators, inside)]
-        return Alternative.from_ints(a.name, numerators, common)
+        common, (xa, xh) = over_common((a, h))
+        return Alternative.from_ints(a.name, [x if i else y for x, y, i in zip(xa, xh, inside)], common)
 
     return {
         h: o.prefers(splice(f, h), splice(g, h), [splice(a, h) for a in menu]) for h in menu

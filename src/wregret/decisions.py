@@ -19,10 +19,10 @@ profiles become scores: it reads its belief once into integer rows over D
 (`measures.weighted_rows`), puts a menu's profiles over the LCM L of their
 denominators and runs a kernel whose int N is the score N/(D*L), so `rank`
 ties on ints and builds a `Fraction` only for a returned score.  What it
-scores is an `Alternative`, a name and a profile.  Lotteries, utility tables
-and alternatives are all ints over one denominator, with `Fraction`s built
-only when read.  An immutable `Act` sums its profile as an int dot product
-once per utility table and keeps that alternative, so the oracle's
+scores is an `Alternative`, a name and a profile.  Lotteries and utility
+tables are `rational.IntVector`s, alternatives ints over one denominator.  An
+immutable `Act` sums its profile as an int dot product and keeps the
+alternative of the last utility table it was asked about, so the oracle's
 `alternatives` only looks them up; `as_alternatives` converts the profiles
 of decision-tree plans.  The rules share kernels (mer is mwer with every
 weight one); their degeneration identities are tested against an
@@ -38,89 +38,62 @@ from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
 
 from .errors import ActNotInMenu, BeliefKindMismatch, DimensionMismatch, UnknownPrize
-from .measures import Measure, WeightedMeasureSet, weighted_rows
-from .rational import as_integers, exact, format_decimal, format_rational
-
-Rational = Union[Fraction, int, str]
-
-ZERO = Fraction(0)
-ONE = Fraction(1)
+from .measures import Measure, Rational, WeightedMeasureSet, weighted_rows
+from .rational import IntVector, as_integers, format_decimal, format_rational, over_common
 
 
-class UtilitySpec:
-    """Utility table over prizes; needs at least two distinct values.  It is
-    held as one int per prize over one positive denominator; `items()`,
-    `[prize]` and `utility()` build exact `Fraction`s when read."""
+class UtilitySpec(IntVector):
+    """Utility table over prizes, an `IntVector` with two distinct values at
+    least.  `[prize]` and `utility()` build exact `Fraction`s when read."""
 
-    __slots__ = ("_numerators", "_denominator")
+    __slots__ = ("__weakref__", "_utils")
+    _value, _key = "utility", "prize"
 
-    def __init__(self, prize_utils: Mapping[str, Rational]):
-        items = sorted((prize, exact(v, "utility", prize, "prize")) for prize, v in prize_utils.items())
-        if len({v for _, v in items}) < 2:
+    def _fill(self, keys: tuple[str, ...], numerators: tuple[int, ...], denominator: int) -> None:
+        super()._fill(keys, numerators, denominator)
+        object.__setattr__(self, "_utils", dict(zip(keys, numerators)))  # prize -> numerator, for `_dot`
+
+    def _check(self) -> None:
+        if len(set(self.numerators)) < 2:
             raise ValueError("a utility table needs two prizes with distinct utilities")
-        self._denominator, (numerators,) = as_integers([[v for _, v in items]])
-        self._numerators = dict(zip([prize for prize, _ in items], numerators))
 
     def __getitem__(self, prize: str) -> Fraction:
         return self.utility(sure(prize))
 
-    def items(self) -> tuple[tuple[str, Fraction], ...]:
-        return tuple([(prize, Fraction(n, self._denominator)) for prize, n in self._numerators.items()])
-
     def utility(self, lottery: "Lottery") -> Fraction:
-        return Fraction(self._dot(lottery), lottery._denominator * self._denominator)
+        return Fraction(self._dot(lottery), lottery.denominator * self.denominator)
 
     def _dot(self, lottery: "Lottery") -> int:
         """The lottery's expected utility times both denominators."""
-        utils = self._numerators
+        utils = self._utils
         try:
-            return sum([n * utils[prize] for prize, n in zip(lottery._prizes, lottery._numerators)])
+            return sum([n * utils[prize] for prize, n in zip(lottery.keys, lottery.numerators)])
         except KeyError as missing:
             raise UnknownPrize(f"no utility assigned to prize {missing.args[0]!r}") from None
 
 
-class Lottery:
-    """A finite-support probability over prizes, held as the int numerators
-    of its support (in sorted prize order) over one positive denominator,
-    reduced by their gcd; `items()` builds its exact `Fraction`s when read."""
+class Lottery(IntVector):
+    """A finite-support probability over prizes: an `IntVector` over its
+    support, since a prize of probability zero is left out."""
 
-    __slots__ = ("_prizes", "_numerators", "_denominator")
+    __slots__ = ()
+    _value, _key = "probability", "prize"
 
-    def __init__(self, probs: Mapping[str, Rational]):
-        items = sorted((prize, exact(p, "probability", prize, "prize")) for prize, p in probs.items())
-        for prize, p in items:
-            if p < 0:
-                raise ValueError(f"negative probability {p} for prize {prize!r}")
-        items = [(prize, p) for prize, p in items if p]
-        # over the LCM of their reduced denominators the numerators are coprime
-        denominator, (numerators,) = as_integers([[p for _, p in items]])
-        if sum(numerators) != denominator:
-            total = format_rational(Fraction(sum(numerators), denominator))
-            raise ValueError(f"lottery probabilities sum to {total}")
-        self._prizes = tuple([prize for prize, _ in items])
-        self._numerators, self._denominator = numerators, denominator
+    def _fill(self, keys: tuple[str, ...], numerators: tuple[int, ...], denominator: int) -> None:
+        support = [(key, n) for key, n in zip(keys, numerators) if n]
+        super()._fill(tuple([key for key, _ in support]), tuple([n for _, n in support]), denominator)
 
-    def items(self) -> tuple[tuple[str, Fraction], ...]:
-        d = self._denominator
-        return tuple([(prize, Fraction(n, d)) for prize, n in zip(self._prizes, self._numerators)])
+    def _check(self) -> None:
+        self._nonnegative()
+        if sum(self.numerators) != self.denominator:
+            raise ValueError(f"lottery probabilities sum to {format_rational(self.total())}")
 
     def mix(self, weight: Rational, other: "Lottery") -> "Lottery":
         weight = Fraction(weight)
         probs = {prize: (1 - weight) * p for prize, p in other.items()}
         for prize, p in self.items():
-            probs[prize] = weight * p + probs.get(prize, ZERO)
+            probs[prize] = weight * p + probs.get(prize, 0)
         return Lottery(probs)
-
-    def __eq__(self, other: object) -> bool:
-        mine = (self._prizes, self._numerators)
-        return isinstance(other, Lottery) and mine == (other._prizes, other._numerators)
-
-    def __hash__(self) -> int:
-        return hash((self._prizes, self._numerators))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{prize}: {format_rational(p)}" for prize, p in self.items())
-        return f"Lottery({{{inner}}})"
 
 
 def sure(prize: str) -> Lottery:
@@ -131,18 +104,18 @@ def sure(prize: str) -> Lottery:
 class Act:
     """A named assignment of one lottery to every state.
 
-    An act is immutable.  Under each utility table it keeps the one
-    `Alternative` the rules see it as, whose profile is an int dot product
-    of lottery and utility numerators, built the first time it is asked for.
+    An act is immutable.  It keeps the `Alternative` the rules see it as
+    under the last utility table it was asked about (compared by identity),
+    whose profile is an int dot product of lottery and utility numerators.
     """
 
-    __slots__ = ("name", "_outcomes", "_items", "_alternatives")
+    __slots__ = ("name", "_outcomes", "_items", "_last")
 
     def __init__(self, name: str, outcomes: Mapping[str, Lottery]):
         if not name:
             raise ValueError("acts need a nonempty name")
         items = tuple(sorted(outcomes.items(), key=lambda kv: kv[0]))
-        for slot, value in zip(Act.__slots__, (name, dict(outcomes), items, {})):
+        for slot, value in zip(Act.__slots__, (name, dict(outcomes), items, (None, None))):
             object.__setattr__(self, slot, value)
 
     @property
@@ -159,13 +132,13 @@ class Act:
         """The act as the rules see it under the utility table: its name and
         its expected utility per state, in sorted state order, over the LCM
         of its lotteries' denominators times the table's denominator."""
-        alternative = self._alternatives.get(u)
-        if alternative is None:
+        last, alternative = self._last
+        if last is not u or alternative is None:
             lotteries = [lottery for _, lottery in self._items]
-            scale = lcm(*[lottery._denominator for lottery in lotteries])
-            numerators = [u._dot(lottery) * (scale // lottery._denominator) for lottery in lotteries]
-            alternative = Alternative.from_ints(self.name, numerators, scale * u._denominator)
-            self._alternatives[u] = alternative
+            scale = lcm(*[lottery.denominator for lottery in lotteries])
+            numerators = [u._dot(lottery) * (scale // lottery.denominator) for lottery in lotteries]
+            alternative = Alternative.from_ints(self.name, numerators, scale * u.denominator)
+            object.__setattr__(self, "_last", (u, alternative))
         return alternative
 
     def utility_profile(self, u: UtilitySpec) -> Mapping[str, Fraction]:
@@ -389,13 +362,13 @@ def _belief_entries(
     elif kind == "measure":
         if not isinstance(belief, Measure):
             raise BeliefKindMismatch(f"{rule} needs a single Measure belief")
-        pairs = [(ONE, belief)]
+        pairs = [(1, belief)]
     elif kind == "weighted":
         if not isinstance(belief, WeightedMeasureSet):
             raise BeliefKindMismatch(f"{rule} needs a WeightedMeasureSet belief")
         pairs = [(w, m) for m, w in belief.entries]
     else:
-        pairs = [(ONE, m) for m in belief] if isinstance(belief, Iterable) else []
+        pairs = [(1, m) for m in belief] if isinstance(belief, Iterable) else []
         if not pairs or not all(isinstance(m, Measure) for _, m in pairs):
             raise BeliefKindMismatch(f"{rule} needs a collection of Measures")
     if state_space is None:
@@ -532,12 +505,7 @@ class PreferenceOracle:
         call that asks about the same tuple (the members are immutable)."""
         if menu is self._last_menu:
             return self._last_over
-        scale = lcm(*{a.denominator for a in menu})
-        profiles = [
-            a.numerators if a.denominator == scale
-            else tuple([n * (scale // a.denominator) for n in a.numerators])
-            for a in menu
-        ]
+        scale, profiles = over_common(menu)
         over = (self._common * scale, per_state_best(profiles), profiles)
         if type(menu) is tuple:
             self._last_menu, self._last_over = menu, over

@@ -14,7 +14,7 @@ a belief as the int rows of `weighted_rows`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -26,12 +26,11 @@ from .errors import (
     UndefinedUpdate,
 )
 from .linfeas import in_downward_convex_hull
-from .rational import as_integers, exact, format_rational
+from .rational import IntVector, exact, format_rational, over_common
 
 Rational = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
-ONE = Fraction(1)
 
 
 class Event:
@@ -73,57 +72,31 @@ def as_event(event: EventLike) -> Event:
     return event if isinstance(event, Event) else Event(event)
 
 
-class Measure:
-    """A probability measure on a finite state space.
+class Measure(IntVector):
+    """A probability measure on a finite state space, an `IntVector` over
+    its states.  The mapping is total: every state of the ambient space
+    appears, possibly with probability zero, and the values sum to one."""
 
-    The mapping is total: every state of the ambient space appears, possibly
-    with probability zero, and the values sum to exactly one.  It is held as
-    int `numerators` in sorted state order over one positive `denominator`,
-    reduced by their gcd, so equality and hashing compare ints; `items()`,
-    `[state]` and `repr` build its exact `Fraction`s when read.
-    """
+    __slots__ = ()
+    _value, _key = "probability", "state"
 
-    __slots__ = ("_states", "_numerators", "_denominator", "_items")
+    def _check(self) -> None:
+        self._nonnegative()
+        if sum(self.numerators) != self.denominator:
+            raise ValueError(f"probabilities sum to {format_rational(self.total())}, expected 1/1")
 
-    def __init__(self, probs: Mapping[str, Rational]):
-        items = sorted((state, exact(p, "probability", state)) for state, p in probs.items())
-        for state, p in items:
-            if p < 0:
-                raise ValueError(f"negative probability {p} for state {state!r}")
-        # over the LCM of their reduced denominators the numerators are coprime
-        denominator, (numerators,) = as_integers([[p for _, p in items]])
-        if sum(numerators) != denominator:
-            total = format_rational(Fraction(sum(numerators), denominator))
-            raise ValueError(f"probabilities sum to {total}, expected 1/1")
-        self._states = tuple([state for state, _ in items])
-        self._numerators, self._denominator, self._items = numerators, denominator, None
-
-    @property
-    def state_space(self) -> tuple[str, ...]:
-        return self._states
-
-    numerators = property(lambda self: self._numerators, doc="The ints, in sorted state order.")
-    denominator = property(lambda self: self._denominator, doc="Their one positive denominator.")
-
-    def __getitem__(self, state: str) -> Fraction:
-        return dict(self.items())[state]
-
-    def items(self) -> tuple[tuple[str, Fraction], ...]:
-        if self._items is None:
-            d = self._denominator
-            self._items = tuple([(s, Fraction(n, d)) for s, n in zip(self._states, self._numerators)])
-        return self._items
+    state_space = property(lambda self: self.keys, doc="The states, sorted.")
 
     def _mass(self, event: Event) -> int:
         """The event's probability times the denominator."""
-        picked = [n for s, n in zip(self._states, self._numerators) if s in event._members]
+        picked = [n for s, n in zip(self.keys, self.numerators) if s in event._members]
         if len(picked) != len(event._members):
-            unknown = sorted(event._members.difference(self._states))
+            unknown = sorted(event._members.difference(self.keys))
             raise DimensionMismatch(f"event mentions unknown states {unknown}")
         return sum(picked)
 
     def event_prob(self, event: EventLike) -> Fraction:
-        return Fraction(self._mass(as_event(event)), self._denominator)
+        return Fraction(self._mass(as_event(event)), self.denominator)
 
     def condition(self, event: EventLike) -> "Measure":
         """Conditional measure given the event; requires positive probability.
@@ -131,45 +104,27 @@ class Measure:
         event = as_event(event)
         if self._mass(event) == 0:
             raise UndefinedUpdate("cannot condition on a probability-zero event")
-        kept = [n if s in event._members else 0 for s, n in zip(self._states, self._numerators)]
-        g = gcd(*kept)
-        measure = object.__new__(Measure)
-        measure._states, measure._items = self._states, None
-        measure._numerators, measure._denominator = tuple([n // g for n in kept]), sum(kept) // g
-        return measure
+        kept = [n if s in event._members else 0 for s, n in zip(self.keys, self.numerators)]
+        return Measure.from_ints(self.keys, kept, sum(kept))
 
     def expectation(self, values: Mapping[str, Rational]) -> Fraction:
         """The expected value; the values read (where the probability is positive) must be exact."""
-        pairs = zip(self._states, self._numerators)
-        return sum((n * exact(values[s], "value", s) for s, n in pairs if n), ZERO) / self._denominator
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Measure)
-            and self._numerators == other._numerators
-            and self._states == other._states
-        )
-
-    def __hash__(self) -> int:
-        return hash((self._states, self._numerators))
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{s}: {format_rational(p)}" for s, p in self.items())
-        return f"Measure({{{inner}}})"
+        pairs = zip(self.keys, self.numerators)
+        return sum((n * exact(values[s], "value", s) for s, n in pairs if n), ZERO) / self.denominator
 
 
 def weighted_rows(pairs: Sequence[tuple[Fraction, Measure]]) -> tuple[int, list[tuple[int, ...]]]:
     """(D, rows): each (weight, measure) pair's weight * measure vector, in
     sorted state order, as ints over one common denominator D, the LCM of
     the weight-times-measure denominators (1 for no pairs)."""
-    common = lcm(*[w.denominator * m._denominator for w, m in pairs])
-    scales = [w.numerator * (common // (w.denominator * m._denominator)) for w, m in pairs]
-    return common, [tuple([k * n for n in m._numerators]) for k, (_, m) in zip(scales, pairs)]
+    common = lcm(*[w.denominator * m.denominator for w, m in pairs])
+    scales = [w.numerator * (common // (w.denominator * m.denominator)) for w, m in pairs]
+    return common, [tuple([k * n for n in m.numerators]) for k, (_, m) in zip(scales, pairs)]
 
 
 def point_mass(state: str, state_space: Sequence[str]) -> Measure:
     """The measure concentrated on a single state."""
-    return Measure({s: (ONE if s == state else ZERO) for s in state_space})
+    return Measure({s: int(s == state) for s in state_space})
 
 
 class WeightedMeasureSet:
@@ -253,7 +208,9 @@ def likelihood_update(wset: WeightedMeasureSet, event: EventLike) -> WeightedMea
     """
     event = as_event(event)
     masses = [m._mass(event) for m, _ in wset.entries]
-    likelihoods = [w * Fraction(n, m._denominator) for (m, w), n in zip(wset.entries, masses)]
+    common = lcm(*[w.denominator * m.denominator for m, w in wset.entries])
+    pairs = zip(wset.entries, masses)
+    likelihoods = [w.numerator * n * (common // (w.denominator * m.denominator)) for (m, w), n in pairs]
     top = max(likelihoods)
     if top == 0:
         raise UndefinedUpdate("update undefined: the event has upper likelihood 0")
@@ -262,7 +219,7 @@ def likelihood_update(wset: WeightedMeasureSet, event: EventLike) -> WeightedMea
         if n == 0:
             continue
         conditioned = measure.condition(event)
-        candidate = likelihood / top
+        candidate = Fraction(likelihood, top)
         if conditioned not in merged or merged[conditioned] < candidate:
             merged[conditioned] = candidate
     return WeightedMeasureSet(tuple(merged.items()), wset.state_space)
@@ -283,50 +240,24 @@ def sequential_update(
     return likelihood_update(likelihood_update(wset, first), second)
 
 
-class SubProbabilityVector:
-    """Nonnegative mass per state, totalling at most one."""
+class SubProbabilityVector(IntVector):
+    """Nonnegative mass per state, totalling at most one: an `IntVector`
+    over its states."""
 
-    __slots__ = ("_values", "_items")
+    __slots__ = ()
+    _value, _key = "mass", "state"
 
-    def __init__(self, values: Mapping[str, Rational]):
-        converted = {state: exact(v, "mass", state) for state, v in values.items()}
-        for state, v in converted.items():
-            if v < 0:
-                raise ValueError(f"negative mass {v} for state {state!r}")
-        if sum(converted.values(), ZERO) > 1:
+    def _check(self) -> None:
+        self._nonnegative()
+        if sum(self.numerators) > self.denominator:
             raise ValueError("sub-probability mass exceeds 1")
-        self._values = converted
-        self._items = tuple(sorted(converted.items()))
 
-    @property
-    def state_space(self) -> tuple[str, ...]:
-        return tuple(state for state, _ in self._items)
-
-    def __getitem__(self, state: str) -> Fraction:
-        return self._values[state]
-
-    def items(self) -> tuple[tuple[str, Fraction], ...]:
-        return self._items
-
-    def total(self) -> Fraction:
-        return sum(self._values.values(), ZERO)
+    state_space = property(lambda self: self.keys, doc="The states, sorted.")
 
     def dot(self, direction: Mapping[str, Rational]) -> Fraction:
-        return sum((v * exact(direction[s], "direction component", s)
-                    for s, v in self._values.items()), ZERO)
-
-    def vector(self, order: Sequence[str]) -> list[Fraction]:
-        return [self._values[s] for s in order]
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, SubProbabilityVector) and self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash(self._items)
-
-    def __repr__(self) -> str:
-        inner = ", ".join(f"{s}: {format_rational(v)}" for s, v in self._items)
-        return f"SubProbabilityVector({{{inner}}})"
+        pairs = zip(self.keys, self.numerators)
+        total = sum([n * exact(direction[s], "direction component", s) for s, n in pairs], ZERO)
+        return total / self.denominator
 
 
 class RegularHull:
@@ -353,7 +284,7 @@ class RegularHull:
                 raise DimensionMismatch(
                     f"generator over {g.state_space} does not match state space {ordered}"
                 )
-        if all(g.total() != 1 for g in generators):
+        if all(sum(g.numerators) != g.denominator for g in generators):
             raise ValueError("a regular hull must contain a proper probability measure")
         self._generators = generators
         self._states = states
@@ -406,10 +337,7 @@ def to_hull(wset: WeightedMeasureSet) -> RegularHull:
         others = [h for h in kept if h != g]
         if not _is_vertex(g, others) and in_downward_convex_hull(g, others):
             kept.remove(g)
-    generators = [
-        SubProbabilityVector({s: Fraction(n, denominator) for s, n in zip(order, v)})
-        for v in sorted(kept)
-    ]
+    generators = [SubProbabilityVector.from_ints(order, v, denominator) for v in sorted(kept)]
     return RegularHull(generators, wset.state_space)
 
 
@@ -439,10 +367,8 @@ def hull_equal(first: RegularHull, second: RegularHull) -> bool:
     """
     if sorted(first.state_space) != sorted(second.state_space):
         raise DimensionMismatch("hulls are defined over different state spaces")
-    order = tuple(sorted(first.state_space))
-    _, vectors = as_integers([g.vector(order) for g in first.generators + second.generators])
-    vecs_a = vectors[: len(first.generators)]
-    vecs_b = vectors[len(first.generators):]
+    _, vectors = over_common(first.generators + second.generators)
+    vecs_a, vecs_b = vectors[: len(first.generators)], vectors[len(first.generators):]
 
     def contained(vecs: list[tuple[int, ...]], hull: list[tuple[int, ...]]) -> bool:
         members = set(hull)

@@ -1,22 +1,24 @@
-"""Exact rational parsing and canonical formatting.
+"""Exact rational parsing, canonical formatting and the one exact-vector type.
 
-All arithmetic in the library uses fractions.Fraction.  Text formats accept
-`a/b`, decimals and plain integers; decimals convert exactly (a decimal with
-k digits after the point becomes an integer over 10**k).  Canonical output
-is always `numerator/denominator` in lowest terms so serialized documents
-are byte-stable; `format_map` writes every `{ key: n/d, ... }` map.
-`exact` is the one check on what enters an exact type: ints, Fractions and
-strings pass, and a float raises TypeError.  The other form a rational leaves the core in is
-`as_integers`: rows over one common denominator as ints, for the rule
-kernels, the exact types and the exact simplex.
+Text formats accept `a/b`, decimals and plain integers; decimals convert
+exactly (a decimal with k digits after the point becomes an integer over
+10**k).  Canonical output is always `numerator/denominator` in lowest terms
+so serialized documents are byte-stable; `format_map` writes every
+`{ key: n/d, ... }` map.  `exact` is the one check on what enters an exact
+type: ints, Fractions and strings pass, and a float raises TypeError.
+Inside the core a rational vector is ints over one denominator: `IntVector`
+(measures, lotteries, utility tables, hull generators) holds them reduced,
+`over_common` puts such vectors over one LCM, and `as_integers` puts rows of
+`Fraction`s over one, for the rule kernels and the simplex.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from math import lcm
-from typing import Iterable, Sequence, Union
+from math import gcd, lcm
+from operator import lt
+from typing import Iterable, Mapping, Sequence, Union
 
 Rational = Union[Fraction, int]
 
@@ -84,6 +86,94 @@ def as_integers(rows: Sequence[Sequence[Rational]]) -> tuple[int, list[tuple[int
     Fractions; rows may differ in length, and no rows at all gives D = 1."""
     common = lcm(*{v.denominator for row in rows for v in row})
     return common, [tuple([v.numerator * (common // v.denominator) for v in row]) for row in rows]
+
+
+def over_common(vectors: Sequence) -> tuple[int, list[tuple[int, ...]]]:
+    """The vectors' `numerators` over the LCM L of their `denominator`s:
+    (L, rows of ints), each row a vector's value times L (1 for no vectors)."""
+    common = lcm(*{v.denominator for v in vectors})
+    return common, [v.numerators if v.denominator == common else
+                    tuple([n * (common // v.denominator) for n in v.numerators]) for v in vectors]
+
+
+class IntVector:
+    """Exact values over sorted labels: `keys` in sorted order, one int of
+    `numerators` per key, over one positive `denominator`, all reduced by
+    their gcd, so vectors of one type are equal, and hash alike, exactly when
+    their `items()` are.  `items()`, `[key]` and `total()` build `Fraction`s
+    only when read.  Built from a mapping of exact values or by `from_ints`,
+    a vector then meets its type's `_check`; it is immutable, and copies and
+    pickles are rebuilt through `from_ints`.
+    """
+
+    __slots__ = ("keys", "numerators", "denominator")
+    _value, _key = "value", "key"  # how an error message names a value and its key
+
+    def __init__(self, values: Mapping[str, Union[Rational, str]]):
+        items = sorted((key, exact(v, self._value, key, self._key)) for key, v in values.items())
+        denominator, (numerators,) = as_integers([[v for _, v in items]])
+        # over the LCM of their reduced denominators the numerators are coprime
+        self._fill(tuple([key for key, _ in items]), numerators, denominator)
+
+    @classmethod
+    def from_ints(cls, keys: Sequence[str], numerators: Sequence[int], denominator: int) -> "IntVector":
+        """The vector of the numerators over the denominator, keys in sorted order."""
+        keys, numerators = tuple(keys), tuple(numerators)
+        if len(keys) != len(numerators) or denominator < 1 or not all(map(lt, keys, keys[1:])):
+            raise ValueError("from_ints needs sorted distinct keys, one numerator each, a denominator > 0")
+        g = gcd(denominator, *numerators)  # raises TypeError unless all are ints
+        if g > 1:
+            numerators, denominator = tuple([n // g for n in numerators]), denominator // g
+        self = object.__new__(cls)
+        self._fill(keys, numerators, denominator)
+        return self
+
+    def _fill(self, keys: tuple[str, ...], numerators: tuple[int, ...], denominator: int) -> None:
+        for set_field, value in zip(_SETTERS, (keys, numerators, denominator)):
+            set_field(self, value)
+        self._check()
+
+    def _check(self) -> None:
+        """Raise ValueError unless the vector keeps its type's contract."""
+
+    def _nonnegative(self) -> None:
+        for key, n in zip(self.keys, self.numerators):
+            if n < 0:
+                value = Fraction(n, self.denominator)
+                raise ValueError(f"negative {self._value} {value} for {self._key} {key!r}")
+
+    def items(self) -> tuple[tuple[str, Fraction], ...]:
+        d = self.denominator
+        return tuple([(key, Fraction(n, d)) for key, n in zip(self.keys, self.numerators)])
+
+    def __getitem__(self, key: str) -> Fraction:
+        return dict(self.items())[key]
+
+    def total(self) -> Fraction:
+        return Fraction(sum(self.numerators), self.denominator)
+
+    def __setattr__(self, key: str, value: object = None) -> None:
+        raise AttributeError(f"a {type(self).__name__} is immutable (cannot set or delete {key!r})")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return type(self).from_ints, (self.keys, self.numerators, self.denominator)
+
+    def __eq__(self, other: object) -> bool:
+        mine = (self.numerators, self.denominator, self.keys)
+        return type(other) is type(self) and mine == (other.numerators, other.denominator, other.keys)
+
+    def __hash__(self) -> int:
+        return hash((self.keys, self.numerators, self.denominator))
+
+    def __repr__(self) -> str:
+        inner = ", ".join(f"{key}: {format_rational(v)}" for key, v in self.items())
+        return f"{type(self).__name__}({{{inner}}})"
+
+
+# An immutable IntVector sets its own slots through their descriptors.
+_SETTERS = tuple([IntVector.__dict__[slot].__set__ for slot in IntVector.__slots__])
 
 
 DECIMAL_PLACES = 6

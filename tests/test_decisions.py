@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+import weakref
 from fractions import Fraction
 from math import comb
 
@@ -442,6 +443,26 @@ class TestLotteryAndActValues:
         for twin in (copy.copy(act), copy.deepcopy(act), pickle.loads(pickle.dumps(act))):
             assert twin == act and hash(twin) == hash(act)
             assert twin.utility_profile(delivery_utility) == act.utility_profile(delivery_utility)
+
+    def test_an_act_keeps_only_its_last_table(self):
+        # the act caches the alternative of the last table it was scored
+        # under, so fresh tables do not pile up, and alternating tables
+        # still score right
+        acts = [constant_act("low", sure("lo"), ("s1", "s2")),
+                Act("mixed", {"s1": sure("hi"), "s2": Lottery({"lo": F(1, 3), "hi": F(2, 3)})})]
+        menu = Menu(acts)
+        first = UtilitySpec({"lo": 0, "hi": 1})
+        earlier = weakref.ref(first)
+        for k in range(10_000):
+            table = first if k == 0 else UtilitySpec({"lo": 0, "hi": k + 1})
+            assert rank("regret", menu, table).scores == {"low": k + 1, "mixed": 0}
+        del first, table
+        assert earlier() is None
+        u, v = UtilitySpec({"lo": -1, "hi": 2}), UtilitySpec({"lo": 3, "hi": F(1, 2)})
+        for _ in range(3):
+            assert acts[1].utility_profile(u) == {"s1": 2, "s2": 1}
+            assert acts[1].utility_profile(v) == {"s1": F(1, 2), "s2": F(4, 3)}
+            assert rank("regret", menu, v).scores == {"low": 0, "mixed": F(5, 2)}
 
 
 class TestMixtures:

@@ -27,6 +27,38 @@ def test_no_module_imports_a_private_name_of_another():
     assert found == []
 
 
+def _defined_names(tree: ast.Module) -> set[str]:
+    """Every name a module binds: defs, classes, assigned names and
+    attributes, and the strings listed in a `__slots__`."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            names.add(node.id if isinstance(node, ast.Name) else node.attr)
+        elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__slots__" for t in node.targets):
+            names |= {c.value for c in ast.walk(node.value) if isinstance(c, ast.Constant)}
+    return names
+
+
+def test_no_module_reads_a_private_attribute_of_another():
+    # `x._name` is read only on self or cls, or when the module itself
+    # defines `_name` (its own class's slot, method or field)
+    found = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = _defined_names(tree)
+        found += [
+            f"{path.relative_to(PACKAGE)}:{node.lineno}: {ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and node.attr.startswith("_") and not node.attr.startswith("__")
+            and getattr(node.value, "id", None) not in ("self", "cls")
+            and node.attr not in own
+        ]
+    assert found == []
+
+
 def _traced_targets() -> dict[str, tuple[str, ...]]:
     """perfbench/tracing.py's `TARGETS`: layer -> wrapped entry points."""
     tracing = PACKAGE.parents[1] / "perfbench" / "tracing.py"

@@ -35,7 +35,7 @@ from wregret.errors import (
     NoInformativeDirection,
     UndefinedUpdate,
 )
-from wregret import measures
+from wregret import linfeas, measures
 from wregret.rational import format_map
 
 from conftest import DELIVERY_STATES, random_measure, random_wset
@@ -381,7 +381,12 @@ class TestAgainstReference:
             return
         wset = normalize(wset)
         order = sorted(wset.state_space)
-        generators = [tuple(g.vector(order)) for g in to_hull(wset).generators]
+
+        def vector(g: SubProbabilityVector) -> list[Fraction]:
+            # the generator's masses in the given state order
+            return [g[s] for s in order]
+
+        generators = [tuple(vector(g)) for g in to_hull(wset).generators]
         assert generators == reference.hull_generators(plain(wset.entries))
 
 
@@ -411,6 +416,37 @@ class TestFractionBudget:
             monkeypatch.undo()
             per_entry.append(F(built[0], 32))
         assert per_entry[0] == per_entry[1] <= 3, per_entry
+
+    def test_the_hull_builds_fractions_only_in_the_simplex(self, monkeypatch):
+        # the benchmark's hull op on ten 32-measure, 3-state sets: the
+        # generators are ints, so what is left is the simplex's certificates
+        # and normalize's 32 weight divisions per set
+        rng = random.Random(35)
+        sets = [
+            WeightedMeasureSet([(random_measure(rng, ABC), F(rng.randint(1, 8), 8)) for _ in range(32)], ABC)
+            for _ in range(10)
+        ]
+        original, solve = Fraction.__new__, linfeas.solve_nonneg
+        built = {"simplex": 0, "other": 0}
+        where = ["other"]
+
+        def counting_new(cls, *args, **kwargs):
+            built[where[0]] += 1
+            return original(cls, *args, **kwargs)
+
+        def counted_solve(*args):
+            where[0] = "simplex"
+            try:
+                return solve(*args)
+            finally:
+                where[0] = "other"
+
+        monkeypatch.setattr(linfeas, "solve_nonneg", counted_solve)
+        monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+        for wset in sets:
+            assert hull_equal(to_hull(wset), to_hull(normalize(wset)))
+        monkeypatch.undo()
+        assert built == {"simplex": 464, "other": 10 * 32}
 
 
 class TestSequentialUpdate:
