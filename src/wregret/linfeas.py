@@ -12,6 +12,8 @@ system is feasible, which the tests verify independently.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from operator import gt, mul
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch
@@ -123,21 +125,39 @@ def in_downward_convex_hull(point: Sequence[Rational], generators: Sequence[Sequ
     point and every generator are scaled by one positive factor, so callers
     may pass integer vectors over a common denominator.  Raises
     DimensionMismatch when a generator's length differs from the point's.
+    Exact certificates decide first, in this order, and the simplex the
+    rest: outside when a coordinate, the all-ones vector or the point's
+    positive part scores it above every generator; inside when it lies
+    below one generator or a segment between two (`_below_segment`).
     """
     if not generators:
         return False
     dims = len(point)
     if any(len(g) != dims for g in generators):
         raise DimensionMismatch(f"a generator's length differs from the point's {dims}")
-    k = len(generators)
-    # variables: lambda_1..k, slack_1..dims
-    # rows: per-dimension  sum_i lambda_i g_i[d] - slack_d = point[d]
-    #       plus           sum_i lambda_i = 1
-    a_eq: list[list[Rational]] = []
-    for d in range(dims):
-        row = [g[d] for g in generators]
-        row += [0] * dims
-        row[k + d] = -1
-        a_eq.append(row)
-    a_eq.append([1] * k + [0] * dims)
-    return solve_nonneg(a_eq, [*point, 1]) is not None
+    direction = [max(v, 0) for v in point]
+    if (any(map(gt, point, map(max, zip(*generators)))) or sum(point) > max(map(sum, generators))
+            or sum(map(mul, direction, point)) > max(sum(map(mul, direction, g)) for g in generators)):
+        return False
+    if any(_below_segment(point, g, h) for g, h in combinations_with_replacement(generators, 2)):
+        return True
+    # per dimension d: sum_i lambda_i g_i[d] - slack_d = point[d]; then sum(lambda) = 1
+    rows = [[g[d] for g in generators] + [-int(d == j) for j in range(dims)] for d in range(dims)]
+    return solve_nonneg([*rows, [1] * len(generators) + [0] * dims], [*point, 1]) is not None
+
+
+def _below_segment(point: Sequence[Rational], g: Sequence[Rational], h: Sequence[Rational]) -> bool:
+    """Is lambda * g + (1 - lambda) * h >= point for some lambda in [0, 1]?  Each
+    coordinate cuts lambda's interval, whose ends (num / den, den > 0) are cross-multiplied."""
+    low, low_den, high, high_den = 0, 1, 1, 1
+    for p, a, b in zip(point, g, h):
+        slope, need = a - b, p - b  # lambda * slope >= need
+        if slope > 0 and need * low_den > low * slope:
+            low, low_den = need, slope
+        elif slope < 0 and need * high_den > high * slope:  # need / slope < high / high_den
+            high, high_den = -need, -slope
+        elif slope == 0 < need:
+            return False
+        if low * high_den > high * low_den:
+            return False
+    return True

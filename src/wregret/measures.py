@@ -104,8 +104,8 @@ class Measure(IntVector):
         event = as_event(event)
         if self._mass(event) == 0:
             raise UndefinedUpdate("cannot condition on a probability-zero event")
-        kept = [n if s in event._members else 0 for s, n in zip(self.keys, self.numerators)]
-        return Measure.from_ints(self.keys, kept, sum(kept))
+        kept = tuple([n if s in event._members else 0 for s, n in zip(self.keys, self.numerators)])
+        return self._reduced(self.keys, kept, sum(kept))
 
     def expectation(self, values: Mapping[str, Rational]) -> Fraction:
         """The expected value; the values read (where the probability is positive) must be exact."""
@@ -233,9 +233,9 @@ def sequential_update(
     Equals a single update on the intersection whenever that update is
     defined; the property suite exercises this identity.
     """
-    first = as_event(first)
-    second = as_event(second)
-    if upper_likelihood(wset, first & second) == 0:
+    first, second = as_event(first), as_event(second)
+    both = first & second
+    if not any(m._mass(both) and w for m, w in wset.entries):
         raise UndefinedUpdate("update undefined: the intersection has upper likelihood 0")
     return likelihood_update(likelihood_update(wset, first), second)
 
@@ -301,27 +301,16 @@ class RegularHull:
         return f"RegularHull({len(self._generators)} generators over {self._states})"
 
 
-def _is_vertex(g: tuple[int, ...], others: list[tuple[int, ...]]) -> bool:
-    """Does a coordinate, the all-ones vector or g itself score g strictly
-    above every other point?  Then g is outside their downward-convex hull."""
-    return (
-        not others
-        or any(g[d] > max(h[d] for h in others) for d in range(len(g)))
-        or sum(g) > max(map(sum, others))
-        or all(sum(a * a for a in g) > sum(a * b for a, b in zip(g, h)) for h in others)
-    )
-
-
 def to_hull(wset: WeightedMeasureSet) -> RegularHull:
     """The regular hull of the weight * measure points, kept to its vertices.
 
     The points go over one denominator as distinct int vectors.  A point
     that another dominates componentwise is dropped: a dominator has the
     larger total, so a sweep by descending total compares each point with
-    the maximal points found so far.  A maximal point that `_is_vertex`
-    certifies against the others kept is kept without an LP; any other is
-    dropped when the simplex puts it in the downward-convex hull of the
-    others kept.  Dropping such a point never shrinks the hull, so in any
+    the maximal points found so far.  A maximal point is dropped when
+    `in_downward_convex_hull` (outside by a direction, inside below one or
+    two others, then the simplex) puts it in the hull of the others kept.
+    Dropping such a point never shrinks the hull, so in any
     order the kept points are exactly those outside the downward-convex
     hull of all the other points, the vertices of the downward hull that
     no other point reaches.  They become the generators, ascending.
@@ -334,8 +323,7 @@ def to_hull(wset: WeightedMeasureSet) -> RegularHull:
             maximal.append(v)
     kept = list(maximal)
     for g in maximal:
-        others = [h for h in kept if h != g]
-        if not _is_vertex(g, others) and in_downward_convex_hull(g, others):
+        if in_downward_convex_hull(g, [h for h in kept if h != g]):
             kept.remove(g)
     generators = [SubProbabilityVector.from_ints(order, v, denominator) for v in sorted(kept)]
     return RegularHull(generators, wset.state_space)
@@ -363,7 +351,9 @@ def hull_equal(first: RegularHull, second: RegularHull) -> bool:
     the other's downward-convex closure.  That closure is convex and
     downward closed, so containing a hull's generators means containing the
     hull, and the generators need no pruning first.  A generator that is
-    also one of the other hull's is contained without solving an LP.
+    also one of the other hull's is contained; `in_downward_convex_hull`
+    decides the rest (outside by a direction, inside below one or two
+    generators, then the simplex).
     """
     if sorted(first.state_space) != sorted(second.state_space):
         raise DimensionMismatch("hulls are defined over different state spaces")

@@ -121,6 +121,11 @@ class IntVector:
         keys, numerators = tuple(keys), tuple(numerators)
         if len(keys) != len(numerators) or denominator < 1 or not all(map(lt, keys, keys[1:])):
             raise ValueError("from_ints needs sorted distinct keys, one numerator each, a denominator > 0")
+        return cls._reduced(keys, numerators, denominator)
+
+    @classmethod
+    def _reduced(cls, keys: tuple[str, ...], numerators: tuple[int, ...], denominator: int) -> "IntVector":
+        """`from_ints` for keys and ints that fit: reduced, then `_check`ed."""
         g = gcd(denominator, *numerators)  # raises TypeError unless all are ints
         if g > 1:
             numerators, denominator = tuple([n // g for n in numerators]), denominator // g

@@ -4,7 +4,9 @@
 denominator.  This solver normalizes the pivot row and eliminates with
 `Fraction` arithmetic instead, with the same Bland entering rule and the same
 ratio test, so the two must return identical certificates (or both `None`) on
-every input.  It shares no code with the library.
+every input.  `in_downward_convex_hull` decides hull membership by this
+simplex alone, with none of the library's integer certificates.  It shares no
+code with the library.
 """
 
 from __future__ import annotations
@@ -95,3 +97,19 @@ def solve_nonneg(a_eq: Sequence[Sequence[Fraction]], b_eq: Sequence[Fraction]) -
             # artificial stuck in basis at a positive level
             return None
     return x
+
+
+def hull_system(point: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]):
+    """(A, b) of the membership LP: variables lambda_1..k then slack_1..dims,
+    one row sum_i lambda_i g_i[d] - slack_d = point[d] per dimension d, and
+    a last row sum_i lambda_i = 1."""
+    k, dims = len(generators), len(point)
+    a = [[g[d] for g in generators] + [-ONE if j == d else ZERO for j in range(dims)] for d in range(dims)]
+    a.append([ONE] * k + [ZERO] * dims)
+    return a, [*point, ONE]
+
+
+def in_downward_convex_hull(point: Sequence[Fraction], generators: Sequence[Sequence[Fraction]]) -> bool:
+    """Is `point` below some convex combination of `generators`?  Decided by
+    the reference simplex alone."""
+    return solve_nonneg(*hull_system(point, generators)) is not None

@@ -7,8 +7,10 @@ conditions and updates on those ints.  Here a measure is a plain
 and every probability is a `Fraction` product or quotient, as the library
 computed them before it went to ints.  The hull is the set of distinct
 weight * measure points that lie outside the downward-convex hull of the
-other points, ascending; membership is the library's exact simplex, which
-`linfeas_reference` checks on its own.
+other points, ascending; membership is the library's exact simplex alone
+(`linfeas.solve_nonneg`, which `linfeas_reference` checks on its own) on the
+system `linfeas_reference.hull_system` builds, without the integer
+certificates that `linfeas.in_downward_convex_hull` tries first.
 """
 
 from __future__ import annotations
@@ -16,9 +18,9 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Mapping
 
+from linfeas_reference import hull_system
 from wregret.errors import UndefinedUpdate
-from wregret.linfeas import in_downward_convex_hull
-from wregret.rational import as_integers
+from wregret.linfeas import solve_nonneg
 
 ZERO = Fraction(0)
 
@@ -68,8 +70,8 @@ def hull_generators(entries: list[tuple[Map, Fraction]]) -> list[tuple[Fraction,
     """The distinct weight * measure points, in sorted state order, that lie
     outside the downward-convex hull of the others, ascending."""
     points = sorted({tuple(w * p for _, p in sorted(m.items())) for m, w in entries})
-    _, rows = as_integers(points)
-    return [
-        point for point, row in zip(points, rows)
-        if not in_downward_convex_hull(row, [other for other in rows if other != row])
-    ]
+
+    def outside(point: tuple[Fraction, ...]) -> bool:
+        return solve_nonneg(*hull_system(point, [other for other in points if other != point])) is None
+
+    return [point for point in points if outside(point)]

@@ -1,15 +1,20 @@
 """The exact feasibility solver, verified against its own certificates and
-against the Fraction simplex kept in `linfeas_reference`."""
+against the Fraction simplex kept in `linfeas_reference`; hull membership,
+which tries integer certificates before the simplex, against the simplex
+alone."""
 
 import random
+from collections import Counter
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import linfeas_reference as reference
-from wregret import RegularHull, SubProbabilityVector, WeightedMeasureSet, hull_equal, to_hull
+import measure_reference
+from wregret import Measure, RegularHull, SubProbabilityVector, WeightedMeasureSet, hull_equal, linfeas, to_hull
 from wregret.errors import DimensionMismatch
 from wregret.linfeas import in_downward_convex_hull, solve_nonneg
 
@@ -175,14 +180,7 @@ def random_system(rng: random.Random):
 def hull_systems(generators):
     """The membership systems `in_downward_convex_hull` solves for each
     generator against the others."""
-    systems = []
-    for i, point in enumerate(generators):
-        others = generators[:i] + generators[i + 1:]
-        k, dims = len(others), len(point)
-        a = [[g[d] for g in others] + [F(-1) if j == d else F(0) for j in range(dims)] for d in range(dims)]
-        a.append([F(1)] * k + [F(0)] * dims)
-        systems.append((a, [*point, F(1)]))
-    return systems
+    return [reference.hull_system(point, generators[:i] + generators[i + 1:]) for i, point in enumerate(generators)]
 
 
 def test_certificates_match_the_fraction_simplex():
@@ -228,7 +226,7 @@ def reference_prune(vectors):
     survivors = list(unique)
     for g in unique:
         others = [h for h in survivors if h != g]
-        if others and in_downward_convex_hull(g, others):
+        if others and solve_nonneg(*reference.hull_system(g, others)) is not None:
             survivors.remove(g)
     return survivors
 
@@ -253,3 +251,128 @@ def test_to_hull_matches_the_reference_prune():
         seen["zero weight"] += any(w == 0 for _, w in entries)
         seen["tied total"] += len({sum(v) for v in set(raw)}) < len(set(raw))
     assert all(seen.values()), seen
+
+
+def grid_vector(rng: random.Random, dims: int, grain: int) -> list:
+    """Multiples of 1/grain in [0, 1], zero about half the time."""
+    return [F(rng.randint(1, grain), grain) if rng.random() < 0.5 else F(0) for _ in range(dims)]
+
+
+def membership_case(rng: random.Random):
+    """A point and 1-16 generators in 2-6 dimensions on a grid of step
+    1/grain for a grain of 1-4, with duplicate generators and zero vectors.
+    The point is, by weights 1:2:2:3:1:1, a generator, a point inside a
+    segment between two (at lambda 1/4, 1/2 or 3/4), that point moved one
+    grid step in one coordinate, a combination of three, a grid point or
+    the zero vector; now and then one coordinate is negative.  Half the
+    cases are put over one denominator as ints, and in the rest whole
+    Fractions become ints at random."""
+    dims, grain, k = rng.randint(2, 6), rng.randint(1, 4), rng.randint(1, 16)
+    gens = [grid_vector(rng, dims, grain) for _ in range(k)]
+    for _ in range(rng.randint(0, 2)):
+        gens[rng.randrange(k)] = list(rng.choice(gens)) if rng.random() < 0.5 else [F(0)] * dims
+    g, h, e = (rng.choice(gens) for _ in range(3))
+    lam, mu = F(rng.randint(1, 3), 4), F(rng.randint(1, 3), 4)
+    on_segment = [lam * a + (1 - lam) * b for a, b in zip(g, h)]
+    kind = rng.choice((0, 1, 1, 2, 2, 3, 3, 3, 4, 5))
+    if kind == 0:
+        point = list(g)
+    elif kind == 1:
+        point = on_segment
+    elif kind == 2:
+        point = on_segment
+        point[rng.randrange(dims)] += rng.choice((-1, 1)) * F(1, grain)
+    elif kind == 3:
+        point = [mu * a + (1 - mu) * b for a, b in zip(on_segment, e)]
+    elif kind == 4:
+        point = grid_vector(rng, dims, grain)
+    else:
+        point = [F(0)] * dims
+    if rng.random() < 0.1:
+        point[rng.randrange(dims)] -= 1
+    if rng.random() < 0.5:
+        common = lcm(*[v.denominator for v in point + [v for g in gens for v in g]])
+        return [int(v * common) for v in point], [[int(v * common) for v in g] for g in gens]
+
+    def mixed(v):
+        return int(v) if v.denominator == 1 and rng.random() < 0.5 else v
+
+    return [mixed(v) for v in point], [[mixed(v) for v in g] for g in gens]
+
+
+def test_membership_certificates_match_the_simplex(monkeypatch):
+    """The certificate-first answer on 5,000 seeded cases equals the
+    library's simplex alone on the same system, and on every tenth case
+    the Fraction simplex's; every certificate and both simplex answers
+    occur."""
+    rng = random.Random(18)
+    solve, calls = linfeas.solve_nonneg, []
+    monkeypatch.setattr(linfeas, "solve_nonneg", lambda *a: calls.append(1) or solve(*a))
+    seen = Counter()
+    for i in range(5000):
+        point, gens = membership_case(rng)
+        before = len(calls)
+        got = in_downward_convex_hull(point, gens)
+        assert got == (solve(*reference.hull_system(point, gens)) is not None), (point, gens)
+        if i % 10 == 0:
+            assert got == reference.in_downward_convex_hull(point, gens), (point, gens)
+        if len(calls) > before:
+            seen["simplex: inside" if got else "simplex: outside"] += 1
+        elif not got:
+            seen["outside by a direction"] += 1
+        elif any(all(p <= v for p, v in zip(point, g)) for g in gens):
+            seen["below one generator"] += 1
+        else:
+            seen["below a segment"] += 1
+    assert len(seen) == 5 and min(seen.values()) >= 50, seen
+
+
+def segment_set(rng: random.Random):
+    """A weighted set over 2-5 states whose weight * measure points are a
+    few coarse points (the first of weight 1), then points on the segments
+    between earlier ones (at lambda a multiple of 1/4), some moved one grid
+    step down in one coordinate; each point p is entry (p / sum(p), sum(p)).
+    Returns the states, the set and its points."""
+    states = tuple(f"s{i}" for i in range(rng.randint(2, 5)))
+    grain = rng.randint(2, 4)
+    points = []
+    for i in range(rng.randint(2, 6)):
+        weight = 1 if i == 0 else F(rng.randint(1, grain), grain)
+        points.append([weight * v for _, v in random_measure(rng, states, grain).items()])
+    for _ in range(rng.randint(1, 8)):
+        g, h = rng.choice(points), rng.choice(points)
+        lam = F(rng.randint(0, 4), 4)
+        point = [lam * a + (1 - lam) * b for a, b in zip(g, h)]
+        if rng.random() < 0.3:
+            d = rng.randrange(len(states))
+            point[d] = max(F(0), point[d] - F(1, grain))
+        points.append(point)
+    entries = []
+    for point in points:
+        mass = sum(point)
+        measure = Measure(dict(zip(states, [v / mass for v in point]))) if mass else random_measure(rng, states)
+        entries.append((measure, mass))
+    return states, WeightedMeasureSet(entries, states), points
+
+
+def test_to_hull_and_hull_equal_match_the_reference_on_segment_points():
+    """On sets with points on the segments between others, the generators
+    equal the reference hull's; hull_equal holds against the unpruned
+    points, and against the hull with one more grid point it agrees with
+    that point's membership decided by the Fraction simplex alone."""
+    rng = random.Random(180)
+    answers = Counter()
+    for _ in range(150):
+        states, wset, points = segment_set(rng)
+        hull = to_hull(wset)
+        generators = [tuple(v for _, v in g.items()) for g in hull.generators]
+        entries = [(dict(m.items()), w) for m, w in wset.entries]
+        assert generators == measure_reference.hull_generators(entries)
+        unpruned = RegularHull([SubProbabilityVector(dict(zip(states, p))) for p in points], states)
+        assert hull_equal(hull, unpruned) and hull_equal(unpruned, hull)
+        extra = [F(rng.randint(0, 4), 4 * len(states)) for _ in states]
+        grown = RegularHull([*hull.generators, SubProbabilityVector(dict(zip(states, extra)))], states)
+        expected = reference.in_downward_convex_hull(extra, generators)
+        assert hull_equal(hull, grown) == hull_equal(grown, hull) == expected
+        answers[expected] += 1
+    assert answers[True] and answers[False], answers

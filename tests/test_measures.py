@@ -35,7 +35,7 @@ from wregret.errors import (
     NoInformativeDirection,
     UndefinedUpdate,
 )
-from wregret import linfeas, measures
+from wregret import linfeas
 from wregret.rational import format_map
 
 from conftest import DELIVERY_STATES, random_measure, random_wset
@@ -420,14 +420,15 @@ class TestFractionBudget:
     def test_the_hull_builds_fractions_only_in_the_simplex(self, monkeypatch):
         # the benchmark's hull op on ten 32-measure, 3-state sets: the
         # generators are ints, so what is left is the simplex's certificates
-        # and normalize's 32 weight divisions per set
+        # and normalize's 32 weight divisions per set; membership calls the
+        # simplex only for what its integer certificates leave open
         rng = random.Random(35)
         sets = [
             WeightedMeasureSet([(random_measure(rng, ABC), F(rng.randint(1, 8), 8)) for _ in range(32)], ABC)
             for _ in range(10)
         ]
         original, solve = Fraction.__new__, linfeas.solve_nonneg
-        built = {"simplex": 0, "other": 0}
+        built = {"simplex": 0, "other": 0, "solve_nonneg calls": 0}
         where = ["other"]
 
         def counting_new(cls, *args, **kwargs):
@@ -435,6 +436,7 @@ class TestFractionBudget:
             return original(cls, *args, **kwargs)
 
         def counted_solve(*args):
+            built["solve_nonneg calls"] += 1
             where[0] = "simplex"
             try:
                 return solve(*args)
@@ -446,7 +448,7 @@ class TestFractionBudget:
         for wset in sets:
             assert hull_equal(to_hull(wset), to_hull(normalize(wset)))
         monkeypatch.undo()
-        assert built == {"simplex": 464, "other": 10 * 32}
+        assert built == {"simplex": 88, "other": 10 * 32, "solve_nonneg calls": 58}
 
 
 class TestSequentialUpdate:
@@ -546,11 +548,12 @@ class TestHull:
 
 
 def count_membership_lps(monkeypatch) -> list:
-    """Patch the hull membership LP that `to_hull` calls (linfeas's
-    in_downward_convex_hull, as bound in measures) to log each call."""
+    """Patch the simplex that hull membership falls back on (linfeas's
+    solve_nonneg, called by in_downward_convex_hull when its certificates
+    leave a point open) to log each call."""
     calls = []
-    member = measures.in_downward_convex_hull
-    monkeypatch.setattr(measures, "in_downward_convex_hull", lambda *a: calls.append(a) or member(*a))
+    solve = linfeas.solve_nonneg
+    monkeypatch.setattr(linfeas, "solve_nonneg", lambda *a: calls.append(a) or solve(*a))
     return calls
 
 
@@ -625,7 +628,8 @@ class TestHullEqual:
 
     def test_shared_generators_need_no_lp(self, monkeypatch):
         # a generator that is also one of the other hull's is contained in it
-        # without a membership LP; only the extra generator needs one
+        # without a membership LP, and so is the extra zero vector, which
+        # lies below a generator
         from wregret import linfeas
 
         hull = to_hull(random_wset(random.Random(21), ("x", "y", "z"), 6))
@@ -634,7 +638,7 @@ class TestHullEqual:
         monkeypatch.setattr(linfeas, "solve_nonneg", lambda *a: calls.append(1) or solve(*a))
         assert hull_equal(hull, hull) and calls == []
         grown = RegularHull([*hull.generators, spv(x=0, y=0, z=0)], hull.state_space)
-        assert hull_equal(hull, grown) and len(calls) == 1
+        assert hull_equal(hull, grown) and calls == []
 
     def test_dimension_mismatch(self, delivery_wset):
         hull = to_hull(delivery_wset)
