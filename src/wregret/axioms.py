@@ -11,13 +11,15 @@ fruitless search is reported as `no-witness-in-grid` rather than `violated`.
 
 Each axiom has one table entry: `draw` samples an `Instance` of utility
 profiles (`Alternative`s) and `judge` decides it.  Curated instances, sampled
-draws and `replay` of a witness all go through that one judge.  Sampled
-profiles are ints over the sampler's denominator and mix, splice and give
-constant acts on ints, so a sampled instance builds no `Fraction`;
-`Alternative.profile` gives the exact utilities to a custom oracle or a
-witness's reader.  `check_mdc` probes menu-dependent dynamic consistency.
-Reports, witnesses and the matrix are immutable `NamedTuple`s, and so are
-`GeneratorConfig` and `BeliefFixtures`, which check their fields when built.
+draws and `replay` of a witness all go through that one judge.  One sampling
+loop and one replay serve the static axioms and menu-dependent dynamic
+consistency alike: `check_mdc` builds an entry around a family of
+conditional preferences from `dynamics`.  Sampled profiles are ints over the
+sampler's denominator and mix, splice and give constant acts on ints, so a
+sampled instance builds no `Fraction`; `Alternative.profile` gives the exact
+utilities to a custom oracle or a witness's reader.  Reports, witnesses and
+the matrix are immutable `NamedTuple`s, and so are `GeneratorConfig` and
+`BeliefFixtures`, which check their fields when built.
 
 Axiom ids: "1".."12" follow the order transitivity, completeness,
 nontriviality, monotonicity, mixture continuity, hedging (ambiguity
@@ -47,16 +49,9 @@ from .decisions import (
     mixture_name,
     per_state_best,
 )
+from .dynamics import OracleFamily, frozen_weight_family, likelihood_family  # noqa: F401 (re-exported)
 from .errors import DimensionMismatch, UnknownAxiom
-from .measures import (
-    Event,
-    Measure,
-    WeightedMeasureSet,
-    likelihood_update,
-    normalize,
-    point_mass,
-    upper_likelihood,
-)
+from .measures import Event, Measure, WeightedMeasureSet, is_null, point_mass
 from .rational import format_rational, over_common
 
 # Sampling bounds, kept small so arithmetic stays exact: sampled menus hold
@@ -115,10 +110,13 @@ class Instance(NamedTuple):
 
 
 class Finding(NamedTuple):
-    """A judge's evidence against an instance: scores to show, params it found."""
+    """A judge's evidence against an instance: scores to show, params it
+    found, roles it adds, and a description replacing the axiom's when set."""
 
     scores: Mapping[str, Fraction] = {}
     params: Mapping[str, object] = {}
+    acts: Mapping[str, Alternative] = {}
+    description: str = ""
 
 
 Verdict = Union[str, Finding]  # "pass", "vacuous" or a Finding
@@ -697,18 +695,25 @@ def check_axiom(
     axiom = str(axiom)
     if axiom not in _AXIOMS:
         raise UnknownAxiom(f"unknown axiom id {axiom!r}")
-    config = config or GeneratorConfig()
     if len(oracle.state_space) > 6:
         raise ValueError("axiom checking is capped at 6 states")
-    entry = _AXIOMS[axiom]
+    return _check(axiom, _AXIOMS[axiom], oracle, config, seed)
+
+
+def _check(
+    axiom: str, entry: Axiom, oracle: PreferenceOracle, config: GeneratorConfig | None, seed: int
+) -> AxiomReport:
+    """Judge the axiom's curated instance, if it has one, then the sampled draws."""
+    config = config or GeneratorConfig()
 
     def report(verdict: str, samples: int, applicable: int, **rest) -> AxiomReport:
         return AxiomReport(axiom, oracle.rule, verdict, samples, applicable, curated, seed, **rest)
 
     def witness(instance: Instance, finding: Finding, description: str) -> Witness:
         return Witness(
-            axiom, oracle.rule, entry.kind, description, instance.menu, dict(instance.acts),
-            {**instance.params, **finding.params}, dict(finding.scores),
+            axiom, oracle.rule, entry.kind, finding.description or description, instance.menu,
+            {**instance.acts, **finding.acts}, {**instance.params, **finding.params},
+            dict(finding.scores),
         )
 
     curated = 0
@@ -757,43 +762,22 @@ def replay(report: AxiomReport, oracle: PreferenceOracle) -> bool:
     pattern, making `violated` verdicts independently reproducible.
     """
     w = report.counterexample
-    if w is None or w.kind != "violation" or w.axiom not in _AXIOMS:
+    return w is not None and w.axiom in _AXIOMS and _replay(_AXIOMS[w.axiom], w, oracle)
+
+
+def _replay(entry: Axiom, w: Witness, oracle: PreferenceOracle) -> bool:
+    """Re-judge a witness of the entry's axiom: True if it still shows a violation."""
+    if w.kind != "violation":
         return False
     # a belief fixes the states; the probability-free rule judges profiles of any length
     if oracle.belief is not None and any(len(a.numerators) != len(oracle.state_space) for a in w.menu):
         raise DimensionMismatch("the witness is not over the belief's states")
-    verdict = _AXIOMS[w.axiom].judge(oracle, Instance(w.menu, w.acts, w.params))
-    return isinstance(verdict, Finding)
+    return isinstance(entry.judge(oracle, Instance(w.menu, w.acts, w.params)), Finding)
 
 
 # -- menu-dependent dynamic consistency -----------------------------------------------
-# A family gives the conditional preference on each event.  `check_mdc` calls
-# it once per distinct event and reuses that oracle, so a family must be a
-# function of the event alone.  Splicing f on an event E with an off-event
-# act h takes f's utilities inside E and h's outside.
-
-OracleFamily = Callable[[Event], PreferenceOracle]
-
-
-def likelihood_family(wset: WeightedMeasureSet, u: UtilitySpec) -> OracleFamily:
-    """Conditional preferences driven by likelihood updating of the weights."""
-
-    def family(event: Event) -> PreferenceOracle:
-        return PreferenceOracle("mwer", likelihood_update(wset, event), u, wset.state_space)
-
-    return family
-
-
-def frozen_weight_family(wset: WeightedMeasureSet, u: UtilitySpec) -> OracleFamily:
-    """Measure-by-measure conditioning: weights frozen, zero-likelihood entries dropped."""
-
-    def family(event: Event) -> PreferenceOracle:
-        kept = [(m.condition(event), w) for m, w in wset.entries if m.event_prob(event) != 0]
-        belief = normalize(WeightedMeasureSet(kept, wset.state_space))  # merges duplicates
-        return PreferenceOracle("mwer", belief, u, wset.state_space)
-
-    return family
-
+# Splicing f on an event E with an off-event act h takes f's utilities inside
+# E and h's outside.  The entry's oracle is a family's unconditional one.
 
 def _spliced_signs(
     o: PreferenceOracle, f: Alternative, g: Alternative, menu: AltMenu, event: Event
@@ -810,6 +794,42 @@ def _spliced_signs(
     }
 
 
+def _mdc(family: OracleFamily) -> Axiom:
+    """Dynamic consistency as an entry: the family's comparison of f and g on an
+    event must equal their unconditional comparison spliced off it with each
+    menu act.  The family is asked once per distinct non-null event."""
+    conditionals: dict[Event, PreferenceOracle] = {}
+
+    def draw(o: PreferenceOracle, s: Sampler) -> Instance:
+        menu = s.menu(min_size=2)
+        f, g = s.pick(menu, 2)
+        event = [x for x in s.states if s.rng.random() < 0.5] or [s.rng.choice(s.states)]
+        return Instance(menu, {"f": f, "g": g}, {"event": event})
+
+    def judge(o: PreferenceOracle, inst: Instance) -> Verdict:
+        f, g, menu, event = inst.acts["f"], inst.acts["g"], inst.menu, Event(inst.params["event"])
+        # the unconditional belief has the family's null events: updating on the
+        # whole space, or normalizing, only rescales the weights
+        if is_null(event, o.belief):
+            return "vacuous"
+        if event not in conditionals:
+            conditionals[event] = family(event)
+        spliced = _spliced_signs(o, f, g, menu, event)
+        signs = set(spliced.values())
+        if len(signs) > 1:
+            return Finding(
+                params={"signs": {h.name: sign for h, sign in spliced.items()}},
+                description="the spliced comparison depends on the off-event act",
+            )
+        conditional = conditionals[event].prefers(f, g, menu)
+        if conditional == signs.pop():
+            return "pass"
+        h, sign = next(iter(spliced.items()))
+        return Finding(params={"conditional": conditional, "spliced": sign}, acts={"h": h})
+
+    return Axiom(draw, judge, "conditional and spliced comparisons disagree")
+
+
 def check_mdc(
     family: OracleFamily,
     wset: WeightedMeasureSet,
@@ -823,64 +843,18 @@ def check_mdc(
     comparison must agree with the unconditional comparison of the spliced
     acts in the spliced menu, for every choice of the off-event act; the
     checker also verifies that the right-hand side does not depend on that
-    choice.
+    choice.  Unlike `check_axiom`, it has no cap on the states.
     """
-    config = config or GeneratorConfig()
-    rng = random.Random(seed)
-    states = tuple(sorted(wset.state_space))
-    unconditional = family(Event(states))
-    sampler = Sampler(rng, unconditional)
-
-    applicable = 0
-    conditionals: dict[Event, Optional[PreferenceOracle]] = {}  # None on a null event
-    for _ in range(config.samples):
-        menu = sampler.menu(min_size=2)
-        f, g = sampler.pick(menu, 2)
-        event = Event([s for s in states if rng.random() < 0.5] or [rng.choice(states)])
-        if event not in conditionals:
-            conditionals[event] = family(event) if upper_likelihood(wset, event) != 0 else None
-        oracle = conditionals[event]
-        if oracle is None:
-            continue
-        applicable += 1
-        conditional = oracle.prefers(f, g, menu)
-        spliced_signs = _spliced_signs(unconditional, f, g, menu, event)
-        signs = set(spliced_signs.values())
-        if len(signs) > 1:
-            description = "the spliced comparison depends on the off-event act"
-            acts = {"f": f, "g": g}
-            params = {"signs": {h.name: sign for h, sign in spliced_signs.items()}}
-        elif conditional != signs.pop():
-            description = "conditional and spliced comparisons disagree"
-            h, spliced = next(iter(spliced_signs.items()))
-            acts = {"f": f, "g": g, "h": h}
-            params = {"conditional": conditional, "spliced": spliced}
-        else:
-            continue
-        witness = Witness(
-            "mdc", unconditional.rule, "violation", description, menu, acts,
-            {"event": sorted(event.members), **params},
-        )
-        return AxiomReport(
-            "mdc", unconditional.rule, "violated", config.samples, applicable, 0, seed, witness
-        )
-    return AxiomReport(
-        "mdc", unconditional.rule, "no-violation-found",
-        config.samples, applicable, 0, seed, None,
-    )
+    return _check("mdc", _mdc(family), family(Event(sorted(wset.state_space))), config, seed)
 
 
 def replay_mdc(report: AxiomReport, family: OracleFamily) -> bool:
     """Re-run a violated dynamic-consistency report against its family."""
     w = report.counterexample
-    if w is None or w.kind != "violation":
+    if w is None:
         return False
-    event = Event(w.params["event"])
-    conditional = family(event)
-    unconditional = family(Event(conditional.state_space))
-    f, g = w.acts["f"], w.acts["g"]
-    signs = set(_spliced_signs(unconditional, f, g, w.menu, event).values())
-    return len(signs) > 1 or conditional.prefers(f, g, w.menu) != signs.pop()
+    conditional = family(Event(w.params["event"]))  # the one event the judge asks about
+    return _replay(_mdc(lambda event: conditional), w, family(Event(conditional.state_space)))
 
 
 # -- the rule-by-axiom matrix ---------------------------------------------------------

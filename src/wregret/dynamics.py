@@ -1,7 +1,10 @@
 """Conditional preferences and sequential decision problems.
 
-Conditioning a worst-case weighted regret agent on an event means updating
-the belief by likelihood and re-scoring; the spliced-menu identity
+This module owns conditional preference.  A family gives the preference on
+each event: `likelihood_family` updates the weights by likelihood and
+re-scores with mwer, and `conditional_score` and `evaluate_tree` use it;
+`frozen_weight_family` conditions each measure and keeps its weight.  The
+spliced-menu identity
 
     score of (f on E else h) in the spliced menu
         = upper likelihood of E  *  conditional score of f
@@ -23,7 +26,7 @@ or ambiguous shape (`MalformedTree`) when built.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
 from .decisions import Act, Lottery, Menu, PreferenceOracle, Profile, UtilitySpec, as_alternatives, mwer
 from .errors import (
@@ -37,7 +40,9 @@ from .measures import (
     EventLike,
     WeightedMeasureSet,
     as_event,
+    is_null,
     likelihood_update,
+    normalize,
     upper_likelihood,
 )
 from .rational import format_rational
@@ -58,14 +63,31 @@ def splice_menu(menu: Menu, event: EventLike, h: Act) -> Menu:
     return Menu(tuple(splice(f, event, h) for f in menu))
 
 
-def is_null(event: EventLike, wset: WeightedMeasureSet) -> bool:
-    """True when the event has upper likelihood zero: every entry gives it
-    weight-scaled probability zero.
+# A family gives the conditional preference on each event.  `check_mdc` calls
+# it once per distinct event and reuses that oracle, so a family must be a
+# function of the event alone.
 
-    Such events cannot influence any weighted regret score: splicing an act
-    on them is score-invisible.
-    """
-    return upper_likelihood(wset, event) == 0
+OracleFamily = Callable[[Event], PreferenceOracle]
+
+
+def likelihood_family(wset: WeightedMeasureSet, u: UtilitySpec) -> OracleFamily:
+    """Conditional preferences driven by likelihood updating of the weights."""
+
+    def family(event: Event) -> PreferenceOracle:
+        return PreferenceOracle("mwer", likelihood_update(wset, event), u, wset.state_space)
+
+    return family
+
+
+def frozen_weight_family(wset: WeightedMeasureSet, u: UtilitySpec) -> OracleFamily:
+    """Measure-by-measure conditioning: weights frozen, zero-likelihood entries dropped."""
+
+    def family(event: Event) -> PreferenceOracle:
+        kept = [(m.condition(event), w) for m, w in wset.entries if m.event_prob(event) != 0]
+        belief = normalize(WeightedMeasureSet(kept, wset.state_space))  # merges duplicates
+        return PreferenceOracle("mwer", belief, u, wset.state_space)
+
+    return family
 
 
 def conditional_score(
@@ -75,16 +97,11 @@ def conditional_score(
     event = as_event(event)
     if is_null(event, wset):
         raise NullEvent("conditional preferences are undefined on a null event")
-    return mwer(f, menu, u, likelihood_update(wset, event))
+    return likelihood_family(wset, u)(event).score(f, menu)
 
 
 def mdc_scaling_check(
-    f: Act,
-    event: EventLike,
-    menu: Menu,
-    h: Act,
-    u: UtilitySpec,
-    wset: WeightedMeasureSet,
+    f: Act, event: EventLike, menu: Menu, h: Act, u: UtilitySpec, wset: WeightedMeasureSet
 ) -> tuple[Fraction, Fraction]:
     """Both sides of the spliced-menu scaling identity (they must be equal).
 
@@ -306,6 +323,7 @@ def evaluate_tree(
     else:  # deepest first; the sort is stable, so pre-order among equal depths
         order = sorted(nodes.items(), key=lambda item: -item[1][0])
     survivors = {p.name for p in plans}
+    conditional = likelihood_family(wset, u)
     alternatives = as_alternatives([p.name for p in plans], [p.profile for p in plans])
     diagnostics: list[NodeDiagnostic] = []
     for name, (_, live, path) in order:
@@ -317,7 +335,7 @@ def evaluate_tree(
         if is_null(event, wset):
             raise NullEventAtNode(f"information set {sorted(live)} has upper likelihood 0")
         pool = group if menu_policy == "full" else alive
-        scores = PreferenceOracle("mwer", likelihood_update(wset, event), u).scores(pool)
+        scores = conditional(event).scores(pool)
         best = min(scores[p.name] for p in alive)
         dropped = tuple(sorted(p.name for p in alive if scores[p.name] != best))
         kept = tuple(sorted(p.name for p in alive if scores[p.name] == best))

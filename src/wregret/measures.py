@@ -192,6 +192,13 @@ def normalize(wset: WeightedMeasureSet) -> WeightedMeasureSet:
     return WeightedMeasureSet(tuple(merged.items()), wset.state_space)
 
 
+def is_null(event: EventLike, wset: WeightedMeasureSet) -> bool:
+    """True when no entry of positive weight gives the event positive
+    probability: splicing an act on it changes no weighted regret score."""
+    event = as_event(event)
+    return not any(m._mass(event) and w for m, w in wset.entries)
+
+
 def upper_likelihood(wset: WeightedMeasureSet, event: EventLike) -> Fraction:
     """Largest weight-scaled probability of the event across the set."""
     event = as_event(event)
@@ -234,8 +241,7 @@ def sequential_update(
     defined; the property suite exercises this identity.
     """
     first, second = as_event(first), as_event(second)
-    both = first & second
-    if not any(m._mass(both) and w for m, w in wset.entries):
+    if is_null(first & second, wset):
         raise UndefinedUpdate("update undefined: the intersection has upper likelihood 0")
     return likelihood_update(likelihood_update(wset, first), second)
 

@@ -6,6 +6,7 @@ from math import comb
 
 import pytest
 
+from wregret.axioms import AXIOM_IDS
 from wregret.cli import main
 from wregret.fixtures import fixture_path, fixture_text
 
@@ -216,6 +217,14 @@ class TestAxiomsCommand:
     def test_unweighted_fixture_rejected_for_matrix(self, capsys):
         code, _, err = run(capsys, "axioms", DELIVERY, "--axiom", "matrix")
         assert code == 3 and "non-unit weight" in err
+
+    def test_mdc_is_not_an_axiom_choice(self, capsys):
+        # dynamic consistency runs through the same checker, but only
+        # `check_mdc` reaches it: the CLI offers the static ids alone
+        statics = tuple(str(i) for i in range(1, 13)) + ("12u", "menu")
+        assert AXIOM_IDS == statics
+        code, out, err = run(capsys, "axioms", WEIGHTED, "--axiom", "mdc")
+        assert code == 3 and out == "" and "invalid choice: 'mdc'" in err
 
 
 class TestTreeCommand:

@@ -5,6 +5,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -20,6 +21,7 @@ from wregret import (
     UtilitySpec,
     WeightedMeasureSet,
     mwer,
+    normalize,
     point_mass,
     rank,
 )
@@ -47,7 +49,7 @@ from wregret.dynamics import (
 )
 from wregret.errors import MalformedTree, NullEvent, NullEventAtNode
 
-from conftest import DELIVERY_STATES, profile_act, random_wset
+from conftest import DELIVERY_STATES, profile_act, random_measure, random_wset
 
 F = Fraction
 
@@ -291,6 +293,37 @@ class TestMdc:
         assert sum(report["verdict"] == "violated" for report, _ in outcomes) == 15
         digest = hashlib.sha1(json.dumps(outcomes, sort_keys=True).encode()).hexdigest()
         assert digest == "ef7a54c86d06f6adf6f0cec6771688c6feb7e407"
+
+    def test_zero_weight_null_events_are_pinned(self):
+        # random_wset draws weights of at least 1/4; here weights of 0 make
+        # events null that some measure gives positive probability.  The
+        # digest was recorded before the MDC loop was folded into `_check`.
+        outcomes, zero_weight_null = [], 0
+        for seed in range(100):
+            rng = random.Random(seed)
+            k = rng.randint(2, 5)
+            states = tuple(f"s{i}" for i in range(k))
+            entries = [
+                (random_measure(rng, states, grain=rng.choice((2, 3, 12))), F(rng.randint(0, 4), 4))
+                for _ in range(rng.randint(1, 4))
+            ]
+            if all(w == 0 for _, w in entries):
+                entries[0] = (entries[0][0], F(1))
+            wset = normalize(WeightedMeasureSet(entries, states))
+            events = [Event(c) for r in range(1, k + 1) for c in combinations(states, r)]
+            zero_weight_null += any(
+                is_null(e, wset) and any(m.event_prob(e) for m, _ in wset.entries) for e in events
+            )
+            families = (likelihood_family(wset, GRID_U), frozen_weight_family(wset, GRID_U))
+            for family in families:
+                config = GeneratorConfig(samples=rng.randint(1, 60))
+                report = check_mdc(family, wset, GRID_U, config, seed=seed)
+                outcomes.append([report.to_obj(), [replay_mdc(report, f) for f in families]])
+        assert zero_weight_null == 16
+        assert sum(report["verdict"] == "violated" for report, _ in outcomes) == 16
+        assert sum(report["samples"] - report["applicable"] for report, _ in outcomes) == 806
+        digest = hashlib.sha1(json.dumps(outcomes, sort_keys=True).encode()).hexdigest()
+        assert digest == "a01d62a180c7a894ff7450784b3dcc986708e6f6"
 
     def test_splicing_sampled_profiles_builds_no_fractions(self, monkeypatch):
         wset = random_wset(random.Random(1), STATES4)

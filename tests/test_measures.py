@@ -4,6 +4,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -36,6 +37,7 @@ from wregret.errors import (
     UndefinedUpdate,
 )
 from wregret import linfeas
+from wregret.measures import is_null
 from wregret.rational import format_map
 
 from conftest import DELIVERY_STATES, random_measure, random_wset
@@ -192,6 +194,37 @@ class TestNormalize:
     def test_idempotent(self, seed):
         wset = random_wset(random.Random(seed), ABC)
         assert normalize(wset) == normalize(normalize(wset))
+
+
+class TestIsNull:
+    def test_matches_upper_likelihood_on_every_event(self):
+        # zero weights and zero-probability states, normalized or not; an
+        # all-zero set makes every event null
+        sets = 0
+        for seed in range(120):
+            rng = random.Random(seed)
+            states = tuple(f"s{i}" for i in range(rng.randint(1, 4)))
+            entries = [
+                (random_measure(rng, states, grain=rng.choice((1, 2, 3, 12))), F(rng.randint(0, 4), 4))
+                for _ in range(rng.randint(1, 4))
+            ]
+            wset = WeightedMeasureSet(entries, states)
+            for r in range(len(states) + 1):
+                for members in combinations(states, r):
+                    event = Event(members)
+                    assert is_null(event, wset) == (upper_likelihood(wset, event) == 0)
+            for unknown in (Event(["zz"]), Event([states[0], "zz"])):
+                with pytest.raises(DimensionMismatch):
+                    is_null(unknown, wset)
+                with pytest.raises(DimensionMismatch):
+                    upper_likelihood(wset, unknown)
+            sets += 1
+        assert sets >= 100
+
+    def test_dynamics_uses_the_same_test(self):
+        from wregret import dynamics, measures
+
+        assert dynamics.is_null is measures.is_null
 
 
 class TestUpperLikelihood:
