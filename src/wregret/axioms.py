@@ -18,8 +18,8 @@ conditional preferences from `dynamics`.  Sampled profiles are ints over the
 sampler's denominator and mix, splice and give constant acts on ints, so a
 sampled instance builds no `Fraction`; `Alternative.profile` gives the exact
 utilities to a custom oracle or a witness's reader.  Reports, witnesses and
-the matrix are immutable `NamedTuple`s, and so are `GeneratorConfig` and
-`BeliefFixtures`, which check their fields when built.
+the matrix are immutable records (`records.record`), and so are
+`GeneratorConfig` and `BeliefFixtures`, which check their fields when built.
 
 Axiom ids: "1".."12" follow the order transitivity, completeness,
 nontriviality, monotonicity, mixture continuity, hedging (ambiguity
@@ -37,7 +37,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .decisions import (
     Alternative,
@@ -50,9 +50,10 @@ from .decisions import (
     per_state_best,
 )
 from .dynamics import OracleFamily, frozen_weight_family, likelihood_family  # noqa: F401 (re-exported)
-from .errors import DimensionMismatch, UnknownAxiom
+from .errors import DimensionMismatch, NullEvent, UnknownAxiom
 from .measures import Event, Measure, WeightedMeasureSet, is_null, point_mass
 from .rational import format_rational, over_common
+from .records import record
 
 # Sampling bounds, kept small so arithmetic stays exact: sampled menus hold
 # up to MENU_SIZE acts, utilities lie on a grid of step 1/UTILITY_DENOMINATOR
@@ -79,7 +80,8 @@ def _farey_interior(order: int) -> tuple[Fraction, ...]:
 MIXTURE_GRID = _farey_interior(MIXTURE_DENOMINATOR)
 
 
-class _GeneratorFields(NamedTuple):
+@record
+class _GeneratorFields:
     samples: int = 200
     include_curated: bool = True
 
@@ -100,7 +102,8 @@ class GeneratorConfig(_GeneratorFields):
 AltMenu = tuple[Alternative, ...]
 
 
-class Instance(NamedTuple):
+@record
+class Instance:
     """An axiom's instance, as a witness records it: a menu, the alternatives
     in its roles (f, g, h, mixture) and params (keys ending in "menu" hold menus)."""
 
@@ -109,7 +112,8 @@ class Instance(NamedTuple):
     params: Mapping[str, object] = {}
 
 
-class Finding(NamedTuple):
+@record
+class Finding:
     """A judge's evidence against an instance: scores to show, params it
     found, roles it adds, and a description replacing the axiom's when set."""
 
@@ -122,7 +126,8 @@ class Finding(NamedTuple):
 Verdict = Union[str, Finding]  # "pass", "vacuous" or a Finding
 
 
-class Witness(NamedTuple):
+@record
+class Witness:
     """A concrete instance exhibiting (or failing to witness) an axiom."""
 
     axiom: str
@@ -154,7 +159,8 @@ def _param_text(key: str, value: object) -> str:
     return str(value)
 
 
-class AxiomReport(NamedTuple):
+@record
+class AxiomReport:
     """Outcome of checking one axiom against one oracle.
 
     A violated verdict always carries a replayable counterexample.  For the
@@ -534,7 +540,8 @@ def _judge_constant_mix(o: PreferenceOracle, inst: Instance) -> Verdict:
     return Finding({"f": o.rate(f, menu), "h": o.rate(h, menu), "mixture": o.rate(mixed, menu)})
 
 
-class Axiom(NamedTuple):
+@record
+class Axiom:
     draw: Draw
     judge: Judge
     description: str  # of a finding on a sampled instance
@@ -853,13 +860,17 @@ def replay_mdc(report: AxiomReport, family: OracleFamily) -> bool:
     w = report.counterexample
     if w is None:
         return False
-    conditional = family(Event(w.params["event"]))  # the one event the judge asks about
+    try:
+        conditional = family(Event(w.params["event"]))  # the one event the judge asks about
+    except NullEvent:  # the family has no conditional preference there to violate
+        return False
     return _replay(_mdc(lambda event: conditional), w, family(Event(conditional.state_space)))
 
 
 # -- the rule-by-axiom matrix ---------------------------------------------------------
 
-class _FixtureFields(NamedTuple):
+@record
+class _FixtureFields:
     utility: UtilitySpec
     state_space: Sequence[str]
     measures: tuple[Measure, ...]
@@ -905,7 +916,8 @@ MATRIX_COLUMNS: tuple[tuple[str, tuple[str, ...]], ...] = (
 _VERDICT_ORDER = {"no-violation-found": 0, "violated": 1}
 
 
-class AxiomMatrix(NamedTuple):
+@record
+class AxiomMatrix:
     reports: dict[tuple[str, str], AxiomReport]
     cells: dict[tuple[str, str], str]
     seed: int

@@ -8,7 +8,6 @@ error, 3 usage error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -43,6 +42,14 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read {path}: {exc}") from None
+
+
+def _write_json(obj) -> None:
+    """The one writer of `--format json` output.  Only this output needs
+    `json`, so the other commands do not pay for importing it."""
+    import json
+
+    print(json.dumps(obj, indent=2))
 
 
 def _load_doc(path: str) -> ProblemDoc:
@@ -81,7 +88,7 @@ def _cmd_eval(args) -> int:
     belief = _belief_for(doc, args.rule, args.measure)
     ranking = rank(args.rule, menu, doc.utility, belief)
     if args.format == "json":
-        print(json.dumps(ranking.to_obj(), indent=2))
+        _write_json(ranking.to_obj())
     else:
         sys.stdout.write(ranking.to_tsv())
     return 0
@@ -123,7 +130,7 @@ def _cmd_axioms(args) -> int:
     if args.axiom == "matrix":
         matrix = axiom_matrix(fixtures=fixtures, seed=args.seed, config=config)
         if args.format == "json":
-            print(json.dumps(matrix.to_obj(), indent=2))
+            _write_json(matrix.to_obj())
         else:
             sys.stdout.write(matrix.to_text())
         return 0
@@ -133,7 +140,7 @@ def _cmd_axioms(args) -> int:
         for rule in rules
     ]
     if args.format == "json":
-        print(json.dumps([r.to_obj() for r in reports], indent=2))
+        _write_json([r.to_obj() for r in reports])
     else:
         for report in reports:
             line = (
@@ -160,7 +167,7 @@ def _cmd_tree(args) -> int:
         planning=args.planning, menu_policy=args.menu_policy,
     )
     if args.format == "json":
-        print(json.dumps(evaluation.to_obj(), indent=2))
+        _write_json(evaluation.to_obj())
         return 0
     print(f"chosen plan: {evaluation.chosen.name}")
     print(f"survivors: {', '.join(evaluation.survivors)}")

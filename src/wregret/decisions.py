@@ -35,11 +35,12 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul, sub
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ActNotInMenu, BeliefKindMismatch, DimensionMismatch, UnknownPrize
 from .measures import Measure, Rational, WeightedMeasureSet, weighted_rows
 from .rational import IntVector, as_integers, format_decimal, format_rational, over_common
+from .records import record
 
 
 class UtilitySpec(IntVector):
@@ -301,7 +302,8 @@ def _worst_weighted_regret(x: IntProfile, best: IntProfile, rows: Sequence[IntPr
     return max(sum(map(mul, row, regrets)) for row in rows)
 
 
-class Rule(NamedTuple):
+@record
+class Rule:
     """A decision rule: its integer kernel, the belief kind it takes
     ("measure", "measures", "weighted" or None for no belief), and its
     orientation.  The kernel takes an act's profile and the menu's per-state

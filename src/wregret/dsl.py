@@ -22,27 +22,29 @@ Every rejection carries at least one diagnostic with a line and column; the
 parsers never raise anything else on malformed input.  Each unknown or
 repeated key of an entry is reported, not just the first; in a tree, so is
 a decision node whose name is already taken.  Tokens, diagnostics and the
-parsed `ProblemDoc` are immutable `NamedTuple`s.  Canonical serialization sorts
-every section and key and prints rationals in lowest terms, so
-serialize(parse(serialize(doc))) is byte-identical.
+parsed `ProblemDoc` are immutable records (`records.record`).  Canonical
+serialization sorts every section and key and prints rationals in lowest
+terms, so serialize(parse(serialize(doc))) is byte-identical.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
-from typing import Callable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from .decisions import Act, Lottery, Menu, UtilitySpec
 from .dynamics import DecisionNode, DecisionTree, Leaf, NatureNode, TreeNode
 from .errors import ParseError
 from .measures import Event, Measure, WeightedMeasureSet
 from .rational import format_map, format_rational, parse_rational
+from .records import record
 
 MAX_TREE_DEPTH = 100  # nested decision and nature nodes; the walkers recurse per level
 
 
-class ParseDiagnostic(NamedTuple):
+@record
+class ParseDiagnostic:
     severity: str  # "error"
     line: int      # 1-based
     column: int    # 1-based
@@ -54,7 +56,8 @@ class ParseDiagnostic(NamedTuple):
         return f"{self.severity}: line {self.line}, column {self.column}: {self.message}{near}"
 
 
-class Token(NamedTuple):
+@record
+class Token:
     kind: str  # IDENT | NUMBER | PUNCT | EOF
     text: str
     line: int
@@ -138,7 +141,8 @@ class _TokenStream:
 
 # -- problem documents -----------------------------------------------------------
 
-class ProblemDoc(NamedTuple):
+@record
+class ProblemDoc:
     """A fully resolved decision problem: the named sections of one file."""
 
     states: tuple[str, ...]
@@ -161,7 +165,8 @@ class ProblemDoc(NamedTuple):
         return tuple(m for m, _ in (self.hypotheses[k] for k in sorted(self.hypotheses)))
 
 
-class _RawEntry(NamedTuple):
+@record
+class _RawEntry:
     token: Token
     payload: object
 

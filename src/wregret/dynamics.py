@@ -19,14 +19,14 @@ rule leaves that choice genuinely open.  One walk of the tree checks its
 structure (unique decision node names; nature partitions disjoint and
 exhaustive on the states still live), expands its plans and records every
 decision node in pre-order with its depth, live states and path.  Nodes,
-plans and evaluations are immutable `NamedTuple`s; a node rejects an empty
-or ambiguous shape (`MalformedTree`) when built.
+plans and evaluations are immutable records (`records.record`); a node
+rejects an empty or ambiguous shape (`MalformedTree`) when built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .decisions import Act, Lottery, Menu, PreferenceOracle, Profile, UtilitySpec, as_alternatives, mwer
 from .errors import (
@@ -46,6 +46,7 @@ from .measures import (
     upper_likelihood,
 )
 from .rational import format_rational
+from .records import record
 
 
 def splice(f: Act, event: EventLike, h: Act, name: str | None = None) -> Act:
@@ -65,15 +66,22 @@ def splice_menu(menu: Menu, event: EventLike, h: Act) -> Menu:
 
 # A family gives the conditional preference on each event.  `check_mdc` calls
 # it once per distinct event and reuses that oracle, so a family must be a
-# function of the event alone.
+# function of the event alone.  On an event that is null under its belief a
+# family raises NullEvent.
 
 OracleFamily = Callable[[Event], PreferenceOracle]
+
+
+def _require_non_null(event: Event, wset: WeightedMeasureSet) -> None:
+    if is_null(event, wset):
+        raise NullEvent("conditional preferences are undefined on a null event")
 
 
 def likelihood_family(wset: WeightedMeasureSet, u: UtilitySpec) -> OracleFamily:
     """Conditional preferences driven by likelihood updating of the weights."""
 
     def family(event: Event) -> PreferenceOracle:
+        _require_non_null(event, wset)
         return PreferenceOracle("mwer", likelihood_update(wset, event), u, wset.state_space)
 
     return family
@@ -83,6 +91,7 @@ def frozen_weight_family(wset: WeightedMeasureSet, u: UtilitySpec) -> OracleFami
     """Measure-by-measure conditioning: weights frozen, zero-likelihood entries dropped."""
 
     def family(event: Event) -> PreferenceOracle:
+        _require_non_null(event, wset)
         kept = [(m.condition(event), w) for m, w in wset.entries if m.event_prob(event) != 0]
         belief = normalize(WeightedMeasureSet(kept, wset.state_space))  # merges duplicates
         return PreferenceOracle("mwer", belief, u, wset.state_space)
@@ -94,10 +103,7 @@ def conditional_score(
     f: Act, event: EventLike, menu: Menu, u: UtilitySpec, wset: WeightedMeasureSet
 ) -> Fraction:
     """Worst-case weighted expected regret after updating on the event."""
-    event = as_event(event)
-    if is_null(event, wset):
-        raise NullEvent("conditional preferences are undefined on a null event")
-    return likelihood_family(wset, u)(event).score(f, menu)
+    return likelihood_family(wset, u)(as_event(event)).score(f, menu)
 
 
 def mdc_scaling_check(
@@ -122,7 +128,8 @@ def mdc_scaling_check(
 
 # -- decision trees ----------------------------------------------------------------
 
-class _LeafFields(NamedTuple):
+@record
+class _LeafFields:
     lottery: Optional[Lottery] = None
     utility: Optional[Fraction] = None
 
@@ -139,7 +146,8 @@ class Leaf(_LeafFields):
         return super().__new__(cls, lottery, utility)
 
 
-class _DecisionFields(NamedTuple):
+@record
+class _DecisionFields:
     name: str
     branches: tuple[tuple[str, "TreeNode"], ...]
 
@@ -157,7 +165,8 @@ class DecisionNode(_DecisionFields):
         return super().__new__(cls, name, branches)
 
 
-class _NatureFields(NamedTuple):
+@record
+class _NatureFields:
     partition: tuple[tuple[Event, "TreeNode"], ...]
 
 
@@ -174,11 +183,13 @@ class NatureNode(_NatureFields):
 TreeNode = Union[Leaf, DecisionNode, NatureNode]
 
 
-class DecisionTree(NamedTuple):
+@record
+class DecisionTree:
     root: TreeNode
 
 
-class Plan(NamedTuple):
+@record
+class Plan:
     """A strategy: one branch per reachable decision node, seen as its utility
     profile (one utility per state, in sorted state order)."""
 
@@ -258,7 +269,8 @@ def enumerate_plans(
     return plans, nodes
 
 
-class NodeDiagnostic(NamedTuple):
+@record
+class NodeDiagnostic:
     node: str
     live: tuple[str, ...]
     menu: tuple[str, ...]
@@ -277,7 +289,8 @@ class NodeDiagnostic(NamedTuple):
         }
 
 
-class TreeEvaluation(NamedTuple):
+@record
+class TreeEvaluation:
     planning: str
     menu_policy: str
     chosen: Plan

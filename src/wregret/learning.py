@@ -12,9 +12,9 @@ everything outside the simulation loop stays exact.  A probe's float tables
 scores once per `Probe` and hypothesis; a run builds its draw thresholds and
 per-outcome log-likelihoods once, and each round then does only float
 arithmetic and regroups the acts only when its scores break the previous
-round's ranking.  The model, rows and summaries are immutable `NamedTuple`s;
-`Probe` and `Trajectory` are immutable classes that keep what they build
-lazily in their own instance.
+round's ranking.  The model, rows and summaries are immutable records
+(`records.record`); `Probe` and `Trajectory` are immutable classes that keep
+what they build lazily in their own instance.
 
 `es_update` implements the threshold alternative: condition every measure,
 then eliminate those whose relative likelihood does not exceed a cutoff.
@@ -31,18 +31,20 @@ from itertools import accumulate
 from math import comb
 from operator import add, mul
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from .decisions import Menu, PreferenceOracle, UtilitySpec, group_ties
 from .errors import AllEliminated
 from .measures import EventLike, Measure, as_event
 from .rational import format_rational
+from .records import record
 
 RNG_ALGORITHM = "mt19937"  # CPython's random.Random core generator
 _NEG_INF = float("-inf")
 
 
-class _ObservationFields(NamedTuple):
+@record
+class _ObservationFields:
     outcomes: tuple[str, ...]
     likelihoods: Mapping[str, Mapping[str, Fraction]]
     truth: str
@@ -138,7 +140,8 @@ class Probe(_Immutable):
         return groups
 
 
-class TrajectoryRow(NamedTuple):
+@record
+class TrajectoryRow:
     round: int
     weights: dict[str, float]
     mwer_groups: Groups
@@ -353,7 +356,8 @@ def es_update(
     return tuple(survivors)
 
 
-class ComparisonRow(NamedTuple):
+@record
+class ComparisonRow:
     round: int
     agree_mwer_mer: float
     agree_mwer_es: float
@@ -361,7 +365,8 @@ class ComparisonRow(NamedTuple):
     agree_all: float
 
 
-class ComparisonSummary(NamedTuple):
+@record
+class ComparisonSummary:
     rounds: int
     seeds: tuple[int, ...]
     threshold: Fraction

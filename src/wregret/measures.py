@@ -181,14 +181,15 @@ def normalize(wset: WeightedMeasureSet) -> WeightedMeasureSet:
     Duplicates keep the largest weight among their occurrences, mirroring the
     supremum in the updated-weight definition.
     """
-    top = max(w for _, w in wset.entries)
-    if top == 0:
-        raise AllZeroWeights("cannot normalize a set whose weights are all zero")
     merged: dict[Measure, Fraction] = {}
     for measure, weight in wset.entries:
-        scaled = weight / top
-        if measure not in merged or merged[measure] < scaled:
-            merged[measure] = scaled
+        if measure not in merged or merged[measure] < weight:
+            merged[measure] = weight
+    top = max(merged.values())
+    if top == 0:
+        raise AllZeroWeights("cannot normalize a set whose weights are all zero")
+    if top != 1:
+        merged = {measure: weight / top for measure, weight in merged.items()}
     return WeightedMeasureSet(tuple(merged.items()), wset.state_space)
 
 

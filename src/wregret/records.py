@@ -1,0 +1,36 @@
+"""Immutable records: a class body of annotated fields, built as a `namedtuple`.
+
+`typing.NamedTuple` checks every field annotation when it builds the class.
+Under `from __future__ import annotations` each annotation is a string, and
+the check compiles it into a `typing.ForwardRef`, which is most of what a
+record costs at import.  `record` builds the same class without the check:
+the annotations stay the strings they were written as, as documentation.
+"""
+
+from collections import namedtuple
+
+
+def record(cls: type) -> type:
+    """The class as a `namedtuple`, as `typing.NamedTuple` would build it.
+
+    The annotated names are the fields, in order; a value given in the body
+    is that field's default, and only the last fields may have one.  The
+    rest of the body (docstring, methods, properties, constants) is copied
+    onto the namedtuple.  Equality, hashing, `repr`, pickling and
+    immutability are the tuple's.
+    """
+    body = dict(vars(cls))
+    fields = tuple(body.get("__annotations__", {}))
+    with_default = [name for name in fields if name in body]
+    if tuple(with_default) != fields[len(fields) - len(with_default):]:
+        raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
+    built = namedtuple(
+        cls.__name__, fields, defaults=[body.pop(name) for name in with_default], module=cls.__module__
+    )
+    built.__qualname__ = cls.__qualname__
+    if body["__doc__"] is None:  # keep the namedtuple's own `Name(field, ...)` docstring
+        del body["__doc__"]
+    for key, value in body.items():
+        if key not in ("__dict__", "__weakref__"):  # the plain class's, not the tuple's
+            setattr(built, key, value)
+    return built

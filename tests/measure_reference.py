@@ -39,6 +39,19 @@ def condition(measure: Map, event: Iterable[str]) -> dict[str, Fraction]:
     return {s: (p / p_event if s in event else ZERO) for s, p in measure.items()}
 
 
+def normalize(entries: list[tuple[Map, Fraction]]) -> list[tuple[dict[str, Fraction], Fraction]]:
+    """Divide every weight by the largest, then merge the entries of one
+    measure, keeping the largest weight, in the order of their first occurrence."""
+    top = max(w for _, w in entries)
+    merged: dict[tuple, Fraction] = {}
+    for measure, weight in entries:
+        key = tuple(sorted(measure.items()))
+        scaled = weight / top
+        if key not in merged or merged[key] < scaled:
+            merged[key] = scaled
+    return [(dict(items), w) for items, w in merged.items()]
+
+
 def upper_likelihood(entries: list[tuple[Map, Fraction]], event: Iterable[str]) -> Fraction:
     event = set(event)
     return max(w * event_prob(m, event) for m, w in entries)

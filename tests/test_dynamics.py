@@ -270,6 +270,21 @@ class TestMdc:
         assert replay_mdc(report, frozen)
         assert not replay_mdc(report, likelihood_family(wset, GRID_U))
 
+    @pytest.mark.parametrize("make_family", [likelihood_family, frozen_weight_family])
+    def test_replay_is_false_where_the_witness_event_is_null(self, make_family):
+        # the pinned frozen-weight violation above, replayed against a family
+        # of a set concentrated on s3, under which its event {s1, s2} is null
+        states = ("s1", "s2", "s3")
+        m_a = Measure({"s1": F(8, 10), "s2": F(1, 10), "s3": F(1, 10)})
+        m_b = Measure({"s1": F(1, 10), "s2": F(2, 10), "s3": F(7, 10)})
+        wset = WeightedMeasureSet([(m_a, 1), (m_b, 1)], states)
+        report = check_mdc(frozen_weight_family(wset, GRID_U), wset, GRID_U, GeneratorConfig(samples=400), seed=0)
+        assert report.verdict == "violated" and report.counterexample.params["event"] == ["s1", "s2"]
+        family = make_family(WeightedMeasureSet([(point_mass("s3", states), 1)], states), GRID_U)
+        with pytest.raises(NullEvent):
+            family(Event(["s1", "s2"]))
+        assert replay_mdc(report, family) is False
+
     def test_singleton_belief_families_coincide(self):
         states = ("s1", "s2", "s3")
         pr = Measure({"s1": F(1, 2), "s2": F(1, 4), "s3": F(1, 4)})

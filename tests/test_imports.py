@@ -69,19 +69,34 @@ def _traced_targets() -> dict[str, tuple[str, ...]]:
     )
 
 
+IMPORT_CLI = """
+import sys, typing
+built = []
+init = typing.ForwardRef.__init__
+typing.ForwardRef.__init__ = lambda self, *args, **kwargs: (built.append(args[0]), init(self, *args, **kwargs))[1]
+import wregret.cli
+loaded = sorted(sys.modules)
+import json
+print(json.dumps({"loaded": loaded, "forward_refs": built}))
+"""
+
+
 def test_cli_import_path_is_lean_and_complete():
     # `import wregret.cli` loads every layer the benchmark's tracer wraps
     # (perfbench/tracing.py `TARGETS`), and none of the costly reflection
-    # modules: `dataclasses` pulls in `inspect` and, through it, `ast` and `dis`
+    # modules: `dataclasses` pulls in `inspect` and, through it, `ast` and `dis`.
+    # It builds no `typing.ForwardRef` (a `typing.NamedTuple` record compiles
+    # one per string annotation), and leaves `json` to the JSON writer
     targets = _traced_targets()
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
-    code = "import json, sys, wregret.cli; print(json.dumps(sorted(sys.modules)))"
     out = subprocess.run(
-        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": path},
+        [sys.executable, "-c", IMPORT_CLI], env={**os.environ, "PYTHONPATH": path},
         capture_output=True, text=True, check=True,
     ).stdout
-    loaded = set(json.loads(out))
-    assert {"dataclasses", "inspect"} & loaded == set()
+    report = json.loads(out)
+    loaded = set(report["loaded"])
+    assert {"dataclasses", "inspect", "json"} & loaded == set()
+    assert report["forward_refs"] == []
     assert {f"wregret.{layer}" for layer in targets} <= loaded
 
 

@@ -189,6 +189,19 @@ class TestNormalize:
         assert normalize(listed_ba) == normalize(listed_ab)
         assert listed_ba.state_space == ("b", "a")
 
+    def test_matches_the_divide_then_merge_reference(self):
+        # entries, weights and their order, on sets with repeated measures,
+        # zero weights, and a top weight of 1 or below it
+        for seed in range(300):
+            rng = random.Random(seed)
+            pool = [random_measure(rng, ABC, grain=rng.choice((2, 4))) for _ in range(rng.randint(1, 4))]
+            entries = [(rng.choice(pool), F(rng.randint(0, 8), 8)) for _ in range(rng.randint(1, 8))]
+            entries[0] = (entries[0][0], entries[0][1] or F(1, 8))
+            got = normalize(WeightedMeasureSet(entries, ABC))
+            want = reference.normalize([(dict(m.items()), w) for m, w in entries])
+            assert [(dict(m.items()), w) for m, w in got.entries] == want
+            assert got.state_space == ABC
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6))
     def test_idempotent(self, seed):
@@ -453,8 +466,9 @@ class TestFractionBudget:
     def test_the_hull_builds_fractions_only_in_the_simplex(self, monkeypatch):
         # the benchmark's hull op on ten 32-measure, 3-state sets: the
         # generators are ints, so what is left is the simplex's certificates
-        # and normalize's 32 weight divisions per set; membership calls the
-        # simplex only for what its integer certificates leave open
+        # (normalize divides no weight: each set's top weight is already 1);
+        # membership calls the simplex only for what its integer
+        # certificates leave open
         rng = random.Random(35)
         sets = [
             WeightedMeasureSet([(random_measure(rng, ABC), F(rng.randint(1, 8), 8)) for _ in range(32)], ABC)
@@ -481,7 +495,7 @@ class TestFractionBudget:
         for wset in sets:
             assert hull_equal(to_hull(wset), to_hull(normalize(wset)))
         monkeypatch.undo()
-        assert built == {"simplex": 88, "other": 10 * 32, "solve_nonneg calls": 58}
+        assert built == {"simplex": 88, "other": 0, "solve_nonneg calls": 58}
 
 
 class TestSequentialUpdate:

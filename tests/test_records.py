@@ -1,0 +1,200 @@
+"""The immutable records: fields, defaults and the tuple contract.
+
+Each entry builds one record of each class (the public class where a
+private record is its base) and pins its fields, its defaults and its
+`repr`; the pins were recorded when the records were `typing.NamedTuple`s.
+"""
+
+import copy
+import pickle
+from fractions import Fraction as F
+
+import pytest
+
+from wregret import axioms, decisions, dsl, dynamics, learning
+from wregret.measures import Event, Measure, WeightedMeasureSet
+from wregret.records import record
+
+STATES = ("s1", "s2")
+ONE = Measure({"s1": F(1, 4), "s2": F(3, 4)})
+TWO = Measure({"s1": F(1, 2), "s2": F(1, 2)})
+UTILITY = decisions.UtilitySpec({"win": 1, "lose": 0})
+LEAF = dynamics.Leaf(utility=F(1, 3))
+ROW = learning.ComparisonRow(3, 0.5, 0.25, 1.0, 0.0)
+
+# (class, args, kwargs, fields, defaults, repr)
+RECORDS = {
+    "GeneratorConfig": (
+        axioms.GeneratorConfig, (5,), {},
+        ("samples", "include_curated"), {"samples": 200, "include_curated": True},
+        "GeneratorConfig(samples=5, include_curated=True)",
+    ),
+    "Instance": (
+        axioms.Instance, ((), {"f": "a"}), {},
+        ("menu", "acts", "params"), {"params": {}},
+        "Instance(menu=(), acts={'f': 'a'}, params={})",
+    ),
+    "Finding": (
+        axioms.Finding, (), {"description": "d"},
+        ("scores", "params", "acts", "description"),
+        {"scores": {}, "params": {}, "acts": {}, "description": ""},
+        "Finding(scores={}, params={}, acts={}, description='d')",
+    ),
+    "Witness": (
+        axioms.Witness, ("1", "mwer", "violation", "text", (), {}), {"scores": {"f": F(1, 2)}},
+        ("axiom", "rule", "kind", "description", "menu", "acts", "params", "scores"),
+        {"params": {}, "scores": {}},
+        "Witness(axiom='1', rule='mwer', kind='violation', description='text', menu=(), acts={},"
+        " params={}, scores={'f': Fraction(1, 2)})",
+    ),
+    "AxiomReport": (
+        axioms.AxiomReport, ("1", "mwer", "violated", 10, 7, 2, 0), {},
+        ("axiom", "rule", "verdict", "samples", "applicable", "curated", "seed", "counterexample",
+         "unwitnessed", "unwitnessed_example"),
+        {"counterexample": None, "unwitnessed": 0, "unwitnessed_example": None},
+        "AxiomReport(axiom='1', rule='mwer', verdict='violated', samples=10, applicable=7, curated=2,"
+        " seed=0, counterexample=None, unwitnessed=0, unwitnessed_example=None)",
+    ),
+    "Axiom": (
+        axioms.Axiom, (len, abs, "text"), {},
+        ("draw", "judge", "description", "kind"), {"kind": "violation"},
+        "Axiom(draw=<built-in function len>, judge=<built-in function abs>, description='text',"
+        " kind='violation')",
+    ),
+    "BeliefFixtures": (
+        axioms.BeliefFixtures, (UTILITY, STATES, (ONE, TWO), WeightedMeasureSet([(ONE, 1), (TWO, F(1, 2))])), {},
+        ("utility", "state_space", "measures", "weighted"), {},
+        "BeliefFixtures(utility=UtilitySpec({lose: 0/1, win: 1/1}), state_space=('s1', 's2'),"
+        " measures=(Measure({s1: 1/4, s2: 3/4}), Measure({s1: 1/2, s2: 1/2})),"
+        " weighted=WeightedMeasureSet([(Measure({s1: 1/4, s2: 3/4}), 1/1), (Measure({s1: 1/2, s2: 1/2}), 1/2)]))",
+    ),
+    "AxiomMatrix": (
+        axioms.AxiomMatrix, ({}, {("mwer", "ax12"): "violated"}, 3), {},
+        ("reports", "cells", "seed"), {},
+        "AxiomMatrix(reports={}, cells={('mwer', 'ax12'): 'violated'}, seed=3)",
+    ),
+    "Leaf": (
+        dynamics.Leaf, (), {"utility": F(1, 3)},
+        ("lottery", "utility"), {"lottery": None, "utility": None},
+        "Leaf(lottery=None, utility=Fraction(1, 3))",
+    ),
+    "DecisionNode": (
+        dynamics.DecisionNode, ("d", (("go", LEAF),)), {},
+        ("name", "branches"), {},
+        "DecisionNode(name='d', branches=(('go', Leaf(lottery=None, utility=Fraction(1, 3))),))",
+    ),
+    "NatureNode": (
+        dynamics.NatureNode, (((Event(STATES), LEAF),),), {},
+        ("partition",), {},
+        "NatureNode(partition=((Event({s1, s2}), Leaf(lottery=None, utility=Fraction(1, 3))),))",
+    ),
+    "DecisionTree": (
+        dynamics.DecisionTree, (LEAF,), {},
+        ("root",), {},
+        "DecisionTree(root=Leaf(lottery=None, utility=Fraction(1, 3)))",
+    ),
+    "Plan": (
+        dynamics.Plan, ("go", (("d", "go"),), (F(1), F(0))), {},
+        ("name", "choices", "profile"), {},
+        "Plan(name='go', choices=(('d', 'go'),), profile=(Fraction(1, 1), Fraction(0, 1)))",
+    ),
+    "NodeDiagnostic": (
+        dynamics.NodeDiagnostic, ("d", STATES, ("a", "b"), {"a": F(1, 2)}, ("b",), ("a",)), {},
+        ("node", "live", "menu", "scores", "eliminated", "kept"), {},
+        "NodeDiagnostic(node='d', live=('s1', 's2'), menu=('a', 'b'), scores={'a': Fraction(1, 2)},"
+        " eliminated=('b',), kept=('a',))",
+    ),
+    "TreeEvaluation": (
+        dynamics.TreeEvaluation, ("ex-ante", "full", None, ("go",), (), ()), {},
+        ("planning", "menu_policy", "chosen", "survivors", "diagnostics", "plans"), {},
+        "TreeEvaluation(planning='ex-ante', menu_policy='full', chosen=None, survivors=('go',),"
+        " diagnostics=(), plans=())",
+    ),
+    "ParseDiagnostic": (
+        dsl.ParseDiagnostic, ("error", 2, 5, "unexpected character"), {},
+        ("severity", "line", "column", "message", "token"), {"token": ""},
+        "ParseDiagnostic(severity='error', line=2, column=5, message='unexpected character', token='')",
+    ),
+    "Token": (
+        dsl.Token, ("IDENT", "states", 1, 1), {},
+        ("kind", "text", "line", "column"), {},
+        "Token(kind='IDENT', text='states', line=1, column=1)",
+    ),
+    "ProblemDoc": (
+        dsl.ProblemDoc, (STATES, ("win",), None, {}, {}, {}, {}, {}), {},
+        ("states", "prizes", "utility", "lotteries", "acts", "menus", "hypotheses", "events"), {},
+        "ProblemDoc(states=('s1', 's2'), prizes=('win',), utility=None, lotteries={}, acts={},"
+        " menus={}, hypotheses={}, events={})",
+    ),
+    "_RawEntry": (
+        dsl._RawEntry, (dsl.Token("EOF", "", 3, 1), [1, 2]), {},
+        ("token", "payload"), {},
+        "_RawEntry(token=Token(kind='EOF', text='', line=3, column=1), payload=[1, 2])",
+    ),
+    "ObservationModel": (
+        learning.ObservationModel,
+        (("h", "t"), {"fair": {"h": F(1, 2), "t": F(1, 2)}, "bent": {"h": F(1), "t": F(0)}}, "fair"), {},
+        ("outcomes", "likelihoods", "truth"), {},
+        "ObservationModel(outcomes=('h', 't'), likelihoods={'fair': {'h': Fraction(1, 2),"
+        " 't': Fraction(1, 2)}, 'bent': {'h': Fraction(1, 1), 't': Fraction(0, 1)}}, truth='fair')",
+    ),
+    "TrajectoryRow": (
+        learning.TrajectoryRow, (4, {"fair": 1.0}, (("a", "b"),), True), {},
+        ("round", "weights", "mwer_groups", "matches_truth_seu", "outcome"), {"outcome": None},
+        "TrajectoryRow(round=4, weights={'fair': 1.0}, mwer_groups=(('a', 'b'),), matches_truth_seu=True,"
+        " outcome=None)",
+    ),
+    "ComparisonRow": (
+        learning.ComparisonRow, (3, 0.5, 0.25, 1.0, 0.0), {},
+        ("round", "agree_mwer_mer", "agree_mwer_es", "agree_mer_es", "agree_all"), {},
+        "ComparisonRow(round=3, agree_mwer_mer=0.5, agree_mwer_es=0.25, agree_mer_es=1.0, agree_all=0.0)",
+    ),
+    "ComparisonSummary": (
+        learning.ComparisonSummary, (10, (0, 1), F(1, 2), (ROW,)), {},
+        ("rounds", "seeds", "threshold", "rows"), {},
+        "ComparisonSummary(rounds=10, seeds=(0, 1), threshold=Fraction(1, 2), rows=(ComparisonRow(round=3,"
+        " agree_mwer_mer=0.5, agree_mwer_es=0.25, agree_mer_es=1.0, agree_all=0.0),))",
+    ),
+    "Rule": (
+        decisions.Rule, (max, "weighted", True), {},
+        ("score", "belief", "lower_is_better"), {},
+        "Rule(score=<built-in function max>, belief='weighted', lower_is_better=True)",
+    ),
+}
+
+
+def _hash(value):
+    try:
+        return hash(value)
+    except TypeError:  # a record holding a dict is unhashable, as its tuple is
+        return "unhashable"
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_record_contract(name):
+    cls, args, kwargs, fields, defaults, shown = RECORDS[name]
+    record = cls(*args, **kwargs)
+    assert (cls._fields, cls._field_defaults, repr(record)) == (fields, defaults, shown)
+    assert isinstance(record, tuple) and len(record) == len(fields)
+    again = cls(*args, **kwargs)
+    assert record == again and _hash(record) == _hash(again) == _hash(tuple(record))
+    assert record == tuple(record) and record._replace() == record
+    for twin in (copy.copy(record), copy.deepcopy(record)):
+        assert type(twin) is cls and twin == record
+    loaded = pickle.loads(pickle.dumps(record))
+    assert type(loaded) is cls and loaded == record
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], None)
+    with pytest.raises(AttributeError):
+        record.unknown = None
+    assert not hasattr(record, "__dict__")
+
+
+def test_a_field_without_a_default_may_not_follow_one_with_a_default():
+    # namedtuple would give the defaults to the last fields instead
+    with pytest.raises(TypeError, match="without a default follows"):
+
+        @record
+        class Bad:
+            first: int = 0
+            second: int
