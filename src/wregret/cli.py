@@ -168,21 +168,8 @@ def _cmd_tree(args) -> int:
     )
     if args.format == "json":
         _write_json(evaluation.to_obj())
-        return 0
-    print(f"chosen plan: {evaluation.chosen.name}")
-    print(f"survivors: {', '.join(evaluation.survivors)}")
-    for diag in evaluation.diagnostics:
-        print(f"node {diag.node} (live: {', '.join(diag.live)})")
-        eliminated, kept = set(diag.eliminated), set(diag.kept)
-        for name in diag.menu:
-            marker = ""
-            if name in eliminated:
-                marker = "  [eliminated]"
-            elif name in kept:
-                marker = "  [kept]"
-            score = diag.scores.get(name)
-            shown = str(score) if score is not None else "-"
-            print(f"  {name}: {shown}{marker}")
+    else:
+        sys.stdout.write(evaluation.to_text())
     return 0
 
 

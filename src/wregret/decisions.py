@@ -23,8 +23,9 @@ scores is an `Alternative`, a name and a profile.  Lotteries and utility
 tables are `rational.IntVector`s, alternatives ints over one denominator.  An
 immutable `Act` sums its profile as an int dot product and keeps the
 alternative of the last utility table it was asked about, so the oracle's
-`alternatives` only looks them up; `as_alternatives` converts the profiles
-of decision-tree plans.  The rules share kernels (mer is mwer with every
+`alternatives` only looks them up; decision-tree plans are born as ints.
+`numerators` gives a menu's score numerators over one denominator without
+building a `Fraction`.  The rules share kernels (mer is mwer with every
 weight one); their degeneration identities are tested against an
 independent re-derivation of the five rules kept in the tests.
 """
@@ -468,12 +469,6 @@ _set_name, _set_numerators, _set_denominator, _set_profile = (
 )
 
 
-def as_alternatives(names: Sequence[str], profiles: Sequence[Profile]) -> tuple[Alternative, ...]:
-    """The named profiles as alternatives over one denominator (`as_integers`)."""
-    denominator, rows = as_integers(profiles)
-    return tuple([Alternative.from_ints(name, row, denominator) for name, row in zip(names, rows)])
-
-
 class PreferenceOracle:
     """A decision rule with a fixed belief: the one place where utility
     profiles become scores.
@@ -518,14 +513,21 @@ class PreferenceOracle:
         a repeated name raises ValueError."""
         return self._scored(menu)[1]
 
+    def numerators(self, menu: Sequence[Alternative]) -> tuple[int, list[int]]:
+        """The denominator of every score in the menu, and each member's
+        score numerator over it, in menu order (names are not read)."""
+        denominator, best, profiles = self._over_menu(menu)
+        score, rows = self._score, self._rows
+        return denominator, [score(x, best, rows) for x in profiles]
+
     def _scored(self, menu: Sequence[Alternative]) -> tuple[dict[str, int], dict[str, Fraction]]:
         """Each member's score numerator over one denominator, and its score, by name."""
-        denominator, best, profiles = self._over_menu(menu)
+        denominator, values = self.numerators(menu)
         numerators: dict[str, int] = {}
-        for a, x in zip(menu, profiles):
+        for a, n in zip(menu, values):
             if a.name in numerators:
                 raise ValueError(f"duplicate name {a.name!r} in the menu")
-            numerators[a.name] = self._score(x, best, self._rows)
+            numerators[a.name] = n
         return numerators, {name: Fraction(n, denominator) for name, n in numerators.items()}
 
     def rate(self, f: Alternative, menu: Sequence[Alternative]) -> Fraction:

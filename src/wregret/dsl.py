@@ -18,6 +18,11 @@ Trees use a nested prefix form over the same tokens:
     nature { on event: <node> ... }
     leaf utility rational        or        leaf lottery-name
 
+Both formats are tokenized in one `finditer` pass that counts lines at
+newline matches, skips comments and other whitespace, reports each stray
+character, and tracks brace depth, so a tree nested too deeply is caught
+without a second pass over its tokens.
+
 Every rejection carries at least one diagnostic with a line and column; the
 parsers never raise anything else on malformed input.  Each unknown or
 repeated key of an entry is reported, not just the first; in a tree, so is
@@ -64,42 +69,49 @@ class Token:
     column: int
 
 
+# The first characters of the token kinds are disjoint, so at any position at
+# most one kind can start; `STRAY` takes any other non-space character.
+# Other whitespace matches nothing, so `finditer` steps over it.
 _TOKEN_RE = re.compile(
-    r"""(?P<ws>\s+)
-      | (?P<comment>\#[^\n]*)
-      | (?P<number>-?(?:\d+[^\S\n]*/[^\S\n]*\d+|\d+\.\d*|\.\d+|\d+))  # within one line
-      | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-      | (?P<punct>[:={}\[\],])
+    r"""(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
+      | (?P<PUNCT>[:={}\[\],])
+      | (?P<NUMBER>-?(?:\d+[^\S\n]*/[^\S\n]*\d+|\d+\.\d*|\.\d+|\d+))  # within one line
+      | (?P<NEWLINE>\n)
+      | (?P<COMMENT>\#[^\n]*)
+      | (?P<STRAY>\S)
     """,
     re.VERBOSE,
 )
+_new = tuple.__new__  # builds a Token without the namedtuple's Python-level `__new__`
 
 
-def _tokenize(text: str, diagnostics: list[ParseDiagnostic]) -> list[Token]:
+def _tokenize(
+    text: str, diagnostics: list[ParseDiagnostic], too_deep: Optional[list[Token]] = None
+) -> list[Token]:
+    """The tokens of the text and an EOF token, from one pass of `finditer`
+    that counts lines at newline matches, skips comments and reports each
+    stray character.  When `too_deep` is given, the first '{' that nests
+    more than MAX_TREE_DEPTH braces deep is appended to it."""
     tokens: list[Token] = []
-    line = 1
-    line_start = 0
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None:
-            column = pos - line_start + 1
-            diagnostics.append(
-                ParseDiagnostic("error", line, column, "unexpected character", text[pos])
-            )
-            pos += 1
-            continue
+    line, line_start, depth = 1, 0, 0
+    for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        value = match.group()
-        if kind not in ("ws", "comment"):
-            tokens.append(
-                Token(kind.upper() if kind != "punct" else "PUNCT", value, line, pos - line_start + 1)
-            )
-        newlines = value.count("\n")
-        if newlines:
-            line += newlines
-            line_start = match.start() + value.rindex("\n") + 1
-        pos = match.end()
+        if kind == "NEWLINE":
+            line += 1
+            line_start = match.end()
+        elif kind == "STRAY":
+            column = match.start() - line_start + 1
+            diagnostics.append(ParseDiagnostic("error", line, column, "unexpected character", match.group()))
+        elif kind != "COMMENT":
+            value = match.group()
+            token = _new(Token, (kind, value, line, match.start() - line_start + 1))
+            tokens.append(token)
+            if value == "{":
+                depth += 1
+                if depth > MAX_TREE_DEPTH and too_deep == []:  # the first only
+                    too_deep.append(token)
+            elif value == "}":
+                depth -= 1
     tokens.append(Token("EOF", "", line, len(text) - line_start + 1))
     return tokens
 
@@ -124,18 +136,22 @@ class _TokenStream:
             ParseDiagnostic("error", token.line, token.column, message, token.text)
         )
 
+    # `expect` and `accept` never match EOF, so a match always advances
+
     def expect(self, kind: str, text: str | None = None, what: str | None = None) -> Optional[Token]:
-        token = self.peek()
+        token = self.tokens[self.index]
         if token.kind != kind or (text is not None and token.text != text):
             expected = what or (text if text is not None else kind.lower())
             self.error(token, f"expected {expected}")
             return None
-        return self.next()
+        self.index += 1
+        return token
 
     def accept(self, kind: str, text: str | None = None) -> Optional[Token]:
-        token = self.peek()
+        token = self.tokens[self.index]
         if token.kind == kind and (text is None or token.text == text):
-            return self.next()
+            self.index += 1
+            return token
         return None
 
 
@@ -597,16 +613,14 @@ def parse_tree(text: str, doc: ProblemDoc) -> DecisionTree:
     Decision node names must be unique across the tree.
     """
     diagnostics: list[ParseDiagnostic] = []
-    tokens = _tokenize(text, diagnostics)
+    too_deep: list[Token] = []  # every decision or nature node opens one brace
+    tokens = _tokenize(text, diagnostics, too_deep)
     if diagnostics:
         raise ParseError(diagnostics)
     stream = _TokenStream(tokens, diagnostics)
-    depth = 0
-    for token in tokens:  # every decision or nature node opens one brace
-        depth += (token.text == "{") - (token.text == "}")
-        if depth > MAX_TREE_DEPTH:
-            stream.error(token, f"tree nested deeper than {MAX_TREE_DEPTH} levels")
-            raise ParseError(diagnostics)
+    if too_deep:
+        stream.error(too_deep[0], f"tree nested deeper than {MAX_TREE_DEPTH} levels")
+        raise ParseError(diagnostics)
     root = _parse_node(stream, doc, frozenset(doc.states), set())
     if root is not None and stream.peek().kind != "EOF":
         stream.error(stream.peek(), "unexpected trailing input")
@@ -719,9 +733,7 @@ def _parse_nature(
 
 def _parse_leaf(stream: _TokenStream, doc: ProblemDoc) -> Optional[TreeNode]:
     stream.next()
-    token = stream.peek()
-    if token.kind == "IDENT" and token.text == "utility":
-        stream.next()
+    if stream.accept("IDENT", "utility"):
         value = _rational(stream)
         if value is None:
             return None

@@ -3,48 +3,35 @@
 This module owns conditional preference.  A family gives the preference on
 each event: `likelihood_family` updates the weights by likelihood and
 re-scores with mwer, and `conditional_score` and `evaluate_tree` use it;
-`frozen_weight_family` conditions each measure and keeps its weight.  The
-spliced-menu identity
-
-    score of (f on E else h) in the spliced menu
-        = upper likelihood of E  *  conditional score of f
-
-ties the conditional and unconditional orders together exactly
-(`axioms.check_mdc` probes the resulting biconditional on sampled
-instances).  Decision trees are evaluated by backward induction over their
-plans, each seen as its utility profile: either once at the root (ex-ante,
-committing to the best plan) or leaves-upward at every decision node, with
-an explicit choice of comparison menu at each node, since a menu-dependent
-rule leaves that choice genuinely open.  One walk of the tree checks its
-structure (unique decision node names; nature partitions disjoint and
-exhaustive on the states still live), expands its plans and records every
-decision node in pre-order with its depth, live states and path.  Nodes,
-plans and evaluations are immutable records (`records.record`); a node
-rejects an empty or ambiguous shape (`MalformedTree`) when built.
+`frozen_weight_family` conditions each measure and keeps its weight.
+Splicing (`splice`, `splice_menu`) ties the conditional and unconditional
+orders together (`axioms.check_mdc` probes dynamic consistency on sampled
+instances).  Decision trees are evaluated either once at the root (ex-ante:
+every plan is scored once and the best is committed to) or by backward
+induction, leaves-upward at every decision node (sophisticated): each
+node's distinct continuations, the sub-plans of its subtree, are scored
+once under the belief conditioned on its information set, with an explicit
+choice of comparison menu, since a menu-dependent rule leaves that choice
+open.  Likelihood updating zeroes every measure off the node's live states,
+so a plan's score there is its continuation's.  One walk of the tree checks
+its structure (unique decision node names; nature partitions disjoint and
+exhaustive on the states still live), expands its plans, and records every
+decision node in pre-order with its depth, live states, continuations as
+ints over one denominator, and the continuation each plan takes there.
+Nodes, plans and evaluations are immutable records (`records.record`); a
+node rejects an empty or ambiguous shape (`MalformedTree`) when built.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import add
 from typing import Callable, Optional, Sequence, Union
 
-from .decisions import Act, Lottery, Menu, PreferenceOracle, Profile, UtilitySpec, as_alternatives, mwer
-from .errors import (
-    ActNotInMenu,
-    MalformedTree,
-    NullEvent,
-    NullEventAtNode,
-)
-from .measures import (
-    Event,
-    EventLike,
-    WeightedMeasureSet,
-    as_event,
-    is_null,
-    likelihood_update,
-    normalize,
-    upper_likelihood,
-)
+from .decisions import Act, Alternative, Lottery, Menu, PreferenceOracle, Profile, UtilitySpec
+from .errors import MalformedTree, NullEvent, NullEventAtNode
+from .measures import Event, EventLike, WeightedMeasureSet, as_event, is_null, likelihood_update, normalize
 from .rational import format_rational
 from .records import record
 
@@ -104,26 +91,6 @@ def conditional_score(
 ) -> Fraction:
     """Worst-case weighted expected regret after updating on the event."""
     return likelihood_family(wset, u)(as_event(event)).score(f, menu)
-
-
-def mdc_scaling_check(
-    f: Act, event: EventLike, menu: Menu, h: Act, u: UtilitySpec, wset: WeightedMeasureSet
-) -> tuple[Fraction, Fraction]:
-    """Both sides of the spliced-menu scaling identity (they must be equal).
-
-    Left: the unconditional score of fEh against the spliced menu.
-    Right: the event's upper likelihood times the conditional score of f.
-    """
-    event = as_event(event)
-    if f not in menu:
-        raise ActNotInMenu(f"act {f.name!r} is not in the menu")
-    if h not in menu:
-        raise ActNotInMenu(f"act {h.name!r} is not in the menu")
-    if is_null(event, wset):
-        raise NullEvent("the scaling identity needs a non-null event")
-    lhs = mwer(splice(f, event, h), splice_menu(menu, event, h), u, wset)
-    rhs = upper_likelihood(wset, event) * conditional_score(f, event, menu, u, wset)
-    return lhs, rhs
 
 
 # -- decision trees ----------------------------------------------------------------
@@ -198,37 +165,42 @@ class Plan:
     profile: Profile
 
 
-# a decision node's name -> (its depth, its live states, the (decision node,
-# branch) pairs on the path to it)
-DecisionNodes = dict[str, tuple[int, frozenset[str], tuple[tuple[str, str], ...]]]
+# a decision node's name -> (its depth, its live states in sorted order, its
+# continuations (the sub-plans of its subtree) and the (plan index,
+# continuation index) of every plan through it, in plan order)
+DecisionNodes = dict[str, tuple[int, tuple[str, ...], list, list[tuple[int, int]]]]
 
 
 def _walk(
-    node: TreeNode,
-    live: frozenset[str],
-    depth: int,
-    path: tuple[tuple[str, str], ...],
-    u: UtilitySpec,
-    nodes: DecisionNodes,
-) -> list[tuple[dict[str, str], list[str], dict[str, Fraction]]]:
+    node: TreeNode, live: frozenset[str], depth: int, states: tuple[str, ...], u: UtilitySpec,
+    nodes: DecisionNodes, leaves: dict[Leaf, tuple[int, Fraction]],
+) -> list[tuple[tuple, tuple[int, ...]]]:
     """Check the subtree on the live states, record its decision nodes in
-    pre-order and return its sub-plans as (choices, branch names, utility per
-    live state)."""
+    pre-order and return its sub-plans, each as (its `via`: for every
+    decision node it reaches, in tree order, the (node, branch) choice, the
+    sub-plan's continuation index at that node and the node's plan list;
+    its leaf ids: per state in sorted order, the id of its leaf in
+    `leaves`, 0 off the live states)."""
     if isinstance(node, Leaf):
-        value = Fraction(node.utility) if node.lottery is None else u.utility(node.lottery)
-        return [({}, [], {s: value for s in live})]
+        if node not in leaves:  # each distinct leaf is valued once, when first reached
+            value = Fraction(node.utility) if node.lottery is None else u.utility(node.lottery)
+            leaves[node] = (len(leaves) + 1, value)
+        leaf = leaves[node][0]
+        return [((), tuple([leaf if s in live else 0 for s in states]))]
     if isinstance(node, DecisionNode):
         if node.name in nodes:
             raise MalformedTree(f"duplicate decision node name {node.name!r}")
-        nodes[node.name] = (depth, live, path)
+        continuations: list = []
+        takes: list[tuple[int, int]] = []
+        nodes[node.name] = (depth, tuple(sorted(live)), continuations, takes)
         out = []
         for branch, child in node.branches:
-            for choices, parts, outcomes in _walk(
-                child, live, depth + 1, path + ((node.name, branch),), u, nodes
-            ):
-                out.append(({node.name: branch, **choices}, [branch] + parts, outcomes))
+            choice = (node.name, branch)
+            for via, ids in _walk(child, live, depth + 1, states, u, nodes, leaves):
+                out.append((((choice, len(continuations), takes),) + via, ids))
+                continuations.append(ids)
         return out
-    combos = [({}, [], {})]
+    combos: Optional[list[tuple[tuple, tuple[int, ...]]]] = None
     covered: set[str] = set()
     for event, child in node.partition:
         cell = event.members & live
@@ -240,33 +212,47 @@ def _walk(
         if duplicated:
             raise MalformedTree(f"nature partition overlaps on states {sorted(duplicated)}")
         covered |= cell
-        sub = _walk(child, frozenset(cell), depth + 1, path, u, nodes)
-        merged = []
-        for choices, parts, outcomes in combos:
-            for c2, p2, o2 in sub:
-                merged.append(({**choices, **c2}, parts + p2, {**outcomes, **o2}))
-        combos = merged
+        sub = _walk(child, frozenset(cell), depth + 1, states, u, nodes, leaves)
+        if combos is None:
+            combos = sub
+        else:
+            combos = [(via + v2, tuple(map(add, ids, i2))) for via, ids in combos for v2, i2 in sub]
     missing = live - covered
     if missing:
         raise MalformedTree(f"nature partition misses states {sorted(missing)}")
     return combos
 
 
-def enumerate_plans(
-    tree: DecisionTree, state_space: Sequence[str], u: UtilitySpec
-) -> tuple[list[Plan], DecisionNodes]:
-    """All strategies of the tree, each with its utility profile, and the
-    tree's decision nodes in pre-order, from one walk that checks the tree."""
-    live = frozenset(state_space)
+def enumerate_plans(tree: DecisionTree, state_space: Sequence[str], u: UtilitySpec):
+    """All strategies of the tree, each with its utility profile, from one
+    walk that checks the tree; its decision nodes in pre-order
+    (`DecisionNodes`); the root as a node through which every plan passes;
+    and `born`, which makes a continuation an `Alternative.from_ints` over
+    the LCM of the leaf values' denominators."""
+    states = tuple(sorted(state_space))
     nodes: DecisionNodes = {}
-    states = sorted(live)
+    leaves: dict[Leaf, tuple[int, Fraction]] = {}
+    walked = _walk(tree.root, frozenset(states), 0, states, u, nodes, leaves)
+    values = [Fraction(0)] + [value for _, value in leaves.values()]
+    value_of = values.__getitem__
     plans = []
-    for choices, parts, outcomes in _walk(tree.root, live, 0, (), u, nodes):
-        name = "+".join(parts) if parts else "unconditional"
-        plans.append(Plan(name, tuple(sorted(choices.items())), tuple(outcomes[s] for s in states)))
+    for j, (via, ids) in enumerate(walked):
+        chosen = [choice for choice, _, _ in via]
+        name = "+".join([branch for _, branch in chosen]) if via else "unconditional"
+        chosen.sort()
+        plans.append(Plan(name, tuple(chosen), tuple(map(value_of, ids))))
+        for _, k, takes in via:
+            takes.append((j, k))
     if len({p.name for p in plans}) != len(plans):
         raise MalformedTree("plan names are not unique; rename branches")
-    return plans, nodes
+    root = (0, states, [ids for _, ids in walked], [(j, j) for j in range(len(plans))])
+    denominator = lcm(*[v.denominator for v in values])
+    int_of = [v.numerator * (denominator // v.denominator) for v in values].__getitem__
+
+    def born(ids: tuple[int, ...]) -> Alternative:
+        return Alternative.from_ints("", map(int_of, ids), denominator)
+
+    return plans, nodes, root, born
 
 
 @record
@@ -309,13 +295,22 @@ class TreeEvaluation:
             "diagnostics": [d.to_obj() for d in self.diagnostics],
         }
 
+    def to_text(self) -> str:
+        """The chosen plan, the survivors, and each node's menu with its
+        scores, marking the plans it eliminated and those it kept."""
+        lines = [f"chosen plan: {self.chosen.name}", f"survivors: {', '.join(self.survivors)}"]
+        for diag in self.diagnostics:
+            lines.append(f"node {diag.node} (live: {', '.join(diag.live)})")
+            marks = dict.fromkeys(diag.kept, "  [kept]") | dict.fromkeys(diag.eliminated, "  [eliminated]")
+            for name in diag.menu:
+                score = diag.scores.get(name)
+                lines.append(f"  {name}: {'-' if score is None else str(score)}{marks.get(name, '')}")
+        return "\n".join(lines) + "\n"
+
 
 def evaluate_tree(
-    tree: DecisionTree,
-    u: UtilitySpec,
-    wset: WeightedMeasureSet,
-    planning: str = "sophisticated",
-    menu_policy: str = "full",
+    tree: DecisionTree, u: UtilitySpec, wset: WeightedMeasureSet,
+    planning: str = "sophisticated", menu_policy: str = "full",
 ) -> TreeEvaluation:
     """Choose a plan, ex-ante or by backward induction.
 
@@ -330,35 +325,39 @@ def evaluate_tree(
         raise ValueError(f"unknown planning mode {planning!r}")
     if menu_policy not in ("full", "viable"):
         raise ValueError(f"unknown menu policy {menu_policy!r}")
-    plans, nodes = enumerate_plans(tree, wset.state_space, u)
+    plans, nodes, root, born = enumerate_plans(tree, wset.state_space, u)
     if planning == "ex-ante":  # one node at the root, through which every plan passes
-        order = [("<root>", (0, frozenset(wset.state_space), ()))]
+        order = [("<root>", root)]
     else:  # deepest first; the sort is stable, so pre-order among equal depths
         order = sorted(nodes.items(), key=lambda item: -item[1][0])
-    survivors = {p.name for p in plans}
+    names = [p.name for p in plans]
+    alive = [True] * len(plans)
     conditional = likelihood_family(wset, u)
-    alternatives = as_alternatives([p.name for p in plans], [p.profile for p in plans])
+    oracles: dict[tuple[str, ...], PreferenceOracle] = {}  # one per information set
     diagnostics: list[NodeDiagnostic] = []
-    for name, (_, live, path) in order:
-        group = [a for p, a in zip(plans, alternatives) if all(pair in p.choices for pair in path)]
-        alive = [a for a in group if a.name in survivors]
-        if not alive:
+    for name, (_, live, continuations, takes) in order:
+        viable = [(j, k) for j, k in takes if alive[j]]
+        if not viable:
             raise MalformedTree(f"no viable plan reaches node {name!r}")
-        event = Event(live)
-        if is_null(event, wset):
-            raise NullEventAtNode(f"information set {sorted(live)} has upper likelihood 0")
-        pool = group if menu_policy == "full" else alive
-        scores = conditional(event).scores(pool)
-        best = min(scores[p.name] for p in alive)
-        dropped = tuple(sorted(p.name for p in alive if scores[p.name] != best))
-        kept = tuple(sorted(p.name for p in alive if scores[p.name] == best))
-        survivors -= set(dropped)
-        diagnostics.append(
-            NodeDiagnostic(
-                name, tuple(sorted(live)),
-                tuple(p.name for p in pool), scores, dropped, kept,
-            )
-        )
-    final = tuple(sorted(survivors))
-    chosen = next(p for p in plans if p.name == final[0])
+        if live not in oracles:
+            event = Event(live)
+            if is_null(event, wset):
+                raise NullEventAtNode(f"information set {list(live)} has upper likelihood 0")
+            oracles[live] = conditional(event)
+        pool = takes if menu_policy == "full" else viable
+        used = range(len(continuations)) if pool is takes else sorted({k for _, k in viable})
+        denominator, numerators = oracles[live].numerators([born(continuations[k]) for k in used])
+        score = dict(zip(used, numerators))
+        best = min([score[k] for _, k in viable])
+        shown = {n: Fraction(n, denominator) for n in set(numerators)}  # one per distinct score
+        dropped = [j for j, k in viable if score[k] != best]
+        for j in dropped:
+            alive[j] = False
+        eliminated = tuple(sorted([names[j] for j in dropped]))
+        kept = tuple(sorted([names[j] for j, k in viable if score[k] == best]))
+        menu = tuple([names[j] for j, _ in pool])
+        scores = dict(zip(menu, [shown[score[k]] for _, k in pool]))
+        diagnostics.append(NodeDiagnostic(name, live, menu, scores, eliminated, kept))
+    final = tuple(sorted(name for name, ok in zip(names, alive) if ok))
+    chosen = plans[names.index(final[0])]
     return TreeEvaluation(planning, menu_policy, chosen, final, tuple(diagnostics), tuple(plans))

@@ -14,11 +14,16 @@ from wregret import (
     Menu,
     UtilitySpec,
     WeightedMeasureSet,
+    mwer,
     normalize,
     point_mass,
     sure,
+    upper_likelihood,
 )
 from wregret.axioms import utility_span
+from wregret.dynamics import conditional_score, splice, splice_menu
+from wregret.errors import ActNotInMenu, NullEvent
+from wregret.measures import as_event, is_null
 
 DELIVERY_STATES = ("one_broken", "ten_broken")
 
@@ -118,3 +123,23 @@ def random_wset(rng: random.Random, states, max_measures: int = 3) -> WeightedMe
         (random_measure(rng, states), Fraction(rng.randint(1, 4), 4)) for _ in range(n)
     ]
     return normalize(WeightedMeasureSet(entries, states))
+
+
+def mdc_scaling_check(
+    f: Act, event, menu: Menu, h: Act, u: UtilitySpec, wset: WeightedMeasureSet
+) -> tuple[Fraction, Fraction]:
+    """Both sides of the spliced-menu scaling identity (they must be equal).
+
+    Left: the unconditional score of fEh against the spliced menu.
+    Right: the event's upper likelihood times the conditional score of f.
+    """
+    event = as_event(event)
+    if f not in menu:
+        raise ActNotInMenu(f"act {f.name!r} is not in the menu")
+    if h not in menu:
+        raise ActNotInMenu(f"act {h.name!r} is not in the menu")
+    if is_null(event, wset):
+        raise NullEvent("the scaling identity needs a non-null event")
+    lhs = mwer(splice(f, event, h), splice_menu(menu, event, h), u, wset)
+    rhs = upper_likelihood(wset, event) * conditional_score(f, event, menu, u, wset)
+    return lhs, rhs

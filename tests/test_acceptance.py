@@ -41,13 +41,12 @@ from wregret.dsl import parse_problem, parse_tree, serialize_problem
 from wregret.dynamics import (
     evaluate_tree,
     is_null,
-    mdc_scaling_check,
 )
 from wregret.errors import ParseError
 from wregret.fixtures import fixture_text
 from wregret.learning import ObservationModel, Probe, cupcake_weight, simulate
 
-from conftest import profile_act, random_wset
+from conftest import mdc_scaling_check, profile_act, random_wset
 from test_dsl import _mutate
 
 F = Fraction

@@ -26,6 +26,7 @@ from wregret.errors import DomainError, ParseError
 from wregret.fixtures import fixture_text
 
 from conftest import random_wset
+from tokenize_reference import tokenize as reference_tokenize
 
 F = Fraction
 
@@ -370,3 +371,47 @@ class TestFuzz:
                         continue
                     digest.update(json.dumps(obj).encode() + b"\n")
         assert digest.hexdigest() == "e9e325f428665777435e073cccf58497b5434625"
+
+
+def _tokenized(tokenize, text: str) -> tuple[list[Token], list[ParseDiagnostic]]:
+    diagnostics: list[ParseDiagnostic] = []
+    return tokenize(text, diagnostics), diagnostics
+
+
+class TestTokenizerReference:
+    """`_tokenize` against the match-per-token tokenizer it replaced
+    (`tokenize_reference`): the same tokens and the same diagnostics (line,
+    column, message, token), in the same order."""
+
+    def test_c11_corpus(self):
+        # Neither tokenizer lets a token or a diagnostic span a newline, so a
+        # text's output is its lines' outputs, renumbered.  Every distinct
+        # line of the corpus is compared, and every 50th text whole, which
+        # checks the line numbering.
+        rng = random.Random(20260811)  # test_c11's corpus
+        seeds = [fixture_text(n) for n in FIXTURES]
+        corpus = [_mutate(rng, seeds[i % len(seeds)]) for i in range(10_000)]
+        lines = {line for text in corpus for line in text.split("\n")}
+        assert len(lines) > 10_000
+        for text in sorted(lines) + corpus[::50]:
+            assert _tokenized(_tokenize, text) == _tokenized(reference_tokenize, text), text
+
+    def test_fresh_mutated_corpus(self):
+        # lines of the fixtures and the tree, and pairs of them, mutated with
+        # carriage returns, tabs, other whitespace, stray characters and
+        # numbers cut short
+        rng = random.Random(4417)
+        lines = [line for n in FIXTURES + ["restaurant.tree"] for line in fixture_text(n).split("\n")]
+        pieces = ["\r", "\t", "\r\n", "\x0b", "\x0c", "\xa0", "\u2028", " ", "\n", "3/", "1 /", "/ 2",
+                  ".", "-", "-.", "2.", ".5", "-7/", "#", "$", "@", "\u0663", "\xe9", "{", "}", ":", ","]
+        for _ in range(20_000):
+            start = rng.randrange(len(lines))
+            chars = list("\n".join(lines[start:start + (2 if rng.random() < 0.2 else 1)]))
+            for _ in range(rng.randint(1, 4)):
+                position = rng.randint(0, len(chars))
+                if rng.random() < 0.3 and chars:
+                    del chars[min(position, len(chars) - 1)]
+                else:
+                    chars[position:position] = rng.choice(pieces)
+            text = "".join(chars)
+            assert _tokenized(_tokenize, text) == _tokenized(reference_tokenize, text), text

@@ -5,7 +5,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, count
 from math import comb
 
 import pytest
@@ -25,6 +25,7 @@ from wregret import (
     point_mass,
     rank,
 )
+from wregret import decisions
 from wregret.axioms import (
     GeneratorConfig,
     Sampler,
@@ -40,16 +41,17 @@ from wregret.dynamics import (
     DecisionTree,
     Leaf,
     NatureNode,
+    TreeEvaluation,
     conditional_score,
     evaluate_tree,
     is_null,
-    mdc_scaling_check,
     splice,
     splice_menu,
 )
-from wregret.errors import MalformedTree, NullEvent, NullEventAtNode
+from wregret.errors import MalformedTree, NullEvent, NullEventAtNode, UnknownPrize
 
-from conftest import DELIVERY_STATES, profile_act, random_measure, random_wset
+import tree_reference
+from conftest import DELIVERY_STATES, mdc_scaling_check, profile_act, random_measure, random_wset
 
 F = Fraction
 
@@ -589,3 +591,175 @@ class TestTrees:
         )
         with pytest.raises(NullEventAtNode):
             evaluate_tree(tree, u, wset, planning="sophisticated")
+
+
+TREE_U = UtilitySpec({"hi": 2, "mid": 1, "lo": -1})
+TREE_LOTTERIES = (
+    Lottery({"hi": 1}), Lottery({"mid": 1}), Lottery({"lo": 1}),
+    Lottery({"hi": F(1, 2), "lo": F(1, 2)}), Lottery({"hi": F(1, 3), "mid": F(2, 3)}),
+)
+PLANNINGS = [(planning, policy) for planning in ("ex-ante", "sophisticated") for policy in ("full", "viable")]
+
+
+def plan_count(node) -> int:
+    if isinstance(node, Leaf):
+        return 1
+    if isinstance(node, DecisionNode):
+        return sum(plan_count(child) for _, child in node.branches)
+    product = 1
+    for _, child in node.partition:
+        product *= plan_count(child)
+    return product
+
+
+def random_tree(rng: random.Random, states, fanout: int, defects: float = 0.0) -> DecisionTree:
+    """A seeded tree over the states.  Leaves lie on a coarse grid, so plans
+    tie.  With `defects` > 0 some nodes are broken: a repeated decision node
+    name, a nature partition drawn over all the states rather than the live
+    ones, a lottery with a prize the utility table lacks, and branch names
+    with '+' that can make two plans' names equal."""
+    names = count()
+    branch_names = ("a", "b", "a+b", "b+a") if defects else None
+
+    def node(live: frozenset, depth: int):
+        roll = rng.random()
+        if depth >= 4 or roll < 0.3:
+            if rng.random() < defects:
+                return Leaf(lottery=Lottery({"ghost": 1}))
+            if rng.random() < 0.5:
+                return Leaf(utility=F(rng.randint(-4, 4), 2))
+            return Leaf(lottery=rng.choice(TREE_LOTTERIES))
+        if roll < 0.65 and len(live) > 1:
+            pool = sorted(states) if rng.random() < defects else sorted(live)
+            labels = [rng.randrange(rng.randint(2, 3)) for _ in pool]
+            cells = [{s for s, c in zip(pool, labels) if c == label} for label in sorted(set(labels))]
+            if rng.random() < defects:
+                cells.append(set(rng.sample(pool, 1)))
+            return NatureNode(tuple((Event(c), node(frozenset(c) & live, depth + 1)) for c in cells))
+        name = f"d{next(names) // (2 if rng.random() < defects else 1)}"
+        width = rng.randint(2, fanout)
+        labels = rng.sample(branch_names, min(width, 4)) if branch_names else [f"{name}b{i}" for i in range(width)]
+        return DecisionNode(name, tuple((label, node(live, depth + 1)) for label in labels))
+
+    return DecisionTree(node(frozenset(states), 0))
+
+
+def outcome(evaluate, tree, u, wset, planning, policy):
+    """The evaluation and its repr (which shows the types of the values),
+    or the type and message of the error it raised."""
+    try:
+        result = evaluate(tree, u, wset, planning, policy)
+    except Exception as exc:  # the reference decides which errors are right
+        return type(exc), str(exc)
+    return result, repr(result)
+
+
+class TestTreeReference:
+    """`evaluate_tree` against the plan-scanning evaluation it replaced
+    (`tree_reference`): equal `TreeEvaluation`s, diagnostics included, or the
+    same error type and message."""
+
+    def test_evaluations_match_the_reference(self):
+        rng = random.Random(2011)
+        compared = evaluated = 0
+        while compared < 200:
+            states = tuple(f"s{i}" for i in range(rng.randint(3, 6)))
+            tree = random_tree(rng, states, fanout=rng.randint(2, 8))
+            if plan_count(tree.root) > 64:
+                continue
+            wset = random_wset(rng, states)
+            for planning, policy in PLANNINGS:
+                want = outcome(tree_reference.evaluate_tree, tree, TREE_U, wset, planning, policy)
+                assert outcome(evaluate_tree, tree, TREE_U, wset, planning, policy) == want
+                evaluated += isinstance(want[0], TreeEvaluation)
+            compared += 1
+        assert evaluated > 700
+
+    def test_errors_match_the_reference(self):
+        # broken trees, and beliefs that make some information sets null
+        rng = random.Random(1302)
+        kinds = set()
+        for _ in range(300):
+            states = tuple(f"s{i}" for i in range(rng.randint(3, 5)))
+            tree = random_tree(rng, states, fanout=3, defects=0.15)
+            if plan_count(tree.root) > 96:
+                continue
+            support = rng.sample(states, rng.randint(1, len(states)))
+            measure = random_measure(rng, support)
+            wset = WeightedMeasureSet([(Measure({s: measure[s] if s in support else 0 for s in states}), 1)], states)
+            for planning, policy in PLANNINGS:
+                want = outcome(tree_reference.evaluate_tree, tree, TREE_U, wset, planning, policy)
+                assert outcome(evaluate_tree, tree, TREE_U, wset, planning, policy) == want
+                kinds.add(want[0] if isinstance(want[0], type) else "ok")
+        assert kinds >= {"ok", MalformedTree, NullEventAtNode, UnknownPrize}
+
+
+def benchmark_shape_tree(rng: random.Random, states) -> DecisionTree:
+    """The benchmark's tree shape over six states: a root decision with eight
+    branches, each a nature node splitting the states in halves, each half a
+    decision with eight branches, each a nature node over that half's states
+    with one leaf per cell (512 plans, 17 decision nodes)."""
+    names = count(1)
+
+    def split(cell):
+        shuffled = rng.sample(sorted(cell), len(cell))
+        k = len(cell) // 2
+        return frozenset(shuffled[:k]), frozenset(shuffled[k:])
+
+    def leaf():
+        if rng.random() < 0.3:
+            return Leaf(utility=F(rng.randint(-20, 20)))
+        return Leaf(lottery=rng.choice(TREE_LOTTERIES))
+
+    def decision(cell, deeper):
+        name = f"d{next(names)}"
+        branches = []
+        for i in range(8):
+            parts = split(cell)
+            child = NatureNode(tuple((Event(p), decision(p, False) if deeper else leaf()) for p in parts))
+            branches.append((f"{name}b{i}", child))
+        return DecisionNode(name, tuple(branches))
+
+    return DecisionTree(decision(frozenset(states), True))
+
+
+class TestTreeWork:
+    def test_nodes_score_their_distinct_continuations_once(self, monkeypatch):
+        # Each of the 16 lower nodes has 8 continuations and the root 512;
+        # scoring every plan through a node instead, as the plan-scanning
+        # evaluation did, makes 1,536 kernel calls under sophisticated/full.
+        states = tuple(f"s{i}" for i in range(6))
+        rng = random.Random(0)
+        tree = benchmark_shape_tree(rng, states)
+        wset = random_wset(rng, states, max_measures=4)
+        kernel = decisions.RULES["mwer"]
+        calls = [0]
+
+        def counting_kernel(x, best, rows):
+            calls[0] += 1
+            return kernel.score(x, best, rows)
+
+        original = fractions.Fraction.__new__
+        built = [0]
+
+        def counting_new(cls, *args, **kwargs):
+            built[0] += 1
+            return original(cls, *args, **kwargs)
+
+        monkeypatch.setitem(decisions.RULES, "mwer", kernel._replace(score=counting_kernel))
+        monkeypatch.setattr(fractions.Fraction, "__new__", staticmethod(counting_new))
+        counts = {}
+        for planning, policy in PLANNINGS:
+            calls[0] = built[0] = 0
+            result = evaluate_tree(tree, TREE_U, wset, planning, policy)
+            counts[planning, policy] = (calls[0], built[0])
+        monkeypatch.undo()
+        assert len(result.plans) == 512 and len(result.diagnostics) == 17
+        # (kernel calls, Fractions built); the plan-scanning evaluation made
+        # (512, 770), (512, 770), (1536, 1826) and (584, 874)
+        assert counts == {
+            ("ex-ante", "full"): (512, 342),
+            ("ex-ante", "viable"): (512, 342),
+            ("sophisticated", "full"): (16 * 8 + 512, 494),
+            ("sophisticated", "viable"): (136, 203),
+        }
