@@ -17,9 +17,13 @@ consistency alike: `check_mdc` builds an entry around a family of
 conditional preferences from `dynamics`.  Sampled profiles are ints over the
 sampler's denominator and mix, splice and give constant acts on ints, so a
 sampled instance builds no `Fraction`; `Alternative.profile` gives the exact
-utilities to a custom oracle or a witness's reader.  Reports, witnesses and
-the matrix are immutable records (`records.record`), and so are
-`GeneratorConfig` and `BeliefFixtures`, which check their fields when built.
+utilities to a custom oracle or a witness's reader.  Derived menus are judged
+on ints too: utility is linear in mixtures, so the mixture judges (axioms 5,
+7 and 11) mix the members' int profiles and per-state best and compare
+through `PreferenceOracle.sign`, building mixtures only for a witness.
+Reports, witnesses and the matrix are immutable records (`records.record`),
+and so are `GeneratorConfig` and `BeliefFixtures`, which check their fields
+when built.
 
 Axiom ids: "1".."12" follow the order transitivity, completeness,
 nontriviality, monotonicity, mixture continuity, hedging (ambiguity
@@ -216,18 +220,24 @@ def _reachable(values, lo: Fraction, hi: Fraction) -> Profile:
     return profile
 
 
+def _mixed(k: int, m: int, x: IntProfile, h: IntProfile) -> list[int]:
+    """The int profiles x and h, over one denominator L, mixed at k/m: over m*L."""
+    return [k * a + (m - k) * b for a, b in zip(x, h)]
+
+
 def _mix(p: Fraction, f: Alternative, h: Alternative, named: bool = False) -> Alternative:
     """The mixture p*f + (1-p)*h; utility is linear in lotteries, so profiles
-    mix.  Only a mixture a witness may show is `named` (by `mixture_name`).
-
-    With p = k/m and f, h over s_f and s_h, the mixture is born as
-    k*f*(L/s_f) + (m-k)*h*(L/s_h) over m*L, where L = lcm(s_f, s_h)."""
+    mix.  Only a mixture a witness may show is `named` (by `mixture_name`)."""
     name = mixture_name(p, f.name, h.name) if named else "mixture"
-    k, m, s_f, s_h = p.numerator, p.denominator, f.denominator, h.denominator
-    common = lcm(s_f, s_h)
-    kf, kh = k * (common // s_f), (m - k) * (common // s_h)
-    numerators = tuple([kf * a + kh * b for a, b in zip(f.numerators, h.numerators)])
-    return Alternative.from_ints(name, numerators, m * common)
+    k, m = p.numerator, p.denominator
+    common, (x, z) = over_common((f, h))
+    return Alternative.from_ints(name, tuple(_mixed(k, m, x, z)), m * common)
+
+
+def _over(menu: AltMenu, *acts: Alternative) -> tuple[list[IntProfile], IntProfile]:
+    """The acts' profiles and the menu's per-state best, as ints over one denominator."""
+    _, profiles = over_common(acts + menu)
+    return profiles[:len(acts)], per_state_best(profiles[len(acts):])
 
 
 def _enlarge(menu: AltMenu, *acts: Alternative) -> AltMenu:
@@ -409,18 +419,21 @@ def _judge_mixture_continuity(o: PreferenceOracle, inst: Instance) -> Verdict:
     f, g, h, menu = inst.acts["f"], inst.acts["g"], inst.acts["h"], inst.menu
     if o.prefers(f, g, menu) <= 0 or o.prefers(g, h, menu) <= 0:
         return "vacuous"
-    q_found = None
-    for q in reversed(MIXTURE_GRID):  # near 1 first: mixtures close to f
-        mixed = _mix(q, f, h)
-        if o.prefers(mixed, g, _enlarge(menu, mixed)) > 0:
-            q_found = q
-            break
-    r_found = None
-    for r in MIXTURE_GRID:  # near 0 first: mixtures close to h
-        mixed = _mix(r, f, h)
-        if o.prefers(g, mixed, _enlarge(menu, mixed)) > 0:
-            r_found = r
-            break
+    (x, y, z), best = _over(menu, f, g, h)
+
+    def first(grid, g_first: bool) -> Optional[Fraction]:
+        """The first p at which p*f + (1-p)*h, over m*L for p = k/m, is strictly
+        preferred to g (g to it if g_first); f and h are members, so their
+        mixture leaves the menu's per-state best as it is."""
+        for p in grid:
+            k, m = p.numerator, p.denominator
+            pair = [_mixed(k, m, x, z), [m * v for v in y]]
+            if o.sign(*(pair[::-1] if g_first else pair), [m * b for b in best]) > 0:
+                return p
+        return None
+
+    q_found = first(reversed(MIXTURE_GRID), False)  # near 1 first: mixtures close to f
+    r_found = first(MIXTURE_GRID, True)  # near 0 first: mixtures close to h
     if q_found is not None and r_found is not None:
         return "pass"
     return Finding(params={"q": q_found, "r": r_found, "grid_denominator": MIXTURE_DENOMINATOR})
@@ -463,10 +476,13 @@ def _draw_mixed_with(common: Callable[[Sampler], Alternative]) -> Draw:
 
 def _judge_independence(o: PreferenceOracle, inst: Instance) -> Verdict:
     f, g, h, menu, p = inst.acts["f"], inst.acts["g"], inst.acts["h"], inst.menu, inst.params["p"]
+    (x, y, z), best = _over(menu, f, g, h)
+    k, m = p.numerator, p.denominator
+    # each member mixes with h at k/m > 0, so the mixed menu's best is best mixed with h
+    if o.prefers(f, g, menu) == o.sign(*[_mixed(k, m, v, z) for v in (x, y, best)]):
+        return "pass"
     mixed_menu = tuple(_mix(p, a, h) for a in menu)
     mf, mg = _mix(p, f, h), _mix(p, g, h)
-    if o.prefers(f, g, menu) == o.prefers(mf, mg, mixed_menu):
-        return "pass"
     return Finding({
         "f": o.rate(f, menu), "g": o.rate(g, menu),
         "mixed_f": o.rate(mf, mixed_menu), "mixed_g": o.rate(mg, mixed_menu),

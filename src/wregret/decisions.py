@@ -476,8 +476,13 @@ class PreferenceOracle:
     A menu here is a sequence of alternatives over the oracle's sorted
     `state_space`.  `scores` scores a whole menu; `rate` and `prefers` put
     the menu over one denominator and score only the members asked about,
-    which must be in the menu.  `score` and `compare` answer the same
-    questions for the acts of a `Menu`.
+    which must be in the menu.  They keep the last menu asked about, as a
+    tuple, converted, and score each of its members once, as asked: a member
+    is found by identity among the kept menu's own (which the oracle holds
+    alive), else by equality; a list is copied, so it is not reused.  `sign`
+    compares two int profiles against a per-state best, so a derived menu
+    such as a mixture needs no alternatives.  `score` and `compare` answer
+    for the acts of a `Menu`.
     """
 
     def __init__(
@@ -492,21 +497,18 @@ class PreferenceOracle:
         self.utility = utility
         self.state_space, self._common, self._rows = _belief_entries(rule, belief, state_space)
         self._score, _, self.lower_is_better = RULES[rule]
-        self._last_menu: Optional[tuple] = None  # the last tuple menu, converted
-        self._last_over: tuple = ()
+        # the last menu `rate` and `prefers` were asked about, as a tuple (the
+        # members are immutable): its conversion, its members' ids and their
+        # score numerators, filled in as asked
+        self._last_menu: Optional[tuple] = None
+        self._last: tuple = ()
 
     def _over_menu(self, menu: Sequence[Alternative]) -> tuple[int, IntProfile, Sequence[IntProfile]]:
         """The denominator D*L of every score in the menu, the menu's per-state
         best and its profiles, all as ints over the LCM L of the members'
-        denominators.  The conversion of a tuple menu is kept for the next
-        call that asks about the same tuple (the members are immutable)."""
-        if menu is self._last_menu:
-            return self._last_over
+        denominators."""
         scale, profiles = over_common(menu)
-        over = (self._common * scale, per_state_best(profiles), profiles)
-        if type(menu) is tuple:
-            self._last_menu, self._last_over = menu, over
-        return over
+        return self._common * scale, per_state_best(profiles), profiles
 
     def scores(self, menu: Sequence[Alternative]) -> dict[str, Fraction]:
         """The rule's score of every member of a menu with unique names;
@@ -530,21 +532,45 @@ class PreferenceOracle:
             numerators[a.name] = n
         return numerators, {name: Fraction(n, denominator) for name, n in numerators.items()}
 
+    def _members(self, menu: Sequence[Alternative], members: Sequence[Alternative]) -> tuple[int, list[int]]:
+        """The denominator of every score in the menu, and the members' score
+        numerators over it; each member of the kept menu is scored once."""
+        if menu is not self._last_menu:
+            menu = tuple(menu)  # a list is copied, so it is never the kept menu
+            self._last_menu = menu
+            self._last = (self._over_menu(menu), tuple(map(id, menu)), [None] * len(menu))
+        (denominator, best, profiles), ids, memo = self._last
+        numerators = []
+        for a in members:
+            try:
+                i = ids.index(id(a))
+            except ValueError:
+                i = _position(menu, a)
+            if memo[i] is None:
+                memo[i] = self._score(profiles[i], best, self._rows)
+            numerators.append(memo[i])
+        return denominator, numerators
+
     def rate(self, f: Alternative, menu: Sequence[Alternative]) -> Fraction:
         """The rule's score of the member f against the menu."""
-        i = _position(menu, f)
-        denominator, best, profiles = self._over_menu(menu)
-        return Fraction(self._score(profiles[i], best, self._rows), denominator)
+        denominator, (n,) = self._members(menu, (f,))
+        return Fraction(n, denominator)
 
     def prefers(self, f: Alternative, g: Alternative, menu: Sequence[Alternative]) -> int:
         """+1 if f is strictly preferred to g in the menu, -1 if dispreferred, 0 if indifferent."""
-        i, j = _position(menu, f), _position(menu, g)
-        _, best, profiles = self._over_menu(menu)
-        nf = self._score(profiles[i], best, self._rows)
-        ng = self._score(profiles[j], best, self._rows)
+        _, (nf, ng) = self._members(menu, (f, g))
         if nf == ng:
             return 0
         return 1 if (nf < ng) == self.lower_is_better else -1
+
+    def sign(self, x: IntProfile, y: IntProfile, best: IntProfile) -> int:
+        """`prefers` for the profiles x and y in a menu whose per-state best is
+        `best`, all three ints over one positive denominator: a rule reads a
+        menu only through that best, and its order does not depend on which."""
+        nx, ny = self._score(x, best, self._rows), self._score(y, best, self._rows)
+        if nx == ny:
+            return 0
+        return 1 if (nx < ny) == self.lower_is_better else -1
 
     def alternatives(self, menu: Menu) -> tuple[Alternative, ...]:
         """The menu's acts as the rule sees them: names and utility profiles."""

@@ -27,9 +27,8 @@ Every rejection carries at least one diagnostic with a line and column; the
 parsers never raise anything else on malformed input.  Each unknown or
 repeated key of an entry is reported, not just the first; in a tree, so is
 a decision node whose name is already taken.  Tokens, diagnostics and the
-parsed `ProblemDoc` are immutable records (`records.record`).  Canonical
-serialization sorts every section and key and prints rationals in lowest
-terms, so serialize(parse(serialize(doc))) is byte-identical.
+parsed `ProblemDoc` are immutable records (`records.record`).
+`serialize_weighted_set` writes a weighted set back in the problem format.
 """
 
 from __future__ import annotations
@@ -549,46 +548,7 @@ def _resolve_problem(states_decl, prizes_decl, utility_decl, sections, diagnosti
     )
 
 
-# -- canonical serialization -------------------------------------------------------
-
-def serialize_problem(doc: ProblemDoc) -> str:
-    """Canonical text: sections and keys sorted, rationals in lowest terms.
-
-    Acts reference a named lottery whenever one with the same distribution
-    exists (the lexicographically first such name), otherwise inline.
-    """
-    lines: list[str] = []
-    lines.append("states: " + " ".join(sorted(doc.states)))
-    if doc.prizes:
-        lines.append("prizes: " + " ".join(sorted(doc.prizes)))
-        pairs = ", ".join(
-            f"{prize} = {format_rational(value)}"
-            for prize, value in doc.utility.items()
-            if prize in set(doc.prizes)
-        )
-        if pairs:
-            lines.append("utility: " + pairs)
-    by_value: dict[Lottery, str] = {}
-    for name in sorted(doc.lotteries):
-        by_value.setdefault(doc.lotteries[name], name)
-        lines.append(f"lottery {name} = {format_map(doc.lotteries[name].items())}")
-    for name in sorted(doc.acts):
-        act = doc.acts[name]
-        parts = []
-        for state in sorted(act.state_space):
-            lottery = act[state]
-            ref = by_value.get(lottery)
-            parts.append(f"{state}: {ref if ref is not None else format_map(lottery.items())}")
-        lines.append(f"act {name} = {{ {', '.join(parts)} }}")
-    for name in sorted(doc.menus):
-        refs = ", ".join(sorted(a.name for a in doc.menus[name]))
-        lines.append(f"menu {name} = [ {refs} ]")
-    lines += [_hypothesis_line(name, *doc.hypotheses[name]) for name in sorted(doc.hypotheses)]
-    for name in sorted(doc.events):
-        members = ", ".join(sorted(doc.events[name].members))
-        lines.append(f"event {name} = {{ {members} }}")
-    return "\n".join(lines) + "\n"
-
+# -- serialization -------------------------------------------------------------------
 
 def serialize_weighted_set(wset: WeightedMeasureSet, labels: Mapping[Measure, str]) -> str:
     """The weighted set as a states line and one hypothesis line per entry,

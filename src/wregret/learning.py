@@ -28,7 +28,6 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
-from math import comb
 from operator import add, mul
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
@@ -307,21 +306,6 @@ def simulate(
         rankings=tuple(ranking_column),
         outcomes=tuple(outcome_column),
     )
-
-
-def cupcake_weight(n: int) -> Fraction:
-    """Exact posterior weight of the ten-broken hypothesis after seeing the
-    first n items good, in the thousand-item delivery problem.
-
-    The one-broken hypothesis keeps weight one; the ten-broken hypothesis's
-    relative likelihood is C(1000-n, 10)/C(1000, 10) * 1000/(1000-n), which
-    hits zero once fewer than ten unseen items remain (n >= 991).
-    """
-    if not 0 <= n <= 1000:
-        raise ValueError("n must lie in [0, 1000]")
-    if n >= 991:
-        return Fraction(0)
-    return Fraction(comb(1000 - n, 10), comb(1000, 10)) * Fraction(1000, 1000 - n)
 
 
 def es_update(

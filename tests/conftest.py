@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -23,7 +24,9 @@ from wregret import (
 from wregret.axioms import utility_span
 from wregret.dynamics import conditional_score, splice, splice_menu
 from wregret.errors import ActNotInMenu, NullEvent
+from wregret.dsl import ProblemDoc
 from wregret.measures import as_event, is_null
+from wregret.rational import format_map, format_rational
 
 DELIVERY_STATES = ("one_broken", "ten_broken")
 
@@ -143,3 +146,61 @@ def mdc_scaling_check(
     lhs = mwer(splice(f, event, h), splice_menu(menu, event, h), u, wset)
     rhs = upper_likelihood(wset, event) * conditional_score(f, event, menu, u, wset)
     return lhs, rhs
+
+
+def cupcake_weight(n: int) -> Fraction:
+    """Exact posterior weight of the ten-broken hypothesis after seeing the
+    first n items good, in the thousand-item delivery problem: the paper's
+    closed form, a reference for the general updater.
+
+    The one-broken hypothesis keeps weight one; the ten-broken hypothesis's
+    relative likelihood is C(1000-n, 10)/C(1000, 10) * 1000/(1000-n), which
+    hits zero once fewer than ten unseen items remain (n >= 991).
+    """
+    if not 0 <= n <= 1000:
+        raise ValueError("n must lie in [0, 1000]")
+    if n >= 991:
+        return Fraction(0)
+    return Fraction(comb(1000 - n, 10), comb(1000, 10)) * Fraction(1000, 1000 - n)
+
+
+def serialize_problem(doc: ProblemDoc) -> str:
+    """Canonical text: sections and keys sorted, rationals in lowest terms,
+    so serialize(parse(serialize(doc))) is byte-identical.
+
+    Acts reference a named lottery whenever one with the same distribution
+    exists (the lexicographically first such name), otherwise inline.
+    """
+    lines: list[str] = []
+    lines.append("states: " + " ".join(sorted(doc.states)))
+    if doc.prizes:
+        lines.append("prizes: " + " ".join(sorted(doc.prizes)))
+        pairs = ", ".join(
+            f"{prize} = {format_rational(value)}"
+            for prize, value in doc.utility.items()
+            if prize in set(doc.prizes)
+        )
+        if pairs:
+            lines.append("utility: " + pairs)
+    by_value: dict[Lottery, str] = {}
+    for name in sorted(doc.lotteries):
+        by_value.setdefault(doc.lotteries[name], name)
+        lines.append(f"lottery {name} = {format_map(doc.lotteries[name].items())}")
+    for name in sorted(doc.acts):
+        act = doc.acts[name]
+        parts = []
+        for state in sorted(act.state_space):
+            lottery = act[state]
+            ref = by_value.get(lottery)
+            parts.append(f"{state}: {ref if ref is not None else format_map(lottery.items())}")
+        lines.append(f"act {name} = {{ {', '.join(parts)} }}")
+    for name in sorted(doc.menus):
+        refs = ", ".join(sorted(a.name for a in doc.menus[name]))
+        lines.append(f"menu {name} = [ {refs} ]")
+    for name in sorted(doc.hypotheses):
+        measure, weight = doc.hypotheses[name]
+        lines.append(f"hypothesis {name} weight {format_rational(weight)} = {format_map(measure.items())}")
+    for name in sorted(doc.events):
+        members = ", ".join(sorted(doc.events[name].members))
+        lines.append(f"event {name} = {{ {members} }}")
+    return "\n".join(lines) + "\n"

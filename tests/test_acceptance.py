@@ -37,16 +37,16 @@ from wregret.axioms import (
     likelihood_family,
     replay,
 )
-from wregret.dsl import parse_problem, parse_tree, serialize_problem
+from wregret.dsl import parse_problem, parse_tree
 from wregret.dynamics import (
     evaluate_tree,
     is_null,
 )
 from wregret.errors import ParseError
 from wregret.fixtures import fixture_text
-from wregret.learning import ObservationModel, Probe, cupcake_weight, simulate
+from wregret.learning import ObservationModel, Probe, simulate
 
-from conftest import mdc_scaling_check, profile_act, random_wset
+from conftest import cupcake_weight, mdc_scaling_check, profile_act, random_wset, serialize_problem
 from test_dsl import _mutate
 
 F = Fraction

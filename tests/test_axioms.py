@@ -20,17 +20,24 @@ from wregret.axioms import (
     MATRIX_RULES,
     MIXTURE_DENOMINATOR,
     MIXTURE_GRID,
+    Instance,
     PreferenceOracle,
+    Sampler,
     axiom_matrix,
     check_axiom,
     delivery_fixtures,
     replay,
 )
+from wregret import axioms, decisions, rational
+from wregret.axioms import _AXIOMS
 from wregret.decisions import UtilitySpec, _position
-from wregret.errors import DimensionMismatch, UnknownAxiom
+from wregret.dsl import parse_problem
+from wregret.errors import ActNotInMenu, DimensionMismatch, UnknownAxiom
+from wregret.fixtures import fixture_text
 from wregret.measures import Measure, WeightedMeasureSet, point_mass
 
 from conftest import profile_act, value_lottery
+import axiom_reference
 import rule_reference as reference
 
 F = Fraction
@@ -156,6 +163,14 @@ class MutantOracle(PreferenceOracle):
 
     def prefers(self, f, g, menu) -> int:
         return self.relation(self, f, g, menu)
+
+    def sign(self, x, y, best) -> int:
+        # the mixture judges compare int profiles against a per-state best; the
+        # relation sees them in the menu {x, y, best}, as integer utilities:
+        # the true ones times a positive factor, which the relation listed
+        # against those axioms ("squares") does not depend on
+        f, g, b = (Alternative.from_ints(name, v, 1) for name, v in zip("xyb", (x, y, best)))
+        return self.relation(self, f, g, (f, g, b))
 
 
 class TestMutantOracles:
@@ -550,3 +565,108 @@ class TestMatrix:
         rows = [line.split()[0] for line in matrix.to_text().splitlines()[1:]]
         assert rows == ["mwer", "seu"]
         assert list(matrix.to_obj()["cells"]) == ["mwer", "seu"]
+
+
+class TestMixtureJudgesAgainstReference:
+    """The int-judged mixture axioms against `axiom_reference`, which builds
+    every mixture as an `Alternative` and compares it in a menu of them."""
+
+    ORACLES = {
+        **{rule: lambda fixtures, rule=rule: fixtures.oracle(rule) for rule in MATRIX_RULES},
+        "squares": lambda fixtures: MutantOracle(fixtures, MUTANTS["squares"][1]),
+    }
+
+    @pytest.mark.parametrize("oracle_of", list(ORACLES), ids=list(ORACLES))
+    def test_verdicts_and_findings_match(self, oracle_of):
+        # 300 instances of each judge per oracle, half on each fixture
+        verdicts = []
+        for fixtures_of in (delivery_fixtures, _shifted_fixtures):
+            oracle = self.ORACLES[oracle_of](fixtures_of())
+            for axiom, judge in axiom_reference.JUDGES.items():
+                entry, sampler = _AXIOMS[axiom], Sampler(random.Random(int(axiom)), oracle)
+                judged = 0
+                while judged < 150:
+                    instance = entry.draw(oracle, sampler)
+                    if instance is None:
+                        continue
+                    judged += 1
+                    verdict = entry.judge(oracle, instance)
+                    assert verdict == judge(oracle, instance), (fixtures_of.__name__, axiom, judged)
+                    verdicts.append((axiom, verdict if isinstance(verdict, str) else "finding"))
+        # each judge meets applicable instances, and the comparison meets findings
+        assert {axiom for axiom, verdict in verdicts if verdict != "vacuous"} == {"5", "7", "11"}
+        if oracle_of in ("mmeu", "squares"):
+            assert ("7", "finding") in verdicts
+
+    @pytest.mark.parametrize("include_curated", [True, False], ids=["curated", "sampled"])
+    def test_matrix_witnesses_replay_under_both_judges(self, fixtures, include_curated):
+        config = GeneratorConfig(samples=22, include_curated=include_curated)
+        replayed = 0
+        for seed in range(10):
+            matrix = axiom_matrix(fixtures=fixtures, seed=seed, config=config)
+            for (rule, axiom), report in matrix.reports.items():
+                oracle = fixtures.oracle(rule)
+                for w in (report.counterexample, report.unwitnessed_example):
+                    if w is None:
+                        continue
+                    instance = Instance(w.menu, w.acts, w.params)
+                    if w.kind == "violation":
+                        assert replay(report, oracle), (seed, rule, axiom)
+                        replayed += 1
+                    if axiom in axiom_reference.JUDGES:
+                        found = axiom_reference.JUDGES[axiom](oracle, instance)
+                        assert isinstance(found, axioms.Finding), (seed, rule, axiom)
+                        assert found.params.items() <= w.params.items()
+                        assert found.scores == w.scores
+        assert replayed >= 10
+
+
+class TestOracleCache:
+    def test_equal_members_score_alike_and_non_members_raise(self, fixtures):
+        menu = (
+            Alternative.from_ints("a", (3, -6), 6),
+            Alternative.from_ints("b", (1, 1), 3),
+            Alternative.from_ints("c", (0, 2), 2),
+        )
+        twin = Alternative.from_ints("a", (1, -2), 2)  # equal to menu[0], not it
+        stranger = Alternative.from_ints("d", (3, -6), 6)
+        for rule in MATRIX_RULES:
+            oracle = fixtures.oracle(rule)
+            fresh = fixtures.oracle(rule)
+            assert oracle.prefers(menu[0], menu[1], menu) == fresh.prefers(twin, menu[1], list(menu))
+            assert oracle.rate(twin, menu) == oracle.rate(menu[0], menu) == fresh.rate(menu[0], list(menu))
+            assert oracle.prefers(twin, menu[0], menu) == 0
+            assert oracle.prefers(menu[2], twin, menu) == -oracle.prefers(twin, menu[2], menu)
+            with pytest.raises(ActNotInMenu):
+                oracle.rate(stranger, menu)
+            with pytest.raises(ActNotInMenu):
+                oracle.prefers(menu[1], stranger, menu)
+
+
+class TestMatrixWork:
+    def test_matrix_scores_each_member_once_and_mixes_on_ints(self, monkeypatch):
+        # axiom_matrix(seed=0, samples=22) on delivery_weighted.dp; before
+        # members were scored once per kept menu and the mixture judges
+        # worked on ints, it made 7,019 kernel calls and 1,951 menu
+        # conversions, and built 7,293 alternatives
+        doc = parse_problem(fixture_text("delivery_weighted.dp"))
+        fixtures = BeliefFixtures(doc.utility, doc.states, doc.measures(), doc.weighted_set())
+        counts = {"kernel": 0, "over_common": 0, "alternatives": 0}
+
+        def counted(key, call):
+            def wrapper(*args):
+                counts[key] += 1
+                return call(*args)
+            return wrapper
+
+        for rule, entry in decisions.RULES.items():
+            monkeypatch.setitem(decisions.RULES, rule, entry._replace(score=counted("kernel", entry.score)))
+        for module in (decisions, axioms):
+            monkeypatch.setattr(module, "over_common", counted("over_common", rational.over_common))
+        from_ints = Alternative.from_ints.__func__
+        monkeypatch.setattr(Alternative, "__init__", counted("alternatives", Alternative.__init__))
+        monkeypatch.setattr(Alternative, "from_ints", classmethod(counted("alternatives", from_ints)))
+        matrix = axiom_matrix(fixtures=fixtures, seed=0, config=GeneratorConfig(samples=22))
+        monkeypatch.undo()
+        assert matrix.cells[("mwer", "ax12")] == matrix.cells[("mmeu", "independence")] == "violated"
+        assert counts == {"kernel": 4443, "over_common": 1930, "alternatives": 5954}

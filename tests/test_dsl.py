@@ -18,14 +18,13 @@ from wregret.dsl import (
     _tokenize,
     parse_problem,
     parse_tree,
-    serialize_problem,
     serialize_weighted_set,
 )
 from wregret.dynamics import DecisionNode, NatureNode, evaluate_tree
 from wregret.errors import DomainError, ParseError
 from wregret.fixtures import fixture_text
 
-from conftest import random_wset
+from conftest import random_wset, serialize_problem
 from tokenize_reference import tokenize as reference_tokenize
 
 F = Fraction
@@ -299,43 +298,14 @@ def _mutate(rng: random.Random, text: str) -> str:
 
 
 class TestFuzz:
-    def test_fuzzed_inputs_never_crash(self):
-        """Smoke-sized fuzz here; the acceptance suite runs the full corpus."""
-        rng = random.Random(99)
-        seed_text = fixture_text("delivery.dp")
-        for _ in range(1500):
-            candidate = _mutate(rng, seed_text)
-            try:
-                parse_problem(candidate)
-            except ParseError as exc:
-                assert exc.diagnostics
-                for d in exc.diagnostics:
-                    assert d.line >= 1 and d.column >= 1 and d.message
-
-    def test_fuzzed_trees_parse_or_fail_positioned_and_evaluate(self):
-        rng = random.Random(7)
-        doc = parse_problem(fixture_text("restaurant.dp"))
-        wset = doc.weighted_set()
-        seed_text = fixture_text("restaurant.tree")
-        for _ in range(2000):
-            try:
-                tree = parse_tree(_mutate(rng, seed_text), doc)
-            except ParseError as exc:
-                assert exc.diagnostics
-                for d in exc.diagnostics:
-                    assert d.line >= 1 and d.column >= 1 and d.message
-                continue
-            for planning in ("ex-ante", "sophisticated"):
-                for policy in ("full", "viable"):
-                    try:
-                        result = evaluate_tree(tree, doc.utility, wset, planning, policy)
-                    except DomainError:
-                        continue
-                    assert result.chosen.name in result.survivors
+    """Each fuzz corpus is generated and parsed once; a test checks both that
+    every rejection is positioned and the digest of what was produced."""
 
     def test_fuzzed_diagnostics_are_pinned(self):
-        """The smoke corpus again: a digest of every diagnostic's line, column,
-        message and token, in the order reported."""
+        """Smoke-sized fuzz here; the acceptance suite runs the full corpus.
+        Every diagnostic has a line, a column and a message, and a digest of
+        every diagnostic's line, column, message and token, in the order
+        reported, is pinned."""
         rng = random.Random(99)
         seed_text = fixture_text("delivery.dp")
         digest = hashlib.sha1()
@@ -343,14 +313,18 @@ class TestFuzz:
             try:
                 parse_problem(_mutate(rng, seed_text))
             except ParseError as exc:
+                assert exc.diagnostics
                 for d in exc.diagnostics:
+                    assert d.line >= 1 and d.column >= 1 and d.message
                     digest.update(f"{d.line}:{d.column}:{d.message}:{d.token}\n".encode())
             digest.update(b"--\n")
         assert digest.hexdigest() == "7c260e62645a351a2bb831a9cb0f8f0192b31a32"
 
     def test_fuzzed_tree_evaluations_are_pinned(self):
-        """The fuzzed trees again: a digest of every evaluation in all four
-        planning and menu-policy modes (or the name of the error it raised)."""
+        """Fuzzed trees parse or fail with positioned diagnostics; each one
+        that parses evaluates in all four planning and menu-policy modes to a
+        choice among the survivors (or a domain error), and a digest of every
+        evaluation (or the name of the error it raised) is pinned."""
         rng = random.Random(7)
         doc = parse_problem(fixture_text("restaurant.dp"))
         wset = doc.weighted_set()
@@ -359,17 +333,21 @@ class TestFuzz:
         for _ in range(2000):
             try:
                 tree = parse_tree(_mutate(rng, seed_text), doc)
-            except ParseError:
+            except ParseError as exc:
+                assert exc.diagnostics
+                for d in exc.diagnostics:
+                    assert d.line >= 1 and d.column >= 1 and d.message
                 digest.update(b"ParseError\n")
                 continue
             for planning in ("ex-ante", "sophisticated"):
                 for policy in ("full", "viable"):
                     try:
-                        obj = evaluate_tree(tree, doc.utility, wset, planning, policy).to_obj()
+                        result = evaluate_tree(tree, doc.utility, wset, planning, policy)
                     except DomainError as exc:
                         digest.update(f"{type(exc).__name__}\n".encode())
                         continue
-                    digest.update(json.dumps(obj).encode() + b"\n")
+                    assert result.chosen.name in result.survivors
+                    digest.update(json.dumps(result.to_obj()).encode() + b"\n")
         assert digest.hexdigest() == "e9e325f428665777435e073cccf58497b5434625"
 
 

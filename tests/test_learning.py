@@ -9,6 +9,7 @@ from math import comb
 import pytest
 
 import simulate_reference as reference
+from conftest import cupcake_weight
 from wregret import Event, Lottery, Measure, Menu, UtilitySpec, learning
 from wregret.decisions import Act
 from wregret.dsl import parse_problem
@@ -18,7 +19,6 @@ from wregret.learning import (
     ObservationModel,
     Probe,
     compare_updaters,
-    cupcake_weight,
     es_update,
     simulate,
 )
