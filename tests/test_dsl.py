@@ -298,55 +298,93 @@ def _mutate(rng: random.Random, text: str) -> str:
 
 
 class TestFuzz:
-    """Each fuzz corpus is generated and parsed once; a test checks both that
-    every rejection is positioned and the digest of what was produced."""
+    """Each fuzz corpus is generated and parsed (and its trees evaluated)
+    once, by a class-scoped fixture; one test checks that every rejection is
+    positioned and every evaluation chooses a survivor, another pins the
+    digest of everything produced."""
 
-    def test_fuzzed_diagnostics_are_pinned(self):
+    @pytest.fixture(scope="class")
+    def problem_outcomes(self):
         """Smoke-sized fuzz here; the acceptance suite runs the full corpus.
-        Every diagnostic has a line, a column and a message, and a digest of
-        every diagnostic's line, column, message and token, in the order
-        reported, is pinned."""
+        One entry per text: None if it parsed, else its diagnostics."""
         rng = random.Random(99)
         seed_text = fixture_text("delivery.dp")
-        digest = hashlib.sha1()
+        outcomes = []
         for _ in range(1500):
             try:
                 parse_problem(_mutate(rng, seed_text))
             except ParseError as exc:
-                assert exc.diagnostics
-                for d in exc.diagnostics:
-                    assert d.line >= 1 and d.column >= 1 and d.message
-                    digest.update(f"{d.line}:{d.column}:{d.message}:{d.token}\n".encode())
-            digest.update(b"--\n")
-        assert digest.hexdigest() == "7c260e62645a351a2bb831a9cb0f8f0192b31a32"
+                outcomes.append(exc.diagnostics)
+            else:
+                outcomes.append(None)
+        return outcomes
 
-    def test_fuzzed_tree_evaluations_are_pinned(self):
-        """Fuzzed trees parse or fail with positioned diagnostics; each one
-        that parses evaluates in all four planning and menu-policy modes to a
-        choice among the survivors (or a domain error), and a digest of every
-        evaluation (or the name of the error it raised) is pinned."""
+    @pytest.fixture(scope="class")
+    def tree_outcomes(self):
+        """One (diagnostics, results) pair per fuzzed tree: its diagnostics if
+        it failed to parse, else None and its evaluation in each of the four
+        planning and menu-policy modes (or the DomainError it raised)."""
         rng = random.Random(7)
         doc = parse_problem(fixture_text("restaurant.dp"))
         wset = doc.weighted_set()
         seed_text = fixture_text("restaurant.tree")
-        digest = hashlib.sha1()
+        outcomes = []
         for _ in range(2000):
             try:
                 tree = parse_tree(_mutate(rng, seed_text), doc)
             except ParseError as exc:
-                assert exc.diagnostics
-                for d in exc.diagnostics:
-                    assert d.line >= 1 and d.column >= 1 and d.message
-                digest.update(b"ParseError\n")
+                outcomes.append((exc.diagnostics, None))
                 continue
+            results = []
             for planning in ("ex-ante", "sophisticated"):
                 for policy in ("full", "viable"):
                     try:
-                        result = evaluate_tree(tree, doc.utility, wset, planning, policy)
+                        results.append(evaluate_tree(tree, doc.utility, wset, planning, policy))
                     except DomainError as exc:
-                        digest.update(f"{type(exc).__name__}\n".encode())
-                        continue
+                        results.append(exc)
+            outcomes.append((None, results))
+        return outcomes
+
+    def test_fuzzed_inputs_never_crash(self, problem_outcomes):
+        for diagnostics in problem_outcomes:
+            if diagnostics is not None:
+                assert diagnostics
+                for d in diagnostics:
+                    assert d.line >= 1 and d.column >= 1 and d.message
+
+    def test_fuzzed_trees_parse_or_fail_positioned_and_evaluate(self, tree_outcomes):
+        for diagnostics, results in tree_outcomes:
+            if results is None:
+                assert diagnostics
+                for d in diagnostics:
+                    assert d.line >= 1 and d.column >= 1 and d.message
+                continue
+            for result in results:
+                if not isinstance(result, DomainError):
                     assert result.chosen.name in result.survivors
+
+    def test_fuzzed_diagnostics_are_pinned(self, problem_outcomes):
+        """A digest of every diagnostic's line, column, message and token, in
+        the order reported."""
+        digest = hashlib.sha1()
+        for diagnostics in problem_outcomes:
+            for d in diagnostics or ():
+                digest.update(f"{d.line}:{d.column}:{d.message}:{d.token}\n".encode())
+            digest.update(b"--\n")
+        assert digest.hexdigest() == "7c260e62645a351a2bb831a9cb0f8f0192b31a32"
+
+    def test_fuzzed_tree_evaluations_are_pinned(self, tree_outcomes):
+        """A digest of every evaluation in all four planning and menu-policy
+        modes (or the name of the error it raised)."""
+        digest = hashlib.sha1()
+        for _, results in tree_outcomes:
+            if results is None:
+                digest.update(b"ParseError\n")
+                continue
+            for result in results:
+                if isinstance(result, DomainError):
+                    digest.update(f"{type(result).__name__}\n".encode())
+                else:
                     digest.update(json.dumps(result.to_obj()).encode() + b"\n")
         assert digest.hexdigest() == "e9e325f428665777435e073cccf58497b5434625"
 
