@@ -19,8 +19,9 @@ sampler's denominator and mix, splice and give constant acts on ints, so a
 sampled instance builds no `Fraction`; `Alternative.profile` gives the exact
 utilities to a custom oracle or a witness's reader.  Derived menus are judged
 on ints too: utility is linear in mixtures, so the mixture judges (axioms 5,
-7 and 11) mix the members' int profiles and per-state best and compare
-through `PreferenceOracle.sign`, building mixtures only for a witness.
+7 and 11) mix the members' int profiles and per-state best, taken from
+the oracle's converted menu by `PreferenceOracle.profiles`, and compare
+through its `sign`, building mixtures only for a witness.
 Reports, witnesses and the matrix are immutable records (`records.record`),
 and so are `GeneratorConfig` and `BeliefFixtures`, which check their fields
 when built.
@@ -220,9 +221,9 @@ def _reachable(values, lo: Fraction, hi: Fraction) -> Profile:
     return profile
 
 
-def _mixed(k: int, m: int, x: IntProfile, h: IntProfile) -> list[int]:
-    """The int profiles x and h, over one denominator L, mixed at k/m: over m*L."""
-    return [k * a + (m - k) * b for a, b in zip(x, h)]
+def _mixed(a: int, b: int, x: IntProfile, h: IntProfile) -> list[int]:
+    """a*x + b*h: x and h, both over L, mixed at k/m are `_mixed(k, m - k, x, h)` over m*L."""
+    return [a * u + b * v for u, v in zip(x, h)]
 
 
 def _mix(p: Fraction, f: Alternative, h: Alternative, named: bool = False) -> Alternative:
@@ -231,13 +232,7 @@ def _mix(p: Fraction, f: Alternative, h: Alternative, named: bool = False) -> Al
     name = mixture_name(p, f.name, h.name) if named else "mixture"
     k, m = p.numerator, p.denominator
     common, (x, z) = over_common((f, h))
-    return Alternative.from_ints(name, tuple(_mixed(k, m, x, z)), m * common)
-
-
-def _over(menu: AltMenu, *acts: Alternative) -> tuple[list[IntProfile], IntProfile]:
-    """The acts' profiles and the menu's per-state best, as ints over one denominator."""
-    _, profiles = over_common(acts + menu)
-    return profiles[:len(acts)], per_state_best(profiles[len(acts):])
+    return Alternative.from_ints(name, tuple(_mixed(k, m - k, x, z)), m * common)
 
 
 def _enlarge(menu: AltMenu, *acts: Alternative) -> AltMenu:
@@ -419,7 +414,7 @@ def _judge_mixture_continuity(o: PreferenceOracle, inst: Instance) -> Verdict:
     f, g, h, menu = inst.acts["f"], inst.acts["g"], inst.acts["h"], inst.menu
     if o.prefers(f, g, menu) <= 0 or o.prefers(g, h, menu) <= 0:
         return "vacuous"
-    (x, y, z), best = _over(menu, f, g, h)
+    _, (x, y, z), best = o.profiles(menu, (f, g, h))
 
     def first(grid, g_first: bool) -> Optional[Fraction]:
         """The first p at which p*f + (1-p)*h, over m*L for p = k/m, is strictly
@@ -427,7 +422,7 @@ def _judge_mixture_continuity(o: PreferenceOracle, inst: Instance) -> Verdict:
         mixture leaves the menu's per-state best as it is."""
         for p in grid:
             k, m = p.numerator, p.denominator
-            pair = [_mixed(k, m, x, z), [m * v for v in y]]
+            pair = [_mixed(k, m - k, x, z), [m * v for v in y]]
             if o.sign(*(pair[::-1] if g_first else pair), [m * b for b in best]) > 0:
                 return p
         return None
@@ -476,10 +471,11 @@ def _draw_mixed_with(common: Callable[[Sampler], Alternative]) -> Draw:
 
 def _judge_independence(o: PreferenceOracle, inst: Instance) -> Verdict:
     f, g, h, menu, p = inst.acts["f"], inst.acts["g"], inst.acts["h"], inst.menu, inst.params["p"]
-    (x, y, z), best = _over(menu, f, g, h)
-    k, m = p.numerator, p.denominator
-    # each member mixes with h at k/m > 0, so the mixed menu's best is best mixed with h
-    if o.prefers(f, g, menu) == o.sign(*[_mixed(k, m, v, z) for v in (x, y, best)]):
+    scale, (x, y), best = o.profiles(menu, (f, g))
+    # members over L and h (not a member) over e mix at k/m over m*L*e; each
+    # member mixes with h at k/m > 0, so the mixed menu's best is best mixed with h
+    a, b = p.numerator * h.denominator, (p.denominator - p.numerator) * scale
+    if o.prefers(f, g, menu) == o.sign(*[_mixed(a, b, v, h.numerators) for v in (x, y, best)]):
         return "pass"
     mixed_menu = tuple(_mix(p, a, h) for a in menu)
     mf, mg = _mix(p, f, h), _mix(p, g, h)

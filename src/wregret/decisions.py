@@ -479,11 +479,22 @@ class PreferenceOracle:
     which must be in the menu.  They keep the last menu asked about, as a
     tuple, converted, and score each of its members once, as asked: a member
     is found by identity among the kept menu's own (which the oracle holds
-    alive), else by equality; a list is copied, so it is not reused.  `sign`
-    compares two int profiles against a per-state best, so a derived menu
-    such as a mixture needs no alternatives.  `score` and `compare` answer
-    for the acts of a `Menu`.
+    alive), else by equality; a list is copied, so it is not reused.
+    `profiles` gives members' int profiles and the best from that conversion,
+    and `sign` compares two int profiles against a per-state best, so a
+    derived menu such as a mixture needs no alternatives.  `score` and
+    `compare` answer for the acts of a `Menu`.
+
+    A subclass that overrides `prefers` must override `sign` in the same
+    class, to agree with it, as the mixture judges of `axioms` compare
+    through `sign`; a subclass that does not raises TypeError when defined.
     """
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        prefers, sign = (next(c for c in cls.__mro__ if name in c.__dict__) for name in ("prefers", "sign"))
+        if prefers is not sign:
+            raise TypeError(f"{cls.__name__} must define prefers and sign together, so that they agree")
 
     def __init__(
         self,
@@ -497,18 +508,17 @@ class PreferenceOracle:
         self.utility = utility
         self.state_space, self._common, self._rows = _belief_entries(rule, belief, state_space)
         self._score, _, self.lower_is_better = RULES[rule]
-        # the last menu `rate` and `prefers` were asked about, as a tuple (the
-        # members are immutable): its conversion, its members' ids and their
-        # score numerators, filled in as asked
+        # the last menu `rate`, `prefers` and `profiles` were asked about, as a tuple
+        # (the members are immutable): its score denominator, its conversion (L, best,
+        # profiles), its members' ids and their score numerators, filled in as asked
         self._last_menu: Optional[tuple] = None
         self._last: tuple = ()
 
     def _over_menu(self, menu: Sequence[Alternative]) -> tuple[int, IntProfile, Sequence[IntProfile]]:
-        """The denominator D*L of every score in the menu, the menu's per-state
-        best and its profiles, all as ints over the LCM L of the members'
-        denominators."""
+        """The LCM L of the members' denominators, and the menu's per-state
+        best and its profiles as ints over L."""
         scale, profiles = over_common(menu)
-        return self._common * scale, per_state_best(profiles), profiles
+        return scale, per_state_best(profiles), profiles
 
     def scores(self, menu: Sequence[Alternative]) -> dict[str, Fraction]:
         """The rule's score of every member of a menu with unique names;
@@ -518,9 +528,9 @@ class PreferenceOracle:
     def numerators(self, menu: Sequence[Alternative]) -> tuple[int, list[int]]:
         """The denominator of every score in the menu, and each member's
         score numerator over it, in menu order (names are not read)."""
-        denominator, best, profiles = self._over_menu(menu)
+        scale, best, profiles = self._over_menu(menu)
         score, rows = self._score, self._rows
-        return denominator, [score(x, best, rows) for x in profiles]
+        return self._common * scale, [score(x, best, rows) for x in profiles]
 
     def _scored(self, menu: Sequence[Alternative]) -> tuple[dict[str, int], dict[str, Fraction]]:
         """Each member's score numerator over one denominator, and its score, by name."""
@@ -532,45 +542,53 @@ class PreferenceOracle:
             numerators[a.name] = n
         return numerators, {name: Fraction(n, denominator) for name, n in numerators.items()}
 
-    def _members(self, menu: Sequence[Alternative], members: Sequence[Alternative]) -> tuple[int, list[int]]:
-        """The denominator of every score in the menu, and the members' score
-        numerators over it; each member of the kept menu is scored once."""
+    def _members(self, menu: Sequence[Alternative], members: Sequence[Alternative], scored: bool = True):
+        """The denominator of every score in the menu and the members' score
+        numerators over it, each member of the kept menu scored once; if not
+        `scored`, the LCM L of its denominators and the members' profiles over L."""
         if menu is not self._last_menu:
             menu = tuple(menu)  # a list is copied, so it is never the kept menu
             self._last_menu = menu
-            self._last = (self._over_menu(menu), tuple(map(id, menu)), [None] * len(menu))
-        (denominator, best, profiles), ids, memo = self._last
-        numerators = []
+            scale, best, profiles = self._over_menu(menu)
+            self._last = (self._common * scale, scale, best, profiles, tuple(map(id, menu)), [None] * len(menu))
+        denominator, scale, best, profiles, ids, memo = self._last
+        found = []
         for a in members:
             try:
                 i = ids.index(id(a))
             except ValueError:
                 i = _position(menu, a)
-            if memo[i] is None:
+            if scored and memo[i] is None:
                 memo[i] = self._score(profiles[i], best, self._rows)
-            numerators.append(memo[i])
-        return denominator, numerators
+            found.append(memo[i] if scored else profiles[i])
+        return (denominator, found) if scored else (scale, found)
+
+    def profiles(self, menu: Sequence[Alternative], members: Sequence[Alternative]) -> tuple:
+        """The kept menu's L, and the members' profiles and its per-state best over L."""
+        scale, found = self._members(menu, members, scored=False)
+        return scale, found, self._last[2]
 
     def rate(self, f: Alternative, menu: Sequence[Alternative]) -> Fraction:
         """The rule's score of the member f against the menu."""
         denominator, (n,) = self._members(menu, (f,))
         return Fraction(n, denominator)
 
-    def prefers(self, f: Alternative, g: Alternative, menu: Sequence[Alternative]) -> int:
-        """+1 if f is strictly preferred to g in the menu, -1 if dispreferred, 0 if indifferent."""
-        _, (nf, ng) = self._members(menu, (f, g))
+    def _order(self, nf: int, ng: int) -> int:
+        """+1 if the score numerator nf is strictly better than ng, -1 if worse, 0 if equal."""
         if nf == ng:
             return 0
         return 1 if (nf < ng) == self.lower_is_better else -1
+
+    def prefers(self, f: Alternative, g: Alternative, menu: Sequence[Alternative]) -> int:
+        """+1 if f is strictly preferred to g in the menu, -1 if dispreferred, 0 if indifferent."""
+        _, (nf, ng) = self._members(menu, (f, g))
+        return self._order(nf, ng)
 
     def sign(self, x: IntProfile, y: IntProfile, best: IntProfile) -> int:
         """`prefers` for the profiles x and y in a menu whose per-state best is
         `best`, all three ints over one positive denominator: a rule reads a
         menu only through that best, and its order does not depend on which."""
-        nx, ny = self._score(x, best, self._rows), self._score(y, best, self._rows)
-        if nx == ny:
-            return 0
-        return 1 if (nx < ny) == self.lower_is_better else -1
+        return self._order(self._score(x, best, self._rows), self._score(y, best, self._rows))
 
     def alternatives(self, menu: Menu) -> tuple[Alternative, ...]:
         """The menu's acts as the rule sees them: names and utility profiles."""

@@ -200,6 +200,40 @@ class TestMutantOracles:
         assert covered == set(AXIOM_IDS) - {"5", "10"}
 
 
+class TestCustomOracles:
+    def test_overriding_prefers_without_sign_is_rejected(self):
+        # the mixture judges compare through sign, which would otherwise fall
+        # back to the base rule and disagree with the subclass's prefers
+        with pytest.raises(TypeError, match="sign"):
+            class ReversedPrefersOnly(PreferenceOracle):
+                def prefers(self, f, g, menu) -> int:
+                    return -super().prefers(f, g, menu)
+        with pytest.raises(TypeError, match="sign"):
+            class ThresholdOnMutant(MutantOracle):
+                def prefers(self, f, g, menu) -> int:
+                    return 0
+        with pytest.raises(TypeError, match="sign"):
+            class ReversedSignOnly(PreferenceOracle):
+                def sign(self, x, y, best) -> int:
+                    return -super().sign(x, y, best)
+
+    @pytest.mark.parametrize("axiom", ["5", "7", "11"])
+    def test_a_consistent_reversed_oracle_is_judged_by_its_own_order(self, fixtures, axiom):
+        # reversing seu keeps its continuity and both independence axioms
+        class ReversedSeu(PreferenceOracle):
+            def prefers(self, f, g, menu) -> int:
+                return -super().prefers(f, g, menu)
+
+            def sign(self, x, y, best) -> int:
+                return -super().sign(x, y, best)
+
+        reversed_seu = ReversedSeu("seu", fixtures.measures[0], fixtures.utility, fixtures.state_space)
+        config = GeneratorConfig(samples=300, include_curated=False)
+        report = check_axiom(axiom, reversed_seu, config, seed=0)
+        assert report.verdict == "no-violation-found"
+        assert report.applicable > 0
+
+
 class TestSampling:
     def test_unknown_axiom(self, fixtures):
         with pytest.raises(UnknownAxiom):
@@ -648,7 +682,8 @@ class TestMatrixWork:
         # axiom_matrix(seed=0, samples=22) on delivery_weighted.dp; before
         # members were scored once per kept menu and the mixture judges
         # worked on ints, it made 7,019 kernel calls and 1,951 menu
-        # conversions, and built 7,293 alternatives
+        # conversions, and built 7,293 alternatives; the mixture judges take
+        # their profiles from the oracle's kept conversion
         doc = parse_problem(fixture_text("delivery_weighted.dp"))
         fixtures = BeliefFixtures(doc.utility, doc.states, doc.measures(), doc.weighted_set())
         counts = {"kernel": 0, "over_common": 0, "alternatives": 0}
@@ -669,4 +704,4 @@ class TestMatrixWork:
         matrix = axiom_matrix(fixtures=fixtures, seed=0, config=GeneratorConfig(samples=22))
         monkeypatch.undo()
         assert matrix.cells[("mwer", "ax12")] == matrix.cells[("mmeu", "independence")] == "violated"
-        assert counts == {"kernel": 4443, "over_common": 1930, "alternatives": 5954}
+        assert counts == {"kernel": 4443, "over_common": 1654, "alternatives": 5954}
