@@ -86,22 +86,16 @@ MIXTURE_GRID = _farey_interior(MIXTURE_DENOMINATOR)
 
 
 @record
-class _GeneratorFields:
-    samples: int = 200
-    include_curated: bool = True
-
-
-class GeneratorConfig(_GeneratorFields):
+class GeneratorConfig:
     """How many instances to sample per axiom, and whether to judge the
     curated corpus first."""
 
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
+    samples: int = 200
+    include_curated: bool = True
 
-    def __new__(cls, samples: int = 200, include_curated: bool = True):
-        if samples < 1:
+    def _check(self) -> None:
+        if self.samples < 1:
             raise ValueError("samples must be at least 1")
-        return super().__new__(cls, samples, include_curated)
 
 
 AltMenu = tuple[Alternative, ...]
@@ -882,33 +876,21 @@ def replay_mdc(report: AxiomReport, family: OracleFamily) -> bool:
 # -- the rule-by-axiom matrix ---------------------------------------------------------
 
 @record
-class _FixtureFields:
+class BeliefFixtures:
+    """Beliefs (and the utility table) used to instantiate each rule's oracle:
+    the measures (the first alone for a single-measure rule) and a weighted
+    set."""
+
     utility: UtilitySpec
     state_space: Sequence[str]
     measures: tuple[Measure, ...]
     weighted: WeightedMeasureSet
 
-
-class BeliefFixtures(_FixtureFields):
-    """Beliefs (and the utility table) used to instantiate each rule's oracle:
-    the measures (the first alone for a single-measure rule) and a weighted
-    set."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
-
-    def __new__(
-        cls,
-        utility: UtilitySpec,
-        state_space: Sequence[str],
-        measures: tuple[Measure, ...],
-        weighted: WeightedMeasureSet,
-    ):
-        if len(measures) < 2:
+    def _check(self) -> None:
+        if len(self.measures) < 2:
             raise ValueError("fixtures need a multi-measure belief")
-        if all(w == 1 for _, w in weighted.entries):
+        if all(w == 1 for _, w in self.weighted.entries):
             raise ValueError("fixtures need a weighted belief with a non-unit weight")
-        return super().__new__(cls, utility, state_space, measures, weighted)
 
     def oracle(self, rule: str) -> PreferenceOracle:
         """The rule's oracle, with the belief of the kind the rule takes."""

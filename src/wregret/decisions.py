@@ -41,7 +41,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 from .errors import ActNotInMenu, BeliefKindMismatch, DimensionMismatch, UnknownPrize
 from .measures import Measure, Rational, WeightedMeasureSet, weighted_rows
 from .rational import IntVector, as_integers, format_decimal, format_rational, over_common
-from .records import record
+from .records import Frozen, record
 
 
 class UtilitySpec(IntVector):
@@ -103,7 +103,7 @@ def sure(prize: str) -> Lottery:
     return Lottery({prize: 1})
 
 
-class Act:
+class Act(Frozen):
     """A named assignment of one lottery to every state.
 
     An act is immutable.  It keeps the `Alternative` the rules see it as
@@ -146,12 +146,6 @@ class Act:
     def utility_profile(self, u: UtilitySpec) -> Mapping[str, Fraction]:
         """Expected utility per state, in sorted state order (read-only)."""
         return MappingProxyType(dict(zip(self.state_space, self.alternative(u).profile)))
-
-    def __setattr__(self, key: str, value: object) -> None:
-        raise AttributeError(f"an Act is immutable (cannot set {key!r})")
-
-    def __delattr__(self, key: str) -> None:
-        raise AttributeError(f"an Act is immutable (cannot delete {key!r})")
 
     def __reduce__(self):
         return Act, (self.name, self._outcomes)
@@ -236,16 +230,19 @@ def _position(menu: Sequence, member) -> int:
 
 def regret(act: Act, state: str, menu: Menu, u: UtilitySpec) -> Fraction:
     """Gap between the best menu utility in the state and the act's utility."""
-    _position(menu.acts, act)  # raises ActNotInMenu for a non-member
-    best = max(act_utility(g, u, state) for g in menu)
-    return best - act_utility(act, u, state)
+    profile = regret_profile(act, menu, u)
+    if state not in profile:
+        raise DimensionMismatch(f"state {state!r} is not in the act's state space")
+    return profile[state]
 
 
 def regret_profile(act: Act, menu: Menu, u: UtilitySpec) -> dict[str, Fraction]:
-    _position(menu.acts, act)  # raises ActNotInMenu for a non-member
-    best = menu.best_profile(u)
-    profile = act.utility_profile(u)
-    return {state: best[state] - profile[state] for state in menu.state_space}
+    """The act's regret in every state, from a regret oracle's int profiles."""
+    i = _position(menu.acts, act)  # raises ActNotInMenu for a non-member
+    oracle = PreferenceOracle("regret", None, u, menu.state_space)
+    alternatives = oracle.alternatives(menu)
+    scale, (x,), best = oracle.profiles(alternatives, alternatives[i:i + 1])
+    return {state: Fraction(b - n, scale) for state, b, n in zip(oracle.state_space, best, x)}
 
 
 def max_regret(act: Act, menu: Menu, u: UtilitySpec) -> Fraction:
@@ -387,7 +384,7 @@ def _belief_entries(
 
 # -- the oracle ----------------------------------------------------------------
 
-class Alternative:
+class Alternative(Frozen):
     """An act as the rules see it: a name and a utility profile (one exact
     utility per state, in sorted state order), held as the ints `numerators`
     over one positive `denominator`.
@@ -436,12 +433,6 @@ class Alternative:
             profile = tuple([Fraction(n, d) for n in self.numerators])
             _set_profile(self, profile)
         return profile
-
-    def __setattr__(self, key: str, value: object) -> None:
-        raise AttributeError(f"an Alternative is immutable (cannot set {key!r})")
-
-    def __delattr__(self, key: str) -> None:
-        raise AttributeError(f"an Alternative is immutable (cannot delete {key!r})")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Alternative):

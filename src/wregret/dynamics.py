@@ -96,55 +96,37 @@ def conditional_score(
 # -- decision trees ----------------------------------------------------------------
 
 @record
-class _LeafFields:
+class Leaf:
+    """Terminal node holding either a lottery or a bare utility value."""
+
     lottery: Optional[Lottery] = None
     utility: Optional[Fraction] = None
 
-
-class Leaf(_LeafFields):
-    """Terminal node holding either a lottery or a bare utility value."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
-
-    def __new__(cls, lottery: Optional[Lottery] = None, utility: Optional[Fraction] = None):
-        if (lottery is None) == (utility is None):
+    def _check(self) -> None:
+        if (self.lottery is None) == (self.utility is None):
             raise MalformedTree("a leaf holds exactly one of: lottery, utility")
-        return super().__new__(cls, lottery, utility)
 
 
 @record
-class _DecisionFields:
+class DecisionNode:
     name: str
     branches: tuple[tuple[str, "TreeNode"], ...]
 
-
-class DecisionNode(_DecisionFields):
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
-
-    def __new__(cls, name: str, branches: tuple[tuple[str, "TreeNode"], ...]):
-        if not branches:
-            raise MalformedTree(f"decision node {name!r} has no branches")
-        names = [b for b, _ in branches]
+    def _check(self) -> None:
+        if not self.branches:
+            raise MalformedTree(f"decision node {self.name!r} has no branches")
+        names = [b for b, _ in self.branches]
         if len(set(names)) != len(names):
-            raise MalformedTree(f"decision node {name!r} has duplicate branch names")
-        return super().__new__(cls, name, branches)
+            raise MalformedTree(f"decision node {self.name!r} has duplicate branch names")
 
 
 @record
-class _NatureFields:
+class NatureNode:
     partition: tuple[tuple[Event, "TreeNode"], ...]
 
-
-class NatureNode(_NatureFields):
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
-
-    def __new__(cls, partition: tuple[tuple[Event, "TreeNode"], ...]):
-        if not partition:
+    def _check(self) -> None:
+        if not self.partition:
             raise MalformedTree("nature node has an empty partition")
-        return super().__new__(cls, partition)
 
 
 TreeNode = Union[Leaf, DecisionNode, NatureNode]

@@ -12,9 +12,9 @@ everything outside the simulation loop stays exact.  A probe's float tables
 scores once per `Probe` and hypothesis; a run builds its draw thresholds and
 per-outcome log-likelihoods once, and each round then does only float
 arithmetic and regroups the acts only when its scores break the previous
-round's ranking.  The model, rows and summaries are immutable records
-(`records.record`); `Probe` and `Trajectory` are immutable classes that keep
-what they build lazily in their own instance.
+round's ranking.  The model, trajectories, rows and summaries are immutable
+records (`records.record`), and the model checks its likelihoods when built;
+a `Probe` is a `records.Frozen` that keeps the tables it builds lazily.
 
 `es_update` implements the threshold alternative: condition every measure,
 then eliminate those whose relative likelihood does not exceed a cutoff.
@@ -26,7 +26,6 @@ import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from functools import cached_property
 from itertools import accumulate
 from operator import add, mul
 from types import MappingProxyType
@@ -35,49 +34,44 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .decisions import Menu, PreferenceOracle, UtilitySpec, group_ties
 from .errors import AllEliminated
 from .measures import EventLike, Measure, as_event
-from .rational import format_rational
-from .records import record
+from .rational import exact, format_rational
+from .records import Frozen, record
 
 RNG_ALGORITHM = "mt19937"  # CPython's random.Random core generator
 _NEG_INF = float("-inf")
 
 
 @record
-class _ObservationFields:
+class ObservationModel:
+    """Per-hypothesis i.i.d. outcome distributions over a shared alphabet."""
+
     outcomes: tuple[str, ...]
     likelihoods: Mapping[str, Mapping[str, Fraction]]
     truth: str
 
-
-class ObservationModel(_ObservationFields):
-    """Per-hypothesis i.i.d. outcome distributions over a shared alphabet."""
-
-    __slots__ = ()
-    _make = classmethod(lambda cls, fields: cls(*fields))  # `_replace` checks too
-
-    def __new__(
-        cls, outcomes: tuple[str, ...], likelihoods: Mapping[str, Mapping[str, Fraction]], truth: str
-    ):
-        if truth not in likelihoods:
-            raise ValueError(f"truth {truth!r} is not a hypothesis")
+    def _check(self) -> None:
+        outcomes = self.outcomes
+        if self.truth not in self.likelihoods:
+            raise ValueError(f"truth {self.truth!r} is not a hypothesis")
         alphabet = set(outcomes)
         if len(alphabet) != len(outcomes):
             repeated = next(o for o in outcomes if outcomes.count(o) > 1)
             raise ValueError(f"outcome {repeated!r} is listed twice")
-        for hyp, dist in likelihoods.items():
+        for hyp, dist in self.likelihoods.items():
             if set(dist) != alphabet:
                 raise ValueError(f"hypothesis {hyp!r} uses a different outcome alphabet")
+            total = Fraction(0)
             for outcome in outcomes:
-                if Fraction(dist[outcome]) < 0:
+                p = exact(dist[outcome], f"hypothesis {hyp!r}: likelihood", outcome, "outcome")
+                if p < 0:
                     raise ValueError(
                         f"hypothesis {hyp!r} gives outcome {outcome!r} a negative likelihood"
                     )
-            total = sum((Fraction(p) for p in dist.values()), Fraction(0))
+                total += p
             if total != 1:
                 raise ValueError(
                     f"outcome distribution of {hyp!r} sums to {format_rational(total)}"
                 )
-        return super().__new__(cls, outcomes, likelihoods, truth)
 
     @property
     def hypotheses(self) -> tuple[str, ...]:
@@ -87,17 +81,7 @@ class ObservationModel(_ObservationFields):
 Groups = tuple[tuple[str, ...], ...]
 
 
-class _Immutable:
-    """A record whose attributes `__init__` sets once, through `vars(self)`;
-    `cached_property` writes there too."""
-
-    def __setattr__(self, name: str, value: object = None) -> None:
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    __delattr__ = __setattr__
-
-
-class Probe(_Immutable):
+class Probe(Frozen):
     """A decision problem re-ranked every round under the evolving weights.
 
     Its float tables are built from the exact scores of one hypothesis at a
@@ -148,41 +132,22 @@ class TrajectoryRow:
     outcome: str | None = None  # the observation that produced this row
 
 
-class Trajectory(_Immutable):
+@record
+class Trajectory:
     """One seed's run, kept by round in columns; `rows` builds one
-    `TrajectoryRow` per round from them on first use."""
+    `TrajectoryRow` per round from them each time it is read."""
 
-    def __init__(
-        self,
-        seed: int,
-        rounds: int,
-        rng_algorithm: str,
-        truth: str,
-        hypotheses: tuple[str, ...],
-        truth_seu_groups: Groups,
-        weights: tuple[tuple[float, ...], ...],  # per round, in `hypotheses` order
-        rankings: tuple[tuple[Groups, bool], ...],  # per round: mwer groups, matches_truth_seu
-        outcomes: tuple[str | None, ...],  # per round: the observation that produced it
-    ):
-        vars(self).update(
-            seed=seed, rounds=rounds, rng_algorithm=rng_algorithm, truth=truth,
-            hypotheses=hypotheses, truth_seu_groups=truth_seu_groups,
-            weights=weights, rankings=rankings, outcomes=outcomes,
-        )
+    seed: int
+    rounds: int
+    rng_algorithm: str
+    truth: str
+    hypotheses: tuple[str, ...]
+    truth_seu_groups: Groups
+    weights: tuple[tuple[float, ...], ...]  # per round, in `hypotheses` order
+    rankings: tuple[tuple[Groups, bool], ...]  # per round: mwer groups, matches_truth_seu
+    outcomes: tuple[str | None, ...]  # per round: the observation that produced it
 
-    def _key(self) -> tuple:
-        return (
-            self.seed, self.rounds, self.rng_algorithm, self.truth, self.hypotheses,
-            self.truth_seu_groups, self.weights, self.rankings, self.outcomes,
-        )
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Trajectory) and self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
-
-    @cached_property
+    @property
     def rows(self) -> tuple[TrajectoryRow, ...]:
         hypotheses = self.hypotheses
         columns = zip(self.weights, self.rankings, self.outcomes)

@@ -20,6 +20,8 @@ from math import gcd, lcm
 from operator import lt
 from typing import Iterable, Mapping, Sequence, Union
 
+from .records import Frozen
+
 Rational = Union[Fraction, int]
 
 _RATIONAL_RE = re.compile(
@@ -96,7 +98,7 @@ def over_common(vectors: Sequence) -> tuple[int, list[tuple[int, ...]]]:
                     tuple([n * (common // v.denominator) for n in v.numerators]) for v in vectors]
 
 
-class IntVector:
+class IntVector(Frozen):
     """Exact values over sorted labels: `keys` in sorted order, one int of
     `numerators` per key, over one positive `denominator`, all reduced by
     their gcd, so vectors of one type are equal, and hash alike, exactly when
@@ -156,11 +158,6 @@ class IntVector:
 
     def total(self) -> Fraction:
         return Fraction(sum(self.numerators), self.denominator)
-
-    def __setattr__(self, key: str, value: object = None) -> None:
-        raise AttributeError(f"a {type(self).__name__} is immutable (cannot set or delete {key!r})")
-
-    __delattr__ = __setattr__
 
     def __reduce__(self):
         return type(self).from_ints, (self.keys, self.numerators, self.denominator)

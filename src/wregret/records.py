@@ -1,4 +1,5 @@
-"""Immutable records: a class body of annotated fields, built as a `namedtuple`.
+"""Immutable values: `record` builds a class body of annotated fields as a
+`namedtuple`, and `Frozen` is the base of the classes that are not tuples.
 
 `typing.NamedTuple` checks every field annotation when it builds the class.
 Under `from __future__ import annotations` each annotation is a string, and
@@ -17,7 +18,10 @@ def record(cls: type) -> type:
     is that field's default, and only the last fields may have one.  The
     rest of the body (docstring, methods, properties, constants) is copied
     onto the namedtuple.  Equality, hashing, `repr`, pickling and
-    immutability are the tuple's.
+    immutability are the tuple's.  A `_check(self)` in the body, which
+    raises on a bad field, runs on every record the constructor or `_make`
+    builds, and so through `_replace`, copying and unpickling; a record
+    without one keeps the namedtuple's own `__new__` and `_make`.
     """
     body = dict(vars(cls))
     fields = tuple(body.get("__annotations__", {}))
@@ -33,4 +37,32 @@ def record(cls: type) -> type:
     for key, value in body.items():
         if key not in ("__dict__", "__weakref__"):  # the plain class's, not the tuple's
             setattr(built, key, value)
+    check = body.get("_check")
+    if check is not None:
+        new, make = built.__new__, vars(built)["_make"].__func__
+
+        def __new__(cls, *args, **kwargs):
+            self = new(cls, *args, **kwargs)
+            check(self)
+            return self
+
+        def _make(cls, iterable):
+            self = make(cls, iterable)
+            check(self)
+            return self
+
+        built.__new__, built._make = staticmethod(__new__), classmethod(_make)
     return built
+
+
+class Frozen:
+    """A base whose instances refuse attribute assignment and deletion.  A
+    subclass sets its own attributes once, when built, through
+    `object.__setattr__`, its slots' descriptors or `vars(self)`."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: object = None) -> None:
+        raise AttributeError(f"cannot set or delete {name!r} of an immutable {type(self).__name__}")
+
+    __delattr__ = __setattr__

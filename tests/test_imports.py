@@ -59,6 +59,44 @@ def test_no_module_reads_a_private_attribute_of_another():
     assert found == []
 
 
+# Public top-level names that no module in the package references and that
+# `wregret.__all__` does not export, each kept by the README or the ROADMAP
+UNREFERENCED_BUT_KEPT = {
+    "axioms.replay": "README, axiom checker: `replay()` re-confirms against the oracle",
+    "axioms.check_mdc": "README, axiom checker: dynamic consistency (`check_mdc`, `replay_mdc`); ROADMAP item 10",
+    "axioms.replay_mdc": "README, axiom checker: dynamic consistency (`check_mdc`, `replay_mdc`); ROADMAP item 10",
+    "dynamics.splice_menu": "README, `wregret.dynamics` row: act splicing",
+    "dynamics.conditional_score": "README, `wregret.dynamics` row: conditional scores",
+    "learning.es_update": "README, `wregret.learning` row: threshold (relative-likelihood) updating",
+    "fixtures.fixture_path": "README, CLI examples: `f.fixture_path('delivery.dp')` locates the fixtures",
+    "fixtures.fixture_text": "README, `wregret.fixtures` row: bundled example problems",
+}
+
+
+def test_every_public_name_is_referenced_exported_or_kept():
+    # a public top-level function or class is read somewhere in the package
+    # (by name, as an attribute or in an import), or exported by the package
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.rglob("*.py"))}
+    referenced = set(wregret.__all__)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, (ast.Attribute, ast.alias)):
+                referenced.add(node.attr if isinstance(node, ast.Attribute) else node.name)
+    found = []
+    for path, tree in trees.items():
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts).removesuffix(".__init__")
+        found += [
+            f"{module}.{node.name}"
+            for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_") and node.name not in referenced
+        ]
+    # an entry here is new and unreferenced, or kept but referenced again
+    assert set(found) ^ set(UNREFERENCED_BUT_KEPT) == set()
+
+
 def _traced_targets() -> dict[str, tuple[str, ...]]:
     """perfbench/tracing.py's `TARGETS`: layer -> wrapped entry points."""
     tracing = PACKAGE.parents[1] / "perfbench" / "tracing.py"

@@ -139,6 +139,12 @@ class TestObservationModel:
                 ("good", "bad"), {"h": {"good": F(3, 2), "bad": F(-1, 2)}}, "h"
             )
 
+    @pytest.mark.parametrize("heads", [0.5, 0.1])
+    def test_float_likelihood_is_rejected(self, heads):
+        # a float is not exact: 0.5 + 0.5 sums to one, 0.1 + 0.9 does not
+        with pytest.raises(TypeError, match=f"hypothesis 'c': likelihood {heads} for outcome 'h' is not an int"):
+            ObservationModel(("h", "t"), {"c": {"h": heads, "t": 1 - heads}}, "c")
+
     def test_rounding_fallback_draws_an_outcome_the_truth_can_produce(self, monkeypatch):
         # 7/10 + 2/10 + 1/10 sums to the largest float below 1.0 in floats, so
         # a draw of that float is not below any threshold; it must not land
@@ -198,8 +204,8 @@ class TestProbeTables:
         with pytest.raises(TypeError):
             probe.measures["coin"] = measures["mostly_good"]
         assert simulate(model, prior, probe, 30, seed=4) == before
-        # the records refuse assignment too, cached `rows` and new names included
-        assert len(before.rows) == 31  # fills the cached `rows`
+        # the records refuse assignment too, the `rows` property and new names included
+        assert len(before.rows) == 31  # `rows` is built from the columns when read
         records = (
             (probe, "measures"), (probe, "acts"), (model, "truth"), (before, "weights"),
             (before, "rows"), (before, "extra"), (before.rows[0], "weights"),

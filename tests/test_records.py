@@ -5,15 +5,24 @@ private record is its base) and pins its fields, its defaults and its
 `repr`; the pins were recorded when the records were `typing.NamedTuple`s.
 """
 
+import ast
 import copy
 import pickle
+from collections import namedtuple
 from fractions import Fraction as F
+from importlib import import_module
+from pathlib import Path
+from pkgutil import iter_modules
 
 import pytest
 
+import wregret
 from wregret import axioms, decisions, dsl, dynamics, learning
+from wregret.errors import MalformedTree
 from wregret.measures import Event, Measure, WeightedMeasureSet
 from wregret.records import record
+
+MODULES = [import_module(f"wregret.{module.name}") for module in iter_modules(wregret.__path__)]
 
 STATES = ("s1", "s2")
 ONE = Measure({"s1": F(1, 4), "s2": F(3, 4)})
@@ -144,6 +153,17 @@ RECORDS = {
         "TrajectoryRow(round=4, weights={'fair': 1.0}, mwer_groups=(('a', 'b'),), matches_truth_seu=True,"
         " outcome=None)",
     ),
+    "Trajectory": (
+        learning.Trajectory,
+        (0, 1, "mt19937", "fair", ("fair",), (("a",),), ((1.0,), (1.0,))), {
+            "rankings": (((("a",),), True),) * 2, "outcomes": (None, "h"),
+        },
+        ("seed", "rounds", "rng_algorithm", "truth", "hypotheses", "truth_seu_groups", "weights", "rankings",
+         "outcomes"), {},
+        "Trajectory(seed=0, rounds=1, rng_algorithm='mt19937', truth='fair', hypotheses=('fair',),"
+        " truth_seu_groups=(('a',),), weights=((1.0,), (1.0,)), rankings=(((('a',),), True), ((('a',),),"
+        " True)), outcomes=(None, 'h'))",
+    ),
     "ComparisonRow": (
         learning.ComparisonRow, (3, 0.5, 0.25, 1.0, 0.0), {},
         ("round", "agree_mwer_mer", "agree_mwer_es", "agree_mer_es", "agree_all"), {},
@@ -188,6 +208,80 @@ def test_record_contract(name):
     with pytest.raises(AttributeError):
         record.unknown = None
     assert not hasattr(record, "__dict__")
+
+
+# A record with a `_check`: (field, a value it rejects, the error type, its message)
+REJECTED = {
+    "GeneratorConfig": ("samples", 0, ValueError, "samples must be at least 1"),
+    "BeliefFixtures": ("measures", (ONE,), ValueError, "fixtures need a multi-measure belief"),
+    "Leaf": ("utility", None, MalformedTree, "a leaf holds exactly one of: lottery, utility"),
+    "DecisionNode": ("branches", (), MalformedTree, "decision node 'd' has no branches"),
+    "NatureNode": ("partition", (), MalformedTree, "nature node has an empty partition"),
+    "ObservationModel": ("truth", "loaded", ValueError, "truth 'loaded' is not a hypothesis"),
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_every_way_of_building_a_record_runs_its_check(name):
+    cls, args, kwargs, *_ = RECORDS[name]
+    field, bad, error, message = REJECTED[name]
+    good = cls(*args, **kwargs)
+    values = {**good._asdict(), field: bad}
+    unchecked = tuple.__new__(cls, values.values())
+    builds = {
+        "positional": lambda: cls(*values.values()),
+        "keyword": lambda: cls(**values),
+        "_make": lambda: cls._make(values.values()),
+        "_replace": lambda: good._replace(**{field: bad}),
+        "copy": lambda: copy.copy(unchecked),
+        "pickle": lambda: pickle.loads(pickle.dumps(unchecked)),
+    }
+    for way, build in builds.items():
+        with pytest.raises(error) as raised:
+            build()
+        assert str(raised.value) == message, way
+
+
+@pytest.mark.parametrize("name", [name for name in RECORDS if "_check" not in vars(RECORDS[name][0])])
+def test_a_record_without_a_check_keeps_the_namedtuple_constructors(name):
+    # so a hot record such as `dsl.Token` costs no more than a namedtuple
+    cls = RECORDS[name][0]
+    plain = namedtuple(cls.__name__, cls._fields, defaults=cls._field_defaults.values())
+    assert cls.__new__.__code__.co_code == plain.__new__.__code__.co_code
+    assert cls.__new__.__defaults__ == plain.__new__.__defaults__
+    assert cls._make.__func__.__code__ is plain._make.__func__.__code__
+
+
+def _bound_names(tree: ast.Module) -> set[str]:
+    """The names a module's defs and assignments bind, attributes included."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef):
+            names.add(node.name)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            names.add(node.id if isinstance(node, ast.Name) else node.attr)
+    return names
+
+
+def test_one_form_for_each_immutable_value():
+    # a record is a namedtuple and nothing else, `records.record` alone
+    # overrides `_make`, and `records.Frozen` alone refuses assignment
+    classes = [
+        value
+        for module in MODULES
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    ]
+    assert [c.__qualname__ for c in classes if issubclass(c, tuple) and c.__bases__ != (tuple,)] == []
+    assert [f"{c.__module__}.{c.__qualname__}" for c in classes if "__setattr__" in vars(c)] == [
+        "wregret.records.Frozen"
+    ]
+    package = Path(wregret.__file__).parent
+    makes = {
+        path.name for path in package.rglob("*.py")
+        if "_make" in _bound_names(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert set(makes) == {"records.py"}
 
 
 def test_a_field_without_a_default_may_not_follow_one_with_a_default():
