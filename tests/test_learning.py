@@ -141,7 +141,7 @@ class TestObservationModel:
 
     @pytest.mark.parametrize("heads", [0.5, 0.1])
     def test_float_likelihood_is_rejected(self, heads):
-        # a float is not exact: 0.5 + 0.5 sums to one, 0.1 + 0.9 does not
+        # a float is not exact: the binary values of 0.5 and 0.5 sum to one, of 0.1 and 0.9 not
         with pytest.raises(TypeError, match=f"hypothesis 'c': likelihood {heads} for outcome 'h' is not an int"):
             ObservationModel(("h", "t"), {"c": {"h": heads, "t": 1 - heads}}, "c")
 

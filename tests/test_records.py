@@ -1,8 +1,8 @@
-"""The immutable records: fields, defaults and the tuple contract.
+"""The immutable records: fields, defaults, the tuple contract and `_check`.
 
-Each entry builds one record of each class (the public class where a
-private record is its base) and pins its fields, its defaults and its
-`repr`; the pins were recorded when the records were `typing.NamedTuple`s.
+Each entry builds one record of each class and pins its fields, its
+defaults and its `repr`; the pins were recorded when the records were
+`typing.NamedTuple`s (`Trajectory`'s when it became a record).
 """
 
 import ast
