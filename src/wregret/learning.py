@@ -225,17 +225,17 @@ def simulate(
     acts = probe.acts
     regret_rows = probe.regret_rows(hypotheses)
     truth_groups = probe.seu_groups(model.truth)
-    truth = model.likelihoods[model.truth]
+    # read as the model checked them, so rational strings pass too
+    likelihoods = {h: {o: exact(p, "likelihood", o, "outcome") for o, p in dist.items()}
+                   for h, dist in model.likelihoods.items()}
+    truth = likelihoods[model.truth]
     # a draw r falls on the first outcome whose cumulative probability exceeds
     # it; float rounding can leave r above the sum, and then it falls on the
     # last outcome the truth can produce
     thresholds = tuple(accumulate(float(truth[o]) for o in model.outcomes))
     landing = (*model.outcomes, [o for o in model.outcomes if truth[o] > 0][-1])
     log_likelihoods = {
-        o: tuple(
-            math.log(p) if (p := float(model.likelihoods[h][o])) > 0 else _NEG_INF
-            for h in hypotheses
-        )
+        o: tuple(math.log(p) if (p := float(likelihoods[h][o])) > 0 else _NEG_INF for h in hypotheses)
         for o in model.outcomes
     }
     log_weights = [math.log(p) if (p := float(prior[h])) > 0 else _NEG_INF for h in hypotheses]

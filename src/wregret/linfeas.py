@@ -1,19 +1,28 @@
-"""Exact linear feasibility over the rationals.
+"""Exact linear programs over the rationals, pivoted on integers.
 
-Small dense systems only (state spaces up to about a dozen states), solved by
-a textbook phase-1 simplex with Bland's rule.  The simplex is fraction-free
-(integer pivoting, Edmonds 1967; Bareiss 1968): `rational.as_integers` puts
-the system over one common denominator, the tableau is kept as integers
-over one running divisor, and a `Fraction` is built only for an entry of a
-returned certificate.  The solver returns a certificate vector when the
-system is feasible, which the tests verify independently.
+Small dense systems only (state spaces up to about a dozen states).  Both
+solvers are fraction-free simplexes with Bland's rule (integer pivoting,
+Edmonds 1967; Bareiss 1968): the data go over one common denominator
+(`rational.as_integers`), the tableau is kept as integers over one running
+divisor, and every pivot goes through one step (`_pivot_step`) and one
+ratio test (`_leaving_row`).
+
+`in_downward_convex_hull` is the one membership test of the hull behind
+`measures.to_hull` and `measures.hull_equal`: integer certificates decide
+most points, and the polar LP (`in_hull_by_polar_lp`), which starts
+feasible at its slack basis and stops as soon as the answer is known,
+decides the rest without building a `Fraction`.  `solve_nonneg`, a
+phase-1 simplex for x >= 0 with A x = b, returns a certificate vector when
+the system is feasible, which the tests verify independently; nothing in
+the package calls it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
-from operator import gt, mul
+from functools import reduce
+from itertools import combinations, compress
+from operator import ge, gt, mul, or_
 from typing import Optional, Sequence
 
 from .errors import DimensionMismatch
@@ -70,25 +79,10 @@ def solve_nonneg(a_eq: Sequence[Sequence[Rational]], b_eq: Sequence[Rational]) -
 
     divisor = 1
     while True:
-        enter = -1
-        for j in range(width):  # Bland: smallest eligible index
-            if obj[j] > 0:
-                enter = j
-                break
+        enter = next((j for j in range(width) if obj[j] > 0), -1)  # Bland: smallest eligible index
         if enter < 0:
             break
-        leave = -1
-        for i in range(m):
-            coeff = tableau[i][enter]
-            if coeff > 0:
-                if leave < 0:
-                    leave = i
-                    continue
-                # rhs_i / coeff against rhs_leave / coeff_leave, both coeffs > 0
-                mine = tableau[i][width] * tableau[leave][enter]
-                best = tableau[leave][width] * coeff
-                if mine < best or (mine == best and basis[i] < basis[leave]):
-                    leave = i
+        leave = _leaving_row([row[enter] for row in tableau], [row[width] for row in tableau], basis)
         if leave < 0:
             # unbounded reduced cost cannot happen in phase 1 (objective is
             # bounded below by 0); defensive.
@@ -97,10 +91,8 @@ def solve_nonneg(a_eq: Sequence[Sequence[Rational]], b_eq: Sequence[Rational]) -
         pivot = pivot_row[enter]
         for i in range(m):
             if i != leave:
-                factor = tableau[i][enter]
-                tableau[i] = [(pivot * v - factor * w) // divisor for v, w in zip(tableau[i], pivot_row)]
-        factor = obj[enter]
-        obj = [(pivot * v - factor * w) // divisor for v, w in zip(obj, pivot_row)]
+                tableau[i] = _pivot_step(tableau[i], tableau[i][enter], pivot_row, pivot, divisor)
+        obj = _pivot_step(obj, obj[enter], pivot_row, pivot, divisor)
         divisor = pivot
         basis[leave] = enter
 
@@ -125,25 +117,117 @@ def in_downward_convex_hull(point: Sequence[Rational], generators: Sequence[Sequ
     point and every generator are scaled by one positive factor, so callers
     may pass integer vectors over a common denominator.  Raises
     DimensionMismatch when a generator's length differs from the point's.
-    Exact certificates decide first, in this order, and the simplex the
-    rest: outside when a coordinate, the all-ones vector or the point's
-    positive part scores it above every generator; inside when it lies
-    below one generator or a segment between two (`_below_segment`).
+    Exact certificates decide first, in this order, and the polar LP
+    (`in_hull_by_polar_lp`) the rest: inside when a generator lies at or
+    above the point; outside when a coordinate, the all-ones vector or the
+    point's positive part scores it above every generator; inside when it
+    lies below a segment between two generators (`_below_segment`), tried
+    only for pairs that between them reach the point on every coordinate.
+    A generator below the point is dropped before the segments: once none
+    lies at or above the point, no combination that dominates it needs one.
     """
     if not generators:
         return False
     dims = len(point)
     if any(len(g) != dims for g in generators):
         raise DimensionMismatch(f"a generator's length differs from the point's {dims}")
+    bits, full = [1 << d for d in range(dims)], (1 << dims) - 1
+    covers = []  # per generator, the bit set of coordinates where it is >= the point
+    for g in generators:
+        cover = sum(compress(bits, map(ge, g, point)))
+        if cover == full:
+            return True
+        covers.append(cover)
     direction = [max(v, 0) for v in point]
-    if (any(map(gt, point, map(max, zip(*generators)))) or sum(point) > max(map(sum, generators))
+    if (reduce(or_, covers) != full or sum(point) > max(map(sum, generators))
             or sum(map(mul, direction, point)) > max(sum(map(mul, direction, g)) for g in generators)):
         return False
-    if any(_below_segment(point, g, h) for g, h in combinations_with_replacement(generators, 2)):
+    kept = [(g, cover) for g, cover in zip(generators, covers) if any(map(gt, g, point))]
+    if any(a | b == full and _below_segment(point, g, h) for (g, a), (h, b) in combinations(kept, 2)):
         return True
-    # per dimension d: sum_i lambda_i g_i[d] - slack_d = point[d]; then sum(lambda) = 1
-    rows = [[g[d] for g in generators] + [-int(d == j) for j in range(dims)] for d in range(dims)]
-    return solve_nonneg([*rows, [1] * len(generators) + [0] * dims], [*point, 1]) is not None
+    return in_hull_by_polar_lp(point, [g for g, _ in kept])
+
+
+def in_hull_by_polar_lp(point: Sequence[Rational], generators: Sequence[Sequence[Rational]]) -> bool:
+    """`in_downward_convex_hull` decided by the polar LP alone.
+
+    Translated by their componentwise minimum, the point p and the
+    generators h are >= 0, and membership is unchanged.  Then, by LP
+    duality, p is inside exactly when the gauge
+    gamma(p) = max {p . c : c >= 0, h . c <= 1 for every h} is at most 1; a
+    maximising c with p . c > 1 separates p from the hull.  Over one common
+    denominator the LP has integer data and the same answer, and a
+    coordinate where p is 0 gives c nothing and is left out.  The slack
+    basis at c = 0 is feasible, so there is no phase 1.
+
+    The condensed tableau has a row per generator and the objective row
+    last, a column per coordinate kept and the rhs column last; it is held
+    by columns, as integers over one running divisor.  Bland's rule picks
+    the pivot (`_leaving_row`), and a pivot on p = T[r][s] keeps row r,
+    sets every other column j to (p * column_j - T[r][j] * column_s) //
+    divisor (`_pivot_step`), gives column s the leaving variable's entries
+    (-T[i][s], and the old divisor in row r) and sets the divisor to p.  The
+    run stops as soon as the objective exceeds 1 or is unbounded (outside),
+    or is optimal at most 1 (inside).  No generators leave the point
+    outside.
+    """
+    if not generators:
+        return False
+    vectors = [point, *generators]
+    if not all(type(v) is int for vector in vectors for v in vector):
+        _, vectors = as_integers(vectors)
+    low, point, generators = list(map(min, *vectors)), vectors[0], vectors[1:]
+    columns = [[h[d] - m for h in generators] + [v - m] for d, (v, m) in enumerate(zip(point, low)) if v > m]
+    width, k = len(columns), len(generators)
+    columns.append([1] * k + [0])  # the rhs; its last entry is -(p . c) * divisor
+    nonbasic = list(range(width))  # variables: c_0 .. c_{width-1}, then the slacks
+    basis = list(range(width, width + k))
+    divisor = 1
+    while -columns[width][k] <= divisor:
+        eligible = [(nonbasic[j], j) for j in range(width) if columns[j][k] > 0]
+        if not eligible:
+            return True
+        enter = min(eligible)[1]  # Bland: the eligible variable of smallest index
+        entering = columns[enter]
+        leave = _leaving_row(entering, columns[width], basis)
+        if leave < 0:
+            return False  # the objective grows without bound along c_enter
+        pivot = entering[leave]
+        for j, column in enumerate(columns):
+            if j != enter:
+                entry = column[leave]  # the pivot row keeps its entries
+                columns[j] = _pivot_step(column, entry, entering, pivot, divisor)
+                columns[j][leave] = entry
+        columns[enter] = [-v for v in entering]
+        columns[enter][leave] = divisor
+        divisor = pivot
+        basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
+    return False
+
+
+def _leaving_row(entering: Sequence[int], rhs: Sequence[int], basis: Sequence[int]) -> int:
+    """The ratio test on an integer tableau over a positive divisor: among
+    the constraint rows (one per basis entry) with a positive entry in the
+    entering column, the row of least rhs / entry, ties to the smallest
+    basic variable (Bland); -1 when there is none."""
+    leave = -1
+    for i in range(len(basis)):
+        coeff = entering[i]
+        if coeff > 0:
+            if leave < 0:
+                leave = i
+                continue
+            # rhs_i / coeff against rhs_leave / coeff_leave, both coeffs > 0
+            mine, best = rhs[i] * entering[leave], rhs[leave] * coeff
+            if mine < best or (mine == best and basis[i] < basis[leave]):
+                leave = i
+    return leave
+
+
+def _pivot_step(vector: Sequence[int], factor: int, other: Sequence[int], pivot: int, divisor: int) -> list[int]:
+    """(pivot * vector - factor * other) // divisor, entry by entry: one
+    row (or column) of a fraction-free pivot, which divides exactly."""
+    return [(pivot * v - factor * w) // divisor for v, w in zip(vector, other)]
 
 
 def _below_segment(point: Sequence[Rational], g: Sequence[Rational], h: Sequence[Rational]) -> bool:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import ge, mul
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from .errors import (
@@ -26,7 +27,7 @@ from .errors import (
     UndefinedUpdate,
 )
 from .linfeas import in_downward_convex_hull
-from .rational import IntVector, exact, format_rational, over_common
+from .rational import IntVector, as_integers, exact, format_rational, over_common
 
 Rational = Union[Fraction, int, str]
 
@@ -200,10 +201,20 @@ def is_null(event: EventLike, wset: WeightedMeasureSet) -> bool:
     return not any(m._mass(event) and w for m, w in wset.entries)
 
 
+def _likelihoods(wset: WeightedMeasureSet, event: Event) -> tuple[int, list[int], list[int]]:
+    """(D, masses, likelihoods): per entry, the event's probability times
+    the measure's denominator, and weight * probability as an int over D,
+    the LCM of the weight-times-measure denominators."""
+    masses = [m._mass(event) for m, _ in wset.entries]
+    common = lcm(*[w.denominator * m.denominator for m, w in wset.entries])
+    pairs = zip(wset.entries, masses)
+    return common, masses, [w.numerator * n * (common // (w.denominator * m.denominator)) for (m, w), n in pairs]
+
+
 def upper_likelihood(wset: WeightedMeasureSet, event: EventLike) -> Fraction:
     """Largest weight-scaled probability of the event across the set."""
-    event = as_event(event)
-    return max(w * m.event_prob(event) for m, w in wset.entries)
+    common, _, likelihoods = _likelihoods(wset, as_event(event))
+    return Fraction(max(likelihoods), common)
 
 
 def likelihood_update(wset: WeightedMeasureSet, event: EventLike) -> WeightedMeasureSet:
@@ -215,10 +226,7 @@ def likelihood_update(wset: WeightedMeasureSet, event: EventLike) -> WeightedMea
     dropped; the result is normalized as built (its largest weight is 1).
     """
     event = as_event(event)
-    masses = [m._mass(event) for m, _ in wset.entries]
-    common = lcm(*[w.denominator * m.denominator for m, w in wset.entries])
-    pairs = zip(wset.entries, masses)
-    likelihoods = [w.numerator * n * (common // (w.denominator * m.denominator)) for (m, w), n in pairs]
+    _, masses, likelihoods = _likelihoods(wset, event)
     top = max(likelihoods)
     if top == 0:
         raise UndefinedUpdate("update undefined: the event has upper likelihood 0")
@@ -315,18 +323,20 @@ def to_hull(wset: WeightedMeasureSet) -> RegularHull:
     that another dominates componentwise is dropped: a dominator has the
     larger total, so a sweep by descending total compares each point with
     the maximal points found so far.  A maximal point is dropped when
-    `in_downward_convex_hull` (outside by a direction, inside below one or
-    two others, then the simplex) puts it in the hull of the others kept.
-    Dropping such a point never shrinks the hull, so in any
-    order the kept points are exactly those outside the downward-convex
-    hull of all the other points, the vertices of the downward hull that
-    no other point reaches.  They become the generators, ascending.
+    `in_downward_convex_hull` (outside by a direction, inside below a
+    segment between two others, then the polar LP, all on the ints) puts
+    it in the hull of the others kept.  Dropping such a point never
+    shrinks the hull, so in any order the kept points are exactly those
+    outside the downward-convex hull of all the other points, the vertices
+    of the downward hull that no other point reaches.  They become the
+    generators, ascending.  Since MWER preferences fix a weighted set only
+    up to this hull, two sets with equal hulls rank every menu alike.
     """
     order = tuple(sorted(wset.state_space))
     denominator, rows = weighted_rows([(w, m) for m, w in wset.entries])
     maximal: list[tuple[int, ...]] = []
     for v in sorted(set(rows), key=lambda v: (-sum(v), v)):
-        if not any(all(a >= b for a, b in zip(u, v)) for u in maximal):
+        if not any(all(map(ge, u, v)) for u in maximal):
             maximal.append(v)
     kept = list(maximal)
     for g in maximal:
@@ -340,7 +350,8 @@ def support_value(hull: RegularHull, direction: Mapping[str, Rational]) -> Fract
     """Maximum inner product with a nonnegative direction.
 
     For nonnegative directions the maximum over the downward-convex closure
-    is attained at a generator, so no optimization is needed.
+    is attained at a generator, so no optimization is needed.  The
+    generators and the direction are read as ints over common denominators.
     """
     converted = {s: exact(v, "direction component", s) for s, v in direction.items()}
     if set(converted) != set(hull.state_space):
@@ -348,7 +359,9 @@ def support_value(hull: RegularHull, direction: Mapping[str, Rational]) -> Fract
     for state, v in converted.items():
         if v < 0:
             raise NegativeDirection(f"direction component for {state!r} is negative")
-    return max(g.dot(converted) for g in hull.generators)
+    scale, (weights,) = as_integers([[converted[s] for s in hull.generators[0].keys]])
+    common, rows = over_common(hull.generators)
+    return Fraction(max(sum(map(mul, row, weights)) for row in rows), common * scale)
 
 
 def hull_equal(first: RegularHull, second: RegularHull) -> bool:
@@ -359,8 +372,9 @@ def hull_equal(first: RegularHull, second: RegularHull) -> bool:
     downward closed, so containing a hull's generators means containing the
     hull, and the generators need no pruning first.  A generator that is
     also one of the other hull's is contained; `in_downward_convex_hull`
-    decides the rest (outside by a direction, inside below one or two
-    generators, then the simplex).
+    decides the rest on the generators' ints (inside at or below one
+    generator or below a segment between two, outside by a direction, then
+    the polar LP), so the test builds no `Fraction`.
     """
     if sorted(first.state_space) != sorted(second.state_space):
         raise DimensionMismatch("hulls are defined over different state spaces")

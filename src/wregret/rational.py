@@ -9,7 +9,7 @@ type: ints, Fractions and strings pass, and a float raises TypeError.
 Inside the core a rational vector is ints over one denominator: `IntVector`
 (measures, lotteries, utility tables, hull generators) holds them reduced,
 `over_common` puts such vectors over one LCM, and `as_integers` puts rows of
-`Fraction`s over one, for the rule kernels and the simplex.
+`Fraction`s over one, for the rule kernels and the LPs of `linfeas`.
 """
 
 from __future__ import annotations

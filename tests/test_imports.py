@@ -70,6 +70,7 @@ UNREFERENCED_BUT_KEPT = {
     "learning.es_update": "README, `wregret.learning` row: threshold (relative-likelihood) updating",
     "fixtures.fixture_path": "README, CLI examples: `f.fixture_path('delivery.dp')` locates the fixtures",
     "fixtures.fixture_text": "README, `wregret.fixtures` row: bundled example problems",
+    "linfeas.solve_nonneg": "perfbench/tracing.py `TARGETS` wraps it; ROADMAP item 1's tracer change drops it",
 }
 
 

@@ -145,6 +145,14 @@ class TestObservationModel:
         with pytest.raises(TypeError, match=f"hypothesis 'c': likelihood {heads} for outcome 'h' is not an int"):
             ObservationModel(("h", "t"), {"c": {"h": heads, "t": 1 - heads}}, "c")
 
+    def test_string_likelihoods_simulate_as_their_fractions(self):
+        # the model accepts rational strings, so the simulator reads them too
+        model, probe, prior = binary_ingredients()
+        text = {"mostly_good": {"good": "9/10", "bad": "0.1"}, "coin": {"good": "1/2", "bad": ".5"}}
+        as_text = ObservationModel(model.outcomes, text, model.truth)
+        for seed in (0, 7):
+            assert simulate(as_text, prior, probe, 60, seed) == simulate(model, prior, probe, 60, seed)
+
     def test_rounding_fallback_draws_an_outcome_the_truth_can_produce(self, monkeypatch):
         # 7/10 + 2/10 + 1/10 sums to the largest float below 1.0 in floats, so
         # a draw of that float is not below any threshold; it must not land

@@ -1,7 +1,7 @@
 """The exact feasibility solver, verified against its own certificates and
 against the Fraction simplex kept in `linfeas_reference`; hull membership,
-which tries integer certificates before the simplex, against the simplex
-alone."""
+which tries integer certificates before the polar LP, against the polar LP
+alone and against the Fraction simplex."""
 
 import random
 from collections import Counter
@@ -301,23 +301,23 @@ def membership_case(rng: random.Random):
 
 
 def test_membership_certificates_match_the_simplex(monkeypatch):
-    """The certificate-first answer on 5,000 seeded cases equals the
-    library's simplex alone on the same system, and on every tenth case
-    the Fraction simplex's; every certificate and both simplex answers
+    """The certificate-first answer on 5,000 seeded cases equals the polar
+    LP's alone on the same point and generators, and on every tenth case
+    the Fraction simplex's; every certificate and both polar LP answers
     occur."""
     rng = random.Random(18)
-    solve, calls = linfeas.solve_nonneg, []
-    monkeypatch.setattr(linfeas, "solve_nonneg", lambda *a: calls.append(1) or solve(*a))
+    polar, calls = linfeas.in_hull_by_polar_lp, []
+    monkeypatch.setattr(linfeas, "in_hull_by_polar_lp", lambda *a: calls.append(1) or polar(*a))
     seen = Counter()
     for i in range(5000):
         point, gens = membership_case(rng)
         before = len(calls)
         got = in_downward_convex_hull(point, gens)
-        assert got == (solve(*reference.hull_system(point, gens)) is not None), (point, gens)
+        assert got == polar(point, gens), (point, gens)
         if i % 10 == 0:
             assert got == reference.in_downward_convex_hull(point, gens), (point, gens)
         if len(calls) > before:
-            seen["simplex: inside" if got else "simplex: outside"] += 1
+            seen["polar LP: inside" if got else "polar LP: outside"] += 1
         elif not got:
             seen["outside by a direction"] += 1
         elif any(all(p <= v for p, v in zip(point, g)) for g in gens):
@@ -325,6 +325,65 @@ def test_membership_certificates_match_the_simplex(monkeypatch):
         else:
             seen["below a segment"] += 1
     assert len(seen) == 5 and min(seen.values()) >= 50, seen
+
+
+def differential_case(rng: random.Random):
+    """A point and 1-6 generators in 1-12 dimensions (1-3 in 97% of the
+    cases, since the Fraction simplex's cost grows fast with the dimension),
+    with small entries so that ratios and coordinates tie often.  Now and then a generator is the
+    zero vector or a copy of another, entries are negative (in the point
+    or a generator), the point is a convex combination of generators moved
+    by at most one unit per coordinate, or every entry is scaled by a
+    factor above 2**64 (as ints, or as Fractions over a large
+    denominator).  A case whose entries are all whole is given as ints, the
+    form the hull's callers pass; the rest mix Fractions and ints."""
+    dims = rng.choice((1, 1, 2, 2, 3)) if rng.random() < 0.97 else rng.randint(4, 12)
+    k = rng.randint(1, 6)
+    low = -2 if rng.random() < 0.3 else 0
+
+    def vector():
+        return [rng.randint(low, 3) for _ in range(dims)]
+
+    gens = [vector() for _ in range(k)]
+    for _ in range(rng.randint(0, 2)):
+        gens[rng.randrange(k)] = list(rng.choice(gens)) if rng.random() < 0.5 else [0] * dims
+    if rng.random() < 0.5:
+        weights = [rng.randint(0, 2) for _ in gens]
+        weights[rng.randrange(k)] += 1
+        total = sum(weights)
+        point = [F(sum(w * g[d] for w, g in zip(weights, gens)), total) + rng.randint(-1, 1) for d in range(dims)]
+    else:
+        point = [F(v) for v in vector()]
+    if rng.random() < 0.2:
+        point[rng.randrange(dims)] -= rng.randint(1, 3)
+    if rng.random() < 0.2:
+        scale = F(2**64 + rng.randint(1, 2**40), rng.choice((1, 1, 3**41)))
+        point, gens = [v * scale for v in point], [[v * scale for v in g] for g in gens]
+    if all(F(v).denominator == 1 for v in [*point, *(v for g in gens for v in g)]):
+        point, gens = [int(v) for v in point], [[int(v) for v in g] for g in gens]
+    return point, gens
+
+
+def test_membership_matches_the_fraction_simplex_on_a_differential_corpus():
+    """On 20,000 seeded cases (`differential_case`) the library's membership
+    and the polar LP alone equal the Fraction simplex of `linfeas_reference`;
+    both answers and every kind of input occur at least 50 times."""
+    rng = random.Random(24)
+    seen = Counter()
+    for _ in range(20000):
+        point, gens = differential_case(rng)
+        expected = reference.in_downward_convex_hull(point, gens)
+        assert in_downward_convex_hull(point, gens) == expected, (point, gens)
+        assert linfeas.in_hull_by_polar_lp(point, gens) == expected, (point, gens)
+        seen["inside" if expected else "outside"] += 1
+        seen["dims 12"] += len(point) == 12
+        seen["dims 4-11"] += 4 <= len(point) < 12
+        seen["zero generator"] += any(not any(g) for g in gens)
+        seen["duplicate generator"] += len({tuple(g) for g in gens}) < len(gens)
+        seen["negative generator entry"] += any(v < 0 for g in gens for v in g)
+        seen["negative point coordinate"] += any(v < 0 for v in point)
+        seen["entry above 2**64"] += any(abs(v) > 2**64 for v in point)
+    assert len(seen) == 9 and min(seen.values()) >= 50, seen
 
 
 def segment_set(rng: random.Random):

@@ -463,39 +463,78 @@ class TestFractionBudget:
             per_entry.append(F(built[0], 32))
         assert per_entry[0] == per_entry[1] <= 3, per_entry
 
+    def test_support_and_upper_likelihood_compute_on_ints(self, monkeypatch):
+        # seeded sets and hulls over 2-6 states, with directions of ints,
+        # Fractions and rational strings and events of every size: both
+        # equal their Fraction formulas, and each builds one Fraction (for
+        # its result) when the direction's components are Fractions already
+        rng = random.Random(24)
+        original = Fraction.__new__
+        built = [0]
+
+        def counting_new(cls, *args, **kwargs):
+            built[0] += 1
+            return original(cls, *args, **kwargs)
+
+        for _ in range(200):
+            states = tuple(f"s{i}" for i in range(rng.randint(2, 6)))
+            wset = WeightedMeasureSet(
+                [(random_measure(rng, states, rng.choice((2, 7, 12))), F(rng.randint(0, 9), 9))
+                 for _ in range(rng.randint(1, 12))],
+                states,
+            )
+            event = Event(s for s in states if rng.random() < 0.5)
+            expected = max(w * sum((p for s, p in m.items() if s in event), F(0)) for m, w in wset.entries)
+            hull = RegularHull(
+                [SubProbabilityVector({s: w * m[s] for s in states}) for m, w in wset.entries]
+                + [SubProbabilityVector(dict(point_mass(states[0], states).items()))],
+                states,
+            )
+            direction = {s: F(rng.randint(0, 12), rng.randint(1, 12)) for s in states}
+            best = max(sum((v * direction[s] for s, v in g.items()), F(0)) for g in hull.generators)
+            mixed = {s: rng.choice((v, str(v), int(v) if v.denominator == 1 else v)) for s, v in direction.items()}
+            assert support_value(hull, mixed) == best
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+            built[0] = 0
+            got = (upper_likelihood(wset, event), support_value(hull, direction))
+            counted = built[0]
+            monkeypatch.undo()
+            assert got == (expected, best)
+            assert counted == 2
+
     def test_the_hull_builds_fractions_only_in_the_simplex(self, monkeypatch):
         # the benchmark's hull op on ten 32-measure, 3-state sets: the
-        # generators are ints, so what is left is the simplex's certificates
-        # (normalize divides no weight: each set's top weight is already 1);
-        # membership calls the simplex only for what its integer
-        # certificates leave open
+        # generators are ints (normalize divides no weight: each set's top
+        # weight is already 1), membership calls the polar LP only for what
+        # its integer certificates leave open, and the polar LP pivots on
+        # ints and returns no certificate, so no Fraction is built at all
         rng = random.Random(35)
         sets = [
             WeightedMeasureSet([(random_measure(rng, ABC), F(rng.randint(1, 8), 8)) for _ in range(32)], ABC)
             for _ in range(10)
         ]
-        original, solve = Fraction.__new__, linfeas.solve_nonneg
-        built = {"simplex": 0, "other": 0, "solve_nonneg calls": 0}
+        original, polar = Fraction.__new__, linfeas.in_hull_by_polar_lp
+        built = {"polar LP": 0, "other": 0, "polar LP calls": 0}
         where = ["other"]
 
         def counting_new(cls, *args, **kwargs):
             built[where[0]] += 1
             return original(cls, *args, **kwargs)
 
-        def counted_solve(*args):
-            built["solve_nonneg calls"] += 1
-            where[0] = "simplex"
+        def counted_polar(*args):
+            built["polar LP calls"] += 1
+            where[0] = "polar LP"
             try:
-                return solve(*args)
+                return polar(*args)
             finally:
                 where[0] = "other"
 
-        monkeypatch.setattr(linfeas, "solve_nonneg", counted_solve)
+        monkeypatch.setattr(linfeas, "in_hull_by_polar_lp", counted_polar)
         monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
         for wset in sets:
             assert hull_equal(to_hull(wset), to_hull(normalize(wset)))
         monkeypatch.undo()
-        assert built == {"simplex": 88, "other": 0, "solve_nonneg calls": 58}
+        assert built == {"polar LP": 0, "other": 0, "polar LP calls": 58}
 
 
 class TestSequentialUpdate:
@@ -595,12 +634,12 @@ class TestHull:
 
 
 def count_membership_lps(monkeypatch) -> list:
-    """Patch the simplex that hull membership falls back on (linfeas's
-    solve_nonneg, called by in_downward_convex_hull when its certificates
-    leave a point open) to log each call."""
+    """Patch the LP that hull membership falls back on (linfeas's
+    in_hull_by_polar_lp, called by in_downward_convex_hull when its
+    certificates leave a point open) to log each call."""
     calls = []
-    solve = linfeas.solve_nonneg
-    monkeypatch.setattr(linfeas, "solve_nonneg", lambda *a: calls.append(a) or solve(*a))
+    polar = linfeas.in_hull_by_polar_lp
+    monkeypatch.setattr(linfeas, "in_hull_by_polar_lp", lambda *a: calls.append(a) or polar(*a))
     return calls
 
 
@@ -681,8 +720,8 @@ class TestHullEqual:
 
         hull = to_hull(random_wset(random.Random(21), ("x", "y", "z"), 6))
         calls = []
-        solve = linfeas.solve_nonneg
-        monkeypatch.setattr(linfeas, "solve_nonneg", lambda *a: calls.append(1) or solve(*a))
+        polar = linfeas.in_hull_by_polar_lp
+        monkeypatch.setattr(linfeas, "in_hull_by_polar_lp", lambda *a: calls.append(1) or polar(*a))
         assert hull_equal(hull, hull) and calls == []
         grown = RegularHull([*hull.generators, spv(x=0, y=0, z=0)], hull.state_space)
         assert hull_equal(hull, grown) and calls == []
