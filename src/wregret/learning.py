@@ -7,14 +7,15 @@ coincides with a single update on the full history event, so the worst-case
 weighted regret ranking of a probe menu converges to the expected-utility
 ranking under the true hypothesis as its weight approaches one.  Likelihood
 products are accumulated in log space (500-round products underflow);
-everything outside the simulation loop stays exact.  A probe's float tables
-(expected regret per act, expected-utility groups) are built from the exact
-scores once per `Probe` and hypothesis; a run builds its draw thresholds and
-per-outcome log-likelihoods once, and each round then does only float
-arithmetic and regroups the acts only when its scores break the previous
-round's ranking.  The model, trajectories, rows and summaries are immutable
-records (`records.record`), and the model checks its likelihoods when built;
-a `Probe` is a `records.Frozen` that keeps the tables it builds lazily.
+everything outside `simulate` stays exact.  A probe's float tables (expected
+regret per act, expected-utility groups) are built from the exact scores
+once per `Probe` and hypothesis.  A run draws all its outcomes, then builds
+its log-weight, weight and score columns in whole-round passes with the float
+operations, in order, of a round-by-round loop; only the ranking check runs
+per round, and it regroups the acts only when a round's scores break the
+previous round's ranking.  The model, trajectories, rows and summaries are
+immutable records (`records.record`), and the model checks its likelihoods
+when built; a `Probe` is a `records.Frozen` keeping the tables it builds lazily.
 
 `es_update` implements the threshold alternative: condition every measure,
 then eliminate those whose relative likelihood does not exceed a cutoff.
@@ -27,7 +28,7 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate
-from operator import add, mul
+from operator import add, mul, sub
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -178,9 +179,13 @@ class Trajectory:
         return f"{self.csv_header()}\n" + "".join(self.csv_lines())
 
 
-def _scores(regret_rows, weights: Sequence[float]) -> list[float]:
-    """Each act's worst weighted expected regret."""
-    return [max(map(mul, weights, regrets)) for regrets in regret_rows]
+def _log(p: float) -> float:
+    return math.log(p) if p > 0 else _NEG_INF
+
+
+def _roundwise_max(columns: Sequence[Iterable[float]]) -> Iterable[float]:
+    """Each round's maximum over the columns, taken in column order."""
+    return map(max, *columns) if len(columns) > 1 else columns[0]
 
 
 def _keeps_ranking(scores: Sequence[float], steps: Iterable[tuple[int, int, bool]]) -> bool:
@@ -207,12 +212,14 @@ def simulate(
 
     Row 0 records the prior state before any observation.  Weights follow the
     multiplicative likelihood update with per-round renormalization, which
-    for an i.i.d. model equals a single update on the whole history.  Every
-    table the rounds read is built before the first one.  A round whose
-    scores keep the previous round's ranking (equal within each group,
-    strictly increasing from group to group) keeps it, checked in one
-    comparison per adjacent pair of acts; `group_ties` runs only when the
-    ranking changes.
+    for an i.i.d. model equals a single update on the whole history.  The
+    run is built by columns: all draws, then each hypothesis's log weights
+    and weights (0.0 in a round where every hypothesis is dead), then each
+    act's scores, in the float operations and order of a per-round loop.
+    A round whose scores keep the previous round's ranking (equal within
+    each group, strictly increasing from group to group) keeps it, checked
+    in one comparison per adjacent pair of acts; `group_ties` runs only when
+    the ranking changes.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
@@ -234,32 +241,33 @@ def simulate(
     # last outcome the truth can produce
     thresholds = tuple(accumulate(float(truth[o]) for o in model.outcomes))
     landing = (*model.outcomes, [o for o in model.outcomes if truth[o] > 0][-1])
-    log_likelihoods = {
-        o: tuple(math.log(p) if (p := float(likelihoods[h][o])) > 0 else _NEG_INF for h in hypotheses)
-        for o in model.outcomes
-    }
-    log_weights = [math.log(p) if (p := float(prior[h])) > 0 else _NEG_INF for h in hypotheses]
     random_draw = random.Random(seed).random
-    exp = math.exp
+    drawn = [landing[bisect_right(thresholds, random_draw())] for _ in range(rounds)]
+    # one log-weight column per hypothesis, summed left to right as the rounds go
+    log_weights = []
+    for h in hypotheses:
+        log_of = {o: _log(float(p)) for o, p in likelihoods[h].items()}
+        increments = map(log_of.__getitem__, drawn)
+        log_weights.append(list(accumulate(increments, add, initial=_log(float(prior[h])))))
+    tops = list(_roundwise_max(log_weights))
+    if tops[-1] == _NEG_INF:  # every weight is dead from some round on: exp(-inf - 0.0) is 0.0
+        tops = [top if top != _NEG_INF else 0.0 for top in tops]
+    weights = [list(map(math.exp, map(sub, column, tops))) for column in log_weights]
+    # each act's worst weighted expected regret, products and maxima in hypothesis order
+    scores = [
+        _roundwise_max([map(regret.__mul__, column) for regret, column in zip(regrets, weights)])
+        for regrets in regret_rows
+    ]
     position = {name: i for i, name in enumerate(acts)}
     ranking, steps = None, ()
-    weight_column, ranking_column, outcome_column = [], [], []
-    outcome = None
-    for round_index in range(rounds + 1):
-        if round_index:
-            outcome = landing[bisect_right(thresholds, random_draw())]
-            log_weights = list(map(add, log_weights, log_likelihoods[outcome]))
-        top = max(log_weights)
-        weights = tuple([exp(lw - top) if lw != _NEG_INF else 0.0 for lw in log_weights])
-        scores = _scores(regret_rows, weights)
-        if ranking is None or not _keeps_ranking(scores, steps):
-            groups = group_ties(dict(zip(acts, scores)), lower_is_better=True)
+    ranking_column = []
+    for row in zip(*scores):
+        if ranking is None or not _keeps_ranking(row, steps):
+            groups = group_ties(dict(zip(acts, row)), lower_is_better=True)
             ranking = (groups, groups == truth_groups)
             order = [position[name] for group in groups for name in group]
-            steps = tuple((i, j, scores[i] == scores[j]) for i, j in zip(order, order[1:]))
-        weight_column.append(weights)
+            steps = tuple((i, j, row[i] == row[j]) for i, j in zip(order, order[1:]))
         ranking_column.append(ranking)
-        outcome_column.append(outcome)
     return Trajectory(
         seed=seed,
         rounds=rounds,
@@ -267,9 +275,9 @@ def simulate(
         truth=model.truth,
         hypotheses=hypotheses,
         truth_seu_groups=truth_groups,
-        weights=tuple(weight_column),
+        weights=tuple(zip(*weights)),
         rankings=tuple(ranking_column),
-        outcomes=tuple(outcome_column),
+        outcomes=(None, *drawn),
     )
 
 
@@ -359,23 +367,25 @@ def compare_updaters(
     # mer over the kept hypotheses is mwer with 0/1 weights, since a dropped
     # one's zero term never exceeds a nonnegative expected regret; both
     # rankings depend only on which hypotheses are kept, so each kept set is
-    # ranked once, under a key no dearer to build than its 0/1 weights
+    # ranked once, keyed by its kept flags, which are its 0/1 weights
     kept_groups: dict[tuple[bool, ...], Groups] = {}
 
     def groups_keeping(kept: tuple[bool, ...]) -> Groups:
         groups = kept_groups.get(kept)
         if groups is None:
-            scores = _scores(regret_rows, [float(k) for k in kept])
+            scores = [max(map(mul, kept, regrets)) for regrets in regret_rows]
             groups = kept_groups[kept] = group_ties(dict(zip(acts, scores)), lower_is_better=True)
         return groups
 
     counts = [[0, 0, 0, 0] for _ in range(rounds + 1)]
     for seed in seeds:
         trajectory = simulate(model, prior, probe, rounds, seed)
-        columns = zip(counts, trajectory.weights, trajectory.rankings)
-        for count, weights, (mwer_groups, _) in columns:
-            mer_groups = groups_keeping(tuple([w > 0 for w in weights]))
-            es_groups = groups_keeping(tuple([w > thr for w in weights]))
+        weights = tuple(zip(*trajectory.weights))  # one column per hypothesis
+        # per round, which hypotheses each updater keeps: w > 0, then w > thr
+        keys = (zip(*[map(cut.__lt__, column) for column in weights]) for cut in (0.0, thr))
+        for count, (mwer_groups, _), mer, es in zip(counts, trajectory.rankings, *keys):
+            mer_groups = groups_keeping(mer)
+            es_groups = groups_keeping(es)
             a = mwer_groups == mer_groups
             b = mwer_groups == es_groups
             c = mer_groups == es_groups

@@ -1,8 +1,9 @@
 """The straightforward simulator loop, kept as the reference.
 
-`wregret.learning.simulate` builds its float tables once per probe, holds
-weights in tuples and regroups the acts only when a round's scores break
-the previous round's ranking.
+`wregret.learning.simulate` builds its float tables once per probe,
+computes each seed's log weights, weights and scores a column at a time
+and regroups the acts only when a round's scores break the previous
+round's ranking.
 This loop does the plain thing every round instead: a weight dict, a score
 dict and a fresh `group_ties` call.  Both do the same float operations in
 the same order, so they must agree exactly: every row's round, weights

@@ -309,6 +309,11 @@ class TestSimulateCommand:
                 ("--truth", "coin", "--rounds", "500", "--seeds", "100", "--seed", "0"),
                 "bc32525b0af536b36c40fd20063e81656e86ce72",
             ),
+            (
+                # long horizon: the coin's exp underflows to 0.0
+                ("--truth", "coin", "--rounds", "2000", "--seeds", "4", "--seed", "41"),
+                "e53c24f216f251f82b403e89e3823a303c1e455f",
+            ),
         ],
     )
     def test_trajectories_and_comparisons_are_pinned(self, capsys, argv, digest):

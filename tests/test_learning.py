@@ -248,6 +248,63 @@ def _mirror_case():
     return model, probe, {"h1": 1, "h2": 1}
 
 
+def _sure(prize: str) -> Lottery:
+    return Lottery({prize: 1})
+
+
+def _ladder_case():
+    """Two mirrored hypotheses under a fair truth, whose weight ratio walks
+    by factors of 2, and 21 acts whose rankings cross between every two
+    adjacent ratios from 2**-10 to 2**10: the ranking changes in most rounds.
+
+    The truth never draws `u` or `v`; their likelihood ratio of 1024 only
+    widens the range of ratios over which expected regrets cross.  Act `b`
+    loses 1 on `u` and each rung `aNN` loses 3 * 2**(m - 1) on `v`, so `b`
+    and rung m swap when the ratio passes 1.5 * 2**m.
+    """
+    c = F(1, 4100)
+    dists = {
+        "fair": {"x": F(1, 2), "y": F(1, 2), "u": F(0), "v": F(0)},
+        "h1": {"x": F(1, 2), "y": F(1, 4), "u": 1024 * c, "v": c},
+        "h2": {"x": F(1, 4), "y": F(1, 2), "u": c, "v": 1024 * c},
+    }
+    rungs = range(20)  # m = rung - 10
+    u = UtilitySpec({"zero": 0, "loss": -1, **{f"r{k}": -3 * F(2) ** (k - 11) for k in rungs}})
+    flat = {o: _sure("zero") for o in ("x", "y", "u", "v")}
+    acts = [Act("b", {**flat, "u": _sure("loss")})]
+    acts += [Act(f"a{k:02d}", {**flat, "v": _sure(f"r{k}")}) for k in rungs]
+    model = ObservationModel(("x", "y", "u", "v"), dists, "fair")
+    probe = Probe(Menu(acts), u, {h: Measure(d) for h, d in dists.items()})
+    return model, probe, {"fair": 0, "h1": 1, "h2": 1}
+
+
+def _all_dead_case():
+    """A truth of prior weight 0 beside two hypotheses that each rule out
+    one of its outcomes: once both outcomes are drawn, every log weight is
+    -inf, and every weight must read 0.0."""
+    u = UtilitySpec({"hi": 1, "lo": 0})
+    up = Act("up", {"x": _sure("hi"), "y": _sure("lo")})
+    down = Act("down", {"x": _sure("lo"), "y": _sure("hi")})
+    dists = {
+        "fair": {"x": F(1, 2), "y": F(1, 2)},
+        "only_x": {"x": F(1), "y": F(0)},
+        "only_y": {"x": F(0), "y": F(1)},
+    }
+    model = ObservationModel(("x", "y"), dists, "fair")
+    probe = Probe(Menu([up, down]), u, {h: Measure(d) for h, d in dists.items()})
+    return model, probe, {"fair": 0, "only_x": 1, "only_y": F(1, 2)}
+
+
+def _one_hypothesis_case():
+    """A single hypothesis: one weight column, and no maximum across columns."""
+    u = UtilitySpec({"hi": 1, "lo": 0})
+    up = Act("up", {"x": _sure("hi"), "y": _sure("lo")})
+    down = Act("down", {"x": _sure("lo"), "y": _sure("hi")})
+    dist = {"x": F(2, 3), "y": F(1, 3)}
+    model = ObservationModel(("x", "y"), {"h": dist}, "h")
+    return model, Probe(Menu([up, down]), u, {"h": Measure(dist)}), {"h": 1}
+
+
 def _random_case(rng: random.Random):
     """2-4 hypotheses over 2-3 outcomes, some probabilities and prior weights
     zero, and a probe of 2-5 acts, some identical up to their names."""
@@ -278,6 +335,7 @@ def _corpus():
     cases = [_learning_fixture("mostly_good"), _learning_fixture("coin"), _mirror_case()]
     rng = random.Random(909)
     cases += [_random_case(rng) for _ in range(24)]
+    cases += [_ladder_case(), _all_dead_case(), _one_hypothesis_case()]
     return cases
 
 
@@ -301,6 +359,20 @@ class TestAgainstReference:
             len({tuple(a.utility_profile(p.utility).values()) for a in p.menu}) < len(p.menu)
             for p in probes
         )
+        assert any(len(m.hypotheses) == 1 for m in models)
+        assert any(len(p.menu) >= 20 for p in probes)
+        runs = [
+            reference.simulate(model, prior, probe, 120, seed)
+            for model, probe, prior in self.CORPUS
+            for seed in range(3)
+        ]
+        # the ranking changes in at least a quarter of the rounds of some run
+        assert any(
+            sum(a.mwer_groups != b.mwer_groups for a, b in zip(rows, rows[1:])) >= 30
+            for rows in runs
+        )
+        # every hypothesis is dead (log weight -inf) in some round
+        assert any(not any(row.weights.values()) for rows in runs for row in rows)
 
     @pytest.mark.parametrize("case", range(len(CORPUS)))
     def test_rows_are_identical(self, case):
@@ -310,6 +382,23 @@ class TestAgainstReference:
             want = reference.simulate(model, prior, probe, 120, seed)
             assert [_fields(row) for row in got.rows] == [_fields(row) for row in want]
             assert got.truth_seu_groups == reference._truth_seu_groups(probe, model.truth)
+
+    @pytest.mark.parametrize("case", range(len(CORPUS)))
+    def test_groups_only_when_the_ranking_changes(self, case, monkeypatch):
+        model, probe, prior = self.CORPUS[case]
+        simulate(model, prior, probe, 2, 0)  # a fresh probe groups its seu scores too
+        calls = []
+        original = learning.group_ties
+
+        def counting_group_ties(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(learning, "group_ties", counting_group_ties)
+        for seed in range(3):
+            calls.clear()
+            rankings = simulate(model, prior, probe, 120, seed).rankings
+            assert len(calls) == 1 + sum(a != b for a, b in zip(rankings, rankings[1:]))
 
     @pytest.mark.parametrize("case", range(len(CORPUS)))
     def test_comparison_summaries_are_identical(self, case):
