@@ -194,18 +194,9 @@ def _cmd_simulate(args) -> int:
         menu = next(iter(doc.menus.values()))
     else:
         menu = _lookup(doc.menus, args.menu, "menu")
-    model = ObservationModel(
-        outcomes=tuple(doc.states),
-        likelihoods={
-            name: dict(measure.items()) for name, (measure, _) in doc.hypotheses.items()
-        },
-        truth=args.truth,
-    )
-    probe = Probe(
-        menu=menu,
-        utility=doc.utility,
-        measures={name: measure for name, (measure, _) in doc.hypotheses.items()},
-    )
+    measures = {name: measure for name, (measure, _) in doc.hypotheses.items()}
+    model = ObservationModel(outcomes=tuple(doc.states), likelihoods=measures, truth=args.truth)
+    probe = Probe(menu=menu, utility=doc.utility, measures=measures)
     prior = {name: weight for name, (_, weight) in doc.hypotheses.items()}
     seeds = list(range(args.seed, args.seed + args.seeds))
     if threshold is not None:

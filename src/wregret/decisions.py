@@ -473,8 +473,8 @@ class PreferenceOracle:
     alive), else by equality; a list is copied, so it is not reused.
     `profiles` gives members' int profiles and the best from that conversion,
     and `sign` compares two int profiles against a per-state best, so a
-    derived menu such as a mixture needs no alternatives.  `score` and
-    `compare` answer for the acts of a `Menu`.
+    derived menu such as a mixture needs no alternatives.  `score` answers
+    for an act of a `Menu`.
 
     A subclass that overrides `prefers` must override `sign` in the same
     class, to agree with it, as the mixture judges of `axioms` compare
@@ -592,12 +592,6 @@ class PreferenceOracle:
         """The rule's score of a menu act."""
         alternatives = self.alternatives(menu)
         return self.rate(alternatives[_position(menu.acts, act)], alternatives)
-
-    def compare(self, f: Act, g: Act, menu: Menu) -> int:
-        """+1 if f is strictly preferred to g in the menu, -1 if dispreferred, 0 if indifferent."""
-        alternatives = self.alternatives(menu)
-        i, j = _position(menu.acts, f), _position(menu.acts, g)
-        return self.prefers(alternatives[i], alternatives[j], alternatives)
 
 
 # -- ranking -------------------------------------------------------------------

@@ -29,7 +29,7 @@ from math import lcm
 from operator import add
 from typing import Callable, Optional, Sequence, Union
 
-from .decisions import Act, Alternative, Lottery, Menu, PreferenceOracle, Profile, UtilitySpec
+from .decisions import Act, Alternative, Lottery, Menu, PreferenceOracle, UtilitySpec
 from .errors import MalformedTree, NullEvent, NullEventAtNode
 from .measures import Event, EventLike, WeightedMeasureSet, as_event, is_null, likelihood_update, normalize
 from .rational import format_rational
@@ -139,12 +139,10 @@ class DecisionTree:
 
 @record
 class Plan:
-    """A strategy: one branch per reachable decision node, seen as its utility
-    profile (one utility per state, in sorted state order)."""
+    """A strategy: one branch per reachable decision node."""
 
     name: str
     choices: tuple[tuple[str, str], ...]
-    profile: Profile
 
 
 # a decision node's name -> (its depth, its live states in sorted order, its
@@ -206,23 +204,22 @@ def _walk(
 
 
 def enumerate_plans(tree: DecisionTree, state_space: Sequence[str], u: UtilitySpec):
-    """All strategies of the tree, each with its utility profile, from one
-    walk that checks the tree; its decision nodes in pre-order
-    (`DecisionNodes`); the root as a node through which every plan passes;
-    and `born`, which makes a continuation an `Alternative.from_ints` over
-    the LCM of the leaf values' denominators."""
+    """All strategies of the tree, from one walk that checks the tree; its
+    decision nodes in pre-order (`DecisionNodes`); the root as a node
+    through which every plan passes; and `born`, which makes a continuation
+    (its leaf ids per state) an `Alternative.from_ints` of the leaf values
+    over the LCM of their denominators."""
     states = tuple(sorted(state_space))
     nodes: DecisionNodes = {}
     leaves: dict[Leaf, tuple[int, Fraction]] = {}
     walked = _walk(tree.root, frozenset(states), 0, states, u, nodes, leaves)
     values = [Fraction(0)] + [value for _, value in leaves.values()]
-    value_of = values.__getitem__
     plans = []
     for j, (via, ids) in enumerate(walked):
         chosen = [choice for choice, _, _ in via]
         name = "+".join([branch for _, branch in chosen]) if via else "unconditional"
         chosen.sort()
-        plans.append(Plan(name, tuple(chosen), tuple(map(value_of, ids))))
+        plans.append(Plan(name, tuple(chosen)))
         for _, k, takes in via:
             takes.append((j, k))
     if len({p.name for p in plans}) != len(plans):

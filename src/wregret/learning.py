@@ -13,9 +13,10 @@ once per `Probe` and hypothesis.  A run draws all its outcomes, then builds
 its log-weight, weight and score columns in whole-round passes with the float
 operations, in order, of a round-by-round loop; only the ranking check runs
 per round, and it regroups the acts only when a round's scores break the
-previous round's ranking.  The model, trajectories, rows and summaries are
-immutable records (`records.record`), and the model checks its likelihoods
-when built; a `Probe` is a `records.Frozen` keeping the tables it builds lazily.
+previous round's ranking.  The model (each hypothesis a `Measure` over the
+outcomes, so its likelihoods are exact), trajectories, rows and summaries
+are immutable records (`records.record`); a `Probe` is a `records.Frozen`
+keeping the tables it builds lazily.
 
 `es_update` implements the threshold alternative: condition every measure,
 then eliminate those whose relative likelihood does not exceed a cutoff.
@@ -35,7 +36,6 @@ from typing import Iterable, Iterator, Mapping, Sequence
 from .decisions import Menu, PreferenceOracle, UtilitySpec, group_ties
 from .errors import AllEliminated
 from .measures import EventLike, Measure, as_event
-from .rational import exact, format_rational
 from .records import Frozen, record
 
 RNG_ALGORITHM = "mt19937"  # CPython's random.Random core generator
@@ -44,35 +44,24 @@ _NEG_INF = float("-inf")
 
 @record
 class ObservationModel:
-    """Per-hypothesis i.i.d. outcome distributions over a shared alphabet."""
+    """Per-hypothesis i.i.d. outcome distributions, each a `Measure` over
+    exactly the outcomes; `outcomes` is the order a draw walks them in."""
 
     outcomes: tuple[str, ...]
-    likelihoods: Mapping[str, Mapping[str, Fraction]]
+    likelihoods: Mapping[str, Measure]
     truth: str
 
     def _check(self) -> None:
         outcomes = self.outcomes
         if self.truth not in self.likelihoods:
             raise ValueError(f"truth {self.truth!r} is not a hypothesis")
-        alphabet = set(outcomes)
+        alphabet = tuple(sorted(set(outcomes)))
         if len(alphabet) != len(outcomes):
             repeated = next(o for o in outcomes if outcomes.count(o) > 1)
             raise ValueError(f"outcome {repeated!r} is listed twice")
-        for hyp, dist in self.likelihoods.items():
-            if set(dist) != alphabet:
-                raise ValueError(f"hypothesis {hyp!r} uses a different outcome alphabet")
-            total = Fraction(0)
-            for outcome in outcomes:
-                p = exact(dist[outcome], f"hypothesis {hyp!r}: likelihood", outcome, "outcome")
-                if p < 0:
-                    raise ValueError(
-                        f"hypothesis {hyp!r} gives outcome {outcome!r} a negative likelihood"
-                    )
-                total += p
-            if total != 1:
-                raise ValueError(
-                    f"outcome distribution of {hyp!r} sums to {format_rational(total)}"
-                )
+        for hyp, measure in self.likelihoods.items():
+            if not isinstance(measure, Measure) or measure.state_space != alphabet:
+                raise ValueError(f"hypothesis {hyp!r} is not a Measure over the outcome alphabet")
 
     @property
     def hypotheses(self) -> tuple[str, ...]:
@@ -232,10 +221,7 @@ def simulate(
     acts = probe.acts
     regret_rows = probe.regret_rows(hypotheses)
     truth_groups = probe.seu_groups(model.truth)
-    # read as the model checked them, so rational strings pass too
-    likelihoods = {h: {o: exact(p, "likelihood", o, "outcome") for o, p in dist.items()}
-                   for h, dist in model.likelihoods.items()}
-    truth = likelihoods[model.truth]
+    truth = dict(model.likelihoods[model.truth].items())
     # a draw r falls on the first outcome whose cumulative probability exceeds
     # it; float rounding can leave r above the sum, and then it falls on the
     # last outcome the truth can produce
@@ -246,7 +232,7 @@ def simulate(
     # one log-weight column per hypothesis, summed left to right as the rounds go
     log_weights = []
     for h in hypotheses:
-        log_of = {o: _log(float(p)) for o, p in likelihoods[h].items()}
+        log_of = {o: _log(float(p)) for o, p in model.likelihoods[h].items()}
         increments = map(log_of.__getitem__, drawn)
         log_weights.append(list(accumulate(increments, add, initial=_log(float(prior[h])))))
     tops = list(_roundwise_max(log_weights))

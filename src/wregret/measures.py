@@ -269,11 +269,6 @@ class SubProbabilityVector(IntVector):
 
     state_space = property(lambda self: self.keys, doc="The states, sorted.")
 
-    def dot(self, direction: Mapping[str, Rational]) -> Fraction:
-        pairs = zip(self.keys, self.numerators)
-        total = sum([n * exact(direction[s], "direction component", s) for s, n in pairs], ZERO)
-        return total / self.denominator
-
 
 class RegularHull:
     """Generator view of a downward-closed convex set of sub-probability vectors.

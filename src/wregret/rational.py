@@ -156,6 +156,10 @@ class IntVector(Frozen):
     def __getitem__(self, key: str) -> Fraction:
         return dict(self.items())[key]
 
+    # `[key]` takes labels, so iteration and `in` must not fall back to
+    # indexing by 0, 1, ...; they raise TypeError instead
+    __iter__ = None
+
     def total(self) -> Fraction:
         return Fraction(sum(self.numerators), self.denominator)
 

@@ -254,16 +254,9 @@ def test_c09_restaurant_dynamics():
 
 def test_c10_convergence():
     doc = parse_problem(fixture_text("learning.dp"))
-    model = ObservationModel(
-        outcomes=tuple(doc.states),
-        likelihoods={name: dict(m.items()) for name, (m, _) in doc.hypotheses.items()},
-        truth="mostly_good",
-    )
-    probe = Probe(
-        menu=doc.menus["probe"],
-        utility=doc.utility,
-        measures={name: m for name, (m, _) in doc.hypotheses.items()},
-    )
+    measures = {name: m for name, (m, _) in doc.hypotheses.items()}
+    model = ObservationModel(outcomes=tuple(doc.states), likelihoods=measures, truth="mostly_good")
+    probe = Probe(menu=doc.menus["probe"], utility=doc.utility, measures=measures)
     prior = {name: w for name, (_, w) in doc.hypotheses.items()}
     concentrated = 0
     matched = 0

@@ -299,8 +299,9 @@ class TestOracle:
 
         f = profile_act("f", {"one_broken": F(1), "ten_broken": F(0)}, fixtures.utility)
         g = profile_act("g", {"one_broken": F(0), "ten_broken": F(1)}, fixtures.utility)
-        menu = Menu([f, g])
-        assert oracle.compare(f, g, menu) == -oracle.compare(g, f, menu)
+        menu = oracle.alternatives(Menu([f, g]))
+        a, b = menu
+        assert oracle.prefers(a, b, menu) == -oracle.prefers(b, a, menu)
 
     def test_regret_oracle_checks_states(self, fixtures):
         # unchecked, zip would drop s3 and f and g would compare as equal
@@ -311,7 +312,8 @@ class TestOracle:
         g = profile_act("g", {**states, "s3": F(0)}, fixtures.utility)
         oracle = PreferenceOracle("regret", None, fixtures.utility, ("s1", "s2"))
         with pytest.raises(DimensionMismatch, match="s1, s2"):
-            oracle.compare(f, g, Menu([f, g]))
+            menu = oracle.alternatives(Menu([f, g]))
+            oracle.prefers(*menu, menu)
 
     def test_value_lottery_hits_exact_utilities(self, fixtures):
         u = fixtures.utility

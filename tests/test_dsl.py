@@ -20,7 +20,7 @@ from wregret.dsl import (
     parse_tree,
     serialize_weighted_set,
 )
-from wregret.dynamics import DecisionNode, NatureNode, evaluate_tree
+from wregret.dynamics import DecisionNode, NatureNode, enumerate_plans, evaluate_tree
 from wregret.errors import DomainError, ParseError
 from wregret.fixtures import fixture_text
 
@@ -242,7 +242,9 @@ class TestParseTree:
         tree = parse_tree("leaf utility 7/2", doc)
         result = evaluate_tree(tree, doc.utility, doc.weighted_set())
         assert result.chosen.name == "unconditional"
-        assert set(result.chosen.profile) == {F(7, 2)}
+        # the one continuation, at the root, is worth 7/2 in every state
+        _, _, root, born = enumerate_plans(tree, doc.states, doc.utility)
+        assert born(root[2][0]).profile == (F(7, 2),) * len(doc.states)
 
     def test_unknown_event_positioned(self):
         doc = parse_problem(fixture_text("restaurant.dp"))

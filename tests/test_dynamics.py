@@ -265,7 +265,9 @@ class TestMdc:
         assert unconditional.score(fed, spliced) == F(1, 5)
         assert unconditional.score(ged, spliced) == F(8, 15)
         # conditional prefers g, unconditional spliced prefers f
-        assert conditional.compare(f, g, menu) < 0 < unconditional.compare(fed, ged, spliced)
+        # (menu and spliced list d, f, g in that order)
+        before, after = conditional.alternatives(menu), unconditional.alternatives(spliced)
+        assert conditional.prefers(*before[1:], before) < 0 < unconditional.prefers(*after[1:], after)
 
         report = check_mdc(frozen, wset, GRID_U, GeneratorConfig(samples=400), seed=0)
         assert report.verdict == "violated"
@@ -485,10 +487,12 @@ class TestTrees:
         # each evaluation enumerates its own plans; they are equal by value and hash alike
         assert len({p for r in results for p in r.plans}) == len(results[0].plans) == 3
         # a one-decision tree is the flat problem: scores must match rank()
-        reference = results[0]
+        # the reference keeps each plan's utility profile beside the plan
+        plans, profiles, _ = tree_reference.enumerate_plans(tree, delivery_wset.state_space, delivery_utility)
+        assert plans == list(results[0].plans)
         menu = Menu(
-            profile_act(p.name, dict(zip(DELIVERY_STATES, p.profile)), delivery_utility)
-            for p in reference.plans
+            profile_act(p.name, dict(zip(DELIVERY_STATES, profile)), delivery_utility)
+            for p, profile in zip(plans, profiles)
         )
         ranking = rank("mwer", menu, delivery_utility, delivery_wset)
         for result in results:

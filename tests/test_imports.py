@@ -98,6 +98,45 @@ def test_every_public_name_is_referenced_exported_or_kept():
     assert set(found) ^ set(UNREFERENCED_BUT_KEPT) == set()
 
 
+# Public methods that no module in the package references, each kept by a
+# README line, perfbench/tracing.py `TARGETS` or a ROADMAP item
+UNREFERENCED_METHODS_KEPT = {
+    "decisions.Act.utility_profile": "TARGETS wraps it; README: an act hands its utility profile out",
+    "decisions.Menu.best_profile": "TARGETS wraps it; README: `Menu.best_profile` gives the per-state maxima",
+    "learning.Trajectory.final_weights": "ROADMAP item 5: `--summary` prints each seed's final weights",
+}
+
+
+def test_every_public_method_is_referenced_or_kept():
+    # a public method defined in a class body is read somewhere in the
+    # package (by name, as an attribute or in an import), by the same rule
+    # as the top-level names above
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.rglob("*.py"))}
+    referenced = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                referenced.add(node.id)
+            elif isinstance(node, (ast.Attribute, ast.alias)):
+                referenced.add(node.attr if isinstance(node, ast.Attribute) else node.name)
+    found = []
+    for path, tree in trees.items():
+        module = ".".join(path.relative_to(PACKAGE).with_suffix("").parts).removesuffix(".__init__")
+        found += [
+            f"{module}.{cls.name}.{node.name}"
+            for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+            for node in cls.body
+            if isinstance(node, ast.FunctionDef)
+            and not node.name.startswith("_") and node.name not in referenced
+        ]
+    # an entry here is new and unreferenced, or kept but referenced again
+    assert set(found) ^ set(UNREFERENCED_METHODS_KEPT) == set()
+    assert all(
+        any(cite in why for cite in ("README", "TARGETS", "ROADMAP item"))
+        for why in UNREFERENCED_METHODS_KEPT.values()
+    )
+
+
 def _traced_targets() -> dict[str, tuple[str, ...]]:
     """perfbench/tracing.py's `TARGETS`: layer -> wrapped entry points."""
     tracing = PACKAGE.parents[1] / "perfbench" / "tracing.py"

@@ -37,9 +37,7 @@ def binary_ingredients():
         "mostly_good": Measure({"good": F(9, 10), "bad": F(1, 10)}),
         "coin": Measure({"good": F(1, 2), "bad": F(1, 2)}),
     }
-    model = ObservationModel(
-        ("good", "bad"), {k: dict(m.items()) for k, m in measures.items()}, "mostly_good"
-    )
+    model = ObservationModel(("good", "bad"), measures, "mostly_good")
     return model, Probe(menu, u, measures), {"mostly_good": 1, "coin": 1}
 
 
@@ -52,11 +50,7 @@ class TestSimulate:
             "always_good": Measure({"good": 1, "bad": 0}),
             "always_bad": Measure({"good": 0, "bad": 1}),
         }
-        model = ObservationModel(
-            ("good", "bad"),
-            {k: dict(m.items()) for k, m in measures.items()},
-            "always_good",
-        )
+        model = ObservationModel(("good", "bad"), measures, "always_good")
         probe = Probe(Menu([act, other]), u, measures)
         trajectory = simulate(model, {"always_good": 1, "always_bad": 1}, probe, 3, seed=0)
         assert trajectory.rows[0].weights == {"always_good": 1.0, "always_bad": 1.0}
@@ -66,9 +60,9 @@ class TestSimulate:
     def test_identical_hypotheses_keep_weight_one(self):
         u = UtilitySpec({"hi": 1, "lo": -1})
         act = Act("a", {"good": Lottery({"hi": 1}), "bad": Lottery({"lo": 1})})
-        coin = {"good": F(1, 2), "bad": F(1, 2)}
-        measures = {"h1": Measure(coin), "h2": Measure(coin)}
-        model = ObservationModel(("good", "bad"), {"h1": coin, "h2": coin}, "h1")
+        coin = Measure({"good": F(1, 2), "bad": F(1, 2)})
+        measures = {"h1": coin, "h2": coin}
+        model = ObservationModel(("good", "bad"), measures, "h1")
         probe = Probe(Menu([act]), u, measures)
         trajectory = simulate(model, {"h1": 1, "h2": 1}, probe, 50, seed=1)
         for row in trajectory.rows:
@@ -125,31 +119,59 @@ class TestSimulate:
         assert len(lines) == 5  # header + rounds 0..3
 
 
+def _model(outcomes, dists, truth) -> ObservationModel:
+    """The model whose hypotheses are the distributions, each built as a `Measure`."""
+    return ObservationModel(outcomes, {h: Measure(d) for h, d in dists.items()}, truth)
+
+
+HALF = {"good": F(1, 2), "bad": F(1, 2)}
+
+# every likelihood input that the model refused when it took dicts:
+# (outcomes, distributions, truth, the exception raised at `Measure` or the model)
+REJECTED_INPUTS = {
+    "negative": (("good", "bad"), {"h": {"good": F(3, 2), "bad": F(-1, 2)}}, "h", ValueError),
+    "float 0.5": (("h", "t"), {"c": {"h": 0.5, "t": 0.5}}, "c", TypeError),
+    "float 0.1": (("h", "t"), {"c": {"h": 0.1, "t": 0.9}}, "c", TypeError),
+    "sum": (("good", "bad"), {"h": {"good": F(1, 2), "bad": F(1, 3)}}, "h", ValueError),
+    "alphabet": (("good", "bad"), {"h": HALF, "g": {"good": F(1, 2), "ugly": F(1, 2)}}, "h", ValueError),
+    "repeated": (("good", "good", "bad"), {"h": HALF}, "h", ValueError),
+    "truth": (("good", "bad"), {"h": HALF}, "loaded", ValueError),
+}
+
+
 class TestObservationModel:
+    @pytest.mark.parametrize("case", REJECTED_INPUTS)
+    def test_every_rejected_input_is_still_rejected(self, case):
+        outcomes, dists, truth, error = REJECTED_INPUTS[case]
+        with pytest.raises(error):
+            _model(outcomes, dists, truth)
+
+    def test_a_hypothesis_must_be_a_measure_over_the_outcomes(self):
+        with pytest.raises(ValueError, match="'g' is not a Measure over the outcome alphabet"):
+            _model(*REJECTED_INPUTS["alphabet"][:3])
+        with pytest.raises(ValueError, match="'h' is not a Measure over the outcome alphabet"):
+            ObservationModel(("good", "bad"), {"h": HALF}, "h")
+
     def test_repeated_outcome_is_rejected(self):
         # a repeated outcome would be counted twice by the draw
         with pytest.raises(ValueError, match="'good' is listed twice"):
-            ObservationModel(
-                ("good", "good", "bad"), {"h": {"good": F(1, 2), "bad": F(1, 2)}}, "h"
-            )
+            _model(("good", "good", "bad"), {"h": HALF}, "h")
 
     def test_negative_likelihood_is_rejected(self):
-        with pytest.raises(ValueError, match="negative likelihood"):
-            ObservationModel(
-                ("good", "bad"), {"h": {"good": F(3, 2), "bad": F(-1, 2)}}, "h"
-            )
+        with pytest.raises(ValueError, match="negative probability -1/2 for state 'bad'"):
+            _model(("good", "bad"), {"h": {"good": F(3, 2), "bad": F(-1, 2)}}, "h")
 
     @pytest.mark.parametrize("heads", [0.5, 0.1])
     def test_float_likelihood_is_rejected(self, heads):
         # a float is not exact: the binary values of 0.5 and 0.5 sum to one, of 0.1 and 0.9 not
-        with pytest.raises(TypeError, match=f"hypothesis 'c': likelihood {heads} for outcome 'h' is not an int"):
-            ObservationModel(("h", "t"), {"c": {"h": heads, "t": 1 - heads}}, "c")
+        with pytest.raises(TypeError, match=f"probability {heads} for state 'h' is not an int"):
+            _model(("h", "t"), {"c": {"h": heads, "t": 1 - heads}}, "c")
 
     def test_string_likelihoods_simulate_as_their_fractions(self):
-        # the model accepts rational strings, so the simulator reads them too
+        # a measure reads rational strings, so the simulator does too
         model, probe, prior = binary_ingredients()
         text = {"mostly_good": {"good": "9/10", "bad": "0.1"}, "coin": {"good": "1/2", "bad": ".5"}}
-        as_text = ObservationModel(model.outcomes, text, model.truth)
+        as_text = _model(model.outcomes, text, model.truth)
         for seed in (0, 7):
             assert simulate(as_text, prior, probe, 60, seed) == simulate(model, prior, probe, 60, seed)
 
@@ -164,11 +186,11 @@ class TestObservationModel:
                 return math.nextafter(1.0, 0.0)
 
         monkeypatch.setattr(learning.random, "Random", TopDraw)
-        dist = {"a": F(7, 10), "b": F(2, 10), "c": F(1, 10), "never": 0}
+        dist = Measure({"a": F(7, 10), "b": F(2, 10), "c": F(1, 10), "never": 0})
         model = ObservationModel(("a", "b", "c", "never"), {"h": dist}, "h")
         u = UtilitySpec({"hi": 1, "lo": 0})
-        act = Act("only", {o: Lottery({"hi": 1}) for o in dist})
-        probe = Probe(Menu([act]), u, {"h": Measure(dist)})
+        act = Act("only", {o: Lottery({"hi": 1}) for o in dist.state_space})
+        probe = Probe(Menu([act]), u, {"h": dist})
         trajectory = simulate(model, {"h": 1}, probe, 3, seed=0)
         assert [row.outcome for row in trajectory.rows[1:]] == ["c", "c", "c"]
         assert [row.weights for row in trajectory.rows] == [{"h": 1.0}] * 4
@@ -227,12 +249,9 @@ class TestProbeTables:
 
 def _learning_fixture(truth: str):
     doc = parse_problem(fixture_text("learning.dp"))
-    model = ObservationModel(
-        tuple(doc.states),
-        {name: dict(m.items()) for name, (m, _) in doc.hypotheses.items()},
-        truth,
-    )
-    probe = Probe(doc.menus["probe"], doc.utility, {n: m for n, (m, _) in doc.hypotheses.items()})
+    measures = {name: m for name, (m, _) in doc.hypotheses.items()}
+    model = ObservationModel(tuple(doc.states), measures, truth)
+    probe = Probe(doc.menus["probe"], doc.utility, measures)
     return model, probe, {name: w for name, (_, w) in doc.hypotheses.items()}
 
 
@@ -243,8 +262,8 @@ def _mirror_case():
     up = Act("up", {"x": Lottery({"hi": 1}), "y": Lottery({"lo": 1})})
     down = Act("down", {"x": Lottery({"lo": 1}), "y": Lottery({"hi": 1})})
     dists = {"h1": {"x": F(3, 4), "y": F(1, 4)}, "h2": {"x": F(1, 4), "y": F(3, 4)}}
-    model = ObservationModel(("x", "y"), dists, "h1")
-    probe = Probe(Menu([up, down]), u, {h: Measure(d) for h, d in dists.items()})
+    model = _model(("x", "y"), dists, "h1")
+    probe = Probe(Menu([up, down]), u, model.likelihoods)
     return model, probe, {"h1": 1, "h2": 1}
 
 
@@ -273,8 +292,8 @@ def _ladder_case():
     flat = {o: _sure("zero") for o in ("x", "y", "u", "v")}
     acts = [Act("b", {**flat, "u": _sure("loss")})]
     acts += [Act(f"a{k:02d}", {**flat, "v": _sure(f"r{k}")}) for k in rungs]
-    model = ObservationModel(("x", "y", "u", "v"), dists, "fair")
-    probe = Probe(Menu(acts), u, {h: Measure(d) for h, d in dists.items()})
+    model = _model(("x", "y", "u", "v"), dists, "fair")
+    probe = Probe(Menu(acts), u, model.likelihoods)
     return model, probe, {"fair": 0, "h1": 1, "h2": 1}
 
 
@@ -290,8 +309,8 @@ def _all_dead_case():
         "only_x": {"x": F(1), "y": F(0)},
         "only_y": {"x": F(0), "y": F(1)},
     }
-    model = ObservationModel(("x", "y"), dists, "fair")
-    probe = Probe(Menu([up, down]), u, {h: Measure(d) for h, d in dists.items()})
+    model = _model(("x", "y"), dists, "fair")
+    probe = Probe(Menu([up, down]), u, model.likelihoods)
     return model, probe, {"fair": 0, "only_x": 1, "only_y": F(1, 2)}
 
 
@@ -300,9 +319,8 @@ def _one_hypothesis_case():
     u = UtilitySpec({"hi": 1, "lo": 0})
     up = Act("up", {"x": _sure("hi"), "y": _sure("lo")})
     down = Act("down", {"x": _sure("lo"), "y": _sure("hi")})
-    dist = {"x": F(2, 3), "y": F(1, 3)}
-    model = ObservationModel(("x", "y"), {"h": dist}, "h")
-    return model, Probe(Menu([up, down]), u, {"h": Measure(dist)}), {"h": 1}
+    model = _model(("x", "y"), {"h": {"x": F(2, 3), "y": F(1, 3)}}, "h")
+    return model, Probe(Menu([up, down]), u, model.likelihoods), {"h": 1}
 
 
 def _random_case(rng: random.Random):
@@ -327,8 +345,8 @@ def _random_case(rng: random.Random):
     menu = Menu(
         [Act(f"a{k}", {o: Lottery({p: 1}) for o, p in act.items()}) for k, act in enumerate(acts)]
     )
-    model = ObservationModel(outcomes, dists, truth)
-    return model, Probe(menu, u, {h: Measure(d) for h, d in dists.items()}), prior
+    model = _model(outcomes, dists, truth)
+    return model, Probe(menu, u, model.likelihoods), prior
 
 
 def _corpus():
@@ -352,7 +370,7 @@ class TestAgainstReference:
         models = [model for model, _, _ in self.CORPUS]
         probes = [probe for _, probe, _ in self.CORPUS]
         assert any(len(m.hypotheses) >= 3 and len(m.outcomes) == 3 for m in models)
-        assert any(0 in d.values() for m in models for d in m.likelihoods.values())
+        assert any(0 in d.numerators for m in models for d in m.likelihoods.values())
         assert any(0 in prior.values() for _, _, prior in self.CORPUS)
         assert any(len(p.menu) >= 3 for p in probes)
         assert any(
@@ -500,9 +518,9 @@ class TestCompareUpdaters:
         u = UtilitySpec({"hi": 1, "lo": -1})
         act = Act("a", {"good": Lottery({"hi": 1}), "bad": Lottery({"lo": 1})})
         other = Act("b", {"good": Lottery({"lo": 1}), "bad": Lottery({"hi": 1})})
-        coin = {"good": F(1, 2), "bad": F(1, 2)}
-        measures = {"h1": Measure(coin), "h2": Measure(coin)}
-        model = ObservationModel(("good", "bad"), {"h1": coin, "h2": coin}, "h1")
+        coin = Measure({"good": F(1, 2), "bad": F(1, 2)})
+        measures = {"h1": coin, "h2": coin}
+        model = ObservationModel(("good", "bad"), measures, "h1")
         probe = Probe(Menu([act, other]), u, measures)
         summary = compare_updaters(model, {"h1": 1, "h2": 1}, probe, 20, range(5), F(1, 2))
         for row in summary.rows:
@@ -523,11 +541,7 @@ class TestCompareUpdaters:
             "mostly_good": Measure({"good": F(9, 10), "bad": F(1, 10)}),
             "all_good": Measure({"good": 1, "bad": 0}),
         }
-        model = ObservationModel(
-            ("good", "bad"),
-            {k: dict(m.items()) for k, m in measures.items()},
-            "mostly_good",
-        )
+        model = ObservationModel(("good", "bad"), measures, "mostly_good")
         probe = Probe(Menu([risky, steady]), u, measures)
         summary = compare_updaters(
             model, {"mostly_good": 1, "all_good": 1}, probe, 200, range(50), F(1, 2)

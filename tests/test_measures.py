@@ -131,8 +131,6 @@ class TestFloatsRejected:
     def test_sub_probability_vector(self):
         with pytest.raises(TypeError, match="mass 0.1 for state 'a'"):
             SubProbabilityVector({"a": 0.1})
-        with pytest.raises(TypeError, match="direction component 0.5 for state 'a'"):
-            SubProbabilityVector({"a": F(1, 10)}).dot({"a": 0.5})
 
     def test_support_value_direction(self, delivery_wset):
         hull = to_hull(delivery_wset)

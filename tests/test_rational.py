@@ -140,6 +140,20 @@ def test_a_vector_equals_only_its_own_type():
     assert all(x != y for i, x in enumerate(vectors) for y in vectors[i + 1:])
 
 
+@pytest.mark.parametrize("vector", [
+    Measure({"a": F(1, 2), "x": F(1, 2)}),
+    Lottery({"a": F(1, 2), "x": F(1, 2)}),
+    UtilitySpec({"a": 1, "x": 0}),
+    SubProbabilityVector({"a": F(1, 2), "x": 0}),
+], ids=lambda vector: type(vector).__name__)
+def test_iteration_and_membership_raise_type_error(vector):
+    # `[key]` takes labels, so neither may fall back to indexing by 0, 1, ...
+    # (which raised KeyError, or UnknownPrize, a domain error, for a utility table)
+    for use in (lambda: iter(vector), lambda: list(vector), lambda: "a" in vector, lambda: 0 in vector):
+        with pytest.raises(TypeError, match="not iterable"):
+            use()
+
+
 def test_a_zero_probability_prize_is_not_part_of_a_lottery():
     assert Lottery({"a": 1, "b": 0}) == Lottery({"a": 1})
     assert Lottery({"a": 1, "b": 0}).keys == ("a",)

@@ -103,9 +103,9 @@ RECORDS = {
         "DecisionTree(root=Leaf(lottery=None, utility=Fraction(1, 3)))",
     ),
     "Plan": (
-        dynamics.Plan, ("go", (("d", "go"),), (F(1), F(0))), {},
-        ("name", "choices", "profile"), {},
-        "Plan(name='go', choices=(('d', 'go'),), profile=(Fraction(1, 1), Fraction(0, 1)))",
+        dynamics.Plan, ("go", (("d", "go"),)), {},
+        ("name", "choices"), {},
+        "Plan(name='go', choices=(('d', 'go'),))",
     ),
     "NodeDiagnostic": (
         dynamics.NodeDiagnostic, ("d", STATES, ("a", "b"), {"a": F(1, 2)}, ("b",), ("a",)), {},
@@ -142,10 +142,11 @@ RECORDS = {
     ),
     "ObservationModel": (
         learning.ObservationModel,
-        (("h", "t"), {"fair": {"h": F(1, 2), "t": F(1, 2)}, "bent": {"h": F(1), "t": F(0)}}, "fair"), {},
+        (("h", "t"), {"fair": Measure({"h": F(1, 2), "t": F(1, 2)}), "bent": Measure({"h": 1, "t": 0})}, "fair"),
+        {},
         ("outcomes", "likelihoods", "truth"), {},
-        "ObservationModel(outcomes=('h', 't'), likelihoods={'fair': {'h': Fraction(1, 2),"
-        " 't': Fraction(1, 2)}, 'bent': {'h': Fraction(1, 1), 't': Fraction(0, 1)}}, truth='fair')",
+        "ObservationModel(outcomes=('h', 't'), likelihoods={'fair': Measure({h: 1/2, t: 1/2}),"
+        " 'bent': Measure({h: 1/1, t: 0/1})}, truth='fair')",
     ),
     "TrajectoryRow": (
         learning.TrajectoryRow, (4, {"fair": 1.0}, (("a", "b"),), True), {},

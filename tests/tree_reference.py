@@ -7,7 +7,7 @@ the walk's sub-plans.  The walk builds each sub-plan as dicts (choices and
 decision node it then scans all plans for those whose choices contain the
 node's path, and scores every one of them, as a whole profile, under the
 node's conditional oracle.  It returns the library's own records, so
-results compare with `==`.
+results compare with `==`; the profiles stay here, beside the plans.
 """
 
 from __future__ import annotations
@@ -68,16 +68,18 @@ def _walk(node, live, depth, path, u, nodes):
 
 
 def enumerate_plans(tree, state_space, u):
+    """(plans, their utility profiles in sorted state order, decision nodes)."""
     live = frozenset(state_space)
     nodes: dict = {}
     states = sorted(live)
-    plans = []
+    plans, profiles = [], []
     for choices, parts, outcomes in _walk(tree.root, live, 0, (), u, nodes):
         name = "+".join(parts) if parts else "unconditional"
-        plans.append(Plan(name, tuple(sorted(choices.items())), tuple(outcomes[s] for s in states)))
+        plans.append(Plan(name, tuple(sorted(choices.items()))))
+        profiles.append(tuple(outcomes[s] for s in states))
     if len({p.name for p in plans}) != len(plans):
         raise MalformedTree("plan names are not unique; rename branches")
-    return plans, nodes
+    return plans, profiles, nodes
 
 
 def evaluate_tree(tree, u, wset, planning="sophisticated", menu_policy="full") -> TreeEvaluation:
@@ -85,14 +87,14 @@ def evaluate_tree(tree, u, wset, planning="sophisticated", menu_policy="full") -
         raise ValueError(f"unknown planning mode {planning!r}")
     if menu_policy not in ("full", "viable"):
         raise ValueError(f"unknown menu policy {menu_policy!r}")
-    plans, nodes = enumerate_plans(tree, wset.state_space, u)
+    plans, profiles, nodes = enumerate_plans(tree, wset.state_space, u)
     if planning == "ex-ante":
         order = [("<root>", (0, frozenset(wset.state_space), ()))]
     else:
         order = sorted(nodes.items(), key=lambda item: -item[1][0])
     survivors = {p.name for p in plans}
     conditional = likelihood_family(wset, u)
-    denominator, rows = as_integers([p.profile for p in plans])
+    denominator, rows = as_integers(profiles)
     alternatives = [Alternative.from_ints(p.name, row, denominator) for p, row in zip(plans, rows)]
     diagnostics = []
     for name, (_, live, path) in order:
