@@ -164,10 +164,10 @@ def constant_act(name: str, lottery: Lottery, state_space: Sequence[str]) -> Act
     return Act(name, {state: lottery for state in state_space})
 
 
-class Menu:
+class Menu(Frozen):
     """A finite, explicitly listed set of named acts over one state space."""
 
-    __slots__ = ("_acts",)
+    __slots__ = ("acts",)
 
     def __init__(self, acts: Iterable[Act]):
         acts = tuple(acts)
@@ -183,32 +183,31 @@ class Menu:
             if act.name in names:
                 raise ValueError(f"duplicate act name {act.name!r} in menu")
             names.add(act.name)
-        self._acts = acts
-
-    @property
-    def acts(self) -> tuple[Act, ...]:
-        return self._acts
+        object.__setattr__(self, "acts", acts)
 
     @property
     def state_space(self) -> tuple[str, ...]:
-        return self._acts[0].state_space
+        return self.acts[0].state_space
 
     def __iter__(self):
-        return iter(self._acts)
+        return iter(self.acts)
 
     def __len__(self) -> int:
-        return len(self._acts)
+        return len(self.acts)
 
     def __contains__(self, act: Act) -> bool:
-        return any(a == act for a in self._acts)
+        return any(a == act for a in self.acts)
 
     def best_profile(self, u: UtilitySpec) -> Mapping[str, Fraction]:
         """Per-state maximum utility achieved by any menu act (read-only)."""
-        best = per_state_best([act.alternative(u).profile for act in self._acts])
+        best = per_state_best([act.alternative(u).profile for act in self.acts])
         return MappingProxyType(dict(zip(self.state_space, best)))
 
+    def __reduce__(self):
+        return Menu, (self.acts,)
+
     def __repr__(self) -> str:
-        return f"Menu([{', '.join(a.name for a in self._acts)}])"
+        return f"Menu([{', '.join(a.name for a in self.acts)}])"
 
 
 # -- the regret calculus -------------------------------------------------------
@@ -613,6 +612,7 @@ def group_ties(
     return tuple(tuple(g) for g in groups)
 
 
+@record
 class Ranking:
     """A total preorder of menu acts induced by one rule's scores.
 
@@ -622,13 +622,10 @@ class Ranking:
     it from the rule name.
     """
 
-    __slots__ = ("rule", "lower_is_better", "groups", "scores")
-
-    def __init__(self, rule: str, lower_is_better: bool, scores: Mapping[str, Fraction], groups: tuple):
-        self.rule = rule
-        self.lower_is_better = lower_is_better
-        self.scores = dict(scores)
-        self.groups = groups
+    rule: str
+    lower_is_better: bool
+    scores: Mapping[str, Fraction]
+    groups: tuple[tuple[str, ...], ...]
 
     @property
     def best(self) -> tuple[str, ...]:
@@ -663,14 +660,6 @@ class Ranking:
                 for rank, group in enumerate(self.groups, start=1)
             ],
         }
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Ranking)
-            and self.rule == other.rule
-            and self.groups == other.groups
-            and self.scores == other.scores
-        )
 
     def __repr__(self) -> str:
         chain = " > ".join("{" + ", ".join(g) + "}" for g in self.groups)

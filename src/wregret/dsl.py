@@ -41,7 +41,7 @@ from .decisions import Act, Lottery, Menu, UtilitySpec
 from .dynamics import DecisionNode, DecisionTree, Leaf, NatureNode, TreeNode
 from .errors import ParseError
 from .measures import Event, Measure, WeightedMeasureSet
-from .rational import format_map, format_rational, parse_rational
+from .rational import RATIONAL_LITERAL, format_map, format_rational, parse_rational
 from .records import record
 
 MAX_TREE_DEPTH = 100  # nested decision and nature nodes; the walkers recurse per level
@@ -74,7 +74,7 @@ class Token:
 _TOKEN_RE = re.compile(
     r"""(?P<IDENT>[A-Za-z_][A-Za-z0-9_]*)
       | (?P<PUNCT>[:={}\[\],])
-      | (?P<NUMBER>-?(?:\d+[^\S\n]*/[^\S\n]*\d+|\d+\.\d*|\.\d+|\d+))  # within one line
+      | (?P<NUMBER>-?""" + RATIONAL_LITERAL + r""")
       | (?P<NEWLINE>\n)
       | (?P<COMMENT>\#[^\n]*)
       | (?P<STRAY>\S)

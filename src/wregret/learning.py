@@ -45,11 +45,15 @@ _NEG_INF = float("-inf")
 @record
 class ObservationModel:
     """Per-hypothesis i.i.d. outcome distributions, each a `Measure` over
-    exactly the outcomes; `outcomes` is the order a draw walks them in."""
+    exactly the outcomes; `outcomes` is the order a draw walks them in.  It
+    keeps a copy of the likelihood mapping, so the caller's may change."""
 
     outcomes: tuple[str, ...]
     likelihoods: Mapping[str, Measure]
     truth: str
+
+    def __new__(cls, outcomes: Sequence[str], likelihoods: Mapping[str, Measure], truth: str):
+        return tuple.__new__(cls, (outcomes, dict(likelihoods), truth))
 
     def _check(self) -> None:
         outcomes = self.outcomes
@@ -79,15 +83,25 @@ class Probe(Frozen):
     read-only, so the tables cannot go stale.
     """
 
+    # `measures` maps each hypothesis to its state-level measure, `acts` is
+    # the act order of every float table, and the tables map a hypothesis to
+    # its acts' float expected regrets (`regret_rows`) and to the acts grouped
+    # by float expected utility (`seu_groups`)
+    __slots__ = ("menu", "utility", "measures", "acts", "_expected_regret", "_seu_groups")
+
     def __init__(self, menu: Menu, utility: UtilitySpec, measures: Mapping[str, Measure]):
-        vars(self).update(
-            menu=menu,
-            utility=utility,
-            measures=MappingProxyType(dict(measures)),  # hypothesis -> state-level measure
-            acts=tuple(sorted(act.name for act in menu)),  # the act order of every float table
-            _expected_regret={},  # hypothesis -> one float per act, filled by `regret_rows`
-            _seu_groups={},  # hypothesis -> acts by float expected utility, filled by `seu_groups`
-        )
+        acts = tuple(sorted(act.name for act in menu))
+        for slot, value in zip(Probe.__slots__, (menu, utility, MappingProxyType(dict(measures)), acts, {}, {})):
+            object.__setattr__(self, slot, value)
+
+    def __reduce__(self):
+        return Probe, (self.menu, self.utility, dict(self.measures))
+
+    def _measure(self, hypothesis: str) -> Measure:
+        measure = self.measures.get(hypothesis)
+        if measure is None:
+            raise ValueError(f"the probe has no measure for hypothesis {hypothesis!r}")
+        return measure
 
     def _exact_scores(self, rule: str, belief) -> dict[str, Fraction]:
         oracle = PreferenceOracle(rule, belief, self.utility, self.menu.state_space)
@@ -99,7 +113,7 @@ class Probe(Frozen):
         for h in hypotheses:
             if h not in columns:
                 # mer under a single measure is the expected regret under it
-                exact = self._exact_scores("mer", (self.measures[h],))
+                exact = self._exact_scores("mer", (self._measure(h),))
                 columns[h] = tuple(float(exact[name]) for name in self.acts)
         return tuple(zip(*[columns[h] for h in hypotheses]))
 
@@ -107,7 +121,7 @@ class Probe(Frozen):
         """The acts grouped by float expected utility under `hypothesis`, best first."""
         groups = self._seu_groups.get(hypothesis)
         if groups is None:
-            exact = self._exact_scores("seu", self.measures[hypothesis])
+            exact = self._exact_scores("seu", self._measure(hypothesis))
             scores = {name: float(s) for name, s in exact.items()}
             groups = self._seu_groups[hypothesis] = group_ties(scores, lower_is_better=False)
         return groups

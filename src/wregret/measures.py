@@ -28,41 +28,41 @@ from .errors import (
 )
 from .linfeas import in_downward_convex_hull
 from .rational import IntVector, as_integers, exact, format_rational, over_common
+from .records import Frozen
 
 Rational = Union[Fraction, int, str]
 
 ZERO = Fraction(0)
 
 
-class Event:
+class Event(Frozen):
     """A subset of state labels."""
 
-    __slots__ = ("_members",)
+    __slots__ = ("members",)
 
     def __init__(self, members: Iterable[str]):
-        self._members = frozenset(members)
-
-    @property
-    def members(self) -> frozenset[str]:
-        return self._members
+        object.__setattr__(self, "members", frozenset(members))
 
     def __contains__(self, state: str) -> bool:
-        return state in self._members
+        return state in self.members
 
     def __and__(self, other: "Event") -> "Event":
-        return Event(self._members & other._members)
+        return Event(self.members & other.members)
 
     def __or__(self, other: "Event") -> "Event":
-        return Event(self._members | other._members)
+        return Event(self.members | other.members)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Event) and self._members == other._members
+        return isinstance(other, Event) and self.members == other.members
 
     def __hash__(self) -> int:
-        return hash(self._members)
+        return hash(self.members)
+
+    def __reduce__(self):
+        return Event, (self.members,)
 
     def __repr__(self) -> str:
-        return f"Event({{{', '.join(sorted(self._members))}}})"
+        return f"Event({{{', '.join(sorted(self.members))}}})"
 
 
 EventLike = Union[Event, Iterable[str]]
@@ -90,9 +90,9 @@ class Measure(IntVector):
 
     def _mass(self, event: Event) -> int:
         """The event's probability times the denominator."""
-        picked = [n for s, n in zip(self.keys, self.numerators) if s in event._members]
-        if len(picked) != len(event._members):
-            unknown = sorted(event._members.difference(self.keys))
+        picked = [n for s, n in zip(self.keys, self.numerators) if s in event.members]
+        if len(picked) != len(event.members):
+            unknown = sorted(event.members.difference(self.keys))
             raise DimensionMismatch(f"event mentions unknown states {unknown}")
         return sum(picked)
 
@@ -105,7 +105,7 @@ class Measure(IntVector):
         event = as_event(event)
         if self._mass(event) == 0:
             raise UndefinedUpdate("cannot condition on a probability-zero event")
-        kept = tuple([n if s in event._members else 0 for s, n in zip(self.keys, self.numerators)])
+        kept = tuple([n if s in event.members else 0 for s, n in zip(self.keys, self.numerators)])
         return self._reduced(self.keys, kept, sum(kept))
 
     def expectation(self, values: Mapping[str, Rational]) -> Fraction:
@@ -128,10 +128,10 @@ def point_mass(state: str, state_space: Sequence[str]) -> Measure:
     return Measure({s: int(s == state) for s in state_space})
 
 
-class WeightedMeasureSet:
+class WeightedMeasureSet(Frozen):
     """A finite set of probability measures, each carrying a weight in [0, 1]."""
 
-    __slots__ = ("_entries", "_states")
+    __slots__ = ("entries", "state_space")
 
     def __init__(
         self,
@@ -150,20 +150,12 @@ class WeightedMeasureSet:
                 )
             if not (0 <= weight <= 1):
                 raise ValueError(f"weight {weight} outside [0, 1]")
-        self._entries = entries
-        self._states = states
-
-    @property
-    def entries(self) -> tuple[tuple[Measure, Fraction], ...]:
-        return self._entries
-
-    @property
-    def state_space(self) -> tuple[str, ...]:
-        return self._states
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "state_space", states)
 
     def _canonical(self) -> tuple:
         """The sorted states, then the sorted (numerators, weight) pairs."""
-        return tuple(sorted(self._states)), tuple(sorted((m.numerators, w) for m, w in self._entries))
+        return tuple(sorted(self.state_space)), tuple(sorted((m.numerators, w) for m, w in self.entries))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, WeightedMeasureSet) and self._canonical() == other._canonical()
@@ -171,8 +163,11 @@ class WeightedMeasureSet:
     def __hash__(self) -> int:
         return hash(self._canonical())
 
+    def __reduce__(self):
+        return WeightedMeasureSet, (self.entries, self.state_space)
+
     def __repr__(self) -> str:
-        inner = ", ".join(f"({m!r}, {format_rational(w)})" for m, w in self._entries)
+        inner = ", ".join(f"({m!r}, {format_rational(w)})" for m, w in self.entries)
         return f"WeightedMeasureSet([{inner}])"
 
 
@@ -270,7 +265,7 @@ class SubProbabilityVector(IntVector):
     state_space = property(lambda self: self.keys, doc="The states, sorted.")
 
 
-class RegularHull:
+class RegularHull(Frozen):
     """Generator view of a downward-closed convex set of sub-probability vectors.
 
     The represented set is the downward closure of the generators' convex
@@ -281,7 +276,7 @@ class RegularHull:
     (total mass one).
     """
 
-    __slots__ = ("_generators", "_states")
+    __slots__ = ("generators", "state_space")
 
     def __init__(self, generators: Iterable[SubProbabilityVector], state_space: Sequence[str]):
         generators = tuple(generators)
@@ -296,19 +291,14 @@ class RegularHull:
                 )
         if all(sum(g.numerators) != g.denominator for g in generators):
             raise ValueError("a regular hull must contain a proper probability measure")
-        self._generators = generators
-        self._states = states
+        object.__setattr__(self, "generators", generators)
+        object.__setattr__(self, "state_space", states)
 
-    @property
-    def generators(self) -> tuple[SubProbabilityVector, ...]:
-        return self._generators
-
-    @property
-    def state_space(self) -> tuple[str, ...]:
-        return self._states
+    def __reduce__(self):
+        return RegularHull, (self.generators, self.state_space)
 
     def __repr__(self) -> str:
-        return f"RegularHull({len(self._generators)} generators over {self._states})"
+        return f"RegularHull({len(self.generators)} generators over {self.state_space})"
 
 
 def to_hull(wset: WeightedMeasureSet) -> RegularHull:

@@ -24,48 +24,37 @@ from .records import Frozen
 
 Rational = Union[Fraction, int]
 
-_RATIONAL_RE = re.compile(
-    r"""^[+-]?(
-            \d+\s*/\s*\d+     # a/b
-          | \d+\.\d*          # 12.  12.5
-          | \.\d+             # .5
-          | \d+               # 12
-        )$""",
-    re.VERBOSE,
-)
+# An unsigned rational literal: `a/b` (spaces but no line break around the
+# slash), `12.`, `12.5`, `.5` or `12`.  The `.dp` tokenizer's NUMBER is this
+# after an optional minus sign.
+RATIONAL_LITERAL = r"(?:\d+[^\S\n]*/[^\S\n]*\d+|\d+\.\d*|\.\d+|\d+)"
+_RATIONAL_RE = re.compile(f"[+-]?{RATIONAL_LITERAL}")
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse `a/b`, a decimal, or an integer into an exact Fraction.
+    """Parse `a/b`, a decimal, or an integer, with an optional sign and
+    surrounding whitespace, into an exact Fraction.
 
     Raises ValueError on anything else (including float syntax like 1e3,
-    which has no place in an exact format).
+    which has no place in an exact format) and on a zero denominator.
     """
     text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    if not _RATIONAL_RE.fullmatch(text):
         raise ValueError(f"not a rational literal: {text!r}")
-    sign = -1 if text.startswith("-") else 1
-    body = text.lstrip("+-")
-    if "/" in body:
-        num_s, den_s = body.split("/")
-        den = int(den_s)
-        if den == 0:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(sign * int(num_s), den)
-    if "." in body:
-        whole, _, frac = body.partition(".")
-        whole_i = int(whole) if whole else 0
-        scale = 10 ** len(frac)
-        frac_i = int(frac) if frac else 0
-        return Fraction(sign * (whole_i * scale + frac_i), scale)
-    return Fraction(sign * int(body))
+    try:
+        return Fraction("".join(text.split()))
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def exact(value: Union[Rational, str], what: str, key: str | None = None, kind: str = "state") -> Fraction:
-    """The value as a Fraction.  A float, or any other type than int,
-    Fraction and str, raises TypeError naming the value and the key (a
-    state, or another `kind` of label) it belongs to."""
-    if not isinstance(value, (int, Fraction, str)):
+    """The value as a Fraction, a string read by `parse_rational`.  A float,
+    or any other type than int, Fraction and str, raises TypeError naming
+    the value and the key (a state, or another `kind` of label) it belongs
+    to."""
+    if isinstance(value, str):
+        return parse_rational(value)
+    if not isinstance(value, (int, Fraction)):
         where = "" if key is None else f" for {kind} {key!r}"
         raise TypeError(f"{what} {value!r}{where} is not an int, a Fraction or a string")
     return value if type(value) is Fraction else Fraction(value)

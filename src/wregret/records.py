@@ -20,8 +20,9 @@ def record(cls: type) -> type:
     onto the namedtuple.  Equality, hashing, `repr`, pickling and
     immutability are the tuple's.  A `_check(self)` in the body, which
     raises on a bad field, runs on every record the constructor or `_make`
-    builds, and so through `_replace`, copying and unpickling; a record
-    without one keeps the namedtuple's own `__new__` and `_make`.
+    builds, and so through `_replace`, copying and unpickling (after a
+    `__new__` of the body, if it has one); a record without one keeps the
+    namedtuple's own `__new__` and `_make`.
     """
     body = dict(vars(cls))
     fields = tuple(body.get("__annotations__", {}))
@@ -57,8 +58,8 @@ def record(cls: type) -> type:
 
 class Frozen:
     """A base whose instances refuse attribute assignment and deletion.  A
-    subclass sets its own attributes once, when built, through
-    `object.__setattr__`, its slots' descriptors or `vars(self)`."""
+    subclass declares its fields as `__slots__` and sets them once, when
+    built, through `object.__setattr__` or the slots' descriptors."""
 
     __slots__ = ()
 

@@ -175,6 +175,19 @@ class TestObservationModel:
         for seed in (0, 7):
             assert simulate(as_text, prior, probe, 60, seed) == simulate(model, prior, probe, 60, seed)
 
+    def test_the_model_keeps_a_copy_of_the_likelihoods(self):
+        # a hypothesis the caller adds to their mapping afterwards, float
+        # values and all, reaches neither the model nor a run
+        model, probe, prior = binary_ingredients()
+        likelihoods = dict(model.likelihoods)
+        copied = ObservationModel(model.outcomes, likelihoods, model.truth)
+        before = simulate(copied, prior, probe, 40, seed=2)
+        likelihoods["g"] = {"good": 0.5, "bad": 0.5}
+        likelihoods["coin"] = likelihoods["mostly_good"]
+        assert copied.hypotheses == ("coin", "mostly_good")
+        assert copied.likelihoods == model.likelihoods
+        assert simulate(copied, prior, probe, 40, seed=2) == before
+
     def test_rounding_fallback_draws_an_outcome_the_truth_can_produce(self, monkeypatch):
         # 7/10 + 2/10 + 1/10 sums to the largest float below 1.0 in floats, so
         # a draw of that float is not below any threshold; it must not land
@@ -224,6 +237,15 @@ class TestProbeTables:
         assert compare_updaters(model, prior, wider, 40, range(4)) == compare_updaters(
             model, prior, probe, 40, range(4)
         )
+
+    def test_a_hypothesis_without_a_probe_measure_is_named(self):
+        model, probe, prior = binary_ingredients()
+        partial = Probe(probe.menu, probe.utility, {"coin": probe.measures["coin"]})
+        message = "the probe has no measure for hypothesis 'mostly_good'"
+        with pytest.raises(ValueError, match=message):
+            simulate(model, prior, partial, 10, seed=0)
+        with pytest.raises(ValueError, match=message):
+            compare_updaters(model, prior, partial, 10, range(2))
 
     def test_measures_are_a_read_only_copy(self):
         model, probe, prior = binary_ingredients()

@@ -9,7 +9,7 @@ from fractions import Fraction
 import pytest
 
 from wregret import Lottery, Measure, SubProbabilityVector, UtilitySpec
-from wregret.rational import IntVector, as_integers, exact, format_map, over_common
+from wregret.rational import IntVector, as_integers, exact, format_map, over_common, parse_rational
 
 F = Fraction
 
@@ -41,6 +41,34 @@ def test_exact_takes_ints_fractions_and_strings_only():
         exact(None, "utility", "z", "prize")
     with pytest.raises(TypeError, match="^mass 0.1 for state 's' is not"):
         exact(0.1, "mass", "s")
+
+
+# strings with one reading, and strings that are not rational literals
+LITERALS = {
+    "1/2": F(1, 2), "-2/4": F(-1, 2), "+3": F(3), " 1 / 2 ": F(1, 2), "1\t/\t2": F(1, 2),
+    "0.25": F(1, 4), "12.": F(12), ".5": F(1, 2), "-.5": F(-1, 2), "007": F(7), "\u0663/\u0664": F(3, 4),
+    "1/0": None, "0/0": None, "1e3": None, "1_000": None, "1.5/2": None, "1/\n2": None, "": None,
+    "- 1": None, "1/-2": None, "inf": None, "nan": None, ".": None, "1//2": None,
+}
+
+
+@pytest.mark.parametrize("text", LITERALS)
+def test_exact_reads_a_string_as_parse_rational_does(text):
+    expected = LITERALS[text]
+    if expected is None:
+        with pytest.raises(ValueError):
+            parse_rational(text)
+        with pytest.raises(ValueError):
+            exact(text, "value")
+    else:
+        assert parse_rational(text) == exact(text, "value") == expected
+
+
+def test_a_zero_denominator_is_a_value_error_everywhere():
+    with pytest.raises(ValueError, match="^zero denominator: '1 / 0'$"):
+        parse_rational(" 1 / 0")
+    with pytest.raises(ValueError, match="^zero denominator: '1/0'$"):
+        Measure({"a": "1/0", "b": 1})
 
 
 def test_over_common_scales_to_the_lcm_and_keeps_rows_already_over_it():

@@ -17,10 +17,10 @@ from pkgutil import iter_modules
 import pytest
 
 import wregret
-from wregret import axioms, decisions, dsl, dynamics, learning
+from wregret import axioms, cli, decisions, dsl, dynamics, learning
 from wregret.errors import MalformedTree
-from wregret.measures import Event, Measure, WeightedMeasureSet
-from wregret.records import record
+from wregret.measures import Event, Measure, WeightedMeasureSet, to_hull
+from wregret.records import Frozen, record
 
 MODULES = [import_module(f"wregret.{module.name}") for module in iter_modules(wregret.__path__)]
 
@@ -283,6 +283,67 @@ def test_one_form_for_each_immutable_value():
         if "_make" in _bound_names(ast.parse(path.read_text(encoding="utf-8")))
     }
     assert set(makes) == {"records.py"}
+
+
+# the classes whose instances change as they are used, with the reason
+STATEFUL = {
+    decisions.PreferenceOracle: "keeps the last menu `rate` and `prefers` were asked about",
+    axioms.Sampler: "draws from its own random stream",
+    dsl._TokenStream: "advances through the tokens as it parses",
+    cli._ArgumentParser: "an argparse parser, built up by adding arguments",
+}
+
+
+def test_every_class_is_a_record_a_slotted_frozen_an_exception_or_a_stateful_helper():
+    classes = [
+        value
+        for module in MODULES
+        for value in vars(module).values()
+        if isinstance(value, type) and value.__module__ == module.__name__
+    ]
+    others = [
+        f"{c.__module__}.{c.__qualname__}"
+        for c in classes
+        if not (issubclass(c, tuple) and hasattr(c, "_fields"))  # a record
+        and not (issubclass(c, Frozen) and c.__dictoffset__ == 0)  # its instances have no `__dict__`
+        and not issubclass(c, Exception)
+        and c not in STATEFUL
+    ]
+    assert others == []
+
+
+MENU = decisions.Menu([
+    decisions.Act("a", {"s1": decisions.sure("win"), "s2": decisions.sure("lose")}),
+    decisions.Act("b", {"s1": decisions.sure("lose"), "s2": decisions.sure("win")}),
+])
+WSET = WeightedMeasureSet([(ONE, 1), (TWO, F(1, 2))])
+
+# a value of each non-record immutable class, and its public fields
+VALUES = {
+    "Event": (Event(STATES), ("members",)),
+    "Menu": (MENU, ("acts",)),
+    "WeightedMeasureSet": (WSET, ("entries", "state_space")),
+    "RegularHull": (to_hull(WSET), ("generators", "state_space")),
+    "Ranking": (decisions.rank("mwer", MENU, UTILITY, WSET), ("rule", "lower_is_better", "scores", "groups")),
+    "Probe": (learning.Probe(MENU, UTILITY, {"one": ONE, "two": TWO}), ("menu", "utility", "measures", "acts")),
+}
+
+
+def _fields(value, names: tuple) -> list:
+    """The fields' values, a `Menu` (which compares by identity) read as its acts."""
+    fields = [getattr(value, name) for name in names]
+    return [field.acts if isinstance(field, decisions.Menu) else field for field in fields]
+
+
+@pytest.mark.parametrize("name", VALUES)
+def test_an_immutable_value_refuses_assignment_and_copies_its_fields(name):
+    value, names = VALUES[name]
+    for field in names:
+        with pytest.raises(AttributeError):
+            setattr(value, field, getattr(value, field))
+    assert not hasattr(value, "__dict__")
+    for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(twin) is type(value) and _fields(twin, names) == _fields(value, names)
 
 
 def test_a_field_without_a_default_may_not_follow_one_with_a_default():
