@@ -206,6 +206,12 @@ class Menu(Frozen):
     def __reduce__(self):
         return Menu, (self.acts,)
 
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, Menu) and self.acts == other.acts
+
+    def __hash__(self) -> int:
+        return hash(self.acts)
+
     def __repr__(self) -> str:
         return f"Menu([{', '.join(a.name for a in self.acts)}])"
 
@@ -619,13 +625,19 @@ class Ranking:
     Groups are ordered best first; acts inside a group have exactly equal
     scores (`rank` finds them with `group_ties` on integer numerators).
     `lower_is_better` records the orientation so consumers never re-derive
-    it from the rule name.
+    it from the rule name.  `scores` is a read-only copy of the mapping given.
     """
 
     rule: str
     lower_is_better: bool
     scores: Mapping[str, Fraction]
     groups: tuple[tuple[str, ...], ...]
+
+    def __new__(cls, rule, lower_is_better, scores, groups):
+        return tuple.__new__(cls, (rule, lower_is_better, MappingProxyType(dict(scores)), groups))
+
+    def __getnewargs__(self):  # a mapping proxy cannot be pickled; its dict can
+        return (self.rule, self.lower_is_better, dict(self.scores), self.groups)
 
     @property
     def best(self) -> tuple[str, ...]:

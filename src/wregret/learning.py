@@ -13,10 +13,13 @@ once per `Probe` and hypothesis.  A run draws all its outcomes, then builds
 its log-weight, weight and score columns in whole-round passes with the float
 operations, in order, of a round-by-round loop; only the ranking check runs
 per round, and it regroups the acts only when a round's scores break the
-previous round's ranking.  The model (each hypothesis a `Measure` over the
-outcomes, so its likelihoods are exact), trajectories, rows and summaries
-are immutable records (`records.record`); a `Probe` is a `records.Frozen`
-keeping the tables it builds lazily.
+previous round's ranking.  A `Trajectory` keeps those columns: its
+`weights` are one column per hypothesis (a change from one tuple per round),
+and its CSV is formatted from them, one `%` per row.  `compare_updaters`
+counts its agreements in whole-column passes too.  The model (each
+hypothesis a `Measure` over the outcomes, so its likelihoods are exact),
+trajectories, rows and summaries are immutable records (`records.record`);
+a `Probe` is a `records.Frozen` keeping the tables it builds lazily.
 
 `es_update` implements the threshold alternative: condition every measure,
 then eliminate those whose relative likelihood does not exceed a cutoff.
@@ -28,8 +31,8 @@ import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate
-from operator import add, mul, sub
+from itertools import accumulate, chain, groupby, repeat
+from operator import add, and_, eq, itemgetter, mul, sub, truediv
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -138,7 +141,9 @@ class TrajectoryRow:
 
 @record
 class Trajectory:
-    """One seed's run, kept by round in columns; `rows` builds one
+    """One seed's run, kept in columns of `rounds + 1` entries: one weight
+    column per hypothesis, in `hypotheses` order (not one weight tuple per
+    round), and a ranking and an outcome per round.  `rows` builds one
     `TrajectoryRow` per round from them each time it is read."""
 
     seed: int
@@ -147,21 +152,28 @@ class Trajectory:
     truth: str
     hypotheses: tuple[str, ...]
     truth_seu_groups: Groups
-    weights: tuple[tuple[float, ...], ...]  # per round, in `hypotheses` order
+    weights: tuple[tuple[float, ...], ...]  # per hypothesis: its weight in each round
     rankings: tuple[tuple[Groups, bool], ...]  # per round: mwer groups, matches_truth_seu
     outcomes: tuple[str | None, ...]  # per round: the observation that produced it
+
+    def _check(self) -> None:
+        length = self.rounds + 1
+        if len(self.weights) != len(self.hypotheses) or any(len(c) != length for c in self.weights):
+            raise ValueError(f"weights must be one column of {length} per hypothesis")
+        if len(self.rankings) != length or len(self.outcomes) != length:
+            raise ValueError(f"rankings and outcomes must have {length} entries, one per round")
 
     @property
     def rows(self) -> tuple[TrajectoryRow, ...]:
         hypotheses = self.hypotheses
-        columns = zip(self.weights, self.rankings, self.outcomes)
+        columns = zip(zip(*self.weights), self.rankings, self.outcomes)
         return tuple(
             TrajectoryRow(i, dict(zip(hypotheses, weights)), groups, matches, outcome)
             for i, (weights, (groups, matches), outcome) in enumerate(columns)
         )
 
     def final_weights(self) -> dict[str, float]:
-        return dict(zip(self.hypotheses, self.weights[-1]))
+        return {h: column[-1] for h, column in zip(self.hypotheses, self.weights)}
 
     def csv_header(self) -> str:
         weights = [f"weight_{h}" for h in self.hypotheses]
@@ -169,14 +181,13 @@ class Trajectory:
 
     def csv_lines(self, prefix: str = "") -> Iterator[str]:
         """Each row as one CSV line ending in a newline, led by `prefix`."""
-        line = "%s%d," + "%.12g," * len(self.hypotheses) + "%s,%d\n"
-        texts: dict[Groups, str] = {}  # a run has few rankings; join each text once
-        columns = zip(self.weights, self.rankings)
-        for round_index, (weights, (groups, matches)) in enumerate(columns):
-            text = texts.get(groups)
-            if text is None:
-                text = texts[groups] = ">".join("|".join(group) for group in groups)
-            yield line % (prefix, round_index, *weights, text, matches)
+        # a ranking's text and flag, joined once for each run of rounds that keep it
+        texts = chain.from_iterable(
+            repeat(f"{'>'.join(map('|'.join, groups))},{matches:d}", len(list(run)))
+            for (groups, matches), run in groupby(self.rankings)
+        )
+        line = prefix.replace("%", "%%") + "%d," + "%.12g," * len(self.weights) + "%s\n"
+        return map(line.__mod__, zip(range(self.rounds + 1), *self.weights, texts))
 
     def to_csv(self) -> str:
         return f"{self.csv_header()}\n" + "".join(self.csv_lines())
@@ -252,7 +263,7 @@ def simulate(
     tops = list(_roundwise_max(log_weights))
     if tops[-1] == _NEG_INF:  # every weight is dead from some round on: exp(-inf - 0.0) is 0.0
         tops = [top if top != _NEG_INF else 0.0 for top in tops]
-    weights = [list(map(math.exp, map(sub, column, tops))) for column in log_weights]
+    weights = tuple(tuple(map(math.exp, map(sub, column, tops))) for column in log_weights)
     # each act's worst weighted expected regret, products and maxima in hypothesis order
     scores = [
         _roundwise_max([map(regret.__mul__, column) for regret, column in zip(regrets, weights)])
@@ -275,7 +286,7 @@ def simulate(
         truth=model.truth,
         hypotheses=hypotheses,
         truth_seu_groups=truth_groups,
-        weights=tuple(zip(*weights)),
+        weights=weights,
         rankings=tuple(ranking_column),
         outcomes=(None, *drawn),
     )
@@ -369,39 +380,22 @@ def compare_updaters(
     # rankings depend only on which hypotheses are kept, so each kept set is
     # ranked once, keyed by its kept flags, which are its 0/1 weights
     kept_groups: dict[tuple[bool, ...], Groups] = {}
-
-    def groups_keeping(kept: tuple[bool, ...]) -> Groups:
-        groups = kept_groups.get(kept)
-        if groups is None:
-            scores = [max(map(mul, kept, regrets)) for regrets in regret_rows]
-            groups = kept_groups[kept] = group_ties(dict(zip(acts, scores)), lower_is_better=True)
-        return groups
-
-    counts = [[0, 0, 0, 0] for _ in range(rounds + 1)]
+    counts = [[0] * (rounds + 1) for _ in range(4)]  # per-round columns: mwer = mer, mwer = es, mer = es, all
     for seed in seeds:
         trajectory = simulate(model, prior, probe, rounds, seed)
-        weights = tuple(zip(*trajectory.weights))  # one column per hypothesis
-        # per round, which hypotheses each updater keeps: w > 0, then w > thr
-        keys = (zip(*[map(cut.__lt__, column) for column in weights]) for cut in (0.0, thr))
-        for count, (mwer_groups, _), mer, es in zip(counts, trajectory.rankings, *keys):
-            mer_groups = groups_keeping(mer)
-            es_groups = groups_keeping(es)
-            a = mwer_groups == mer_groups
-            b = mwer_groups == es_groups
-            c = mer_groups == es_groups
-            count[0] += a
-            count[1] += b
-            count[2] += c
-            count[3] += a and b and c
-    total = len(seeds)
-    rows = tuple(
-        ComparisonRow(
-            r,
-            counts[r][0] / total,
-            counts[r][1] / total,
-            counts[r][2] / total,
-            counts[r][3] / total,
-        )
-        for r in range(rounds + 1)
-    )
+        mwer = list(map(itemgetter(0), trajectory.rankings))
+        kept = []  # per updater (w > 0, then w > thr): each round's groups of the hypotheses it keeps
+        for cut in (0.0, thr):
+            keys = list(zip(*[map(cut.__lt__, column) for column in trajectory.weights]))
+            for key in set(keys).difference(kept_groups):
+                scores = [max(map(mul, key, regrets)) for regrets in regret_rows]
+                kept_groups[key] = group_ties(dict(zip(acts, scores)), lower_is_better=True)
+            kept.append(list(map(kept_groups.__getitem__, keys)))
+        mer, es = kept
+        a, b = list(map(eq, mwer, mer)), list(map(eq, mwer, es))
+        # equality is transitive, so mwer = mer and mwer = es make all three agree
+        agreements = (a, b, map(eq, mer, es), map(and_, a, b))
+        counts = [list(map(add, count, agreed)) for count, agreed in zip(counts, agreements)]
+    shares = [map(truediv, count, repeat(len(seeds))) for count in counts]
+    rows = tuple(map(ComparisonRow, range(rounds + 1), *shares))
     return ComparisonSummary(rounds, tuple(seeds), threshold, rows)

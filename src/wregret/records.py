@@ -21,8 +21,9 @@ def record(cls: type) -> type:
     immutability are the tuple's.  A `_check(self)` in the body, which
     raises on a bad field, runs on every record the constructor or `_make`
     builds, and so through `_replace`, copying and unpickling (after a
-    `__new__` of the body, if it has one); a record without one keeps the
-    namedtuple's own `__new__` and `_make`.
+    `__new__` of the body, if it has one).  A `__new__` in the body builds
+    what `_make` builds too.  A record with neither keeps the namedtuple's
+    own `__new__` and `_make`.
     """
     body = dict(vars(cls))
     fields = tuple(body.get("__annotations__", {}))
@@ -38,9 +39,15 @@ def record(cls: type) -> type:
     for key, value in body.items():
         if key not in ("__dict__", "__weakref__"):  # the plain class's, not the tuple's
             setattr(built, key, value)
+    new, make = built.__new__, vars(built)["_make"].__func__
+    if "__new__" in body:  # so `_replace`, which calls `_make`, builds through it too
+
+        def make(cls, iterable):
+            return new(cls, *iterable)
+
+        built._make = classmethod(make)
     check = body.get("_check")
     if check is not None:
-        new, make = built.__new__, vars(built)["_make"].__func__
 
         def __new__(cls, *args, **kwargs):
             self = new(cls, *args, **kwargs)

@@ -11,6 +11,8 @@ the same order, so they must agree exactly: every row's round, weights
 `compare_updaters` share.  It takes the exact scores from
 `PreferenceOracle` and the grouping from `group_ties`, the library's one
 scorer and one tie grouping, and shares nothing else with `learning`.
+`csv` writes the rows the plain way too, one field at a time, for the
+trajectory CSV to be compared with byte for byte.
 """
 
 from __future__ import annotations
@@ -102,6 +104,20 @@ def simulate(model, prior, probe, rounds: int, seed: int = 0) -> list[Row]:
             log_weights[h] = log_weights[h] + math.log(p) if p > 0 else float("-inf")
         record(round_index, outcome)
     return rows
+
+
+def csv(rows: Sequence[Row], hypotheses: Sequence[str], prefix: str = "") -> str:
+    """The header, then one line per row led by `prefix`: the round, each
+    weight as `%.12g`, the groups joined by `|` within and `>` between, and
+    the match flag as 0 or 1."""
+    header = ["round", *(f"weight_{h}" for h in hypotheses), "mwer_ranking", "matches_truth_seu"]
+    lines = [",".join(header) + "\n"]
+    for row in rows:
+        weights = [format(row.weights[h], ".12g") for h in hypotheses]
+        ranking = ">".join("|".join(group) for group in row.mwer_groups)
+        flag = "1" if row.matches_truth_seu else "0"
+        lines.append(prefix + ",".join([str(row.round), *weights, ranking, flag]) + "\n")
+    return "".join(lines)
 
 
 def compare_updaters(model, prior, probe, rounds: int, seeds, threshold) -> list[tuple]:

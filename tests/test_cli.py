@@ -314,6 +314,11 @@ class TestSimulateCommand:
                 ("--truth", "coin", "--rounds", "2000", "--seeds", "4", "--seed", "41"),
                 "e53c24f216f251f82b403e89e3823a303c1e455f",
             ),
+            (
+                # the 17 MB run: 200 trajectories of 2001 rows
+                ("--truth", "mostly_good", "--rounds", "2000", "--seeds", "200"),
+                "4241d48004ac682a32cf7bb864d7b0edd4b8ae30",
+            ),
         ],
     )
     def test_trajectories_and_comparisons_are_pinned(self, capsys, argv, digest):

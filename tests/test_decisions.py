@@ -35,7 +35,7 @@ from wregret import (
     to_hull,
     support_value,
 )
-from wregret.decisions import Alternative, PreferenceOracle
+from wregret.decisions import Alternative, PreferenceOracle, Ranking
 from wregret.errors import ActNotInMenu, BeliefKindMismatch, UnknownPrize
 
 from conftest import DELIVERY_STATES, profile_act, random_measure, random_wset
@@ -443,6 +443,32 @@ class TestLotteryAndActValues:
         for twin in (copy.copy(act), copy.deepcopy(act), pickle.loads(pickle.dumps(act))):
             assert twin == act and hash(twin) == hash(act)
             assert twin.utility_profile(delivery_utility) == act.utility_profile(delivery_utility)
+
+    def test_a_menu_equals_its_copies_and_a_menu_of_the_same_acts(self, delivery_acts, base_menu):
+        same = Menu([delivery_acts[n] for n in ("cont", "back", "check")])
+        for twin in (same, copy.copy(base_menu), copy.deepcopy(base_menu),
+                     pickle.loads(pickle.dumps(base_menu))):
+            assert twin == base_menu and hash(twin) == hash(base_menu)
+        reordered = Menu([delivery_acts[n] for n in ("back", "cont", "check")])
+        for other in (reordered, Menu([delivery_acts["cont"], delivery_acts["back"]]),
+                      Menu([delivery_acts[n] for n in ("cont", "back", "new")])):
+            assert other != base_menu
+        assert base_menu != base_menu.acts
+
+    def test_ranking_scores_are_read_only(self, base_menu, delivery_utility):
+        ranking = rank("regret", base_menu, delivery_utility)
+        shown = ranking.to_tsv()
+        given = {"a": F(1, 2)}
+        built = Ranking("mer", True, given, (("a",),))
+        given["a"] = F(99)  # the ranking keeps its own copy
+        twins = (ranking._replace(scores=dict(ranking.scores)), copy.copy(ranking),
+                 copy.deepcopy(ranking), pickle.loads(pickle.dumps(ranking)))
+        for value in (ranking, built, *twins):
+            with pytest.raises(TypeError):
+                value.scores["check"] = 99
+        assert built.scores == {"a": F(1, 2)}
+        assert all(type(twin) is Ranking and twin == ranking for twin in twins)
+        assert ranking.to_tsv() == shown
 
     def test_an_act_keeps_only_its_last_table(self):
         # the act caches the alternative of the last table it was scored

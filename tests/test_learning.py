@@ -111,6 +111,31 @@ class TestSimulate:
         with pytest.raises(ValueError, match=r"\[0, 1\]"):
             simulate(model, {"coin": 1, "mostly_good": -3}, probe, 5, seed=0)
 
+    def test_weights_are_one_column_per_hypothesis(self):
+        model, probe, prior = binary_ingredients()
+        trajectory = simulate(model, prior, probe, 30, seed=2)
+        assert len(trajectory.weights) == len(model.hypotheses) == 2
+        for h, column in zip(trajectory.hypotheses, trajectory.weights):
+            assert column == tuple(row.weights[h] for row in trajectory.rows)
+        assert trajectory.final_weights() == trajectory.rows[-1].weights
+
+    def test_a_trajectory_of_the_wrong_shape_is_rejected(self):
+        # a caller still passing one weight tuple per round gets an error, not a wrong CSV
+        model, probe, prior = binary_ingredients()
+        trajectory = simulate(model, prior, probe, 3, seed=0)
+        wrong = {
+            "weights": tuple(zip(*trajectory.weights)),
+            "rankings": trajectory.rankings[:-1],
+            "outcomes": (*trajectory.outcomes, "good"),
+        }
+        wrong_columns = (
+            trajectory.weights[:1], (*trajectory.weights, trajectory.weights[0]),
+            (trajectory.weights[0], trajectory.weights[1][:-1]),
+        )
+        for field, value in [*wrong.items(), *(("weights", w) for w in wrong_columns)]:
+            with pytest.raises(ValueError, match="weights must be one column of 4|have 4 entries"):
+                trajectory._replace(**{field: value})
+
     def test_csv_shape(self):
         model, probe, prior = binary_ingredients()
         trajectory = simulate(model, prior, probe, 3, seed=0)
@@ -279,7 +304,10 @@ def _learning_fixture(truth: str):
 
 def _mirror_case():
     """Two acts whose expected regrets swap between two hypotheses: equal
-    prior weights tie them exactly, and any evidence orders them."""
+    weights tie them exactly.  The prior weights are equal, and so are the
+    exact weights after balanced evidence (as many x draws as y), where the
+    float weights may still order the acts: on seed 0 the draws are y, y,
+    x, x, and round 4's floats are 1.0 and 0.9999999999999996."""
     u = UtilitySpec({"hi": 1, "lo": 0})
     up = Act("up", {"x": Lottery({"hi": 1}), "y": Lottery({"lo": 1})})
     down = Act("down", {"x": Lottery({"lo": 1}), "y": Lottery({"hi": 1})})
@@ -422,6 +450,18 @@ class TestAgainstReference:
             want = reference.simulate(model, prior, probe, 120, seed)
             assert [_fields(row) for row in got.rows] == [_fields(row) for row in want]
             assert got.truth_seu_groups == reference._truth_seu_groups(probe, model.truth)
+
+    @pytest.mark.parametrize("case", range(len(CORPUS)))
+    def test_csv_is_identical(self, case):
+        # "%d%%," checks that a `%` in the prefix is copied as it is
+        model, probe, prior = self.CORPUS[case]
+        for seed in range(3):
+            got = simulate(model, prior, probe, 120, seed)
+            rows = reference.simulate(model, prior, probe, 120, seed)
+            assert got.to_csv() == reference.csv(rows, model.hypotheses)
+            for prefix in ("", "7,", "%d%%,"):
+                written = f"{got.csv_header()}\n" + "".join(got.csv_lines(prefix))
+                assert written == reference.csv(rows, model.hypotheses, prefix)
 
     @pytest.mark.parametrize("case", range(len(CORPUS)))
     def test_groups_only_when_the_ranking_changes(self, case, monkeypatch):

@@ -156,13 +156,13 @@ RECORDS = {
     ),
     "Trajectory": (
         learning.Trajectory,
-        (0, 1, "mt19937", "fair", ("fair",), (("a",),), ((1.0,), (1.0,))), {
+        (0, 1, "mt19937", "fair", ("fair",), (("a",),), ((1.0, 1.0),)), {
             "rankings": (((("a",),), True),) * 2, "outcomes": (None, "h"),
         },
         ("seed", "rounds", "rng_algorithm", "truth", "hypotheses", "truth_seu_groups", "weights", "rankings",
          "outcomes"), {},
         "Trajectory(seed=0, rounds=1, rng_algorithm='mt19937', truth='fair', hypotheses=('fair',),"
-        " truth_seu_groups=(('a',),), weights=((1.0,), (1.0,)), rankings=(((('a',),), True), ((('a',),),"
+        " truth_seu_groups=(('a',),), weights=((1.0, 1.0),), rankings=(((('a',),), True), ((('a',),),"
         " True)), outcomes=(None, 'h'))",
     ),
     "ComparisonRow": (
@@ -219,6 +219,8 @@ REJECTED = {
     "DecisionNode": ("branches", (), MalformedTree, "decision node 'd' has no branches"),
     "NatureNode": ("partition", (), MalformedTree, "nature node has an empty partition"),
     "ObservationModel": ("truth", "loaded", ValueError, "truth 'loaded' is not a hypothesis"),
+    # the per-round layout: one weight tuple per round instead of one column per hypothesis
+    "Trajectory": ("weights", ((1.0,), (1.0,)), ValueError, "weights must be one column of 2 per hypothesis"),
 }
 
 
