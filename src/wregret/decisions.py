@@ -639,10 +639,6 @@ class Ranking:
     def __getnewargs__(self):  # a mapping proxy cannot be pickled; its dict can
         return (self.rule, self.lower_is_better, dict(self.scores), self.groups)
 
-    @property
-    def best(self) -> tuple[str, ...]:
-        return self.groups[0]
-
     def to_tsv(self) -> str:
         lines = ["rank\tact\tscore\tdecimal"]
         for rank, group in enumerate(self.groups, start=1):

@@ -13,12 +13,13 @@ once per `Probe` and hypothesis.  A run draws all its outcomes, then builds
 its log-weight, weight and score columns in whole-round passes with the float
 operations, in order, of a round-by-round loop; only the ranking check runs
 per round, and it regroups the acts only when a round's scores break the
-previous round's ranking.  A `Trajectory` keeps those columns: its
-`weights` are one column per hypothesis (a change from one tuple per round),
-and its CSV is formatted from them, one `%` per row.  `compare_updaters`
-counts its agreements in whole-column passes too.  The model (each
-hypothesis a `Measure` over the outcomes, so its likelihoods are exact),
-trajectories, rows and summaries are immutable records (`records.record`);
+previous round's ranking.  A `Trajectory` keeps those columns (one weight
+column per hypothesis, a ranking column and an outcome column) and its CSV
+is formatted from them, one `%` per row.  `compare_updaters` counts its
+agreements in whole-column passes too, and a `ComparisonSummary` keeps them
+as one share column per pair of updating styles, written the same way.  The
+model (each hypothesis a `Measure` over the outcomes, so its likelihoods are
+exact), trajectories and summaries are immutable records (`records.record`);
 a `Probe` is a `records.Frozen` keeping the tables it builds lazily.
 
 `es_update` implements the threshold alternative: condition every measure,
@@ -49,14 +50,18 @@ _NEG_INF = float("-inf")
 class ObservationModel:
     """Per-hypothesis i.i.d. outcome distributions, each a `Measure` over
     exactly the outcomes; `outcomes` is the order a draw walks them in.  It
-    keeps a copy of the likelihood mapping, so the caller's may change."""
+    keeps a read-only copy of the likelihood mapping, so the caller's may
+    change and its own cannot."""
 
     outcomes: tuple[str, ...]
     likelihoods: Mapping[str, Measure]
     truth: str
 
     def __new__(cls, outcomes: Sequence[str], likelihoods: Mapping[str, Measure], truth: str):
-        return tuple.__new__(cls, (outcomes, dict(likelihoods), truth))
+        return tuple.__new__(cls, (outcomes, MappingProxyType(dict(likelihoods)), truth))
+
+    def __getnewargs__(self):  # a mapping proxy cannot be pickled; its dict can
+        return (self.outcomes, dict(self.likelihoods), self.truth)
 
     def _check(self) -> None:
         outcomes = self.outcomes
@@ -131,20 +136,10 @@ class Probe(Frozen):
 
 
 @record
-class TrajectoryRow:
-    round: int
-    weights: dict[str, float]
-    mwer_groups: Groups
-    matches_truth_seu: bool
-    outcome: str | None = None  # the observation that produced this row
-
-
-@record
 class Trajectory:
-    """One seed's run, kept in columns of `rounds + 1` entries: one weight
-    column per hypothesis, in `hypotheses` order (not one weight tuple per
-    round), and a ranking and an outcome per round.  `rows` builds one
-    `TrajectoryRow` per round from them each time it is read."""
+    """One seed's run, kept in columns of `rounds + 1` entries, round 0 the
+    prior: one weight column per hypothesis, in `hypotheses` order, a
+    ranking column and an outcome column."""
 
     seed: int
     rounds: int
@@ -163,15 +158,6 @@ class Trajectory:
         if len(self.rankings) != length or len(self.outcomes) != length:
             raise ValueError(f"rankings and outcomes must have {length} entries, one per round")
 
-    @property
-    def rows(self) -> tuple[TrajectoryRow, ...]:
-        hypotheses = self.hypotheses
-        columns = zip(zip(*self.weights), self.rankings, self.outcomes)
-        return tuple(
-            TrajectoryRow(i, dict(zip(hypotheses, weights)), groups, matches, outcome)
-            for i, (weights, (groups, matches), outcome) in enumerate(columns)
-        )
-
     def final_weights(self) -> dict[str, float]:
         return {h: column[-1] for h, column in zip(self.hypotheses, self.weights)}
 
@@ -189,9 +175,6 @@ class Trajectory:
         line = prefix.replace("%", "%%") + "%d," + "%.12g," * len(self.weights) + "%s\n"
         return map(line.__mod__, zip(range(self.rounds + 1), *self.weights, texts))
 
-    def to_csv(self) -> str:
-        return f"{self.csv_header()}\n" + "".join(self.csv_lines())
-
 
 def _log(p: float) -> float:
     return math.log(p) if p > 0 else _NEG_INF
@@ -200,19 +183,6 @@ def _log(p: float) -> float:
 def _roundwise_max(columns: Sequence[Iterable[float]]) -> Iterable[float]:
     """Each round's maximum over the columns, taken in column order."""
     return map(max, *columns) if len(columns) > 1 else columns[0]
-
-
-def _keeps_ranking(scores: Sequence[float], steps: Iterable[tuple[int, int, bool]]) -> bool:
-    """Whether `scores` rank the acts as the ones `steps` was taken from did.
-
-    `steps` pairs each act with the next one in that ranking, flagged when the
-    two were tied; `group_ties` reads nothing of the scores but their order
-    and ties, so scores that keep every step give the same groups.
-    """
-    for i, j, tied in steps:
-        if (scores[i] != scores[j]) if tied else (scores[i] >= scores[j]):
-            return False
-    return True
 
 
 def simulate(
@@ -232,8 +202,11 @@ def simulate(
     act's scores, in the float operations and order of a per-round loop.
     A round whose scores keep the previous round's ranking (equal within
     each group, strictly increasing from group to group) keeps it, checked
-    in one comparison per adjacent pair of acts; `group_ties` runs only when
-    the ranking changes.
+    in one comparison per adjacent pair of acts: `steps` pairs each act with
+    the next one in that ranking, flagged when the two were tied, and
+    `group_ties` reads nothing of the scores but their order and ties, so
+    scores that keep every step give the same groups.  `group_ties` runs
+    only when the ranking changes.
     """
     if rounds < 1:
         raise ValueError("rounds must be at least 1")
@@ -270,14 +243,19 @@ def simulate(
         for regrets in regret_rows
     ]
     position = {name: i for i, name in enumerate(acts)}
-    ranking, steps = None, ()
+    steps = ((0, 0, False),)  # no scores keep it (no score is below itself), so round 0 groups
     ranking_column = []
     for row in zip(*scores):
-        if ranking is None or not _keeps_ranking(row, steps):
-            groups = group_ties(dict(zip(acts, row)), lower_is_better=True)
-            ranking = (groups, groups == truth_groups)
-            order = [position[name] for group in groups for name in group]
-            steps = tuple((i, j, row[i] == row[j]) for i, j in zip(order, order[1:]))
+        for i, j, tied in steps:
+            if (row[i] != row[j]) if tied else (row[i] >= row[j]):
+                break
+        else:
+            ranking_column.append(ranking)
+            continue
+        groups = group_ties(dict(zip(acts, row)), lower_is_better=True)
+        ranking = (groups, groups == truth_groups)
+        order = [position[name] for group in groups for name in group]
+        steps = tuple((i, j, row[i] == row[j]) for i, j in zip(order, order[1:]))
         ranking_column.append(ranking)
     return Trajectory(
         seed=seed,
@@ -325,29 +303,23 @@ def es_update(
 
 
 @record
-class ComparisonRow:
-    round: int
-    agree_mwer_mer: float
-    agree_mwer_es: float
-    agree_mer_es: float
-    agree_all: float
-
-
-@record
 class ComparisonSummary:
+    """The agreement shares of `compare_updaters`, one column of `rounds + 1`
+    per pair of updating styles, named like its CSV columns."""
+
     rounds: int
     seeds: tuple[int, ...]
     threshold: Fraction
-    rows: tuple[ComparisonRow, ...]
+    agree_mwer_mer: tuple[float, ...]
+    agree_mwer_es: tuple[float, ...]
+    agree_mer_es: tuple[float, ...]
+    agree_all: tuple[float, ...]
 
     def to_csv(self) -> str:
-        lines = ["round,agree_mwer_mer,agree_mwer_es,agree_mer_es,agree_all"]
-        for row in self.rows:
-            lines.append(
-                f"{row.round},{row.agree_mwer_mer:.6f},{row.agree_mwer_es:.6f},"
-                f"{row.agree_mer_es:.6f},{row.agree_all:.6f}"
-            )
-        return "\n".join(lines) + "\n"
+        # the four share columns are the fields after rounds, seeds and threshold
+        header = ",".join(("round", *self._fields[3:]))
+        lines = map("%d,%.6f,%.6f,%.6f,%.6f\n".__mod__, zip(range(self.rounds + 1), *self[3:]))
+        return header + "\n" + "".join(lines)
 
 
 def compare_updaters(
@@ -396,6 +368,5 @@ def compare_updaters(
         # equality is transitive, so mwer = mer and mwer = es make all three agree
         agreements = (a, b, map(eq, mer, es), map(and_, a, b))
         counts = [list(map(add, count, agreed)) for count, agreed in zip(counts, agreements)]
-    shares = [map(truediv, count, repeat(len(seeds))) for count in counts]
-    rows = tuple(map(ComparisonRow, range(rounds + 1), *shares))
-    return ComparisonSummary(rounds, tuple(seeds), threshold, rows)
+    shares = [tuple(map(truediv, count, repeat(len(seeds)))) for count in counts]
+    return ComparisonSummary(rounds, tuple(seeds), threshold, *shares)

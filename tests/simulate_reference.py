@@ -11,8 +11,10 @@ the same order, so they must agree exactly: every row's round, weights
 `compare_updaters` share.  It takes the exact scores from
 `PreferenceOracle` and the grouping from `group_ties`, the library's one
 scorer and one tie grouping, and shares nothing else with `learning`.
-`csv` writes the rows the plain way too, one field at a time, for the
-trajectory CSV to be compared with byte for byte.
+`columns` lays the rows out as a `Trajectory` keeps them, and `csv` and
+`comparison_csv` write the rows and the shares the plain way too, one field
+at a time, for the trajectory and summary CSVs to be compared with byte for
+byte.
 """
 
 from __future__ import annotations
@@ -106,6 +108,14 @@ def simulate(model, prior, probe, rounds: int, seed: int = 0) -> list[Row]:
     return rows
 
 
+def columns(rows: Sequence[Row], hypotheses: Sequence[str]) -> tuple:
+    """(weights, rankings, outcomes) as `Trajectory` keeps them: one weight
+    column per hypothesis, then (groups, match flag) and the outcome per round."""
+    weights = tuple(tuple(row.weights[h] for row in rows) for h in hypotheses)
+    rankings = tuple((row.mwer_groups, row.matches_truth_seu) for row in rows)
+    return weights, rankings, tuple(row.outcome for row in rows)
+
+
 def csv(rows: Sequence[Row], hypotheses: Sequence[str], prefix: str = "") -> str:
     """The header, then one line per row led by `prefix`: the round, each
     weight as `%.12g`, the groups joined by `|` within and `>` between, and
@@ -121,7 +131,7 @@ def csv(rows: Sequence[Row], hypotheses: Sequence[str], prefix: str = "") -> str
 
 
 def compare_updaters(model, prior, probe, rounds: int, seeds, threshold) -> list[tuple]:
-    """(round, four agreement shares) per round, as `ComparisonRow` holds them."""
+    """(round, four agreement shares) per round, in the order of the CSV columns."""
     table = _ProbeTable(probe, model.hypotheses)
     thr = float(Fraction(threshold))
     counts = [[0, 0, 0, 0] for _ in range(rounds + 1)]
@@ -139,3 +149,13 @@ def compare_updaters(model, prior, probe, rounds: int, seeds, threshold) -> list
             counts[row.round][3] += a and b and c
     total = len(seeds)
     return [(r, *(n / total for n in counts[r])) for r in range(rounds + 1)]
+
+
+def comparison_csv(shares: Sequence[tuple]) -> str:
+    """The header, then one line per round of `compare_updaters` output: the
+    round, then each share with six decimals."""
+    lines = ["round,agree_mwer_mer,agree_mwer_es,agree_mer_es,agree_all\n"]
+    for round_index, *agreements in shares:
+        fields = [str(round_index), *(format(share, ".6f") for share in agreements)]
+        lines.append(",".join(fields) + "\n")
+    return "".join(lines)

@@ -158,7 +158,7 @@ class TestRank:
 
     def test_mer_extended_ranking(self, extended_menu, delivery_utility, delivery_measures):
         ranking = rank("mer", extended_menu, delivery_utility, delivery_measures)
-        assert ranking.best == ("cont",)
+        assert ranking.groups[0] == ("cont",)
         assert ranking.scores["cont"] == 10000
         assert ranking.scores["check"] == 14999
 

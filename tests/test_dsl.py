@@ -56,7 +56,7 @@ class TestParseProblem:
         for (name, state), value in expect.items():
             assert regret(doc.acts[name], state, menu, doc.utility) == value
         ranking = rank("mer", menu, doc.utility, doc.measures())
-        assert ranking.best == ("check",)
+        assert ranking.groups[0] == ("check",)
 
     def test_bad_lottery_sum_cites_exact_fraction(self):
         text = (

@@ -1,6 +1,8 @@
 """Weight dynamics under repeated observations and threshold updating."""
 
+import copy
 import math
+import pickle
 import random
 import statistics
 from fractions import Fraction
@@ -41,6 +43,11 @@ def binary_ingredients():
     return model, Probe(menu, u, measures), {"mostly_good": 1, "coin": 1}
 
 
+def _weights_in_round(trajectory, round_index: int) -> dict:
+    """Each hypothesis's weight in one round, read from the weight columns."""
+    return {h: column[round_index] for h, column in zip(trajectory.hypotheses, trajectory.weights)}
+
+
 class TestSimulate:
     def test_zero_likelihood_kills_weight_in_one_round(self):
         u = UtilitySpec({"hi": 1, "lo": -1})
@@ -53,9 +60,9 @@ class TestSimulate:
         model = ObservationModel(("good", "bad"), measures, "always_good")
         probe = Probe(Menu([act, other]), u, measures)
         trajectory = simulate(model, {"always_good": 1, "always_bad": 1}, probe, 3, seed=0)
-        assert trajectory.rows[0].weights == {"always_good": 1.0, "always_bad": 1.0}
-        assert trajectory.rows[1].weights["always_bad"] == 0.0
-        assert trajectory.rows[1].outcome == "good"
+        assert _weights_in_round(trajectory, 0) == {"always_good": 1.0, "always_bad": 1.0}
+        assert _weights_in_round(trajectory, 1)["always_bad"] == 0.0
+        assert trajectory.outcomes[1] == "good"
 
     def test_identical_hypotheses_keep_weight_one(self):
         u = UtilitySpec({"hi": 1, "lo": -1})
@@ -65,8 +72,7 @@ class TestSimulate:
         model = ObservationModel(("good", "bad"), measures, "h1")
         probe = Probe(Menu([act]), u, measures)
         trajectory = simulate(model, {"h1": 1, "h2": 1}, probe, 50, seed=1)
-        for row in trajectory.rows:
-            assert row.weights == {"h1": 1.0, "h2": 1.0}
+        assert trajectory.weights == ((1.0,) * 51,) * 2  # both columns, every round
 
     def test_weights_are_exact_likelihood_ratio_products(self):
         # each weight is the history-likelihood ratio against the current
@@ -74,17 +80,18 @@ class TestSimulate:
         model, probe, prior = binary_ingredients()
         trajectory = simulate(model, prior, probe, 40, seed=11)
         log_like = {"coin": 0.0, "mostly_good": 0.0}
-        for row in trajectory.rows:
-            if row.outcome is None:
+        for round_index, outcome in enumerate(trajectory.outcomes):
+            if outcome is None:
                 continue
             for h in log_like:
-                log_like[h] += math.log(float(model.likelihoods[h][row.outcome]))
+                log_like[h] += math.log(float(model.likelihoods[h][outcome]))
             top = max(log_like.values())
+            weights = _weights_in_round(trajectory, round_index)
             for h in log_like:
-                assert row.weights[h] == pytest.approx(
+                assert weights[h] == pytest.approx(
                     math.exp(log_like[h] - top), rel=1e-12
                 )
-                assert row.weights[h] <= 1.0
+                assert weights[h] <= 1.0
 
     def test_pinned_median_settling_round(self):
         # regression: the round after which the worst-case ranking matches
@@ -94,7 +101,7 @@ class TestSimulate:
         for seed in range(100):
             trajectory = simulate(model, prior, probe, 60, seed=seed)
             last_mismatch = max(
-                (row.round for row in trajectory.rows if not row.matches_truth_seu),
+                (i for i, (_, matches) in enumerate(trajectory.rankings) if not matches),
                 default=-1,
             )
             settles.append(last_mismatch + 1)
@@ -114,10 +121,11 @@ class TestSimulate:
     def test_weights_are_one_column_per_hypothesis(self):
         model, probe, prior = binary_ingredients()
         trajectory = simulate(model, prior, probe, 30, seed=2)
+        rows = reference.simulate(model, prior, probe, 30, seed=2)
         assert len(trajectory.weights) == len(model.hypotheses) == 2
         for h, column in zip(trajectory.hypotheses, trajectory.weights):
-            assert column == tuple(row.weights[h] for row in trajectory.rows)
-        assert trajectory.final_weights() == trajectory.rows[-1].weights
+            assert column == tuple(row.weights[h] for row in rows)
+        assert trajectory.final_weights() == rows[-1].weights
 
     def test_a_trajectory_of_the_wrong_shape_is_rejected(self):
         # a caller still passing one weight tuple per round gets an error, not a wrong CSV
@@ -139,7 +147,8 @@ class TestSimulate:
     def test_csv_shape(self):
         model, probe, prior = binary_ingredients()
         trajectory = simulate(model, prior, probe, 3, seed=0)
-        lines = trajectory.to_csv().strip().split("\n")
+        text = f"{trajectory.csv_header()}\n" + "".join(trajectory.csv_lines())
+        lines = text.strip().split("\n")
         assert lines[0] == "round,weight_coin,weight_mostly_good,mwer_ranking,matches_truth_seu"
         assert len(lines) == 5  # header + rounds 0..3
 
@@ -213,6 +222,20 @@ class TestObservationModel:
         assert copied.likelihoods == model.likelihoods
         assert simulate(copied, prior, probe, 40, seed=2) == before
 
+    def test_likelihoods_are_read_only(self):
+        # on the model, its copies and its replacements: a hypothesis cannot
+        # be added to a model after it was checked
+        model, _, _ = _learning_fixture("mostly_good")
+        twins = (
+            copy.copy(model), copy.deepcopy(model), pickle.loads(pickle.dumps(model)),
+            model._replace(truth="coin"), model._replace(likelihoods=dict(model.likelihoods)),
+        )
+        for twin in (model, *twins):
+            with pytest.raises(TypeError):
+                twin.likelihoods["zzz"] = "not a measure"
+            assert twin.hypotheses == ("coin", "mostly_good")
+            assert dict(twin.likelihoods) == dict(model.likelihoods)
+
     def test_rounding_fallback_draws_an_outcome_the_truth_can_produce(self, monkeypatch):
         # 7/10 + 2/10 + 1/10 sums to the largest float below 1.0 in floats, so
         # a draw of that float is not below any threshold; it must not land
@@ -230,8 +253,8 @@ class TestObservationModel:
         act = Act("only", {o: Lottery({"hi": 1}) for o in dist.state_space})
         probe = Probe(Menu([act]), u, {"h": dist})
         trajectory = simulate(model, {"h": 1}, probe, 3, seed=0)
-        assert [row.outcome for row in trajectory.rows[1:]] == ["c", "c", "c"]
-        assert [row.weights for row in trajectory.rows] == [{"h": 1.0}] * 4
+        assert trajectory.outcomes[1:] == ("c", "c", "c")
+        assert trajectory.weights == ((1.0,) * 4,)
 
 
 class TestProbeTables:
@@ -281,17 +304,16 @@ class TestProbeTables:
         with pytest.raises(TypeError):
             probe.measures["coin"] = measures["mostly_good"]
         assert simulate(model, prior, probe, 30, seed=4) == before
-        # the records refuse assignment too, the `rows` property and new names included
-        assert len(before.rows) == 31  # `rows` is built from the columns when read
+        # the records refuse assignment too, new names included
         records = (
             (probe, "measures"), (probe, "acts"), (model, "truth"), (before, "weights"),
-            (before, "rows"), (before, "extra"), (before.rows[0], "weights"),
+            (before, "extra"),
         )
         for record, field in records:
             with pytest.raises(AttributeError):
                 setattr(record, field, None)
         with pytest.raises(AttributeError):
-            del before.rows
+            del before.weights
 
 
 def _learning_fixture(truth: str):
@@ -407,10 +429,6 @@ def _corpus():
     return cases
 
 
-def _fields(row) -> tuple:
-    return (row.round, row.weights, row.mwer_groups, row.matches_truth_seu, row.outcome)
-
-
 class TestAgainstReference:
     """The simulator against the plain per-round loop in `simulate_reference`."""
 
@@ -448,7 +466,7 @@ class TestAgainstReference:
         for seed in range(3):
             got = simulate(model, prior, probe, 120, seed)
             want = reference.simulate(model, prior, probe, 120, seed)
-            assert [_fields(row) for row in got.rows] == [_fields(row) for row in want]
+            assert (got.weights, got.rankings, got.outcomes) == reference.columns(want, model.hypotheses)
             assert got.truth_seu_groups == reference._truth_seu_groups(probe, model.truth)
 
     @pytest.mark.parametrize("case", range(len(CORPUS)))
@@ -458,7 +476,6 @@ class TestAgainstReference:
         for seed in range(3):
             got = simulate(model, prior, probe, 120, seed)
             rows = reference.simulate(model, prior, probe, 120, seed)
-            assert got.to_csv() == reference.csv(rows, model.hypotheses)
             for prefix in ("", "7,", "%d%%,"):
                 written = f"{got.csv_header()}\n" + "".join(got.csv_lines(prefix))
                 assert written == reference.csv(rows, model.hypotheses, prefix)
@@ -486,10 +503,9 @@ class TestAgainstReference:
         for threshold in (F(1, 10), F(1, 3), F(1, 2), F(9, 10)):
             got = compare_updaters(model, prior, probe, 60, range(4), threshold)
             want = reference.compare_updaters(model, prior, probe, 60, range(4), threshold)
-            assert [
-                (r.round, r.agree_mwer_mer, r.agree_mwer_es, r.agree_mer_es, r.agree_all)
-                for r in got.rows
-            ] == want
+            columns = (got.agree_mwer_mer, got.agree_mwer_es, got.agree_mer_es, got.agree_all)
+            assert list(zip(range(61), *columns)) == want
+            assert got.to_csv() == reference.comparison_csv(want)  # byte for byte
 
 
 class TestCupcakeWeight:
@@ -585,13 +601,12 @@ class TestCompareUpdaters:
         model = ObservationModel(("good", "bad"), measures, "h1")
         probe = Probe(Menu([act, other]), u, measures)
         summary = compare_updaters(model, {"h1": 1, "h2": 1}, probe, 20, range(5), F(1, 2))
-        for row in summary.rows:
-            assert row.agree_all == 1.0
+        assert summary.agree_all == (1.0,) * 21
 
     def test_round_zero_always_agrees(self):
         model, probe, prior = binary_ingredients()
         summary = compare_updaters(model, prior, probe, 5, range(10), F(1, 2))
-        assert summary.rows[0].agree_all == 1.0
+        assert summary.agree_all[0] == 1.0
 
     def test_asymptotic_agreement_when_alternative_dies(self):
         # the alternative assigns probability zero to an outcome the truth
@@ -608,7 +623,7 @@ class TestCompareUpdaters:
         summary = compare_updaters(
             model, {"mostly_good": 1, "all_good": 1}, probe, 200, range(50), F(1, 2)
         )
-        assert summary.rows[-1].agree_all == 1.0
+        assert summary.agree_all[-1] == 1.0
 
     def test_csv_header(self):
         model, probe, prior = binary_ingredients()

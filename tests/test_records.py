@@ -29,7 +29,6 @@ ONE = Measure({"s1": F(1, 4), "s2": F(3, 4)})
 TWO = Measure({"s1": F(1, 2), "s2": F(1, 2)})
 UTILITY = decisions.UtilitySpec({"win": 1, "lose": 0})
 LEAF = dynamics.Leaf(utility=F(1, 3))
-ROW = learning.ComparisonRow(3, 0.5, 0.25, 1.0, 0.0)
 
 # (class, args, kwargs, fields, defaults, repr)
 RECORDS = {
@@ -145,14 +144,8 @@ RECORDS = {
         (("h", "t"), {"fair": Measure({"h": F(1, 2), "t": F(1, 2)}), "bent": Measure({"h": 1, "t": 0})}, "fair"),
         {},
         ("outcomes", "likelihoods", "truth"), {},
-        "ObservationModel(outcomes=('h', 't'), likelihoods={'fair': Measure({h: 1/2, t: 1/2}),"
-        " 'bent': Measure({h: 1/1, t: 0/1})}, truth='fair')",
-    ),
-    "TrajectoryRow": (
-        learning.TrajectoryRow, (4, {"fair": 1.0}, (("a", "b"),), True), {},
-        ("round", "weights", "mwer_groups", "matches_truth_seu", "outcome"), {"outcome": None},
-        "TrajectoryRow(round=4, weights={'fair': 1.0}, mwer_groups=(('a', 'b'),), matches_truth_seu=True,"
-        " outcome=None)",
+        "ObservationModel(outcomes=('h', 't'), likelihoods=mappingproxy({'fair': Measure({h: 1/2, t: 1/2}),"
+        " 'bent': Measure({h: 1/1, t: 0/1})}), truth='fair')",
     ),
     "Trajectory": (
         learning.Trajectory,
@@ -165,16 +158,11 @@ RECORDS = {
         " truth_seu_groups=(('a',),), weights=((1.0, 1.0),), rankings=(((('a',),), True), ((('a',),),"
         " True)), outcomes=(None, 'h'))",
     ),
-    "ComparisonRow": (
-        learning.ComparisonRow, (3, 0.5, 0.25, 1.0, 0.0), {},
-        ("round", "agree_mwer_mer", "agree_mwer_es", "agree_mer_es", "agree_all"), {},
-        "ComparisonRow(round=3, agree_mwer_mer=0.5, agree_mwer_es=0.25, agree_mer_es=1.0, agree_all=0.0)",
-    ),
     "ComparisonSummary": (
-        learning.ComparisonSummary, (10, (0, 1), F(1, 2), (ROW,)), {},
-        ("rounds", "seeds", "threshold", "rows"), {},
-        "ComparisonSummary(rounds=10, seeds=(0, 1), threshold=Fraction(1, 2), rows=(ComparisonRow(round=3,"
-        " agree_mwer_mer=0.5, agree_mwer_es=0.25, agree_mer_es=1.0, agree_all=0.0),))",
+        learning.ComparisonSummary, (1, (0, 1), F(1, 2), (1.0, 0.5), (1.0, 0.25), (1.0, 1.0), (1.0, 0.0)), {},
+        ("rounds", "seeds", "threshold", "agree_mwer_mer", "agree_mwer_es", "agree_mer_es", "agree_all"), {},
+        "ComparisonSummary(rounds=1, seeds=(0, 1), threshold=Fraction(1, 2), agree_mwer_mer=(1.0, 0.5),"
+        " agree_mwer_es=(1.0, 0.25), agree_mer_es=(1.0, 1.0), agree_all=(1.0, 0.0))",
     ),
     "Rule": (
         decisions.Rule, (max, "weighted", True), {},
