@@ -134,7 +134,7 @@ class Witness:
     kind: str  # "violation" or "no-witness-in-grid"
     description: str
     menu: AltMenu
-    acts: dict[str, Alternative]
+    acts: Mapping[str, Alternative]
     params: Mapping[str, object] = {}
     scores: Mapping[str, Fraction] = {}
 
@@ -726,7 +726,7 @@ def _check(
         return Witness(
             axiom, oracle.rule, entry.kind, finding.description or description, instance.menu,
             {**instance.acts, **finding.acts}, {**instance.params, **finding.params},
-            dict(finding.scores),
+            finding.scores,
         )
 
     curated = 0
@@ -912,8 +912,8 @@ _VERDICT_ORDER = {"no-violation-found": 0, "violated": 1}
 
 @record
 class AxiomMatrix:
-    reports: dict[tuple[str, str], AxiomReport]
-    cells: dict[tuple[str, str], str]
+    reports: Mapping[tuple[str, str], AxiomReport]
+    cells: Mapping[tuple[str, str], str]
     seed: int
 
     @property

@@ -198,7 +198,7 @@ def _cmd_simulate(args) -> int:
     model = ObservationModel(outcomes=tuple(doc.states), likelihoods=measures, truth=args.truth)
     probe = Probe(menu=menu, utility=doc.utility, measures=measures)
     prior = {name: weight for name, (_, weight) in doc.hypotheses.items()}
-    seeds = list(range(args.seed, args.seed + args.seeds))
+    seeds = range(args.seed, args.seed + args.seeds)
     if threshold is not None:
         summary = compare_updaters(model, prior, probe, args.rounds, seeds, threshold)
         sys.stdout.write(summary.to_csv())

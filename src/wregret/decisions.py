@@ -474,8 +474,8 @@ class PreferenceOracle:
     the menu over one denominator and score only the members asked about,
     which must be in the menu.  They keep the last menu asked about, as a
     tuple, converted, and score each of its members once, as asked: a member
-    is found by identity among the kept menu's own (which the oracle holds
-    alive), else by equality; a list is copied, so it is not reused.
+    is found by identity among the kept menu's own, else by equality; a list
+    is copied, so it is not reused.
     `profiles` gives members' int profiles and the best from that conversion,
     and `sign` compares two int profiles against a per-state best, so a
     derived menu such as a mixture needs no alternatives.  `score` answers
@@ -506,7 +506,7 @@ class PreferenceOracle:
         self._score, _, self.lower_is_better = RULES[rule]
         # the last menu `rate`, `prefers` and `profiles` were asked about, as a tuple
         # (the members are immutable): its score denominator, its conversion (L, best,
-        # profiles), its members' ids and their score numerators, filled in as asked
+        # profiles) and its members' score numerators by position, filled in as asked
         self._last_menu: Optional[tuple] = None
         self._last: tuple = ()
 
@@ -546,15 +546,16 @@ class PreferenceOracle:
             menu = tuple(menu)  # a list is copied, so it is never the kept menu
             self._last_menu = menu
             scale, best, profiles = self._over_menu(menu)
-            self._last = (self._common * scale, scale, best, profiles, tuple(map(id, menu)), [None] * len(menu))
-        denominator, scale, best, profiles, ids, memo = self._last
+            self._last = (self._common * scale, scale, best, profiles, {})
+        denominator, scale, best, profiles, memo = self._last
         found = []
         for a in members:
-            try:
-                i = ids.index(id(a))
-            except ValueError:
+            for i, member in enumerate(menu):
+                if member is a:
+                    break
+            else:
                 i = _position(menu, a)
-            if scored and memo[i] is None:
+            if scored and i not in memo:
                 memo[i] = self._score(profiles[i], best, self._rows)
             found.append(memo[i] if scored else profiles[i])
         return (denominator, found) if scored else (scale, found)
@@ -625,19 +626,13 @@ class Ranking:
     Groups are ordered best first; acts inside a group have exactly equal
     scores (`rank` finds them with `group_ties` on integer numerators).
     `lower_is_better` records the orientation so consumers never re-derive
-    it from the rule name.  `scores` is a read-only copy of the mapping given.
+    it from the rule name.  `scores`, a `Mapping` field, is a read-only copy.
     """
 
     rule: str
     lower_is_better: bool
     scores: Mapping[str, Fraction]
     groups: tuple[tuple[str, ...], ...]
-
-    def __new__(cls, rule, lower_is_better, scores, groups):
-        return tuple.__new__(cls, (rule, lower_is_better, MappingProxyType(dict(scores)), groups))
-
-    def __getnewargs__(self):  # a mapping proxy cannot be pickled; its dict can
-        return (self.rule, self.lower_is_better, dict(self.scores), self.groups)
 
     def to_tsv(self) -> str:
         lines = ["rank\tact\tscore\tdecimal"]

@@ -163,11 +163,11 @@ class ProblemDoc:
     states: tuple[str, ...]
     prizes: tuple[str, ...]
     utility: UtilitySpec
-    lotteries: dict[str, Lottery]
-    acts: dict[str, Act]
-    menus: dict[str, Menu]
-    hypotheses: dict[str, tuple[Measure, Fraction]]
-    events: dict[str, Event]
+    lotteries: Mapping[str, Lottery]
+    acts: Mapping[str, Act]
+    menus: Mapping[str, Menu]
+    hypotheses: Mapping[str, tuple[Measure, Fraction]]
+    events: Mapping[str, Event]
 
     def weighted_set(self) -> WeightedMeasureSet:
         if not self.hypotheses:

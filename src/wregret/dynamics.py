@@ -27,7 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 from operator import add
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .decisions import Act, Alternative, Lottery, Menu, PreferenceOracle, UtilitySpec
 from .errors import MalformedTree, NullEvent, NullEventAtNode
@@ -239,7 +239,7 @@ class NodeDiagnostic:
     node: str
     live: tuple[str, ...]
     menu: tuple[str, ...]
-    scores: dict[str, Fraction]
+    scores: Mapping[str, Fraction]
     eliminated: tuple[str, ...]
     kept: tuple[str, ...]
 

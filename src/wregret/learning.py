@@ -49,19 +49,14 @@ _NEG_INF = float("-inf")
 @record
 class ObservationModel:
     """Per-hypothesis i.i.d. outcome distributions, each a `Measure` over
-    exactly the outcomes; `outcomes` is the order a draw walks them in.  It
-    keeps a read-only copy of the likelihood mapping, so the caller's may
-    change and its own cannot."""
+    exactly the outcomes; `outcomes` is the order a draw walks them in.
+    `likelihoods`, a `Mapping` field, is a read-only copy of the mapping
+    given, as `records.record` holds every such field, so the caller's may
+    change and the model's cannot."""
 
     outcomes: tuple[str, ...]
     likelihoods: Mapping[str, Measure]
     truth: str
-
-    def __new__(cls, outcomes: Sequence[str], likelihoods: Mapping[str, Measure], truth: str):
-        return tuple.__new__(cls, (outcomes, MappingProxyType(dict(likelihoods)), truth))
-
-    def __getnewargs__(self):  # a mapping proxy cannot be pickled; its dict can
-        return (self.outcomes, dict(self.likelihoods), self.truth)
 
     def _check(self) -> None:
         outcomes = self.outcomes

@@ -5,10 +5,12 @@
 Under `from __future__ import annotations` each annotation is a string, and
 the check compiles it into a `typing.ForwardRef`, which is most of what a
 record costs at import.  `record` builds the same class without the check:
-the annotations stay the strings they were written as, as documentation.
+the annotations stay the strings they were written as, and one of them,
+`Mapping[...]`, marks a field that `record` holds as a read-only copy.
 """
 
 from collections import namedtuple
+from types import MappingProxyType
 
 
 def record(cls: type) -> type:
@@ -18,15 +20,17 @@ def record(cls: type) -> type:
     is that field's default, and only the last fields may have one.  The
     rest of the body (docstring, methods, properties, constants) is copied
     onto the namedtuple.  Equality, hashing, `repr`, pickling and
-    immutability are the tuple's.  A `_check(self)` in the body, which
-    raises on a bad field, runs on every record the constructor or `_make`
-    builds, and so through `_replace`, copying and unpickling (after a
-    `__new__` of the body, if it has one).  A `__new__` in the body builds
-    what `_make` builds too.  A record with neither keeps the namedtuple's
-    own `__new__` and `_make`.
+    immutability are the tuple's.  A field annotated `Mapping[...]` holds a
+    read-only copy (`MappingProxyType` over a `dict`) of the mapping given,
+    and then a `_check(self)` in the body, which raises on a bad field, runs.
+    Both happen to every record the constructor or `_make` builds, and so
+    through `_replace`, copying and unpickling, which rebuild from the dicts
+    `__getnewargs__` gives.  A record with neither keeps the namedtuple's own
+    `__new__` and `_make`.
     """
     body = dict(vars(cls))
-    fields = tuple(body.get("__annotations__", {}))
+    annotations = body.get("__annotations__", {})
+    fields = tuple(annotations)
     with_default = [name for name in fields if name in body]
     if tuple(with_default) != fields[len(fields) - len(with_default):]:
         raise TypeError(f"{cls.__name__}: a field without a default follows one with a default")
@@ -39,27 +43,32 @@ def record(cls: type) -> type:
     for key, value in body.items():
         if key not in ("__dict__", "__weakref__"):  # the plain class's, not the tuple's
             setattr(built, key, value)
-    new, make = built.__new__, vars(built)["_make"].__func__
-    if "__new__" in body:  # so `_replace`, which calls `_make`, builds through it too
-
-        def make(cls, iterable):
-            return new(cls, *iterable)
-
-        built._make = classmethod(make)
+    maps = {i for i, name in enumerate(fields) if str(annotations[name]).startswith("Mapping[")}
     check = body.get("_check")
-    if check is not None:
+    if not maps and check is None:
+        return built
+    new, make = built.__new__, vars(built)["_make"].__func__
 
-        def __new__(cls, *args, **kwargs):
-            self = new(cls, *args, **kwargs)
+    def finish(self):
+        if maps:
+            values = list(self)
+            for i in maps:
+                values[i] = MappingProxyType(dict(values[i]))
+            self = tuple.__new__(type(self), values)
+        if check is not None:
             check(self)
-            return self
+        return self
 
-        def _make(cls, iterable):
-            self = make(cls, iterable)
-            check(self)
-            return self
+    def __new__(cls, *args, **kwargs):
+        return finish(new(cls, *args, **kwargs))
 
-        built.__new__, built._make = staticmethod(__new__), classmethod(_make)
+    def _make(cls, iterable):
+        return finish(make(cls, iterable))
+
+    def __getnewargs__(self):  # a mapping proxy cannot be pickled; its dict can
+        return tuple([dict(v) if i in maps else v for i, v in enumerate(self)])
+
+    built.__new__, built._make, built.__getnewargs__ = staticmethod(__new__), classmethod(_make), __getnewargs__
     return built
 
 

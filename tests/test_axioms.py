@@ -100,6 +100,29 @@ class TestReplay:
         assert report.verdict == "violated"
         assert replay(report, oracle)
 
+    @pytest.mark.parametrize("axiom,rule", [("7", "mmeu"), ("menu", "mer")])
+    def test_a_witness_cannot_be_edited_and_still_replays(self, fixtures, axiom, rule):
+        oracle = fixtures.oracle(rule)
+        report = check_axiom(axiom, oracle, SMALL, seed=0)
+        w = report.counterexample
+        assert w.acts and w.scores
+        for field in ("acts", "params", "scores"):
+            mapping = getattr(w, field)
+            with pytest.raises(TypeError):
+                mapping["f"] = Fraction(1, 3)
+            for key in list(mapping):
+                with pytest.raises(TypeError):
+                    del mapping[key]
+        assert replay(report, oracle) is True
+
+    def test_default_findings_share_no_writable_map(self):
+        one, two = axioms.Finding(), axioms.Finding()
+        for field in ("scores", "params", "acts"):
+            for finding in (one, two):
+                with pytest.raises(TypeError):
+                    getattr(finding, field)["added"] = None
+            assert dict(getattr(one, field)) == dict(getattr(two, field)) == {}
+
     def test_witness_states_must_fit_a_belief(self, fixtures):
         # the probability-free rule judges the two-state corpus on any states
         regret = PreferenceOracle("regret", None, fixtures.utility, ("s1", "s2", "s3"))

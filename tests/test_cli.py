@@ -2,10 +2,15 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from math import comb
+from pathlib import Path
 
 import pytest
 
+import wregret
 from wregret.axioms import AXIOM_IDS
 from wregret.cli import main
 from wregret.fixtures import fixture_path, fixture_text
@@ -186,6 +191,26 @@ class TestAxiomsCommand:
         assert code == 0
         assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
+    @pytest.mark.parametrize(
+        "axiom,samples,seed,fmt,sha1",
+        [
+            ("7", 200, 0, "text", "d2813220e35523fce693ae006e3f72afaf21aad5"),
+            ("7", 200, 0, "json", "66cbd558fa46ffd92164fec578081157f8858be0"),
+            ("12", 40, 1, "text", "8a3acb0af70692af65d4625fc5413e5e28212471"),
+            ("12", 40, 1, "json", "c3aa79d2c1e8068c76ebd1808d529480078f1b81"),
+            ("menu", 40, 1, "text", "3f3a6a9ff03bac15cae6e8e42fdc7a79c23d6d57"),
+            ("menu", 40, 1, "json", "f14915379b024c50aa46677fd52337ddc0f4d1a6"),
+        ],
+    )
+    def test_single_axiom_output_is_pinned(self, capsys, axiom, samples, seed, fmt, sha1):
+        # the witness, menu and scores lines of every rule's report
+        code, out, _ = run(
+            capsys, "axioms", WEIGHTED, "--axiom", axiom, "--samples", str(samples),
+            "--seed", str(seed), "--format", fmt,
+        )
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
     def test_matrix_with_rule_is_usage_error(self, capsys):
         # matrix cells are seeded by rule position, so one rule's row is not well defined
         code, out, err = run(capsys, "axioms", WEIGHTED, "--axiom", "matrix", "--rule", "mwer")
@@ -283,6 +308,30 @@ class TestSimulateCommand:
         lines = out.strip().split("\n")
         assert lines[0] == "round,agree_mwer_mer,agree_mwer_es,agree_mer_es,agree_all"
         assert len(lines) == 6
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="sets RLIMIT_AS, which only Linux enforces as used here")
+    def test_a_huge_seed_count_streams_in_bounded_memory(self):
+        # the seeds are a range, not a list built up front: under a 100 MB
+        # address-space limit the first row still comes out
+        import resource
+
+        def limit():
+            resource.setrlimit(resource.RLIMIT_AS, (100 * 2**20, 100 * 2**20))
+
+        package = str(Path(wregret.__file__).parent.parent)
+        path = os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))
+        child = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from wregret.cli import main; sys.exit(main(sys.argv[1:]))",
+             "simulate", LEARNING, "--truth", "mostly_good", "--rounds", "5", "--seeds", "100000000"],
+            env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            preexec_fn=limit,
+        )
+        try:
+            header, first = child.stdout.readline(), child.stdout.readline()
+        finally:
+            child.kill()
+            child.communicate()
+        assert header.startswith(b"seed,round,") and first.startswith(b"0,0,1,1,")
 
     def test_multi_seed_output_is_pinned(self, capsys):
         code, out, _ = run(

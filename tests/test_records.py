@@ -40,20 +40,20 @@ RECORDS = {
     "Instance": (
         axioms.Instance, ((), {"f": "a"}), {},
         ("menu", "acts", "params"), {"params": {}},
-        "Instance(menu=(), acts={'f': 'a'}, params={})",
+        "Instance(menu=(), acts=mappingproxy({'f': 'a'}), params=mappingproxy({}))",
     ),
     "Finding": (
         axioms.Finding, (), {"description": "d"},
         ("scores", "params", "acts", "description"),
         {"scores": {}, "params": {}, "acts": {}, "description": ""},
-        "Finding(scores={}, params={}, acts={}, description='d')",
+        "Finding(scores=mappingproxy({}), params=mappingproxy({}), acts=mappingproxy({}), description='d')",
     ),
     "Witness": (
         axioms.Witness, ("1", "mwer", "violation", "text", (), {}), {"scores": {"f": F(1, 2)}},
         ("axiom", "rule", "kind", "description", "menu", "acts", "params", "scores"),
         {"params": {}, "scores": {}},
-        "Witness(axiom='1', rule='mwer', kind='violation', description='text', menu=(), acts={},"
-        " params={}, scores={'f': Fraction(1, 2)})",
+        "Witness(axiom='1', rule='mwer', kind='violation', description='text', menu=(), acts=mappingproxy({}),"
+        " params=mappingproxy({}), scores=mappingproxy({'f': Fraction(1, 2)}))",
     ),
     "AxiomReport": (
         axioms.AxiomReport, ("1", "mwer", "violated", 10, 7, 2, 0), {},
@@ -79,7 +79,7 @@ RECORDS = {
     "AxiomMatrix": (
         axioms.AxiomMatrix, ({}, {("mwer", "ax12"): "violated"}, 3), {},
         ("reports", "cells", "seed"), {},
-        "AxiomMatrix(reports={}, cells={('mwer', 'ax12'): 'violated'}, seed=3)",
+        "AxiomMatrix(reports=mappingproxy({}), cells=mappingproxy({('mwer', 'ax12'): 'violated'}), seed=3)",
     ),
     "Leaf": (
         dynamics.Leaf, (), {"utility": F(1, 3)},
@@ -109,7 +109,7 @@ RECORDS = {
     "NodeDiagnostic": (
         dynamics.NodeDiagnostic, ("d", STATES, ("a", "b"), {"a": F(1, 2)}, ("b",), ("a",)), {},
         ("node", "live", "menu", "scores", "eliminated", "kept"), {},
-        "NodeDiagnostic(node='d', live=('s1', 's2'), menu=('a', 'b'), scores={'a': Fraction(1, 2)},"
+        "NodeDiagnostic(node='d', live=('s1', 's2'), menu=('a', 'b'), scores=mappingproxy({'a': Fraction(1, 2)}),"
         " eliminated=('b',), kept=('a',))",
     ),
     "TreeEvaluation": (
@@ -131,8 +131,8 @@ RECORDS = {
     "ProblemDoc": (
         dsl.ProblemDoc, (STATES, ("win",), None, {}, {}, {}, {}, {}), {},
         ("states", "prizes", "utility", "lotteries", "acts", "menus", "hypotheses", "events"), {},
-        "ProblemDoc(states=('s1', 's2'), prizes=('win',), utility=None, lotteries={}, acts={},"
-        " menus={}, hypotheses={}, events={})",
+        "ProblemDoc(states=('s1', 's2'), prizes=('win',), utility=None, lotteries=mappingproxy({}),"
+        " acts=mappingproxy({}), menus=mappingproxy({}), hypotheses=mappingproxy({}), events=mappingproxy({}))",
     ),
     "_RawEntry": (
         dsl._RawEntry, (dsl.Token("EOF", "", 3, 1), [1, 2]), {},
@@ -233,9 +233,50 @@ def test_every_way_of_building_a_record_runs_its_check(name):
         assert str(raised.value) == message, way
 
 
-@pytest.mark.parametrize("name", [name for name in RECORDS if "_check" not in vars(RECORDS[name][0])])
+def _mapping_fields(cls) -> tuple[str, ...]:
+    """The fields annotated `Mapping[...]`, which a record holds read-only."""
+    return tuple(name for name, kind in cls.__annotations__.items() if kind.startswith("Mapping["))
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_every_way_of_building_a_record_closes_its_mapping_fields(name):
+    # a field that holds a mapping is annotated `Mapping[...]`, and holds it read-only
+    cls, args, kwargs, *_ = RECORDS[name]
+    record = cls(*args, **kwargs)
+    maps = _mapping_fields(cls)
+    assert [field for field, value in record._asdict().items() if isinstance(value, dict)] == []
+    builds = {
+        "constructor": record,
+        "_make": cls._make(record),
+        "_replace": record._replace(**{field: dict(getattr(record, field)) for field in maps}),
+        "copy": copy.copy(record),
+        "deepcopy": copy.deepcopy(record),
+        "pickle": pickle.loads(pickle.dumps(record)),
+    }
+    for way, built in builds.items():
+        assert built == record, way
+        for field in maps:
+            value = getattr(built, field)
+            assert not isinstance(value, dict), (way, field)
+            with pytest.raises(TypeError):
+                value["added"] = None
+            assert "added" not in value, (way, field)
+
+
+def test_a_record_copies_the_mapping_it_is_given():
+    acts = {"f": "a"}
+    instance = axioms.Instance((), acts)
+    acts["g"] = "b"
+    assert dict(instance.acts) == {"f": "a"}
+
+
+PLAIN = [name for name, (cls, *_) in RECORDS.items() if "_check" not in vars(cls) and not _mapping_fields(cls)]
+
+
+@pytest.mark.parametrize("name", PLAIN)
 def test_a_record_without_a_check_keeps_the_namedtuple_constructors(name):
-    # so a hot record such as `dsl.Token` costs no more than a namedtuple
+    # a record with neither a `_check` nor a `Mapping` field, so a hot record
+    # such as `dsl.Token` costs no more than a namedtuple
     cls = RECORDS[name][0]
     plain = namedtuple(cls.__name__, cls._fields, defaults=cls._field_defaults.values())
     assert cls.__new__.__code__.co_code == plain.__new__.__code__.co_code
