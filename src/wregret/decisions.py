@@ -25,16 +25,18 @@ immutable `Act` sums its profile as an int dot product and keeps the
 alternative of the last utility table it was asked about, so the oracle's
 `alternatives` only looks them up; decision-tree plans are born as ints.
 `numerators` gives a menu's score numerators over one denominator without
-building a `Fraction`.  The rules share kernels (mer is mwer with every
-weight one); their degeneration identities are tested against an
-independent re-derivation of the five rules kept in the tests.
+building a `Fraction`, for a large enough menu and belief in one
+packed-integer pass over the whole menu.  The rules share kernels (mer is
+mwer with every weight one); their degeneration identities are tested
+against an independent re-derivation of the five rules kept in the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul, sub
+from itertools import repeat
+from operator import lshift, mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -286,7 +288,13 @@ def _score_of(rule: str, act: Act, menu: Menu, u: UtilitySpec, belief: Belief) -
 # -- the rule table --------------------------------------------------------------
 # A profile is a tuple of exact utilities in sorted state order; a kernel sees
 # it over the menu's denominator L.  An entry row is one measure's
-# weight x probability x D, in sorted state order.
+# weight x probability x D, in sorted state order.  Every rule has a per-act
+# kernel.  The belief rules' kernels also have a whole-menu form, on one
+# packed-integer kernel (`_packed_max`), which `PreferenceOracle.numerators`
+# (behind `rank`, `scores` and the tree nodes) takes for a menu of at least
+# PACKED_ACTS acts under at least PACKED_ROWS rows, where it measured faster;
+# smaller inputs, the per-member path (`rate`, `prefers`, `sign`, the axiom
+# checker's) and probability-free regret keep the per-act kernels.
 
 Profile = tuple[Fraction, ...]
 IntProfile = tuple[int, ...]
@@ -303,6 +311,43 @@ def _worst_regret(x: IntProfile, best: IntProfile, rows: Sequence[IntProfile]) -
 def _worst_weighted_regret(x: IntProfile, best: IntProfile, rows: Sequence[IntProfile]) -> int:
     regrets = list(map(sub, best, x))
     return max(sum(map(mul, row, regrets)) for row in rows)
+
+
+def _packed_max(profiles: Sequence[IntProfile], tops: Sequence[int], rows: Sequence[IntProfile]) -> list[int]:
+    """The max over rows of row·(tops - x) for every profile x, where every
+    tops - x is >= 0 (so with the per-state best for tops, the whole-menu
+    form of the weighted-regret kernel), all at once by SIMD within a register:
+    each state's column of tops - x is packed into one int of byte-aligned
+    fields, each wide enough for the largest value times the largest row sum
+    with a guard bit on top, so a row costs one multiply-add per state for
+    the whole menu.  The running max keeps a row's field where the guard bit
+    of (row | guards) - max is set, as no field borrows from the next."""
+    n, frombytes, by_state = len(profiles), int.from_bytes, list(zip(*profiles))
+    largest = max(map(sub, tops, map(min, by_state))) * max(1, *map(sum, rows))
+    size = largest.bit_length() // 8 + 1
+    top = 8 * size - 1  # each field's guard bit
+    shifts = range(0, 8 * size * n, 8 * size)
+    columns = [sum(map(lshift, map(sub, repeat(t), xs), shifts)) for t, xs in zip(tops, by_state)]
+    guards = frombytes((bytes(size - 1) + b"\x80") * n, "little")
+    acc = 0
+    for row in rows:
+        d = sum(map(mul, row, columns))
+        g = ((d | guards) - acc) & guards  # set in the fields where d >= acc
+        acc ^= (acc ^ d) & (g - (g >> top))
+    packed = acc.to_bytes(n * size, "little")
+    return [frombytes(packed[i:i + size], "little") for i in range(0, n * size, size)]
+
+
+def _menu_worst_utility(profiles: Sequence[IntProfile], best: IntProfile, rows: Sequence[IntProfile]) -> list[int]:
+    # each row is a measure's, summing to D, so row·x = top*D - row·(top - x)
+    top = max(best)
+    return [top * sum(rows[0]) - n for n in _packed_max(profiles, [top] * len(best), rows)]
+
+
+# the whole-menu form of a per-act kernel, and the least menu and belief sizes
+# at which `numerators` takes it (the crossover measured on random problems)
+_WHOLE_MENU = {_worst_utility: _menu_worst_utility, _worst_weighted_regret: _packed_max}
+PACKED_ACTS, PACKED_ROWS = 8, 4
 
 
 @record
@@ -526,6 +571,9 @@ class PreferenceOracle:
         score numerator over it, in menu order (names are not read)."""
         scale, best, profiles = self._over_menu(menu)
         score, rows = self._score, self._rows
+        whole = _WHOLE_MENU.get(score)
+        if whole is not None and len(profiles) >= PACKED_ACTS and len(rows) >= PACKED_ROWS:
+            return self._common * scale, whole(profiles, best, rows)
         return self._common * scale, [score(x, best, rows) for x in profiles]
 
     def _scored(self, menu: Sequence[Alternative]) -> tuple[dict[str, int], dict[str, Fraction]]:

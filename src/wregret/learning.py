@@ -15,7 +15,7 @@ operations, in order, of a round-by-round loop; only the ranking check runs
 per round, and it regroups the acts only when a round's scores break the
 previous round's ranking.  A `Trajectory` keeps those columns (one weight
 column per hypothesis, a ranking column and an outcome column) and its CSV
-is formatted from them, one `%` per row.  `compare_updaters` counts its
+is formatted from them, one `%` per trajectory.  `compare_updaters` counts its
 agreements in whole-column passes too, and a `ComparisonSummary` keeps them
 as one share column per pair of updating styles, written the same way.  The
 model (each hypothesis a `Measure` over the outcomes, so its likelihoods are
@@ -35,7 +35,7 @@ from fractions import Fraction
 from itertools import accumulate, chain, groupby, repeat
 from operator import add, and_, eq, itemgetter, mul, sub, truediv
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .decisions import Menu, PreferenceOracle, UtilitySpec, group_ties
 from .errors import AllEliminated
@@ -134,7 +134,8 @@ class Probe(Frozen):
 class Trajectory:
     """One seed's run, kept in columns of `rounds + 1` entries, round 0 the
     prior: one weight column per hypothesis, in `hypotheses` order, a
-    ranking column and an outcome column."""
+    ranking column and an outcome column.  Its CSV is `csv_header`, then
+    `csv_text`, every row formatted by one `%` over the flattened columns."""
 
     seed: int
     rounds: int
@@ -160,15 +161,16 @@ class Trajectory:
         weights = [f"weight_{h}" for h in self.hypotheses]
         return ",".join(["round", *weights, "mwer_ranking", "matches_truth_seu"])
 
-    def csv_lines(self, prefix: str = "") -> Iterator[str]:
-        """Each row as one CSV line ending in a newline, led by `prefix`."""
+    def csv_text(self, prefix: str = "") -> str:
+        """Every row as a CSV line ending in a newline, each led by `prefix`."""
         # a ranking's text and flag, joined once for each run of rounds that keep it
         texts = chain.from_iterable(
             repeat(f"{'>'.join(map('|'.join, groups))},{matches:d}", len(list(run)))
             for (groups, matches), run in groupby(self.rankings)
         )
         line = prefix.replace("%", "%%") + "%d," + "%.12g," * len(self.weights) + "%s\n"
-        return map(line.__mod__, zip(range(self.rounds + 1), *self.weights, texts))
+        columns = zip(range(self.rounds + 1), *self.weights, texts)
+        return (line * (self.rounds + 1)) % tuple(chain.from_iterable(columns))
 
 
 def _log(p: float) -> float:
@@ -303,7 +305,7 @@ class ComparisonSummary:
     per pair of updating styles, named like its CSV columns."""
 
     rounds: int
-    seeds: tuple[int, ...]
+    seeds: Sequence[int]
     threshold: Fraction
     agree_mwer_mer: tuple[float, ...]
     agree_mwer_es: tuple[float, ...]
@@ -313,8 +315,8 @@ class ComparisonSummary:
     def to_csv(self) -> str:
         # the four share columns are the fields after rounds, seeds and threshold
         header = ",".join(("round", *self._fields[3:]))
-        lines = map("%d,%.6f,%.6f,%.6f,%.6f\n".__mod__, zip(range(self.rounds + 1), *self[3:]))
-        return header + "\n" + "".join(lines)
+        rows = chain.from_iterable(zip(range(self.rounds + 1), *self[3:]))
+        return header + "\n" + ("%d,%.6f,%.6f,%.6f,%.6f\n" * (self.rounds + 1)) % tuple(rows)
 
 
 def compare_updaters(
@@ -364,4 +366,4 @@ def compare_updaters(
         agreements = (a, b, map(eq, mer, es), map(and_, a, b))
         counts = [list(map(add, count, agreed)) for count, agreed in zip(counts, agreements)]
     shares = [tuple(map(truediv, count, repeat(len(seeds)))) for count in counts]
-    return ComparisonSummary(rounds, tuple(seeds), threshold, *shares)
+    return ComparisonSummary(rounds, seeds if isinstance(seeds, range) else tuple(seeds), threshold, *shares)

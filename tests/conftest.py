@@ -21,6 +21,7 @@ from wregret import (
     sure,
     upper_likelihood,
 )
+from wregret import decisions
 from wregret.axioms import utility_span
 from wregret.dynamics import conditional_score, splice, splice_menu
 from wregret.errors import ActNotInMenu, NullEvent
@@ -204,3 +205,18 @@ def serialize_problem(doc: ProblemDoc) -> str:
         members = ", ".join(sorted(doc.events[name].members))
         lines.append(f"event {name} = {{ {members} }}")
     return "\n".join(lines) + "\n"
+
+
+def counting_whole_menu(monkeypatch) -> list:
+    """Count the calls `numerators` makes to the whole-menu kernels."""
+    calls = [0]
+
+    def counted(kernel):
+        def wrapper(*args):
+            calls[0] += 1
+            return kernel(*args)
+        return wrapper
+
+    for per_act, whole in decisions._WHOLE_MENU.items():
+        monkeypatch.setitem(decisions._WHOLE_MENU, per_act, counted(whole))
+    return calls

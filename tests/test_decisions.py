@@ -35,10 +35,10 @@ from wregret import (
     to_hull,
     support_value,
 )
-from wregret.decisions import Alternative, PreferenceOracle, Ranking
+from wregret.decisions import PACKED_ACTS, PACKED_ROWS, Alternative, PreferenceOracle, Ranking
 from wregret.errors import ActNotInMenu, BeliefKindMismatch, UnknownPrize
 
-from conftest import DELIVERY_STATES, profile_act, random_measure, random_wset
+from conftest import DELIVERY_STATES, counting_whole_menu, profile_act, random_measure, random_wset
 import rule_reference as reference
 
 F = Fraction
@@ -250,19 +250,20 @@ class TestProfiles:
         }
 
 
-def _reference_instance(rng: random.Random):
-    """A random problem as library objects and as the reference's plain dicts."""
+def _reference_instance(rng: random.Random, size=None, entries=None):
+    """A random problem as library objects and as the reference's plain
+    dicts, with `size` acts and `entries` measures (random when None)."""
     states = [f"s{i}" for i in range(rng.randint(3, 6))]
     utility = {f"z{i}": F(v, 2) for i, v in enumerate(rng.sample(range(-12, 13), 4))}
     acts = {}
-    for i in range(rng.randint(2, 16)):
+    for i in range(size or rng.randint(2, 16)):
         act = {}
         for s in states:
             cut = rng.randint(0, 4)
             act[s] = {"z0": F(cut, 4), rng.choice(["z1", "z2", "z3"]): F(4 - cut, 4)}
         acts[f"a{i}"] = act
     measures = []
-    for _ in range(rng.randint(1, 8)):
+    for _ in range(entries or rng.randint(1, 8)):
         raw = [rng.randint(0, 3) for _ in states]
         raw[rng.randrange(len(raw))] += 1
         measures.append({s: F(r, sum(raw)) for s, r in zip(states, raw)})
@@ -296,11 +297,20 @@ PER_ACT = {
 }
 
 
+# menu and belief sizes on both sides of those at which `numerators` packs a menu
+BOUNDARY_SIZES = [
+    (size, entries)
+    for size in (PACKED_ACTS - 1, PACKED_ACTS, PACKED_ACTS + 1)
+    for entries in (PACKED_ROWS - 1, PACKED_ROWS, PACKED_ROWS + 1)
+]
+
+
 class TestAgainstReference:
     def test_rank_matches_the_reference_rules(self):
-        for seed in range(60):
+        for seed in range(60 + len(BOUNDARY_SIZES)):
             rng = random.Random(seed)
-            menu, u, acts, utility, beliefs = _reference_instance(rng)
+            sizes = BOUNDARY_SIZES[seed - 60] if seed >= 60 else (None, None)
+            menu, u, acts, utility, beliefs = _reference_instance(rng, *sizes)
             for rule, (belief, plain) in beliefs.items():
                 ranking = rank(rule, menu, u, belief)
                 expected = reference.scores(rule, acts, utility, plain)
@@ -309,6 +319,93 @@ class TestAgainstReference:
                 assert ranking.groups == reference.groups(expected, ranking.lower_is_better)
                 per_act = {act.name: PER_ACT[rule](act, menu, u, belief) for act in menu}
                 assert per_act == expected, (seed, rule)
+
+
+def _packed_instance(rng: random.Random, size: int, entries: int, magnitude: int):
+    """A menu of alternatives over 1-5 states and the belief of each rule,
+    as library objects and as the reference's plain dicts: utilities that
+    are negative, zero and positive, up to `magnitude`, over mixed
+    denominators, some acts repeating another's profile (ties), and
+    measures over mixed denominators, with weights that may be zero."""
+    states = [f"s{i}" for i in range(rng.randint(1, 5))]
+    profiles = {}
+    for i in range(size):
+        if profiles and rng.random() < 0.2:
+            profiles[f"a{i}"] = dict(rng.choice(list(profiles.values())))
+        else:
+            profiles[f"a{i}"] = {
+                s: F(rng.randint(-magnitude, magnitude), rng.choice((1, 2, 3, 7, 12))) for s in states
+            }
+    measures = []
+    for _ in range(entries):
+        raw = [rng.choice((0, 0, 1, 2, 5, 9)) for _ in states]
+        raw[rng.randrange(len(raw))] += 1
+        scale = rng.choice((1, 2, 3))
+        measures.append({s: F(r * scale, sum(raw) * scale) for s, r in zip(states, raw)})
+    weights = [F(1)] + [F(rng.choice((0, 0, 1, 3, 5)), 5) for _ in measures[1:]]
+    library = [Measure(m) for m in measures]
+    beliefs = {
+        "seu": (library[0], measures[0]),
+        "mmeu": (library, measures),
+        "regret": (None, None),
+        "mer": (library, measures),
+        "mwer": (WeightedMeasureSet(list(zip(library, weights)), states), list(zip(measures, weights))),
+    }
+    alternatives = [Alternative(name, [p[s] for s in sorted(states)]) for name, p in profiles.items()]
+    return states, alternatives, profiles, beliefs
+
+
+class TestPackedKernel:
+    """`numerators` scores a menu of at least PACKED_ACTS acts under a belief
+    of at least PACKED_ROWS entries in one packed pass; it must equal the
+    per-member path, which keeps the per-act kernels, and the reference."""
+
+    def _check(self, states, alternatives, profiles, beliefs, calls) -> None:
+        u = UtilitySpec({"z0": 0, "z1": 1})
+        for rule, (belief, plain) in beliefs.items():
+            oracle = PreferenceOracle(rule, belief, u, states)
+            calls[0] = 0
+            denominator, values = oracle.numerators(alternatives)
+            rows = 0 if belief is None else 1 if rule == "seu" else len(plain)
+            packs = rule != "regret" and len(alternatives) >= PACKED_ACTS and rows >= PACKED_ROWS
+            assert calls[0] == packs, rule
+            got = [F(n, denominator) for n in values]
+            assert got == [oracle.rate(a, alternatives) for a in alternatives], rule
+            expected = reference.profile_scores(rule, profiles, plain)
+            assert got == [expected[a.name] for a in alternatives], rule
+
+    def test_numerators_match_the_per_member_path_and_the_reference(self, monkeypatch):
+        calls = counting_whole_menu(monkeypatch)
+        rng = random.Random(32)
+        sizes = BOUNDARY_SIZES + [(rng.randint(1, 70), rng.randint(1, 40)) for _ in range(20)]
+        for size, entries in sizes:
+            for magnitude in (1, 40, 10**9):
+                self._check(*_packed_instance(rng, size, entries, magnitude), calls)
+
+    def test_a_dot_product_as_wide_as_the_field_bound(self, monkeypatch):
+        # point-mass rows put the largest row sum, D = 1, on one state, where
+        # the acts' values span [0, 2**bits - 1]: the largest dot product is
+        # the largest value times the largest row sum, the bound a field is
+        # sized by, for every bit length around the byte boundaries
+        calls = counting_whole_menu(monkeypatch)
+        rng = random.Random(8)
+        states = ["s0", "s1", "s2", "s3"]
+        points = [{s: F(int(s == t)) for s in states} for t in states]
+        library = [Measure(m) for m in points]
+        beliefs = {
+            "seu": (library[0], points[0]),
+            "mmeu": (library, points),
+            "regret": (None, None),
+            "mer": (library, points),
+            "mwer": (WeightedMeasureSet([(m, 1) for m in library], states), [(m, F(1)) for m in points]),
+        }
+        for bits in range(1, 42):
+            top = 2**bits - 1
+            profiles = {"low": {s: F(0) for s in states}, "high": {s: F(top) for s in states}}
+            for i in range(PACKED_ACTS):
+                profiles[f"a{i}"] = {s: F(rng.choice((0, 1, top - 1, top, rng.randint(0, top)))) for s in states}
+            alternatives = [Alternative(name, [p[s] for s in states]) for name, p in profiles.items()]
+            self._check(states, alternatives, profiles, beliefs, calls)
 
 
 def _int_profile_instance(rng: random.Random):

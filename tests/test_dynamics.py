@@ -51,7 +51,9 @@ from wregret.dynamics import (
 from wregret.errors import MalformedTree, NullEvent, NullEventAtNode, UnknownPrize
 
 import tree_reference
-from conftest import DELIVERY_STATES, mdc_scaling_check, profile_act, random_measure, random_wset
+from conftest import (
+    DELIVERY_STATES, counting_whole_menu, mdc_scaling_check, profile_act, random_measure, random_wset,
+)
 
 F = Fraction
 
@@ -725,6 +727,26 @@ def benchmark_shape_tree(rng: random.Random, states) -> DecisionTree:
         return DecisionNode(name, tuple(branches))
 
     return DecisionTree(decision(frozenset(states), True))
+
+
+class TestPackedTreeNodes:
+    def test_packed_nodes_match_the_reference(self, monkeypatch):
+        # the root's 512 continuations and each lower node's 8 meet
+        # PACKED_ACTS, and the six-entry belief PACKED_ROWS, so `numerators`
+        # scores them in one packed pass; the reference scores them member by member
+        states = tuple(f"s{i}" for i in range(6))
+        rng = random.Random(32)
+        tree = benchmark_shape_tree(rng, states)
+        entries = [(random_measure(rng, states), F(rng.randint(1, 4), 4)) for _ in range(6)]
+        wset = normalize(WeightedMeasureSet(entries, states))
+        assert len(wset.entries) >= decisions.PACKED_ROWS and 8 >= decisions.PACKED_ACTS
+        calls = counting_whole_menu(monkeypatch)
+        for planning, policy in PLANNINGS:
+            want = outcome(tree_reference.evaluate_tree, tree, TREE_U, wset, planning, policy)
+            assert isinstance(want[0], TreeEvaluation)
+            calls[0] = 0
+            assert outcome(evaluate_tree, tree, TREE_U, wset, planning, policy) == want
+            assert calls[0] >= 1, (planning, policy)
 
 
 class TestTreeWork:

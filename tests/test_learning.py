@@ -147,7 +147,7 @@ class TestSimulate:
     def test_csv_shape(self):
         model, probe, prior = binary_ingredients()
         trajectory = simulate(model, prior, probe, 3, seed=0)
-        text = f"{trajectory.csv_header()}\n" + "".join(trajectory.csv_lines())
+        text = f"{trajectory.csv_header()}\n" + trajectory.csv_text()
         lines = text.strip().split("\n")
         assert lines[0] == "round,weight_coin,weight_mostly_good,mwer_ranking,matches_truth_seu"
         assert len(lines) == 5  # header + rounds 0..3
@@ -477,7 +477,7 @@ class TestAgainstReference:
             got = simulate(model, prior, probe, 120, seed)
             rows = reference.simulate(model, prior, probe, 120, seed)
             for prefix in ("", "7,", "%d%%,"):
-                written = f"{got.csv_header()}\n" + "".join(got.csv_lines(prefix))
+                written = f"{got.csv_header()}\n" + got.csv_text(prefix)
                 assert written == reference.csv(rows, model.hypotheses, prefix)
 
     @pytest.mark.parametrize("case", range(len(CORPUS)))
@@ -602,6 +602,17 @@ class TestCompareUpdaters:
         probe = Probe(Menu([act, other]), u, measures)
         summary = compare_updaters(model, {"h1": 1, "h2": 1}, probe, 20, range(5), F(1, 2))
         assert summary.agree_all == (1.0,) * 21
+
+    def test_a_range_of_seeds_is_kept_as_given(self):
+        # a range stays that range, so a summary holds no per-seed list;
+        # other sequences are kept as tuples
+        model, probe, prior = binary_ingredients()
+        seeds = range(3, 10**9)
+        summary = compare_updaters(model, prior, probe, 2, seeds[:4], F(1, 2))
+        assert summary.seeds == range(3, 7) and type(summary.seeds) is range
+        listed = compare_updaters(model, prior, probe, 2, [3, 4, 5, 6], F(1, 2))
+        assert listed.seeds == (3, 4, 5, 6)
+        assert listed._replace(seeds=summary.seeds) == summary
 
     def test_round_zero_always_agrees(self):
         model, probe, prior = binary_ingredients()

@@ -106,7 +106,9 @@ def evaluate_tree(tree, u, wset, planning="sophisticated", menu_policy="full") -
         if is_null(event, wset):
             raise NullEventAtNode(f"information set {sorted(live)} has upper likelihood 0")
         pool = group if menu_policy == "full" else alive
-        scores = conditional(event).scores(pool)
+        oracle = conditional(event)
+        # member by member, on the per-act kernels, not the library's whole-menu scoring
+        scores = {a.name: oracle.rate(a, pool) for a in pool}
         best = min(scores[p.name] for p in alive)
         dropped = tuple(sorted(p.name for p in alive if scores[p.name] != best))
         kept = tuple(sorted(p.name for p in alive if scores[p.name] == best))
