@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import sys
 from pathlib import Path
-from typing import Sequence
 
 from .axioms import (
     AXIOM_IDS,
@@ -212,77 +211,58 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _eval_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
-    p.add_argument("--rule", required=True, choices=list(RULES))
-    p.add_argument("--menu", required=True)
-    p.add_argument("--measure", help="hypothesis name (required for --rule seu)")
-    p.add_argument("--format", choices=["tsv", "json"], default="tsv")
-
-
-def _update_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
-    p.add_argument("--event", required=True)
-
-
-def _axioms_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
-    p.add_argument("--axiom", required=True, choices=list(AXIOM_IDS) + ["matrix"])
-    p.add_argument("--rule", choices=list(MATRIX_RULES))
-    p.add_argument("--samples", type=int, default=200)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-
-def _tree_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
-    p.add_argument("treefile")
-    p.add_argument("--planning", choices=["ex-ante", "sophisticated"], default="sophisticated")
-    p.add_argument("--menu-policy", choices=["full", "viable"], default="full")
-    p.add_argument("--format", choices=["text", "json"], default="text")
-
-
-def _simulate_arguments(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
-    p.add_argument("--truth", required=True)
-    p.add_argument("--rounds", type=int, default=100)
-    p.add_argument("--seeds", type=int, default=1)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--menu")
-    p.add_argument("--es-threshold", help="compare updating styles at this threshold")
-
-
-# each subcommand: its help line, the arguments it adds, and what runs it
-_SUBCOMMANDS = {
-    "eval": ("rank a menu under a decision rule", _eval_arguments, _cmd_eval),
-    "update": ("likelihood-update the weighted set on an event", _update_arguments, _cmd_update),
-    "axioms": ("check axioms or print the rule-by-axiom matrix", _axioms_arguments, _cmd_axioms),
-    "tree": ("evaluate a decision tree", _tree_arguments, _cmd_tree),
-    "simulate": ("repeated-observation weight dynamics (CSV)", _simulate_arguments, _cmd_simulate),
-}
-
-
-def build_parser(argv: Sequence[str] = ()) -> _ArgumentParser:
-    """The parser of every subcommand, or, when `argv` starts with a
-    subcommand and asks for no help, of that one alone: it parses `argv` as
-    the full parser does, without building the others' arguments."""
+def build_parser() -> _ArgumentParser:
     parser = _ArgumentParser(
         prog="wregret",
         description="Decision making under ambiguity with weighted sets of probabilities.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    only = argv[0] if argv and argv[0] in _SUBCOMMANDS and not {"-h", "--help"} & set(argv) else None
-    for name, (help, add_arguments, command) in _SUBCOMMANDS.items():
-        if only in (None, name):
-            p = sub.add_parser(name, help=help)
-            add_arguments(p)
-            p.set_defaults(func=command)
+
+    p_eval = sub.add_parser("eval", help="rank a menu under a decision rule")
+    p_eval.add_argument("file")
+    p_eval.add_argument("--rule", required=True, choices=list(RULES))
+    p_eval.add_argument("--menu", required=True)
+    p_eval.add_argument("--measure", help="hypothesis name (required for --rule seu)")
+    p_eval.add_argument("--format", choices=["tsv", "json"], default="tsv")
+    p_eval.set_defaults(func=_cmd_eval)
+
+    p_update = sub.add_parser("update", help="likelihood-update the weighted set on an event")
+    p_update.add_argument("file")
+    p_update.add_argument("--event", required=True)
+    p_update.set_defaults(func=_cmd_update)
+
+    p_axioms = sub.add_parser("axioms", help="check axioms or print the rule-by-axiom matrix")
+    p_axioms.add_argument("file")
+    p_axioms.add_argument("--axiom", required=True, choices=list(AXIOM_IDS) + ["matrix"])
+    p_axioms.add_argument("--rule", choices=list(MATRIX_RULES))
+    p_axioms.add_argument("--samples", type=int, default=200)
+    p_axioms.add_argument("--seed", type=int, default=0)
+    p_axioms.add_argument("--format", choices=["text", "json"], default="text")
+    p_axioms.set_defaults(func=_cmd_axioms)
+
+    p_tree = sub.add_parser("tree", help="evaluate a decision tree")
+    p_tree.add_argument("file")
+    p_tree.add_argument("treefile")
+    p_tree.add_argument("--planning", choices=["ex-ante", "sophisticated"], default="sophisticated")
+    p_tree.add_argument("--menu-policy", choices=["full", "viable"], default="full")
+    p_tree.add_argument("--format", choices=["text", "json"], default="text")
+    p_tree.set_defaults(func=_cmd_tree)
+
+    p_sim = sub.add_parser("simulate", help="repeated-observation weight dynamics (CSV)")
+    p_sim.add_argument("file")
+    p_sim.add_argument("--truth", required=True)
+    p_sim.add_argument("--rounds", type=int, default=100)
+    p_sim.add_argument("--seeds", type=int, default=1)
+    p_sim.add_argument("--seed", type=int, default=0)
+    p_sim.add_argument("--menu")
+    p_sim.add_argument("--es-threshold", help="compare updating styles at this threshold")
+    p_sim.set_defaults(func=_cmd_simulate)
+
     return parser
 
 
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv)
+    parser = build_parser()
     try:
         args = parser.parse_args(argv)
         return args.func(args)

@@ -291,8 +291,9 @@ def _score_of(rule: str, act: Act, menu: Menu, u: UtilitySpec, belief: Belief) -
 # weight x probability x D, in sorted state order.  Every rule has a per-act
 # kernel.  The belief rules' kernels also have a whole-menu form, on one
 # packed-integer kernel (`_packed_max`), which `PreferenceOracle.numerators`
-# (behind `rank`, `scores` and the tree nodes) takes for a menu of at least
-# PACKED_ACTS acts under at least PACKED_ROWS rows, where it measured faster;
+# (behind `rank`, `scores` and the tree nodes) takes for a menu and belief
+# of at least the sizes `_WHOLE_MENU` gives each form, where it measured
+# faster (mer/mwer from 8 acts, seu/mmeu from 16, under at least 4 rows);
 # smaller inputs, the per-member path (`rate`, `prefers`, `sign`, the axiom
 # checker's) and probability-free regret keep the per-act kernels.
 
@@ -345,9 +346,8 @@ def _menu_worst_utility(profiles: Sequence[IntProfile], best: IntProfile, rows: 
 
 
 # the whole-menu form of a per-act kernel, and the least menu and belief sizes
-# at which `numerators` takes it (the crossover measured on random problems)
-_WHOLE_MENU = {_worst_utility: _menu_worst_utility, _worst_weighted_regret: _packed_max}
-PACKED_ACTS, PACKED_ROWS = 8, 4
+# at which `numerators` takes it (each form's crossover measured on random problems)
+_WHOLE_MENU = {_worst_utility: (_menu_worst_utility, 16, 4), _worst_weighted_regret: (_packed_max, 8, 4)}
 
 
 @record
@@ -571,8 +571,8 @@ class PreferenceOracle:
         score numerator over it, in menu order (names are not read)."""
         scale, best, profiles = self._over_menu(menu)
         score, rows = self._score, self._rows
-        whole = _WHOLE_MENU.get(score)
-        if whole is not None and len(profiles) >= PACKED_ACTS and len(rows) >= PACKED_ROWS:
+        whole, least_acts, least_rows = _WHOLE_MENU.get(score, (None, 0, 0))
+        if whole is not None and len(profiles) >= least_acts and len(rows) >= least_rows:
             return self._common * scale, whole(profiles, best, rows)
         return self._common * scale, [score(x, best, rows) for x in profiles]
 

@@ -305,7 +305,7 @@ class ComparisonSummary:
     per pair of updating styles, named like its CSV columns."""
 
     rounds: int
-    seeds: Sequence[int]
+    seeds: tuple[int, ...]
     threshold: Fraction
     agree_mwer_mer: tuple[float, ...]
     agree_mwer_es: tuple[float, ...]
@@ -366,4 +366,4 @@ def compare_updaters(
         agreements = (a, b, map(eq, mer, es), map(and_, a, b))
         counts = [list(map(add, count, agreed)) for count, agreed in zip(counts, agreements)]
     shares = [tuple(map(truediv, count, repeat(len(seeds)))) for count in counts]
-    return ComparisonSummary(rounds, seeds if isinstance(seeds, range) else tuple(seeds), threshold, *shares)
+    return ComparisonSummary(rounds, tuple(seeds), threshold, *shares)

@@ -217,6 +217,6 @@ def counting_whole_menu(monkeypatch) -> list:
             return kernel(*args)
         return wrapper
 
-    for per_act, whole in decisions._WHOLE_MENU.items():
-        monkeypatch.setitem(decisions._WHOLE_MENU, per_act, counted(whole))
+    for per_act, (whole, *sizes) in decisions._WHOLE_MENU.items():
+        monkeypatch.setitem(decisions._WHOLE_MENU, per_act, (counted(whole), *sizes))
     return calls

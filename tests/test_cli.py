@@ -11,7 +11,6 @@ from pathlib import Path
 import pytest
 
 import wregret
-from wregret import cli
 from wregret.axioms import AXIOM_IDS
 from wregret.cli import main
 from wregret.fixtures import fixture_path, fixture_text
@@ -393,47 +392,3 @@ class TestSimulateCommand:
     def test_unknown_truth_is_usage_error(self, capsys):
         code, _, err = run(capsys, "simulate", LEARNING, "--truth", "ghost")
         assert code == 3 and "unknown hypothesis" in err
-
-
-# argument lists on every path of the parser: help at each level, and usage
-# errors before, in and after a subcommand's own arguments
-PARSER_CASES = [
-    [], ["-h"], ["--help"], ["bogus"], ["--bogus", "eval"],
-    *[[name, "-h"] for name in ("eval", "update", "axioms", "tree", "simulate")],
-    ["eval"], ["eval", "--hel"], ["eval", DELIVERY, "--rule", "nope", "--menu", "base"],
-    ["eval", DELIVERY, "--rule", "mer"], ["update", DELIVERY, "--event", "e", "extra"],
-    ["axioms", WEIGHTED, "--axiom", "matrix", "--samples", "x"],
-    ["axioms", WEIGHTED, "--axiom", "matrix", "--samples", "0"],
-    ["tree", RESTAURANT], ["tree", RESTAURANT, RESTAURANT_TREE, "--planning", "x"],
-    ["simulate", LEARNING, "--truth", "mostly_good", "--rounds", "0"],
-    ["simulate", LEARNING, "--truth", "mostly_good", "--es-threshold", "2"],
-    ["eval", DELIVERY, "--rule", "mer", "--menu", "base", "-h"],
-]
-
-
-def parser_outcome(capsys, argv) -> tuple:
-    """What `main` prints and returns for the argument list, or the code it
-    exits with (argparse exits on help)."""
-    try:
-        code = main(list(argv))
-    except SystemExit as exc:
-        code = ("exit", exc.code)
-    captured = capsys.readouterr()
-    return code, captured.out, captured.err
-
-
-class TestParser:
-    def test_a_subcommand_alone_parses_as_every_subcommand_does(self, capsys, monkeypatch):
-        # the parser built for the subcommand named first prints and exits
-        # as the one with every subcommand, whose outputs are pinned as well
-        monkeypatch.setenv("COLUMNS", "80")
-        lean = [parser_outcome(capsys, argv) for argv in PARSER_CASES]
-        full = cli.build_parser
-        monkeypatch.setattr(cli, "build_parser", lambda argv: full())
-        assert [parser_outcome(capsys, argv) for argv in PARSER_CASES] == lean
-        assert [code for code, _, _ in lean] == [
-            3, ("exit", 0), ("exit", 0), 3, 3, *[("exit", 0)] * 5,
-            3, ("exit", 0), 3, 3, 3, 3, 3, 3, 3, 3, 3, ("exit", 0),
-        ]
-        text = repr([(out, err) for _, out, err in lean])
-        assert hashlib.sha1(text.encode()).hexdigest() == "5c50cb828ac73a237a7d9b1f959293d9ccdeeccc"

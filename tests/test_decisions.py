@@ -35,7 +35,7 @@ from wregret import (
     to_hull,
     support_value,
 )
-from wregret.decisions import PACKED_ACTS, PACKED_ROWS, Alternative, PreferenceOracle, Ranking
+from wregret.decisions import RULES, _WHOLE_MENU, Alternative, PreferenceOracle, Ranking
 from wregret.errors import ActNotInMenu, BeliefKindMismatch, UnknownPrize
 
 from conftest import DELIVERY_STATES, counting_whole_menu, profile_act, random_measure, random_wset
@@ -297,12 +297,14 @@ PER_ACT = {
 }
 
 
-# menu and belief sizes on both sides of those at which `numerators` packs a menu
-BOUNDARY_SIZES = [
-    (size, entries)
-    for size in (PACKED_ACTS - 1, PACKED_ACTS, PACKED_ACTS + 1)
-    for entries in (PACKED_ROWS - 1, PACKED_ROWS, PACKED_ROWS + 1)
-]
+# menu and belief sizes on both sides of those at which `numerators` takes
+# each whole-menu form
+BOUNDARY_SIZES = sorted({
+    (acts + d_acts, rows + d_rows)
+    for _, acts, rows in _WHOLE_MENU.values()
+    for d_acts in (-1, 0, 1)
+    for d_rows in (-1, 0, 1)
+})
 
 
 class TestAgainstReference:
@@ -356,8 +358,8 @@ def _packed_instance(rng: random.Random, size: int, entries: int, magnitude: int
 
 
 class TestPackedKernel:
-    """`numerators` scores a menu of at least PACKED_ACTS acts under a belief
-    of at least PACKED_ROWS entries in one packed pass; it must equal the
+    """`numerators` scores a menu and belief of at least the sizes that
+    `_WHOLE_MENU` gives a rule's kernel in one packed pass; it must equal the
     per-member path, which keeps the per-act kernels, and the reference."""
 
     def _check(self, states, alternatives, profiles, beliefs, calls) -> None:
@@ -367,7 +369,8 @@ class TestPackedKernel:
             calls[0] = 0
             denominator, values = oracle.numerators(alternatives)
             rows = 0 if belief is None else 1 if rule == "seu" else len(plain)
-            packs = rule != "regret" and len(alternatives) >= PACKED_ACTS and rows >= PACKED_ROWS
+            whole = _WHOLE_MENU.get(RULES[rule].score)
+            packs = whole is not None and len(alternatives) >= whole[1] and rows >= whole[2]
             assert calls[0] == packs, rule
             got = [F(n, denominator) for n in values]
             assert got == [oracle.rate(a, alternatives) for a in alternatives], rule
@@ -402,9 +405,10 @@ class TestPackedKernel:
         for bits in range(1, 42):
             top = 2**bits - 1
             profiles = {"low": {s: F(0) for s in states}, "high": {s: F(top) for s in states}}
-            for i in range(PACKED_ACTS):
+            for i in range(max(acts for _, acts, _ in _WHOLE_MENU.values())):
                 profiles[f"a{i}"] = {s: F(rng.choice((0, 1, top - 1, top, rng.randint(0, top)))) for s in states}
             alternatives = [Alternative(name, [p[s] for s in states]) for name, p in profiles.items()]
+            assert all(len(alternatives) >= acts and len(points) >= rows for _, acts, rows in _WHOLE_MENU.values())
             self._check(states, alternatives, profiles, beliefs, calls)
 
 

@@ -731,15 +731,17 @@ def benchmark_shape_tree(rng: random.Random, states) -> DecisionTree:
 
 class TestPackedTreeNodes:
     def test_packed_nodes_match_the_reference(self, monkeypatch):
-        # the root's 512 continuations and each lower node's 8 meet
-        # PACKED_ACTS, and the six-entry belief PACKED_ROWS, so `numerators`
-        # scores them in one packed pass; the reference scores them member by member
+        # the root's 512 continuations and each lower node's 8 meet the least
+        # menu size of mwer's whole-menu form, and the six-entry belief its
+        # least rows, so `numerators` scores them in one packed pass; the
+        # reference scores them member by member
         states = tuple(f"s{i}" for i in range(6))
         rng = random.Random(32)
         tree = benchmark_shape_tree(rng, states)
         entries = [(random_measure(rng, states), F(rng.randint(1, 4), 4)) for _ in range(6)]
         wset = normalize(WeightedMeasureSet(entries, states))
-        assert len(wset.entries) >= decisions.PACKED_ROWS and 8 >= decisions.PACKED_ACTS
+        _, least_acts, least_rows = decisions._WHOLE_MENU[decisions.RULES["mwer"].score]
+        assert len(wset.entries) >= least_rows and 8 >= least_acts
         calls = counting_whole_menu(monkeypatch)
         for planning, policy in PLANNINGS:
             want = outcome(tree_reference.evaluate_tree, tree, TREE_U, wset, planning, policy)

@@ -603,17 +603,6 @@ class TestCompareUpdaters:
         summary = compare_updaters(model, {"h1": 1, "h2": 1}, probe, 20, range(5), F(1, 2))
         assert summary.agree_all == (1.0,) * 21
 
-    def test_a_range_of_seeds_is_kept_as_given(self):
-        # a range stays that range, so a summary holds no per-seed list;
-        # other sequences are kept as tuples
-        model, probe, prior = binary_ingredients()
-        seeds = range(3, 10**9)
-        summary = compare_updaters(model, prior, probe, 2, seeds[:4], F(1, 2))
-        assert summary.seeds == range(3, 7) and type(summary.seeds) is range
-        listed = compare_updaters(model, prior, probe, 2, [3, 4, 5, 6], F(1, 2))
-        assert listed.seeds == (3, 4, 5, 6)
-        assert listed._replace(seeds=summary.seeds) == summary
-
     def test_round_zero_always_agrees(self):
         model, probe, prior = binary_ingredients()
         summary = compare_updaters(model, prior, probe, 5, range(10), F(1, 2))
