@@ -54,9 +54,10 @@ from .decisions import (
     mixture_name,
     per_state_best,
 )
+from .dsl import ProblemDoc, parse_problem
 from .dynamics import OracleFamily, frozen_weight_family, likelihood_family  # noqa: F401 (re-exported)
 from .errors import DimensionMismatch, NullEvent, UnknownAxiom
-from .measures import Event, Measure, WeightedMeasureSet, is_null, point_mass
+from .measures import Event, Measure, WeightedMeasureSet, is_null
 from .rational import format_rational, over_common
 from .records import record
 
@@ -140,10 +141,7 @@ class Witness:
 
     def to_obj(self) -> dict:
         return {
-            "axiom": self.axiom,
-            "rule": self.rule,
-            "kind": self.kind,
-            "description": self.description,
+            **self._asdict(),
             "menu": [a.name for a in self.menu],
             "acts": {role: a.name for role, a in self.acts.items()},
             "params": {k: _param_text(k, v) for k, v in self.params.items()},
@@ -181,29 +179,17 @@ class AxiomReport:
 
     def to_obj(self) -> dict:
         return {
-            "axiom": self.axiom,
-            "rule": self.rule,
-            "verdict": self.verdict,
-            "samples": self.samples,
-            "applicable": self.applicable,
-            "curated": self.curated,
-            "seed": self.seed,
+            **self._asdict(),
             "counterexample": self.counterexample.to_obj() if self.counterexample else None,
-            "unwitnessed": self.unwitnessed,
-            "unwitnessed_example": (
-                self.unwitnessed_example.to_obj() if self.unwitnessed_example else None
-            ),
+            "unwitnessed_example": self.unwitnessed_example.to_obj() if self.unwitnessed_example else None,
         }
 
 
 # -- utility profiles ----------------------------------------------------------------
 
-def utility_span(u: UtilitySpec) -> tuple[str, str, Fraction, Fraction]:
-    """The best and worst prizes and their utilities: (hi_prize, lo_prize, hi, lo)."""
-    items = u.items()
-    lo_prize, lo = min(items, key=lambda kv: kv[1])
-    hi_prize, hi = max(items, key=lambda kv: kv[1])
-    return hi_prize, lo_prize, hi, lo
+def utility_span(u: UtilitySpec) -> tuple[Fraction, Fraction]:
+    """The highest and lowest utilities of the table: (hi, lo)."""
+    return Fraction(max(u.numerators), u.denominator), Fraction(min(u.numerators), u.denominator)
 
 
 def _reachable(values, lo: Fraction, hi: Fraction) -> Profile:
@@ -254,7 +240,7 @@ class Sampler:
     def __init__(self, rng: random.Random, oracle: PreferenceOracle):
         self.rng = rng
         self.states = oracle.state_space
-        _, _, self.hi, self.lo = utility_span(oracle.utility)
+        self.hi, self.lo = utility_span(oracle.utility)
         self._counter = 0
         d = UTILITY_DENOMINATOR
         scale = min(Fraction(1), (self.hi - self.lo) / 2)
@@ -516,7 +502,7 @@ def _same_in(other: str, scored: bool = False) -> Judge:
 
 
 def _judge_boundedness(o: PreferenceOracle, inst: Instance) -> Verdict:
-    _, _, hi, _ = utility_span(o.utility)
+    hi, _ = utility_span(o.utility)
     fits = all(n <= hi * a.denominator for a in inst.menu for n in a.numerators)
     return "pass" if fits else Finding()
 
@@ -608,38 +594,14 @@ _STRUCTURAL = ("3", "10")
 
 DELIVERY_STATES = ("one_broken", "ten_broken")
 
-DELIVERY_UTILITY = UtilitySpec(
-    {
-        "full_fee": 10000,
-        "nothing": 0,
-        "penalty": -10000,
-        "checked_fee": 5001,
-        "checked_penalty": -4999,
-        "double_fee": 20000,
-        "double_penalty": -20000,
-    }
-)
-
 
 def _pair(o: PreferenceOracle, name: str, one: Fraction, ten: Fraction) -> Alternative:
     """A delivery alternative; the corpus fits only oracles whose utility range
     reaches its values and whose belief (if any) is over the delivery states."""
     if o.belief is not None and o.state_space != DELIVERY_STATES:
         raise DimensionMismatch("the curated corpus is over the delivery states")
-    _, _, hi, lo = utility_span(o.utility)
+    hi, lo = utility_span(o.utility)
     return Alternative(name, _reachable((Fraction(one), Fraction(ten)), lo, hi))
-
-
-def delivery_fixtures() -> "BeliefFixtures":
-    """Standard fixtures on the two-class delivery state space."""
-    one = point_mass("one_broken", DELIVERY_STATES)
-    ten = point_mass("ten_broken", DELIVERY_STATES)
-    return BeliefFixtures(
-        utility=DELIVERY_UTILITY,
-        state_space=DELIVERY_STATES,
-        measures=(one, ten),
-        weighted=WeightedMeasureSet([(one, 1), (ten, Fraction(1, 2))]),
-    )
 
 
 def _menu_dependence_instance(o: PreferenceOracle) -> Instance:
@@ -898,6 +860,24 @@ class BeliefFixtures:
         return PreferenceOracle(rule, belief, self.utility, self.state_space)
 
 
+def belief_fixtures(doc: ProblemDoc) -> BeliefFixtures:
+    """A problem document's fixtures: its utility table and states, its
+    hypotheses' measures in name order, and its weighted set."""
+    measures = doc.measures()
+    if len(measures) < 2:
+        raise ValueError("axiom fixtures need at least two hypotheses")
+    return BeliefFixtures(doc.utility, doc.states, measures, doc.weighted_set())
+
+
+def delivery_fixtures() -> BeliefFixtures:
+    """The checker's default fixtures, those of the bundled
+    `delivery_weighted.dp`.  Only this reads a bundled file, so the
+    resource machinery `fixtures` imports is loaded here, not with the CLI."""
+    from .fixtures import fixture_text
+
+    return belief_fixtures(parse_problem(fixture_text("delivery_weighted.dp")))
+
+
 MATRIX_RULES = ("seu", "regret", "mer", "mwer", "mmeu")
 
 MATRIX_COLUMNS: tuple[tuple[str, tuple[str, ...]], ...] = (
@@ -907,37 +887,43 @@ MATRIX_COLUMNS: tuple[tuple[str, tuple[str, ...]], ...] = (
     ("ax12", ("12",)),
 )
 
-_VERDICT_ORDER = {"no-violation-found": 0, "violated": 1}
-
 
 @record
 class AxiomMatrix:
+    """Each (rule, axiom)'s report in the order checked, and the seed; cells are read from the reports."""
+
     reports: Mapping[tuple[str, str], AxiomReport]
-    cells: Mapping[tuple[str, str], str]
     seed: int
 
     @property
     def rules(self) -> tuple[str, ...]:
         """The rules the matrix was built with, in order: its rows."""
-        return tuple(dict.fromkeys(rule for rule, _ in self.cells))
+        return tuple(dict.fromkeys(rule for rule, _ in self.reports))
+
+    @property
+    def cells(self) -> dict[tuple[str, str], str]:
+        """The verdict of every (rule, column), rows and columns in order."""
+        return {
+            (rule, column): "violated"
+            if any(self.reports[(rule, axiom)].verdict == "violated" for axiom in axioms)
+            else "no-violation-found"
+            for rule in self.rules
+            for column, axioms in MATRIX_COLUMNS
+        }
 
     def to_obj(self) -> dict:
+        cells = self.cells
         return {
             "seed": self.seed,
-            "cells": {
-                rule: {col: self.cells[(rule, col)] for col, _ in MATRIX_COLUMNS}
-                for rule in self.rules
-            },
+            "cells": {rule: {col: cells[(rule, col)] for col, _ in MATRIX_COLUMNS} for rule in self.rules},
             "reports": [r.to_obj() for r in self.reports.values()],
         }
 
     def to_text(self) -> str:
         marks = {"no-violation-found": "yes", "violated": "VIOLATED"}
         headers = ["rule"] + [col for col, _ in MATRIX_COLUMNS]
-        rows = [
-            [rule] + [marks[self.cells[(rule, col)]] for col, _ in MATRIX_COLUMNS]
-            for rule in self.rules
-        ]
+        cells = self.cells
+        rows = [[rule] + [marks[cells[(rule, col)]] for col, _ in MATRIX_COLUMNS] for rule in self.rules]
         widths = [max(len(r[i]) for r in [headers] + rows) for i in range(len(headers))]
         lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
         for row in rows:
@@ -955,16 +941,10 @@ def axiom_matrix(
     fixtures = fixtures or delivery_fixtures()
     config = config or GeneratorConfig()
     reports: dict[tuple[str, str], AxiomReport] = {}
-    cells: dict[tuple[str, str], str] = {}
     for ri, rule in enumerate(rules):
         oracle = fixtures.oracle(rule)
-        for ci, (column, axioms) in enumerate(MATRIX_COLUMNS):
-            worst = "no-violation-found"
+        for ci, (_, axioms) in enumerate(MATRIX_COLUMNS):
             for ai, axiom in enumerate(axioms):
                 child_seed = seed * 10007 + ri * 997 + ci * 101 + ai
-                report = check_axiom(axiom, oracle, config, seed=child_seed)
-                reports[(rule, axiom)] = report
-                if _VERDICT_ORDER[report.verdict] > _VERDICT_ORDER[worst]:
-                    worst = report.verdict
-            cells[(rule, column)] = worst
-    return AxiomMatrix(reports=reports, cells=cells, seed=seed)
+                reports[(rule, axiom)] = check_axiom(axiom, oracle, config, seed=child_seed)
+    return AxiomMatrix(reports, seed)

@@ -13,10 +13,10 @@ from pathlib import Path
 
 from .axioms import (
     AXIOM_IDS,
-    BeliefFixtures,
     GeneratorConfig,
     MATRIX_RULES,
     axiom_matrix,
+    belief_fixtures,
     check_axiom,
 )
 from .dsl import ProblemDoc, parse_problem, parse_tree, serialize_weighted_set
@@ -108,13 +108,6 @@ def _cmd_update(args) -> int:
     return 0
 
 
-def _fixtures_for(doc: ProblemDoc) -> BeliefFixtures:
-    measures = doc.measures()
-    if len(measures) < 2:
-        raise UsageError("axiom fixtures need at least two hypotheses")
-    return BeliefFixtures(doc.utility, doc.states, measures, doc.weighted_set())
-
-
 def _cmd_axioms(args) -> int:
     if args.samples < 1:
         raise UsageError("--samples must be at least 1")
@@ -123,7 +116,7 @@ def _cmd_axioms(args) -> int:
         raise UsageError("--rule does not apply to --axiom matrix")
     doc = _load_doc(args.file)
     try:
-        fixtures = _fixtures_for(doc)
+        fixtures = belief_fixtures(doc)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
     config = GeneratorConfig(samples=args.samples)

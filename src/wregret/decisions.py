@@ -42,7 +42,7 @@ from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
 from .errors import ActNotInMenu, BeliefKindMismatch, DimensionMismatch, UnknownPrize
 from .measures import Measure, Rational, WeightedMeasureSet, weighted_rows
-from .rational import IntVector, as_integers, format_decimal, format_rational, over_common
+from .rational import IntVector, as_integers, exact, format_decimal, format_rational, over_common
 from .records import Frozen, record
 
 
@@ -93,7 +93,7 @@ class Lottery(IntVector):
             raise ValueError(f"lottery probabilities sum to {format_rational(self.total())}")
 
     def mix(self, weight: Rational, other: "Lottery") -> "Lottery":
-        weight = Fraction(weight)
+        weight = exact(weight, "mixture weight")
         probs = {prize: (1 - weight) * p for prize, p in other.items()}
         for prize, p in self.items():
             probs[prize] = weight * p + probs.get(prize, 0)
@@ -113,13 +113,13 @@ class Act(Frozen):
     whose profile is an int dot product of lottery and utility numerators.
     """
 
-    __slots__ = ("name", "_outcomes", "_items", "_last")
+    __slots__ = ("name", "_items", "_last")
 
     def __init__(self, name: str, outcomes: Mapping[str, Lottery]):
         if not name:
             raise ValueError("acts need a nonempty name")
         items = tuple(sorted(outcomes.items(), key=lambda kv: kv[0]))
-        for slot, value in zip(Act.__slots__, (name, dict(outcomes), items, (None, None))):
+        for slot, value in zip(Act.__slots__, (name, items, (None, None))):
             object.__setattr__(self, slot, value)
 
     @property
@@ -127,7 +127,7 @@ class Act(Frozen):
         return tuple(state for state, _ in self._items)
 
     def __getitem__(self, state: str) -> Lottery:
-        return self._outcomes[state]
+        return dict(self._items)[state]
 
     def items(self) -> tuple[tuple[str, Lottery], ...]:
         return self._items
@@ -150,7 +150,7 @@ class Act(Frozen):
         return MappingProxyType(dict(zip(self.state_space, self.alternative(u).profile)))
 
     def __reduce__(self):
-        return Act, (self.name, self._outcomes)
+        return Act, (self.name, dict(self._items))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Act) and self.name == other.name and self._items == other._items
@@ -442,11 +442,11 @@ class Alternative(Frozen):
     `Alternative(name, profile)` converts int or `Fraction` utilities once;
     `from_ints` keeps its ints as given, unreduced, so a sampler's draws stay
     over its denominator.  Any other type raises TypeError.  The `Fraction`
-    `profile` is built only when read.  An alternative is immutable, hashable
-    and equal to any with the same name and rational profile.
+    `profile` is built each time it is read.  An alternative is immutable,
+    hashable and equal to any with the same name and rational profile.
     """
 
-    __slots__ = ("name", "numerators", "denominator", "_profile")
+    __slots__ = ("name", "numerators", "denominator")
 
     def __init__(self, name: str, profile: Sequence[Union[int, Fraction]]):
         profile = tuple(profile)
@@ -457,7 +457,6 @@ class Alternative(Frozen):
         _set_name(self, name)
         _set_numerators(self, numerators)
         _set_denominator(self, denominator)
-        _set_profile(self, None)
 
     @classmethod
     def from_ints(cls, name: str, numerators: IntProfile, denominator: int) -> "Alternative":
@@ -472,17 +471,12 @@ class Alternative(Frozen):
         _set_name(self, name)
         _set_numerators(self, numerators)
         _set_denominator(self, denominator)
-        _set_profile(self, None)
         return self
 
     @property
     def profile(self) -> Profile:
-        profile = self._profile
-        if profile is None:
-            d = self.denominator
-            profile = tuple([Fraction(n, d) for n in self.numerators])
-            _set_profile(self, profile)
-        return profile
+        d = self.denominator
+        return tuple([Fraction(n, d) for n in self.numerators])
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Alternative):
@@ -505,7 +499,7 @@ class Alternative(Frozen):
 
 
 # An immutable Alternative sets its own slots through their descriptors.
-_set_name, _set_numerators, _set_denominator, _set_profile = (
+_set_name, _set_numerators, _set_denominator = (
     Alternative.__dict__[slot].__set__ for slot in Alternative.__slots__
 )
 
@@ -739,8 +733,8 @@ def mixture_name(weight: Fraction, first: str, second: str) -> str:
 
 
 def mix(weight: Rational, f: Act, g: Act, name: str | None = None) -> Act:
-    """Statewise lottery mixture weight*f + (1-weight)*g."""
-    weight = Fraction(weight)
+    """Statewise lottery mixture weight*f + (1-weight)*g, for an exact weight (a float raises TypeError)."""
+    weight = exact(weight, "mixture weight")
     if not (0 <= weight <= 1):
         raise ValueError("mixture weight must lie in [0, 1]")
     if f.state_space != g.state_space:
@@ -752,5 +746,4 @@ def mix(weight: Rational, f: Act, g: Act, name: str | None = None) -> Act:
 
 def mix_menu(weight: Rational, menu: Menu, h: Act) -> Menu:
     """Elementwise mixture of every menu act with a fixed act."""
-    weight = Fraction(weight)
     return Menu(tuple(mix(weight, act, h) for act in menu))

@@ -25,14 +25,13 @@ node rejects an empty or ambiguous shape (`MalformedTree`) when built.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import add
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .decisions import Act, Alternative, Lottery, Menu, PreferenceOracle, UtilitySpec
 from .errors import MalformedTree, NullEvent, NullEventAtNode
 from .measures import Event, EventLike, WeightedMeasureSet, as_event, is_null, likelihood_update, normalize
-from .rational import format_rational
+from .rational import as_integers, exact, format_rational
 from .records import record
 
 
@@ -97,7 +96,7 @@ def conditional_score(
 
 @record
 class Leaf:
-    """Terminal node holding either a lottery or a bare utility value."""
+    """Terminal node holding either a lottery or a bare exact utility value (a float raises TypeError)."""
 
     lottery: Optional[Lottery] = None
     utility: Optional[Fraction] = None
@@ -105,6 +104,8 @@ class Leaf:
     def _check(self) -> None:
         if (self.lottery is None) == (self.utility is None):
             raise MalformedTree("a leaf holds exactly one of: lottery, utility")
+        if self.utility is not None:
+            exact(self.utility, "leaf utility")
 
 
 @record
@@ -163,7 +164,7 @@ def _walk(
     `leaves`, 0 off the live states)."""
     if isinstance(node, Leaf):
         if node not in leaves:  # each distinct leaf is valued once, when first reached
-            value = Fraction(node.utility) if node.lottery is None else u.utility(node.lottery)
+            value = exact(node.utility, "leaf utility") if node.lottery is None else u.utility(node.lottery)
             leaves[node] = (len(leaves) + 1, value)
         leaf = leaves[node][0]
         return [((), tuple([leaf if s in live else 0 for s in states]))]
@@ -225,8 +226,8 @@ def enumerate_plans(tree: DecisionTree, state_space: Sequence[str], u: UtilitySp
     if len({p.name for p in plans}) != len(plans):
         raise MalformedTree("plan names are not unique; rename branches")
     root = (0, states, [ids for _, ids in walked], [(j, j) for j in range(len(plans))])
-    denominator = lcm(*[v.denominator for v in values])
-    int_of = [v.numerator * (denominator // v.denominator) for v in values].__getitem__
+    denominator, (ints,) = as_integers([values])
+    int_of = ints.__getitem__
 
     def born(ids: tuple[int, ...]) -> Alternative:
         return Alternative.from_ints("", map(int_of, ids), denominator)
@@ -244,14 +245,7 @@ class NodeDiagnostic:
     kept: tuple[str, ...]
 
     def to_obj(self) -> dict:
-        return {
-            "node": self.node,
-            "live": list(self.live),
-            "menu": list(self.menu),
-            "scores": {k: format_rational(v) for k, v in self.scores.items()},
-            "eliminated": list(self.eliminated),
-            "kept": list(self.kept),
-        }
+        return {**self._asdict(), "scores": {k: format_rational(v) for k, v in self.scores.items()}}
 
 
 @record

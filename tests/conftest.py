@@ -22,7 +22,6 @@ from wregret import (
     upper_likelihood,
 )
 from wregret import decisions
-from wregret.axioms import utility_span
 from wregret.dynamics import conditional_score, splice, splice_menu
 from wregret.errors import ActNotInMenu, NullEvent
 from wregret.dsl import ProblemDoc
@@ -49,7 +48,8 @@ def delivery_utility() -> UtilitySpec:
 
 def value_lottery(value: Fraction, u: UtilitySpec) -> Lottery:
     """A two-prize lottery whose expected utility is exactly `value`."""
-    hi_prize, lo_prize, hi, lo = utility_span(u)
+    lo_prize, lo = min(u.items(), key=lambda kv: kv[1])
+    hi_prize, hi = max(u.items(), key=lambda kv: kv[1])
     if not lo <= value <= hi:
         raise ValueError(f"utility {value} outside the representable range [{lo}, {hi}]")
     p = (value - lo) / (hi - lo)

@@ -24,19 +24,21 @@ from wregret.axioms import (
     PreferenceOracle,
     Sampler,
     axiom_matrix,
+    belief_fixtures,
     check_axiom,
     delivery_fixtures,
     replay,
+    utility_span,
 )
 from wregret import axioms, decisions, rational
 from wregret.axioms import _AXIOMS
 from wregret.decisions import UtilitySpec, _position
 from wregret.dsl import parse_problem
 from wregret.errors import ActNotInMenu, DimensionMismatch, UnknownAxiom
-from wregret.fixtures import fixture_text
+from wregret.fixtures import fixture_path, fixture_text
 from wregret.measures import Measure, WeightedMeasureSet, point_mass
 
-from conftest import profile_act, value_lottery
+from conftest import DELIVERY_STATES, profile_act, value_lottery
 import axiom_reference
 import rule_reference as reference
 
@@ -602,6 +604,28 @@ class TestFractionBudget:
                     checked += 1
                     assert counts[0][1] == counts[1][1], (axiom, rule, counts)
         assert checked == 40
+
+
+class TestDefaultFixtures:
+    def test_default_fixtures_are_the_bundled_weighted_delivery_problem(
+        self, delivery_utility, delivery_measures, delivery_wset
+    ):
+        # conftest's delivery problem is the reference copy of what
+        # `delivery_weighted.dp` holds: the 7-prize utility table, the two
+        # point masses and the weights 1 and 1/2
+        reference = BeliefFixtures(delivery_utility, DELIVERY_STATES, delivery_measures, delivery_wset)
+        assert [w for _, w in reference.weighted.entries] == [1, F(1, 2)]
+        text = fixture_path("delivery_weighted.dp").read_text(encoding="utf-8")
+        for built in (delivery_fixtures(), belief_fixtures(parse_problem(text))):
+            assert built == reference and repr(built) == repr(reference)
+        assert utility_span(reference.utility) == (20000, -20000)
+
+    def test_fixtures_need_two_hypotheses(self):
+        text = fixture_text("delivery_weighted.dp")
+        for dropped in (["hypothesis ten"], ["hypothesis one", "hypothesis ten"]):
+            lines = [line for line in text.splitlines() if not line.startswith(tuple(dropped))]
+            with pytest.raises(ValueError, match="axiom fixtures need at least two hypotheses"):
+                belief_fixtures(parse_problem("\n".join(lines)))
 
 
 class TestMatrix:

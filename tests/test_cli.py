@@ -135,6 +135,14 @@ class TestParseFailures:
         code, out, err = run(capsys, argv[0], str(path), *argv[1:])
         assert (code, out, err) == (3, "", "usage error: the document declares no hypotheses\n")
 
+    @pytest.mark.parametrize("dropped", [("hypothesis ten",), ("hypothesis one", "hypothesis ten")])
+    def test_axioms_need_two_hypotheses(self, tmp_path, capsys, dropped):
+        path = tmp_path / "one_hypothesis.dp"
+        lines = fixture_text("delivery_weighted.dp").splitlines(keepends=True)
+        path.write_text("".join(line for line in lines if not line.startswith(dropped)))
+        code, out, err = run(capsys, "axioms", str(path), "--axiom", "matrix", "--samples", "1")
+        assert (code, out, err) == (3, "", "usage error: axiom fixtures need at least two hypotheses\n")
+
     def test_probability_free_rule_needs_no_hypotheses(self, tmp_path, capsys):
         path = tmp_path / "no_hypotheses.dp"
         path.write_text(fixture_text("delivery.dp").replace("hypothesis", "# hypothesis"))

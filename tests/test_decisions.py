@@ -524,6 +524,16 @@ class TestFloatsRejected:
             Lottery({"a": 0.5, "b": 0.5})
         assert Lottery({"a": "1/2", "b": "0.5"}) == Lottery({"a": F(1, 2), "b": F(1, 2)})
 
+    def test_mixture_weights(self, delivery_acts, base_menu):
+        cont, back = delivery_acts["cont"], delivery_acts["back"]
+        for build in (lambda w: mix(w, cont, back), lambda w: mix_menu(w, base_menu, back),
+                      lambda w: cont["one_broken"].mix(w, back["one_broken"])):
+            with pytest.raises(TypeError, match="mixture weight 0.1 is not"):
+                build(0.1)
+            assert build("1/10") == build("0.1") == build(F(1, 10))
+            assert build(1) == build(F(1))
+        assert mix("0.1", cont, back).name == "1/10*cont+9/10*back"
+
 
 class TestLotteryAndActValues:
     def test_lottery_equality_is_on_reduced_ints(self):

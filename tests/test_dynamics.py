@@ -576,6 +576,18 @@ class TestTrees:
         with pytest.raises(MalformedTree, match=message):
             build()
 
+    def test_leaf_utilities_are_exact(self):
+        with pytest.raises(TypeError, match="leaf utility 0.1 is not"):
+            Leaf(utility=0.1)
+        u = UtilitySpec({"hi": 1, "lo": -1})
+        wset = WeightedMeasureSet([(point_mass("a", ("a",)), 1)], ("a",))
+        evaluations = [
+            evaluate_tree(DecisionTree(DecisionNode("d", (("x", Leaf(utility=v)), ("y", Leaf(utility=0))))), u, wset)
+            for v in ("1/10", "0.1", F(1, 10))
+        ]
+        assert evaluations[0] == evaluations[1] == evaluations[2]
+        assert evaluations[0].diagnostics[0].scores == {"x": 0, "y": F(1, 10)}
+
     def test_nodes_are_immutable(self):
         leaf = Leaf(utility=F(0))
         node = DecisionNode("d", (("x", leaf),))
@@ -784,10 +796,11 @@ class TestTreeWork:
         monkeypatch.undo()
         assert len(result.plans) == 512 and len(result.diagnostics) == 17
         # (kernel calls, Fractions built); the plan-scanning evaluation made
-        # (512, 770), (512, 770), (1536, 1826) and (584, 874)
+        # (512, 770), (512, 770), (1536, 1826) and (584, 874), and copying
+        # each leaf's Fraction utility built 35 more in every mode
         assert counts == {
-            ("ex-ante", "full"): (512, 342),
-            ("ex-ante", "viable"): (512, 342),
-            ("sophisticated", "full"): (16 * 8 + 512, 494),
-            ("sophisticated", "viable"): (136, 203),
+            ("ex-ante", "full"): (512, 307),
+            ("ex-ante", "viable"): (512, 307),
+            ("sophisticated", "full"): (16 * 8 + 512, 459),
+            ("sophisticated", "viable"): (136, 168),
         }

@@ -69,7 +69,6 @@ UNREFERENCED_BUT_KEPT = {
     "dynamics.conditional_score": "README, `wregret.dynamics` row: conditional scores",
     "learning.es_update": "README, `wregret.learning` row: threshold (relative-likelihood) updating",
     "fixtures.fixture_path": "README, CLI examples: `f.fixture_path('delivery.dp')` locates the fixtures",
-    "fixtures.fixture_text": "README, `wregret.fixtures` row: bundled example problems",
     "linfeas.solve_nonneg": "perfbench/tracing.py `TARGETS` wraps it; ROADMAP item 1's tracer change drops it",
 }
 
@@ -164,7 +163,9 @@ def test_cli_import_path_is_lean_and_complete():
     # (perfbench/tracing.py `TARGETS`), and none of the costly reflection
     # modules: `dataclasses` pulls in `inspect` and, through it, `ast` and `dis`.
     # It builds no `typing.ForwardRef` (a `typing.NamedTuple` record compiles
-    # one per string annotation), and leaves `json` to the JSON writer
+    # one per string annotation), leaves `json` to the JSON writer, and leaves
+    # `wregret.fixtures`, whose `importlib.resources` pulls in `zipfile`,
+    # `tempfile`, `bz2` and `lzma`, to the axiom checker's default fixtures
     targets = _traced_targets()
     path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
     out = subprocess.run(
@@ -173,7 +174,7 @@ def test_cli_import_path_is_lean_and_complete():
     ).stdout
     report = json.loads(out)
     loaded = set(report["loaded"])
-    assert {"dataclasses", "inspect", "json"} & loaded == set()
+    assert {"dataclasses", "inspect", "json", "wregret.fixtures"} & loaded == set()
     assert report["forward_refs"] == []
     assert {f"wregret.{layer}" for layer in targets} <= loaded
 

@@ -77,9 +77,9 @@ RECORDS = {
         " weighted=WeightedMeasureSet([(Measure({s1: 1/4, s2: 3/4}), 1/1), (Measure({s1: 1/2, s2: 1/2}), 1/2)]))",
     ),
     "AxiomMatrix": (
-        axioms.AxiomMatrix, ({}, {("mwer", "ax12"): "violated"}, 3), {},
-        ("reports", "cells", "seed"), {},
-        "AxiomMatrix(reports=mappingproxy({}), cells=mappingproxy({('mwer', 'ax12'): 'violated'}), seed=3)",
+        axioms.AxiomMatrix, ({}, 3), {},
+        ("reports", "seed"), {},
+        "AxiomMatrix(reports=mappingproxy({}), seed=3)",
     ),
     "Leaf": (
         dynamics.Leaf, (), {"utility": F(1, 3)},
