@@ -57,7 +57,7 @@ from .decisions import (
 from .dsl import ProblemDoc, parse_problem
 from .dynamics import OracleFamily, frozen_weight_family, likelihood_family  # noqa: F401 (re-exported)
 from .errors import DimensionMismatch, NullEvent, UnknownAxiom
-from .measures import Event, Measure, WeightedMeasureSet, is_null
+from .measures import Event, Measure, WeightedMeasureSet
 from .rational import format_rational, over_common
 from .records import record
 
@@ -183,6 +183,22 @@ class AxiomReport:
             "counterexample": self.counterexample.to_obj() if self.counterexample else None,
             "unwitnessed_example": self.unwitnessed_example.to_obj() if self.unwitnessed_example else None,
         }
+
+    def to_text(self) -> str:
+        """The verdict with its counts and, under a counterexample, its
+        description, menu and scores."""
+        lines = [
+            f"axiom {self.axiom} under {self.rule}: {self.verdict} (samples={self.samples},"
+            f" applicable={self.applicable}, curated={self.curated}, seed={self.seed})"
+        ]
+        w = self.counterexample
+        if w is not None:
+            lines.append(f"  witness: {w.description}")
+            lines.append(f"  menu: {', '.join(a.name for a in w.menu)}")
+            if w.scores:
+                scores = ", ".join(f"{k}={format_rational(v)}" for k, v in w.scores.items())
+                lines.append(f"  scores: {scores}")
+        return "\n".join(lines) + "\n"
 
 
 # -- utility profiles ----------------------------------------------------------------
@@ -772,8 +788,9 @@ def _spliced_signs(
 def _mdc(family: OracleFamily) -> Axiom:
     """Dynamic consistency as an entry: the family's comparison of f and g on an
     event must equal their unconditional comparison spliced off it with each
-    menu act.  The family is asked once per distinct non-null event."""
-    conditionals: dict[Event, PreferenceOracle] = {}
+    menu act.  The family is asked once per distinct event; where it raises
+    NullEvent, it has no conditional preference to disagree with."""
+    conditionals: dict[Event, Optional[PreferenceOracle]] = {}
 
     def draw(o: PreferenceOracle, s: Sampler) -> Instance:
         menu = s.menu(min_size=2)
@@ -783,12 +800,13 @@ def _mdc(family: OracleFamily) -> Axiom:
 
     def judge(o: PreferenceOracle, inst: Instance) -> Verdict:
         f, g, menu, event = inst.acts["f"], inst.acts["g"], inst.menu, Event(inst.params["event"])
-        # the unconditional belief has the family's null events: updating on the
-        # whole space, or normalizing, only rescales the weights
-        if is_null(event, o.belief):
-            return "vacuous"
         if event not in conditionals:
-            conditionals[event] = family(event)
+            try:
+                conditionals[event] = family(event)
+            except NullEvent:
+                conditionals[event] = None
+        if conditionals[event] is None:
+            return "vacuous"
         spliced = _spliced_signs(o, f, g, menu, event)
         signs = set(spliced.values())
         if len(signs) > 1:
@@ -808,17 +826,18 @@ def _mdc(family: OracleFamily) -> Axiom:
 def check_mdc(
     family: OracleFamily,
     wset: WeightedMeasureSet,
-    u: UtilitySpec,
     config: GeneratorConfig | None = None,
     seed: int = 0,
 ) -> AxiomReport:
-    """Probe menu-dependent dynamic consistency on sampled instances.
+    """Probe menu-dependent dynamic consistency on sampled instances over
+    the weighted set's states.
 
-    For each sampled menu, act pair and non-null event the conditional
-    comparison must agree with the unconditional comparison of the spliced
-    acts in the spliced menu, for every choice of the off-event act; the
-    checker also verifies that the right-hand side does not depend on that
-    choice.  Unlike `check_axiom`, it has no cap on the states.
+    For each sampled menu, act pair and event that the family does not
+    reject as null (by raising NullEvent), the conditional comparison must
+    agree with the unconditional comparison of the spliced acts in the
+    spliced menu, for every choice of the off-event act; the checker also
+    verifies that the right-hand side does not depend on that choice.
+    Unlike `check_axiom`, it has no cap on the states.
     """
     return _check("mdc", _mdc(family), family(Event(sorted(wset.state_space))), config, seed)
 

@@ -135,20 +135,7 @@ def _cmd_axioms(args) -> int:
     if args.format == "json":
         _write_json([r.to_obj() for r in reports])
     else:
-        for report in reports:
-            line = (
-                f"axiom {report.axiom} under {report.rule}: {report.verdict}"
-                f" (samples={report.samples}, applicable={report.applicable},"
-                f" curated={report.curated}, seed={report.seed})"
-            )
-            print(line)
-            if report.counterexample is not None:
-                witness = report.counterexample.to_obj()
-                print(f"  witness: {witness['description']}")
-                print(f"  menu: {', '.join(witness['menu'])}")
-                if witness["scores"]:
-                    scores = ", ".join(f"{k}={v}" for k, v in witness["scores"].items())
-                    print(f"  scores: {scores}")
+        sys.stdout.write("".join([r.to_text() for r in reports]))
     return 0
 
 

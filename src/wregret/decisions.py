@@ -90,7 +90,7 @@ class Lottery(IntVector):
     def _check(self) -> None:
         self._nonnegative()
         if sum(self.numerators) != self.denominator:
-            raise ValueError(f"lottery probabilities sum to {format_rational(self.total())}")
+            raise ValueError(f"lottery probabilities sum to {format_rational(self.total())}, expected 1/1")
 
     def mix(self, weight: Rational, other: "Lottery") -> "Lottery":
         weight = exact(weight, "mixture weight")

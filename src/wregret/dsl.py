@@ -26,8 +26,11 @@ without a second pass over its tokens.
 Every rejection carries at least one diagnostic with a line and column; the
 parsers never raise anything else on malformed input.  Each unknown or
 repeated key of an entry is reported, not just the first; in a tree, so is
-a decision node whose name is already taken.  Tokens, diagnostics and the
-parsed `ProblemDoc` are immutable records (`records.record`).
+a decision node whose name is already taken.  The values a definition
+builds (lotteries, measures, menus, utility tables, tree nodes) check their
+own rules, such as sums, signs and emptiness, and a value's refusal is
+reported at its definition.  Tokens, diagnostics and the parsed
+`ProblemDoc` are immutable records (`records.record`).
 `serialize_weighted_set` writes a weighted set back in the problem format.
 """
 
@@ -39,7 +42,7 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .decisions import Act, Lottery, Menu, UtilitySpec
 from .dynamics import DecisionNode, DecisionTree, Leaf, NatureNode, TreeNode
-from .errors import ParseError
+from .errors import MalformedTree, ParseError
 from .measures import Event, Measure, WeightedMeasureSet
 from .rational import RATIONAL_LITERAL, format_map, format_rational, parse_rational
 from .records import record
@@ -387,6 +390,16 @@ def _lottery_term(stream: _TokenStream):
     return stream.expect("IDENT", what="a lottery name or inline lottery")
 
 
+def _built(report: Callable[[Token, str], None], token: Token, make: Callable, *fields):
+    """`make(*fields)`, or None once the ValueError or MalformedTree it
+    raised has been reported at the token."""
+    try:
+        return make(*fields)
+    except (ValueError, MalformedTree) as exc:
+        report(token, str(exc))
+        return None
+
+
 def _resolve_problem(states_decl, prizes_decl, utility_decl, sections, diagnostics):
     def err(token: Token, message: str) -> None:
         diagnostics.append(ParseDiagnostic("error", token.line, token.column, message, token.text))
@@ -446,16 +459,7 @@ def _resolve_problem(states_decl, prizes_decl, utility_decl, sections, diagnosti
 
     def build_lottery(entries, context: Token) -> Optional[Lottery]:
         probs = resolve(entries, prize_set, "prize", "lottery", with_utility)
-        if probs is None:
-            return None
-        total = sum(probs.values(), Fraction(0))
-        if total != 1:
-            err(context, f"lottery probabilities sum to {format_rational(total)}, expected 1/1")
-            return None
-        if any(v < 0 for v in probs.values()):
-            err(context, "lottery probabilities must be nonnegative")
-            return None
-        return Lottery(probs)
+        return None if probs is None else _built(err, context, Lottery, probs)
 
     lotteries: dict[str, Lottery] = {}
     for name, entry in sections["lottery"].items():
@@ -481,18 +485,9 @@ def _resolve_problem(states_decl, prizes_decl, utility_decl, sections, diagnosti
     menus: dict[str, Menu] = {}
     for name, entry in sections["menu"].items():
         listed = resolve(((t, acts.get(t.text)) for t in entry.payload), acts, "act", "menu")
-        if listed is None:
-            continue
-        if not listed:
-            err(entry.token, "menu lists no acts")
-            continue
-        menus[name] = Menu(tuple(listed.values()))
-
-    def nonnegative(key: Token, value: Fraction) -> Optional[Fraction]:
-        if value < 0:
-            err(key, "probabilities must be nonnegative")
-            return None
-        return value
+        menu = None if listed is None else _built(err, entry.token, Menu, listed.values())
+        if menu is not None:
+            menus[name] = menu
 
     hypotheses: dict[str, tuple[Measure, Fraction]] = {}
     for name, entry in sections["hypothesis"].items():
@@ -500,14 +495,10 @@ def _resolve_problem(states_decl, prizes_decl, utility_decl, sections, diagnosti
         if not (0 <= weight <= 1):
             err(entry.token, f"weight {format_rational(weight)} outside [0, 1]")
             continue
-        probs = resolve(body, state_set, "state", "hypothesis", nonnegative, entry.token)
-        if probs is None:
-            continue
-        total = sum(probs.values(), Fraction(0))
-        if total != 1:
-            err(entry.token, f"probabilities sum to {format_rational(total)}, expected 1/1")
-            continue
-        hypotheses[name] = (Measure(probs), weight)
+        probs = resolve(body, state_set, "state", "hypothesis", cover=entry.token)
+        measure = None if probs is None else _built(err, entry.token, Measure, probs)
+        if measure is not None:
+            hypotheses[name] = (measure, weight)
 
     if hypotheses:
         top = max(w for _, w in hypotheses.values())
@@ -525,17 +516,11 @@ def _resolve_problem(states_decl, prizes_decl, utility_decl, sections, diagnosti
 
     if diagnostics:
         return None
-    try:
-        utility = UtilitySpec(utils) if utils else None
-    except ValueError as exc:
-        err(states_tok, str(exc))
-        return None
-    if utility is None and (lotteries or acts):
-        err(states_tok, "no utility section but lotteries are declared")
-        return None
+    # a lottery resolves only over prizes with utilities, so a document without
+    # any is measures-only, and still needs a nominal utility table
+    utility = _built(err, states_tok, UtilitySpec, utils or {"_zero": 0, "_one": 1})
     if utility is None:
-        # a measures-only document still needs a nominal utility table
-        utility = UtilitySpec({"_zero": 0, "_one": 1})
+        return None
     return ProblemDoc(
         states=states,
         prizes=prizes,
@@ -620,7 +605,6 @@ def _parse_decision(
         stream.error(name_tok, f"duplicate decision node '{name_tok.text}'")
     names.add(name_tok.text)
     branches: list[tuple[str, TreeNode]] = []
-    seen: set[str] = set()
     while not stream.accept("PUNCT", "}"):
         if stream.peek().kind == "EOF":
             stream.error(stream.peek(), "unterminated decision node")
@@ -633,16 +617,10 @@ def _parse_decision(
         child = _parse_node(stream, doc, live, names)
         if child is None:
             return None
-        if branch_tok.text in seen:
-            stream.error(branch_tok, f"duplicate branch '{branch_tok.text}'")
-            ok = False
-        seen.add(branch_tok.text)
         branches.append((branch_tok.text, child))
         stream.accept("PUNCT", ",")
-    if not branches:
-        stream.error(name_tok, "decision node has no branches")
-        return None
-    return DecisionNode(name_tok.text, tuple(branches)) if ok else None
+    node = _built(stream.error, name_tok, DecisionNode, name_tok.text, tuple(branches))
+    return node if ok else None
 
 
 def _parse_nature(
@@ -685,10 +663,8 @@ def _parse_nature(
     if missing:
         stream.error(nature_tok, f"nature partition misses states {sorted(missing)}")
         ok = False
-    if not cells:
-        stream.error(nature_tok, "nature node has no branches")
-        return None
-    return NatureNode(tuple(cells)) if ok else None
+    node = _built(stream.error, nature_tok, NatureNode, tuple(cells))
+    return node if ok else None
 
 
 def _parse_leaf(stream: _TokenStream, doc: ProblemDoc) -> Optional[TreeNode]:

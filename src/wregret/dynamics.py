@@ -53,7 +53,8 @@ def splice_menu(menu: Menu, event: EventLike, h: Act) -> Menu:
 # A family gives the conditional preference on each event.  `check_mdc` calls
 # it once per distinct event and reuses that oracle, so a family must be a
 # function of the event alone.  On an event that is null under its belief a
-# family raises NullEvent.
+# family raises NullEvent; `check_mdc` and `evaluate_tree` ask the family, so
+# it alone decides which events are null.
 
 OracleFamily = Callable[[Event], PreferenceOracle]
 
@@ -313,10 +314,10 @@ def evaluate_tree(
         if not viable:
             raise MalformedTree(f"no viable plan reaches node {name!r}")
         if live not in oracles:
-            event = Event(live)
-            if is_null(event, wset):
-                raise NullEventAtNode(f"information set {list(live)} has upper likelihood 0")
-            oracles[live] = conditional(event)
+            try:
+                oracles[live] = conditional(Event(live))
+            except NullEvent as exc:
+                raise NullEventAtNode(f"information set {list(live)} has upper likelihood 0") from exc
         pool = takes if menu_policy == "full" else viable
         used = range(len(continuations)) if pool is takes else sorted({k for _, k in viable})
         denominator, numerators = oracles[live].numerators([born(continuations[k]) for k in used])

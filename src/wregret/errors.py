@@ -75,7 +75,7 @@ class NullEventAtNode(DomainError):
 # -- threshold updating --------------------------------------------------------
 
 class AllEliminated(DomainError):
-    """Threshold updating removed every measure (should be unreachable)."""
+    """Threshold updating removed every measure."""
 
 
 # -- parsing -------------------------------------------------------------------

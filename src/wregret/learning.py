@@ -275,7 +275,8 @@ def es_update(
     Each measure's relative likelihood is Pr(event) divided by the maximum
     over the set; measures whose relative likelihood does not exceed the
     threshold (elimination on equality) are removed, the rest conditioned.
-    The output is unweighted and deduplicated.
+    The output is unweighted and deduplicated, and never empty: a most
+    likely measure has relative likelihood 1, above any threshold.
     """
     threshold = Fraction(threshold)
     if not 0 < threshold < 1:
@@ -294,8 +295,6 @@ def es_update(
             conditioned = measure.condition(event)
             if conditioned not in survivors:
                 survivors.append(conditioned)
-    if not survivors:
-        raise AllEliminated("threshold eliminated every measure")
     return tuple(survivors)
 
 

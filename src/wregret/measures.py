@@ -49,9 +49,6 @@ class Event(Frozen):
     def __and__(self, other: "Event") -> "Event":
         return Event(self.members & other.members)
 
-    def __or__(self, other: "Event") -> "Event":
-        return Event(self.members | other.members)
-
     def __eq__(self, other: object) -> bool:
         return isinstance(other, Event) and self.members == other.members
 

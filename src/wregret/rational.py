@@ -175,11 +175,10 @@ DECIMAL_PLACES = 6
 
 
 def format_decimal(value: Fraction) -> str:
-    """Fixed-point decimal rendering with DECIMAL_PLACES digits after the
-    point (round half to even is irrelevant here: we truncate-round via
-    integer arithmetic, matching round-half-up on the scaled numerator)."""
+    """The value with DECIMAL_PLACES digits after the point, rounded to the
+    nearest such decimal, a tie away from zero, in exact integers.  A value
+    that rounds to zero prints without a sign."""
     scaled = Fraction(value) * 10**DECIMAL_PLACES
-    # round to nearest, ties away from zero, on exact integers
     num, den = scaled.numerator, scaled.denominator
     q, r = divmod(abs(num), den)
     if 2 * r >= den:

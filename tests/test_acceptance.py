@@ -178,7 +178,7 @@ def test_c06_scaling_identity_and_mdc():
 
     wset = random_wset(random.Random(5), STATES4)
     report = check_mdc(
-        likelihood_family(wset, GRID_U), wset, GRID_U, GeneratorConfig(samples=500), seed=1
+        likelihood_family(wset, GRID_U), wset, GeneratorConfig(samples=500), seed=1
     )
     assert report.samples >= 500
     assert report.verdict == "no-violation-found"

@@ -279,6 +279,46 @@ class TestParseTree:
         assert evaluate_tree(tree, doc.utility, doc.weighted_set()).chosen.name == "+".join(["b"] * depth)
 
 
+_HEAD = "states: s t\nprizes: p q\nutility: p = 1, q = 0\n"
+_EVENTS = _HEAD + "event es = { s }\nevent et = { t }\n"
+
+
+@pytest.mark.parametrize("problem, tree, found", [
+    pytest.param(_HEAD + "states: s\n", None, (4, 1, "duplicate states section"), id="states-twice"),
+    pytest.param(_HEAD + "prizes: p\n", None, (4, 1, "duplicate prizes section"), id="prizes-twice"),
+    pytest.param(_HEAD + "utility: q = 1\n", None, (4, 10, "duplicate utility for prize 'q'"), id="utility-twice"),
+    pytest.param("states: s t s\n", None, (1, 1, "duplicate state names"), id="state-names"),
+    pytest.param(
+        _HEAD + "lottery l = { p: 3/2, q: -1/2 }\n", None,
+        (4, 9, "negative probability -1/2 for prize 'q'"), id="negative-lottery",
+    ),
+    pytest.param(
+        _HEAD + "hypothesis h weight 1 = { s: 3/2, t: -1/2 }\n", None,
+        (4, 12, "negative probability -1/2 for state 't'"), id="negative-hypothesis",
+    ),
+    pytest.param(_HEAD + "menu m = [ ]\n", None, (4, 6, "a menu needs at least one act"), id="empty-menu"),
+    pytest.param(
+        _HEAD + "hypothesis h weight 0 = { s: 1, t: 0 }\nhypothesis k weight 0 = { s: 0, t: 1 }\n", None,
+        (4, 12, "every hypothesis has weight 0"), id="zero-weights",
+    ),
+    pytest.param(
+        _EVENTS, "decision d { branch b = leaf utility 0, branch b = leaf utility 1 }",
+        (1, 10, "decision node 'd' has duplicate branch names"), id="branch-twice",
+    ),
+    pytest.param(
+        _EVENTS, "nature { on es: nature { on es: leaf utility 0, on et: leaf utility 1 }, on et: leaf utility 1 }",
+        (1, 52, "nature branch covers no surviving state"), id="branch-off-live-states",
+    ),
+])
+def test_each_rule_reports_where_and_what(problem, tree, found):
+    """A document, or a tree over it, that breaks one rule: the one
+    diagnostic's line, column and message."""
+    with pytest.raises(ParseError) as excinfo:
+        doc = parse_problem(problem)
+        parse_tree(tree, doc)
+    assert [(d.line, d.column, d.message) for d in excinfo.value.diagnostics] == [found]
+
+
 def _mutate(rng: random.Random, text: str) -> str:
     ops = rng.randint(0, 4)
     chars = list(text)

@@ -20,6 +20,7 @@ from wregret import (
     Menu,
     UtilitySpec,
     WeightedMeasureSet,
+    likelihood_update,
     mwer,
     normalize,
     point_mass,
@@ -236,7 +237,7 @@ class TestMdc:
         rng = random.Random(1)
         wset = random_wset(rng, STATES4)
         report = check_mdc(
-            likelihood_family(wset, GRID_U), wset, GRID_U, GeneratorConfig(samples=150), seed=2
+            likelihood_family(wset, GRID_U), wset, GeneratorConfig(samples=150), seed=2
         )
         assert report.verdict == "no-violation-found"
         assert report.applicable > 50
@@ -271,7 +272,7 @@ class TestMdc:
         before, after = conditional.alternatives(menu), unconditional.alternatives(spliced)
         assert conditional.prefers(*before[1:], before) < 0 < unconditional.prefers(*after[1:], after)
 
-        report = check_mdc(frozen, wset, GRID_U, GeneratorConfig(samples=400), seed=0)
+        report = check_mdc(frozen, wset, GeneratorConfig(samples=400), seed=0)
         assert report.verdict == "violated"
         assert replay_mdc(report, frozen)
         assert not replay_mdc(report, likelihood_family(wset, GRID_U))
@@ -284,7 +285,7 @@ class TestMdc:
         m_a = Measure({"s1": F(8, 10), "s2": F(1, 10), "s3": F(1, 10)})
         m_b = Measure({"s1": F(1, 10), "s2": F(2, 10), "s3": F(7, 10)})
         wset = WeightedMeasureSet([(m_a, 1), (m_b, 1)], states)
-        report = check_mdc(frozen_weight_family(wset, GRID_U), wset, GRID_U, GeneratorConfig(samples=400), seed=0)
+        report = check_mdc(frozen_weight_family(wset, GRID_U), wset, GeneratorConfig(samples=400), seed=0)
         assert report.verdict == "violated" and report.counterexample.params["event"] == ["s1", "s2"]
         family = make_family(WeightedMeasureSet([(point_mass("s3", states), 1)], states), GRID_U)
         with pytest.raises(NullEvent):
@@ -296,8 +297,27 @@ class TestMdc:
         pr = Measure({"s1": F(1, 2), "s2": F(1, 4), "s3": F(1, 4)})
         wset = WeightedMeasureSet([(pr, 1)], states)
         for family in (likelihood_family(wset, GRID_U), frozen_weight_family(wset, GRID_U)):
-            report = check_mdc(family, wset, GRID_U, GeneratorConfig(samples=100), seed=4)
+            report = check_mdc(family, wset, GeneratorConfig(samples=100), seed=4)
             assert report.verdict == "no-violation-found"
+
+    def test_a_family_of_measure_sets_is_judged(self):
+        # an mmeu family's oracles hold tuples of measures, not a weighted set,
+        # so only the family can say which events are null; its two measures
+        # put different mass off {s1, s2}, so which spliced act mmeu prefers
+        # depends on the act spliced in there
+        states = ("s1", "s2", "s3")
+        m_a = Measure({"s1": F(8, 10), "s2": F(1, 10), "s3": F(1, 10)})
+        m_b = Measure({"s1": F(1, 10), "s2": F(2, 10), "s3": F(7, 10)})
+        wset = WeightedMeasureSet([(m_a, 1), (m_b, 1)], states)
+
+        def mmeu_family(event):
+            measures = tuple(m for m, _ in likelihood_update(wset, event).entries)
+            return decisions.PreferenceOracle("mmeu", measures, GRID_U, states)
+
+        report = check_mdc(mmeu_family, wset, GeneratorConfig(samples=300), seed=0)
+        assert report.verdict == "violated"
+        assert report.counterexample.description == "the spliced comparison depends on the off-event act"
+        assert replay_mdc(report, mmeu_family)
 
     def test_reports_are_pinned(self):
         # the digest was recorded while profiles were still spliced in Fractions
@@ -309,7 +329,7 @@ class TestMdc:
             for wset in (random_wset(random.Random(seed), STATES4), pinned):
                 families = (likelihood_family(wset, GRID_U), frozen_weight_family(wset, GRID_U))
                 for family in families:
-                    report = check_mdc(family, wset, GRID_U, GeneratorConfig(samples=40), seed=seed)
+                    report = check_mdc(family, wset, GeneratorConfig(samples=40), seed=seed)
                     outcomes.append([report.to_obj(), [replay_mdc(report, f) for f in families]])
         assert sum(report["verdict"] == "violated" for report, _ in outcomes) == 15
         digest = hashlib.sha1(json.dumps(outcomes, sort_keys=True).encode()).hexdigest()
@@ -338,7 +358,7 @@ class TestMdc:
             families = (likelihood_family(wset, GRID_U), frozen_weight_family(wset, GRID_U))
             for family in families:
                 config = GeneratorConfig(samples=rng.randint(1, 60))
-                report = check_mdc(family, wset, GRID_U, config, seed=seed)
+                report = check_mdc(family, wset, config, seed=seed)
                 outcomes.append([report.to_obj(), [replay_mdc(report, f) for f in families]])
         assert zero_weight_null == 16
         assert sum(report["verdict"] == "violated" for report, _ in outcomes) == 16
@@ -393,7 +413,7 @@ class TestMdc:
         for samples in (50, 200):
             built[0], asked[:] = 0, []
             config = GeneratorConfig(samples=samples)
-            report = check_mdc(counting_family, fixtures.weighted, fixtures.utility, config)
+            report = check_mdc(counting_family, fixtures.weighted, config)
             assert report.verdict == "no-violation-found" and report.applicable == samples
             conditionals = asked[1:]  # after the unconditional oracle
             assert len(conditionals) == len(set(conditionals)) <= 3

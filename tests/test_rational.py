@@ -9,7 +9,9 @@ from fractions import Fraction
 import pytest
 
 from wregret import Lottery, Measure, SubProbabilityVector, UtilitySpec
-from wregret.rational import IntVector, as_integers, exact, format_map, over_common, parse_rational
+from wregret.rational import (
+    IntVector, as_integers, exact, format_decimal, format_map, over_common, parse_rational,
+)
 
 F = Fraction
 
@@ -29,6 +31,17 @@ def test_as_integers_of_no_rows_is_one_over_one():
 def test_format_map_keeps_order_and_lowest_terms():
     assert format_map([("b", F(2, 4)), ("a", 3)]) == "{ b: 1/2, a: 3/1 }"
     assert format_map([]) == "{  }"
+
+
+@pytest.mark.parametrize("value, text", [
+    (F(2, 3), "0.666667"),
+    (F(-2, 3), "-0.666667"),
+    (F(1, 2000000), "0.000001"),  # a tie rounds away from zero
+    (F(-1, 2000000), "-0.000001"),
+    (F(-1, 3000000), "0.000000"),  # rounds to zero, so no sign
+])
+def test_format_decimal_rounds_to_nearest_ties_away_from_zero(value, text):
+    assert format_decimal(value) == text
 
 
 def test_exact_takes_ints_fractions_and_strings_only():
@@ -213,8 +226,8 @@ def test_from_ints_reduces_and_checks_like_the_constructor():
     (lambda: Lottery({"a": F(3, 2), "b": F(-1, 2)}), ValueError, "negative probability -1/2 for prize 'b'"),
     (lambda: SubProbabilityVector({"a": F(-1, 2)}), ValueError, "negative mass -1/2 for state 'a'"),
     (lambda: Measure({"a": F(1, 2), "b": F(1, 3)}), ValueError, "probabilities sum to 5/6, expected 1/1"),
-    (lambda: Lottery({"a": F(1, 2), "b": F(1, 3)}), ValueError, "lottery probabilities sum to 5/6"),
-    (lambda: Lottery({}), ValueError, "lottery probabilities sum to 0/1"),
+    (lambda: Lottery({"a": F(1, 2), "b": F(1, 3)}), ValueError, "lottery probabilities sum to 5/6, expected 1/1"),
+    (lambda: Lottery({}), ValueError, "lottery probabilities sum to 0/1, expected 1/1"),
     (lambda: SubProbabilityVector({"a": F(2, 3), "b": F(1, 2)}), ValueError, "sub-probability mass exceeds 1"),
     (lambda: UtilitySpec({"y": 1, "z": "1/1"}), ValueError, "a utility table needs two prizes with distinct utilities"),
 ])
