@@ -15,9 +15,7 @@ from .decisions import (
     Menu,
     Ranking,
     UtilitySpec,
-    act_utility,
     constant_act,
-    expected_regret,
     max_regret,
     mer,
     mix,
@@ -25,7 +23,6 @@ from .decisions import (
     mmeu,
     mwer,
     rank,
-    regret,
     regret_profile,
     seu,
     sure,
@@ -59,9 +56,7 @@ __all__ = [
     "SubProbabilityVector",
     "UtilitySpec",
     "WeightedMeasureSet",
-    "act_utility",
     "constant_act",
-    "expected_regret",
     "hull_equal",
     "likelihood_update",
     "max_regret",
@@ -74,7 +69,6 @@ __all__ = [
     "point_mass",
     "rank",
     "recover_weights",
-    "regret",
     "regret_profile",
     "sequential_update",
     "seu",

@@ -55,7 +55,7 @@ from .decisions import (
     per_state_best,
 )
 from .dsl import ProblemDoc, parse_problem
-from .dynamics import OracleFamily, frozen_weight_family, likelihood_family  # noqa: F401 (re-exported)
+from .dynamics import OracleFamily
 from .errors import DimensionMismatch, NullEvent, UnknownAxiom
 from .measures import Event, Measure, WeightedMeasureSet
 from .rational import format_rational, over_common

@@ -169,8 +169,10 @@ def _cmd_simulate(args) -> int:
     doc = _load_doc(args.file)
     _lookup(_with_hypotheses(doc).hypotheses, args.truth, "hypothesis")
     if args.menu is None:
-        if len(doc.menus) != 1:
-            raise UsageError("--menu NAME is required when the file defines several menus")
+        if not doc.menus:
+            raise UsageError("the file defines no menu; simulate needs one to probe")
+        if len(doc.menus) > 1:
+            raise UsageError(f"the file defines {len(doc.menus)} menus; name the one to probe with --menu NAME")
         menu = next(iter(doc.menus.values()))
     else:
         menu = _lookup(doc.menus, args.menu, "menu")

@@ -220,27 +220,12 @@ class Menu(Frozen):
 
 # -- the regret calculus -------------------------------------------------------
 
-def act_utility(act: Act, u: UtilitySpec, state: str) -> Fraction:
-    """Expected utility of the lottery the act assigns to the state."""
-    if state not in act.state_space:
-        raise DimensionMismatch(f"state {state!r} is not in the act's state space")
-    return u.utility(act[state])
-
-
 def _position(menu: Sequence, member) -> int:
     """The index of an act or alternative in a menu of them."""
     try:
         return menu.index(member)
     except ValueError:
         raise ActNotInMenu(f"act {member.name!r} is not in the menu") from None
-
-
-def regret(act: Act, state: str, menu: Menu, u: UtilitySpec) -> Fraction:
-    """Gap between the best menu utility in the state and the act's utility."""
-    profile = regret_profile(act, menu, u)
-    if state not in profile:
-        raise DimensionMismatch(f"state {state!r} is not in the act's state space")
-    return profile[state]
 
 
 def regret_profile(act: Act, menu: Menu, u: UtilitySpec) -> dict[str, Fraction]:
@@ -255,10 +240,6 @@ def regret_profile(act: Act, menu: Menu, u: UtilitySpec) -> dict[str, Fraction]:
 def max_regret(act: Act, menu: Menu, u: UtilitySpec) -> Fraction:
     """Probability-free worst-case regret, the maximum over states."""
     return _score_of("regret", act, menu, u, None)
-
-
-def expected_regret(act: Act, menu: Menu, u: UtilitySpec, pr: Measure) -> Fraction:
-    return _score_of("mer", act, menu, u, (pr,))
 
 
 def mer(act: Act, menu: Menu, u: UtilitySpec, measures: Iterable[Measure]) -> Fraction:
@@ -732,16 +713,14 @@ def mixture_name(weight: Fraction, first: str, second: str) -> str:
     return f"{format_rational(weight)}*{first}+{format_rational(1 - weight)}*{second}"
 
 
-def mix(weight: Rational, f: Act, g: Act, name: str | None = None) -> Act:
+def mix(weight: Rational, f: Act, g: Act) -> Act:
     """Statewise lottery mixture weight*f + (1-weight)*g, for an exact weight (a float raises TypeError)."""
     weight = exact(weight, "mixture weight")
     if not (0 <= weight <= 1):
         raise ValueError("mixture weight must lie in [0, 1]")
     if f.state_space != g.state_space:
         raise DimensionMismatch("cannot mix acts over different state spaces")
-    if name is None:
-        name = mixture_name(weight, f.name, g.name)
-    return Act(name, {s: f[s].mix(weight, g[s]) for s in f.state_space})
+    return Act(mixture_name(weight, f.name, g.name), {s: f[s].mix(weight, g[s]) for s in f.state_space})
 
 
 def mix_menu(weight: Rational, menu: Menu, h: Act) -> Menu:

@@ -52,7 +52,6 @@ MAX_TREE_DEPTH = 100  # nested decision and nature nodes; the walkers recurse pe
 
 @record
 class ParseDiagnostic:
-    severity: str  # "error"
     line: int      # 1-based
     column: int    # 1-based
     message: str
@@ -60,7 +59,7 @@ class ParseDiagnostic:
 
     def __str__(self) -> str:
         near = f" (near {self.token!r})" if self.token else ""
-        return f"{self.severity}: line {self.line}, column {self.column}: {self.message}{near}"
+        return f"error: line {self.line}, column {self.column}: {self.message}{near}"
 
 
 @record
@@ -103,7 +102,7 @@ def _tokenize(
             line_start = match.end()
         elif kind == "STRAY":
             column = match.start() - line_start + 1
-            diagnostics.append(ParseDiagnostic("error", line, column, "unexpected character", match.group()))
+            diagnostics.append(ParseDiagnostic(line, column, "unexpected character", match.group()))
         elif kind != "COMMENT":
             value = match.group()
             token = _new(Token, (kind, value, line, match.start() - line_start + 1))
@@ -135,7 +134,7 @@ class _TokenStream:
 
     def error(self, token: Token, message: str) -> None:
         self.diagnostics.append(
-            ParseDiagnostic("error", token.line, token.column, message, token.text)
+            ParseDiagnostic(token.line, token.column, message, token.text)
         )
 
     # `expect` and `accept` never match EOF, so a match always advances
@@ -402,10 +401,10 @@ def _built(report: Callable[[Token, str], None], token: Token, make: Callable, *
 
 def _resolve_problem(states_decl, prizes_decl, utility_decl, sections, diagnostics):
     def err(token: Token, message: str) -> None:
-        diagnostics.append(ParseDiagnostic("error", token.line, token.column, message, token.text))
+        diagnostics.append(ParseDiagnostic(token.line, token.column, message, token.text))
 
     if states_decl is None:
-        diagnostics.append(ParseDiagnostic("error", 1, 1, "no states section"))
+        diagnostics.append(ParseDiagnostic(1, 1, "no states section"))
         return None
     states_tok, state_names = states_decl
     if len(set(state_names)) != len(state_names):

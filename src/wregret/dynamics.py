@@ -2,7 +2,7 @@
 
 This module owns conditional preference.  A family gives the preference on
 each event: `likelihood_family` updates the weights by likelihood and
-re-scores with mwer, and `conditional_score` and `evaluate_tree` use it;
+re-scores with mwer, and `evaluate_tree` uses it;
 `frozen_weight_family` conditions each measure and keeps its weight.
 Splicing (`splice`, `splice_menu`) ties the conditional and unconditional
 orders together (`axioms.check_mdc` probes dynamic consistency on sampled
@@ -35,13 +35,13 @@ from .rational import as_integers, exact, format_rational
 from .records import record
 
 
-def splice(f: Act, event: EventLike, h: Act, name: str | None = None) -> Act:
+def splice(f: Act, event: EventLike, h: Act) -> Act:
     """Statewise composition: f inside the event, h outside."""
     if f.state_space != h.state_space:
         raise ValueError("spliced acts must share a state space")
     event = as_event(event)
     outcomes = {s: (f[s] if s in event else h[s]) for s in f.state_space}
-    return Act(f"{f.name}_else_{h.name}" if name is None else name, outcomes)
+    return Act(f"{f.name}_else_{h.name}", outcomes)
 
 
 def splice_menu(menu: Menu, event: EventLike, h: Act) -> Menu:
@@ -84,13 +84,6 @@ def frozen_weight_family(wset: WeightedMeasureSet, u: UtilitySpec) -> OracleFami
         return PreferenceOracle("mwer", belief, u, wset.state_space)
 
     return family
-
-
-def conditional_score(
-    f: Act, event: EventLike, menu: Menu, u: UtilitySpec, wset: WeightedMeasureSet
-) -> Fraction:
-    """Worst-case weighted expected regret after updating on the event."""
-    return likelihood_family(wset, u)(as_event(event)).score(f, menu)
 
 
 # -- decision trees ----------------------------------------------------------------

@@ -312,7 +312,9 @@ def to_hull(wset: WeightedMeasureSet) -> RegularHull:
     outside the downward-convex hull of all the other points, the vertices
     of the downward hull that no other point reaches.  They become the
     generators, ascending.  Since MWER preferences fix a weighted set only
-    up to this hull, two sets with equal hulls rank every menu alike.
+    up to this hull, two sets with equal hulls rank every menu alike.  Some
+    entry must have weight 1 (as `normalize` gives), else `RegularHull`
+    finds no proper probability measure and raises ValueError.
     """
     order = tuple(sorted(wset.state_space))
     denominator, rows = weighted_rows([(w, m) for m, w in wset.entries])

@@ -22,7 +22,7 @@ from wregret import (
     upper_likelihood,
 )
 from wregret import decisions
-from wregret.dynamics import conditional_score, splice, splice_menu
+from wregret.dynamics import likelihood_family, splice, splice_menu
 from wregret.errors import ActNotInMenu, NullEvent
 from wregret.dsl import ProblemDoc
 from wregret.measures import as_event, is_null
@@ -145,7 +145,7 @@ def mdc_scaling_check(
     if is_null(event, wset):
         raise NullEvent("the scaling identity needs a non-null event")
     lhs = mwer(splice(f, event, h), splice_menu(menu, event, h), u, wset)
-    rhs = upper_likelihood(wset, event) * conditional_score(f, event, menu, u, wset)
+    rhs = upper_likelihood(wset, event) * likelihood_family(wset, u)(event).score(f, menu)
     return lhs, rhs
 
 

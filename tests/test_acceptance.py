@@ -23,7 +23,7 @@ from wregret import (
     mwer,
     point_mass,
     rank,
-    regret,
+    regret_profile,
     likelihood_update,
     sequential_update,
     upper_likelihood,
@@ -34,13 +34,13 @@ from wregret.axioms import (
     check_axiom,
     check_mdc,
     delivery_fixtures,
-    likelihood_family,
     replay,
 )
 from wregret.dsl import parse_problem, parse_tree
 from wregret.dynamics import (
     evaluate_tree,
     is_null,
+    likelihood_family,
 )
 from wregret.errors import ParseError
 from wregret.fixtures import fixture_text
@@ -72,7 +72,7 @@ def test_c01_delivery_regret_table(base_menu, delivery_acts, delivery_utility, d
     }
     for state, row in table.items():
         for name, value in row.items():
-            assert regret(delivery_acts[name], state, base_menu, u) == value
+            assert regret_profile(delivery_acts[name], base_menu, u)[state] == value
     scores = {
         name: mer(delivery_acts[name], base_menu, u, delivery_measures)
         for name in ("cont", "back", "check")
@@ -91,7 +91,7 @@ def test_c02_menu_dependence(extended_menu, delivery_acts, delivery_utility, del
     }
     for state, row in table.items():
         for name, value in row.items():
-            assert regret(delivery_acts[name], state, extended_menu, u) == value
+            assert regret_profile(delivery_acts[name], extended_menu, u)[state] == value
     ranking = rank("mer", extended_menu, u, delivery_measures)
     assert ranking.groups[0] == ("cont",)
     assert ranking.scores["cont"] == 10000

@@ -754,3 +754,16 @@ class TestMatrixWork:
         monkeypatch.undo()
         assert matrix.cells[("mwer", "ax12")] == matrix.cells[("mmeu", "independence")] == "violated"
         assert counts == {"kernel": 4443, "over_common": 1654, "alternatives": 5954}
+
+
+SEVEN_STATES = tuple(f"s{i}" for i in range(7))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: check_axiom(1, PreferenceOracle("regret", None, UtilitySpec({"y": 1, "z": 0}), SEVEN_STATES)),
+     ValueError, "axiom checking is capped at 6 states"),
+])
+def test_error_types_and_messages(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error and str(raised.value) == message

@@ -400,3 +400,23 @@ class TestSimulateCommand:
     def test_unknown_truth_is_usage_error(self, capsys):
         code, _, err = run(capsys, "simulate", LEARNING, "--truth", "ghost")
         assert code == 3 and "unknown hypothesis" in err
+
+    @pytest.mark.parametrize("option", ["--rounds", "--seeds"])
+    def test_zero_rounds_or_seeds_is_usage_error(self, capsys, option):
+        code, out, err = run(capsys, "simulate", LEARNING, "--truth", "coin", option, "0")
+        assert (code, out) == (3, "") and f"{option} must be at least 1" in err
+
+    @pytest.mark.parametrize(
+        "menus, count", [("", "no menu;"), ("menu probe = [ risky, steady ]\nmenu solo = [ risky ]\n", "2 menus;")],
+    )
+    def test_the_menu_count_is_named_when_no_menu_is_given(self, capsys, tmp_path, menus, count):
+        text = fixture_text("learning.dp").replace("menu probe = [ risky, steady ]\n", menus)
+        path = tmp_path / "menus.dp"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "simulate", str(path), "--truth", "coin", "--rounds", "2")
+        assert (code, out) == (3, "") and f"the file defines {count}" in err
+
+    def test_naming_the_only_menu_changes_nothing(self, capsys):
+        argv = ("simulate", LEARNING, "--truth", "coin", "--rounds", "20", "--seeds", "2")
+        named = run(capsys, *argv, "--menu", "probe")
+        assert named[0] == 0 and named == run(capsys, *argv)

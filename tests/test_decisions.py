@@ -18,9 +18,7 @@ from wregret import (
     Menu,
     UtilitySpec,
     WeightedMeasureSet,
-    act_utility,
     constant_act,
-    expected_regret,
     max_regret,
     mer,
     mix,
@@ -28,7 +26,6 @@ from wregret import (
     mmeu,
     mwer,
     rank,
-    regret,
     regret_profile,
     seu,
     sure,
@@ -36,7 +33,7 @@ from wregret import (
     support_value,
 )
 from wregret.decisions import RULES, _WHOLE_MENU, Alternative, PreferenceOracle, Ranking
-from wregret.errors import ActNotInMenu, BeliefKindMismatch, UnknownPrize
+from wregret.errors import ActNotInMenu, BeliefKindMismatch, DimensionMismatch, UnknownPrize
 
 from conftest import DELIVERY_STATES, counting_whole_menu, profile_act, random_measure, random_wset
 import rule_reference as reference
@@ -48,22 +45,22 @@ class TestLotteryAndUtility:
     def test_degenerate_constant_utility(self):
         u = UtilitySpec({"y": 5, "z": 0})
         act = constant_act("five", sure("y"), ("s1", "s2"))
-        assert act_utility(act, u, "s1") == 5
+        assert act.utility_profile(u)["s1"] == 5
 
     def test_fifty_fifty_cancels(self):
         u = UtilitySpec({"up": 1, "down": -1})
         lottery = Lottery({"up": F(1, 2), "down": F(1, 2)})
         act = constant_act("even", lottery, ("s1",))
-        assert act_utility(act, u, "s1") == 0
+        assert act.utility_profile(u)["s1"] == 0
 
     def test_delivery_check_in_one_broken(self, delivery_acts, delivery_utility):
-        assert act_utility(delivery_acts["check"], delivery_utility, "one_broken") == 5001
+        assert delivery_acts["check"].utility_profile(delivery_utility)["one_broken"] == 5001
 
     def test_unknown_prize(self):
         u = UtilitySpec({"y": 5, "z": 0})
         act = constant_act("odd", sure("mystery"), ("s1",))
         with pytest.raises(UnknownPrize):
-            act_utility(act, u, "s1")
+            act.utility_profile(u)["s1"]
 
     def test_lottery_must_sum_to_one(self):
         with pytest.raises(ValueError, match="sum"):
@@ -83,7 +80,7 @@ class TestRegretTable:
             ("check", "one_broken"): 4999, ("check", "ten_broken"): 4999,
         }
         for (name, state), value in expect.items():
-            assert regret(delivery_acts[name], state, base_menu, u) == value
+            assert regret_profile(delivery_acts[name], base_menu, u)[state] == value
 
     def test_extended_menu_regrets(self, delivery_acts, extended_menu, delivery_utility):
         u = delivery_utility
@@ -94,14 +91,14 @@ class TestRegretTable:
             ("new", "one_broken"): 0, ("new", "ten_broken"): 20000,
         }
         for (name, state), value in expect.items():
-            assert regret(delivery_acts[name], state, extended_menu, u) == value
+            assert regret_profile(delivery_acts[name], extended_menu, u)[state] == value
 
     def test_regret_requires_membership(self, delivery_acts, base_menu, delivery_utility):
         with pytest.raises(ActNotInMenu):
-            regret(delivery_acts["new"], "one_broken", base_menu, delivery_utility)
+            regret_profile(delivery_acts["new"], base_menu, delivery_utility)
 
     def test_regret_zero_for_per_state_best(self, delivery_acts, base_menu, delivery_utility):
-        assert regret(delivery_acts["cont"], "one_broken", base_menu, delivery_utility) == 0
+        assert regret_profile(delivery_acts["cont"], base_menu, delivery_utility)["one_broken"] == 0
 
 
 class TestRuleScores:
@@ -131,12 +128,14 @@ class TestRuleScores:
     def test_singleton_weight_one_equals_expected_regret(
         self, delivery_acts, base_menu, delivery_utility, delivery_measures
     ):
+        # the reference derives expected regret under the one measure from
+        # the plain lotteries, utilities and probabilities
         one, _ = delivery_measures
         wset = WeightedMeasureSet([(one, 1)], DELIVERY_STATES)
-        for act in base_menu:
-            assert mwer(act, base_menu, delivery_utility, wset) == expected_regret(
-                act, base_menu, delivery_utility, one
-            )
+        acts = {act.name: {s: dict(lottery.items()) for s, lottery in act.items()} for act in base_menu}
+        expected = reference.scores("mer", acts, dict(delivery_utility.items()), [dict(one.items())])
+        assert {act.name: mwer(act, base_menu, delivery_utility, wset) for act in base_menu} == expected
+        assert expected == {"cont": 0, "back": 10000, "check": 4999}
 
     def test_seu_values(self, delivery_acts, delivery_utility, delivery_measures):
         one, ten = delivery_measures
@@ -730,9 +729,7 @@ class TestScoreAlgebra:
             assert mer(act, bigger, grid_utility, measures) >= mer(act, menu, grid_utility, measures)
             assert mwer(act, bigger, grid_utility, wset) >= mwer(act, menu, grid_utility, wset)
             for m in measures:
-                assert expected_regret(act, bigger, grid_utility, m) >= expected_regret(
-                    act, menu, grid_utility, m
-                )
+                assert mer(act, bigger, grid_utility, [m]) >= mer(act, menu, grid_utility, [m])
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6))
@@ -791,3 +788,22 @@ class TestScoreAlgebra:
         for act in menu:
             profile = regret_profile(act, menu, grid_utility)
             assert mwer(act, menu, grid_utility, wset) == support_value(hull, profile)
+
+
+ON_S1 = constant_act("a", sure("y"), ("s1",))
+ON_S2 = constant_act("b", sure("y"), ("s2",))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: Act("", {"s1": sure("y")}), ValueError, "acts need a nonempty name"),
+    (lambda: Menu([ON_S1, ON_S2]), DimensionMismatch, "act 'b' is not defined over the menu's state space"),
+    (lambda: Menu([ON_S1, ON_S1]), ValueError, "duplicate act name 'a' in menu"),
+    (lambda: rank("minimax", Menu([ON_S1]), UtilitySpec({"y": 1, "z": 0}), None), BeliefKindMismatch,
+     "unknown rule 'minimax'"),
+    (lambda: mix(F(3, 2), ON_S1, ON_S1), ValueError, "mixture weight must lie in [0, 1]"),
+    (lambda: mix(F(1, 2), ON_S1, ON_S2), DimensionMismatch, "cannot mix acts over different state spaces"),
+])
+def test_error_types_and_messages(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error and str(raised.value) == message

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wregret import likelihood_update, rank, regret, upper_likelihood
+from wregret import likelihood_update, rank, regret_profile, upper_likelihood
 from wregret.dsl import (
     MAX_TREE_DEPTH,
     ParseDiagnostic,
@@ -54,7 +54,7 @@ class TestParseProblem:
             ("check", "one_broken"): 4999, ("check", "ten_broken"): 4999,
         }
         for (name, state), value in expect.items():
-            assert regret(doc.acts[name], state, menu, doc.utility) == value
+            assert regret_profile(doc.acts[name], menu, doc.utility)[state] == value
         ranking = rank("mer", menu, doc.utility, doc.measures())
         assert ranking.groups[0] == ("check",)
 
@@ -136,7 +136,7 @@ class TestParseProblem:
         assert first == second and first is not second
         assert len(set(first + second)) == len(first)
         assert Token("IDENT", "s", 1, 9) in set(first)
-        diagnostic = ParseDiagnostic("error", 4, 15, "unknown prize 'x'", "x")
+        diagnostic = ParseDiagnostic(4, 15, "unknown prize 'x'", "x")
         assert diagnostic == diagnostics_of(text)[0] and len({diagnostic, diagnostic}) == 1
         for record, field in ((first[0], "text"), (diagnostic, "message")):
             with pytest.raises(AttributeError):
@@ -473,3 +473,17 @@ class TestTokenizerReference:
                     chars[position:position] = rng.choice(pieces)
             text = "".join(chars)
             assert _tokenized(_tokenize, text) == _tokenized(reference_tokenize, text), text
+
+
+HEADER = "states: s\nprizes: p q\nutility: p = 1, q = 0\n"
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: parse_problem(HEADER).weighted_set(), ValueError, "the document declares no hypotheses"),
+    (lambda: parse_problem(HEADER + "lottery l = { p: 1/2, p: 1/2 }\n"), ParseError,
+     "error: line 4, column 23: duplicate prize 'p' in lottery (near 'p')"),
+])
+def test_error_types_and_messages(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error and str(raised.value) == message

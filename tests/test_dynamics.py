@@ -33,8 +33,6 @@ from wregret.axioms import (
     _spliced_signs,
     check_mdc,
     delivery_fixtures,
-    frozen_weight_family,
-    likelihood_family,
     replay_mdc,
 )
 from wregret.dynamics import (
@@ -43,9 +41,10 @@ from wregret.dynamics import (
     Leaf,
     NatureNode,
     TreeEvaluation,
-    conditional_score,
     evaluate_tree,
+    frozen_weight_family,
     is_null,
+    likelihood_family,
     splice,
     splice_menu,
 )
@@ -124,16 +123,13 @@ class TestNullEvents:
 
 class TestConditionalScore:
     def test_full_space_equals_unconditional(self, base_menu, delivery_utility, delivery_wset):
+        oracle = likelihood_family(delivery_wset, delivery_utility)(Event(DELIVERY_STATES))
         for act in base_menu:
-            assert conditional_score(
-                act, Event(DELIVERY_STATES), base_menu, delivery_utility, delivery_wset
-            ) == mwer(act, base_menu, delivery_utility, delivery_wset)
+            assert oracle.score(act, base_menu) == mwer(act, base_menu, delivery_utility, delivery_wset)
 
-    def test_null_event_rejected(self, base_menu, delivery_acts, delivery_utility, delivery_wset):
+    def test_null_event_rejected(self, delivery_utility, delivery_wset):
         with pytest.raises(NullEvent):
-            conditional_score(
-                delivery_acts["cont"], Event([]), base_menu, delivery_utility, delivery_wset
-            )
+            likelihood_family(delivery_wset, delivery_utility)(Event([]))
 
     def test_inspected_prefix_scores(self, delivery_utility):
         # four-state refinement: conditioning on a clean hundred-item prefix
@@ -162,9 +158,10 @@ class TestConditionalScore:
         menu = Menu([cont, back, check])
         u = UtilitySpec({"hi": 20000, "lo": -20000})
         w = p_ten / F(9, 10)
-        assert conditional_score(cont, event, menu, u, wset) == 10000 * w
-        assert conditional_score(back, event, menu, u, wset) == 10000
-        assert conditional_score(check, event, menu, u, wset) == 4999
+        conditional = likelihood_family(wset, u)(event)
+        assert conditional.score(cont, menu) == 10000 * w
+        assert conditional.score(back, menu) == 10000
+        assert conditional.score(check, menu) == 4999
 
     def test_singleton_belief_gives_conditional_seu_ranking(self, delivery_utility):
         states = ("a", "b", "c")
@@ -177,7 +174,8 @@ class TestConditionalScore:
             profile_act("z", {"a": F(-1, 2), "b": F(1), "c": F(0)}, GRID_U),
         ]
         menu = Menu(acts)
-        scores = {a.name: conditional_score(a, event, menu, GRID_U, wset) for a in acts}
+        conditional = likelihood_family(wset, GRID_U)(event)
+        scores = {a.name: conditional.score(a, menu) for a in acts}
         regret_order = sorted(scores, key=lambda n: (scores[n], n))
         conditioned = pr.condition(event)
         seu_ranking = rank("seu", menu, GRID_U, conditioned)
@@ -824,3 +822,21 @@ class TestTreeWork:
             ("sophisticated", "full"): (16 * 8 + 512, 459),
             ("sophisticated", "viable"): (136, 168),
         }
+
+
+def _one_leaf_tree() -> DecisionTree:
+    return DecisionTree(DecisionNode("root", (("go", Leaf(utility=F(1))),)))
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: splice(grid_act("f", a=0), Event(["a"]), grid_act("h", b=0)), ValueError,
+     "spliced acts must share a state space"),
+    (lambda: evaluate_tree(_one_leaf_tree(), GRID_U, normalize(WeightedMeasureSet([(Measure({"a": 1}), 1)])),
+                           planning="myopic"), ValueError, "unknown planning mode 'myopic'"),
+    (lambda: evaluate_tree(_one_leaf_tree(), GRID_U, normalize(WeightedMeasureSet([(Measure({"a": 1}), 1)])),
+                           menu_policy="some"), ValueError, "unknown menu policy 'some'"),
+])
+def test_error_types_and_messages(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error and str(raised.value) == message

@@ -66,7 +66,7 @@ UNREFERENCED_BUT_KEPT = {
     "axioms.check_mdc": "README, axiom checker: dynamic consistency (`check_mdc`, `replay_mdc`); ROADMAP item 10",
     "axioms.replay_mdc": "README, axiom checker: dynamic consistency (`check_mdc`, `replay_mdc`); ROADMAP item 10",
     "dynamics.splice_menu": "README, `wregret.dynamics` row: act splicing",
-    "dynamics.conditional_score": "README, `wregret.dynamics` row: conditional scores",
+    "dynamics.frozen_weight_family": "README, `wregret.dynamics` row: `frozen_weight_family`, the frozen-weight family",
     "learning.es_update": "README, `wregret.learning` row: threshold (relative-likelihood) updating",
     "fixtures.fixture_path": "README, CLI examples: `f.fixture_path('delivery.dp')` locates the fixtures",
     "linfeas.solve_nonneg": "perfbench/tracing.py `TARGETS` wraps it; ROADMAP item 1's tracer change drops it",

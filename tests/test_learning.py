@@ -631,3 +631,16 @@ class TestCompareUpdaters:
         lines = summary.to_csv().strip().split("\n")
         assert lines[0] == "round,agree_mwer_mer,agree_mwer_es,agree_mer_es,agree_all"
         assert len(lines) == 4
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda model, probe, prior: simulate(model, prior, probe, 0), ValueError, "rounds must be at least 1"),
+    (lambda model, probe, prior: simulate(model, {"coin": 1}, probe, 3), ValueError,
+     "prior weights must cover exactly the model's hypotheses"),
+    (lambda model, probe, prior: compare_updaters(model, prior, probe, 3, range(1), F(1)), ValueError,
+     "threshold must lie strictly between 0 and 1"),
+])
+def test_error_types_and_messages(build, error, message):
+    with pytest.raises(error) as raised:
+        build(*binary_ingredients())
+    assert type(raised.value) is error and str(raised.value) == message

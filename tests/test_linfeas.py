@@ -16,7 +16,7 @@ import linfeas_reference as reference
 import measure_reference
 from wregret import Measure, RegularHull, SubProbabilityVector, WeightedMeasureSet, hull_equal, linfeas, to_hull
 from wregret.errors import DimensionMismatch
-from wregret.linfeas import in_downward_convex_hull, solve_nonneg
+from wregret.linfeas import in_downward_convex_hull, in_hull_by_polar_lp, solve_nonneg
 
 from conftest import random_measure
 
@@ -435,3 +435,8 @@ def test_to_hull_and_hull_equal_match_the_reference_on_segment_points():
         assert hull_equal(hull, grown) == hull_equal(grown, hull) == expected
         answers[expected] += 1
     assert answers[True] and answers[False], answers
+
+
+def test_no_generators_leave_the_point_outside():
+    assert in_hull_by_polar_lp([0, 0], []) is False
+    assert in_downward_convex_hull([0, 0], []) is False

@@ -828,3 +828,27 @@ class TestSerialization:
             "generator = { one_broken: 0/1, ten_broken: 1/2 }\n"
             "generator = { one_broken: 1/1, ten_broken: 0/1 }\n"
         )
+
+
+AB = ("a", "b")
+HULL_AB = RegularHull([SubProbabilityVector({"a": 1, "b": 0})], AB)
+
+
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: WeightedMeasureSet([(Measure({"a": 1}), 1)], AB), DimensionMismatch,
+     "measure over ('a',) does not match state space ('a', 'b')"),
+    (lambda: WeightedMeasureSet([(Measure({"a": 1}), F(3, 2))]), ValueError, "weight 3/2 outside [0, 1]"),
+    (lambda: RegularHull([], AB), EmptySet, "a hull needs at least one generator"),
+    (lambda: RegularHull([SubProbabilityVector({"a": 1})], AB), DimensionMismatch,
+     "generator over ('a',) does not match state space ('a', 'b')"),
+    (lambda: support_value(HULL_AB, {"a": 1}), DimensionMismatch, "direction does not cover the hull's state space"),
+    # `to_hull` needs an entry of weight 1, as `normalize` gives
+    (lambda: to_hull(WeightedMeasureSet([(Measure({"a": 1}), F(1, 2))])), ValueError,
+     "a regular hull must contain a proper probability measure"),
+    (lambda: to_hull(WeightedMeasureSet([(Measure({"a": 1}), 0)])), ValueError,
+     "a regular hull must contain a proper probability measure"),
+])
+def test_error_types_and_messages(build, error, message):
+    with pytest.raises(error) as raised:
+        build()
+    assert type(raised.value) is error and str(raised.value) == message

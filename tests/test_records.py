@@ -119,9 +119,9 @@ RECORDS = {
         " diagnostics=(), plans=())",
     ),
     "ParseDiagnostic": (
-        dsl.ParseDiagnostic, ("error", 2, 5, "unexpected character"), {},
-        ("severity", "line", "column", "message", "token"), {"token": ""},
-        "ParseDiagnostic(severity='error', line=2, column=5, message='unexpected character', token='')",
+        dsl.ParseDiagnostic, (2, 5, "unexpected character"), {},
+        ("line", "column", "message", "token"), {"token": ""},
+        "ParseDiagnostic(line=2, column=5, message='unexpected character', token='')",
     ),
     "Token": (
         dsl.Token, ("IDENT", "states", 1, 1), {},

@@ -34,7 +34,7 @@ def tokenize(text: str, diagnostics: list[ParseDiagnostic]) -> list[Token]:
         if match is None:
             column = pos - line_start + 1
             diagnostics.append(
-                ParseDiagnostic("error", line, column, "unexpected character", text[pos])
+                ParseDiagnostic(line, column, "unexpected character", text[pos])
             )
             pos += 1
             continue
