@@ -22,6 +22,10 @@ on ints too: utility is linear in mixtures, so the mixture judges (axioms 5,
 7 and 11) mix the members' int profiles and per-state best, taken from
 the oracle's converted menu by `PreferenceOracle.profiles`, and compare
 through its `sign`, building mixtures only for a witness.
+The `Sampler` draws from its generator's `getrandbits` and `random()`
+alone, through one primitive (`Sampler.below`, CPython's rejection loop for
+a uniform int below n), taking the ints that `choice`, `randint`, `sample`
+and `shuffle` take, so a seed gives the same reports on every Python from 3.10.
 Reports, witnesses and the matrix are immutable records (`records.record`),
 and so are `GeneratorConfig` and `BeliefFixtures`, which check their fields
 when built.
@@ -41,7 +45,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import lcm
+from math import gcd, lcm
 from typing import Callable, Mapping, Optional, Sequence, Union
 
 from .decisions import (
@@ -251,21 +255,51 @@ class Sampler:
     Every grid value is (a + b*k)/D over the one `denominator` D, and so is
     every numerator drawn: `lowered` and `never_optimal` depend on it, as they
     step and compare sampled numerators without reading their denominators.
+
+    The draw stream: every draw is `below` (inline in `_choose`) or a call
+    of the generator's `random()`, and takes the ints that the call of
+    `random.Random` it stands for would take (`choice`, `randint`, `sample`
+    of up to 21 members, `shuffle`), in the same order.
     """
 
     def __init__(self, rng: random.Random, oracle: PreferenceOracle):
         self.rng = rng
+        self._bits = rng.getrandbits
         self.states = oracle.state_space
-        self.hi, self.lo = utility_span(oracle.utility)
         self._counter = 0
-        d = UTILITY_DENOMINATOR
-        scale = min(Fraction(1), (self.hi - self.lo) / 2)
-        shift = min(max(Fraction(0), self.lo + scale), self.hi - scale)
-        self.denominator = lcm(shift.denominator, scale.denominator * d)
-        a = shift.numerator * (self.denominator // shift.denominator)
-        b = scale.numerator * (self.denominator // (scale.denominator * d))
+        # scale = min(1, (hi - lo)/2) and shift = min(max(0, lo + scale), hi - scale)
+        # as numerators over 2U, U the utility table's denominator; D is the LCM
+        # of shift's reduced denominator and d times scale's
+        u, d = oracle.utility, UTILITY_DENOMINATOR
+        hi, lo, twice = max(u.numerators), min(u.numerators), 2 * u.denominator
+        scale = min(twice, hi - lo)
+        shift = min(max(0, 2 * lo + scale), 2 * hi - scale)
+        self.denominator = lcm(twice // gcd(shift, twice), twice // gcd(scale, twice) * d)
+        a, b = shift * self.denominator // twice, scale * self.denominator // (twice * d)
         self._values = [a + b * k for k in range(-d, d + 1)]
         self._steps = [b * k for k in range(d + 1)]
+
+    def below(self, n: int) -> int:
+        """A uniform int in [0, n), for n >= 1: draws of n's bit length from
+        `getrandbits` until one is below n, as `Random._randbelow` makes them."""
+        bits, k = self._bits, n.bit_length()
+        r = bits(k)
+        while r >= n:
+            r = bits(k)
+        return r
+
+    def _choose(self, table: Sequence, count: int) -> list:
+        """`count` members of the table, each the one `rng.choice(table)`
+        would draw: `below(len(table))` inline."""
+        bits, n = self._bits, len(table)
+        k = n.bit_length()
+        drawn = []
+        for _ in range(count):
+            r = bits(k)
+            while r >= n:
+                r = bits(k)
+            drawn.append(table[r])
+        return drawn
 
     def _fresh(self, prefix: str) -> str:
         self._counter += 1
@@ -275,32 +309,29 @@ class Sampler:
         """The alternative with the numerators over the sampler's denominator."""
         return Alternative.from_ints(name, numerators, self.denominator)
 
-    def grid_value(self) -> int:
-        """A grid value, as its numerator over the sampler's denominator."""
-        return self.rng.choice(self._values)
-
     def act(self, prefix: str = "a") -> Alternative:
-        return self.alternative(self._fresh(prefix), tuple([self.grid_value() for _ in self.states]))
+        return self.alternative(self._fresh(prefix), self._choose(self._values, len(self.states)))
 
     def constant(self, prefix: str = "c") -> Alternative:
-        value = self.grid_value()
-        return self.alternative(self._fresh(prefix), (value,) * len(self.states))
+        return self.alternative(self._fresh(prefix), self._choose(self._values, 1) * len(self.states))
 
     def lowered(self, numerators: IntProfile) -> IntProfile:
         """The numerators with each utility lowered by a random grid step, not below the grid."""
         floor = self._values[0]
-        return tuple([max(floor, v - self.rng.choice(self._steps)) for v in numerators])
+        steps = self._choose(self._steps, len(numerators))
+        return tuple([max(floor, v - step) for v, step in zip(numerators, steps)])
 
     def mixture(self) -> Fraction:
-        d = self.rng.randint(2, MIXTURE_DENOMINATOR)
-        k = self.rng.randint(1, d - 1)
-        return Fraction(k, d)
+        d = 2 + self.below(MIXTURE_DENOMINATOR - 1)
+        return Fraction(1 + self.below(d - 1), d)
 
     def menu(self, min_size: int = 2) -> AltMenu:
-        size = self.rng.randint(min_size, max(min_size, MENU_SIZE))
-        acts = [self.act() for _ in range(size)]
+        size = min_size + self.below(max(min_size, MENU_SIZE) - min_size + 1)
+        k = len(self.states)
+        values = self._choose(self._values, size * k)  # the acts' values, act by act
+        acts = [self.alternative(self._fresh("a"), values[i:i + k]) for i in range(0, size * k, k)]
         if self.rng.random() < 0.5:
-            base = self.rng.choice(acts)
+            base = acts[self.below(len(acts))]
             acts.append(self.alternative(self._fresh("m"), base.numerators[::-1]))
         if self.rng.random() < 0.4:
             acts.append(self.constant())
@@ -310,7 +341,7 @@ class Sampler:
         """A menu whose per-state outcome set is state-independent, plus a
         constant member act (cyclic assignments of one value tuple)."""
         k = len(self.states)
-        values = [self.grid_value() for _ in range(max(k, 2))]
+        values = self._choose(self._values, max(k, 2))
         n = len(values)
         acts = tuple(
             self.alternative(self._fresh("cyc"), tuple([values[(i + j) % n] for j in range(k)]))
@@ -330,7 +361,25 @@ class Sampler:
         return self.alternative(self._fresh("nso"), self.lowered(best))
 
     def pick(self, menu: Sequence, n: int) -> list:
-        return [menu[i] for i in self.rng.sample(range(len(menu)), n)]
+        """n distinct members, the ones `rng.sample(menu, n)` picks from a
+        menu of up to 21 members; a larger menu raises ValueError."""
+        pool, size = list(menu), len(menu)
+        if not 0 <= n <= size <= 21:
+            raise ValueError(f"cannot pick {n} of {size} members")
+        picked = []
+        for i in range(n):
+            j = self.below(size - i)
+            picked.append(pool[j])
+            pool[j] = pool[size - i - 1]
+        return picked
+
+    def shuffled(self, items: Sequence) -> list:
+        """The items in the order `rng.shuffle` leaves a list of them."""
+        items = list(items)
+        for i in range(len(items) - 1, 0, -1):
+            j = self.below(i + 1)
+            items[i], items[j] = items[j], items[i]
+        return items
 
 
 # -- the axioms: how to draw an instance, and how to judge one ----------------------
@@ -366,9 +415,9 @@ def _judge_completeness(o: PreferenceOracle, inst: Instance) -> Verdict:
 
 
 def _draw_extremes(o: PreferenceOracle, s: Sampler) -> Instance:
-    k = len(s.states)
-    better = Alternative("nontrivial_hi", (s.hi,) * k)
-    worse = Alternative("nontrivial_lo", (s.lo,) * k)
+    k, (hi, lo) = len(s.states), utility_span(o.utility)
+    better = Alternative("nontrivial_hi", (hi,) * k)
+    worse = Alternative("nontrivial_lo", (lo,) * k)
     return Instance((better, worse), {"f": better, "g": worse})
 
 
@@ -432,9 +481,7 @@ def _judge_mixture_continuity(o: PreferenceOracle, inst: Instance) -> Verdict:
 
 def _draw_hedge(o: PreferenceOracle, s: Sampler) -> Optional[Instance]:
     menu = s.menu(min_size=2)
-    acts = list(menu)
-    s.rng.shuffle(acts)
-    pair = next((pair for pair in combinations(acts, 2) if o.prefers(*pair, menu) == 0), None)
+    pair = next((pair for pair in combinations(s.shuffled(menu), 2) if o.prefers(*pair, menu) == 0), None)
     if pair is None:
         return None
     f, g = pair
@@ -493,7 +540,7 @@ def _draw_added(extra: Callable[[Sampler, AltMenu], Alternative]) -> Draw:
     def draw(o: PreferenceOracle, s: Sampler) -> Instance:
         menu = s.menu(min_size=2)
         f, g = s.pick(menu, 2)
-        added = [extra(s, menu) for _ in range(s.rng.randint(1, 2))]
+        added = [extra(s, menu) for _ in range(1 + s.below(2))]
         return Instance(_enlarge(menu, *added), {"f": f, "g": g}, {"base_menu": menu})
 
     return draw
@@ -795,7 +842,7 @@ def _mdc(family: OracleFamily) -> Axiom:
     def draw(o: PreferenceOracle, s: Sampler) -> Instance:
         menu = s.menu(min_size=2)
         f, g = s.pick(menu, 2)
-        event = [x for x in s.states if s.rng.random() < 0.5] or [s.rng.choice(s.states)]
+        event = [x for x in s.states if s.rng.random() < 0.5] or [s.states[s.below(len(s.states))]]
         return Instance(menu, {"f": f, "g": g}, {"event": event})
 
     def judge(o: PreferenceOracle, inst: Instance) -> Verdict:

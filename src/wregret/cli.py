@@ -57,7 +57,8 @@ def _load_doc(path: str) -> ProblemDoc:
 
 
 def _with_hypotheses(doc: ProblemDoc) -> ProblemDoc:
-    """The document, checked to declare the hypotheses a belief is made of."""
+    """The document, checked to declare the hypotheses a belief is made of:
+    the one check of that rule, made before any belief is built."""
     if not doc.hypotheses:
         raise UsageError("the document declares no hypotheses")
     return doc

@@ -35,8 +35,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from itertools import repeat
-from operator import lshift, mul, sub
+from operator import mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -302,14 +301,17 @@ def _packed_max(profiles: Sequence[IntProfile], tops: Sequence[int], rows: Seque
     each state's column of tops - x is packed into one int of byte-aligned
     fields, each wide enough for the largest value times the largest row sum
     with a guard bit on top, so a row costs one multiply-add per state for
-    the whole menu.  The running max keeps a row's field where the guard bit
-    of (row | guards) - max is set, as no field borrows from the next."""
+    the whole menu.  A column is its fields' little-endian bytes joined once,
+    so packing is linear in the menu size.  The running max keeps a row's
+    field where the guard bit of (row | guards) - max is set, as no field
+    borrows from the next."""
     n, frombytes, by_state = len(profiles), int.from_bytes, list(zip(*profiles))
     largest = max(map(sub, tops, map(min, by_state))) * max(1, *map(sum, rows))
     size = largest.bit_length() // 8 + 1
     top = 8 * size - 1  # each field's guard bit
-    shifts = range(0, 8 * size * n, 8 * size)
-    columns = [sum(map(lshift, map(sub, repeat(t), xs), shifts)) for t, xs in zip(tops, by_state)]
+    columns = [
+        frombytes(b"".join([(t - x).to_bytes(size, "little") for x in xs]), "little") for t, xs in zip(tops, by_state)
+    ]
     guards = frombytes((bytes(size - 1) + b"\x80") * n, "little")
     acc = 0
     for row in rows:

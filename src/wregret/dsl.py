@@ -172,8 +172,7 @@ class ProblemDoc:
     events: Mapping[str, Event]
 
     def weighted_set(self) -> WeightedMeasureSet:
-        if not self.hypotheses:
-            raise ValueError("the document declares no hypotheses")
+        """The hypotheses as a weighted set; without hypotheses, `EmptySet`."""
         return WeightedMeasureSet(
             tuple((m, w) for m, w in self.hypotheses.values()), self.states
         )

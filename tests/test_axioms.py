@@ -4,6 +4,7 @@ import copy
 import fractions
 import hashlib
 import json
+import math
 import pickle
 import random
 import re
@@ -307,6 +308,45 @@ class TestSampling:
         )
         assert MIXTURE_GRID == expected
         assert len(MIXTURE_GRID) == 127
+
+    @pytest.mark.parametrize("seed", [0, 1, 36, 2**40 + 7])
+    def test_draws_take_the_ints_random_takes(self, fixtures, seed):
+        # the sampler draws from `getrandbits` itself; each kind of draw must
+        # take the ints `random.Random`'s call takes, on this interpreter
+        oracle = fixtures.oracle("mwer")
+        for n in range(1, 41):
+            ours, theirs = Sampler(random.Random(seed), oracle), random.Random(seed)
+            population = list(range(n))
+            for _ in range(3):
+                assert ours.below(n) == theirs.choice(population)
+                assert 7 + ours.below(n) == theirs.randint(7, n + 6)
+                assert ours._choose(population, 4) == [theirs.choice(population) for _ in range(4)]
+                shuffled = population.copy()
+                theirs.shuffle(shuffled)
+                assert ours.shuffled(population) == shuffled
+                for k in range(min(n, 6) + 1):
+                    if n <= 21:
+                        assert ours.pick(population, k) == theirs.sample(population, k)
+                    else:  # `sample` takes another path there
+                        with pytest.raises(ValueError, match=f"cannot pick {k} of {n}"):
+                            ours.pick(population, k)
+            assert ours.rng.random() == theirs.random()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_the_grid_is_the_scaled_and_shifted_tenths(self, seed):
+        # the grid as the rationals shift + scale*k/10 over the denominator
+        # lcm(shift's, 10 * scale's), scale = min(1, (hi - lo)/2) and
+        # shift = min(max(0, lo + scale), hi - scale)
+        rng = random.Random(seed)
+        lo = F(rng.randint(-40, 40), rng.randint(1, 12))
+        u = UtilitySpec({"lo": lo, "hi": lo + F(rng.randint(1, 40), rng.randint(1, 12))})
+        sampler = Sampler(random.Random(0), PreferenceOracle("regret", None, u, ("s",)))
+        hi, lo = utility_span(u)
+        scale = min(F(1), (hi - lo) / 2)
+        shift = min(max(F(0), lo + scale), hi - scale)
+        assert sampler.denominator == math.lcm(shift.denominator, 10 * scale.denominator)
+        assert [F(v, sampler.denominator) for v in sampler._values] == [shift + scale * k / 10 for k in range(-10, 11)]
+        assert [F(v, sampler.denominator) for v in sampler._steps] == [scale * k / 10 for k in range(11)]
 
     def test_reports_carry_counts_and_seed(self, fixtures):
         report = check_axiom("4", fixtures.oracle("mer"), SMALL, seed=9)

@@ -200,6 +200,25 @@ class TestAxiomsCommand:
         assert hashlib.sha1(out.encode()).hexdigest() == sha1
 
     @pytest.mark.parametrize(
+        "seed,sha1",
+        [
+            (1, "db580a781c8458bbf57e5174cf16561ec8e8605b"),
+            (2, "772bbbdb82408e2a8163441cda40720d6e0219a2"),
+            (3, "d8f05eaf2a66df5d8678273044131cb213ad9fdc"),
+        ],
+    )
+    def test_matrix_json_at_the_default_samples_is_pinned(self, capsys, seed, sha1):
+        # every report of 200 draws, pinned when the sampler called
+        # `random.Random`'s `choice`, `randint`, `sample` and `shuffle`: a draw
+        # stream that leaves theirs changes them
+        code, out, _ = run(
+            capsys, "axioms", WEIGHTED, "--axiom", "matrix", "--samples", "200",
+            "--seed", str(seed), "--format", "json",
+        )
+        assert code == 0
+        assert hashlib.sha1(out.encode()).hexdigest() == sha1
+
+    @pytest.mark.parametrize(
         "axiom,samples,seed,fmt,sha1",
         [
             ("7", 200, 0, "text", "d2813220e35523fce693ae006e3f72afaf21aad5"),

@@ -3,6 +3,8 @@
 import copy
 import pickle
 import random
+import statistics
+import time
 import weakref
 from fractions import Fraction
 from math import comb
@@ -32,7 +34,16 @@ from wregret import (
     to_hull,
     support_value,
 )
-from wregret.decisions import RULES, _WHOLE_MENU, Alternative, PreferenceOracle, Ranking
+from wregret.decisions import (
+    RULES,
+    _WHOLE_MENU,
+    Alternative,
+    PreferenceOracle,
+    Ranking,
+    _packed_max,
+    _worst_weighted_regret,
+    per_state_best,
+)
 from wregret.errors import ActNotInMenu, BeliefKindMismatch, DimensionMismatch, UnknownPrize
 
 from conftest import DELIVERY_STATES, counting_whole_menu, profile_act, random_measure, random_wset
@@ -409,6 +420,29 @@ class TestPackedKernel:
             alternatives = [Alternative(name, [p[s] for s in states]) for name, p in profiles.items()]
             assert all(len(alternatives) >= acts and len(points) >= rows for _, acts, rows in _WHOLE_MENU.values())
             self._check(states, alternatives, profiles, beliefs, calls)
+
+
+def test_packing_a_menu_is_linear_in_its_size():
+    # linear packing costs about 4x the CPU at 4x the acts; packing that copies
+    # the growing column at every field it adds costs 13-15x, above the bound
+    rng = random.Random(22)
+    rows = [tuple(rng.randint(0, 50) for _ in range(6)) for _ in range(8)]
+
+    def cpu(n: int, calls: int) -> float:
+        """The median of three CPU times of packing n acts, per packing."""
+        profiles = [tuple(rng.randint(-1000, 1000) for _ in range(6)) for _ in range(n)]
+        best = per_state_best(profiles)
+        assert _packed_max(profiles, best, rows) == [_worst_weighted_regret(x, best, rows) for x in profiles]
+        times = []
+        for _ in range(3):
+            start = time.process_time()
+            for _ in range(calls):
+                _packed_max(profiles, best, rows)
+            times.append((time.process_time() - start) / calls)
+        return statistics.median(times)
+
+    n = 4096
+    assert cpu(4 * n, 1) < 8 * cpu(n, 4)
 
 
 def _int_profile_instance(rng: random.Random):

@@ -21,7 +21,7 @@ from wregret.dsl import (
     serialize_weighted_set,
 )
 from wregret.dynamics import DecisionNode, NatureNode, enumerate_plans, evaluate_tree
-from wregret.errors import DomainError, ParseError
+from wregret.errors import DomainError, EmptySet, ParseError
 from wregret.fixtures import fixture_text
 
 from conftest import random_wset, serialize_problem
@@ -479,7 +479,7 @@ HEADER = "states: s\nprizes: p q\nutility: p = 1, q = 0\n"
 
 
 @pytest.mark.parametrize("build, error, message", [
-    (lambda: parse_problem(HEADER).weighted_set(), ValueError, "the document declares no hypotheses"),
+    (lambda: parse_problem(HEADER).weighted_set(), EmptySet, "a weighted measure set needs at least one entry"),
     (lambda: parse_problem(HEADER + "lottery l = { p: 1/2, p: 1/2 }\n"), ParseError,
      "error: line 4, column 23: duplicate prize 'p' in lottery (near 'p')"),
 ])
