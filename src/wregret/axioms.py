@@ -9,19 +9,18 @@ counts so callers can calibrate.  The existential
 clause of mixture continuity is searched over a finite mixture grid, and a
 fruitless search is reported as `no-witness-in-grid` rather than `violated`.
 
-Each axiom has one table entry: `draw` samples an `Instance` of utility
-profiles (`Alternative`s) and `judge` decides it.  Curated instances, sampled
-draws and `replay` of a witness all go through that one judge.  One sampling
-loop and one replay serve the static axioms and menu-dependent dynamic
-consistency alike: `check_mdc` builds an entry around a family of
-conditional preferences from `dynamics`.  Sampled profiles are ints over the
-sampler's denominator and mix, splice and give constant acts on ints, so a
-sampled instance builds no `Fraction`; `Alternative.profile` gives the exact
-utilities to a custom oracle or a witness's reader.  Derived menus are judged
-on ints too: utility is linear in mixtures, so the mixture judges (axioms 5,
-7 and 11) mix the members' int profiles and per-state best, taken from
-the oracle's converted menu by `PreferenceOracle.profiles`, and compare
-through its `sign`, building mixtures only for a witness.
+Each axiom has one table entry: `draw` samples an `IntInstance` and `judge`
+decides it.  An `IntInstance` holds its acts as int profiles over one
+denominator, the menu first, its roles and menu params as positions, and a
+label per act for a name made only for a witness.  Judges compare through the
+oracle's int entry points: `PreferenceOracle.prefers_at` on a whole int menu,
+and `sign` for a mixed one (utility is linear in mixtures, so the mixture
+judges mix members' profiles and the per-state best).  So a sampled instance
+builds no `Fraction` and no `Alternative`; `_check` builds the `Instance` of
+named `Alternative`s only for a witness, and the curated corpus and `replay`
+convert theirs to the int form once, for the same judge.  One sampling loop
+and one replay serve the static axioms and menu-dependent dynamic consistency
+alike: `check_mdc` builds an entry around a family of conditional preferences.
 The `Sampler` draws from its generator's `getrandbits` and `random()`
 alone, through one primitive (`Sampler.below`, CPython's rejection loop for
 a uniform int below n), taking the ints that `choice`, `randint`, `sample`
@@ -44,7 +43,7 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 from typing import Callable, Mapping, Optional, Sequence, Union
 
@@ -52,7 +51,6 @@ from .decisions import (
     Alternative,
     IntProfile,
     PreferenceOracle,
-    Profile,
     UtilitySpec,
     belief_for,
     mixture_name,
@@ -117,17 +115,68 @@ class Instance:
 
 
 @record
+class IntInstance:
+    """An instance in int form, as draws make it and judges read it: its
+    acts' profiles as ints over one denominator, the menu's `size` first,
+    each act's label (`_name` gives its name), its roles as positions of
+    acts, and its params (a key ending in "menu" holds positions of acts)."""
+
+    acts: list
+    denominator: int
+    labels: list
+    size: int
+    roles: dict
+    params: dict
+
+    @property
+    def menu(self) -> list:
+        return self.acts[:self.size]
+
+
+def _name(labels: Sequence, k: int) -> str:
+    """The name of act k from its label: a name, the (prefix, count) the
+    sampler numbered the act by, or (p, i, j) for the mixture p*i + (1-p)*j."""
+    label = labels[k]
+    if isinstance(label, str):
+        return label
+    if len(label) == 2:
+        return f"{label[0]}{label[1]}"
+    p, i, j = label
+    return mixture_name(p, _name(labels, i), _name(labels, j))
+
+
+def _int_form(menu: AltMenu, acts: Mapping[str, Alternative], params: Mapping[str, object]) -> IntInstance:
+    """An instance of alternatives in int form, converted once: the menu
+    first, then the other acts that its roles and menu params hold."""
+    menus = {key: value for key, value in params.items() if key.endswith("menu")}
+    pool = list(menu) + [a for a in dict.fromkeys([*acts.values(), *chain(*menus.values())]) if a not in menu]
+    positions = {**params, **{key: tuple([pool.index(a) for a in m]) for key, m in menus.items()}}
+    denominator, profiles = over_common(pool)
+    roles = {role: pool.index(a) for role, a in acts.items()}
+    return IntInstance(profiles, denominator, [a.name for a in pool], len(menu), roles, positions)
+
+
+@record
 class Finding:
     """A judge's evidence against an instance: scores to show, params it
-    found, roles it adds, and a description replacing the axiom's when set."""
+    found, roles it adds (as positions of the instance's acts), and a
+    description replacing the axiom's when set."""
 
     scores: Mapping[str, Fraction] = {}
     params: Mapping[str, object] = {}
-    acts: Mapping[str, Alternative] = {}
+    acts: Mapping[str, int] = {}
     description: str = ""
 
 
 Verdict = Union[str, Finding]  # "pass", "vacuous" or a Finding
+
+
+def _named(s: IntInstance, finding: Finding = Finding()) -> Instance:
+    """The instance as named alternatives, with a finding's roles and params added."""
+    acts = [Alternative.from_ints(_name(s.labels, k), x, s.denominator) for k, x in enumerate(s.acts)]
+    params = {key: tuple([acts[k] for k in v]) if key.endswith("menu") else v for key, v in s.params.items()}
+    roles = {role: acts[k] for role, k in {**s.roles, **finding.acts}.items()}
+    return Instance(tuple(acts[:s.size]), roles, {**params, **finding.params})
 
 
 @record
@@ -212,49 +261,36 @@ def utility_span(u: UtilitySpec) -> tuple[Fraction, Fraction]:
     return Fraction(max(u.numerators), u.denominator), Fraction(min(u.numerators), u.denominator)
 
 
-def _reachable(values, lo: Fraction, hi: Fraction) -> Profile:
-    """The values as a profile, if lotteries with utilities in [lo, hi] reach them."""
-    profile = tuple(values)
-    for value in profile:
-        if not (lo <= value <= hi):
-            raise ValueError(f"utility {value} outside the representable range [{lo}, {hi}]")
-    return profile
-
-
 def _mixed(a: int, b: int, x: IntProfile, h: IntProfile) -> list[int]:
     """a*x + b*h: x and h, both over L, mixed at k/m are `_mixed(k, m - k, x, h)` over m*L."""
     return [a * u + b * v for u, v in zip(x, h)]
 
 
-def _mix(p: Fraction, f: Alternative, h: Alternative, named: bool = False) -> Alternative:
-    """The mixture p*f + (1-p)*h; utility is linear in lotteries, so profiles
-    mix.  Only a mixture a witness may show is `named` (by `mixture_name`)."""
-    name = mixture_name(p, f.name, h.name) if named else "mixture"
+def _mix(p: Fraction, f: Alternative, h: Alternative) -> Alternative:
+    """The mixture p*f + (1-p)*h, named by `mixture_name`: utility is linear in lotteries, so profiles mix."""
+    return Alternative(mixture_name(p, f.name, h.name), [p * a + (1 - p) * b for a, b in zip(f.profile, h.profile)])
+
+
+def _with_mixture(s: IntInstance, p: Fraction, f: int, h: int) -> IntInstance:
+    """The instance, its acts all in its menu, with the mixture p*f + (1-p)*h
+    of acts f and h added to the menu as "mixture" and p as its one param,
+    all over m*L for p = k/m and L its denominator."""
     k, m = p.numerator, p.denominator
-    common, (x, z) = over_common((f, h))
-    return Alternative.from_ints(name, tuple(_mixed(k, m - k, x, z)), m * common)
-
-
-def _enlarge(menu: AltMenu, *acts: Alternative) -> AltMenu:
-    """The menu with each act appended unless it is already a member."""
-    for act in acts:
-        if act not in menu:
-            menu += (act,)
-    return menu
-
-
-def _without(menu: AltMenu, act: Alternative) -> AltMenu:
-    return tuple(a for a in menu if a != act)
+    acts = [[m * v for v in x] for x in s.acts] + [_mixed(k, m - k, s.acts[f], s.acts[h])]
+    roles = {**s.roles, "mixture": s.size}
+    return IntInstance(acts, m * s.denominator, s.labels + [(p, f, h)], s.size + 1, roles, {"p": p})
 
 
 class Sampler:
-    """Seeded draws of alternatives, menus of them and mixture coefficients.
+    """Seeded draws of int profiles, menus of them and mixture coefficients.
 
     Utilities lie on the grid k/d in [-1, 1] (d = UTILITY_DENOMINATOR),
     shrunk and shifted only as far as needed to fit the utility table's range.
     Every grid value is (a + b*k)/D over the one `denominator` D, and so is
     every numerator drawn: `lowered` and `never_optimal` depend on it, as they
     step and compare sampled numerators without reading their denominators.
+    A drawn act is its numerators and its label, a prefix and the act's
+    count, which only a witness formats into its name.
 
     The draw stream: every draw is `below` (inline in `_choose`) or a call
     of the generator's `random()`, and takes the ints that the call of
@@ -301,19 +337,15 @@ class Sampler:
             drawn.append(table[r])
         return drawn
 
-    def _fresh(self, prefix: str) -> str:
+    def _fresh(self, prefix: str) -> tuple[str, int]:
         self._counter += 1
-        return f"{prefix}{self._counter}"
+        return prefix, self._counter
 
-    def alternative(self, name: str, numerators: IntProfile) -> Alternative:
-        """The alternative with the numerators over the sampler's denominator."""
-        return Alternative.from_ints(name, numerators, self.denominator)
+    def act(self, prefix: str = "a") -> tuple[list[int], tuple[str, int]]:
+        return self._choose(self._values, len(self.states)), self._fresh(prefix)
 
-    def act(self, prefix: str = "a") -> Alternative:
-        return self.alternative(self._fresh(prefix), self._choose(self._values, len(self.states)))
-
-    def constant(self, prefix: str = "c") -> Alternative:
-        return self.alternative(self._fresh(prefix), self._choose(self._values, 1) * len(self.states))
+    def constant(self, prefix: str = "c") -> tuple[list[int], tuple[str, int]]:
+        return self._choose(self._values, 1) * len(self.states), self._fresh(prefix)
 
     def lowered(self, numerators: IntProfile) -> IntProfile:
         """The numerators with each utility lowered by a random grid step, not below the grid."""
@@ -325,40 +357,44 @@ class Sampler:
         d = 2 + self.below(MIXTURE_DENOMINATOR - 1)
         return Fraction(1 + self.below(d - 1), d)
 
-    def menu(self, min_size: int = 2) -> AltMenu:
+    def menu(self, min_size: int = 2) -> tuple[list, list]:
+        """A menu's acts and their labels."""
         size = min_size + self.below(max(min_size, MENU_SIZE) - min_size + 1)
-        k = len(self.states)
+        k, count = len(self.states), self._counter
         values = self._choose(self._values, size * k)  # the acts' values, act by act
-        acts = [self.alternative(self._fresh("a"), values[i:i + k]) for i in range(0, size * k, k)]
+        acts = [values[i:i + k] for i in range(0, size * k, k)]
+        labels = [("a", count + i) for i in range(1, size + 1)]
+        self._counter += size
         if self.rng.random() < 0.5:
-            base = acts[self.below(len(acts))]
-            acts.append(self.alternative(self._fresh("m"), base.numerators[::-1]))
+            acts.append(acts[self.below(size)][::-1])
+            labels.append(self._fresh("m"))
         if self.rng.random() < 0.4:
-            acts.append(self.constant())
-        return tuple(acts)
+            act, label = self.constant()
+            acts.append(act)
+            labels.append(label)
+        return acts, labels
 
-    def state_independent_menu(self) -> tuple[AltMenu, Alternative]:
-        """A menu whose per-state outcome set is state-independent, plus a
-        constant member act (cyclic assignments of one value tuple)."""
+    def state_independent_menu(self) -> tuple[list, list, int]:
+        """A menu whose per-state outcome set is state-independent, its
+        labels and the position of its constant member act, its last (the
+        others are cyclic assignments of one value tuple)."""
         k = len(self.states)
         values = self._choose(self._values, max(k, 2))
         n = len(values)
-        acts = tuple(
-            self.alternative(self._fresh("cyc"), tuple([values[(i + j) % n] for j in range(k)]))
-            for i in range(n)
-        )
-        h = self.constant("h")
-        return acts + (h,), h
+        acts = [[values[(i + j) % n] for j in range(k)] for i in range(n)]
+        labels = [self._fresh("cyc") for _ in range(n)]
+        h, label = self.constant("h")
+        return acts + [h], labels + [label], n
 
-    def menu_with_constant(self) -> tuple[AltMenu, Alternative]:
-        """A menu with a constant member act, drawn first."""
-        h = self.constant("h")
-        return _enlarge(self.menu(), h), h
+    def menu_with_constant(self) -> tuple[list, list, int]:
+        """A menu, its labels and the position of its constant member act, drawn first."""
+        h, label = self.constant("h")
+        acts, labels = self.menu()
+        return acts + [h], labels + [label], len(acts)
 
-    def never_optimal(self, menu: AltMenu) -> Alternative:
+    def never_optimal(self, menu: Sequence[IntProfile]) -> tuple[IntProfile, tuple[str, int]]:
         """An act never strictly optimal in a sampled menu: its per-state best, lowered."""
-        best = per_state_best(a.numerators for a in menu)
-        return self.alternative(self._fresh("nso"), self.lowered(best))
+        return self.lowered(per_state_best(menu)), self._fresh("nso")
 
     def pick(self, menu: Sequence, n: int) -> list:
         """n distinct members, the ones `rng.sample(menu, n)` picks from a
@@ -386,83 +422,87 @@ class Sampler:
 # A draw may consult the oracle to find an instance worth judging and returns
 # None when it finds none.  A judge sees only the oracle and the instance, so
 # it decides sampled, curated and replayed instances alike; it re-checks every
-# precondition the instance must meet.
+# precondition the instance must meet.  Both compare acts through the oracle's
+# int entry points, `prefers_at` on a whole menu and `sign` for a mixed one.
 
-Draw = Callable[[PreferenceOracle, Sampler], Optional[Instance]]
-Judge = Callable[[PreferenceOracle, Instance], Verdict]
+Draw = Callable[[PreferenceOracle, Sampler], Optional[IntInstance]]
+Judge = Callable[[PreferenceOracle, IntInstance], Verdict]
+
+
+def _prefers_in(o: PreferenceOracle, s: IntInstance, f: int, g: int, menu: Sequence[int]) -> int:
+    """The comparison of acts f and g in the menu of the instance's acts at those positions."""
+    return o.prefers_at(menu.index(f), menu.index(g), [s.acts[k] for k in menu], s.denominator)
 
 
 def _draw_picks(roles: str, min_size: int) -> Draw:
     """A sampled menu with distinct members picked for the one-letter roles."""
 
-    def draw(o: PreferenceOracle, s: Sampler) -> Instance:
-        menu = s.menu(min_size)
-        return Instance(menu, dict(zip(roles, s.pick(menu, len(roles)))))
+    def draw(o: PreferenceOracle, s: Sampler) -> IntInstance:
+        acts, labels = s.menu(min_size)
+        n = len(acts)
+        return IntInstance(acts, s.denominator, labels, n, dict(zip(roles, s.pick(range(n), len(roles)))), {})
 
     return draw
 
 
-def _judge_transitivity(o: PreferenceOracle, inst: Instance) -> Verdict:
-    f, g, h, menu = inst.acts["f"], inst.acts["g"], inst.acts["h"], inst.menu
-    if o.prefers(f, g, menu) < 0 or o.prefers(g, h, menu) < 0:
+def _judge_transitivity(o: PreferenceOracle, s: IntInstance) -> Verdict:
+    (f, g, h), menu, d = (s.roles[r] for r in "fgh"), s.menu, s.denominator
+    if o.prefers_at(f, g, menu, d) < 0 or o.prefers_at(g, h, menu, d) < 0:
         return "vacuous"
-    return "pass" if o.prefers(f, h, menu) >= 0 else Finding()
+    return "pass" if o.prefers_at(f, h, menu, d) >= 0 else Finding()
 
 
-def _judge_completeness(o: PreferenceOracle, inst: Instance) -> Verdict:
-    f, g, menu = inst.acts["f"], inst.acts["g"], inst.menu
-    return "pass" if o.prefers(f, g, menu) == -o.prefers(g, f, menu) else Finding()
+def _judge_completeness(o: PreferenceOracle, s: IntInstance) -> Verdict:
+    f, g, menu, d = s.roles["f"], s.roles["g"], s.menu, s.denominator
+    return "pass" if o.prefers_at(f, g, menu, d) == -o.prefers_at(g, f, menu, d) else Finding()
 
 
-def _draw_extremes(o: PreferenceOracle, s: Sampler) -> Instance:
-    k, (hi, lo) = len(s.states), utility_span(o.utility)
-    better = Alternative("nontrivial_hi", (hi,) * k)
-    worse = Alternative("nontrivial_lo", (lo,) * k)
-    return Instance((better, worse), {"f": better, "g": worse})
+def _draw_extremes(o: PreferenceOracle, s: Sampler) -> IntInstance:
+    u, k = o.utility, len(s.states)
+    acts = [(max(u.numerators),) * k, (min(u.numerators),) * k]
+    return IntInstance(acts, u.denominator, ["nontrivial_hi", "nontrivial_lo"], 2, {"f": 0, "g": 1}, {})
 
 
-def _judge_nontriviality(o: PreferenceOracle, inst: Instance) -> Verdict:
-    return "pass" if o.prefers(inst.acts["f"], inst.acts["g"], inst.menu) > 0 else Finding()
+def _judge_nontriviality(o: PreferenceOracle, s: IntInstance) -> Verdict:
+    return "pass" if o.prefers_at(s.roles["f"], s.roles["g"], s.menu, s.denominator) > 0 else Finding()
 
 
-def _draw_dominated(o: PreferenceOracle, s: Sampler) -> Instance:
-    f = s.act("f")
-    g = s.alternative("gdom", s.lowered(f.numerators))
-    return Instance(_enlarge(s.menu(), f, g), {"f": f, "g": g})
+def _draw_dominated(o: PreferenceOracle, s: Sampler) -> IntInstance:
+    f, label = s.act("f")
+    g = s.lowered(f)
+    acts, labels = s.menu()
+    n = len(acts)
+    return IntInstance(acts + [f, g], s.denominator, labels + [label, "gdom"], n + 2, {"f": n, "g": n + 1}, {})
 
 
-def _constants(a: Alternative, name: str) -> list[Alternative]:
-    """For each state, the constant alternative at a's utility there."""
-    k = len(a.numerators)
-    return [Alternative.from_ints(name, (n,) * k, a.denominator) for n in a.numerators]
-
-
-def _judge_monotonicity(o: PreferenceOracle, inst: Instance) -> Verdict:
-    f, g = inst.acts["f"], inst.acts["g"]
+def _judge_monotonicity(o: PreferenceOracle, s: IntInstance) -> Verdict:
+    f, g, d = s.roles["f"], s.roles["g"], s.denominator
+    k = len(s.acts[f])
     # statewise precondition, queried through the oracle on constant-act pairs
-    for cf, cg in zip(_constants(f, "mono_f"), _constants(g, "mono_g")):
-        if o.prefers(cf, cg, (cf, cg)) < 0:
+    for a, b in zip(s.acts[f], s.acts[g]):
+        if o.prefers_at(0, 1, ((a,) * k, (b,) * k), d) < 0:
             return "vacuous"
-    return "pass" if o.prefers(f, g, inst.menu) >= 0 else Finding()
+    return "pass" if o.prefers_at(f, g, s.menu, d) >= 0 else Finding()
 
 
-def _draw_strict_chain(o: PreferenceOracle, s: Sampler) -> Optional[Instance]:
-    menu = s.menu(min_size=3)
+def _draw_strict_chain(o: PreferenceOracle, s: Sampler) -> Optional[IntInstance]:
+    acts, labels = s.menu(min_size=3)
+    n, d = len(acts), s.denominator
     for _ in range(8):
-        f, g, h = s.pick(menu, 3)
-        if o.prefers(f, g, menu) > 0 and o.prefers(g, h, menu) > 0:
-            return Instance(menu, {"f": f, "g": g, "h": h})
+        f, g, h = s.pick(range(n), 3)
+        if o.prefers_at(f, g, acts, d) > 0 and o.prefers_at(g, h, acts, d) > 0:
+            return IntInstance(acts, d, labels, n, {"f": f, "g": g, "h": h}, {})
     return None
 
 
-def _judge_mixture_continuity(o: PreferenceOracle, inst: Instance) -> Verdict:
-    f, g, h, menu = inst.acts["f"], inst.acts["g"], inst.acts["h"], inst.menu
-    if o.prefers(f, g, menu) <= 0 or o.prefers(g, h, menu) <= 0:
+def _judge_mixture_continuity(o: PreferenceOracle, s: IntInstance) -> Verdict:
+    (f, g, h), menu, d = (s.roles[r] for r in "fgh"), s.menu, s.denominator
+    if o.prefers_at(f, g, menu, d) <= 0 or o.prefers_at(g, h, menu, d) <= 0:
         return "vacuous"
-    _, (x, y, z), best = o.profiles(menu, (f, g, h))
+    x, y, z, best = menu[f], menu[g], menu[h], per_state_best(menu)
 
     def first(grid, g_first: bool) -> Optional[Fraction]:
-        """The first p at which p*f + (1-p)*h, over m*L for p = k/m, is strictly
+        """The first p at which p*f + (1-p)*h, over m*d for p = k/m, is strictly
         preferred to g (g to it if g_first); f and h are members, so their
         mixture leaves the menu's per-state best as it is."""
         for p in grid:
@@ -479,69 +519,77 @@ def _judge_mixture_continuity(o: PreferenceOracle, inst: Instance) -> Verdict:
     return Finding(params={"q": q_found, "r": r_found, "grid_denominator": MIXTURE_DENOMINATOR})
 
 
-def _draw_hedge(o: PreferenceOracle, s: Sampler) -> Optional[Instance]:
-    menu = s.menu(min_size=2)
-    pair = next((pair for pair in combinations(s.shuffled(menu), 2) if o.prefers(*pair, menu) == 0), None)
+def _draw_hedge(o: PreferenceOracle, s: Sampler) -> Optional[IntInstance]:
+    acts, labels = s.menu(min_size=2)
+    n, d = len(acts), s.denominator
+    pair = next((pair for pair in combinations(s.shuffled(range(n)), 2) if o.prefers_at(*pair, acts, d) == 0), None)
     if pair is None:
         return None
-    f, g = pair
-    p = s.mixture()
-    mixed = _mix(p, f, g, named=True)
-    return Instance(_enlarge(menu, mixed), {"f": f, "g": g, "mixture": mixed}, {"p": p})
+    return _with_mixture(IntInstance(acts, d, labels, n, dict(zip("fg", pair)), {}), s.mixture(), *pair)
 
 
-def _judge_hedging(o: PreferenceOracle, inst: Instance) -> Verdict:
-    f, g, mixed, menu = inst.acts["f"], inst.acts["g"], inst.acts["mixture"], inst.menu
-    if o.prefers(f, g, _without(menu, mixed)) != 0:
+def _judge_hedging(o: PreferenceOracle, s: IntInstance) -> Verdict:
+    f, g, mixed, menu, d = s.roles["f"], s.roles["g"], s.roles["mixture"], s.menu, s.denominator
+    if _prefers_in(o, s, f, g, [k for k in range(s.size) if k != mixed]) != 0:
         return "vacuous"
-    if o.prefers(mixed, g, menu) >= 0:
+    if o.prefers_at(mixed, g, menu, d) >= 0:
         return "pass"
-    return Finding({"mixture": o.rate(mixed, menu), "g": o.rate(g, menu)})
+    return Finding({"mixture": o.rate_at(mixed, menu, d), "g": o.rate_at(g, menu, d)})
 
 
-def _draw_mixed_with(common: Callable[[Sampler], Alternative]) -> Draw:
+def _draw_mixed_with(common: Callable[[Sampler], tuple]) -> Draw:
     """A sampled menu, two picked members and a mixture weight, plus the
-    common act h that `common` draws first."""
+    common act h, not a member, that `common` draws first."""
 
-    def draw(o: PreferenceOracle, s: Sampler) -> Instance:
-        h = common(s)
-        menu = s.menu(min_size=2)
-        f, g = s.pick(menu, 2)
-        return Instance(menu, {"f": f, "g": g, "h": h}, {"p": s.mixture()})
+    def draw(o: PreferenceOracle, s: Sampler) -> IntInstance:
+        h, label = common(s)
+        acts, labels = s.menu(min_size=2)
+        n = len(acts)
+        f, g = s.pick(range(n), 2)
+        roles = {"f": f, "g": g, "h": n}
+        return IntInstance(acts + [h], s.denominator, labels + [label], n, roles, {"p": s.mixture()})
 
     return draw
 
 
-def _judge_independence(o: PreferenceOracle, inst: Instance) -> Verdict:
-    f, g, h, menu, p = inst.acts["f"], inst.acts["g"], inst.acts["h"], inst.menu, inst.params["p"]
-    scale, (x, y), best = o.profiles(menu, (f, g))
-    # members over L and h (not a member) over e mix at k/m over m*L*e; each
-    # member mixes with h at k/m > 0, so the mixed menu's best is best mixed with h
-    a, b = p.numerator * h.denominator, (p.denominator - p.numerator) * scale
-    if o.prefers(f, g, menu) == o.sign(*[_mixed(a, b, v, h.numerators) for v in (x, y, best)]):
+def _judge_independence(o: PreferenceOracle, s: IntInstance) -> Verdict:
+    (f, g, h), menu, d, p = (s.roles[r] for r in "fgh"), s.menu, s.denominator, s.params["p"]
+    # the members and h, over d, mix at k/m over m*d; each member mixes with h
+    # at k/m > 0, so the mixed menu's best is the menu's best mixed with h
+    k, m, z = p.numerator, p.denominator, s.acts[h]
+    mixed = [_mixed(k, m - k, v, z) for v in (menu[f], menu[g], per_state_best(menu))]
+    if o.prefers_at(f, g, menu, d) == o.sign(*mixed):
         return "pass"
-    mixed_menu = tuple(_mix(p, a, h) for a in menu)
-    mf, mg = _mix(p, f, h), _mix(p, g, h)
+    mixed_menu = [_mixed(k, m - k, v, z) for v in menu]
     return Finding({
-        "f": o.rate(f, menu), "g": o.rate(g, menu),
-        "mixed_f": o.rate(mf, mixed_menu), "mixed_g": o.rate(mg, mixed_menu),
+        "f": o.rate_at(f, menu, d), "g": o.rate_at(g, menu, d),
+        "mixed_f": o.rate_at(f, mixed_menu, m * d), "mixed_g": o.rate_at(g, mixed_menu, m * d),
     })
 
 
-def _draw_constants_in_two_menus(o: PreferenceOracle, s: Sampler) -> Instance:
-    c1, c2 = s.constant(), s.constant()
-    menu = _enlarge(s.menu(), c1, c2)
-    return Instance(menu, {"f": c1, "g": c2}, {"other_menu": _enlarge(s.menu(), c1, c2)})
+def _draw_constants_in_two_menus(o: PreferenceOracle, s: Sampler) -> IntInstance:
+    (c1, l1), (c2, l2) = s.constant(), s.constant()
+    acts, labels = s.menu()
+    other, other_labels = s.menu()
+    n = len(acts)
+    return IntInstance(
+        acts + [c1, c2] + other, s.denominator, labels + [l1, l2] + other_labels, n + 2, {"f": n, "g": n + 1},
+        {"other_menu": (*range(n + 2, n + 2 + len(other)), n, n + 1)},
+    )
 
 
-def _draw_added(extra: Callable[[Sampler, AltMenu], Alternative]) -> Draw:
+def _draw_added(extra: Callable[[Sampler, list], tuple]) -> Draw:
     """A sampled menu with two picked members, enlarged by one or two `extra` acts."""
 
-    def draw(o: PreferenceOracle, s: Sampler) -> Instance:
-        menu = s.menu(min_size=2)
-        f, g = s.pick(menu, 2)
-        added = [extra(s, menu) for _ in range(1 + s.below(2))]
-        return Instance(_enlarge(menu, *added), {"f": f, "g": g}, {"base_menu": menu})
+    def draw(o: PreferenceOracle, s: Sampler) -> IntInstance:
+        acts, labels = s.menu(min_size=2)
+        n = len(acts)
+        f, g = s.pick(range(n), 2)
+        added = [extra(s, acts) for _ in range(1 + s.below(2))]
+        return IntInstance(
+            acts + [a for a, _ in added], s.denominator, labels + [label for _, label in added],
+            n + len(added), {"f": f, "g": g}, {"base_menu": tuple(range(n))},
+        )
 
     return draw
 
@@ -550,49 +598,49 @@ def _same_in(other: str, scored: bool = False) -> Judge:
     """A judge that f compares with g in the menu as in the menu param `other`;
     `scored` findings show both scores in both menus."""
 
-    def judge(o: PreferenceOracle, inst: Instance) -> Verdict:
-        f, g, menu, small = inst.acts["f"], inst.acts["g"], inst.menu, inst.params[other]
-        if o.prefers(f, g, small) == o.prefers(f, g, menu):
+    def judge(o: PreferenceOracle, s: IntInstance) -> Verdict:
+        f, g, menu, d, positions = s.roles["f"], s.roles["g"], s.menu, s.denominator, s.params[other]
+        small, fs, gs = [s.acts[k] for k in positions], positions.index(f), positions.index(g)
+        if o.prefers_at(fs, gs, small, d) == o.prefers_at(f, g, menu, d):
             return "pass"
         if not scored:
             return Finding()
         return Finding({
-            "f_small": o.rate(f, small), "g_small": o.rate(g, small),
-            "f_large": o.rate(f, menu), "g_large": o.rate(g, menu),
+            "f_small": o.rate_at(fs, small, d), "g_small": o.rate_at(gs, small, d),
+            "f_large": o.rate_at(f, menu, d), "g_large": o.rate_at(g, menu, d),
         })
 
     return judge
 
 
-def _judge_boundedness(o: PreferenceOracle, inst: Instance) -> Verdict:
+def _judge_boundedness(o: PreferenceOracle, s: IntInstance) -> Verdict:
     hi, _ = utility_span(o.utility)
-    fits = all(n <= hi * a.denominator for a in inst.menu for n in a.numerators)
-    return "pass" if fits else Finding()
+    bound = hi * s.denominator
+    return "pass" if all(n <= bound for x in s.menu for n in x) else Finding()
 
 
-def _draw_indifferent_to(menu_with: Callable[[Sampler], tuple[AltMenu, Alternative]]) -> Draw:
+def _draw_indifferent_to(menu_with: Callable[[Sampler], tuple[list, list, int]]) -> Draw:
     """A menu with its constant member h, a member f indifferent to h, and
     their mixture."""
 
-    def draw(o: PreferenceOracle, s: Sampler) -> Optional[Instance]:
-        menu, h = menu_with(s)
-        f = next((f for f in menu if f != h and o.prefers(h, f, menu) == 0), None)
+    def draw(o: PreferenceOracle, s: Sampler) -> Optional[IntInstance]:
+        acts, labels, h = menu_with(s)
+        n, d = len(acts), s.denominator
+        f = next((f for f in range(n) if f != h and o.prefers_at(h, f, acts, d) == 0), None)
         if f is None:
             return None
-        p = s.mixture()
-        mixed = _mix(p, f, h, named=True)
-        return Instance(_enlarge(menu, mixed), {"f": f, "h": h, "mixture": mixed}, {"p": p})
+        return _with_mixture(IntInstance(acts, d, labels, n, {"f": f, "h": h}, {}), s.mixture(), f, h)
 
     return draw
 
 
-def _judge_constant_mix(o: PreferenceOracle, inst: Instance) -> Verdict:
-    f, h, mixed, menu = inst.acts["f"], inst.acts["h"], inst.acts["mixture"], inst.menu
-    if o.prefers(h, f, _without(menu, mixed)) != 0:
+def _judge_constant_mix(o: PreferenceOracle, s: IntInstance) -> Verdict:
+    f, h, mixed, menu, d = s.roles["f"], s.roles["h"], s.roles["mixture"], s.menu, s.denominator
+    if _prefers_in(o, s, h, f, [k for k in range(s.size) if k != mixed]) != 0:
         return "vacuous"
-    if o.prefers(mixed, f, menu) == 0:
+    if o.prefers_at(mixed, f, menu, d) == 0:
         return "pass"
-    return Finding({"f": o.rate(f, menu), "h": o.rate(h, menu), "mixture": o.rate(mixed, menu)})
+    return Finding({"f": o.rate_at(f, menu, d), "h": o.rate_at(h, menu, d), "mixture": o.rate_at(mixed, menu, d)})
 
 
 @record
@@ -664,7 +712,10 @@ def _pair(o: PreferenceOracle, name: str, one: Fraction, ten: Fraction) -> Alter
     if o.belief is not None and o.state_space != DELIVERY_STATES:
         raise DimensionMismatch("the curated corpus is over the delivery states")
     hi, lo = utility_span(o.utility)
-    return Alternative(name, _reachable((Fraction(one), Fraction(ten)), lo, hi))
+    for value in (one, ten):
+        if not lo <= value <= hi:
+            raise ValueError(f"utility {value} outside the representable range [{lo}, {hi}]")
+    return Alternative(name, (one, ten))
 
 
 def _menu_dependence_instance(o: PreferenceOracle) -> Instance:
@@ -683,7 +734,7 @@ def _half_mixture_of(*others: tuple[str, int, int]) -> Callable[[PreferenceOracl
     def build(o: PreferenceOracle) -> Instance:
         cont, back = _pair(o, "cont", 10000, -10000), _pair(o, "back", 0, 0)
         p = Fraction(1, 2)
-        mixed = _mix(p, cont, back, named=True)
+        mixed = _mix(p, cont, back)
         menu = (cont, mixed, back) + tuple(_pair(o, *other) for other in others)
         return Instance(menu, {"f": cont, "h": back, "mixture": mixed}, {"p": p})
 
@@ -747,18 +798,15 @@ def _check(
     def report(verdict: str, samples: int, applicable: int, **rest) -> AxiomReport:
         return AxiomReport(axiom, oracle.rule, verdict, samples, applicable, curated, seed, **rest)
 
-    def witness(instance: Instance, finding: Finding, description: str) -> Witness:
-        return Witness(
-            axiom, oracle.rule, entry.kind, finding.description or description, instance.menu,
-            {**instance.acts, **finding.acts}, {**instance.params, **finding.params},
-            finding.scores,
-        )
+    def witness(instance: IntInstance, finding: Finding, description: str) -> Witness:
+        named = _named(instance, finding)
+        return Witness(axiom, oracle.rule, entry.kind, finding.description or description, *named, finding.scores)
 
     curated = 0
     if config.include_curated and axiom in _CURATED:
         description, build = _CURATED[axiom]
         try:
-            instance = build(oracle)
+            instance = _int_form(*build(oracle))
         except (DimensionMismatch, ValueError):
             pass  # the corpus's utilities or states don't fit this oracle
         else:
@@ -810,7 +858,7 @@ def _replay(entry: Axiom, w: Witness, oracle: PreferenceOracle) -> bool:
     # a belief fixes the states; the probability-free rule judges profiles of any length
     if oracle.belief is not None and any(len(a.numerators) != len(oracle.state_space) for a in w.menu):
         raise DimensionMismatch("the witness is not over the belief's states")
-    return isinstance(entry.judge(oracle, Instance(w.menu, w.acts, w.params)), Finding)
+    return isinstance(entry.judge(oracle, _int_form(w.menu, w.acts, w.params)), Finding)
 
 
 # -- menu-dependent dynamic consistency -----------------------------------------------
@@ -818,18 +866,15 @@ def _replay(entry: Axiom, w: Witness, oracle: PreferenceOracle) -> bool:
 # E and h's outside.  The entry's oracle is a family's unconditional one.
 
 def _spliced_signs(
-    o: PreferenceOracle, f: Alternative, g: Alternative, menu: AltMenu, event: Event
-) -> dict[Alternative, int]:
-    """The comparison of f against g, both spliced off the event with each menu act."""
+    o: PreferenceOracle, f: int, g: int, menu: Sequence[IntProfile], denominator: int, event: Event
+) -> list[int]:
+    """The comparison of menu[f] against menu[g], both spliced off the event
+    with each menu act in turn, in menu order (the profiles over the denominator)."""
     inside = [s in event.members for s in o.state_space]
-
-    def splice(a: Alternative, h: Alternative) -> Alternative:
-        common, (xa, xh) = over_common((a, h))
-        return Alternative.from_ints(a.name, [x if i else y for x, y, i in zip(xa, xh, inside)], common)
-
-    return {
-        h: o.prefers(splice(f, h), splice(g, h), [splice(a, h) for a in menu]) for h in menu
-    }
+    return [
+        o.prefers_at(f, g, [[x if i else y for x, y, i in zip(a, h, inside)] for a in menu], denominator)
+        for h in menu
+    ]
 
 
 def _mdc(family: OracleFamily) -> Axiom:
@@ -839,14 +884,15 @@ def _mdc(family: OracleFamily) -> Axiom:
     NullEvent, it has no conditional preference to disagree with."""
     conditionals: dict[Event, Optional[PreferenceOracle]] = {}
 
-    def draw(o: PreferenceOracle, s: Sampler) -> Instance:
-        menu = s.menu(min_size=2)
-        f, g = s.pick(menu, 2)
+    def draw(o: PreferenceOracle, s: Sampler) -> IntInstance:
+        acts, labels = s.menu(min_size=2)
+        n = len(acts)
+        f, g = s.pick(range(n), 2)
         event = [x for x in s.states if s.rng.random() < 0.5] or [s.states[s.below(len(s.states))]]
-        return Instance(menu, {"f": f, "g": g}, {"event": event})
+        return IntInstance(acts, s.denominator, labels, n, {"f": f, "g": g}, {"event": event})
 
-    def judge(o: PreferenceOracle, inst: Instance) -> Verdict:
-        f, g, menu, event = inst.acts["f"], inst.acts["g"], inst.menu, Event(inst.params["event"])
+    def judge(o: PreferenceOracle, s: IntInstance) -> Verdict:
+        f, g, menu, d, event = s.roles["f"], s.roles["g"], s.menu, s.denominator, Event(s.params["event"])
         if event not in conditionals:
             try:
                 conditionals[event] = family(event)
@@ -854,18 +900,16 @@ def _mdc(family: OracleFamily) -> Axiom:
                 conditionals[event] = None
         if conditionals[event] is None:
             return "vacuous"
-        spliced = _spliced_signs(o, f, g, menu, event)
-        signs = set(spliced.values())
-        if len(signs) > 1:
+        signs = _spliced_signs(o, f, g, menu, d, event)
+        if len(set(signs)) > 1:
             return Finding(
-                params={"signs": {h.name: sign for h, sign in spliced.items()}},
+                params={"signs": {_name(s.labels, k): sign for k, sign in enumerate(signs)}},
                 description="the spliced comparison depends on the off-event act",
             )
-        conditional = conditionals[event].prefers(f, g, menu)
-        if conditional == signs.pop():
+        conditional = conditionals[event].prefers_at(f, g, menu, d)
+        if conditional == signs[0]:
             return "pass"
-        h, sign = next(iter(spliced.items()))
-        return Finding(params={"conditional": conditional, "spliced": sign}, acts={"h": h})
+        return Finding(params={"conditional": conditional, "spliced": signs[0]}, acts={"h": 0})
 
     return Axiom(draw, judge, "conditional and spliced comparisons disagree")
 

@@ -19,8 +19,9 @@ profiles become scores: it reads its belief once into integer rows over D
 (`measures.weighted_rows`), puts a menu's profiles over the LCM L of their
 denominators and runs a kernel whose int N is the score N/(D*L), so `rank`
 ties on ints and builds a `Fraction` only for a returned score.  What it
-scores is an `Alternative`, a name and a profile.  Lotteries and utility
-tables are `rational.IntVector`s, alternatives ints over one denominator.  An
+scores is an `Alternative`, a name and a profile, or, through its int entry
+points (`prefers_at`, `rate_at`, `sign`), a menu of int profiles over one
+denominator.  Lotteries and utility tables are `rational.IntVector`s.  An
 immutable `Act` sums its profile as an int dot product and keeps the
 alternative of the last utility table it was asked about, so the oracle's
 `alternatives` only looks them up; decision-tree plans are born as ints.
@@ -274,15 +275,15 @@ def _score_of(rule: str, act: Act, menu: Menu, u: UtilitySpec, belief: Belief) -
 # (behind `rank`, `scores` and the tree nodes) takes for a menu and belief
 # of at least the sizes `_WHOLE_MENU` gives each form, where it measured
 # faster (mer/mwer from 8 acts, seu/mmeu from 16, under at least 4 rows);
-# smaller inputs, the per-member path (`rate`, `prefers`, `sign`, the axiom
-# checker's) and probability-free regret keep the per-act kernels.
+# smaller inputs, the per-member entry points (`prefers_at`, `rate_at`,
+# `sign`) and probability-free regret keep the per-act kernels.
 
 Profile = tuple[Fraction, ...]
 IntProfile = tuple[int, ...]
 
 
 def _worst_utility(x: IntProfile, best: IntProfile, rows: Sequence[IntProfile]) -> int:
-    return min(sum(map(mul, row, x)) for row in rows)
+    return min([sum(map(mul, row, x)) for row in rows])
 
 
 def _worst_regret(x: IntProfile, best: IntProfile, rows: Sequence[IntProfile]) -> int:
@@ -291,7 +292,7 @@ def _worst_regret(x: IntProfile, best: IntProfile, rows: Sequence[IntProfile]) -
 
 def _worst_weighted_regret(x: IntProfile, best: IntProfile, rows: Sequence[IntProfile]) -> int:
     regrets = list(map(sub, best, x))
-    return max(sum(map(mul, row, regrets)) for row in rows)
+    return max([sum(map(mul, row, regrets)) for row in rows])
 
 
 def _packed_max(profiles: Sequence[IntProfile], tops: Sequence[int], rows: Sequence[IntProfile]) -> list[int]:
@@ -491,28 +492,23 @@ class PreferenceOracle:
     """A decision rule with a fixed belief: the one place where utility
     profiles become scores.
 
-    A menu here is a sequence of alternatives over the oracle's sorted
-    `state_space`.  `scores` scores a whole menu; `rate` and `prefers` put
-    the menu over one denominator and score only the members asked about,
-    which must be in the menu.  They keep the last menu asked about, as a
-    tuple, converted, and score each of its members once, as asked: a member
-    is found by identity among the kept menu's own, else by equality; a list
-    is copied, so it is not reused.
-    `profiles` gives members' int profiles and the best from that conversion,
-    and `sign` compares two int profiles against a per-state best, so a
-    derived menu such as a mixture needs no alternatives.  `score` answers
-    for an act of a `Menu`.
-
-    A subclass that overrides `prefers` must override `sign` in the same
-    class, to agree with it, as the mixture judges of `axioms` compare
-    through `sign`; a subclass that does not raises TypeError when defined.
+    Its per-member entry points are on ints: `prefers_at` compares two
+    members, by position, of a menu of int profiles over one positive
+    denominator, `rate_at` scores one, and `sign` compares two int profiles
+    against a per-state best.  `prefers`, `rate` and `profiles` put a menu of
+    alternatives over the oracle's sorted `state_space` over the LCM of their
+    denominators and find the members (by identity, else by equality); nothing
+    is kept between calls.  `scores` scores a whole menu, `score` an act of a
+    `Menu`.  A subclass defines its own order by overriding `prefers_at` and
+    `sign` in one class, so that they agree; one that overrides only one of
+    them, or `prefers`, raises TypeError when defined.
     """
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        prefers, sign = (next(c for c in cls.__mro__ if name in c.__dict__) for name in ("prefers", "sign"))
-        if prefers is not sign:
-            raise TypeError(f"{cls.__name__} must define prefers and sign together, so that they agree")
+        prefers_at, sign = (next(c for c in cls.__mro__ if name in c.__dict__) for name in ("prefers_at", "sign"))
+        if prefers_at is not sign or cls.prefers is not PreferenceOracle.prefers:
+            raise TypeError(f"{cls.__name__} must define prefers_at and sign together, so they agree, not prefers")
 
     def __init__(
         self,
@@ -526,17 +522,6 @@ class PreferenceOracle:
         self.utility = utility
         self.state_space, self._common, self._rows = _belief_entries(rule, belief, state_space)
         self._score, _, self.lower_is_better = RULES[rule]
-        # the last menu `rate`, `prefers` and `profiles` were asked about, as a tuple
-        # (the members are immutable): its score denominator, its conversion (L, best,
-        # profiles) and its members' score numerators by position, filled in as asked
-        self._last_menu: Optional[tuple] = None
-        self._last: tuple = ()
-
-    def _over_menu(self, menu: Sequence[Alternative]) -> tuple[int, IntProfile, Sequence[IntProfile]]:
-        """The LCM L of the members' denominators, and the menu's per-state
-        best and its profiles as ints over L."""
-        scale, profiles = over_common(menu)
-        return scale, per_state_best(profiles), profiles
 
     def scores(self, menu: Sequence[Alternative]) -> dict[str, Fraction]:
         """The rule's score of every member of a menu with unique names;
@@ -546,7 +531,8 @@ class PreferenceOracle:
     def numerators(self, menu: Sequence[Alternative]) -> tuple[int, list[int]]:
         """The denominator of every score in the menu, and each member's
         score numerator over it, in menu order (names are not read)."""
-        scale, best, profiles = self._over_menu(menu)
+        scale, profiles = over_common(menu)
+        best = per_state_best(profiles)
         score, rows = self._score, self._rows
         whole, least_acts, least_rows = _WHOLE_MENU.get(score, (None, 0, 0))
         if whole is not None and len(profiles) >= least_acts and len(rows) >= least_rows:
@@ -563,37 +549,20 @@ class PreferenceOracle:
             numerators[a.name] = n
         return numerators, {name: Fraction(n, denominator) for name, n in numerators.items()}
 
-    def _members(self, menu: Sequence[Alternative], members: Sequence[Alternative], scored: bool = True):
-        """The denominator of every score in the menu and the members' score
-        numerators over it, each member of the kept menu scored once; if not
-        `scored`, the LCM L of its denominators and the members' profiles over L."""
-        if menu is not self._last_menu:
-            menu = tuple(menu)  # a list is copied, so it is never the kept menu
-            self._last_menu = menu
-            scale, best, profiles = self._over_menu(menu)
-            self._last = (self._common * scale, scale, best, profiles, {})
-        denominator, scale, best, profiles, memo = self._last
-        found = []
-        for a in members:
-            for i, member in enumerate(menu):
-                if member is a:
-                    break
-            else:
-                i = _position(menu, a)
-            if scored and i not in memo:
-                memo[i] = self._score(profiles[i], best, self._rows)
-            found.append(memo[i] if scored else profiles[i])
-        return (denominator, found) if scored else (scale, found)
-
     def profiles(self, menu: Sequence[Alternative], members: Sequence[Alternative]) -> tuple:
-        """The kept menu's L, and the members' profiles and its per-state best over L."""
-        scale, found = self._members(menu, members, scored=False)
-        return scale, found, self._last[2]
+        """The LCM L of the menu's denominators, and the members' profiles
+        and the menu's per-state best as ints over L."""
+        scale, profiles = over_common(menu)
+        return scale, [profiles[_position(menu, a)] for a in members], per_state_best(profiles)
 
     def rate(self, f: Alternative, menu: Sequence[Alternative]) -> Fraction:
         """The rule's score of the member f against the menu."""
-        denominator, (n,) = self._members(menu, (f,))
-        return Fraction(n, denominator)
+        scale, profiles = over_common(menu)
+        return self.rate_at(_position(menu, f), profiles, scale)
+
+    def rate_at(self, i: int, menu: Sequence[IntProfile], denominator: int) -> Fraction:
+        """The rule's score of menu[i], the menu's profiles ints over the denominator."""
+        return Fraction(self._score(menu[i], per_state_best(menu), self._rows), self._common * denominator)
 
     def _order(self, nf: int, ng: int) -> int:
         """+1 if the score numerator nf is strictly better than ng, -1 if worse, 0 if equal."""
@@ -603,8 +572,14 @@ class PreferenceOracle:
 
     def prefers(self, f: Alternative, g: Alternative, menu: Sequence[Alternative]) -> int:
         """+1 if f is strictly preferred to g in the menu, -1 if dispreferred, 0 if indifferent."""
-        _, (nf, ng) = self._members(menu, (f, g))
-        return self._order(nf, ng)
+        scale, profiles = over_common(menu)
+        return self.prefers_at(_position(menu, f), _position(menu, g), profiles, scale)
+
+    def prefers_at(self, i: int, j: int, menu: Sequence[IntProfile], denominator: int) -> int:
+        """`prefers` for menu[i] and menu[j], the menu's profiles ints over the
+        positive denominator (which a rule does not read; a custom order may)."""
+        best, score, rows = per_state_best(menu), self._score, self._rows
+        return self._order(score(menu[i], best, rows), score(menu[j], best, rows))
 
     def sign(self, x: IntProfile, y: IntProfile, best: IntProfile) -> int:
         """`prefers` for the profiles x and y in a menu whose per-state best is

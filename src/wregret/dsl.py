@@ -42,8 +42,8 @@ from typing import Callable, Mapping, Optional, Sequence
 
 from .decisions import Act, Lottery, Menu, UtilitySpec
 from .dynamics import DecisionNode, DecisionTree, Leaf, NatureNode, TreeNode
-from .errors import MalformedTree, ParseError
-from .measures import Event, Measure, WeightedMeasureSet
+from .errors import AllZeroWeights, MalformedTree, ParseError
+from .measures import Event, Measure, WeightedMeasureSet, normalize
 from .rational import RATIONAL_LITERAL, format_map, format_rational, parse_rational
 from .records import record
 
@@ -389,11 +389,11 @@ def _lottery_term(stream: _TokenStream):
 
 
 def _built(report: Callable[[Token, str], None], token: Token, make: Callable, *fields):
-    """`make(*fields)`, or None once the ValueError or MalformedTree it
-    raised has been reported at the token."""
+    """`make(*fields)`, or None once the ValueError, MalformedTree or
+    AllZeroWeights it raised has been reported at the token."""
     try:
         return make(*fields)
-    except (ValueError, MalformedTree) as exc:
+    except (ValueError, MalformedTree, AllZeroWeights) as exc:
         report(token, str(exc))
         return None
 
@@ -490,21 +490,16 @@ def _resolve_problem(states_decl, prizes_decl, utility_decl, sections, diagnosti
     hypotheses: dict[str, tuple[Measure, Fraction]] = {}
     for name, entry in sections["hypothesis"].items():
         weight, body = entry.payload
-        if not (0 <= weight <= 1):
-            err(entry.token, f"weight {format_rational(weight)} outside [0, 1]")
-            continue
         probs = resolve(body, state_set, "state", "hypothesis", cover=entry.token)
         measure = None if probs is None else _built(err, entry.token, Measure, probs)
-        if measure is not None:
+        # the weighted set owns the weight's range, and `normalize` the rule that one is positive
+        if measure is not None and _built(err, entry.token, WeightedMeasureSet, [(measure, weight)]) is not None:
             hypotheses[name] = (measure, weight)
 
-    if hypotheses:
+    first = next((entry.token for entry in sections["hypothesis"].values()), None)
+    if hypotheses and _built(err, first, normalize, WeightedMeasureSet(hypotheses.values())) is not None:
         top = max(w for _, w in hypotheses.values())
-        if top == 0:
-            any_tok = sections["hypothesis"][next(iter(sections["hypothesis"]))].token
-            err(any_tok, "every hypothesis has weight 0")
-        else:
-            hypotheses = {k: (m, w / top) for k, (m, w) in hypotheses.items()}
+        hypotheses = {k: (m, w / top) for k, (m, w) in hypotheses.items()}
 
     events: dict[str, Event] = {}
     for name, entry in sections["event"].items():

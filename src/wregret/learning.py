@@ -32,7 +32,7 @@ import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
-from itertools import accumulate, chain, groupby, repeat
+from itertools import accumulate, chain, groupby, repeat, starmap
 from operator import add, and_, eq, itemgetter, mul, sub, truediv
 from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
@@ -178,8 +178,12 @@ def _log(p: float) -> float:
 
 
 def _roundwise_max(columns: Sequence[Iterable[float]]) -> Iterable[float]:
-    """Each round's maximum over the columns, taken in column order."""
-    return map(max, *columns) if len(columns) > 1 else columns[0]
+    """Each round's maximum over the columns, taken in column order: on a tie
+    the first, as `max` keeps it (no column holds a NaN)."""
+    top = columns[0]
+    for column in columns[1:]:
+        top = [x if x >= y else y for x, y in zip(top, column)]
+    return top
 
 
 def simulate(
@@ -222,8 +226,8 @@ def simulate(
     # last outcome the truth can produce
     thresholds = tuple(accumulate(float(truth[o]) for o in model.outcomes))
     landing = (*model.outcomes, [o for o in model.outcomes if truth[o] > 0][-1])
-    random_draw = random.Random(seed).random
-    drawn = [landing[bisect_right(thresholds, random_draw())] for _ in range(rounds)]
+    draws = starmap(random.Random(seed).random, repeat((), rounds))
+    drawn = list(map(landing.__getitem__, map(bisect_right, repeat(thresholds), draws)))
     # one log-weight column per hypothesis, summed left to right as the rounds go
     log_weights = []
     for h in hypotheses:

@@ -186,9 +186,14 @@ class MutantOracle(PreferenceOracle):
     def __init__(self, fixtures, relation):
         super().__init__("seu", fixtures.measures[0], fixtures.utility, fixtures.state_space)
         self.relation = relation
+        # the oracle a relation reads as `o`: plain seu, as `_seu` compares
+        # through `prefers`, which would come back here
+        self.plain = PreferenceOracle("seu", fixtures.measures[0], fixtures.utility, fixtures.state_space)
 
-    def prefers(self, f, g, menu) -> int:
-        return self.relation(self, f, g, menu)
+    def prefers_at(self, i, j, menu, denominator) -> int:
+        # the relation sees the int menu as alternatives with its utilities
+        menu = tuple(Alternative.from_ints(f"a{k}", v, denominator) for k, v in enumerate(menu))
+        return self.relation(self.plain, menu[i], menu[j], menu)
 
     def sign(self, x, y, best) -> int:
         # the mixture judges compare int profiles against a per-state best; the
@@ -196,7 +201,7 @@ class MutantOracle(PreferenceOracle):
         # the true ones times a positive factor, which the relation listed
         # against those axioms ("squares") does not depend on
         f, g, b = (Alternative.from_ints(name, v, 1) for name, v in zip("xyb", (x, y, best)))
-        return self.relation(self, f, g, (f, g, b))
+        return self.relation(self.plain, f, g, (f, g, b))
 
 
 class TestMutantOracles:
@@ -242,13 +247,17 @@ class TestCustomOracles:
             class ReversedSignOnly(PreferenceOracle):
                 def sign(self, x, y, best) -> int:
                     return -super().sign(x, y, best)
+        with pytest.raises(TypeError, match="sign"):
+            class ReversedPrefersAtOnly(PreferenceOracle):
+                def prefers_at(self, i, j, menu, denominator) -> int:
+                    return -super().prefers_at(i, j, menu, denominator)
 
     @pytest.mark.parametrize("axiom", ["5", "7", "11"])
     def test_a_consistent_reversed_oracle_is_judged_by_its_own_order(self, fixtures, axiom):
         # reversing seu keeps its continuity and both independence axioms
         class ReversedSeu(PreferenceOracle):
-            def prefers(self, f, g, menu) -> int:
-                return -super().prefers(f, g, menu)
+            def prefers_at(self, i, j, menu, denominator) -> int:
+                return -super().prefers_at(i, j, menu, denominator)
 
             def sign(self, x, y, best) -> int:
                 return -super().sign(x, y, best)
@@ -646,6 +655,37 @@ class TestFractionBudget:
         assert checked == 40
 
 
+class TestAlternativeBudget:
+    def test_clean_sampled_reports_build_no_alternatives(self, fixtures, monkeypatch):
+        # sampled instances are int profiles: a clean report builds no
+        # alternative, whatever the sample count, but for the menu of its
+        # no-witness-in-grid exemplar (axiom 5), if it keeps one
+        built = [0]
+        from_ints = Alternative.from_ints.__func__
+
+        def counted(call):
+            def wrapper(*args):
+                built[0] += 1
+                return call(*args)
+            return wrapper
+
+        oracles = {rule: fixtures.oracle(rule) for rule in MATRIX_RULES}
+        monkeypatch.setattr(Alternative, "__init__", counted(Alternative.__init__))
+        monkeypatch.setattr(Alternative, "from_ints", classmethod(counted(from_ints)))
+        checked = 0
+        for axiom in ("1", "2", "4", "5", "8", "9"):
+            for rule, oracle in oracles.items():
+                for samples in (50, 200):
+                    built[0] = 0
+                    config = GeneratorConfig(samples=samples, include_curated=False)
+                    report = check_axiom(axiom, oracle, config, seed=0)
+                    if report.verdict == "no-violation-found":
+                        checked += 1
+                        exemplar = report.unwitnessed_example
+                        assert built[0] == (0 if exemplar is None else len(exemplar.menu)), (axiom, rule, samples)
+        assert checked == 60
+
+
 class TestDefaultFixtures:
     def test_default_fixtures_are_the_bundled_weighted_delivery_problem(
         self, delivery_utility, delivery_measures, delivery_wset
@@ -714,7 +754,8 @@ class TestMixtureJudgesAgainstReference:
                         continue
                     judged += 1
                     verdict = entry.judge(oracle, instance)
-                    assert verdict == judge(oracle, instance), (fixtures_of.__name__, axiom, judged)
+                    named = axioms._named(instance)  # the drawn acts as alternatives
+                    assert verdict == judge(oracle, named), (fixtures_of.__name__, axiom, judged)
                     verdicts.append((axiom, verdict if isinstance(verdict, str) else "finding"))
         # each judge meets applicable instances, and the comparison meets findings
         assert {axiom for axiom, verdict in verdicts if verdict != "vacuous"} == {"5", "7", "11"}
@@ -771,8 +812,11 @@ class TestMatrixWork:
         # axiom_matrix(seed=0, samples=22) on delivery_weighted.dp; before
         # members were scored once per kept menu and the mixture judges
         # worked on ints, it made 7,019 kernel calls and 1,951 menu
-        # conversions, and built 7,293 alternatives; the mixture judges take
-        # their profiles from the oracle's kept conversion
+        # conversions, and built 7,293 alternatives; with a kept menu, 4,443,
+        # 1,654 and 5,954.  Draws are int profiles now and each comparison
+        # scores its two members in the whole int menu, so alternatives are
+        # built, and alternative menus converted, only for the curated
+        # instances and the witnesses
         doc = parse_problem(fixture_text("delivery_weighted.dp"))
         fixtures = BeliefFixtures(doc.utility, doc.states, doc.measures(), doc.weighted_set())
         counts = {"kernel": 0, "over_common": 0, "alternatives": 0}
@@ -793,7 +837,7 @@ class TestMatrixWork:
         matrix = axiom_matrix(fixtures=fixtures, seed=0, config=GeneratorConfig(samples=22))
         monkeypatch.undo()
         assert matrix.cells[("mwer", "ax12")] == matrix.cells[("mmeu", "independence")] == "violated"
-        assert counts == {"kernel": 4443, "over_common": 1654, "alternatives": 5954}
+        assert counts == {"kernel": 7019, "over_common": 10, "alternatives": 48}
 
 
 SEVEN_STATES = tuple(f"s{i}" for i in range(7))

@@ -299,7 +299,7 @@ _EVENTS = _HEAD + "event es = { s }\nevent et = { t }\n"
     pytest.param(_HEAD + "menu m = [ ]\n", None, (4, 6, "a menu needs at least one act"), id="empty-menu"),
     pytest.param(
         _HEAD + "hypothesis h weight 0 = { s: 1, t: 0 }\nhypothesis k weight 0 = { s: 0, t: 1 }\n", None,
-        (4, 12, "every hypothesis has weight 0"), id="zero-weights",
+        (4, 12, "cannot normalize a set whose weights are all zero"), id="zero-weights",
     ),
     pytest.param(
         _EVENTS, "decision d { branch b = leaf utility 0, branch b = leaf utility 1 }",
