@@ -232,9 +232,9 @@ def regret_profile(act: Act, menu: Menu, u: UtilitySpec) -> dict[str, Fraction]:
     """The act's regret in every state, from a regret oracle's int profiles."""
     i = _position(menu.acts, act)  # raises ActNotInMenu for a non-member
     oracle = PreferenceOracle("regret", None, u, menu.state_space)
-    alternatives = oracle.alternatives(menu)
-    scale, (x,), best = oracle.profiles(alternatives, alternatives[i:i + 1])
-    return {state: Fraction(b - n, scale) for state, b, n in zip(oracle.state_space, best, x)}
+    scale, profiles = over_common(oracle.alternatives(menu))
+    best = per_state_best(profiles)
+    return {state: Fraction(b - n, scale) for state, b, n in zip(oracle.state_space, best, profiles[i])}
 
 
 def max_regret(act: Act, menu: Menu, u: UtilitySpec) -> Fraction:
@@ -495,7 +495,7 @@ class PreferenceOracle:
     Its per-member entry points are on ints: `prefers_at` compares two
     members, by position, of a menu of int profiles over one positive
     denominator, `rate_at` scores one, and `sign` compares two int profiles
-    against a per-state best.  `prefers`, `rate` and `profiles` put a menu of
+    against a per-state best.  `prefers` and `rate` put a menu of
     alternatives over the oracle's sorted `state_space` over the LCM of their
     denominators and find the members (by identity, else by equality); nothing
     is kept between calls.  `scores` scores a whole menu, `score` an act of a
@@ -548,12 +548,6 @@ class PreferenceOracle:
                 raise ValueError(f"duplicate name {a.name!r} in the menu")
             numerators[a.name] = n
         return numerators, {name: Fraction(n, denominator) for name, n in numerators.items()}
-
-    def profiles(self, menu: Sequence[Alternative], members: Sequence[Alternative]) -> tuple:
-        """The LCM L of the menu's denominators, and the members' profiles
-        and the menu's per-state best as ints over L."""
-        scale, profiles = over_common(menu)
-        return scale, [profiles[_position(menu, a)] for a in members], per_state_best(profiles)
 
     def rate(self, f: Alternative, menu: Sequence[Alternative]) -> Fraction:
         """The rule's score of the member f against the menu."""

@@ -7,14 +7,14 @@ Edmonds 1967; Bareiss 1968): the data go over one common denominator
 divisor, and every pivot goes through one step (`_pivot_step`) and one
 ratio test (`_leaving_row`).
 
-`in_downward_convex_hull` is the one membership test of the hull behind
-`measures.to_hull` and `measures.hull_equal`: integer certificates decide
-most points, and the polar LP (`in_hull_by_polar_lp`), which starts
-feasible at its slack basis and stops as soon as the answer is known,
-decides the rest without building a `Fraction`.  `solve_nonneg`, a
-phase-1 simplex for x >= 0 with A x = b, returns a certificate vector when
-the system is feasible, which the tests verify independently; nothing in
-the package calls it.
+`in_downward_convex_hull` is the membership test by which building a
+`measures.RegularHull` prunes its generators; hull equality needs none.
+Integer certificates decide most points, and the polar LP
+(`in_hull_by_polar_lp`), which starts feasible at its slack basis and
+stops as soon as the answer is known, decides the rest without building a
+`Fraction`.  `solve_nonneg`, a phase-1 simplex for x >= 0 with A x = b,
+returns a certificate vector when the system is feasible, which the tests
+verify independently; nothing in the package calls it.
 """
 
 from __future__ import annotations

@@ -263,33 +263,37 @@ class SubProbabilityVector(IntVector):
 
 
 class RegularHull(Frozen):
-    """Generator view of a downward-closed convex set of sub-probability vectors.
+    """The downward closure of the generators' convex hull, a set of
+    sub-probability vectors, held by its one minimal generating set.
 
-    The represented set is the downward closure of the generators' convex
-    hull.  `to_hull` keeps only vertices of that closure: no generator it
-    returns lies in the downward-convex hull of the others.  The constructor
-    does not prune, so a hand-built hull may also list dominated or inner
-    points.  At least one generator must be a proper probability measure
-    (total mass one).
+    Take two generating sets G1 and G2 of one such set, and a g in G1 that
+    is not in the downward-convex hull of the rest of G1.  Then g <= sum of
+    lambda_i h_i over G2, and each h_i lies below a combination of G1;
+    unless every h_i with lambda_i > 0 equals g, g lies below a combination
+    of G1 without g, against its minimality.  So g is in G2: the minimal
+    generating set is unique.  Building a hull, from hand-given generators
+    or by `to_hull`, prunes to it (`_set_vertices`), ascending, as reduced
+    ints, so two hulls are the same set exactly when their generator tuples
+    are equal, which `==` and `hash` compare.  At least one generator must
+    be a proper probability measure (total mass one).
     """
 
     __slots__ = ("generators", "state_space")
 
     def __init__(self, generators: Iterable[SubProbabilityVector], state_space: Sequence[str]):
-        generators = tuple(generators)
-        states = tuple(state_space)
-        ordered = tuple(sorted(states))
+        generators, ordered = tuple(generators), tuple(sorted(state_space))
         if not generators:
             raise EmptySet("a hull needs at least one generator")
         for g in generators:
             if g.state_space != ordered:
-                raise DimensionMismatch(
-                    f"generator over {g.state_space} does not match state space {ordered}"
-                )
-        if all(sum(g.numerators) != g.denominator for g in generators):
-            raise ValueError("a regular hull must contain a proper probability measure")
-        object.__setattr__(self, "generators", generators)
-        object.__setattr__(self, "state_space", states)
+                raise DimensionMismatch(f"generator over {g.state_space} does not match state space {ordered}")
+        _set_vertices(self, state_space, *over_common(generators))
+
+    def __eq__(self, other: object) -> bool:
+        return isinstance(other, RegularHull) and self.generators == other.generators
+
+    def __hash__(self) -> int:
+        return hash(self.generators)
 
     def __reduce__(self):
         return RegularHull, (self.generators, self.state_space)
@@ -298,26 +302,21 @@ class RegularHull(Frozen):
         return f"RegularHull({len(self.generators)} generators over {self.state_space})"
 
 
-def to_hull(wset: WeightedMeasureSet) -> RegularHull:
-    """The regular hull of the weight * measure points, kept to its vertices.
+def _set_vertices(hull: RegularHull, states: Sequence[str], denominator: int, rows: list) -> RegularHull:
+    """Set the hull's fields: its generators are the vertices among the int
+    rows over the denominator, ascending.
 
-    The points go over one denominator as distinct int vectors.  A point
-    that another dominates componentwise is dropped: a dominator has the
-    larger total, so a sweep by descending total compares each point with
-    the maximal points found so far.  A maximal point is dropped when
+    A row that another dominates componentwise is dropped: a dominator has
+    the larger total, so a sweep by descending total compares each distinct
+    row with the maximal rows found so far.  A maximal row is dropped when
     `in_downward_convex_hull` (outside by a direction, inside below a
     segment between two others, then the polar LP, all on the ints) puts
-    it in the hull of the others kept.  Dropping such a point never
-    shrinks the hull, so in any order the kept points are exactly those
-    outside the downward-convex hull of all the other points, the vertices
-    of the downward hull that no other point reaches.  They become the
-    generators, ascending.  Since MWER preferences fix a weighted set only
-    up to this hull, two sets with equal hulls rank every menu alike.  Some
-    entry must have weight 1 (as `normalize` gives), else `RegularHull`
-    finds no proper probability measure and raises ValueError.
+    it in the hull of the others kept.  Dropping such a row never shrinks
+    the hull, so in any order the kept rows are exactly those outside the
+    downward-convex hull of all the other rows.
     """
-    order = tuple(sorted(wset.state_space))
-    denominator, rows = weighted_rows([(w, m) for m, w in wset.entries])
+    if all(sum(v) != denominator for v in rows):
+        raise ValueError("a regular hull must contain a proper probability measure")
     maximal: list[tuple[int, ...]] = []
     for v in sorted(set(rows), key=lambda v: (-sum(v), v)):
         if not any(all(map(ge, u, v)) for u in maximal):
@@ -326,8 +325,20 @@ def to_hull(wset: WeightedMeasureSet) -> RegularHull:
     for g in maximal:
         if in_downward_convex_hull(g, [h for h in kept if h != g]):
             kept.remove(g)
-    generators = [SubProbabilityVector.from_ints(order, v, denominator) for v in sorted(kept)]
-    return RegularHull(generators, wset.state_space)
+    order = tuple(sorted(states))
+    generators = tuple([SubProbabilityVector.from_ints(order, v, denominator) for v in sorted(kept)])
+    object.__setattr__(hull, "generators", generators)
+    object.__setattr__(hull, "state_space", tuple(states))
+    return hull
+
+
+def to_hull(wset: WeightedMeasureSet) -> RegularHull:
+    """The regular hull of the weight * measure points (`weighted_rows`),
+    pruned once.  Since MWER preferences fix a weighted set only up to this
+    hull, two sets with equal hulls rank every menu alike.  Some entry must
+    have weight 1 (as `normalize` gives), else ValueError."""
+    rows = weighted_rows([(w, m) for m, w in wset.entries])
+    return _set_vertices(object.__new__(RegularHull), wset.state_space, *rows)
 
 
 def support_value(hull: RegularHull, direction: Mapping[str, Rational]) -> Fraction:
@@ -349,27 +360,12 @@ def support_value(hull: RegularHull, direction: Mapping[str, Rational]) -> Fract
 
 
 def hull_equal(first: RegularHull, second: RegularHull) -> bool:
-    """Do two hulls represent the same downward-closed convex set?
-
-    Checked by exact mutual containment: every generator of each hull lies in
-    the other's downward-convex closure.  That closure is convex and
-    downward closed, so containing a hull's generators means containing the
-    hull, and the generators need no pruning first.  A generator that is
-    also one of the other hull's is contained; `in_downward_convex_hull`
-    decides the rest on the generators' ints (inside at or below one
-    generator or below a segment between two, outside by a direction, then
-    the polar LP), so the test builds no `Fraction`.
-    """
+    """Do two hulls represent the same downward-closed convex set?  A hull
+    holds its one minimal generating set, so exactly when they are `==`;
+    hulls over different state spaces raise DimensionMismatch."""
     if sorted(first.state_space) != sorted(second.state_space):
         raise DimensionMismatch("hulls are defined over different state spaces")
-    _, vectors = over_common(first.generators + second.generators)
-    vecs_a, vecs_b = vectors[: len(first.generators)], vectors[len(first.generators):]
-
-    def contained(vecs: list[tuple[int, ...]], hull: list[tuple[int, ...]]) -> bool:
-        members = set(hull)
-        return all(v in members or in_downward_convex_hull(v, hull) for v in vecs)
-
-    return contained(vecs_a, vecs_b) and contained(vecs_b, vecs_a)
+    return first == second
 
 
 def worst_weighted_regret_oracle(

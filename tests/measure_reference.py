@@ -10,7 +10,9 @@ weight * measure points that lie outside the downward-convex hull of the
 other points, ascending; membership is the library's exact simplex alone
 (`linfeas.solve_nonneg`, which `linfeas_reference` checks on its own) on the
 system `linfeas_reference.hull_system` builds, without the integer
-certificates that `linfeas.in_downward_convex_hull` tries first.
+certificates that `linfeas.in_downward_convex_hull` tries first.  Hull
+equality is mutual containment decided by that simplex, as the library
+decided it before a hull was pruned when built.
 """
 
 from __future__ import annotations
@@ -88,3 +90,15 @@ def hull_generators(entries: list[tuple[Map, Fraction]]) -> list[tuple[Fraction,
         return solve_nonneg(*hull_system(point, [other for other in points if other != point])) is None
 
     return [point for point in points if outside(point)]
+
+
+def same_hull(first: list[tuple[Fraction, ...]], second: list[tuple[Fraction, ...]]) -> bool:
+    """Do the two point lists generate one downward-convex hull?  Each point
+    of either must lie in the downward-convex hull of the other list; that
+    hull is convex and downward closed, so it then holds the other hull.  A
+    point that is also in the other list is contained without an LP."""
+
+    def contained(points: list[tuple[Fraction, ...]], hull: list[tuple[Fraction, ...]]) -> bool:
+        return all(p in hull or solve_nonneg(*hull_system(p, hull)) is not None for p in points)
+
+    return contained(first, second) and contained(second, first)

@@ -3,6 +3,7 @@
 import copy
 import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -694,7 +695,8 @@ class TestHullEqual:
                 assert hull_equal(a, b)
 
     def test_unpruned_hull_equals_its_pruned_twin(self):
-        # hull_equal compares generator sets as given, without pruning them
+        # building a hull from hand-given generators prunes them to the
+        # generators to_hull keeps
         states = ("x", "y", "z")
         p = Measure({"x": F(1, 2), "y": F(1, 2), "z": 0})
         q = Measure({"x": 0, "y": F(1, 2), "z": F(1, 2)})
@@ -703,7 +705,8 @@ class TestHullEqual:
         raw = [SubProbabilityVector({s: w * m[s] for s in states}) for m, w in wset.entries]
         unpruned = RegularHull(raw, states)
         pruned = to_hull(wset)
-        assert len(pruned.generators) < len(unpruned.generators)
+        assert len(pruned.generators) < len(raw)
+        assert unpruned.generators == pruned.generators
         assert hull_equal(unpruned, pruned)
         assert hull_equal(pruned, unpruned)
         grown = RegularHull(raw + [spv(x=0, y=0, z=1)], states)
@@ -711,9 +714,9 @@ class TestHullEqual:
         assert not hull_equal(pruned, grown)
 
     def test_shared_generators_need_no_lp(self, monkeypatch):
-        # a generator that is also one of the other hull's is contained in it
-        # without a membership LP, and so is the extra zero vector, which
-        # lies below a generator
+        # hull equality compares generators and makes no membership LP; the
+        # extra zero vector lies below a generator, so building grown drops
+        # it in the domination sweep, and here the kept vertices need no LP
         from wregret import linfeas
 
         hull = to_hull(random_wset(random.Random(21), ("x", "y", "z"), 6))
@@ -723,6 +726,62 @@ class TestHullEqual:
         assert hull_equal(hull, hull) and calls == []
         grown = RegularHull([*hull.generators, spv(x=0, y=0, z=0)], hull.state_space)
         assert hull_equal(hull, grown) and calls == []
+
+    def test_a_hull_is_a_value(self):
+        # a hull hand-built from the raw weight * measure points is to_hull's,
+        # and so are its copies; hulls over other states are unequal to it,
+        # which hull_equal refuses to compare
+        wset = random_wset(random.Random(38), ("x", "y", "z"), 6)
+        raw = RegularHull([SubProbabilityVector({s: w * m[s] for s in wset.state_space}) for m, w in wset.entries],
+                          wset.state_space)
+        hull = to_hull(wset)
+        assert raw == hull and hash(raw) == hash(hull)
+        for twin in (copy.copy(hull), copy.deepcopy(hull), pickle.loads(pickle.dumps(hull))):
+            assert twin == hull and hash(twin) == hash(hull)
+        other = RegularHull([spv(x=1, y=0)], ("x", "y"))
+        assert hull != other and other != hull
+        with pytest.raises(DimensionMismatch):
+            hull_equal(hull, other)
+
+    def test_equality_is_mutual_containment(self):
+        # 3,000 seeded pairs over 2-6 states, 1-12 measures and weights in
+        # eighths, where an entry has weight 1: a set against its rescaled
+        # set normalized, against itself with dominated and zero-weight
+        # entries added, against itself with one weight lowered, and against
+        # an unrelated set; == agrees with the reference mutual containment
+        rng = random.Random(38)
+        outcomes = Counter()
+
+        def draw(states, least):
+            entries = [(random_measure(rng, states, rng.choice((2, 4, 12))), F(rng.randint(0, 8), 8))
+                       for _ in range(rng.randint(least, 12))]
+            entries[0] = (entries[0][0], F(1))
+            return entries
+
+        for i in range(3000):
+            kind = ("normalized", "dominated", "lowered", "unrelated")[i % 4]
+            states = tuple(f"s{k}" for k in range(rng.randint(2, 6)))
+            first = draw(states, 2 if kind == "lowered" else 1)
+            if kind == "normalized":
+                scale = F(rng.randint(1, 8), 8)
+                second = normalize(WeightedMeasureSet([(m, w * scale) for m, w in first], states)).entries
+            elif kind == "dominated":
+                second = first + [(m, w * F(rng.randint(0, 7), 8)) for m, w in first if rng.random() < 0.5]
+                second += [(random_measure(rng, states), F(0)) for _ in range(rng.randint(1, 3))]
+                rng.shuffle(second)
+            elif kind == "lowered":
+                second = list(first)
+                j = rng.randrange(1, len(second))
+                second[j] = (second[j][0], second[j][1] * F(rng.randint(0, 7), 8))
+            else:
+                second = draw(states, 1)
+            a, b = (to_hull(WeightedMeasureSet(entries, states)) for entries in (first, second))
+            points = [[tuple(v for _, v in g.items()) for g in h.generators] for h in (a, b)]
+            equal = reference.same_hull(*points)
+            assert (a == b) == hull_equal(a, b) == equal, (kind, first, second)
+            outcomes[kind, equal] += 1
+        assert outcomes["normalized", True] == outcomes["dominated", True] == 750
+        assert outcomes["lowered", True] and outcomes["lowered", False] and outcomes["unrelated", False]
 
     def test_dimension_mismatch(self, delivery_wset):
         hull = to_hull(delivery_wset)

@@ -316,9 +316,10 @@ def test_one_form_for_each_immutable_value():
     assert set(makes) == {"records.py"}
 
 
-# the classes whose instances change as they are used, with the reason
+# the classes whose instances change as they are used or take a subclass's own
+# attributes, with the reason
 STATEFUL = {
-    decisions.PreferenceOracle: "keeps the last menu `rate` and `prefers` were asked about",
+    decisions.PreferenceOracle: "keeps nothing between calls, but custom oracles extend its `__dict__`",
     axioms.Sampler: "draws from its own random stream",
     dsl._TokenStream: "advances through the tokens as it parses",
     cli._ArgumentParser: "an argparse parser, built up by adding arguments",
@@ -361,7 +362,7 @@ VALUES = {
 
 
 def _fields(value, names: tuple) -> list:
-    """The fields' values, a `Menu` (which compares by identity) read as its acts."""
+    """The fields' values, a `Menu` read as its acts, which `Menu.__eq__` compares."""
     fields = [getattr(value, name) for name in names]
     return [field.acts if isinstance(field, decisions.Menu) else field for field in fields]
 
