@@ -51,7 +51,7 @@ class UtilitySpec(IntVector):
     least.  `[prize]` and `utility()` build exact `Fraction`s when read."""
 
     __slots__ = ("__weakref__", "_utils")
-    _value, _key = "utility", "prize"
+    _value_name, _key_name = "utility", "prize"
 
     def _fill(self, keys: tuple[str, ...], numerators: tuple[int, ...], denominator: int) -> None:
         super()._fill(keys, numerators, denominator)
@@ -81,7 +81,7 @@ class Lottery(IntVector):
     support, since a prize of probability zero is left out."""
 
     __slots__ = ()
-    _value, _key = "probability", "prize"
+    _value_name, _key_name = "probability", "prize"
 
     def _fill(self, keys: tuple[str, ...], numerators: tuple[int, ...], denominator: int) -> None:
         support = [(key, n) for key, n in zip(keys, numerators) if n]
@@ -94,6 +94,8 @@ class Lottery(IntVector):
 
     def mix(self, weight: Rational, other: "Lottery") -> "Lottery":
         weight = exact(weight, "mixture weight")
+        if not (0 <= weight <= 1):
+            raise ValueError("mixture weight must lie in [0, 1]")
         probs = {prize: (1 - weight) * p for prize, p in other.items()}
         for prize, p in self.items():
             probs[prize] = weight * p + probs.get(prize, 0)
@@ -149,14 +151,11 @@ class Act(Frozen):
         """Expected utility per state, in sorted state order (read-only)."""
         return MappingProxyType(dict(zip(self.state_space, self.alternative(u).profile)))
 
-    def __reduce__(self):
-        return Act, (self.name, dict(self._items))
+    def _args(self) -> tuple:
+        return self.name, dict(self._items)
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Act) and self.name == other.name and self._items == other._items
-
-    def __hash__(self) -> int:
-        return hash((self.name, self._items))
+    def _key(self) -> tuple:
+        return self.name, self._items
 
     def __repr__(self) -> str:
         return f"Act({self.name!r})"
@@ -205,14 +204,8 @@ class Menu(Frozen):
         best = per_state_best([act.alternative(u).profile for act in self.acts])
         return MappingProxyType(dict(zip(self.state_space, best)))
 
-    def __reduce__(self):
-        return Menu, (self.acts,)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Menu) and self.acts == other.acts
-
-    def __hash__(self) -> int:
-        return hash(self.acts)
+    def _args(self) -> tuple:
+        return (self.acts,)
 
     def __repr__(self) -> str:
         return f"Menu([{', '.join(a.name for a in self.acts)}])"
@@ -462,21 +455,15 @@ class Alternative(Frozen):
         d = self.denominator
         return tuple([Fraction(n, d) for n in self.numerators])
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Alternative):
-            return NotImplemented
-        x, y, d, e = self.numerators, other.numerators, self.denominator, other.denominator
-        if self.name != other.name or len(x) != len(y):
-            return False
-        return all(a * e == b * d for a, b in zip(x, y))
+    _build = from_ints
 
-    def __hash__(self) -> int:
+    def _args(self) -> tuple:
+        return self.name, self.numerators, self.denominator
+
+    def _key(self) -> tuple:
         d = self.denominator
         g = gcd(d, *self.numerators)
-        return hash((self.name, d // g, tuple([n // g for n in self.numerators])))
-
-    def __reduce__(self):
-        return Alternative.from_ints, (self.name, self.numerators, self.denominator)
+        return self.name, d // g, tuple([n // g for n in self.numerators])
 
     def __repr__(self) -> str:
         return f"Alternative(name={self.name!r}, profile={self.profile!r})"
@@ -685,10 +672,8 @@ def mixture_name(weight: Fraction, first: str, second: str) -> str:
 
 
 def mix(weight: Rational, f: Act, g: Act) -> Act:
-    """Statewise lottery mixture weight*f + (1-weight)*g, for an exact weight (a float raises TypeError)."""
+    """Statewise lottery mixture weight*f + (1-weight)*g, for an exact weight in [0, 1]."""
     weight = exact(weight, "mixture weight")
-    if not (0 <= weight <= 1):
-        raise ValueError("mixture weight must lie in [0, 1]")
     if f.state_space != g.state_space:
         raise DimensionMismatch("cannot mix acts over different state spaces")
     return Act(mixture_name(weight, f.name, g.name), {s: f[s].mix(weight, g[s]) for s in f.state_space})

@@ -83,7 +83,8 @@ class Probe(Frozen):
 
     Its float tables are built from the exact scores of one hypothesis at a
     time, on first use, and kept for every later run; `measures` is copied
-    read-only, so the tables cannot go stale.
+    read-only, so the tables cannot go stale.  Equal arguments build equal,
+    unhashable probes.
     """
 
     # `measures` maps each hypothesis to its state-level measure, `acts` is
@@ -97,8 +98,8 @@ class Probe(Frozen):
         for slot, value in zip(Probe.__slots__, (menu, utility, MappingProxyType(dict(measures)), acts, {}, {})):
             object.__setattr__(self, slot, value)
 
-    def __reduce__(self):
-        return Probe, (self.menu, self.utility, dict(self.measures))
+    def _args(self) -> tuple:
+        return self.menu, self.utility, dict(self.measures)
 
     def _measure(self, hypothesis: str) -> Measure:
         measure = self.measures.get(hypothesis)

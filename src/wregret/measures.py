@@ -36,27 +36,24 @@ ZERO = Fraction(0)
 
 
 class Event(Frozen):
-    """A subset of state labels."""
+    """A subset of state labels; a string raises TypeError rather than being split into letters."""
 
     __slots__ = ("members",)
 
     def __init__(self, members: Iterable[str]):
+        if isinstance(members, str):
+            raise TypeError(f"an event is a collection of states, not the string {members!r}:"
+                            f" wrap a single state as [{members!r}]")
         object.__setattr__(self, "members", frozenset(members))
+
+    def _args(self) -> tuple:
+        return (self.members,)
 
     def __contains__(self, state: str) -> bool:
         return state in self.members
 
     def __and__(self, other: "Event") -> "Event":
         return Event(self.members & other.members)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, Event) and self.members == other.members
-
-    def __hash__(self) -> int:
-        return hash(self.members)
-
-    def __reduce__(self):
-        return Event, (self.members,)
 
     def __repr__(self) -> str:
         return f"Event({{{', '.join(sorted(self.members))}}})"
@@ -76,7 +73,7 @@ class Measure(IntVector):
     appears, possibly with probability zero, and the values sum to one."""
 
     __slots__ = ()
-    _value, _key = "probability", "state"
+    _value_name, _key_name = "probability", "state"
 
     def _check(self) -> None:
         self._nonnegative()
@@ -150,18 +147,12 @@ class WeightedMeasureSet(Frozen):
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "state_space", states)
 
-    def _canonical(self) -> tuple:
+    def _args(self) -> tuple:
+        return self.entries, self.state_space
+
+    def _key(self) -> tuple:
         """The sorted states, then the sorted (numerators, weight) pairs."""
         return tuple(sorted(self.state_space)), tuple(sorted((m.numerators, w) for m, w in self.entries))
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, WeightedMeasureSet) and self._canonical() == other._canonical()
-
-    def __hash__(self) -> int:
-        return hash(self._canonical())
-
-    def __reduce__(self):
-        return WeightedMeasureSet, (self.entries, self.state_space)
 
     def __repr__(self) -> str:
         inner = ", ".join(f"({m!r}, {format_rational(w)})" for m, w in self.entries)
@@ -252,7 +243,7 @@ class SubProbabilityVector(IntVector):
     over its states."""
 
     __slots__ = ()
-    _value, _key = "mass", "state"
+    _value_name, _key_name = "mass", "state"
 
     def _check(self) -> None:
         self._nonnegative()
@@ -289,14 +280,11 @@ class RegularHull(Frozen):
                 raise DimensionMismatch(f"generator over {g.state_space} does not match state space {ordered}")
         _set_vertices(self, state_space, *over_common(generators))
 
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, RegularHull) and self.generators == other.generators
+    def _args(self) -> tuple:
+        return self.generators, self.state_space
 
-    def __hash__(self) -> int:
-        return hash(self.generators)
-
-    def __reduce__(self):
-        return RegularHull, (self.generators, self.state_space)
+    def _key(self) -> tuple:
+        return self.generators
 
     def __repr__(self) -> str:
         return f"RegularHull({len(self.generators)} generators over {self.state_space})"

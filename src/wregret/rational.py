@@ -93,15 +93,15 @@ class IntVector(Frozen):
     their gcd, so vectors of one type are equal, and hash alike, exactly when
     their `items()` are.  `items()`, `[key]` and `total()` build `Fraction`s
     only when read.  Built from a mapping of exact values or by `from_ints`,
-    a vector then meets its type's `_check`; it is immutable, and copies and
-    pickles are rebuilt through `from_ints`.
+    a vector then meets its type's `_check`; it is immutable, and a
+    `records.Frozen` rebuilt through `from_ints`.
     """
 
     __slots__ = ("keys", "numerators", "denominator")
-    _value, _key = "value", "key"  # how an error message names a value and its key
+    _value_name, _key_name = "value", "key"  # how an error message names a value and its key
 
     def __init__(self, values: Mapping[str, Union[Rational, str]]):
-        items = sorted((key, exact(v, self._value, key, self._key)) for key, v in values.items())
+        items = sorted((key, exact(v, self._value_name, key, self._key_name)) for key, v in values.items())
         denominator, (numerators,) = as_integers([[v for _, v in items]])
         # over the LCM of their reduced denominators the numerators are coprime
         self._fill(tuple([key for key, _ in items]), numerators, denominator)
@@ -113,6 +113,11 @@ class IntVector(Frozen):
         if len(keys) != len(numerators) or denominator < 1 or not all(map(lt, keys, keys[1:])):
             raise ValueError("from_ints needs sorted distinct keys, one numerator each, a denominator > 0")
         return cls._reduced(keys, numerators, denominator)
+
+    _build = from_ints
+
+    def _args(self) -> tuple:
+        return self.keys, self.numerators, self.denominator
 
     @classmethod
     def _reduced(cls, keys: tuple[str, ...], numerators: tuple[int, ...], denominator: int) -> "IntVector":
@@ -136,7 +141,7 @@ class IntVector(Frozen):
         for key, n in zip(self.keys, self.numerators):
             if n < 0:
                 value = Fraction(n, self.denominator)
-                raise ValueError(f"negative {self._value} {value} for {self._key} {key!r}")
+                raise ValueError(f"negative {self._value_name} {value} for {self._key_name} {key!r}")
 
     def items(self) -> tuple[tuple[str, Fraction], ...]:
         d = self.denominator
@@ -151,16 +156,6 @@ class IntVector(Frozen):
 
     def total(self) -> Fraction:
         return Fraction(sum(self.numerators), self.denominator)
-
-    def __reduce__(self):
-        return type(self).from_ints, (self.keys, self.numerators, self.denominator)
-
-    def __eq__(self, other: object) -> bool:
-        mine = (self.numerators, self.denominator, self.keys)
-        return type(other) is type(self) and mine == (other.numerators, other.denominator, other.keys)
-
-    def __hash__(self) -> int:
-        return hash((self.keys, self.numerators, self.denominator))
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{key}: {format_rational(v)}" for key, v in self.items())

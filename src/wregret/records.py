@@ -1,5 +1,6 @@
 """Immutable values: `record` builds a class body of annotated fields as a
-`namedtuple`, and `Frozen` is the base of the classes that are not tuples.
+`namedtuple`, which compares, hashes and copies as its tuple; `Frozen` is the
+base of the other classes, which do so as the arguments that rebuild them.
 
 `typing.NamedTuple` checks every field annotation when it builds the class.
 Under `from __future__ import annotations` each annotation is a string, and
@@ -75,9 +76,31 @@ def record(cls: type) -> type:
 class Frozen:
     """A base whose instances refuse attribute assignment and deletion.  A
     subclass declares its fields as `__slots__` and sets them once, when
-    built, through `object.__setattr__` or the slots' descriptors."""
+    built, through `object.__setattr__` or the slots' descriptors.  It states
+    `_args()`, the arguments that rebuild a value through `_build` (another
+    constructor, such as `from_ints`, or else the class), as copying and
+    pickling do.  `==` and `hash` compare `_key()`: `_args`, unless the
+    subclass states a coarser key; a value equals only values of its type,
+    and one whose key holds a dict is unhashable, as such a record is.
+    """
 
     __slots__ = ()
+    _build = None
+
+    def __init_subclass__(cls):
+        if "_args" in vars(cls) and "_key" not in vars(cls):
+            cls._key = cls._args  # not a method calling `_args`: `==` on a measure is hot
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __reduce__(self):
+        return self._build or type(self), self._args()
 
     def __setattr__(self, name: str, value: object = None) -> None:
         raise AttributeError(f"cannot set or delete {name!r} of an immutable {type(self).__name__}")

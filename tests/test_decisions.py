@@ -565,6 +565,10 @@ class TestFloatsRejected:
                 build(0.1)
             assert build("1/10") == build("0.1") == build(F(1, 10))
             assert build(1) == build(F(1))
+            # a weight outside [0, 1] would extrapolate, past a prize's probability
+            for weight in (2, F(-1, 2)):
+                with pytest.raises(ValueError, match=r"mixture weight must lie in \[0, 1\]"):
+                    build(weight)
         assert mix("0.1", cont, back).name == "1/10*cont+9/10*back"
 
 

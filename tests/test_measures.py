@@ -38,6 +38,8 @@ from wregret.errors import (
     UndefinedUpdate,
 )
 from wregret import linfeas
+from wregret.decisions import Act, sure
+from wregret.dynamics import splice
 from wregret.measures import is_null
 from wregret.rational import format_map
 
@@ -911,3 +913,30 @@ def test_error_types_and_messages(build, error, message):
     with pytest.raises(error) as raised:
         build()
     assert type(raised.value) is error and str(raised.value) == message
+
+
+# a string is a sequence of one-letter states: read as an event it was split
+# into its characters, which on one-letter state names updated on the wrong event
+ONE_LETTER = WeightedMeasureSet([(Measure({"a": F(1, 2), "b": F(1, 2)}), 1), (Measure({"a": 1, "b": 0}), F(1, 2))])
+SPLICED = Act("f", {"a": sure("x"), "b": sure("y")}), Act("h", {"a": sure("y"), "b": sure("x")})
+
+
+@pytest.mark.parametrize("call", [
+    lambda event: Event(event),
+    lambda event: likelihood_update(ONE_LETTER, event),
+    lambda event: sequential_update(ONE_LETTER, ["a"], event),
+    lambda event: upper_likelihood(ONE_LETTER, event),
+    lambda event: is_null(event, ONE_LETTER),
+    lambda event: ONE_LETTER.entries[0][0].event_prob(event),
+    lambda event: ONE_LETTER.entries[0][0].condition(event),
+    lambda event: splice(SPLICED[0], event, SPLICED[1]),
+], ids=["Event", "likelihood_update", "sequential_update", "upper_likelihood", "is_null", "event_prob",
+        "condition", "splice"])
+@pytest.mark.parametrize("state", ["a", "ab", "good"])
+def test_a_string_is_not_an_event(call, state):
+    with pytest.raises(TypeError) as raised:
+        call(state)
+    assert str(raised.value) == (
+        f"an event is a collection of states, not the string {state!r}: wrap a single state as [{state!r}]"
+    )
+    call(["a"])  # the one-state event, as the message says to write it

@@ -8,6 +8,7 @@ defaults and its `repr`; the pins were recorded when the records were
 import ast
 import copy
 import pickle
+import random
 from collections import namedtuple
 from fractions import Fraction as F
 from importlib import import_module
@@ -19,7 +20,9 @@ import pytest
 import wregret
 from wregret import axioms, cli, decisions, dsl, dynamics, learning
 from wregret.errors import MalformedTree
-from wregret.measures import Event, Measure, WeightedMeasureSet, to_hull
+from wregret.decisions import Act, Alternative, Lottery, Menu, UtilitySpec
+from wregret.measures import Event, Measure, RegularHull, SubProbabilityVector, WeightedMeasureSet, to_hull
+from wregret.rational import IntVector
 from wregret.records import Frozen, record
 
 MODULES = [import_module(f"wregret.{module.name}") for module in iter_modules(wregret.__path__)]
@@ -297,7 +300,8 @@ def _bound_names(tree: ast.Module) -> set[str]:
 
 def test_one_form_for_each_immutable_value():
     # a record is a namedtuple and nothing else, `records.record` alone
-    # overrides `_make`, and `records.Frozen` alone refuses assignment
+    # overrides `_make`, and `records.Frozen` alone refuses assignment and
+    # decides how a value that is not a record is compared, hashed and copied
     classes = [
         value
         for module in MODULES
@@ -305,15 +309,13 @@ def test_one_form_for_each_immutable_value():
         if isinstance(value, type) and value.__module__ == module.__name__
     ]
     assert [c.__qualname__ for c in classes if issubclass(c, tuple) and c.__bases__ != (tuple,)] == []
-    assert [f"{c.__module__}.{c.__qualname__}" for c in classes if "__setattr__" in vars(c)] == [
-        "wregret.records.Frozen"
-    ]
+    for method in ("__setattr__", "__eq__", "__hash__", "__reduce__"):
+        owners = [f"{c.__module__}.{c.__qualname__}" for c in classes if method in vars(c)]
+        assert owners == ["wregret.records.Frozen"], method
     package = Path(wregret.__file__).parent
-    makes = {
-        path.name for path in package.rglob("*.py")
-        if "_make" in _bound_names(ast.parse(path.read_text(encoding="utf-8")))
-    }
-    assert set(makes) == {"records.py"}
+    bound = {path.name: _bound_names(ast.parse(path.read_text(encoding="utf-8"))) for path in package.rglob("*.py")}
+    for name in ("_make", "__eq__", "__hash__", "__reduce__"):
+        assert {module for module, names in bound.items() if name in names} == {"records.py"}, name
 
 
 # the classes whose instances change as they are used or take a subclass's own
@@ -361,12 +363,6 @@ VALUES = {
 }
 
 
-def _fields(value, names: tuple) -> list:
-    """The fields' values, a `Menu` read as its acts, which `Menu.__eq__` compares."""
-    fields = [getattr(value, name) for name in names]
-    return [field.acts if isinstance(field, decisions.Menu) else field for field in fields]
-
-
 @pytest.mark.parametrize("name", VALUES)
 def test_an_immutable_value_refuses_assignment_and_copies_its_fields(name):
     value, names = VALUES[name]
@@ -375,7 +371,7 @@ def test_an_immutable_value_refuses_assignment_and_copies_its_fields(name):
             setattr(value, field, getattr(value, field))
     assert not hasattr(value, "__dict__")
     for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
-        assert type(twin) is type(value) and _fields(twin, names) == _fields(value, names)
+        assert type(twin) is type(value) and [getattr(twin, f) for f in names] == [getattr(value, f) for f in names]
 
 
 def test_a_field_without_a_default_may_not_follow_one_with_a_default():
@@ -386,3 +382,120 @@ def test_a_field_without_a_default_may_not_follow_one_with_a_default():
         class Bad:
             first: int = 0
             second: int
+
+
+FROZEN = sorted(
+    {value for module in MODULES for value in vars(module).values()
+     if isinstance(value, type) and issubclass(value, Frozen) and value is not Frozen},
+    key=lambda c: c.__qualname__,
+)
+UNHASHABLE = {learning.Probe}  # its key holds its `measures` as a dict
+
+
+def _ints(value) -> tuple:
+    """The ints a value holds, unreduced, read through its public fields."""
+    if isinstance(value, (IntVector, Alternative)):
+        return value.numerators, value.denominator
+    if isinstance(value, WeightedMeasureSet):
+        return tuple([(_ints(m), w) for m, w in value.entries])
+    if isinstance(value, RegularHull):
+        return tuple([_ints(g) for g in value.generators])
+    if isinstance(value, Act):
+        return tuple([(state, _ints(lottery)) for state, lottery in value.items()])
+    if isinstance(value, Menu):
+        return tuple([_ints(act) for act in value])
+    if isinstance(value, learning.Probe):
+        return _ints(value.menu), _ints(value.utility), {h: _ints(m) for h, m in value.measures.items()}
+    return ()  # an `Event` holds no ints
+
+
+def _equal_pairs(rng: random.Random) -> list[tuple[object, object]]:
+    """Pairs of equal values of every `Frozen` class, each built two ways."""
+    states = tuple(f"s{i}" for i in range(rng.randint(2, 4)))
+    scale = rng.randint(2, 4)  # `from_ints` reduces what it is given
+
+    def ints(low, high, total=None):
+        while True:
+            numerators = [rng.randint(low, high) for _ in states]
+            if total is None or 0 < sum(numerators) <= total:
+                return numerators
+
+    def spelled(cls, numerators, denominator, keys=states):
+        mapping = {key: F(n, denominator) for key, n in zip(keys, numerators)}
+        unreduced = [n * scale for n in numerators]
+        return cls(dict(reversed(mapping.items()))), cls.from_ints(keys, unreduced, denominator * scale)
+
+    def measure():
+        numerators = ints(0, 6, total=6 * len(states))
+        return spelled(Measure, numerators, sum(numerators))
+
+    measures = [measure() for _ in range(rng.randint(1, 4))]
+    entries = [(m, F(rng.randint(1, 8), 8)) for m, _ in measures]
+    entries[0] = (entries[0][0], F(1))  # `to_hull` needs an entry of weight 1
+    reordered = rng.sample(entries, len(entries))
+    dominated = [(m, w * F(rng.randint(0, 3), 4)) for m, w in entries]  # each below an entry of the set
+    wset = WeightedMeasureSet(entries, states)
+    hull = to_hull(wset)
+    lower = [SubProbabilityVector.from_ints(g.keys, [n // 2 for n in g.numerators], g.denominator)
+             for g in hull.generators]
+    subs = ints(0, 3)
+    prizes = ("p", "q", "r")
+    utility = spelled(UtilitySpec, [0, 1, rng.randint(-3, 3)], rng.randint(1, 3), prizes)
+    lottery_ints = [rng.randint(0, 2) for _ in prizes[:-1]] + [1]  # a prize of probability 0 is dropped
+    lotteries = spelled(Lottery, lottery_ints, sum(lottery_ints), prizes)
+
+    def act(name, lottery):
+        outcomes = [(s, lottery if i % 2 else decisions.sure("p")) for i, s in enumerate(states)]
+        return Act(name, dict(rng.sample(outcomes, len(outcomes))))
+
+    acts = [act(name, lotteries[0]) for name in ("f", "g")], [act(name, lotteries[1]) for name in ("f", "g")]
+    acts[0][0].alternative(utility[0])  # the act's cache of its last alternative is not compared
+    menus = Menu(acts[0]), Menu(acts[1])
+    hypotheses = [(f"h{i}", pair) for i, pair in enumerate(measures)]
+    probes = (learning.Probe(menus[0], utility[0], {h: m for h, (m, _) in hypotheses}),
+              learning.Probe(menus[1], utility[1], {h: m for h, (_, m) in reversed(hypotheses)}))
+    probes[0].regret_rows(tuple(h for h, _ in hypotheses))  # nor are a probe's tables
+    profile = ints(-5, 5)
+    event = rng.sample(states, rng.randint(0, len(states)))
+    return [
+        *measures,
+        spelled(IntVector, ints(-6, 6), rng.randint(1, 6)),
+        spelled(SubProbabilityVector, subs, sum(subs) + rng.randint(0, 2) or 1),
+        utility,
+        lotteries,
+        (Alternative.from_ints("a", [3 * n for n in profile], 6), Alternative.from_ints("a", profile, 2)),
+        (Alternative("a", [F(n, 2) for n in profile]), Alternative.from_ints("a", profile, 2)),
+        (Event(event + event), Event(frozenset(event))),
+        (wset, WeightedMeasureSet(reordered, states[::-1])),  # a set, and a hull, over the states in any order
+        (hull, to_hull(WeightedMeasureSet(reordered + dominated, states))),
+        (hull, RegularHull(rng.sample(hull.generators, len(hull.generators)) + lower, states[::-1])),
+        *zip(*acts),
+        menus,
+        probes,
+    ]
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_equal_values_hash_alike_and_copy_as_themselves(seed):
+    pairs = _equal_pairs(random.Random(seed))
+    assert sorted({type(a) for a, _ in pairs}, key=lambda c: c.__qualname__) == FROZEN
+    for first, second in pairs:
+        assert type(first) is type(second) and first == second and not first != second, (first, second)
+        assert first.__eq__(object()) is NotImplemented and first != (first,)
+        if type(first) in UNHASHABLE:
+            for value in (first, second):
+                with pytest.raises(TypeError):
+                    hash(value)
+        else:
+            assert hash(first) == hash(second)
+        for value in (first, second):
+            for twin in (copy.copy(value), copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+                assert type(twin) is type(value) and twin == value and _ints(twin) == _ints(value), twin
+
+
+def test_a_value_equals_only_values_of_its_own_type():
+    keys, numerators = ("s1", "s2"), (1, 3)
+    same = [cls.from_ints(keys, numerators, 4) for cls in (IntVector, Measure, SubProbabilityVector)]
+    for first in same:
+        for second in same:
+            assert (first == second) is (first is second) and (first != second) is (first is not second)
