@@ -1,11 +1,11 @@
 """Exact linear programs over the rationals, pivoted on integers.
 
 Small dense systems only (state spaces up to about a dozen states).  Both
-solvers are fraction-free simplexes with Bland's rule (integer pivoting,
-Edmonds 1967; Bareiss 1968): the data go over one common denominator
-(`rational.as_integers`), the tableau is kept as integers over one running
-divisor, and every pivot goes through one step (`_pivot_step`) and one
-ratio test (`_leaving_row`).
+solvers are fraction-free simplexes (Edmonds 1967; Bareiss 1968) with
+Bland's rule (Bland 1977), the polar LP's only from its first degenerate
+pivot: the data go over one common denominator (`as_integers`), the
+tableau is kept as integers over one running divisor, and every pivot goes
+through one step (`_pivot_step`) and one ratio test (`_leaving_row`).
 
 `in_downward_convex_hull` is the membership test by which building a
 `measures.RegularHull` prunes its generators; hull equality needs none.
@@ -128,9 +128,7 @@ def in_downward_convex_hull(point: Sequence[Rational], generators: Sequence[Sequ
     """
     if not generators:
         return False
-    dims = len(point)
-    if any(len(g) != dims for g in generators):
-        raise DimensionMismatch(f"a generator's length differs from the point's {dims}")
+    dims = _check_lengths(point, generators)
     bits, full = [1 << d for d in range(dims)], (1 << dims) - 1
     covers = []  # per generator, the bit set of coordinates where it is >= the point
     for g in generators:
@@ -158,21 +156,24 @@ def in_hull_by_polar_lp(point: Sequence[Rational], generators: Sequence[Sequence
     maximising c with p . c > 1 separates p from the hull.  Over one common
     denominator the LP has integer data and the same answer, and a
     coordinate where p is 0 gives c nothing and is left out.  The slack
-    basis at c = 0 is feasible, so there is no phase 1.
+    basis at c = 0 is feasible, so no phase 1; no generators leave p outside.
 
     The condensed tableau has a row per generator and the objective row
     last, a column per coordinate kept and the rhs column last; it is held
-    by columns, as integers over one running divisor.  Bland's rule picks
-    the pivot (`_leaving_row`), and a pivot on p = T[r][s] keeps row r,
-    sets every other column j to (p * column_j - T[r][j] * column_s) //
-    divisor (`_pivot_step`), gives column s the leaving variable's entries
-    (-T[i][s], and the old divisor in row r) and sets the divisor to p.  The
-    run stops as soon as the objective exceeds 1 or is unbounded (outside),
-    or is optimal at most 1 (inside).  No generators leave the point
-    outside.
+    by columns, as integers over one running divisor.  The variable of
+    largest reduced cost enters (ties to the smallest index) until a pivot
+    is degenerate (its leaving row's rhs is 0), and Bland's rule after: a
+    nondegenerate pivot raises the objective, so no basis repeats, and
+    Bland's rule is finite from any feasible basis.  `_leaving_row` picks
+    the row; a pivot on p = T[r][s] keeps row r, sets every other column j
+    to (p * column_j - T[r][j] * column_s) // divisor (`_pivot_step`), and
+    gives column s the leaving variable's entries (-T[i][s], and the old
+    divisor in row r) and the divisor p.  The run stops once the objective
+    exceeds 1 or is unbounded (outside), or is optimal at most 1 (inside).
     """
     if not generators:
         return False
+    _check_lengths(point, generators)
     vectors = [point, *generators]
     if not all(type(v) is int for vector in vectors for v in vector):
         _, vectors = as_integers(vectors)
@@ -182,16 +183,17 @@ def in_hull_by_polar_lp(point: Sequence[Rational], generators: Sequence[Sequence
     columns.append([1] * k + [0])  # the rhs; its last entry is -(p . c) * divisor
     nonbasic = list(range(width))  # variables: c_0 .. c_{width-1}, then the slacks
     basis = list(range(width, width + k))
-    divisor = 1
+    divisor, greedy = 1, True
     while -columns[width][k] <= divisor:
-        eligible = [(nonbasic[j], j) for j in range(width) if columns[j][k] > 0]
+        eligible = [(-greedy * columns[j][k], nonbasic[j], j) for j in range(width) if columns[j][k] > 0]
         if not eligible:
             return True
-        enter = min(eligible)[1]  # Bland: the eligible variable of smallest index
+        enter = min(eligible)[2]
         entering = columns[enter]
         leave = _leaving_row(entering, columns[width], basis)
         if leave < 0:
             return False  # the objective grows without bound along c_enter
+        greedy = greedy and columns[width][leave] > 0  # Bland's rule from the first degenerate pivot on
         pivot = entering[leave]
         for j, column in enumerate(columns):
             if j != enter:
@@ -203,6 +205,13 @@ def in_hull_by_polar_lp(point: Sequence[Rational], generators: Sequence[Sequence
         divisor = pivot
         basis[leave], nonbasic[enter] = nonbasic[enter], basis[leave]
     return False
+
+
+def _check_lengths(point: Sequence[Rational], generators: Sequence[Sequence[Rational]]) -> int:
+    """len(point), which every generator must share, else DimensionMismatch."""
+    if any(len(g) != len(point) for g in generators):
+        raise DimensionMismatch(f"a generator's length differs from the point's {len(point)}")
+    return len(point)
 
 
 def _leaving_row(entering: Sequence[int], rhs: Sequence[int], basis: Sequence[int]) -> int:

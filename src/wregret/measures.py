@@ -296,22 +296,23 @@ def _set_vertices(hull: RegularHull, states: Sequence[str], denominator: int, ro
 
     A row that another dominates componentwise is dropped: a dominator has
     the larger total, so a sweep by descending total compares each distinct
-    row with the maximal rows found so far.  A maximal row is dropped when
-    `in_downward_convex_hull` (outside by a direction, inside below a
-    segment between two others, then the polar LP, all on the ints) puts
-    it in the hull of the others kept.  Dropping such a row never shrinks
-    the hull, so in any order the kept rows are exactly those outside the
-    downward-convex hull of all the other rows.
+    row with the maximal rows found so far.  Then by ascending total, so
+    that low rows, likely interior, leave the later tests fewer rows, a
+    maximal row is dropped when `in_downward_convex_hull` (outside by a
+    direction, inside below a segment between two others, then the polar LP,
+    all on the ints) puts it in the hull of the others kept.  Dropping one
+    never shrinks the hull, so in any order the kept rows are exactly those
+    outside the downward-convex hull of all the other rows.
     """
     if all(sum(v) != denominator for v in rows):
         raise ValueError("a regular hull must contain a proper probability measure")
     maximal: list[tuple[int, ...]] = []
-    for v in sorted(set(rows), key=lambda v: (-sum(v), v)):
+    for v in sorted(set(rows), key=lambda v: (sum(v), v), reverse=True):
         if not any(all(map(ge, u, v)) for u in maximal):
             maximal.append(v)
     kept = list(maximal)
-    for g in maximal:
-        if in_downward_convex_hull(g, [h for h in kept if h != g]):
+    for g in reversed(maximal):
+        if in_downward_convex_hull(g, [h for h in kept if h is not g]):
             kept.remove(g)
     order = tuple(sorted(states))
     generators = tuple([SubProbabilityVector.from_ints(order, v, denominator) for v in sorted(kept)])

@@ -132,6 +132,14 @@ def test_hull_rejects_generators_of_another_length(point, generators):
         in_downward_convex_hull(point, generators)
 
 
+def test_the_polar_lp_rejects_generators_of_another_length():
+    # cut to the shortest vector, as a bare map(min, *vectors) does, both would read as inside
+    for point, generators in (([1, 1, 1], [[1, 1]]), ([1, 1], [[1, 1, 0]])):
+        with pytest.raises(DimensionMismatch, match="a generator's length differs from the point's"):
+            in_hull_by_polar_lp(point, generators)
+    assert in_hull_by_polar_lp([1, 1, 1], []) is False
+
+
 def test_pivoting_builds_no_fraction_beyond_the_certificate(monkeypatch):
     a = [[1, 2, 0, 1, 3, 1], [2, 1, 1, 0, 1, 2], [0, 1, 2, 1, 1, 1], [1, 0, 1, 2, 2, 0]]
     b = [sum(row[:4]) for row in a]  # x = (1, 1, 1, 1, 0, 0) is feasible
@@ -435,6 +443,26 @@ def test_to_hull_and_hull_equal_match_the_reference_on_segment_points():
         assert hull_equal(hull, grown) == hull_equal(grown, hull) == expected
         answers[expected] += 1
     assert answers[True] and answers[False], answers
+
+
+def test_the_polar_lp_turns_to_blands_rule_at_a_degenerate_pivot(monkeypatch):
+    """Variables c_0..c_2, then slacks 3..7, one per generator.  The greedy
+    rule enters c_0 (reduced costs 2, 1, 2: the tie goes to the smaller
+    index), then c_2, whose ratio test ties a row at rhs 0: a degenerate
+    pivot.  From there Bland's rule enters c_1, where the largest reduced
+    cost would have entered another variable and stopped a pivot earlier;
+    the answer is the Fraction simplex's either way."""
+    point, gens = [2, 1, 2], [[3, 0, 0], [1, 4, 0], [2, 4, 1], [3, 0, 1], [0, 1, 1]]
+    leaving_row, pivots = linfeas._leaving_row, []
+
+    def logged(entering, rhs, basis):
+        leave = leaving_row(entering, rhs, basis)
+        pivots.append((tuple(basis), rhs[leave]))
+        return leave
+
+    monkeypatch.setattr(linfeas, "_leaving_row", logged)
+    assert in_hull_by_polar_lp(point, gens) is reference.in_downward_convex_hull(point, gens) is False
+    assert pivots == [((3, 4, 5, 6, 7), 1), ((0, 4, 5, 6, 7), 0), ((0, 4, 5, 2, 7), 1), ((0, 4, 1, 2, 7), 4)]
 
 
 def test_no_generators_leave_the_point_outside():
