@@ -14,7 +14,7 @@ a belief as the int rows of `weighted_rows`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from operator import ge, mul
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -207,35 +207,35 @@ def likelihood_update(wset: WeightedMeasureSet, event: EventLike) -> WeightedMea
     among the entries that condition to it, divided by the set's upper
     likelihood of the event.  Measures giving the event probability zero are
     dropped; the result is normalized as built (its largest weight is 1).
-    """
+    Equal conditioned rows merge as reduced ints on their int likelihoods,
+    first occurrence first; a `Measure` and a `Fraction` are built per row kept."""
     event = as_event(event)
     _, masses, likelihoods = _likelihoods(wset, event)
     top = max(likelihoods)
     if top == 0:
         raise UndefinedUpdate("update undefined: the event has upper likelihood 0")
-    merged: dict[Measure, Fraction] = {}
+    states = tuple(sorted(wset.state_space))
+    merged: dict[tuple, int] = {}
     for (measure, _), n, likelihood in zip(wset.entries, masses, likelihoods):
-        if n == 0:
-            continue
-        conditioned = measure.condition(event)
-        candidate = Fraction(likelihood, top)
-        if conditioned not in merged or merged[conditioned] < candidate:
-            merged[conditioned] = candidate
-    return WeightedMeasureSet(tuple(merged.items()), wset.state_space)
+        if n:
+            kept = [k if s in event.members else 0 for s, k in zip(states, measure.numerators)]
+            g = gcd(n, *kept)
+            row = (tuple([k // g for k in kept]), n // g)
+            merged[row] = max(merged.get(row, 0), likelihood)
+    rows = [(Measure.from_ints(states, *row), Fraction(likelihood, top)) for row, likelihood in merged.items()]
+    return WeightedMeasureSet(rows, wset.state_space)
 
 
-def sequential_update(
-    wset: WeightedMeasureSet, first: EventLike, second: EventLike
-) -> WeightedMeasureSet:
-    """Update on two events one after the other.
-
-    Equals a single update on the intersection whenever that update is
-    defined; the property suite exercises this identity.
-    """
+def sequential_update(wset: WeightedMeasureSet, first: EventLike, second: EventLike) -> WeightedMeasureSet:
+    """Update on two events one after the other, as one update on A & B:
+    after both steps the weight of p|(A & B) is the largest weight * q(A & B)
+    over the q that condition to it, over one normaliser."""
     first, second = as_event(first), as_event(second)
-    if is_null(first & second, wset):
-        raise UndefinedUpdate("update undefined: the intersection has upper likelihood 0")
-    return likelihood_update(likelihood_update(wset, first), second)
+    wset.entries[0][0]._mass(Event(first.members | second.members))  # DimensionMismatch on unknown states
+    try:
+        return likelihood_update(wset, first & second)
+    except UndefinedUpdate:
+        raise UndefinedUpdate("update undefined: the intersection has upper likelihood 0") from None
 
 
 class SubProbabilityVector(IntVector):

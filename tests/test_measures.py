@@ -447,7 +447,13 @@ class TestFractionBudget:
             built[0] += 1
             return original(cls, *args, **kwargs)
 
-        per_entry = []
+        def fractions_built(update, *args):
+            monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+            built[0] = 0
+            result = update(*args)
+            monkeypatch.undo()
+            return built[0], len(result.entries)
+
         for n_states in (3, 6):
             rng = random.Random(n_states)
             states = tuple(f"s{i}" for i in range(n_states))
@@ -456,13 +462,14 @@ class TestFractionBudget:
                 raw = [rng.randint(1, 9) for _ in states]
                 entries.append((Measure({s: F(k, sum(raw)) for s, k in zip(states, raw)}), F(rng.randint(1, 8), 8)))
             wset = WeightedMeasureSet(entries, states)
-            event = Event(states[: n_states - 1])
-            monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
-            built[0] = 0
-            likelihood_update(wset, event)
-            monkeypatch.undo()
-            per_entry.append(F(built[0], 32))
-        assert per_entry[0] == per_entry[1] <= 3, per_entry
+            first, second = Event(states[: n_states - 1]), Event(states[1:])
+            # equal conditioned rows merge on ints, so each weight of the
+            # result is the one Fraction it builds
+            built_one, kept = fractions_built(likelihood_update, wset, first)
+            assert built_one == kept <= len(entries), (n_states, built_one, kept)
+            built_joint, kept = fractions_built(likelihood_update, wset, first & second)
+            assert built_joint == kept <= len(entries), (n_states, built_joint, kept)
+            assert fractions_built(sequential_update, wset, first, second)[0] <= built_joint
 
     def test_support_and_upper_likelihood_compute_on_ints(self, monkeypatch):
         # seeded sets and hulls over 2-6 states, with directions of ints,
@@ -549,6 +556,60 @@ class TestSequentialUpdate:
         wset = random_wset(random.Random(4), ABC)
         with pytest.raises(UndefinedUpdate):
             sequential_update(wset, Event(["a"]), Event(["b"]))
+
+    def test_merges_that_only_the_second_step_makes(self):
+        # given A = {a, b, c}, p and q differ; given A & B = {a, b} both are
+        # (1/2, 1/2): the first step keeps four measures, the second merges
+        # p into q's place, after r (mass off A & B only) drops out
+        a_event, b_event = Event(["a", "b", "c"]), Event(["a", "b", "d"])
+        r = Measure({"a": 0, "b": 0, "c": F(1, 2), "d": F(1, 2)})
+        q = Measure({"a": F(1, 10), "b": F(1, 10), "c": F(2, 5), "d": F(2, 5)})
+        s = Measure({"a": F(1, 4), "b": F(1, 2), "c": F(1, 4), "d": 0})
+        p = Measure({"a": F(1, 5), "b": F(1, 5), "c": F(1, 5), "d": F(2, 5)})
+        wset = WeightedMeasureSet([(r, 1), (q, F(1, 2)), (s, F(1, 4)), (p, 1)])
+        assert len(likelihood_update(wset, a_event).entries) == 4
+        half = {"a": F(1, 2), "b": F(1, 2), "c": 0, "d": 0}
+        third = {"a": F(1, 3), "b": F(2, 3), "c": 0, "d": 0}
+        # upper likelihood of A & B: max(1/2 * 1/5, 1/4 * 3/4, 1 * 2/5) = 2/5
+        expected = [(half, F(1)), (third, F(15, 32))]
+        # in the given order q, the smaller candidate, comes first and keeps
+        # its place; rotated to start at s, s's measure comes first
+        for order, result in ((wset.entries, expected), (wset.entries[2:] + wset.entries[:2], expected[::-1])):
+            entries = plain(order)
+            step = reference.likelihood_update(entries, a_event.members)
+            two_steps = reference.likelihood_update(step, b_event.members)
+            got = plain(sequential_update(WeightedMeasureSet(order), a_event, b_event).entries)
+            assert got == two_steps == result
+
+    def test_merges_of_the_second_step_match_the_two_step_reference_in_order(self):
+        # seeded sets where some measures condition on A & B as an earlier
+        # one does while differing given A
+        merged_late = 0
+        for seed in range(150):
+            rng = random.Random(seed)
+            states = tuple(f"s{i}" for i in range(rng.randint(3, 5)))
+            first = Event(rng.sample(states, rng.randint(2, len(states))))
+            second = Event(rng.sample(states, rng.randint(1, len(states))))
+            joint = set((first & second).members)
+            measures = []
+            for _ in range(rng.randint(2, 12)):
+                earlier = rng.choice(measures) if measures and rng.random() < 0.4 else None
+                if joint and earlier is not None and earlier.event_prob(joint) > 0:
+                    measures.append(_conditions_alike(rng, earlier, joint, states))
+                else:
+                    measures.append(random_measure(rng, states))
+            wset = WeightedMeasureSet([(m, F(rng.randint(0, 8), 8)) for m in measures], states)
+            entries = plain(wset.entries)
+            try:
+                step = reference.likelihood_update(entries, first.members)
+                expected = reference.likelihood_update(step, second.members)
+            except UndefinedUpdate:
+                with pytest.raises(UndefinedUpdate):
+                    sequential_update(wset, first, second)
+                continue
+            assert plain(sequential_update(wset, first, second).entries) == expected
+            merged_late += len(expected) < sum(1 for m, _ in step if reference.event_prob(m, second.members) > 0)
+        assert merged_late >= 20, merged_late
 
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=10**6))
@@ -933,6 +994,8 @@ class TestSerialization:
 
 AB = ("a", "b")
 HULL_AB = RegularHull([SubProbabilityVector({"a": 1, "b": 0})], AB)
+# {a} has positive likelihood, {c} likelihood 0
+SET_ABC = WeightedMeasureSet([(m3(F(1, 2), F(1, 2), 0), 1), (m3(0, 1, 0), F(1, 2))], ABC)
 
 
 @pytest.mark.parametrize("build, error, message", [
@@ -948,6 +1011,18 @@ HULL_AB = RegularHull([SubProbabilityVector({"a": 1, "b": 0})], AB)
      "a regular hull must contain a proper probability measure"),
     (lambda: to_hull(WeightedMeasureSet([(Measure({"a": 1}), 0)])), ValueError,
      "a regular hull must contain a proper probability measure"),
+    # one update on the intersection {a} still checks the states of both events
+    (lambda: sequential_update(SET_ABC, ["a", "zzz"], ["a", "b"]), DimensionMismatch,
+     "event mentions unknown states ['zzz']"),
+    (lambda: sequential_update(SET_ABC, ["a", "b"], ["a", "zzz"]), DimensionMismatch,
+     "event mentions unknown states ['zzz']"),
+    (lambda: sequential_update(SET_ABC, ["a", "yyy"], ["a", "b", "zzz"]), DimensionMismatch,
+     "event mentions unknown states ['yyy', 'zzz']"),
+    (lambda: likelihood_update(SET_ABC, ["c"]), UndefinedUpdate,
+     "update undefined: the event has upper likelihood 0"),
+    # neither {a, c} nor {b, c} is null, their intersection is
+    (lambda: sequential_update(SET_ABC, ["a", "c"], ["b", "c"]), UndefinedUpdate,
+     "update undefined: the intersection has upper likelihood 0"),
 ])
 def test_error_types_and_messages(build, error, message):
     with pytest.raises(error) as raised:
