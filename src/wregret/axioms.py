@@ -15,16 +15,17 @@ denominator, the menu first, its roles and menu params as positions, and a
 label per act for a name made only for a witness.  Judges compare through the
 oracle's int entry points: `PreferenceOracle.prefers_at` on a whole int menu,
 and `sign` for a mixed one (utility is linear in mixtures, so the mixture
-judges mix members' profiles and the per-state best).  So a sampled instance
-builds no `Fraction` and no `Alternative`; `_check` builds the `Instance` of
-named `Alternative`s only for a witness, and the curated corpus and `replay`
-convert theirs to the int form once, for the same judge.  One sampling loop
-and one replay serve the static axioms and menu-dependent dynamic consistency
-alike: `check_mdc` builds an entry around a family of conditional preferences.
-The `Sampler` draws from its generator's `getrandbits` and `random()`
-alone, through one primitive (`Sampler.below`, CPython's rejection loop for
-a uniform int below n), taking the ints that `choice`, `randint`, `sample`
-and `shuffle` take, so a seed gives the same reports on every Python from 3.10.
+judges mix members' profiles and the per-state best).  So every instance a
+judge sees is born as ints: drawn, curated (the corpus is `IntInstance` data)
+or replayed (`replay` converts a witness's `Alternative`s once); `_check`
+builds the `Instance` of named `Alternative`s only for a witness.  One
+sampling loop and one replay serve the static axioms and menu-dependent
+dynamic consistency alike: `check_mdc` builds an entry around a family of
+conditional preferences.  The `Sampler` draws from its generator's
+`getrandbits` and `random()` alone, through one primitive (`Sampler.below`,
+CPython's rejection loop for a uniform int below n), taking the ints that
+`choice`, `randint`, `sample` and `shuffle` take, so a seed gives the same
+reports on every Python from 3.10.
 Reports, witnesses and the matrix are immutable records (`records.record`),
 and so are `GeneratorConfig` and `BeliefFixtures`, which check their fields
 when built.
@@ -121,15 +122,15 @@ class IntInstance:
     each act's label (`_name` gives its name), its roles as positions of
     acts, and its params (a key ending in "menu" holds positions of acts)."""
 
-    acts: list
+    acts: Sequence
     denominator: int
-    labels: list
+    labels: Sequence
     size: int
     roles: dict
     params: dict
 
     @property
-    def menu(self) -> list:
+    def menu(self) -> Sequence:
         return self.acts[:self.size]
 
 
@@ -264,11 +265,6 @@ def utility_span(u: UtilitySpec) -> tuple[Fraction, Fraction]:
 def _mixed(a: int, b: int, x: IntProfile, h: IntProfile) -> list[int]:
     """a*x + b*h: x and h, both over L, mixed at k/m are `_mixed(k, m - k, x, h)` over m*L."""
     return [a * u + b * v for u, v in zip(x, h)]
-
-
-def _mix(p: Fraction, f: Alternative, h: Alternative) -> Alternative:
-    """The mixture p*f + (1-p)*h, named by `mixture_name`: utility is linear in lotteries, so profiles mix."""
-    return Alternative(mixture_name(p, f.name, h.name), [p * a + (1 - p) * b for a, b in zip(f.profile, h.profile)])
 
 
 def _with_mixture(s: IntInstance, p: Fraction, f: int, h: int) -> IntInstance:
@@ -702,74 +698,59 @@ _STRUCTURAL = ("3", "10")
 
 
 # -- curated corpus ----------------------------------------------------------------
+# The paper's standard counterexamples over the delivery states, as the int
+# instances a draw makes (of tuples, so no run changes them): axiom id ->
+# (description, instance).  A half mixture of cont (act 0) and back (act 2)
+# carries a sampled mixture's label, so it is named 1/2*cont+1/2*back.
 
 DELIVERY_STATES = ("one_broken", "ten_broken")
 
-
-def _pair(o: PreferenceOracle, name: str, one: Fraction, ten: Fraction) -> Alternative:
-    """A delivery alternative; the corpus fits only oracles whose utility range
-    reaches its values and whose belief (if any) is over the delivery states."""
-    if o.belief is not None and o.state_space != DELIVERY_STATES:
-        raise DimensionMismatch("the curated corpus is over the delivery states")
-    hi, lo = utility_span(o.utility)
-    for value in (one, ten):
-        if not lo <= value <= hi:
-            raise ValueError(f"utility {value} outside the representable range [{lo}, {hi}]")
-    return Alternative(name, (one, ten))
-
-
-def _menu_dependence_instance(o: PreferenceOracle) -> Instance:
-    cont = _pair(o, "cont", 10000, -10000)
-    back = _pair(o, "back", 0, 0)
-    check = _pair(o, "check", 5001, -4999)
-    base = (cont, back, check)
-    extended = base + (_pair(o, "new", 20000, -20000),)
-    return Instance(extended, {"f": check, "g": cont}, {"base_menu": base})
-
-
-def _half_mixture_of(*others: tuple[str, int, int]) -> Callable[[PreferenceOracle], Instance]:
-    """The instance mixing cont and back half and half, in a menu of cont,
-    that mixture, back and the `others`."""
-
-    def build(o: PreferenceOracle) -> Instance:
-        cont, back = _pair(o, "cont", 10000, -10000), _pair(o, "back", 0, 0)
-        p = Fraction(1, 2)
-        mixed = _mix(p, cont, back)
-        menu = (cont, mixed, back) + tuple(_pair(o, *other) for other in others)
-        return Instance(menu, {"f": cont, "h": back, "mixture": mixed}, {"p": p})
-
-    return build
-
-
-def _mmeu_independence_instance(o: PreferenceOracle) -> Instance:
-    """Pinned hedging instance: mixing with a mirrored act reverses worst cases."""
-    f = _pair(o, "steep", 1, 0)
-    g = _pair(o, "flat", Fraction(2, 5), Fraction(2, 5))
-    h = _pair(o, "mirror", 0, 1)
-    return Instance((f, g), {"f": f, "g": g, "h": h}, {"p": Fraction(1, 2)})
-
-
-# axiom id -> (description, the instance built for an oracle); building raises
-# DimensionMismatch or ValueError when the corpus does not fit the oracle
-_CURATED: dict[str, tuple[str, Callable[[PreferenceOracle], Instance]]] = {
+_CURATED: dict[str, tuple[str, IntInstance]] = {
     "menu": (
         "known delivery instance: an added dominated-nowhere act reverses the ranking",
-        _menu_dependence_instance,
+        IntInstance(
+            ((10000, -10000), (0, 0), (5001, -4999), (20000, -20000)), 1,
+            ("cont", "back", "check", "new"), 4, {"f": 2, "g": 0}, {"base_menu": (0, 1, 2)},
+        ),
     ),
     "12": (
         "known state-independent instance: the half mixture beats both parents",
         # state-independent outcome distributions, mirrored payoffs around zero
-        _half_mixture_of(("check1", -5000, 5000), ("check2", -10000, 10000)),
+        IntInstance(
+            ((10000, -10000), (5000, -5000), (0, 0), (-5000, 5000), (-10000, 10000)), 1,
+            ("cont", (Fraction(1, 2), 0, 2), "back", "check1", "check2"), 5,
+            {"f": 0, "h": 2, "mixture": 1}, {"p": Fraction(1, 2)},
+        ),
     ),
     "12u": (
         "known instance without state-independent distributions",
-        _half_mixture_of(("check", 5001, -4999)),
+        IntInstance(
+            ((10000, -10000), (5000, -5000), (0, 0), (5001, -4999)), 1,
+            ("cont", (Fraction(1, 2), 0, 2), "back", "check"), 4,
+            {"f": 0, "h": 2, "mixture": 1}, {"p": Fraction(1, 2)},
+        ),
     ),
     "7": (
         "pinned instance: hedging with a mirrored act reverses the comparison",
-        _mmeu_independence_instance,
+        # steep, flat and mirror are (1, 0), (2/5, 2/5) and (0, 1)
+        IntInstance(
+            ((5, 0), (2, 2), (0, 5)), 5, ("steep", "flat", "mirror"), 2,
+            {"f": 0, "g": 1, "h": 2}, {"p": Fraction(1, 2)},
+        ),
     ),
 }
+
+
+def _fits(o: PreferenceOracle, s: IntInstance) -> bool:
+    """Does the corpus instance fit the oracle: the utility table's range
+    [lo, hi] holds every value (lo*d <= v*U <= hi*d for v over d, lo and hi
+    over U), and a belief, if any, is over the delivery states (the
+    probability-free rule judges the corpus over any states)?"""
+    if o.belief is not None and o.state_space != DELIVERY_STATES:
+        return False
+    u, d = o.utility, s.denominator
+    lo, hi = min(u.numerators) * d, max(u.numerators) * d
+    return all(lo <= v * u.denominator <= hi for x in s.acts for v in x)
 
 
 # -- entry points -------------------------------------------------------------------
@@ -802,19 +783,12 @@ def _check(
         named = _named(instance, finding)
         return Witness(axiom, oracle.rule, entry.kind, finding.description or description, *named, finding.scores)
 
-    curated = 0
-    if config.include_curated and axiom in _CURATED:
-        description, build = _CURATED[axiom]
-        try:
-            instance = _int_form(*build(oracle))
-        except (DimensionMismatch, ValueError):
-            pass  # the corpus's utilities or states don't fit this oracle
-        else:
-            curated = 1
-            verdict = entry.judge(oracle, instance)
-            if isinstance(verdict, Finding):
-                found = witness(instance, verdict, description)
-                return report("violated", 0, curated, counterexample=found)
+    description, instance = _CURATED.get(axiom, ("", None))
+    curated = int(config.include_curated and instance is not None and _fits(oracle, instance))
+    if curated:
+        verdict = entry.judge(oracle, instance)
+        if isinstance(verdict, Finding):
+            return report("violated", 0, curated, counterexample=witness(instance, verdict, description))
 
     sampler = Sampler(random.Random(seed), oracle)
     samples = 1 if axiom in _STRUCTURAL else config.samples

@@ -14,6 +14,7 @@ a belief as the int rows of `weighted_rows`.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from operator import ge, mul
 from typing import Callable, Iterable, Mapping, Sequence, Union
@@ -67,6 +68,14 @@ def as_event(event: EventLike) -> Event:
     return event if isinstance(event, Event) else Event(event)
 
 
+def _inside(states: Sequence[str], event: Event) -> list[bool]:
+    """Per state, whether the event holds it; an event naming another state raises DimensionMismatch."""
+    inside = [s in event.members for s in states]
+    if sum(inside) != len(event.members):
+        raise DimensionMismatch(f"event mentions unknown states {sorted(event.members.difference(states))}")
+    return inside
+
+
 class Measure(IntVector):
     """A probability measure on a finite state space, an `IntVector` over
     its states.  The mapping is total: every state of the ambient space
@@ -82,24 +91,15 @@ class Measure(IntVector):
 
     state_space = property(lambda self: self.keys, doc="The states, sorted.")
 
-    def _mass(self, event: Event) -> int:
-        """The event's probability times the denominator."""
-        picked = [n for s, n in zip(self.keys, self.numerators) if s in event.members]
-        if len(picked) != len(event.members):
-            unknown = sorted(event.members.difference(self.keys))
-            raise DimensionMismatch(f"event mentions unknown states {unknown}")
-        return sum(picked)
-
     def event_prob(self, event: EventLike) -> Fraction:
-        return Fraction(self._mass(as_event(event)), self.denominator)
+        return Fraction(sum(compress(self.numerators, _inside(self.keys, as_event(event)))), self.denominator)
 
     def condition(self, event: EventLike) -> "Measure":
         """Conditional measure given the event; requires positive probability.
         Its numerators are those on the event over their sum, reduced."""
-        event = as_event(event)
-        if self._mass(event) == 0:
+        kept = tuple([n if i else 0 for n, i in zip(self.numerators, _inside(self.keys, as_event(event)))])
+        if not any(kept):
             raise UndefinedUpdate("cannot condition on a probability-zero event")
-        kept = tuple([n if s in event.members else 0 for s, n in zip(self.keys, self.numerators)])
         return self._reduced(self.keys, kept, sum(kept))
 
     def expectation(self, values: Mapping[str, Rational]) -> Fraction:
@@ -180,23 +180,24 @@ def normalize(wset: WeightedMeasureSet) -> WeightedMeasureSet:
 def is_null(event: EventLike, wset: WeightedMeasureSet) -> bool:
     """True when no entry of positive weight gives the event positive
     probability: splicing an act on it changes no weighted regret score."""
-    event = as_event(event)
-    return not any(m._mass(event) and w for m, w in wset.entries)
+    return not any(_likelihoods(wset, as_event(event))[3])
 
 
-def _likelihoods(wset: WeightedMeasureSet, event: Event) -> tuple[int, list[int], list[int]]:
-    """(D, masses, likelihoods): per entry, the event's probability times
-    the measure's denominator, and weight * probability as an int over D,
-    the LCM of the weight-times-measure denominators."""
-    masses = [m._mass(event) for m, _ in wset.entries]
+def _likelihoods(wset: WeightedMeasureSet, event: Event) -> tuple[list[bool], int, list[int], list[int]]:
+    """(inside, D, masses, likelihoods): the event's `_inside` mask; per
+    entry, the event's probability times the measure's denominator, and
+    weight * probability as an int over D, the LCM of weight * measure denominators."""
+    inside = _inside(wset.entries[0][0].keys, event)
+    masses = [sum(compress(m.numerators, inside)) for m, _ in wset.entries]
     common = lcm(*[w.denominator * m.denominator for m, w in wset.entries])
     pairs = zip(wset.entries, masses)
-    return common, masses, [w.numerator * n * (common // (w.denominator * m.denominator)) for (m, w), n in pairs]
+    likelihoods = [w.numerator * n * (common // (w.denominator * m.denominator)) for (m, w), n in pairs]
+    return inside, common, masses, likelihoods
 
 
 def upper_likelihood(wset: WeightedMeasureSet, event: EventLike) -> Fraction:
     """Largest weight-scaled probability of the event across the set."""
-    common, _, likelihoods = _likelihoods(wset, as_event(event))
+    _, common, _, likelihoods = _likelihoods(wset, as_event(event))
     return Fraction(max(likelihoods), common)
 
 
@@ -209,8 +210,7 @@ def likelihood_update(wset: WeightedMeasureSet, event: EventLike) -> WeightedMea
     dropped; the result is normalized as built (its largest weight is 1).
     Equal conditioned rows merge as reduced ints on their int likelihoods,
     first occurrence first; a `Measure` and a `Fraction` are built per row kept."""
-    event = as_event(event)
-    _, masses, likelihoods = _likelihoods(wset, event)
+    inside, _, masses, likelihoods = _likelihoods(wset, as_event(event))
     top = max(likelihoods)
     if top == 0:
         raise UndefinedUpdate("update undefined: the event has upper likelihood 0")
@@ -218,7 +218,7 @@ def likelihood_update(wset: WeightedMeasureSet, event: EventLike) -> WeightedMea
     merged: dict[tuple, int] = {}
     for (measure, _), n, likelihood in zip(wset.entries, masses, likelihoods):
         if n:
-            kept = [k if s in event.members else 0 for s, k in zip(states, measure.numerators)]
+            kept = [k if i else 0 for k, i in zip(measure.numerators, inside)]
             g = gcd(n, *kept)
             row = (tuple([k // g for k in kept]), n // g)
             merged[row] = max(merged.get(row, 0), likelihood)
@@ -231,7 +231,7 @@ def sequential_update(wset: WeightedMeasureSet, first: EventLike, second: EventL
     after both steps the weight of p|(A & B) is the largest weight * q(A & B)
     over the q that condition to it, over one normaliser."""
     first, second = as_event(first), as_event(second)
-    wset.entries[0][0]._mass(Event(first.members | second.members))  # DimensionMismatch on unknown states
+    _inside(wset.state_space, Event(first.members | second.members))  # DimensionMismatch on unknown states
     try:
         return likelihood_update(wset, first & second)
     except UndefinedUpdate:

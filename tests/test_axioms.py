@@ -91,6 +91,26 @@ class TestCuratedCorpus:
         assert report.counterexample.scores["mixed_f"] == F(1, 2)
         assert report.counterexample.scores["mixed_g"] == F(1, 5)
 
+    def test_corpus_is_judged_where_it_fits_and_no_run_changes_it(self, fixtures):
+        # the corpus is judged only where the utility table's range holds its
+        # values (only axiom 7's lie in [-1, 1]) and a belief, if any, is over
+        # the delivery states: the probability-free rule judges it over any states
+        before = copy.deepcopy(axioms._CURATED)
+        p, q = Measure({"x": F(1, 2), "y": F(1, 4), "z": F(1, 4)}), Measure({"x": F(1, 5), "y": F(2, 5), "z": F(2, 5)})
+        xyz = BeliefFixtures(fixtures.utility, ("x", "y", "z"), (p, q), WeightedMeasureSet([(p, 1), (q, F(1, 2))]))
+        cases = [
+            (fixtures, lambda rule, axiom: True),
+            (fixtures._replace(utility=UtilitySpec({"win": 1, "lose": -1})), lambda rule, axiom: axiom == "7"),
+            (xyz, lambda rule, axiom: rule == "regret"),
+        ]
+        for fitted, fits in cases:
+            for rule in MATRIX_RULES:
+                for axiom in ("menu", "12", "12u", "7"):
+                    report = check_axiom(axiom, fitted.oracle(rule), GeneratorConfig(samples=1), seed=0)
+                    assert report.curated == fits(rule, axiom), (fitted.state_space, fitted.utility, rule, axiom)
+        axiom_matrix(fixtures=fixtures, seed=0, config=GeneratorConfig(samples=5))
+        assert axioms._CURATED == before
+
 
 class TestReplay:
     @pytest.mark.parametrize(
@@ -813,10 +833,10 @@ class TestMatrixWork:
         # members were scored once per kept menu and the mixture judges
         # worked on ints, it made 7,019 kernel calls and 1,951 menu
         # conversions, and built 7,293 alternatives; with a kept menu, 4,443,
-        # 1,654 and 5,954.  Draws are int profiles now and each comparison
-        # scores its two members in the whole int menu, so alternatives are
-        # built, and alternative menus converted, only for the curated
-        # instances and the witnesses
+        # 1,654 and 5,954.  Draws and the curated corpus are int profiles now
+        # and each comparison scores its two members in the whole int menu,
+        # so no alternative menu is converted, and alternatives are built
+        # only for the witnesses
         doc = parse_problem(fixture_text("delivery_weighted.dp"))
         fixtures = BeliefFixtures(doc.utility, doc.states, doc.measures(), doc.weighted_set())
         counts = {"kernel": 0, "over_common": 0, "alternatives": 0}
@@ -837,7 +857,7 @@ class TestMatrixWork:
         matrix = axiom_matrix(fixtures=fixtures, seed=0, config=GeneratorConfig(samples=22))
         monkeypatch.undo()
         assert matrix.cells[("mwer", "ax12")] == matrix.cells[("mmeu", "independence")] == "violated"
-        assert counts == {"kernel": 7019, "over_common": 10, "alternatives": 48}
+        assert counts == {"kernel": 7019, "over_common": 0, "alternatives": 8}
 
 
 SEVEN_STATES = tuple(f"s{i}" for i in range(7))
