@@ -121,6 +121,8 @@ class Act(Frozen):
         if not name:
             raise ValueError("acts need a nonempty name")
         items = tuple(sorted(outcomes.items(), key=lambda kv: kv[0]))
+        if not items:
+            raise ValueError(f"act {name!r} needs a lottery for at least one state")
         for slot, value in zip(Act.__slots__, (name, items, (None, None))):
             object.__setattr__(self, slot, value)
 
@@ -267,9 +269,10 @@ def _score_of(rule: str, act: Act, menu: Menu, u: UtilitySpec, belief: Belief) -
 # packed-integer kernel (`_packed_max`), which `PreferenceOracle.numerators`
 # (behind `rank`, `scores` and the tree nodes) takes for a menu and belief
 # of at least the sizes `_WHOLE_MENU` gives each form, where it measured
-# faster (mer/mwer from 8 acts, seu/mmeu from 16, under at least 4 rows);
-# smaller inputs, the per-member entry points (`prefers_at`, `rate_at`,
-# `sign`) and probability-free regret keep the per-act kernels.
+# faster (mer/mwer from 8 acts, mmeu from 16, under at least 4 rows; seu's
+# one measure is one row, so it never does); smaller inputs, the per-member
+# entry points (`prefers_at`, `rate_at`, `sign`) and probability-free regret
+# keep the per-act kernels.
 
 Profile = tuple[Fraction, ...]
 IntProfile = tuple[int, ...]

@@ -216,7 +216,7 @@ def simulate(
     if set(prior) != set(hypotheses):
         raise ValueError("prior weights must cover exactly the model's hypotheses")
     given = [float(w) for w in prior.values()]
-    if min(given) < 0 or max(given) != 1.0:
+    if not all(0 <= w <= 1 for w in given) or max(given) != 1.0:
         raise ValueError("prior weights must be normalized: in [0, 1], with maximum weight 1")
     acts = probe.acts
     regret_rows = probe.regret_rows(hypotheses)

@@ -37,7 +37,8 @@ ZERO = Fraction(0)
 
 
 class Event(Frozen):
-    """A subset of state labels; a string raises TypeError rather than being split into letters."""
+    """A subset of state labels; a string raises TypeError rather than being
+    split into letters, and so does a member that is not a string."""
 
     __slots__ = ("members",)
 
@@ -45,6 +46,10 @@ class Event(Frozen):
         if isinstance(members, str):
             raise TypeError(f"an event is a collection of states, not the string {members!r}:"
                             f" wrap a single state as [{members!r}]")
+        members = list(members)
+        for state in members:
+            if not isinstance(state, str):
+                raise TypeError(f"an event's states are strings, not {state!r}")
         object.__setattr__(self, "members", frozenset(members))
 
     def _args(self) -> tuple:

@@ -8,6 +8,11 @@ the check compiles it into a `typing.ForwardRef`, which is most of what a
 record costs at import.  `record` builds the same class without the check:
 the annotations stay the strings they were written as, and one of them,
 `Mapping[...]`, marks a field that `record` holds as a read-only copy.
+
+Every class in the package is a record, a `Frozen` without an instance
+`__dict__`, an exception, or one of four helpers whose state changes as
+they work: `decisions.PreferenceOracle` (which custom oracles extend), the
+axiom `Sampler`, the parser's token stream and the CLI's argument parser.
 """
 
 from collections import namedtuple

@@ -834,6 +834,8 @@ ON_S2 = constant_act("b", sure("y"), ("s2",))
 
 @pytest.mark.parametrize("build, error, message", [
     (lambda: Act("", {"s1": sure("y")}), ValueError, "acts need a nonempty name"),
+    (lambda: Act("e", {}), ValueError, "act 'e' needs a lottery for at least one state"),
+    (lambda: constant_act("c", sure("p"), ()), ValueError, "act 'c' needs a lottery for at least one state"),
     (lambda: Menu([ON_S1, ON_S2]), DimensionMismatch, "act 'b' is not defined over the menu's state space"),
     (lambda: Menu([ON_S1, ON_S1]), ValueError, "duplicate act name 'a' in menu"),
     (lambda: rank("minimax", Menu([ON_S1]), UtilitySpec({"y": 1, "z": 0}), None), BeliefKindMismatch,

@@ -67,7 +67,7 @@ UNREFERENCED_BUT_KEPT = {
     "axioms.check_mdc": "README, axiom checker: dynamic consistency (`check_mdc`, `replay_mdc`); ROADMAP item 10",
     "axioms.replay_mdc": "README, axiom checker: dynamic consistency (`check_mdc`, `replay_mdc`); ROADMAP item 10",
     "dynamics.splice_menu": "README, `wregret.dynamics` row: act splicing",
-    "dynamics.frozen_weight_family": "README, `wregret.dynamics` row: `frozen_weight_family`, the frozen-weight family",
+    "dynamics.frozen_weight_family": "README, `wregret.dynamics` row: `frozen_weight_family` keeps each measure's weight",
     "learning.es_update": "README, `wregret.learning` row: threshold (relative-likelihood) updating",
     "fixtures.fixture_path": "README, CLI examples: `f.fixture_path('delivery.dp')` locates the fixtures",
     "linfeas.solve_nonneg": "perfbench/tracing.py `TARGETS` wraps it; ROADMAP item 1's tracer change drops it",
@@ -101,8 +101,8 @@ def test_every_public_name_is_referenced_exported_or_kept():
 # Public methods that no module in the package references, each kept by a
 # README line, perfbench/tracing.py `TARGETS` or a ROADMAP item
 UNREFERENCED_METHODS_KEPT = {
-    "decisions.Act.utility_profile": "TARGETS wraps it; README: an act hands its utility profile out",
-    "decisions.Menu.best_profile": "TARGETS wraps it; README: `Menu.best_profile` gives the per-state maxima",
+    "decisions.Act.utility_profile": "TARGETS wraps it; README: `Act.utility_profile` hands out a read-only mapping",
+    "decisions.Menu.best_profile": "TARGETS wraps it; README: `Menu.best_profile` hands out a read-only mapping",
     "learning.Trajectory.final_weights": "ROADMAP item 5: `--summary` prints each seed's final weights",
 }
 

@@ -639,6 +639,13 @@ class TestCompareUpdaters:
      "prior weights must cover exactly the model's hypotheses"),
     (lambda model, probe, prior: compare_updaters(model, prior, probe, 3, range(1), F(1)), ValueError,
      "threshold must lie strictly between 0 and 1"),
+    # NaN fails every comparison, wherever it is listed
+    *[(run, ValueError, "prior weights must be normalized: in [0, 1], with maximum weight 1") for run in (
+        lambda model, probe, prior: simulate(model, {"mostly_good": 1, "coin": math.nan}, probe, 3),
+        lambda model, probe, prior: simulate(model, {"coin": math.nan, "mostly_good": 1}, probe, 3),
+        lambda model, probe, prior: compare_updaters(model, {"mostly_good": 1, "coin": math.nan}, probe, 3, range(1)),
+        lambda model, probe, prior: compare_updaters(model, {"coin": math.nan, "mostly_good": 1}, probe, 3, range(1)),
+    )],
 ])
 def test_error_types_and_messages(build, error, message):
     with pytest.raises(error) as raised:

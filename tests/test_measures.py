@@ -1055,3 +1055,15 @@ def test_a_string_is_not_an_event(call, state):
         f"an event is a collection of states, not the string {state!r}: wrap a single state as [{state!r}]"
     )
     call(["a"])  # the one-state event, as the message says to write it
+
+
+@pytest.mark.parametrize("call", [
+    Event,
+    lambda event: likelihood_update(ONE_LETTER, event),
+    lambda event: sequential_update(ONE_LETTER, event, ["a"]),
+], ids=["Event", "likelihood_update", "sequential_update"])
+@pytest.mark.parametrize("members, first", [(["a", 1], 1), ([1, "z"], 1), (("b", None, 2), None), ([b"a"], b"a")])
+def test_an_event_member_that_is_not_a_string_is_named(call, members, first):
+    with pytest.raises(TypeError) as raised:
+        call(members)
+    assert str(raised.value) == f"an event's states are strings, not {first!r}"

@@ -27,3 +27,9 @@ def test_library_quick_start_shows_what_each_line_returns():
         else:
             exec(compile(ast.Module([statement], []), "README.md", "exec"), namespace)
     assert len(stated) == 2 and shown == stated
+
+
+def test_readme_stays_within_its_budget():
+    # README says what the library offers and what a user can rely on; how a
+    # module works is stated in its docstrings, so README need not grow with it
+    assert len(README.read_bytes()) <= 15_000
