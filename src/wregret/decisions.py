@@ -21,13 +21,13 @@ denominators and runs a kernel whose int N is the score N/(D*L), so `rank`
 ties on ints and builds a `Fraction` only for a returned score.  What it
 scores is an `Alternative`, a name and a profile, or, through its int entry
 points (`prefers_at`, `rate_at`, `sign`), a menu of int profiles over one
-denominator.  Lotteries and utility tables are `rational.IntVector`s.  An
-immutable `Act` sums its profile as an int dot product and keeps the
-alternative of the last utility table it was asked about, so the oracle's
-`alternatives` only looks them up; decision-tree plans are born as ints.
-`numerators` gives a menu's score numerators over one denominator without
-building a `Fraction`, for a large enough menu and belief in one
-packed-integer pass over the whole menu.  The rules share kernels (mer is
+denominator.  Lotteries and utility tables are `rational.IntVector`s.  A
+`Menu` sums its acts' profiles as int dot products and keeps them (see
+`Menu`), so `rank` and the oracle's `alternatives` read a menu once per
+table; decision-tree plans are born as ints.  `numerators` gives a menu's
+score numerators over one denominator without building a `Fraction`, for a
+large enough menu and belief in one packed-integer pass over the whole
+menu.  The rules share kernels (mer is
 mwer with every weight one); their degeneration identities are tested
 against an independent re-derivation of the five rules kept in the tests.
 """
@@ -36,7 +36,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul, sub
+from itertools import groupby
+from operator import itemgetter, mul, sub
 from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
 
@@ -108,14 +109,9 @@ def sure(prize: str) -> Lottery:
 
 
 class Act(Frozen):
-    """A named assignment of one lottery to every state.
+    """A named, immutable assignment of one `Lottery` to every state."""
 
-    An act is immutable.  It keeps the `Alternative` the rules see it as
-    under the last utility table it was asked about (compared by identity),
-    whose profile is an int dot product of lottery and utility numerators.
-    """
-
-    __slots__ = ("name", "_items", "_last")
+    __slots__ = ("name", "_items")
 
     def __init__(self, name: str, outcomes: Mapping[str, Lottery]):
         if not name:
@@ -123,8 +119,11 @@ class Act(Frozen):
         items = tuple(sorted(outcomes.items(), key=lambda kv: kv[0]))
         if not items:
             raise ValueError(f"act {name!r} needs a lottery for at least one state")
-        for slot, value in zip(Act.__slots__, (name, items, (None, None))):
-            object.__setattr__(self, slot, value)
+        for state, lottery in items:
+            if not isinstance(lottery, Lottery):
+                raise TypeError(f"act {name!r} gives state {state!r} the outcome {lottery!r}, not a Lottery")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "_items", items)
 
     @property
     def state_space(self) -> tuple[str, ...]:
@@ -136,22 +135,10 @@ class Act(Frozen):
     def items(self) -> tuple[tuple[str, Lottery], ...]:
         return self._items
 
-    def alternative(self, u: UtilitySpec) -> "Alternative":
-        """The act as the rules see it under the utility table: its name and
-        its expected utility per state, in sorted state order, over the LCM
-        of its lotteries' denominators times the table's denominator."""
-        last, alternative = self._last
-        if last is not u or alternative is None:
-            lotteries = [lottery for _, lottery in self._items]
-            scale = lcm(*[lottery.denominator for lottery in lotteries])
-            numerators = [u._dot(lottery) * (scale // lottery.denominator) for lottery in lotteries]
-            alternative = Alternative.from_ints(self.name, numerators, scale * u.denominator)
-            object.__setattr__(self, "_last", (u, alternative))
-        return alternative
-
     def utility_profile(self, u: UtilitySpec) -> Mapping[str, Fraction]:
         """Expected utility per state, in sorted state order (read-only)."""
-        return MappingProxyType(dict(zip(self.state_space, self.alternative(u).profile)))
+        denominator, (profile,) = Menu([self]).profiles(u)
+        return MappingProxyType({s: Fraction(n, denominator) for s, n in zip(self.state_space, profile)})
 
     def _args(self) -> tuple:
         return self.name, dict(self._items)
@@ -168,9 +155,15 @@ def constant_act(name: str, lottery: Lottery, state_space: Sequence[str]) -> Act
 
 
 class Menu(Frozen):
-    """A finite, explicitly listed set of named acts over one state space."""
+    """A finite, explicitly listed set of named acts over one state space.
 
-    __slots__ = ("acts",)
+    A menu is immutable.  It keeps its acts' utility profiles under the last
+    utility table it was scored under (compared by identity), as ints over
+    one denominator L, the table's times the LCM of every lottery's:
+    `profiles(u)` gives (L, one int tuple per act, in menu order).
+    """
+
+    __slots__ = ("acts", "_last")
 
     def __init__(self, acts: Iterable[Act]):
         acts = tuple(acts)
@@ -187,6 +180,19 @@ class Menu(Frozen):
                 raise ValueError(f"duplicate act name {act.name!r} in menu")
             names.add(act.name)
         object.__setattr__(self, "acts", acts)
+        object.__setattr__(self, "_last", (None, None))
+
+    def profiles(self, u: UtilitySpec) -> tuple[int, tuple[IntProfile, ...]]:
+        last, matrix = self._last
+        if last is not u:
+            # one int dot product per lottery object, however many acts share it
+            lotteries = {id(lottery): lottery for act in self.acts for _, lottery in act._items}
+            scale = lcm(*{lottery.denominator for lottery in lotteries.values()})
+            value = {key: u._dot(lottery) * (scale // lottery.denominator) for key, lottery in lotteries.items()}
+            rows = tuple([tuple([value[id(lottery)] for _, lottery in act._items]) for act in self.acts])
+            matrix = scale * u.denominator, rows
+            object.__setattr__(self, "_last", (u, matrix))
+        return matrix
 
     @property
     def state_space(self) -> tuple[str, ...]:
@@ -203,8 +209,9 @@ class Menu(Frozen):
 
     def best_profile(self, u: UtilitySpec) -> Mapping[str, Fraction]:
         """Per-state maximum utility achieved by any menu act (read-only)."""
-        best = per_state_best([act.alternative(u).profile for act in self.acts])
-        return MappingProxyType(dict(zip(self.state_space, best)))
+        denominator, profiles = self.profiles(u)
+        best = per_state_best(profiles)
+        return MappingProxyType({s: Fraction(n, denominator) for s, n in zip(self.state_space, best)})
 
     def _args(self) -> tuple:
         return (self.acts,)
@@ -224,12 +231,11 @@ def _position(menu: Sequence, member) -> int:
 
 
 def regret_profile(act: Act, menu: Menu, u: UtilitySpec) -> dict[str, Fraction]:
-    """The act's regret in every state, from a regret oracle's int profiles."""
+    """The act's regret in every state, from the menu's int profiles."""
     i = _position(menu.acts, act)  # raises ActNotInMenu for a non-member
-    oracle = PreferenceOracle("regret", None, u, menu.state_space)
-    scale, profiles = over_common(oracle.alternatives(menu))
+    scale, profiles = menu.profiles(u)
     best = per_state_best(profiles)
-    return {state: Fraction(b - n, scale) for state, b, n in zip(oracle.state_space, best, profiles[i])}
+    return {state: Fraction(b - n, scale) for state, b, n in zip(menu.state_space, best, profiles[i])}
 
 
 def max_regret(act: Act, menu: Menu, u: UtilitySpec) -> Fraction:
@@ -266,13 +272,15 @@ def _score_of(rule: str, act: Act, menu: Menu, u: UtilitySpec, belief: Belief) -
 # it over the menu's denominator L.  An entry row is one measure's
 # weight x probability x D, in sorted state order.  Every rule has a per-act
 # kernel.  The belief rules' kernels also have a whole-menu form, on one
-# packed-integer kernel (`_packed_max`), which `PreferenceOracle.numerators`
-# (behind `rank`, `scores` and the tree nodes) takes for a menu and belief
-# of at least the sizes `_WHOLE_MENU` gives each form, where it measured
-# faster (mer/mwer from 8 acts, mmeu from 16, under at least 4 rows; seu's
-# one measure is one row, so it never does); smaller inputs, the per-member
-# entry points (`prefers_at`, `rate_at`, `sign`) and probability-free regret
-# keep the per-act kernels.
+# packed-integer kernel (`_packed_max`), which `PreferenceOracle._numerators`
+# takes for a menu and belief of at least the sizes `_WHOLE_MENU` gives each
+# form, where it measured faster (mer/mwer from 8 acts, mmeu from 16, under
+# at least 4 rows; seu's one measure is one row, so it never does).  Two
+# paths enter `_numerators`: `numerators` (behind `scores` and the tree
+# nodes) with alternatives put over their LCM, and `rank` with a `Menu`'s
+# kept `profiles`.  Smaller inputs, the per-member entry points
+# (`prefers_at`, `rate_at`, `sign`) and probability-free regret keep the
+# per-act kernels.
 
 Profile = tuple[Fraction, ...]
 IntProfile = tuple[int, ...]
@@ -516,28 +524,27 @@ class PreferenceOracle:
     def scores(self, menu: Sequence[Alternative]) -> dict[str, Fraction]:
         """The rule's score of every member of a menu with unique names;
         a repeated name raises ValueError."""
-        return self._scored(menu)[1]
+        denominator, values = self.numerators(menu)
+        scores: dict[str, Fraction] = {}
+        for a, n in zip(menu, values):
+            if a.name in scores:
+                raise ValueError(f"duplicate name {a.name!r} in the menu")
+            scores[a.name] = Fraction(n, denominator)
+        return scores
 
     def numerators(self, menu: Sequence[Alternative]) -> tuple[int, list[int]]:
         """The denominator of every score in the menu, and each member's
         score numerator over it, in menu order (names are not read)."""
-        scale, profiles = over_common(menu)
+        return self._numerators(*over_common(menu))
+
+    def _numerators(self, scale: int, profiles: Sequence[IntProfile]) -> tuple[int, list[int]]:
+        """`numerators` of int profiles over `scale`: where a kernel, per act or whole-menu, is chosen."""
         best = per_state_best(profiles)
         score, rows = self._score, self._rows
         whole, least_acts, least_rows = _WHOLE_MENU.get(score, (None, 0, 0))
         if whole is not None and len(profiles) >= least_acts and len(rows) >= least_rows:
             return self._common * scale, whole(profiles, best, rows)
         return self._common * scale, [score(x, best, rows) for x in profiles]
-
-    def _scored(self, menu: Sequence[Alternative]) -> tuple[dict[str, int], dict[str, Fraction]]:
-        """Each member's score numerator over one denominator, and its score, by name."""
-        denominator, values = self.numerators(menu)
-        numerators: dict[str, int] = {}
-        for a, n in zip(menu, values):
-            if a.name in numerators:
-                raise ValueError(f"duplicate name {a.name!r} in the menu")
-            numerators[a.name] = n
-        return numerators, {name: Fraction(n, denominator) for name, n in numerators.items()}
 
     def rate(self, f: Alternative, menu: Sequence[Alternative]) -> Fraction:
         """The rule's score of the member f against the menu."""
@@ -571,12 +578,17 @@ class PreferenceOracle:
         menu only through that best, and its order does not depend on which."""
         return self._order(self._score(x, best, self._rows), self._score(y, best, self._rows))
 
-    def alternatives(self, menu: Menu) -> tuple[Alternative, ...]:
-        """The menu's acts as the rule sees them: names and utility profiles."""
+    def _read(self, menu: Menu) -> tuple[int, tuple[IntProfile, ...]]:
+        """The menu's `profiles` under the oracle's utility table."""
         if menu.state_space != self.state_space:
             states = ", ".join(self.state_space)
             raise DimensionMismatch(f"the menu is not over the oracle's states {states}")
-        return tuple([act.alternative(self.utility) for act in menu])
+        return menu.profiles(self.utility)
+
+    def alternatives(self, menu: Menu) -> tuple[Alternative, ...]:
+        """The menu's acts as the rule sees them: names and utility profiles."""
+        denominator, profiles = self._read(menu)
+        return tuple([Alternative.from_ints(act.name, x, denominator) for act, x in zip(menu.acts, profiles)])
 
     def score(self, act: Act, menu: Menu) -> Fraction:
         """The rule's score of a menu act."""
@@ -590,17 +602,10 @@ def group_ties(
     scores: Mapping[str, Fraction | float | int], lower_is_better: bool
 ) -> tuple[tuple[str, ...], ...]:
     """The names grouped by exactly equal score, best group first and names
-    sorted within a group."""
-    ordered = sorted(scores.items(), key=lambda kv: (kv[1] if lower_is_better else -kv[1], kv[0]))
-    groups: list[list[str]] = []
-    last = None
-    for name, score in ordered:
-        if groups and score == last:
-            groups[-1].append(name)
-        else:
-            groups.append([name])
-            last = score
-    return tuple(tuple(g) for g in groups)
+    sorted within a group, by one sort of (score or its negation, name) pairs."""
+    keys = scores.values() if lower_is_better else [-v for v in scores.values()]
+    ordered = groupby(sorted(zip(keys, scores)), key=itemgetter(0))
+    return tuple([tuple([name for _, name in group]) for _, group in ordered])
 
 
 @record
@@ -664,7 +669,9 @@ def rank(rule: str, menu: Menu, u: UtilitySpec, belief: Belief = None) -> Rankin
     probability-free regret.
     """
     oracle = PreferenceOracle(rule, belief, u, menu.state_space)
-    numerators, scores = oracle._scored(oracle.alternatives(menu))
+    denominator, values = oracle._numerators(*oracle._read(menu))
+    numerators = dict(zip([act.name for act in menu.acts], values))
+    scores = {name: Fraction(n, denominator) for name, n in numerators.items()}
     return Ranking(rule, oracle.lower_is_better, scores, group_ties(numerators, oracle.lower_is_better))
 
 

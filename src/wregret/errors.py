@@ -1,8 +1,12 @@
 """Exception types shared across the package.
 
-Every error raised by library operations derives from DomainError so the
-CLI can map them to a single exit code; parse failures carry positioned
-diagnostics and get their own root.
+The library raises a `DomainError` subclass for a well-formed request that
+the domain rejects (an undefined update, an act outside its menu),
+`ValueError` or `TypeError` for a malformed argument (an empty act name, a
+float where an exact value is needed, a mixture weight outside [0, 1]), and
+a `ParseError`, which carries positioned diagnostics, for text that does not
+parse.  `cli.main` exits 1 on a `DomainError` or `ValueError`, 2 on a
+`ParseError` and 3 on a usage error (bad options, an unreadable file).
 """
 
 from __future__ import annotations

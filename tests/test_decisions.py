@@ -260,11 +260,17 @@ class TestProfiles:
         }
 
 
-def _reference_instance(rng: random.Random, size=None, entries=None):
+def _reference_instance(rng: random.Random, size=None, entries=None, ties=False):
     """A random problem as library objects and as the reference's plain
-    dicts, with `size` acts and `entries` measures (random when None)."""
+    dicts, with `size` acts and `entries` measures (random when None).  With
+    `ties`, utilities are negative, and the menu adds a twin of `a0` under
+    another name and two constant acts of equal value from other lotteries,
+    so that every rule ties `a0` with `twin` and `sure` with `even`."""
     states = [f"s{i}" for i in range(rng.randint(3, 6))]
     utility = {f"z{i}": F(v, 2) for i, v in enumerate(rng.sample(range(-12, 13), 4))}
+    if ties:  # z1 is worth as much as even odds of z0 and z2
+        low, high = sorted(rng.sample(range(-24, 0, 2), 2))
+        utility = {"z0": F(low, 2), "z1": F(low + high, 4), "z2": F(high, 2), "z3": F(rng.randint(-12, -1), 3)}
     acts = {}
     for i in range(size or rng.randint(2, 16)):
         act = {}
@@ -272,6 +278,10 @@ def _reference_instance(rng: random.Random, size=None, entries=None):
             cut = rng.randint(0, 4)
             act[s] = {"z0": F(cut, 4), rng.choice(["z1", "z2", "z3"]): F(4 - cut, 4)}
         acts[f"a{i}"] = act
+    if ties:
+        acts["twin"] = dict(acts["a0"])
+        acts["sure"] = {s: {"z1": F(1)} for s in states}
+        acts["even"] = {s: {"z0": F(1, 2), "z2": F(1, 2)} for s in states}
     measures = []
     for _ in range(entries or rng.randint(1, 8)):
         raw = [rng.randint(0, 3) for _ in states]
@@ -319,16 +329,21 @@ BOUNDARY_SIZES = sorted({
 
 class TestAgainstReference:
     def test_rank_matches_the_reference_rules(self):
-        for seed in range(60 + len(BOUNDARY_SIZES)):
+        # the last 20 seeds force ties
+        for seed in range(80 + len(BOUNDARY_SIZES)):
             rng = random.Random(seed)
-            sizes = BOUNDARY_SIZES[seed - 60] if seed >= 60 else (None, None)
-            menu, u, acts, utility, beliefs = _reference_instance(rng, *sizes)
+            sizes = BOUNDARY_SIZES[seed - 60] if 60 <= seed < 60 + len(BOUNDARY_SIZES) else (None, None)
+            ties = seed >= 60 + len(BOUNDARY_SIZES)
+            menu, u, acts, utility, beliefs = _reference_instance(rng, *sizes, ties=ties)
             for rule, (belief, plain) in beliefs.items():
                 ranking = rank(rule, menu, u, belief)
                 expected = reference.scores(rule, acts, utility, plain)
                 assert ranking.scores == expected, (seed, rule)
                 assert ranking.lower_is_better == reference.LOWER_IS_BETTER[rule]
                 assert ranking.groups == reference.groups(expected, ranking.lower_is_better)
+                if ties:
+                    rank_of = {name: k for k, group in enumerate(ranking.groups) for name in group}
+                    assert rank_of["a0"] == rank_of["twin"] and rank_of["even"] == rank_of["sure"], (seed, rule)
                 per_act = {act.name: PER_ACT[rule](act, menu, u, belief) for act in menu}
                 assert per_act == expected, (seed, rule)
 
@@ -473,7 +488,7 @@ def _library_menu(acts: dict) -> Menu:
 
 
 class TestIntProfiles:
-    """An act's profile is an int dot product, kept as one Alternative per
+    """An act's profile is an int dot product, which a menu keeps for its last
     utility table; it must equal the Fraction sum of p * u state by state."""
 
     def test_profiles_match_the_fraction_sum(self):
@@ -486,11 +501,16 @@ class TestIntProfiles:
                 for spec, plain in ((u, first), (v, second), (u, first)):
                     expected = {s: reference.expected_utility(acts[act.name][s], plain) for s in states}
                     assert act.utility_profile(spec) == expected, seed
-                    assert act.alternative(spec).profile == tuple(expected[s] for s in sorted(states))
                     for s in states:
                         assert spec.utility(act[s]) == expected[s]
-                assert act.alternative(u) is act.alternative(u)
-                assert act.alternative(v) is not act.alternative(u)
+            # the menu under two tables, asked in both orders
+            for spec, plain in ((u, first), (v, second), (u, first)):
+                denominator, profiles = kept = menu.profiles(spec)
+                assert menu.profiles(spec) is kept
+                expected = [[reference.expected_utility(acts[act.name][s], plain) for s in sorted(states)]
+                            for act in menu]
+                assert [[F(n, denominator) for n in x] for x in profiles] == expected, seed
+            assert menu.profiles(v) is not menu.profiles(u)
 
     def test_rank_matches_the_reference_rules(self):
         for seed in range(40):
@@ -516,17 +536,43 @@ class TestIntProfiles:
                     assert ranking.groups == reference.groups(expected, ranking.lower_is_better)
 
     def test_the_oracle_reads_the_cached_alternatives(self, base_menu, delivery_utility):
+        # the alternatives are the menu's kept int profiles under names
         oracle = PreferenceOracle("regret", None, delivery_utility, DELIVERY_STATES)
         alternatives = oracle.alternatives(base_menu)
-        assert all(a is act.alternative(delivery_utility) for a, act in zip(alternatives, base_menu))
+        denominator, profiles = base_menu.profiles(delivery_utility)
+        assert all(a.numerators is x and a.denominator == denominator for a, x in zip(alternatives, profiles))
+        assert [a.name for a in alternatives] == [act.name for act in base_menu]
         assert oracle.alternatives(base_menu) == alternatives
+        assert base_menu.profiles(delivery_utility) == (denominator, profiles)
+
+    def test_a_menu_ranked_again_under_its_table_takes_no_expectation(self, monkeypatch):
+        # the first rank fills the menu's int profiles, one dot product per
+        # lottery object; later ranks under the same table read them, and
+        # another table refills them
+        dots = [0]
+        original = UtilitySpec._dot
+
+        def counting_dot(self, lottery):
+            dots[0] += 1
+            return original(self, lottery)
+
+        monkeypatch.setattr(UtilitySpec, "_dot", counting_dot)
+        rng = random.Random(46)
+        menu, u, acts, utility, beliefs = _reference_instance(rng, 6, 3)
+        lotteries = {id(act[s]) for act in menu for s in act.state_space}
+        for table, plain in ((u, utility), (UtilitySpec(utility), utility), (u, utility)):
+            for k, (rule, (belief, reference_belief)) in enumerate(beliefs.items()):
+                dots[0] = 0
+                ranking = rank(rule, menu, table, belief)
+                assert dots[0] == (len(lotteries) if k == 0 else 0), rule
+                assert ranking.scores == reference.scores(rule, acts, plain, reference_belief), rule
 
     def test_unknown_prize_raises_on_every_path(self, delivery_utility):
         act = Act("odd", {"one_broken": sure("mystery"), "ten_broken": sure("nothing")})
         menu = Menu([act])
         for call in (
-            lambda: act.alternative(delivery_utility),
             lambda: act.utility_profile(delivery_utility),
+            lambda: menu.best_profile(delivery_utility),
             lambda: rank("regret", menu, delivery_utility),
             lambda: delivery_utility["mystery"],
         ):
@@ -582,21 +628,30 @@ class TestLotteryAndActValues:
 
     def test_act_is_immutable_and_copyable(self, delivery_acts, delivery_utility):
         act = delivery_acts["check"]
-        before = act.alternative(delivery_utility)
+        before = act.utility_profile(delivery_utility)
         for change in (lambda: setattr(act, "name", "x"), lambda: delattr(act, "name"),
-                       lambda: setattr(act, "_alternatives", {}), lambda: setattr(act, "extra", 1)):
+                       lambda: setattr(act, "_items", ()), lambda: setattr(act, "extra", 1)):
             with pytest.raises(AttributeError):
                 change()
-        assert act.name == "check" and act.alternative(delivery_utility) is before
+        assert act.name == "check" and act.utility_profile(delivery_utility) == before
         for twin in (copy.copy(act), copy.deepcopy(act), pickle.loads(pickle.dumps(act))):
             assert twin == act and hash(twin) == hash(act)
             assert twin.utility_profile(delivery_utility) == act.utility_profile(delivery_utility)
 
-    def test_a_menu_equals_its_copies_and_a_menu_of_the_same_acts(self, delivery_acts, base_menu):
+    def test_a_menu_equals_its_copies_and_a_menu_of_the_same_acts(
+        self, delivery_acts, base_menu, delivery_utility, delivery_measures
+    ):
+        # a ranked menu's kept profiles are not compared, copied or pickled
+        ranked = rank("mer", base_menu, delivery_utility, delivery_measures)
         same = Menu([delivery_acts[n] for n in ("cont", "back", "check")])
         for twin in (same, copy.copy(base_menu), copy.deepcopy(base_menu),
                      pickle.loads(pickle.dumps(base_menu))):
             assert twin == base_menu and hash(twin) == hash(base_menu)
+            assert rank("mer", twin, delivery_utility, delivery_measures) == ranked
+        for change in (lambda: setattr(base_menu, "acts", ()), lambda: setattr(base_menu, "_last", (None, None)),
+                       lambda: delattr(base_menu, "_last"), lambda: setattr(base_menu, "extra", 1)):
+            with pytest.raises(AttributeError):
+                change()
         reordered = Menu([delivery_acts[n] for n in ("back", "cont", "check")])
         for other in (reordered, Menu([delivery_acts["cont"], delivery_acts["back"]]),
                       Menu([delivery_acts[n] for n in ("cont", "back", "new")])):
@@ -619,9 +674,9 @@ class TestLotteryAndActValues:
         assert ranking.to_tsv() == shown
 
     def test_an_act_keeps_only_its_last_table(self):
-        # the act caches the alternative of the last table it was scored
-        # under, so fresh tables do not pile up, and alternating tables
-        # still score right
+        # the menu keeps the profiles of the last table it was scored under,
+        # and an act keeps none, so fresh tables do not pile up, and
+        # alternating tables still score as fresh menus do
         acts = [constant_act("low", sure("lo"), ("s1", "s2")),
                 Act("mixed", {"s1": sure("hi"), "s2": Lottery({"lo": F(1, 3), "hi": F(2, 3)})})]
         menu = Menu(acts)
@@ -630,13 +685,21 @@ class TestLotteryAndActValues:
         for k in range(10_000):
             table = first if k == 0 else UtilitySpec({"lo": 0, "hi": k + 1})
             assert rank("regret", menu, table).scores == {"low": k + 1, "mixed": 0}
+            assert acts[1].utility_profile(table) == {"s1": k + 1, "s2": F(2 * (k + 1), 3)}
+        last = weakref.ref(table)
         del first, table
-        assert earlier() is None
+        assert earlier() is None and last() is not None  # the menu holds its last table
         u, v = UtilitySpec({"lo": -1, "hi": 2}), UtilitySpec({"lo": 3, "hi": F(1, 2)})
         for _ in range(3):
             assert acts[1].utility_profile(u) == {"s1": 2, "s2": 1}
             assert acts[1].utility_profile(v) == {"s1": F(1, 2), "s2": F(4, 3)}
+            for table in (v, u):
+                for rule in ("regret", "mer"):
+                    belief = None if rule == "regret" else [Measure({"s1": F(1, 4), "s2": F(3, 4)})]
+                    assert rank(rule, menu, table, belief) == rank(rule, Menu(acts), table, belief)
             assert rank("regret", menu, v).scores == {"low": 0, "mixed": F(5, 2)}
+        del menu, table
+        assert last() is None
 
 
 class TestMixtures:
@@ -835,6 +898,7 @@ ON_S2 = constant_act("b", sure("y"), ("s2",))
 @pytest.mark.parametrize("build, error, message", [
     (lambda: Act("", {"s1": sure("y")}), ValueError, "acts need a nonempty name"),
     (lambda: Act("e", {}), ValueError, "act 'e' needs a lottery for at least one state"),
+    (lambda: Act("n", {"s": 1}), TypeError, "act 'n' gives state 's' the outcome 1, not a Lottery"),
     (lambda: constant_act("c", sure("p"), ()), ValueError, "act 'c' needs a lottery for at least one state"),
     (lambda: Menu([ON_S1, ON_S2]), DimensionMismatch, "act 'b' is not defined over the menu's state space"),
     (lambda: Menu([ON_S1, ON_S1]), ValueError, "duplicate act name 'a' in menu"),

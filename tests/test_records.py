@@ -449,8 +449,8 @@ def _equal_pairs(rng: random.Random) -> list[tuple[object, object]]:
         return Act(name, dict(rng.sample(outcomes, len(outcomes))))
 
     acts = [act(name, lotteries[0]) for name in ("f", "g")], [act(name, lotteries[1]) for name in ("f", "g")]
-    acts[0][0].alternative(utility[0])  # the act's cache of its last alternative is not compared
     menus = Menu(acts[0]), Menu(acts[1])
+    decisions.rank("regret", menus[0], utility[0])  # the menu's kept profiles are not compared
     hypotheses = [(f"h{i}", pair) for i, pair in enumerate(measures)]
     probes = (learning.Probe(menus[0], utility[0], {h: m for h, (m, _) in hypotheses}),
               learning.Probe(menus[1], utility[1], {h: m for h, (_, m) in reversed(hypotheses)}))
