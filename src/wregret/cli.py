@@ -1,13 +1,23 @@
 """Command-line interface.
 
 Subcommands: eval, update, axioms, tree, simulate.  Results go to stdout,
-diagnostics to stderr.  Exit codes: 0 success, 1 domain error, 2 parse
-error, 3 usage error.
+diagnostics to stderr.  Exit codes: 0 success, 1 domain error or stdout
+that cannot be written, 2 parse error, 3 usage error.
+
+`run` is the process entry (`python -m wregret.cli` and the installed
+`wregret` script); `main` runs one command in-process.  `run` freezes the
+heap that exists when it is called, the imported modules, classes and
+functions, with `gc.freeze()`, so neither the collections during the
+command nor the ones at exit traverse it.  It does not freeze anything that
+`main` builds.  Frozen objects are never collected, so only a process that
+exits after one command may call `run`.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
+import os
 import sys
 from pathlib import Path
 
@@ -261,5 +271,22 @@ def main(argv=None) -> int:
         return 1
 
 
+def run() -> int:
+    """`main` in a process that exits after it: a closed stdout pipe ends it
+    quietly, any other failed write (a full disk) with one line; exit 1."""
+    gc.freeze()
+    try:
+        code = main()
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        pass
+    except OSError as exc:  # main turns every failed read into a usage error
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+    # else exit's flush of stdout fails again ("Note on SIGPIPE", `signal` docs)
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 1
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(run())

@@ -6,7 +6,9 @@ the domain rejects (an undefined update, an act outside its menu),
 float where an exact value is needed, a mixture weight outside [0, 1]), and
 a `ParseError`, which carries positioned diagnostics, for text that does not
 parse.  `cli.main` exits 1 on a `DomainError` or `ValueError`, 2 on a
-`ParseError` and 3 on a usage error (bad options, an unreadable file).
+`ParseError` and 3 on a usage error (bad options, an unreadable file);
+`cli.run`, the process entry, also exits 1 when stdout cannot be written
+(a closed pipe, a full disk).
 """
 
 from __future__ import annotations

@@ -1,5 +1,7 @@
 """The command-line surface: outputs, determinism, exit codes."""
 
+import ast
+import gc
 import hashlib
 import json
 import os
@@ -11,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import wregret
+from wregret import cli
 from wregret.axioms import AXIOM_IDS
 from wregret.cli import main
 from wregret.fixtures import fixture_path, fixture_text
@@ -27,6 +30,21 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def child_env() -> dict:
+    """The environment of a child interpreter that imports this package."""
+    package = str(Path(wregret.__file__).parent.parent)
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))}
+
+
+def entry(*argv, unbuffered=False, **popen) -> subprocess.Popen:
+    """`python -m wregret.cli ARGV`: the command as its own process.  Its
+    stdout is block-buffered, as a shell starts it, unless `unbuffered`."""
+    env = {key: value for key, value in child_env().items() if key != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "wregret.cli", *argv], env=env, **popen)
 
 
 class TestEval:
@@ -345,12 +363,10 @@ class TestSimulateCommand:
         def limit():
             resource.setrlimit(resource.RLIMIT_AS, (100 * 2**20, 100 * 2**20))
 
-        package = str(Path(wregret.__file__).parent.parent)
-        path = os.pathsep.join(filter(None, [package, os.environ.get("PYTHONPATH")]))
         child = subprocess.Popen(
             [sys.executable, "-c", "import sys; from wregret.cli import main; sys.exit(main(sys.argv[1:]))",
              "simulate", LEARNING, "--truth", "mostly_good", "--rounds", "5", "--seeds", "100000000"],
-            env={**os.environ, "PYTHONPATH": path}, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env=child_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE,
             preexec_fn=limit,
         )
         try:
@@ -439,3 +455,101 @@ class TestSimulateCommand:
         argv = ("simulate", LEARNING, "--truth", "coin", "--rounds", "20", "--seeds", "2")
         named = run(capsys, *argv, "--menu", "probe")
         assert named[0] == 0 and named == run(capsys, *argv)
+
+
+# each case with the exit code it must end in; {impossible} and {broken}
+# name files the test writes
+ENTRY_CASES = {
+    "eval": (0, "eval", WEIGHTED, "--rule", "mwer", "--menu", "base"),
+    "eval json": (0, "eval", WEIGHTED, "--rule", "mer", "--menu", "extended", "--format", "json"),
+    "update": (0, "update", CUPCAKE, "--event", "first100good"),
+    "tree": (0, "tree", RESTAURANT, RESTAURANT_TREE, "--planning", "ex-ante"),
+    "matrix": (0, "axioms", WEIGHTED, "--axiom", "matrix", "--samples", "4"),
+    "simulate": (0, "simulate", LEARNING, "--truth", "coin", "--rounds", "40", "--seeds", "3"),
+    "domain error": (1, "update", "{impossible}", "--event", "impossible"),
+    "parse error": (2, "eval", "{broken}", "--rule", "mer", "--menu", "m"),
+    "usage error": (3, "eval", DELIVERY, "--rule", "mer", "--menu", "ghost"),
+}
+
+# the command replaced by one that reports the freeze it runs under
+FREEZE_PROBE = """
+import gc, sys
+import wregret.cli as cli
+cli.main = lambda: print(gc.get_freeze_count(), gc.isenabled()) or 0
+sys.exit(cli.run())
+"""
+
+
+class TestProcessEntry:
+    @pytest.mark.parametrize("case", ENTRY_CASES)
+    def test_a_process_prints_what_main_prints(self, capsys, tmp_path, case):
+        expected, *argv = ENTRY_CASES[case]
+        (tmp_path / "impossible.dp").write_text(fixture_text("delivery.dp") + "event impossible = { }\n")
+        (tmp_path / "broken.dp").write_text("states s1\n")
+        argv = [arg.format(impossible=tmp_path / "impossible.dp", broken=tmp_path / "broken.dp") for arg in argv]
+        code, out, err = run(capsys, *argv)
+        child = entry(*argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        child_out, child_err = child.communicate()
+        assert code == expected
+        assert (child.returncode, child_out, child_err) == (code, out.encode(), err.encode())
+
+    def test_main_in_process_leaves_collection_as_it_was(self, capsys):
+        before = gc.get_freeze_count(), gc.isenabled()
+        assert run(capsys, "axioms", WEIGHTED, "--axiom", "matrix", "--samples", "4")[0] == 0
+        assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+    def test_the_entry_freezes_before_the_command_runs(self):
+        out = subprocess.run(
+            [sys.executable, "-c", FREEZE_PROBE], env=child_env(), capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert int(out[0]) > 0 and out[1] == "True"
+
+    def test_every_process_enters_through_run(self):
+        tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+        block = next(
+            node for node in tree.body
+            if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"
+        )
+        called = {node.func.id for node in ast.walk(block) if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)}
+        assert "run" in called and "main" not in called
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        assert 'wregret = "wregret.cli:run"' in pyproject.read_text(encoding="utf-8").splitlines()
+
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    @pytest.mark.parametrize(
+        "argv, lines",
+        [
+            # 40,020 rows, far more than a pipe holds: closed while the child writes
+            (("simulate", LEARNING, "--truth", "coin", "--rounds", "2000", "--seeds", "20"), 1),
+            # closed before the child starts: a buffered stdout fails at the flush
+            (("eval", DELIVERY, "--rule", "mer", "--menu", "base"), 0),
+        ],
+    )
+    def test_a_pipe_closed_early_ends_the_command_silently(self, argv, lines, unbuffered):
+        read_end, write_end = os.pipe()
+        with open(read_end, "rb") as reader:
+            if not lines:
+                reader.close()
+            child = entry(*argv, unbuffered=unbuffered, stdout=write_end, stderr=subprocess.PIPE)
+            os.close(write_end)
+            read = [reader.readline() for _ in range(lines)]
+        with child.stderr:
+            err = child.stderr.read()
+        assert all(line.endswith(b"\n") for line in read)
+        assert (child.wait(), err) == (1, b"")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="writes to Linux's /dev/full")
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("eval", DELIVERY, "--rule", "mer", "--menu", "base"),  # buffered, fails at the flush
+            ("simulate", LEARNING, "--truth", "coin", "--rounds", "2000", "--seeds", "20"),  # fails mid-command
+        ],
+    )
+    @pytest.mark.parametrize("unbuffered", [False, True])
+    def test_a_full_device_ends_the_command_with_one_line(self, argv, unbuffered):
+        with open("/dev/full", "wb") as full:
+            child = entry(*argv, unbuffered=unbuffered, stdout=full, stderr=subprocess.PIPE)
+            _, err = child.communicate()
+        assert child.returncode == 1
+        assert err.decode().splitlines() == ["error: cannot write output: [Errno 28] No space left on device"]
