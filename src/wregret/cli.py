@@ -4,13 +4,12 @@ Subcommands: eval, update, axioms, tree, simulate.  Results go to stdout,
 diagnostics to stderr.  Exit codes: 0 success, 1 domain error or stdout
 that cannot be written, 2 parse error, 3 usage error.
 
-`run` is the process entry (`python -m wregret.cli` and the installed
-`wregret` script); `main` runs one command in-process.  `run` freezes the
-heap that exists when it is called, the imported modules, classes and
-functions, with `gc.freeze()`, so neither the collections during the
-command nor the ones at exit traverse it.  It does not freeze anything that
-`main` builds.  Frozen objects are never collected, so only a process that
-exits after one command may call `run`.
+`run` is the process entry (`python -m wregret.cli`, the `wregret` script);
+`main` runs one command in-process.  `run` freezes the heap that exists when
+it is called (the imported modules, classes and functions) with
+`gc.freeze()`, so no collection during the command or at exit traverses it;
+it does not freeze what `main` builds.  Frozen objects are never collected,
+so only a process that exits after one command may call `run`.
 """
 
 from __future__ import annotations
@@ -276,7 +275,10 @@ def run() -> int:
     quietly, any other failed write (a full disk) with one line; exit 1."""
     gc.freeze()
     try:
-        code = main()
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse's --help writes, then exits 0
+            code = exc.code
         sys.stdout.flush()
         return code
     except BrokenPipeError:

@@ -7,8 +7,7 @@ float where an exact value is needed, a mixture weight outside [0, 1]), and
 a `ParseError`, which carries positioned diagnostics, for text that does not
 parse.  `cli.main` exits 1 on a `DomainError` or `ValueError`, 2 on a
 `ParseError` and 3 on a usage error (bad options, an unreadable file);
-`cli.run`, the process entry, also exits 1 when stdout cannot be written
-(a closed pipe, a full disk).
+`cli.run`, the process entry, also exits 1 on an unwritable stdout.
 """
 
 from __future__ import annotations
