@@ -5,11 +5,10 @@ diagnostics to stderr.  Exit codes: 0 success, 1 domain error or stdout
 that cannot be written, 2 parse error, 3 usage error.
 
 `run` is the process entry (`python -m wregret.cli`, the `wregret` script);
-`main` runs one command in-process.  `run` freezes the heap that exists when
-it is called (the imported modules, classes and functions) with
-`gc.freeze()`, so no collection during the command or at exit traverses it;
-it does not freeze what `main` builds.  Frozen objects are never collected,
-so only a process that exits after one command may call `run`.
+`main` runs one command in-process.  `run` turns the cyclic collector off and
+ends in `os._exit` once stdout and stderr are flushed: nothing is collected or
+torn down.  A command's uncollected cycles do not grow with its request
+(tests/test_cli.py), and only a process that runs one command may call `run`.
 """
 
 from __future__ import annotations
@@ -19,6 +18,7 @@ import gc
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from .axioms import (
     AXIOM_IDS,
@@ -44,6 +44,9 @@ class UsageError(Exception):
 class _ArgumentParser(argparse.ArgumentParser):
     def error(self, message):  # argparse would exit(2); we reserve 2 for parse errors
         raise UsageError(message)
+
+    def print_help(self, file=None):  # argparse's own writer drops an OSError
+        (file or sys.stdout).write(self.format_help())
 
 
 def _read(path: str) -> str:
@@ -270,25 +273,22 @@ def main(argv=None) -> int:
         return 1
 
 
-def run() -> int:
-    """`main` in a process that exits after it: a closed stdout pipe ends it
-    quietly, any other failed write (a full disk) with one line; exit 1."""
-    gc.freeze()
+def run() -> NoReturn:
+    """`main` as the whole process: its exit code, or 1 on a failed write."""
+    gc.disable()
     try:
         try:
             code = main()
         except SystemExit as exc:  # argparse's --help writes, then exits 0
             code = exc.code
         sys.stdout.flush()
-        return code
-    except BrokenPipeError:
-        pass
     except OSError as exc:  # main turns every failed read into a usage error
-        print(f"error: cannot write output: {exc}", file=sys.stderr)
-    # else exit's flush of stdout fails again ("Note on SIGPIPE", `signal` docs)
-    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-    return 1
+        if not isinstance(exc, BrokenPipeError):
+            print(f"error: cannot write output: {exc}", file=sys.stderr)
+        code = 1
+    sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(run())
+    run()

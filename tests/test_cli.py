@@ -474,20 +474,83 @@ ENTRY_CASES = {
 HELP = ("--help",)
 
 
-def help_code(argv, unbuffered) -> int:
-    """The exit code of a child whose stdout cannot be written.  Under an
-    unbuffered stdout argparse itself drops the failed write of its help
-    text, so `--help` exits 0 there; buffered, the write fails at the flush."""
-    return 0 if unbuffered and argv == HELP else 1
-
-
-# the command replaced by one that reports the freeze it runs under
-FREEZE_PROBE = """
-import gc, sys
+# the command replaced by one that reports whether the collector runs under
+# it; the process prints more only if `run` returns or the interpreter exits
+ENTRY_PROBE = """
+import atexit, gc
 import wregret.cli as cli
-cli.main = lambda: print(gc.get_freeze_count(), gc.isenabled()) or 0
-sys.exit(cli.run())
+atexit.register(print, "interpreter exit")
+cli.main = lambda: print(gc.isenabled()) or 0
+try:
+    cli.run()
+finally:
+    print("run returned or raised")
 """
+
+
+def large_problem() -> str:
+    """A problem far larger than the bundled ones: 6 states, a menu `all` of
+    60 acts and 30 hypotheses, which condition to 30 measures on `half`."""
+    states = [f"s{k}" for k in range(6)]
+    return "\n".join([
+        "states: " + " ".join(states),
+        "prizes: " + " ".join(f"z{j}" for j in range(12)),
+        "utility: " + ", ".join(f"z{j} = {j * 7 % 12 - 5}" for j in range(12)),
+        *(f"lottery l{j} = {{ z{j}: 1 }}" for j in range(12)),
+        *(
+            f"act a{i} = {{ " + ", ".join(f"{s}: l{(i * (k + 1) + k) % 12}" for k, s in enumerate(states)) + " }"
+            for i in range(60)
+        ),
+        "menu all = [ " + ", ".join(f"a{i}" for i in range(60)) + " ]",
+        *(
+            f"hypothesis h{j} weight {1 if j == 0 else f'{j}/{j + 1}'} = {{ "
+            + ", ".join(f"{s}: {j + k + 1}/{6 * j + 21}" for k, s in enumerate(states)) + " }"
+            for j in range(30)
+        ),
+        "event half = { s0, s1, s2 }",
+    ]) + "\n"
+
+
+def wide_tree() -> str:
+    """A tree over restaurant.dp with 300 plans: three first choices, each
+    followed by a choice among ten dishes once nature reveals the allergy."""
+    dishes = ["enjoy_pasta", "enjoy_stirfry", "eat_rice", "react_msg", "react_basil"]
+
+    def order(node: str) -> str:
+        return f"decision {node} {{ " + " ".join(f"branch o{j} = leaf {dishes[j % 5]}" for j in range(10)) + " }"
+
+    return "decision root { " + " ".join(
+        f"branch r{i} = nature {{ on msg_only: {order(f'm{i}')} on basil_only: {order(f'b{i}')} }}" for i in range(3)
+    ) + " }\n"
+
+
+SIMULATE = ("simulate", LEARNING, "--truth", "coin")
+
+# each command with a small and a large request; {problem} and {tree} name
+# `large_problem()` and `wide_tree()`, which the test writes
+GARBAGE_CASES = {
+    "eval": (("eval", WEIGHTED, "--rule", "mwer", "--menu", "base"), ("eval", "{problem}", "--rule", "mwer", "--menu", "all")),
+    "eval json": (
+        ("eval", WEIGHTED, "--rule", "mwer", "--menu", "base", "--format", "json"),
+        ("eval", "{problem}", "--rule", "mwer", "--menu", "all", "--format", "json"),
+    ),
+    "update": (("update", CUPCAKE, "--event", "first100good"), ("update", "{problem}", "--event", "half")),
+    "tree": (("tree", RESTAURANT, RESTAURANT_TREE), ("tree", RESTAURANT, "{tree}")),
+    "tree json": (("tree", RESTAURANT, RESTAURANT_TREE, "--format", "json"), ("tree", RESTAURANT, "{tree}", "--format", "json")),
+    "matrix": (
+        ("axioms", WEIGHTED, "--axiom", "matrix", "--samples", "2"),
+        ("axioms", WEIGHTED, "--axiom", "matrix", "--samples", "300"),
+    ),
+    "matrix json": (
+        ("axioms", WEIGHTED, "--axiom", "matrix", "--samples", "2", "--format", "json"),
+        ("axioms", WEIGHTED, "--axiom", "matrix", "--samples", "300", "--format", "json"),
+    ),
+    "simulate": ((*SIMULATE, "--rounds", "5", "--seeds", "2"), (*SIMULATE, "--rounds", "2000", "--seeds", "50")),
+    "simulate es": (
+        (*SIMULATE, "--rounds", "5", "--seeds", "2", "--es-threshold", "1/2"),
+        (*SIMULATE, "--rounds", "2000", "--seeds", "50", "--es-threshold", "1/2"),
+    ),
+}
 
 
 class TestProcessEntry:
@@ -508,11 +571,40 @@ class TestProcessEntry:
         assert run(capsys, "axioms", WEIGHTED, "--axiom", "matrix", "--samples", "4")[0] == 0
         assert (gc.get_freeze_count(), gc.isenabled()) == before
 
-    def test_the_entry_freezes_before_the_command_runs(self):
+    def test_the_entry_runs_the_command_uncollected_and_never_returns(self):
+        # the command's output arrives, and nothing after `run` runs
         out = subprocess.run(
-            [sys.executable, "-c", FREEZE_PROBE], env=child_env(), capture_output=True, text=True, check=True,
-        ).stdout.split()
-        assert int(out[0]) > 0 and out[1] == "True"
+            [sys.executable, "-c", ENTRY_PROBE], env=child_env(), capture_output=True, text=True, check=True,
+        ).stdout
+        assert out == "False\n"
+
+    @pytest.mark.parametrize("case", GARBAGE_CASES)
+    def test_a_command_leaves_no_more_cyclic_garbage_for_a_larger_request(self, capsys, tmp_path, case):
+        # `run` never collects, so what a command leaves in reference cycles
+        # must not grow with its request; counts, not absolutes, which vary
+        # with the Python version
+        (tmp_path / "large.dp").write_text(large_problem())
+        (tmp_path / "wide.tree").write_text(wide_tree())
+        small, large = (
+            [arg.format(problem=tmp_path / "large.dp", tree=tmp_path / "wide.tree") for arg in argv]
+            for argv in GARBAGE_CASES[case]
+        )
+
+        def garbage(argv) -> int:
+            gc.collect()
+            assert main(argv) == 0
+            capsys.readouterr()
+            return gc.collect()
+
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            garbage(small)  # the first call's imports and caches
+            counts = garbage(small), garbage(large)
+        finally:
+            if enabled:
+                gc.enable()
+        assert counts[0] == counts[1]
 
     def test_every_process_enters_through_run(self):
         tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
@@ -535,6 +627,7 @@ class TestProcessEntry:
             (("eval", DELIVERY, "--rule", "mer", "--menu", "base"), 0),
             # argparse writes its help and then raises SystemExit
             (HELP, 0),
+            (("eval", "--help"), 0),
         ],
     )
     def test_a_pipe_closed_early_ends_the_command_silently(self, argv, lines, unbuffered):
@@ -548,7 +641,7 @@ class TestProcessEntry:
         with child.stderr:
             err = child.stderr.read()
         assert all(line.endswith(b"\n") for line in read)
-        assert (child.wait(), err) == (help_code(argv, unbuffered), b"")
+        assert (child.wait(), err) == (1, b"")
 
     @pytest.mark.skipif(sys.platform != "linux", reason="writes to Linux's /dev/full")
     @pytest.mark.parametrize(
@@ -557,6 +650,7 @@ class TestProcessEntry:
             ("eval", DELIVERY, "--rule", "mer", "--menu", "base"),  # buffered, fails at the flush
             ("simulate", LEARNING, "--truth", "coin", "--rounds", "2000", "--seeds", "20"),  # fails mid-command
             HELP,
+            ("eval", "--help"),  # a subcommand's parser, made by the same class
         ],
     )
     @pytest.mark.parametrize("unbuffered", [False, True])
@@ -564,6 +658,5 @@ class TestProcessEntry:
         with open("/dev/full", "wb") as full:
             child = entry(*argv, unbuffered=unbuffered, stdout=full, stderr=subprocess.PIPE)
             _, err = child.communicate()
-        code = help_code(argv, unbuffered)
-        expected = ["error: cannot write output: [Errno 28] No space left on device"] if code else []
-        assert (child.returncode, err.decode().splitlines()) == (code, expected)
+        expected = ["error: cannot write output: [Errno 28] No space left on device"]
+        assert (child.returncode, err.decode().splitlines()) == (1, expected)
